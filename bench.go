@@ -66,11 +66,13 @@ func CompareBenchReports(baseline, current *BenchReport, thresholdPct float64) *
 }
 
 // E2EBenchmarks builds the end-to-end suite: one Engine.Prove benchmark
-// per problem size in cfg.E2EMus. Each case primes its Engine's SRS and
-// key caches in Setup, so the timed iterations measure steady-state
-// proving (the paper's per-proof latency, setup amortized away), and runs
-// the Engine WithTimings so every record decomposes into per-step kernel
-// shares (steps_ns) analogous to the paper's Table 1 profile.
+// and one cold-start benchmark per problem size in cfg.E2EMus. The prove
+// case primes its Engine's SRS and key caches in Setup, so the timed
+// iterations measure steady-state proving (the paper's per-proof latency,
+// setup amortized away), and runs the Engine WithTimings so every record
+// decomposes into per-step kernel shares (steps_ns) analogous to the
+// paper's Table 1 profile. The setup case times exactly what the prove
+// case primes, on a fresh Engine per iteration.
 func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	var out []BenchmarkCase
 	for _, mu := range cfg.E2EMus {
@@ -127,6 +129,28 @@ func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 					mean[k] = v / time.Duration(stepReps)
 				}
 				return mean
+			},
+		})
+		// The cold start the steady-state record amortizes away: a fresh
+		// Engine's SRS ceremony plus this circuit's digest and key
+		// preprocessing — what the first proof of a new process waits for.
+		var coldCircuit *Circuit
+		out = append(out, BenchmarkCase{
+			Name:   fmt.Sprintf("e2e/setup/mu%d", mu),
+			Kind:   bench.KindE2E,
+			Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10)},
+			Setup: func() error {
+				var err error
+				coldCircuit, _, _, err = SyntheticWorkloadSeeded(mu, cfg.Seed)
+				return err
+			},
+			Iterate: func() error {
+				cold := New(WithEntropy(SeededEntropy(cfg.Seed)))
+				if err := cold.WarmSRS(context.Background(), mu); err != nil {
+					return err
+				}
+				_, _, err := cold.Setup(context.Background(), coldCircuit)
+				return err
 			},
 		})
 	}

@@ -18,10 +18,17 @@ func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
 	cfg.E2EMus = []int{6}
 	cfg.Seed = 3
 	bms := zkspeed.E2EBenchmarks(cfg)
-	if len(bms) != 1 {
-		t.Fatalf("want 1 e2e benchmark, got %d", len(bms))
+	if len(bms) != 2 {
+		t.Fatalf("want a prove and a setup benchmark, got %d", len(bms))
 	}
 	r := zkspeed.BenchRunner{Warmup: 1, Reps: 2}
+	cold, err := r.Run(bms[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Name != "e2e/setup/mu6" || cold.Kind != "e2e" || cold.Stats.MedianNS <= 0 {
+		t.Fatalf("cold-start record: %+v", cold)
+	}
 	rec, err := r.Run(bms[0])
 	if err != nil {
 		t.Fatal(err)

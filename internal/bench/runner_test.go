@@ -91,13 +91,13 @@ func TestKernelSuiteRuns(t *testing.T) {
 	bms := KernelSuite(cfg)
 	// 8 ff field-arithmetic records + 1 window × 2 schedules ×
 	// {pippenger, sparse} + 1 window × {signed, glv, batchaffine} +
-	// {fast, sparse-fast} + 2 fixed-base windows + legacy sumcheck +
-	// 1 serial/parallel sumcheck pair + {commit, commit-fixed,
-	// precompute} + open + per-scheme records (pst: commit+open;
-	// zeromorph: commit+open+open-shift+naive) + 5 serial/parallel MTU
-	// kernel pairs + fold.
-	if len(bms) != 43 {
-		t.Fatalf("want 43 kernel benchmarks, got %d", len(bms))
+	// {fast, sparse-fast, fast/allones} + 2 fixed-base windows + legacy
+	// sumcheck + 1 serial/parallel sumcheck pair + {commit, commit-fixed,
+	// precompute} + open + per-scheme records (pst: setup+commit+open;
+	// zeromorph: setup+commit+open+open-shift+naive) + 5 serial/parallel
+	// MTU kernel pairs + sha3 + fold.
+	if len(bms) != 47 {
+		t.Fatalf("want 47 kernel benchmarks, got %d", len(bms))
 	}
 	report := NewReport("test", RunConfig{Reps: 1}, time.Unix(0, 0))
 	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}

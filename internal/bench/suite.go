@@ -51,7 +51,10 @@ type SuiteConfig struct {
 	// MLEMu is the table size of the serial-vs-parallel MTU kernel
 	// records (mle/{update,eval,build,product,frac}/muN/*).
 	MLEMu int
-	// E2EMus are the problem sizes for end-to-end Engine.Prove runs.
+	// E2EMus are the problem sizes of the end-to-end records: a
+	// steady-state Engine.Prove run and a cold start (e2e/setup/muN) at
+	// each. Quick includes mu12 so the CI gate can hold set-up against
+	// proving within one run.
 	E2EMus []int
 	// ServiceMus are the problem sizes for proving through the zkproverd
 	// HTTP path (service-level latency: HTTP + queue + batch + prove).
@@ -90,7 +93,7 @@ func DefaultConfig(quick bool) SuiteConfig {
 			PCSMus:           []int{10, 12},
 			FoldMu:           14,
 			MLEMu:            14,
-			E2EMus:           []int{8, 10},
+			E2EMus:           []int{8, 10, 12},
 			ServiceMus:       []int{8},
 			ClusterMu:        10,
 			ClusterBatch:     8,
@@ -121,11 +124,12 @@ func DefaultConfig(quick bool) SuiteConfig {
 	}
 }
 
-// frSink / fpSink keep the dependent ff op chains observable so the
-// compiler cannot dead-code them out of the timed loops.
+// frSink / fpSink / shaSink keep the dependent ff op chains and the hash
+// observable so the compiler cannot dead-code them out of the timed loops.
 var (
-	frSink ff.Fr
-	fpSink ff.Fp
+	frSink  ff.Fr
+	fpSink  ff.Fp
+	shaSink [32]byte
 )
 
 // seedBytes encodes the suite seed for transcript derivation.
@@ -307,7 +311,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	// scalar vectors are identical across (window, aggregation) pairs, so
 	// they are derived once and shared like the SRS cache.
 	n := 1 << cfg.MSMLogN
-	var dense, sparse []ff.Fr
+	var dense, sparse, ones []ff.Fr
 	msmSetup := func() error {
 		srsFor(cfg.MSMLogN)
 		if dense == nil {
@@ -407,6 +411,27 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			Iterate: func() error {
 				_ = msm.SparseMSM(srsFor(cfg.MSMLogN).Lag[0], sparse,
 					msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped})
+				return nil
+			},
+		},
+		// All scalars equal to one: every bucket update of the MSM hits
+		// the same bucket, the shape of a selector column's commitment in
+		// key preprocessing. Tracks the accumulator's collision handling.
+		Benchmark{
+			Name:   fmt.Sprintf("msm/fast/n%d/allones", cfg.MSMLogN),
+			Kind:   KindKernel,
+			Params: map[string]string{"n": strconv.Itoa(n), "kernel": "fast", "scalars": "all-ones"},
+			Setup: func() error {
+				if ones == nil {
+					ones = make([]ff.Fr, n)
+					for i := range ones {
+						ones[i].SetOne()
+					}
+				}
+				return msmSetup()
+			},
+			Iterate: func() error {
+				_ = msm.MSM(srsFor(cfg.MSMLogN).Lag[0], ones)
 				return nil
 			},
 		},
@@ -824,6 +849,17 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			params := map[string]string{"mu": strconv.Itoa(mu), "scheme": scheme}
 			opt := msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped, Kernel: msm.KernelFast}
 			out = append(out,
+				// The cold ceremony: what a fresh engine pays before its
+				// first commitment under this scheme.
+				Benchmark{
+					Name:   fmt.Sprintf("pcs/%s/setup/mu%d", scheme, mu),
+					Kind:   KindKernel,
+					Params: params,
+					Iterate: func() error {
+						_, err := pcs.NewBackend(sc, seedBytes(cfg.Seed), mu)
+						return err
+					},
+				},
 				Benchmark{
 					Name:   fmt.Sprintf("pcs/%s/commit/mu%d", scheme, mu),
 					Kind:   KindKernel,
@@ -899,6 +935,29 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 			)
 		}
+	}
+
+	// SHA3-256 bulk throughput: circuit and witness digests absorb whole
+	// tables (22 MB for a 2^16-gate circuit), so the sponge's speed is a
+	// term of every cold start as well as of each Fiat–Shamir round.
+	{
+		var msg []byte
+		out = append(out, Benchmark{
+			Name:   "transcript/sha3/1MiB",
+			Kind:   KindKernel,
+			Params: map[string]string{"bytes": strconv.Itoa(1 << 20)},
+			Setup: func() error {
+				msg = make([]byte, 1<<20)
+				for i := range msg {
+					msg[i] = byte(i*7 + 3)
+				}
+				return nil
+			},
+			Iterate: func() error {
+				shaSink = transcript.Sum256(msg)
+				return nil
+			},
+		})
 	}
 
 	// MLE fold: the full Eq. 2 update chain (bind all mu variables),

@@ -243,50 +243,68 @@ func bucketAccAffine(bases []curve.G1Affine, digits []int16, nw, w, c, lo, hi in
 			acc.add(int32(-d-1), &bases[i], true)
 		}
 	}
-	acc.flushAll()
+	buckets := acc.finish()
 	jb := make([]curve.G1Jac, nb)
 	for i := range jb {
-		jb[i].FromAffine(&acc.buckets[i])
+		jb[i].FromAffine(&buckets[i])
 	}
 	return aggregateBuckets(jb, agg)
 }
 
-// affineAcc stages bucket updates for curve.BatchAddMixed. Updates whose
-// bucket is already pending in the current batch (BatchAddMixed requires
-// distinct targets per call) are parked on a conflict queue and drained
-// after the batch flushes.
+// affineAcc stages bucket updates for curve.BatchAddMixed, which needs
+// distinct targets within one call. An update whose bucket is already
+// staged is parked on a conflict queue. A pass over the queue sends one
+// parked point per free bucket to its bucket and adds the others of that
+// bucket to each other in pairs, all inside the same shared inversions,
+// so m points colliding on one bucket reduce as a tree — m additions in
+// ~m/batch inversions — instead of one single-addition batch each. That
+// is the shape of a selector commitment, whose scalars are all equal.
 type affineAcc struct {
-	buckets []curve.G1Affine
+	// slots holds the nb buckets, then one scratch slot per pair sum of
+	// the current batch: adding a pair is a BatchAddMixed update of a
+	// slot that starts out as the pair's first point.
+	slots   []curve.G1Affine
+	nb      int
 	pending []bool // bucket staged in the current batch
 	idx     []int32
 	adds    []curve.G1Affine
+	pairs   []int32 // bucket of each pair-sum slot the current batch uses
 	denoms  []ff.Fp
 	scratch []ff.Fp
 	batch   int
-	// Conflict queue, double-buffered so a drain pass can re-queue
-	// still-conflicting entries without aliasing the slice it reads.
+	// Conflict queue, double-buffered so a pass can queue for the next
+	// one without aliasing the slice it reads.
 	qIdx, qIdxAlt []int32
 	qPts, qPtsAlt []curve.G1Affine
+	// mate[b] is the queue position of a point of bucket b waiting for
+	// its pair during a pass, or -1.
+	mate []int32
+	// inversions counts the batches run — one field inversion each.
+	inversions int
 }
 
 func newAffineAcc(nb int) *affineAcc {
 	batch := batchAddSize
 	if batch > nb {
-		// A batch can hold at most one update per bucket; a larger
-		// threshold would only grow the conflict queue.
+		// A batch of plain updates can hold at most one per bucket; a
+		// larger threshold would only grow the conflict queue.
 		batch = nb
 	}
 	a := &affineAcc{
-		buckets: make([]curve.G1Affine, nb),
+		slots:   make([]curve.G1Affine, nb+batch),
+		nb:      nb,
 		pending: make([]bool, nb),
 		idx:     make([]int32, 0, batch),
 		adds:    make([]curve.G1Affine, 0, batch),
+		pairs:   make([]int32, 0, batch),
 		denoms:  make([]ff.Fp, batch),
 		scratch: make([]ff.Fp, batch),
 		batch:   batch,
+		mate:    make([]int32, nb),
 	}
-	for i := range a.buckets {
-		a.buckets[i] = curve.G1Infinity()
+	for i := 0; i < nb; i++ {
+		a.slots[i] = curve.G1Infinity()
+		a.mate[i] = -1
 	}
 	return a
 }
@@ -301,55 +319,87 @@ func (a *affineAcc) add(b int32, p *curve.G1Affine, neg bool) {
 		a.qIdx = append(a.qIdx, b)
 		a.qPts = append(a.qPts, pt)
 	} else {
-		a.pending[b] = true
-		a.idx = append(a.idx, b)
-		a.adds = append(a.adds, pt)
+		a.stage(b, &pt)
 	}
 	if len(a.idx) >= a.batch {
 		a.runBatch() // batch full of distinct targets — best amortization
-	} else if len(a.qIdx) >= a.batch {
-		a.flushAll() // bound the conflict queue
+	} else if len(a.qIdx) >= 2*a.batch {
+		a.reduceQueue() // enough parked points to fill a batch with pair sums
 	}
 }
 
-// runBatch applies and clears the current batch.
+// stage puts the update of bucket b by pt into the current batch.
+func (a *affineAcc) stage(b int32, pt *curve.G1Affine) {
+	a.pending[b] = true
+	a.idx = append(a.idx, b)
+	a.adds = append(a.adds, *pt)
+}
+
+// runBatch applies and clears the current batch; its pair sums join the
+// conflict queue as single points of their bucket.
 func (a *affineAcc) runBatch() {
 	if len(a.idx) == 0 {
 		return
 	}
-	curve.BatchAddMixed(a.buckets, a.idx, a.adds, a.denoms, a.scratch)
-	for _, b := range a.idx {
-		a.pending[b] = false
+	curve.BatchAddMixed(a.slots, a.idx, a.adds, a.denoms, a.scratch)
+	a.inversions++
+	for _, t := range a.idx {
+		if int(t) < a.nb {
+			a.pending[t] = false
+		}
+	}
+	for j, b := range a.pairs {
+		if sum := &a.slots[a.nb+j]; !sum.Inf {
+			a.qIdx = append(a.qIdx, b)
+			a.qPts = append(a.qPts, *sum)
+		}
 	}
 	a.idx = a.idx[:0]
 	a.adds = a.adds[:0]
+	a.pairs = a.pairs[:0]
 }
 
-// flushAll applies the current batch and drains the conflict queue.
-// Each drain pass admits at least one queued entry (the batch is empty
-// and all marks clear at pass start), so this terminates even when every
-// update targets the same bucket.
-func (a *affineAcc) flushAll() {
+// reduceQueue makes one pass over the conflict queue. The batch is
+// applied first, so every mark is clear and each queued bucket takes at
+// least one point: a bucket's queue of m shrinks to at most m/2, whatever
+// the distribution. The pass may leave a partly filled batch staged.
+func (a *affineAcc) reduceQueue() {
 	a.runBatch()
-	for len(a.qIdx) > 0 {
-		a.qIdx, a.qIdxAlt = a.qIdxAlt[:0], a.qIdx
-		a.qPts, a.qPtsAlt = a.qPtsAlt[:0], a.qPts
-		for k := range a.qIdxAlt {
-			b := a.qIdxAlt[k]
-			if a.pending[b] {
-				a.qIdx = append(a.qIdx, b)
-				a.qPts = append(a.qPts, a.qPtsAlt[k])
-				continue
-			}
-			a.pending[b] = true
-			a.idx = append(a.idx, b)
+	a.qIdx, a.qIdxAlt = a.qIdxAlt[:0], a.qIdx
+	a.qPts, a.qPtsAlt = a.qPtsAlt[:0], a.qPts
+	for k, b := range a.qIdxAlt {
+		switch m := a.mate[b]; {
+		case !a.pending[b]:
+			a.stage(b, &a.qPtsAlt[k])
+		case m < 0:
+			a.mate[b] = int32(k)
+		default:
+			a.mate[b] = -1
+			a.slots[a.nb+len(a.pairs)] = a.qPtsAlt[m]
+			a.idx = append(a.idx, int32(a.nb+len(a.pairs)))
 			a.adds = append(a.adds, a.qPtsAlt[k])
-			if len(a.idx) >= a.batch {
-				a.runBatch()
-			}
+			a.pairs = append(a.pairs, b)
 		}
-		a.runBatch()
+		if len(a.idx) >= a.batch {
+			a.runBatch()
+		}
 	}
+	// Points left without a pair wait for the next pass.
+	for k, b := range a.qIdxAlt {
+		if a.mate[b] == int32(k) {
+			a.mate[b] = -1
+			a.qIdx = append(a.qIdx, b)
+			a.qPts = append(a.qPts, a.qPtsAlt[k])
+		}
+	}
+}
+
+// finish applies everything staged or parked and returns the buckets.
+func (a *affineAcc) finish() []curve.G1Affine {
+	for a.runBatch(); len(a.qIdx) > 0; a.runBatch() {
+		a.reduceQueue()
+	}
+	return a.slots[:a.nb]
 }
 
 // parallelFor splits [0, n) into one contiguous range per worker and runs

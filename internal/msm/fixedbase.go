@@ -314,8 +314,7 @@ func fixedBaseBuckets(t *FixedBaseTable, rows []int32, digits []int16, n int, op
 					}
 				}
 			}
-			acc.flushAll()
-			partials[ti] = aggregateAffine(acc.buckets, opt.Aggregation)
+			partials[ti] = aggregateAffine(acc.finish(), opt.Aggregation)
 		}(ti)
 	}
 	wg.Wait()

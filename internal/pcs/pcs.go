@@ -7,7 +7,11 @@
 //
 // The SRS is generated from explicit toxic waste (τ_1..τ_μ), i.e. a
 // simulated universal trusted-setup ceremony — the appropriate substitute
-// for a real powers-of-tau ceremony in a reproduction.
+// for a real powers-of-tau ceremony in a reproduction. The ceremony costs
+// 2^μ fixed-base multiplications of the generator for the full Lagrange
+// layer plus one affine addition per point of every smaller layer (see
+// SetupWithTaus); the Zeromorph backend's powers basis uses the same
+// generator kernel.
 package pcs
 
 import (
@@ -15,7 +19,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +90,12 @@ func SetupFromSeed(seed []byte, mu int) *SRS {
 }
 
 // SetupWithTaus builds the SRS from explicit τ values (exposed for tests
-// that exploit the trapdoor).
+// that exploit the trapdoor). Only the full-size layer is derived from
+// scalars: Lag[0] = [eq(·, τ)]·G through the generator's window table
+// (msm.MulGenerator). τ_{k+1} is the low index bit of layer k, and
+// eq(0, τ) + eq(1, τ) = 1, so summing a layer over that bit gives the next
+// one: Lag[k+1][i] = Lag[k][2i] + Lag[k][2i+1], one affine addition per
+// point (msm.SumPairs) in place of a scalar multiplication.
 func SetupWithTaus(taus []ff.Fr) *SRS {
 	mu := len(taus)
 	srs := &SRS{
@@ -96,14 +104,12 @@ func SetupWithTaus(taus []ff.Fr) *SRS {
 		G:   curve.G1Generator(),
 		H:   curve.G2Generator(),
 	}
-	srs.Lag[mu] = []curve.G1Affine{srs.G}
-	var gJac curve.G1Jac
-	gJac.FromAffine(&srs.G)
+	eq := poly.EqTableWith(taus, poly.Options{}) // layer-parallel Build MLE
+	srs.Lag[0] = msm.MulGenerator(eq.Evals)
 	for k := 0; k < mu; k++ {
-		eq := poly.EqTableWith(taus[k:], poly.Options{}) // layer-parallel Build MLE
-		srs.Lag[k] = batchScalarMulG1(&gJac, eq.Evals)
+		srs.Lag[k+1] = msm.SumPairs(srs.Lag[k])
 	}
-	var hJac, ht G2JacAlias
+	var hJac, ht curve.G2Jac
 	hJac.FromAffine(&srs.H)
 	srs.HTau = make([]curve.G2Affine, mu)
 	for j := 0; j < mu; j++ {
@@ -111,37 +117,6 @@ func SetupWithTaus(taus []ff.Fr) *SRS {
 		srs.HTau[j].FromJacobian(&ht)
 	}
 	return srs
-}
-
-// G2JacAlias keeps the import surface tidy.
-type G2JacAlias = curve.G2Jac
-
-// batchScalarMulG1 computes [s_i]·base for every scalar, in parallel.
-func batchScalarMulG1(base *curve.G1Jac, scalars []ff.Fr) []curve.G1Affine {
-	out := make([]curve.G1Affine, len(scalars))
-	nw := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (len(scalars) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(scalars) {
-			hi = len(scalars)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var p curve.G1Jac
-			for i := lo; i < hi; i++ {
-				p.ScalarMul(base, &scalars[i])
-				out[i].FromJacobian(&p)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }
 
 // MaxVars returns the largest MLE size this SRS supports.

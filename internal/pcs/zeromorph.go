@@ -82,9 +82,7 @@ func ZeromorphSetupWithTau(tau ff.Fr, mu int) *ZeromorphSRS {
 	for i := 1; i < n; i++ {
 		scalars[i].Mul(&scalars[i-1], &tau)
 	}
-	var gJac curve.G1Jac
-	gJac.FromAffine(&srs.G)
-	srs.Pow = batchScalarMulG1(&gJac, scalars)
+	srs.Pow = msm.MulGenerator(scalars)
 	var hJac, ht curve.G2Jac
 	hJac.FromAffine(&srs.H)
 	ht.ScalarMul(&hJac, &tau)

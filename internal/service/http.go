@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -112,24 +113,42 @@ func (s *Service) authenticate(next http.Handler) http.Handler {
 // instrument counts every served request by route pattern and status.
 func (s *Service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
+		cw := &codeWriter{ResponseWriter: w, req: r, met: s.met}
 		next.ServeHTTP(cw, r)
-		pattern := r.Pattern
-		if pattern == "" {
-			pattern = "unmatched"
-		}
-		s.met.observeHTTP(pattern, cw.code)
+		cw.count(http.StatusOK) // a handler that wrote nothing answers 200
 	})
 }
 
+// codeWriter counts its request as the response starts, before any byte
+// reaches the client: whoever has read a response must find it counted
+// in the next /metrics scrape.
 type codeWriter struct {
 	http.ResponseWriter
-	code int
+	req     *http.Request
+	met     *Metrics
+	counted bool
+}
+
+func (w *codeWriter) count(code int) {
+	if w.counted {
+		return
+	}
+	w.counted = true
+	pattern := w.req.Pattern
+	if pattern == "" {
+		pattern = "unmatched"
+	}
+	w.met.observeHTTP(pattern, code)
 }
 
 func (w *codeWriter) WriteHeader(code int) {
-	w.code = code
+	w.count(code)
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *codeWriter) Write(p []byte) (int, error) {
+	w.count(http.StatusOK)
+	return w.ResponseWriter.Write(p)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -689,8 +708,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			gauge{name: "zkproverd_cluster_local_fallbacks_total", help: "Batches proved locally for lack of workers.", counter: true, value: float64(cs.LocalFallbacks)},
 		)
 	}
+	// Rendered off the wire: WritePrometheus holds the metrics lock, which
+	// the response's own request count (codeWriter) also takes.
+	var body bytes.Buffer
+	s.met.WritePrometheus(&body, gauges)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.WritePrometheus(w, gauges)
+	w.Write(body.Bytes())
 }
 
 // decodeFrs parses 32-byte big-endian field elements, enforcing canonical

@@ -264,6 +264,9 @@ func (j *job) finish(resp api.ProveResponse) {
 	}
 	j.status = resp.Status
 	j.resp = resp
+	// A terminal job is kept (JobRetention) only to be polled; its witness
+	// tables, the bulk of its memory, have no reader left.
+	j.assign = nil
 	if j.tenantRef != nil {
 		j.tenantRef.ReleaseJob()
 	}

@@ -46,10 +46,16 @@ func (t *Transcript) AppendFr(label string, v *ff.Fr) {
 	t.AppendBytes(label, b[:])
 }
 
-// AppendFrs absorbs a labeled scalar vector.
+// AppendFrs absorbs a labeled scalar vector: the bytes of one AppendFr per
+// element, with the label-and-length frame they all share built once.
 func (t *Transcript) AppendFrs(label string, vs []ff.Fr) {
+	frame := make([]byte, len(label)+8+ff.FrBytes)
+	n := copy(frame, label)
+	binary.LittleEndian.PutUint64(frame[n:], ff.FrBytes)
 	for i := range vs {
-		t.AppendFr(label, &vs[i])
+		b := vs[i].Bytes()
+		copy(frame[n+8:], b[:])
+		t.append(frame)
 	}
 }
 
