@@ -65,14 +65,15 @@ func CompareBenchReports(baseline, current *BenchReport, thresholdPct float64) *
 	return bench.Compare(baseline, current, thresholdPct)
 }
 
-// E2EBenchmarks builds the end-to-end suite: one Engine.Prove benchmark
-// and one cold-start benchmark per problem size in cfg.E2EMus. The prove
-// case primes its Engine's SRS and key caches in Setup, so the timed
-// iterations measure steady-state proving (the paper's per-proof latency,
-// setup amortized away), and runs the Engine WithTimings so every record
-// decomposes into per-step kernel shares (steps_ns) analogous to the
-// paper's Table 1 profile. The setup case times exactly what the prove
-// case primes, on a fresh Engine per iteration.
+// E2EBenchmarks builds the end-to-end suite: one Engine.Prove benchmark,
+// one cold-start benchmark and one Engine.Verify benchmark per problem
+// size in cfg.E2EMus. The prove case primes its Engine's SRS and key
+// caches in Setup, so the timed iterations measure steady-state proving
+// (the paper's per-proof latency, setup amortized away), and runs the
+// Engine WithTimings so every record decomposes into per-step kernel
+// shares (steps_ns) analogous to the paper's Table 1 profile. The setup
+// case times exactly what the prove case primes, on a fresh Engine per
+// iteration.
 func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	var out []BenchmarkCase
 	for _, mu := range cfg.E2EMus {
@@ -151,6 +152,33 @@ func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				}
 				_, _, err := cold.Setup(context.Background(), coldCircuit)
 				return err
+			},
+		})
+		// What a verifier pays for the same statement: Engine.Verify of
+		// one proof (sumcheck replays, the batched commitment combination
+		// and the PCS opening check), keys cached.
+		var (
+			vEng     *Engine
+			vCircuit *Circuit
+			vResult  *ProofResult
+		)
+		out = append(out, BenchmarkCase{
+			Name:   fmt.Sprintf("e2e/verify/mu%d", mu),
+			Kind:   bench.KindE2E,
+			Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10)},
+			Setup: func() error {
+				vEng = New(WithEntropy(SeededEntropy(cfg.Seed)))
+				var assign *Assignment
+				var err error
+				vCircuit, assign, _, err = SyntheticWorkloadSeeded(mu, cfg.Seed)
+				if err != nil {
+					return err
+				}
+				vResult, err = vEng.Prove(context.Background(), vCircuit, assign)
+				return err
+			},
+			Iterate: func() error {
+				return vEng.Verify(context.Background(), vCircuit, vResult.PublicInputs, vResult.Proof)
 			},
 		})
 	}

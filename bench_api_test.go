@@ -18,8 +18,8 @@ func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
 	cfg.E2EMus = []int{6}
 	cfg.Seed = 3
 	bms := zkspeed.E2EBenchmarks(cfg)
-	if len(bms) != 2 {
-		t.Fatalf("want a prove and a setup benchmark, got %d", len(bms))
+	if len(bms) != 3 {
+		t.Fatalf("want a prove, a setup and a verify benchmark, got %d", len(bms))
 	}
 	r := zkspeed.BenchRunner{Warmup: 1, Reps: 2}
 	cold, err := r.Run(bms[1])
@@ -28,6 +28,13 @@ func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
 	}
 	if cold.Name != "e2e/setup/mu6" || cold.Kind != "e2e" || cold.Stats.MedianNS <= 0 {
 		t.Fatalf("cold-start record: %+v", cold)
+	}
+	ver, err := r.Run(bms[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver.Name != "e2e/verify/mu6" || ver.Kind != "e2e" || ver.Stats.MedianNS <= 0 {
+		t.Fatalf("verify record: %+v", ver)
 	}
 	rec, err := r.Run(bms[0])
 	if err != nil {

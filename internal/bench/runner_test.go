@@ -89,15 +89,16 @@ func TestKernelSuiteRuns(t *testing.T) {
 		Seed:             7,
 	}
 	bms := KernelSuite(cfg)
-	// 8 ff field-arithmetic records + 1 window × 2 schedules ×
+	// 8 ff field-arithmetic records + 4 pairing records (pairing,
+	// finalexp, miller/n1, miller/n17) + 1 window × 2 schedules ×
 	// {pippenger, sparse} + 1 window × {signed, glv, batchaffine} +
 	// {fast, sparse-fast, fast/allones} + 2 fixed-base windows + legacy
 	// sumcheck + 1 serial/parallel sumcheck pair + {commit, commit-fixed,
-	// precompute} + open + per-scheme records (pst: setup+commit+open;
-	// zeromorph: setup+commit+open+open-shift+naive) + 5 serial/parallel
-	// MTU kernel pairs + sha3 + fold.
-	if len(bms) != 47 {
-		t.Fatalf("want 47 kernel benchmarks, got %d", len(bms))
+	// precompute} + open + per-scheme records (pst: setup+commit+open+
+	// verify; zeromorph: setup+commit+open+verify+open-shift+naive) + 5
+	// serial/parallel MTU kernel pairs + sha3 + fold.
+	if len(bms) != 53 {
+		t.Fatalf("want 53 kernel benchmarks, got %d", len(bms))
 	}
 	report := NewReport("test", RunConfig{Reps: 1}, time.Unix(0, 0))
 	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}

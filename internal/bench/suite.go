@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/msm"
 	"zkspeed/internal/pcs"
@@ -124,11 +125,13 @@ func DefaultConfig(quick bool) SuiteConfig {
 	}
 }
 
-// frSink / fpSink / shaSink keep the dependent ff op chains and the hash
-// observable so the compiler cannot dead-code them out of the timed loops.
+// frSink / fpSink / gtSink / shaSink keep the dependent ff op chains, the
+// pairing values and the hash observable so the compiler cannot dead-code
+// them out of the timed loops.
 var (
 	frSink  ff.Fr
 	fpSink  ff.Fp
+	gtSink  curve.GT
 	shaSink [32]byte
 )
 
@@ -303,6 +306,67 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 			},
 		)
+	}
+
+	// Pairing kernels, the verifier's floor: one full pairing, the shared
+	// Miller loop for one pair and for the 17 of a μ=16 PST opening check,
+	// and the final exponentiation alone. Points are random multiples of
+	// the generators.
+	{
+		const millerPairs = 17
+		var ps []curve.G1Affine
+		var qs []curve.G2Affine
+		var miller ff.Fp12
+		pairingSetup := func() error {
+			if ps != nil {
+				return nil
+			}
+			s := challengeFrs(cfg.Seed, "curve.pairing", 2*millerPairs)
+			g1, g2 := curve.G1Generator(), curve.G2Generator()
+			var g1j, pj curve.G1Jac
+			var g2j, qj curve.G2Jac
+			g1j.FromAffine(&g1)
+			g2j.FromAffine(&g2)
+			ps = make([]curve.G1Affine, millerPairs)
+			qs = make([]curve.G2Affine, millerPairs)
+			for i := range ps {
+				ps[i].FromJacobian(pj.ScalarMul(&g1j, &s[2*i]))
+				qs[i].FromJacobian(qj.ScalarMul(&g2j, &s[2*i+1]))
+			}
+			var err error
+			miller, err = curve.MillerLoop(&ps[0], &qs[0])
+			return err
+		}
+		out = append(out,
+			Benchmark{
+				Name: "curve/pairing", Kind: KindKernel, Setup: pairingSetup,
+				Iterate: func() error {
+					var err error
+					gtSink, err = curve.Pair(&ps[0], &qs[0])
+					return err
+				},
+			},
+			Benchmark{
+				Name: "curve/finalexp", Kind: KindKernel, Setup: pairingSetup,
+				Iterate: func() error {
+					gtSink = curve.FinalExponentiation(&miller)
+					return nil
+				},
+			},
+		)
+		for _, n := range []int{1, millerPairs} {
+			n := n
+			out = append(out, Benchmark{
+				Name: fmt.Sprintf("curve/miller/n%d", n), Kind: KindKernel,
+				Params: map[string]string{"pairs": strconv.Itoa(n)},
+				Setup:  pairingSetup,
+				Iterate: func() error {
+					var err error
+					gtSink, err = curve.MultiMillerLoop(ps[:n], qs[:n])
+					return err
+				},
+			})
+		}
 	}
 
 	// MSM sweeps: real SRS points (the Lagrange basis commitments run
@@ -889,6 +953,42 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					},
 				},
 			)
+			// The opening check a verifier runs: one small G1 MSM and a
+			// pairing product against fixed SRS elements (μ+1 pairs under
+			// PST, two under Zeromorph).
+			var comm pcs.Commitment
+			var opening pcs.OpeningProof
+			var value ff.Fr
+			out = append(out, Benchmark{
+				Name:   fmt.Sprintf("pcs/%s/verify/mu%d", scheme, mu),
+				Kind:   KindKernel,
+				Params: params,
+				Setup: func() error {
+					if err := setup(); err != nil {
+						return err
+					}
+					b, err := backendFor(mu)
+					if err != nil {
+						return err
+					}
+					if comm, err = b.CommitWith(m, opt); err != nil {
+						return err
+					}
+					opening, value, err = b.OpenWith(m, point, opt)
+					return err
+				},
+				Iterate: func() error {
+					b, err := backendFor(mu)
+					if err != nil {
+						return err
+					}
+					ok, err := b.Verify(comm, point, value, opening)
+					if err == nil && !ok {
+						err = fmt.Errorf("pcs/%s/verify/mu%d: valid opening rejected", scheme, mu)
+					}
+					return err
+				},
+			})
 			if sc != pcs.SchemeZeromorph {
 				continue
 			}

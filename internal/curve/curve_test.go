@@ -311,3 +311,116 @@ func BenchmarkPairing(b *testing.B) {
 		}
 	}
 }
+
+// onCurveG1 returns a point of E(Fp) with the given x (stepping x until
+// x³+4 is a square): a random such point has order divisible by a factor
+// of the cofactor, so it is outside G1.
+func onCurveG1(x uint64) G1Affine {
+	var p G1Affine
+	for ; ; x++ {
+		p.X.SetUint64(x)
+		var rhs ff.Fp
+		rhs.Square(&p.X)
+		rhs.Mul(&rhs, &p.X)
+		rhs.Add(&rhs, &curveB)
+		if p.Y.Sqrt(&rhs) {
+			return p
+		}
+	}
+}
+
+func TestG1IsInSubgroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	r := ff.FrModulusBig()
+	byOrder := func(p *G1Affine) bool {
+		var j G1Jac
+		j.FromAffine(p)
+		j.ScalarMulBig(&j, r)
+		return j.IsInfinity()
+	}
+	check := func(name string, p G1Affine, want bool) {
+		t.Helper()
+		if !p.IsOnCurve() {
+			t.Fatalf("%s: test point off curve", name)
+		}
+		if got := byOrder(&p); got != want {
+			t.Fatalf("%s: [r]P == ∞ is %v, test expects %v", name, got, want)
+		}
+		if got := p.IsInSubgroup(); got != want {
+			t.Fatalf("%s: IsInSubgroup = %v, [r]P == ∞ is %v", name, got, want)
+		}
+	}
+	check("infinity", G1Infinity(), true)
+	check("generator", G1Generator(), true)
+	for i := 0; i < 8; i++ {
+		check("random multiple of G", randG1(rng), true)
+	}
+	for i := 0; i < 8; i++ {
+		off := onCurveG1(rng.Uint64())
+		check("random curve point", off, false)
+
+		// Its cofactor-torsion part [r]P, and that part shifted by a G1
+		// point, are on the curve and outside G1 too.
+		var tors, shifted G1Jac
+		tors.FromAffine(&off)
+		tors.ScalarMulBig(&tors, r)
+		var torsAff, shiftedAff G1Affine
+		torsAff.FromJacobian(&tors)
+		check("cofactor torsion", torsAff, false)
+		in := randG1(rng)
+		shifted.Set(&tors)
+		shifted.AddMixed(&in)
+		shiftedAff.FromJacobian(&shifted)
+		check("G1 point plus torsion", shiftedAff, false)
+	}
+	bad := G1Generator()
+	bad.Y.Add(&bad.Y, &bad.Y)
+	if bad.IsInSubgroup() {
+		t.Fatal("off-curve point reported in subgroup")
+	}
+}
+
+func TestScalarMulMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	var g1 G1Jac
+	g1a := G1Generator()
+	g1.FromAffine(&g1a)
+	var g2 G2Jac
+	g2a := G2Generator()
+	g2.FromAffine(&g2a)
+	var zero, one, top ff.Fr
+	one.SetOne()
+	top.Neg(&one) // r-1
+	scalars := []ff.Fr{zero, one, top, ff.NewFr(1 << 63), randScalar(rng), randScalar(rng)}
+	var hi ff.Fr
+	hi.SetBigInt(new(big.Int).Lsh(big.NewInt(1), 192))
+	scalars = append(scalars, hi)
+	for i := range scalars {
+		e := scalars[i].BigInt()
+		var a, b G1Jac
+		a.ScalarMul(&g1, &scalars[i])
+		b.ScalarMulBig(&g1, e)
+		if !a.Equal(&b) {
+			t.Fatalf("G1 ScalarMul != ScalarMulBig for %v", e)
+		}
+		var c, d G2Jac
+		c.ScalarMul(&g2, &scalars[i])
+		d.ScalarMulBig(&g2, e)
+		var ca, da G2Affine
+		ca.FromJacobian(&c)
+		da.FromJacobian(&d)
+		if !ca.Equal(&da) {
+			t.Fatalf("G2 ScalarMul != ScalarMulBig for %v", e)
+		}
+	}
+}
+
+func BenchmarkG1IsInSubgroup(b *testing.B) {
+	p := randG1(rand.New(rand.NewSource(51)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !p.IsInSubgroup() {
+			b.Fatal("subgroup point rejected")
+		}
+	}
+}

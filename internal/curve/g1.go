@@ -7,6 +7,7 @@ package curve
 
 import (
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"zkspeed/internal/ff"
@@ -107,6 +108,54 @@ func (p *G1Affine) Phi(q *G1Affine) *G1Affine {
 	p.Y = q.Y
 	p.Inf = q.Inf
 	return p
+}
+
+// IsInSubgroup reports whether p lies in G1, the subgroup of prime order r
+// of E(Fp) (infinity counts). E(Fp) has cofactor (x-1)²/3, so IsOnCurve
+// alone does not give that, and only for points of order r may a scalar be
+// moved across a pairing or reduced mod r.
+//
+// The test is φ(P) == [λ]P. As an endomorphism φ - λ has degree
+// λ² + λ + 1 = r, so its kernel has exactly r points and, containing G1,
+// is G1. With λ = x² - 1 the right side costs two 64-bit ladders by |x|
+// (Hamming weight 6) in place of a 255-bit multiplication by r.
+func (p *G1Affine) IsInSubgroup() bool {
+	if p.Inf {
+		return true
+	}
+	if !p.IsOnCurve() {
+		return false
+	}
+	var t G1Jac
+	t.FromAffine(p)
+	t.mulByAbsX(&t)
+	t.mulByAbsX(&t) // [x²]P
+	var neg, phi G1Affine
+	neg.Neg(p)
+	t.AddMixed(&neg) // [x² - 1]P
+	if t.IsInfinity() {
+		return false
+	}
+	phi.Phi(p)
+	var zz, zzz ff.Fp
+	zz.Square(&t.Z)
+	zzz.Mul(&zz, &t.Z)
+	zz.Mul(&zz, &phi.X)
+	zzz.Mul(&zzz, &phi.Y)
+	return zz.Equal(&t.X) && zzz.Equal(&t.Y)
+}
+
+// mulByAbsX sets p = [|x|]q for the BLS parameter x and returns p.
+func (p *G1Jac) mulByAbsX(q *G1Jac) *G1Jac {
+	base := *q
+	acc := base
+	for i := 62; i >= 0; i-- {
+		acc.Double(&acc)
+		if blsX>>uint(i)&1 == 1 {
+			acc.Add(&acc, &base)
+		}
+	}
+	return p.Set(&acc)
 }
 
 // Equal reports whether p == q.
@@ -303,17 +352,28 @@ func (p *G1Jac) AddMixed(a *G1Affine) *G1Jac {
 	return p
 }
 
-// ScalarMul sets p = [s]q and returns p (double-and-add, MSB first).
+// ScalarMul sets p = [s]q and returns p (double-and-add, MSB first, over
+// the scalar's canonical limbs).
 func (p *G1Jac) ScalarMul(q *G1Jac, s *ff.Fr) *G1Jac {
-	e := s.BigInt()
+	e := s.CanonicalLimbs()
 	var acc G1Jac
-	for i := e.BitLen() - 1; i >= 0; i-- {
+	for i := scalarBitLen(&e) - 1; i >= 0; i-- {
 		acc.Double(&acc)
-		if e.Bit(i) == 1 {
+		if e[i/64]>>(uint(i)%64)&1 == 1 {
 			acc.Add(&acc, q)
 		}
 	}
 	return p.Set(&acc)
+}
+
+// scalarBitLen returns the bit length of a little-endian 256-bit value.
+func scalarBitLen(e *[4]uint64) int {
+	for i := 3; i >= 0; i-- {
+		if e[i] != 0 {
+			return i*64 + bits.Len64(e[i])
+		}
+	}
+	return 0
 }
 
 // ScalarMulBig sets p = [e]q for a non-negative big integer e.

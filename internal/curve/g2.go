@@ -193,9 +193,19 @@ func (p *G2Jac) Add(q, r *G2Jac) *G2Jac {
 	return p
 }
 
-// ScalarMul sets p = [s]q and returns p.
+// ScalarMul sets p = [s]q and returns p (double-and-add over the scalar's
+// canonical limbs). Only SRS setup calls it: both PCS verifiers pair
+// against fixed G2 elements and do their scalar work in G1.
 func (p *G2Jac) ScalarMul(q *G2Jac, s *ff.Fr) *G2Jac {
-	return p.ScalarMulBig(q, s.BigInt())
+	e := s.CanonicalLimbs()
+	var acc G2Jac
+	for i := scalarBitLen(&e) - 1; i >= 0; i-- {
+		acc.Double(&acc)
+		if e[i/64]>>(uint(i)%64)&1 == 1 {
+			acc.Add(&acc, q)
+		}
+	}
+	return p.Set(&acc)
 }
 
 // ScalarMulBig sets p = [e]q for a non-negative big integer e.

@@ -2,138 +2,173 @@ package curve
 
 import (
 	"errors"
-	"math/big"
 
 	"zkspeed/internal/ff"
 )
 
 // This file implements the reduced ate pairing e: G1 × G2 → GT ⊂ Fp12.
 //
-// The implementation favors transparency over speed: G2 points are mapped
-// through the untwist isomorphism into the full curve E(Fp12), and a
-// textbook affine Miller loop of length |x| (x = -0xd201000000010000, the
-// BLS12-381 parameter) runs there with generic line evaluations. The final
-// exponentiation raises to the full (p^12-1)/r. All structure is therefore
-// checkable against first principles, and bilinearity is property-tested.
-// The HyperPlonk *prover* never executes a pairing — only the verifier's
-// PST opening check does — so this cost is off the accelerated path, just
-// as in the paper.
+// The Miller loop never leaves the twist. Each G2 argument is carried as
+// an accumulator in homogeneous projective Fp2 coordinates, so doubling
+// and addition steps need no inversion, and the line through the
+// accumulator is produced as three Fp2 coefficients: carrying it to
+// E(Fp12) by (x', y') → (x'·w⁻², y'·w⁻³) and clearing w³ puts a line
+// evaluated at P = (xP, yP) at c0 + c1·xP·v + c4·yP·v·w, which is folded
+// into the running value by the sparse ff.Fp12.MulBy014. Every scaling involved
+// (the projective denominators, w³, a sign) lies in a proper subfield of
+// Fp12 and is killed by the final exponentiation. All pairs of one
+// product share the loop: one Fp12 squaring per bit of |x| however many
+// pairs there are.
+//
+// The final exponentiation splits (p¹²-1)/r into the easy part
+// (p⁶-1)(p²+1) — a conjugation, one inversion, two Frobenius maps — and
+// the hard part (p⁴-p²+1)/r, run as five powers of x on Granger–Scott
+// cyclotomic squarings.
+//
+// pairing_ref_test.go keeps the first-principles version (affine Miller
+// loop in E(Fp12), one generic exponentiation) as the oracle this one is
+// tested against. Only verifiers pair: the HyperPlonk prover never does.
 
 // GT is an element of the pairing target group (subgroup of Fp12*).
 type GT = ff.Fp12
 
-var (
-	blsX         = new(big.Int).SetUint64(0xd201000000010000) // |x|; x is negative
-	finalExpPow  *big.Int                                     // (p^12 - 1) / r
-	wInv2, wInv3 ff.Fp12                                      // w^{-2}, w^{-3} for the untwist
-)
+// blsX is |x|; the BLS12-381 parameter x = -0xd201000000010000 is negative.
+const blsX uint64 = 0xd201000000010000
 
-func init() {
-	p := ff.FpModulusBig()
-	p12 := new(big.Int).Exp(p, big.NewInt(12), nil)
-	p12.Sub(p12, big.NewInt(1))
-	finalExpPow = new(big.Int).Quo(p12, ff.FrModulusBig())
-
-	var w, winv ff.Fp12
-	w.C1.SetOne() // the Fp12 generator w, w² = v, w⁶ = 1+u
-	winv.Inverse(&w)
-	wInv2.Mul(&winv, &winv)
-	wInv3.Mul(&wInv2, &winv)
+// g2Proj is a point of the twist in homogeneous projective coordinates
+// (x' = x/z, y' = y/z).
+type g2Proj struct {
+	x, y, z ff.Fp2
 }
 
-// ePoint is an affine point of E(Fp12): y² = x³ + 4.
-type ePoint struct {
-	x, y ff.Fp12
-	inf  bool
+// millerPair is one (P, Q) of a pairing product inside the loop: P enters
+// only as the two factors that scale a line's coefficients.
+type millerPair struct {
+	xP, negYP ff.Fp
+	q         G2Affine
+	t         g2Proj
 }
 
-// untwist maps a G2 (twist) point onto E(Fp12): (x', y') → (x'·w⁻², y'·w⁻³).
-func untwist(q *G2Affine) ePoint {
-	if q.Inf {
-		return ePoint{inf: true}
-	}
-	var p ePoint
-	p.x.MulByFp2(&wInv2, &q.X)
-	p.y.MulByFp2(&wInv3, &q.Y)
-	return p
+// lineInto multiplies f by the line c0 + c1·xP·v - c4·yP·v·w.
+func (m *millerPair) lineInto(f *ff.Fp12, c0, c1, c4 *ff.Fp2) {
+	c1.MulByFp(c1, &m.xP)
+	c4.MulByFp(c4, &m.negYP)
+	f.MulBy014(f, c0, c1, c4)
 }
 
-// eDouble returns 2a and the tangent-line slope at a.
-func eDouble(a *ePoint) (ePoint, ff.Fp12) {
-	var lambda, num, den ff.Fp12
-	num.Square(&a.x)
-	var three ff.Fp12
-	three.C0.B0.A0.SetUint64(3)
-	num.Mul(&num, &three)
-	den.Add(&a.y, &a.y)
-	den.Inverse(&den)
-	lambda.Mul(&num, &den)
-	var r ePoint
-	r.x.Square(&lambda)
-	r.x.Sub(&r.x, &a.x)
-	r.x.Sub(&r.x, &a.x)
-	r.y.Sub(&a.x, &r.x)
-	r.y.Mul(&r.y, &lambda)
-	r.y.Sub(&r.y, &a.y)
-	return r, lambda
+// double sets t = 2t and multiplies f by the tangent at (the old) t
+// evaluated at P.
+func (m *millerPair) double(f *ff.Fp12) {
+	t := &m.t
+	// Tangent, scaled by -2YZ: (3b'Z² - Y²) + 3X²·xP·v - 2YZ·yP·v·w.
+	// 2t, scaled by 4: X₃ = 2XY(B-F), Y₃ = (B+F)² - 12E², Z₃ = 4BH with
+	// B = Y², E = 3b'Z², F = 3E, H = 2YZ.
+	var a, b, c, e, f3, h, j, s ff.Fp2
+	a.Mul(&t.x, &t.y)
+	a.Double(&a) // 2XY
+	b.Square(&t.y)
+	c.Square(&t.z)
+	e.Double(&c)
+	e.Add(&e, &c)
+	e.MulByNonResidue(&e)
+	e.Double(&e)
+	e.Double(&e) // b' = 4ξ: E = 4ξ·3Z²
+	f3.Double(&e)
+	f3.Add(&f3, &e)
+	h.Add(&t.y, &t.z)
+	h.Square(&h)
+	h.Sub(&h, &b)
+	h.Sub(&h, &c) // 2YZ
+	j.Square(&t.x)
+
+	s.Sub(&b, &f3)
+	t.x.Mul(&a, &s)
+	s.Add(&b, &f3)
+	t.y.Square(&s)
+	s.Double(&e)
+	s.Square(&s) // 4E²
+	t.y.Sub(&t.y, &s)
+	t.y.Sub(&t.y, &s)
+	t.y.Sub(&t.y, &s)
+	t.z.Mul(&b, &h)
+	t.z.Double(&t.z)
+	t.z.Double(&t.z)
+
+	e.Sub(&e, &b)
+	s.Double(&j)
+	s.Add(&s, &j)
+	m.lineInto(f, &e, &s, &h)
 }
 
-// eAdd returns a+b and the chord-line slope (a ≠ ±b, neither infinite).
-func eAdd(a, b *ePoint) (ePoint, ff.Fp12) {
-	var lambda, num, den ff.Fp12
-	num.Sub(&b.y, &a.y)
-	den.Sub(&b.x, &a.x)
-	den.Inverse(&den)
-	lambda.Mul(&num, &den)
-	var r ePoint
-	r.x.Square(&lambda)
-	r.x.Sub(&r.x, &a.x)
-	r.x.Sub(&r.x, &b.x)
-	r.y.Sub(&a.x, &r.x)
-	r.y.Mul(&r.y, &lambda)
-	r.y.Sub(&r.y, &a.y)
-	return r, lambda
+// add sets t = t + q and multiplies f by the chord through (the old) t
+// and q evaluated at P.
+func (m *millerPair) add(f *ff.Fp12) {
+	t, q := &m.t, &m.q
+	// With O = Y - y₂Z and L = X - x₂Z the chord, scaled by -L, is
+	// (L·y₂ - O·x₂) + O·xP·v - L·yP·v·w.
+	var o, l, c, d, e, g, h, s ff.Fp2
+	o.Mul(&q.Y, &t.z)
+	o.Sub(&t.y, &o)
+	l.Mul(&q.X, &t.z)
+	l.Sub(&t.x, &l)
+	c.Square(&o)
+	d.Square(&l)
+	e.Mul(&l, &d)
+	c.Mul(&c, &t.z)
+	g.Mul(&t.x, &d)
+	h.Add(&e, &c)
+	h.Sub(&h, &g)
+	h.Sub(&h, &g) // L³ + O²Z - 2XL²
+	s.Mul(&t.y, &e)
+
+	t.x.Mul(&l, &h)
+	t.y.Sub(&g, &h)
+	t.y.Mul(&t.y, &o)
+	t.y.Sub(&t.y, &s)
+	t.z.Mul(&t.z, &e)
+
+	c.Mul(&l, &q.Y)
+	s.Mul(&o, &q.X)
+	c.Sub(&c, &s)
+	m.lineInto(f, &c, &o, &l)
 }
 
-// lineEval evaluates the line through a with slope lambda at the G1 point
-// (xp, yp): l = (yp - a.y) - lambda(xp - a.x).
-func lineEval(a *ePoint, lambda, xp, yp *ff.Fp12) ff.Fp12 {
-	var t, l ff.Fp12
-	l.Sub(yp, &a.y)
-	t.Sub(xp, &a.x)
-	t.Mul(&t, lambda)
-	l.Sub(&l, &t)
-	return l
-}
-
-// MillerLoop computes the (un-exponentiated) Miller value f_{|x|,Q}(P),
-// conjugated to account for the negative BLS parameter.
-func MillerLoop(p *G1Affine, q *G2Affine) (ff.Fp12, error) {
+// MultiMillerLoop computes Π f_{x,Q_i}(P_i), the product of the Miller
+// values of every pair (each up to a factor the final exponentiation
+// removes), in one pass over the bits of |x|. Pairs with a point at
+// infinity contribute 1.
+func MultiMillerLoop(ps []G1Affine, qs []G2Affine) (ff.Fp12, error) {
 	var f ff.Fp12
 	f.SetOne()
-	if p.Inf || q.Inf {
+	if len(ps) != len(qs) {
+		return f, errors.New("curve: mismatched pairing vectors")
+	}
+	pairs := make([]millerPair, 0, len(ps))
+	for i := range ps {
+		if !ps[i].IsOnCurve() || !qs[i].IsOnCurve() {
+			return f, errors.New("curve: pairing input not on curve")
+		}
+		if ps[i].Inf || qs[i].Inf {
+			continue
+		}
+		m := millerPair{xP: ps[i].X, q: qs[i]}
+		m.negYP.Neg(&ps[i].Y)
+		m.t.x, m.t.y = qs[i].X, qs[i].Y
+		m.t.z.SetOne()
+		pairs = append(pairs, m)
+	}
+	if len(pairs) == 0 {
 		return f, nil
 	}
-	if !p.IsOnCurve() || !q.IsOnCurve() {
-		return f, errors.New("curve: pairing input not on curve")
-	}
-	var xp, yp ff.Fp12
-	xp.C0.B0.A0 = p.X
-	yp.C0.B0.A0 = p.Y
-
-	qq := untwist(q)
-	t := qq
-	for i := blsX.BitLen() - 2; i >= 0; i-- {
+	for i := 62; i >= 0; i-- { // below the top bit of |x|
 		f.Square(&f)
-		r, lambda := eDouble(&t)
-		l := lineEval(&t, &lambda, &xp, &yp)
-		f.Mul(&f, &l)
-		t = r
-		if blsX.Bit(i) == 1 {
-			r, lambda := eAdd(&t, &qq)
-			l := lineEval(&t, &lambda, &xp, &yp)
-			f.Mul(&f, &l)
-			t = r
+		for k := range pairs {
+			pairs[k].double(&f)
+		}
+		if blsX>>uint(i)&1 == 1 {
+			for k := range pairs {
+				pairs[k].add(&f)
+			}
 		}
 	}
 	// x < 0: f_{-|x|} ~ conj(f_{|x|}) up to factors killed by the final exp.
@@ -141,15 +176,69 @@ func MillerLoop(p *G1Affine, q *G2Affine) (ff.Fp12, error) {
 	return f, nil
 }
 
-// FinalExponentiation raises the Miller value to (p^12-1)/r, mapping it to
-// the canonical coset representative in GT.
-func FinalExponentiation(f *ff.Fp12) GT {
-	var out ff.Fp12
-	out.Exp(f, finalExpPow)
-	return out
+// MillerLoop computes the (un-exponentiated) Miller value f_{x,Q}(P), up
+// to a factor the final exponentiation removes.
+func MillerLoop(p *G1Affine, q *G2Affine) (ff.Fp12, error) {
+	return MultiMillerLoop([]G1Affine{*p}, []G2Affine{*q})
 }
 
-// Pair computes the reduced ate pairing e(P, Q).
+// expByX sets z = y^x for y in the cyclotomic subgroup, where inversion
+// is conjugation (x is negative).
+func expByX(z, y *ff.Fp12) {
+	base := *y
+	acc := base
+	for i := 62; i >= 0; i-- {
+		acc.CyclotomicSquare(&acc)
+		if blsX>>uint(i)&1 == 1 {
+			acc.Mul(&acc, &base)
+		}
+	}
+	z.Conjugate(&acc)
+}
+
+// FinalExponentiation maps a Miller value to its coset representative in
+// GT. The exponent is 3·(p¹²-1)/r, not (p¹²-1)/r: the hard part uses
+// 3(p⁴-p²+1)/r = (x-1)²(x+p)(x²+p²-1) + 3, which needs no division by 3
+// in the exponent. The result is therefore the cube of the textbook
+// reduced pairing. 3 is prime to r, so cubing permutes GT: bilinearity,
+// non-degeneracy and the is-one test of PairingCheck are unaffected.
+func FinalExponentiation(f *ff.Fp12) GT {
+	// Easy part: m = f^((p⁶-1)(p²+1)), which lands in the cyclotomic
+	// subgroup.
+	var m, t ff.Fp12
+	t.Inverse(f)
+	m.Conjugate(f)
+	t.Mul(&t, &m) // f^(p⁶-1)
+	m.Frobenius(&t)
+	m.Frobenius(&m)
+	m.Mul(&m, &t)
+
+	// Hard part.
+	var a, b, c ff.Fp12
+	expByX(&a, &m)
+	t.Conjugate(&m)
+	a.Mul(&a, &t) // m^(x-1)
+	expByX(&b, &a)
+	t.Conjugate(&a)
+	a.Mul(&b, &t) // m^((x-1)²)
+	expByX(&b, &a)
+	t.Frobenius(&a)
+	b.Mul(&b, &t) // a^(x+p)
+	expByX(&c, &b)
+	expByX(&c, &c)
+	t.Frobenius(&b)
+	t.Frobenius(&t)
+	c.Mul(&c, &t)
+	t.Conjugate(&b)
+	c.Mul(&c, &t) // b^(x²+p²-1)
+	t.CyclotomicSquare(&m)
+	t.Mul(&t, &m)
+	c.Mul(&c, &t) // ·m³
+	return c
+}
+
+// Pair computes e(P, Q), the cube of the reduced ate pairing (see
+// FinalExponentiation).
 func Pair(p *G1Affine, q *G2Affine) (GT, error) {
 	f, err := MillerLoop(p, q)
 	if err != nil {
@@ -158,21 +247,13 @@ func Pair(p *G1Affine, q *G2Affine) (GT, error) {
 	return FinalExponentiation(&f), nil
 }
 
-// PairingCheck reports whether Π e(P_i, Q_i) == 1, sharing one final
-// exponentiation across all pairs.
+// PairingCheck reports whether Π e(P_i, Q_i) == 1, sharing one Miller
+// loop and one final exponentiation across all pairs.
 func PairingCheck(ps []G1Affine, qs []G2Affine) (bool, error) {
-	if len(ps) != len(qs) {
-		return false, errors.New("curve: mismatched pairing vectors")
+	f, err := MultiMillerLoop(ps, qs)
+	if err != nil {
+		return false, err
 	}
-	var acc ff.Fp12
-	acc.SetOne()
-	for i := range ps {
-		f, err := MillerLoop(&ps[i], &qs[i])
-		if err != nil {
-			return false, err
-		}
-		acc.Mul(&acc, &f)
-	}
-	out := FinalExponentiation(&acc)
+	out := FinalExponentiation(&f)
 	return out.IsOne(), nil
 }

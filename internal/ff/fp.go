@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -40,6 +41,7 @@ func init() {
 	for i := 1; i < 6; i++ {
 		fpQMinus2[i], b = bits.Sub64(fpQ[i], 0, b)
 	}
+	initFrobCoeff()
 }
 
 func bigToLimbs6(v *big.Int, out *Fp) {
@@ -122,6 +124,29 @@ func (z *Fp) Bytes() [FpBytes]byte {
 		}
 	}
 	return out
+}
+
+// SetCanonicalBytes sets z from the 48-byte big-endian encoding Bytes
+// produces and reports whether it was canonical, i.e. below p. Unlike
+// SetBigInt it does not reduce: p+1 is a second 48-byte spelling of 1, and
+// decoders of untrusted bytes must refuse it. On false z is left zero.
+func (z *Fp) SetCanonicalBytes(buf []byte) bool {
+	_ = buf[FpBytes-1]
+	var c Fp
+	for i := 0; i < 6; i++ {
+		c[i] = binary.BigEndian.Uint64(buf[FpBytes-8*(i+1):])
+	}
+	var b uint64
+	for i := 0; i < 6; i++ {
+		_, b = bits.Sub64(c[i], fpQ[i], b)
+	}
+	if b == 0 { // c - p did not borrow: c >= p
+		z.SetZero()
+		return false
+	}
+	c.toMont()
+	*z = c
+	return true
 }
 
 // PutMontBytes serializes z's raw Montgomery limbs little-endian into

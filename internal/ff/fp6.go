@@ -81,8 +81,69 @@ func (z *Fp6) Mul(x, y *Fp6) *Fp6 {
 	return z
 }
 
-// Square sets z = x² and returns z.
-func (z *Fp6) Square(x *Fp6) *Fp6 { return z.Mul(x, x) }
+// Square sets z = x² (Chung–Hasan SQR2: two multiplications and three
+// squarings in Fp2 against Mul's six multiplications) and returns z.
+func (z *Fp6) Square(x *Fp6) *Fp6 {
+	// (b0+b1v+b2v²)² = (b0² + 2ξb1b2) + (2b0b1 + ξb2²)v + (b1² + 2b0b2)v²
+	var s0, s1, s2, s3, s4, c0, c1 Fp2
+	s0.Square(&x.B0)
+	s1.Mul(&x.B0, &x.B1)
+	s1.Double(&s1) // 2b0b1
+	s2.Sub(&x.B0, &x.B1)
+	s2.Add(&s2, &x.B2)
+	s2.Square(&s2) // (b0-b1+b2)²
+	s3.Mul(&x.B1, &x.B2)
+	s3.Double(&s3) // 2b1b2
+	s4.Square(&x.B2)
+
+	c0.MulByNonResidue(&s3)
+	c0.Add(&c0, &s0)
+	c1.MulByNonResidue(&s4)
+	c1.Add(&c1, &s1)
+	// b1² + 2b0b2 = s1 + s2 + s3 - s0 - s4
+	z.B2.Add(&s1, &s2)
+	z.B2.Add(&z.B2, &s3)
+	z.B2.Sub(&z.B2, &s0)
+	z.B2.Sub(&z.B2, &s4)
+	z.B0, z.B1 = c0, c1
+	return z
+}
+
+// MulBy01 sets z = x·(c0 + c1·v), a multiplicand whose v² coefficient is
+// zero (five Fp2 multiplications), and returns z.
+func (z *Fp6) MulBy01(x *Fp6, c0, c1 *Fp2) *Fp6 {
+	// (b0c0 + ξb2c1) + (b0c1 + b1c0)v + (b1c1 + b2c0)v²
+	var a, b, t0, t1, t2, s Fp2
+	a.Mul(&x.B0, c0)
+	b.Mul(&x.B1, c1)
+
+	t0.Mul(&x.B2, c1)
+	t0.MulByNonResidue(&t0)
+	t0.Add(&t0, &a)
+
+	t1.Add(&x.B0, &x.B1)
+	s.Add(c0, c1)
+	t1.Mul(&t1, &s)
+	t1.Sub(&t1, &a)
+	t1.Sub(&t1, &b)
+
+	t2.Mul(&x.B2, c0)
+	t2.Add(&t2, &b)
+
+	z.B0, z.B1, z.B2 = t0, t1, t2
+	return z
+}
+
+// MulBy1 sets z = x·(c1·v) and returns z.
+func (z *Fp6) MulBy1(x *Fp6, c1 *Fp2) *Fp6 {
+	var t0, t1, t2 Fp2
+	t0.Mul(&x.B2, c1)
+	t0.MulByNonResidue(&t0)
+	t1.Mul(&x.B0, c1)
+	t2.Mul(&x.B1, c1)
+	z.B0, z.B1, z.B2 = t0, t1, t2
+	return z
+}
 
 // MulByFp2 sets z = x·c with c in Fp2, and returns z.
 func (z *Fp6) MulByFp2(x *Fp6, c *Fp2) *Fp6 {

@@ -177,3 +177,42 @@ func TestFpBatchInverse(t *testing.T) {
 		}
 	}
 }
+
+func TestFpSetCanonicalBytes(t *testing.T) {
+	p := FpModulusBig()
+	enc := func(v *big.Int) []byte { return v.FillBytes(make([]byte, FpBytes)) }
+	max := new(big.Int).Lsh(big.NewInt(1), 8*FpBytes)
+	max.Sub(max, big.NewInt(1))
+	for _, c := range []struct {
+		v  *big.Int
+		ok bool
+	}{
+		{big.NewInt(0), true},
+		{big.NewInt(1), true},
+		{new(big.Int).Sub(p, big.NewInt(1)), true},
+		{p, false},
+		{new(big.Int).Add(p, big.NewInt(1)), false},
+		{max, false},
+	} {
+		var z, want Fp
+		z.SetOne()
+		if got := z.SetCanonicalBytes(enc(c.v)); got != c.ok {
+			t.Fatalf("SetCanonicalBytes(%v) = %v, want %v", c.v, got, c.ok)
+		}
+		if c.ok {
+			want.SetBigInt(c.v)
+		}
+		if !z.Equal(&want) {
+			t.Fatalf("SetCanonicalBytes(%v) left %v", c.v, z)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 100; i++ {
+		a := randFp(rng)
+		b := a.Bytes()
+		var back Fp
+		if !back.SetCanonicalBytes(b[:]) || !back.Equal(&a) {
+			t.Fatal("SetCanonicalBytes does not invert Bytes")
+		}
+	}
+}

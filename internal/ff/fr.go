@@ -143,6 +143,15 @@ func (z *Fr) BigInt() *big.Int {
 	return limbsToBig(c[:])
 }
 
+// CanonicalLimbs returns the canonical (non-Montgomery) value of z as four
+// little-endian 64-bit words — what scalar-multiplication loops walk bit by
+// bit, without a trip through math/big.
+func (z *Fr) CanonicalLimbs() [4]uint64 {
+	c := *z
+	c.fromMont()
+	return c
+}
+
 func limbsToBig(l []uint64) *big.Int {
 	v := new(big.Int)
 	for i := len(l) - 1; i >= 0; i-- {

@@ -317,3 +317,23 @@ func TestFrSet256BEAllocFree(t *testing.T) {
 		t.Fatalf("Set256BE allocates %.1f objects per call, want 0", avg)
 	}
 }
+
+func TestFrCanonicalLimbs(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	rm1 := new(big.Int).Sub(frModulus, big.NewInt(1))
+	values := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).SetUint64(1 << 63), rm1}
+	for i := 0; i < 50; i++ {
+		values = append(values, new(big.Int).Rand(rng, frModulus))
+	}
+	for _, v := range values {
+		var e Fr
+		e.SetBigInt(v)
+		l := e.CanonicalLimbs()
+		for i := 0; i < 4; i++ {
+			want := new(big.Int).Rsh(v, uint(64*i)).Uint64() // low 64 bits
+			if l[i] != want {
+				t.Fatalf("CanonicalLimbs(%v)[%d] = %#x, want %#x", v, i, l[i], want)
+			}
+		}
+	}
+}

@@ -194,3 +194,141 @@ func TestFp12Conjugate(t *testing.T) {
 		t.Fatal("double conjugate != identity")
 	}
 }
+
+func TestTowerSquareMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 100; i++ {
+		a6 := randFp6(rng)
+		if i == 0 {
+			a6.SetZero()
+		}
+		var sq6, mm6 Fp6
+		sq6.Square(&a6)
+		mm6.Mul(&a6, &a6)
+		if !sq6.Equal(&mm6) {
+			t.Fatal("fp6 square != mul")
+		}
+		a6.Square(&a6) // aliased
+		if !a6.Equal(&mm6) {
+			t.Fatal("fp6 aliased square != mul")
+		}
+
+		a12 := randFp12(rng)
+		if i == 0 {
+			a12.SetOne()
+		}
+		var sq12, mm12 Fp12
+		sq12.Square(&a12)
+		mm12.Mul(&a12, &a12)
+		if !sq12.Equal(&mm12) {
+			t.Fatal("fp12 square != mul")
+		}
+		a12.Square(&a12)
+		if !a12.Equal(&mm12) {
+			t.Fatal("fp12 aliased square != mul")
+		}
+	}
+}
+
+func TestFp12Frobenius(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	p := FpModulusBig()
+	for i := 0; i < 4; i++ {
+		a := randFp12(rng)
+		var frob, pow Fp12
+		frob.Frobenius(&a)
+		pow.Exp(&a, p)
+		if !frob.Equal(&pow) {
+			t.Fatal("Frobenius != Exp(p)")
+		}
+		it := a
+		for k := 0; k < 12; k++ {
+			if k == 6 {
+				var conj Fp12
+				conj.Conjugate(&a)
+				if !it.Equal(&conj) {
+					t.Fatal("Frobenius⁶ != Conjugate")
+				}
+			}
+			it.Frobenius(&it)
+		}
+		if !it.Equal(&a) {
+			t.Fatal("Frobenius¹² != identity")
+		}
+	}
+}
+
+func TestFp12CyclotomicSquare(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	// (p⁶-1)(p²+1), the final exponentiation's easy part, maps Fp12* onto
+	// the cyclotomic subgroup.
+	p := FpModulusBig()
+	p2 := new(big.Int).Mul(p, p)
+	p6 := new(big.Int).Exp(p, big.NewInt(6), nil)
+	easy := new(big.Int).Mul(p6.Sub(p6, bigOne), p2.Add(p2, bigOne))
+	for i := 0; i < 6; i++ {
+		a := randFp12(rng)
+		a.Exp(&a, easy)
+		for k := 0; k < 4; k++ {
+			var cyc, mm Fp12
+			cyc.CyclotomicSquare(&a)
+			mm.Mul(&a, &a)
+			if !cyc.Equal(&mm) {
+				t.Fatal("cyclotomic square != mul on a cyclotomic element")
+			}
+			a.CyclotomicSquare(&a) // aliased; stays in the subgroup
+			if !a.Equal(&mm) {
+				t.Fatal("aliased cyclotomic square != mul")
+			}
+		}
+	}
+	var one, sq Fp12
+	one.SetOne()
+	sq.CyclotomicSquare(&one)
+	if !sq.IsOne() {
+		t.Fatal("cyclotomic square of 1 != 1")
+	}
+}
+
+func TestFp12MulBy014(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 50; i++ {
+		a := randFp12(rng)
+		c0, c1, c4 := randFp2(rng), randFp2(rng), randFp2(rng)
+		switch i {
+		case 0:
+			c0.SetZero()
+		case 1:
+			c1.SetZero()
+		case 2:
+			c4.SetZero()
+		}
+		var line, want, got Fp12
+		line.C0.B0, line.C0.B1, line.C1.B1 = c0, c1, c4
+		want.Mul(&a, &line)
+		got.MulBy014(&a, &c0, &c1, &c4)
+		if !got.Equal(&want) {
+			t.Fatal("MulBy014 != Mul by the embedded line")
+		}
+		a.MulBy014(&a, &c0, &c1, &c4)
+		if !a.Equal(&want) {
+			t.Fatal("aliased MulBy014 != Mul by the embedded line")
+		}
+
+		b := randFp6(rng)
+		var l6, w6, g6 Fp6
+		l6.B0, l6.B1 = c0, c1
+		w6.Mul(&b, &l6)
+		g6.MulBy01(&b, &c0, &c1)
+		if !g6.Equal(&w6) {
+			t.Fatal("Fp6.MulBy01 != Mul")
+		}
+		l6 = Fp6{}
+		l6.B1 = c4
+		w6.Mul(&b, &l6)
+		g6.MulBy1(&b, &c4)
+		if !g6.Equal(&w6) {
+			t.Fatal("Fp6.MulBy1 != Mul")
+		}
+	}
+}

@@ -66,9 +66,21 @@ func FuzzProofUnmarshalBinary(f *testing.F) {
 			zero[i] = 0
 		}
 		f.Add(zero)
+		// On-curve points outside the order-r subgroup, in a commitment
+		// slot and in the last opening quotient.
+		bad := offSubgroupPoint(f)
+		for _, off := range []int{6, len(blob) - 96} {
+			m := append([]byte{}, blob...)
+			copy(m[off:], bad[:])
+			f.Add(m)
+		}
 	}
 	if blob, err := fuzzSeedProofZeromorph(); err == nil {
 		f.Add(blob)
+		bad := offSubgroupPoint(f)
+		m := append([]byte{}, blob...)
+		copy(m[len(m)-96:], bad[:]) // the KZG witness π
+		f.Add(m)
 		// Scheme-tag mutants: PST under version 2 (non-canonical) and an
 		// unregistered tag, both of which must be rejected cleanly.
 		for _, tag := range []byte{0, 7, 255} {

@@ -79,10 +79,13 @@ func readPoint(r *bytes.Reader, p *curve.G1Affine) error {
 		return nil
 	}
 	p.Inf = false
-	p.X.SetBigInt(new(big.Int).SetBytes(buf[:48]))
-	p.Y.SetBigInt(new(big.Int).SetBytes(buf[48:]))
-	if !p.IsOnCurve() {
-		return errors.New("hyperplonk: deserialized point not on curve")
+	if !p.X.SetCanonicalBytes(buf[:48]) || !p.Y.SetCanonicalBytes(buf[48:]) {
+		return errors.New("hyperplonk: non-canonical point coordinate")
+	}
+	// On the curve is not enough: G1 has a cofactor, and the verifier moves
+	// scalars across pairings, which is sound only for points of order r.
+	if !p.IsInSubgroup() {
+		return errors.New("hyperplonk: deserialized point not in G1 (off the curve or outside its order-r subgroup)")
 	}
 	return nil
 }

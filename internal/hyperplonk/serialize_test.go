@@ -1,8 +1,12 @@
 package hyperplonk
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
+
+	"zkspeed/internal/curve"
+	"zkspeed/internal/ff"
 )
 
 func TestProofSerializationRoundTrip(t *testing.T) {
@@ -154,5 +158,99 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 	var back Proof
 	if err := back.UnmarshalBinary(blob); err == nil {
 		t.Fatal("accepted non-canonical field element")
+	}
+
+	// The point analogue: x+p fits in 48 bytes and names the same
+	// coordinate as x, so each of the two coordinates of the first witness
+	// commitment gets a second spelling that must be refused.
+	good, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, coord := range []int{0, 48} {
+		blob := append([]byte{}, good...)
+		enc := blob[6+coord : 6+coord+48]
+		v := new(big.Int).SetBytes(enc)
+		v.Add(v, ff.FpModulusBig())
+		v.FillBytes(enc)
+		if err := back.UnmarshalBinary(blob); err == nil {
+			t.Fatalf("accepted point coordinate at +%d encoded as value+p", coord)
+		}
+	}
+}
+
+// offSubgroupPoint returns the wire bytes of a point that satisfies the
+// curve equation but lies outside the order-r subgroup (the cofactor of
+// E(Fp) is ~2^126, so the first curve point found from a small x does).
+func offSubgroupPoint(t testing.TB) [96]byte {
+	t.Helper()
+	var p curve.G1Affine
+	four := ff.NewFp(4)
+	for x := uint64(1); ; x++ {
+		p.X.SetUint64(x)
+		var rhs ff.Fp
+		rhs.Square(&p.X)
+		rhs.Mul(&rhs, &p.X)
+		rhs.Add(&rhs, &four)
+		if p.Y.Sqrt(&rhs) && !p.IsInSubgroup() {
+			break
+		}
+	}
+	if !p.IsOnCurve() {
+		t.Fatal("test point is off the curve")
+	}
+	return p.Bytes()
+}
+
+// g1SlotOffsets lists the byte offset of every G1 point in a proof blob:
+// five commitments after the header, the opening quotients at the end.
+func g1SlotOffsets(blob []byte, header, quotients int) []int {
+	var offs []int
+	for i := 0; i < 5; i++ {
+		offs = append(offs, header+i*96)
+	}
+	for i := quotients; i > 0; i-- {
+		offs = append(offs, len(blob)-i*96)
+	}
+	return offs
+}
+
+// TestProofDeserializationRejectsOffSubgroupPoint: the verifier moves
+// scalars across pairings, which is sound only for points of order r, so
+// an on-curve point outside G1 must be refused in every G1 slot of both
+// schemes' proofs — by the decoder, before any verifier sees it.
+func TestProofDeserializationRejectsOffSubgroupPoint(t *testing.T) {
+	bad := offSubgroupPoint(t)
+	pst, err := fuzzSeedProof()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zm, err := fuzzSeedProofZeromorph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name              string
+		blob              []byte
+		header, quotients int
+	}{
+		{"pst", pst, 6, int(pst[5])},
+		{"zeromorph", zm, 7, int(zm[5]) + 2},
+	} {
+		var back Proof
+		if err := back.UnmarshalBinary(c.blob); err != nil {
+			t.Fatalf("%s: valid proof rejected: %v", c.name, err)
+		}
+		offs := g1SlotOffsets(c.blob, c.header, c.quotients)
+		if want := 5 + len(back.Opening.Quotients); len(offs) != want {
+			t.Fatalf("%s: %d G1 slots enumerated, proof holds %d", c.name, len(offs), want)
+		}
+		for _, off := range offs {
+			m := append([]byte{}, c.blob...)
+			copy(m[off:], bad[:])
+			if err := back.UnmarshalBinary(m); err == nil {
+				t.Fatalf("%s: accepted an off-subgroup point at byte %d", c.name, off)
+			}
+		}
 	}
 }

@@ -212,7 +212,7 @@ func MSMFixedBase(t *FixedBaseTable, scalars []ff.Fr, opt Options) curve.G1Jac {
 	digits := make([]int16, n*nw)
 	parallelFor(n, opt.ResolvedProcs(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			w := scalarWords(&scalars[i])
+			w := scalars[i].CanonicalLimbs()
 			signedDigits(w[:], t.window, nw, false, digits[i*nw:(i+1)*nw])
 		}
 	})
@@ -249,7 +249,7 @@ func SparseMSMFixedBase(t *FixedBaseTable, scalars []ff.Fr, opt Options) curve.G
 		digits := make([]int16, len(rows)*nw)
 		parallelFor(len(rows), opt.ResolvedProcs(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				w := scalarWords(&denseScalars[i])
+				w := denseScalars[i].CanonicalLimbs()
 				signedDigits(w[:], t.window, nw, false, digits[i*nw:(i+1)*nw])
 			}
 		})

@@ -70,7 +70,7 @@ func MulGenerator(scalars []ff.Fr) []curve.G1Affine {
 		acc := out[from:to]
 		digits := make([]int16, len(acc)*genWindows)
 		for i := range acc {
-			w := scalarWords(&scalars[from+i])
+			w := scalars[from+i].CanonicalLimbs()
 			signedDigits(w[:], genWindow, genWindows, false, digits[i*genWindows:(i+1)*genWindows])
 			acc[i] = curve.G1Infinity()
 		}

@@ -30,18 +30,6 @@ import (
 	"zkspeed/internal/ff"
 )
 
-// scalarWords returns the canonical (non-Montgomery) 4×64-bit value of s.
-func scalarWords(s *ff.Fr) [4]uint64 {
-	b := s.Bytes() // 32 bytes big-endian
-	var w [4]uint64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			w[i] |= uint64(b[31-(i*8+j)]) << (8 * j)
-		}
-	}
-	return w
-}
-
 // windowDigit extracts bits [lo, lo+c) of w.
 func windowDigit(w [4]uint64, lo, c int) uint64 {
 	return digitAt(w[:], lo, c)
@@ -229,7 +217,7 @@ func msmPippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G
 	}
 	words := make([][4]uint64, len(scalars))
 	for i := range scalars {
-		words[i] = scalarWords(&scalars[i])
+		words[i] = scalars[i].CanonicalLimbs()
 	}
 	numWindows := (ff.FrBits + c - 1) / c
 

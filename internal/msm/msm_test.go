@@ -37,9 +37,9 @@ func randPoints(rng *rand.Rand, n int) []curve.G1Affine {
 func TestScalarWords(t *testing.T) {
 	var s ff.Fr
 	s.SetUint64(0xdeadbeef12345678)
-	w := scalarWords(&s)
+	w := s.CanonicalLimbs()
 	if w[0] != 0xdeadbeef12345678 || w[1] != 0 || w[2] != 0 || w[3] != 0 {
-		t.Fatalf("scalarWords wrong: %x", w)
+		t.Fatalf("canonical limbs wrong: %x", w)
 	}
 }
 

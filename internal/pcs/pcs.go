@@ -217,46 +217,32 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (OpeningProo
 	return proof, work.Evals[0], nil
 }
 
-// Verify checks that the committed polynomial evaluates to value at point:
+// Verify checks that the committed polynomial evaluates to value at point.
+// The textbook check e(C - value·G, H) == Π_k e(Q_k, [τ_{k+1}]H - [z_{k+1}]H)
+// is rearranged by bilinearity so that every G2 argument is a fixed SRS
+// element and the evaluation point enters through one small G1 MSM:
 //
-//	e(C - value·G, H) == Π_k e(Q_k, [τ_{k+1}]H - [z_{k+1}]H)
+//	e(C - value·G + Σ_k z_{k+1}·Q_k, H) · Π_k e(-Q_k, [τ_{k+1}]H) == 1
 //
-// folded into a single pairing product sharing one final exponentiation.
+// Moving z across the pairing assumes the Q_k have order r; proof decoding
+// checks that (curve.G1Affine.IsInSubgroup).
 func (s *SRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
 	if len(point) != s.Mu || len(proof.Quotients) != s.Mu {
 		return false, errors.New("pcs: verify dimension mismatch")
 	}
-	// Left side: C - value·G, paired with H.
-	var gJac, vG, lhs curve.G1Jac
-	gJac.FromAffine(&s.G)
-	vG.ScalarMul(&gJac, &value)
-	vG.Neg(&vG)
-	lhs.FromAffine(&c.P)
-	lhs.Add(&lhs, &vG)
-	var lhsAff curve.G1Affine
-	lhsAff.FromJacobian(&lhs)
+	var negValue ff.Fr
+	negValue.Neg(&value)
+	pts := append([]curve.G1Affine{s.G}, proof.Quotients...)
+	scalars := append([]ff.Fr{negValue}, point...)
+	lhs := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
+	lhs.AddMixed(&c.P)
 
-	ps := make([]curve.G1Affine, 0, s.Mu+1)
-	qs := make([]curve.G2Affine, 0, s.Mu+1)
-	ps = append(ps, lhsAff)
-	qs = append(qs, s.H)
-
-	var hJac, zH, rhs curve.G2Jac
-	hJac.FromAffine(&s.H)
-	for k := 0; k < s.Mu; k++ {
-		// [τ_{k+1}]H - [z_{k+1}]H, negated so the product telescopes to 1.
-		zH.ScalarMul(&hJac, &point[k])
-		var tauH curve.G2Jac
-		tauH.FromAffine(&s.HTau[k])
-		zH.Neg(&zH)
-		rhs.Add(&tauH, &zH)
-		var rhsAff curve.G2Affine
-		rhsAff.FromJacobian(&rhs)
-		var negQ curve.G1Affine
-		negQ.Neg(&proof.Quotients[k])
-		ps = append(ps, negQ)
-		qs = append(qs, rhsAff)
+	ps := make([]curve.G1Affine, s.Mu+1)
+	ps[0].FromJacobian(&lhs)
+	for k := range proof.Quotients {
+		ps[k+1].Neg(&proof.Quotients[k])
 	}
+	qs := append([]curve.G2Affine{s.H}, s.HTau...)
 	return curve.PairingCheck(ps, qs)
 }
 

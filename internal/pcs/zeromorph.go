@@ -365,9 +365,17 @@ func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proo
 	sc := zeromorphScalars(mu, point, &y, &zeta, &z)
 
 	// C_combined = C_q̂ + fScale·C + const·G − Σ_k s_k·C_k, mirroring the
-	// prover's combined polynomial coefficient by coefficient.
-	pts := make([]curve.G1Affine, 0, mu+2)
-	scalars := make([]ff.Fr, 0, mu+2)
+	// prover's combined polynomial coefficient by coefficient. The KZG
+	// check e(C_combined, H) == e(π, [τ]H − ζ·H) is rearranged so both G2
+	// arguments are fixed SRS elements: ζ·π joins the same MSM and
+	//
+	//	e(C_combined + ζ·π, H) · e(−π, [τ]H) == 1.
+	//
+	// Moving ζ across the pairing assumes π has order r; proof decoding
+	// checks that (curve.G1Affine.IsInSubgroup).
+	pi := proof.Quotients[mu+1]
+	pts := make([]curve.G1Affine, 0, mu+3)
+	scalars := make([]ff.Fr, 0, mu+3)
 	pts = append(pts, c.P)
 	if shift {
 		var fScale ff.Fr
@@ -384,28 +392,16 @@ func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proo
 		pts = append(pts, proof.Quotients[k])
 		scalars = append(scalars, neg)
 	}
+	pts = append(pts, pi)
+	scalars = append(scalars, zeta)
 	comb := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
-	var qhatJac curve.G1Jac
-	qhatJac.FromAffine(&proof.Quotients[mu])
-	comb.Add(&comb, &qhatJac)
-	var combAff curve.G1Affine
+	comb.AddMixed(&proof.Quotients[mu])
+	var combAff, negPi curve.G1Affine
 	combAff.FromJacobian(&comb)
-
-	// e(C_combined, H) == e(π, [τ]H − ζ·H), folded into one product.
-	var hJac, zH, rhs curve.G2Jac
-	hJac.FromAffine(&s.H)
-	zH.ScalarMul(&hJac, &zeta)
-	zH.Neg(&zH)
-	var tauH curve.G2Jac
-	tauH.FromAffine(&s.HTau)
-	rhs.Add(&tauH, &zH)
-	var rhsAff curve.G2Affine
-	rhsAff.FromJacobian(&rhs)
-	var negPi curve.G1Affine
-	negPi.Neg(&proof.Quotients[mu+1])
+	negPi.Neg(&pi)
 	return curve.PairingCheck(
 		[]curve.G1Affine{combAff, negPi},
-		[]curve.G2Affine{s.H, rhsAff},
+		[]curve.G2Affine{s.H, s.HTau},
 	)
 }
 
