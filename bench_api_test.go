@@ -96,7 +96,7 @@ func TestQuickSuiteShape(t *testing.T) {
 	if cluster < 2 || !names["cluster/prove_batch/mu10/workers1"] || !names["cluster/prove_batch/mu10/workers2"] {
 		t.Errorf("quick suite cluster coverage wrong: %d cluster benchmarks", cluster)
 	}
-	for _, want := range []string{"msm/pippenger/", "msm/sparse/", "sumcheck/rounds/", "pcs/commit/", "pcs/open/", "mle/fold/"} {
+	for _, want := range []string{"msm/pippenger/", "msm/sparse-fast/", "sumcheck/rounds/", "pcs/commit/", "pcs/open/", "mle/fold/"} {
 		found := false
 		for name := range names {
 			if strings.HasPrefix(name, want) {

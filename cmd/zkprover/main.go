@@ -51,6 +51,8 @@ type jsonReport struct {
 	CircuitDigest string      `json:"circuit_digest,omitempty"`
 	NumGates      int         `json:"num_gates"`
 	Batch         int         `json:"batch"`
+	WorkloadNS    int64       `json:"workload_ns"` // circuit and witness generation
+	DigestNS      int64       `json:"digest_ns"`   // eng.CircuitDigest over every circuit
 	SetupNS       int64       `json:"setup_ns,omitempty"`
 	SRSSetups     int         `json:"srs_setups"`
 	KeySetups     int         `json:"key_setups"`
@@ -156,15 +158,20 @@ func toJSONProof(res *zkspeed.ProofResult, job int) jsonProof {
 
 func runSingle(ctx context.Context, eng *zkspeed.Engine, mu int, seed int64, skipVerify bool, say func(string, ...any), report *jsonReport) {
 	say("building synthetic 2^%d-gate circuit...\n", mu)
+	t0 := time.Now()
 	circuit, assignment, pub, err := zkspeed.SyntheticWorkloadSeeded(mu, seed)
 	if err != nil {
 		log.Fatalf("workload: %v", err)
 	}
+	report.WorkloadNS = time.Since(t0).Nanoseconds()
 	report.NumGates = circuit.NumGates()
+	t0 = time.Now()
 	report.CircuitDigest = fmt.Sprintf("%x", eng.CircuitDigest(circuit))
+	report.DigestNS = time.Since(t0).Nanoseconds()
+	sayPrelude(say, report)
 
 	say("running universal setup (SRS for mu=%d)...\n", circuit.Mu)
-	t0 := time.Now()
+	t0 = time.Now()
 	if _, _, err := eng.Setup(ctx, circuit); err != nil {
 		log.Fatalf("setup: %v", err)
 	}
@@ -202,11 +209,18 @@ func runSingle(ctx context.Context, eng *zkspeed.Engine, mu int, seed int64, ski
 	report.Proofs = append(report.Proofs, jp)
 }
 
+// sayPrelude prints the time spent before setup: workload and digests.
+func sayPrelude(say func(string, ...any), report *jsonReport) {
+	say("  workload: %v, circuit digest: %v\n", time.Duration(report.WorkloadNS).Round(time.Millisecond),
+		time.Duration(report.DigestNS).Round(time.Millisecond))
+}
+
 // runBatch proves `count` distinct circuits of the same size on the
 // Engine's worker pool; the universal SRS ceremony runs exactly once.
 func runBatch(ctx context.Context, eng *zkspeed.Engine, mu int, seed int64, count int, skipVerify bool, say func(string, ...any), report *jsonReport) {
 	say("building %d synthetic 2^%d-gate circuits...\n", count, mu)
 	jobs := make([]zkspeed.ProofJob, count)
+	t0 := time.Now()
 	for i := range jobs {
 		circuit, assignment, _, err := zkspeed.SyntheticWorkloadSeeded(mu, seed+int64(i))
 		if err != nil {
@@ -214,8 +228,17 @@ func runBatch(ctx context.Context, eng *zkspeed.Engine, mu int, seed int64, coun
 		}
 		jobs[i] = zkspeed.ProofJob{Circuit: circuit, Assignment: assignment}
 	}
+	report.WorkloadNS = time.Since(t0).Nanoseconds()
 	report.NumGates = jobs[0].Circuit.NumGates()
-	t0 := time.Now()
+	// The engine memoizes digests, so hashing here moves their cost out of
+	// the batch below, where no field would name it.
+	t0 = time.Now()
+	for _, j := range jobs {
+		eng.CircuitDigest(j.Circuit)
+	}
+	report.DigestNS = time.Since(t0).Nanoseconds()
+	sayPrelude(say, report)
+	t0 = time.Now()
 	results, err := eng.ProveBatch(ctx, jobs)
 	if err != nil {
 		log.Fatalf("batch: %v", err)

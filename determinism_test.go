@@ -2,7 +2,7 @@ package zkspeed_test
 
 import (
 	"bytes"
-	"math/rand"
+	"context"
 	"testing"
 
 	"zkspeed"
@@ -15,28 +15,25 @@ func TestProofDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full proofs are slow")
 	}
-	rng := rand.New(rand.NewSource(555))
-	circuit, assignment, _, err := zkspeed.SyntheticWorkload(7, rng)
+	circuit, assignment, _, err := zkspeed.SyntheticWorkloadSeeded(7, 555)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, _, err := zkspeed.Setup(circuit, rng)
+	eng := zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(555)))
+	ctx := context.Background()
+	r1, err := eng.Prove(ctx, circuit, assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := zkspeed.Prove(pk, assignment)
+	r2, err := eng.Prove(ctx, circuit, assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := zkspeed.Prove(pk, assignment)
+	b1, err := r1.Proof.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := p1.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := p2.MarshalBinary()
+	b2, err := r2.Proof.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

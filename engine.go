@@ -28,11 +28,12 @@ import (
 // cancelled.
 type Engine struct {
 	cfg engineConfig
-	// arena is the Engine's scratch pool for the SumCheck/MLE kernels:
-	// per-proof fold buffers and worker scratch stay warm across proofs
-	// instead of hitting the allocator (poly.Scratch is concurrency-safe,
-	// so batch workers share it).
-	arena *poly.Scratch
+	// exec is the execution context of every proof and verification: the
+	// WithParallelism budget and the Engine's scratch arena, which keeps
+	// per-proof fold buffers and worker scratch warm across proofs instead
+	// of hitting the allocator (poly.Scratch is concurrency-safe, so batch
+	// workers share it).
+	exec poly.Options
 
 	mu      sync.Mutex
 	seed    []byte                // master ceremony seed, read lazily from cfg.entropy
@@ -112,7 +113,6 @@ type EngineStats struct {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		cfg:     defaultEngineConfig(),
-		arena:   poly.NewScratch(),
 		srs:     make(map[srsKey]*srsEntry),
 		keys:    make(map[keysKey]*keyEntry),
 		digests: make(map[*Circuit][32]byte),
@@ -121,6 +121,7 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(&e.cfg)
 	}
+	e.exec = poly.Options{Procs: e.cfg.parallelism, Scratch: poly.NewScratch()}
 	return e
 }
 
@@ -427,7 +428,7 @@ func (e *Engine) Prove(ctx context.Context, circuit *Circuit, assignment *Assign
 	}
 	start := time.Now()
 	proof, tm, err := hyperplonk.ProveWithContext(ctx, k.pk, assignment,
-		&hyperplonk.ProveOptions{CollectTimings: e.cfg.timings, Parallelism: e.cfg.parallelism, Scratch: e.arena})
+		&hyperplonk.ProveOptions{CollectTimings: e.cfg.timings, Exec: e.exec})
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +572,7 @@ func (e *Engine) VerifyWithKey(ctx context.Context, vk *VerifyingKey, pub []Scal
 		ctx = context.Background()
 	}
 	if err := hyperplonk.VerifyWithContext(ctx, vk, pub, proof,
-		&hyperplonk.VerifyOptions{Parallelism: e.cfg.parallelism}); err != nil {
+		&hyperplonk.VerifyOptions{Exec: e.exec}); err != nil {
 		return err
 	}
 	e.mu.Lock()

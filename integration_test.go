@@ -1,8 +1,8 @@
 package zkspeed_test
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"zkspeed"
@@ -14,20 +14,18 @@ func TestEndToEndSyntheticWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
 	}
-	rng := rand.New(rand.NewSource(2024))
-	circuit, assignment, pub, err := zkspeed.SyntheticWorkload(9, rng)
+	circuit, assignment, pub, err := zkspeed.SyntheticWorkloadSeeded(9, 2024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, vk, err := zkspeed.Setup(circuit, rng)
+	eng := zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(2024)), zkspeed.WithTimings())
+	ctx := context.Background()
+	res, err := eng.Prove(ctx, circuit, assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, timings, err := zkspeed.Prove(pk, assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zkspeed.Verify(vk, pub, proof); err != nil {
+	proof, timings := res.Proof, res.Timings
+	if err := eng.Verify(ctx, circuit, pub, proof); err != nil {
 		t.Fatalf("verification failed: %v", err)
 	}
 	if timings.WitnessCommit <= 0 || timings.PolyOpen <= 0 {
@@ -45,44 +43,50 @@ func TestUniversalSetupReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
 	}
-	rng := rand.New(rand.NewSource(3))
+	eng := zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(3)))
+	ctx := context.Background()
 
-	c1, a1, p1, err := zkspeed.SyntheticWorkload(8, rng)
+	c1, a1, p1, err := zkspeed.SyntheticWorkloadSeeded(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk1, vk1, err := zkspeed.Setup(c1, rng)
+	pk1, vk1, err := eng.Setup(ctx, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A second, different circuit preprocessed under the SAME SRS.
-	c2, a2, p2, err := zkspeed.SyntheticWorkload(8, rng)
+	c2, a2, p2, err := zkspeed.SyntheticWorkloadSeeded(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk2, vk2, err := zkspeed.SetupWithPCS(c2, pk1.PCS)
+	_, vk2, err := zkspeed.SetupWithPCS(c2, pk1.PCS)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pr1, _, err := zkspeed.Prove(pk1, a1)
+	r1, err := eng.Prove(ctx, c1, a1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2, _, err := zkspeed.Prove(pk2, a2)
+	r2, err := eng.Prove(ctx, c2, a2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := zkspeed.Verify(vk1, p1, pr1); err != nil {
+	if n := eng.Stats().SRSSetups; n != 1 {
+		t.Fatalf("%d ceremonies for two circuits of one size, want 1", n)
+	}
+	if err := eng.VerifyWithKey(ctx, vk1, p1, r1.Proof); err != nil {
 		t.Fatal(err)
 	}
-	if err := zkspeed.Verify(vk2, p2, pr2); err != nil {
+	// vk2 comes from SetupWithPCS on circuit 1's backend: the engine's
+	// proof for circuit 2 verifies under it only if both share the SRS.
+	if err := eng.VerifyWithKey(ctx, vk2, p2, r2.Proof); err != nil {
 		t.Fatal(err)
 	}
 	// Cross-verification must fail: the proofs are circuit-specific even
 	// though the SRS is shared.
-	if err := zkspeed.Verify(vk1, p1, pr2); err == nil {
+	if err := eng.VerifyWithKey(ctx, vk1, p1, r2.Proof); err == nil {
 		t.Fatal("proof for circuit 2 verified under circuit 1's key")
 	}
 }

@@ -90,15 +90,15 @@ func TestKernelSuiteRuns(t *testing.T) {
 	}
 	bms := KernelSuite(cfg)
 	// 8 ff field-arithmetic records + 4 pairing records (pairing,
-	// finalexp, miller/n1, miller/n17) + 1 window × 2 schedules ×
-	// {pippenger, sparse} + 1 window × {signed, glv, batchaffine} +
+	// finalexp, miller/n1, miller/n17) + 1 window × 2 schedules of the
+	// pippenger reference +
 	// {fast, sparse-fast, fast/allones} + 2 fixed-base windows + legacy
 	// sumcheck + 1 serial/parallel sumcheck pair + {commit, commit-fixed,
 	// precompute} + open + per-scheme records (pst: setup+commit+open+
 	// verify; zeromorph: setup+commit+open+verify+open-shift+naive) + 5
 	// serial/parallel MTU kernel pairs + sha3 + fold.
-	if len(bms) != 53 {
-		t.Fatalf("want 53 kernel benchmarks, got %d", len(bms))
+	if len(bms) != 48 {
+		t.Fatalf("want 48 kernel benchmarks, got %d", len(bms))
 	}
 	report := NewReport("test", RunConfig{Reps: 1}, time.Unix(0, 0))
 	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}

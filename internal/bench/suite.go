@@ -392,70 +392,26 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				"window": strconv.Itoa(w),
 				"agg":    aggName(agg),
 			}
-			// KernelPippenger pins these records to the pre-optimization
-			// reference path, so their trajectory stays comparable across
-			// the fast-path work (and the msm/fast assertion below gates
-			// against a baseline measured in the same run).
-			out = append(out,
-				Benchmark{
-					Name:   fmt.Sprintf("msm/pippenger/n%d/w%d/%s", cfg.MSMLogN, w, aggName(agg)),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  msmSetup,
-					Iterate: func() error {
-						_ = msm.MSMWithOptions(srsFor(cfg.MSMLogN).Lag[0], dense,
-							msm.Options{Window: w, Aggregation: agg, Parallel: true, Kernel: msm.KernelPippenger})
-						return nil
-					},
-				},
-				Benchmark{
-					Name:   fmt.Sprintf("msm/sparse/n%d/w%d/%s", cfg.MSMLogN, w, aggName(agg)),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  msmSetup,
-					Iterate: func() error {
-						_ = msm.SparseMSM(srsFor(cfg.MSMLogN).Lag[0], sparse,
-							msm.Options{Window: w, Aggregation: agg, Parallel: true, Kernel: msm.KernelPippenger})
-						return nil
-					},
-				},
-			)
-		}
-	}
-
-	// Fast-path variants: each algorithmic layer in isolation across the
-	// window sweep (grouped aggregation, the production schedule), so
-	// BENCH_<sha>.json records where each technique's win comes from.
-	for _, v := range []struct {
-		label  string
-		kernel msm.Kernel
-	}{
-		{"signed", msm.KernelSigned},
-		{"glv", msm.KernelSignedGLV},
-		{"batchaffine", msm.KernelBatchAffine},
-	} {
-		for _, w := range cfg.Windows {
-			v, w := v, w
+			// msm.Pippenger is the retained pre-optimization reference,
+			// so these records stay comparable across the fast-path work
+			// (and the msm/fast assertion gates against a reference
+			// measured in the same run).
 			out = append(out, Benchmark{
-				Name: fmt.Sprintf("msm/%s/n%d/w%d", v.label, cfg.MSMLogN, w),
-				Kind: KindKernel,
-				Params: map[string]string{
-					"n":      strconv.Itoa(n),
-					"window": strconv.Itoa(w),
-					"kernel": v.label,
-				},
-				Setup: msmSetup,
+				Name:   fmt.Sprintf("msm/pippenger/n%d/w%d/%s", cfg.MSMLogN, w, aggName(agg)),
+				Kind:   KindKernel,
+				Params: params,
+				Setup:  msmSetup,
 				Iterate: func() error {
-					_ = msm.MSMWithOptions(srsFor(cfg.MSMLogN).Lag[0], dense,
-						msm.Options{Window: w, Aggregation: msm.AggregateGrouped, Parallel: true, Kernel: v.kernel})
+					_ = msm.Pippenger(srsFor(cfg.MSMLogN).Lag[0], dense,
+						msm.Options{Window: w, Aggregation: agg, Parallel: true})
 					return nil
 				},
 			})
 		}
 	}
 
-	// The combined default path (signed + GLV + batch-affine, auto
-	// window) — what pcs.Commit actually runs — plus its sparse twin.
+	// The fast path (signed + GLV + batch-affine, auto window) — what
+	// pcs.Commit actually runs — plus its sparse twin.
 	out = append(out,
 		Benchmark{
 			Name:   fmt.Sprintf("msm/fast/n%d", cfg.MSMLogN),
@@ -543,11 +499,11 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 
 	// Sumcheck round loop: a ZeroCheck-shaped virtual polynomial
 	// (eq · w1 · w2 · w3 plus lower-degree terms, degree 4 like the gate
-	// identity). The legacy record stays pinned to KernelBaseline — the
-	// retained pre-refactor prover — so its trajectory remains
-	// comparable across the MTU fast-path work, exactly like the
-	// msm/pippenger records. The baseline kernel consumes its tables,
-	// so Before rebuilds the instance from cloned MLEs each iteration.
+	// identity). The record runs sumcheck.ProveReference — the retained
+	// round-by-round prover — so its trajectory remains comparable across
+	// the MTU fast-path work, exactly like the msm/pippenger records. The
+	// reference consumes its tables, so Before rebuilds the instance from
+	// cloned MLEs each iteration.
 	{
 		mu := cfg.SumcheckMu
 		var base []*poly.MLE
@@ -556,7 +512,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		out = append(out, Benchmark{
 			Name:   fmt.Sprintf("sumcheck/rounds/mu%d", mu),
 			Kind:   KindKernel,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "terms": "3", "degree": "4", "kernel": "baseline"},
+			Params: map[string]string{"mu": strconv.Itoa(mu), "terms": "3", "degree": "4", "kernel": "reference"},
 			Setup: func() error {
 				point := challengeFrs(cfg.Seed, "sumcheck.point", mu)
 				base = []*poly.MLE{poly.EqTable(point)}
@@ -581,20 +537,20 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			},
 			Iterate: func() error {
 				tr := transcript.New("zkspeed.bench.sumcheck")
-				_ = sumcheck.ProveWith(vp, tr, &sumcheck.Options{Kernel: sumcheck.KernelBaseline})
+				_ = sumcheck.ProveReference(vp, tr)
 				return nil
 			},
 		})
 	}
 
 	// Serial-vs-parallel sumcheck records: the same ZeroCheck shape at
-	// each configured size, proved by (serial) the pre-refactor kernel
-	// on one worker — clones consumed per iteration, eq table
-	// materialized, exactly the pre-refactor cost — and by (parallel)
-	// the fused kernel with its worker pool, analytic eq factor and
-	// arena scratch. The CI bench gate asserts parallel beats serial by
-	// ≥1.3× within the same run; transcripts are bit-identical, which
-	// TestProofDigestsAcrossKernels enforces at the prover level.
+	// each configured size, proved by (serial) sumcheck.ProveReference —
+	// one goroutine, clones consumed per iteration, eq table
+	// materialized — and by (parallel) sumcheck.Prove with its worker
+	// pool, analytic eq factor and arena scratch. The CI bench gate
+	// asserts parallel beats serial by ≥1.3× within the same run;
+	// transcripts are bit-identical, which the sumcheck package's
+	// TestProverShapesMatchReference enforces.
 	for _, mu := range cfg.SumcheckMus {
 		mu := mu
 		var ws []*poly.MLE
@@ -640,7 +596,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 				Iterate: func() error {
 					tr := transcript.New("zkspeed.bench.sumcheck")
-					_ = sumcheck.ProveWith(vp, tr, &sumcheck.Options{Kernel: sumcheck.KernelBaseline, Procs: 1})
+					_ = sumcheck.ProveReference(vp, tr)
 					return nil
 				},
 			},
@@ -653,14 +609,14 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					vp = sumcheck.NewVirtualPoly(mu)
 					vp.AddEqMLE(point)
 					for _, m := range ws {
-						vp.AddMLE(m) // the fused kernel preserves tables
+						vp.AddMLE(m) // Prove preserves tables
 					}
 					addTerms(vp)
 					return nil
 				},
 				Iterate: func() error {
 					tr := transcript.New("zkspeed.bench.sumcheck")
-					_ = sumcheck.ProveWith(vp, tr, &sumcheck.Options{Kernel: sumcheck.KernelFused})
+					_ = sumcheck.Prove(vp, tr)
 					return nil
 				},
 			},
@@ -779,15 +735,15 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		)
 	}
 
-	// PCS commit trio at each PCSMus size. The plain commit record pins
-	// msm.KernelFast explicitly: the commit-fixed record attaches tables
-	// to the shared bench SRS, and the default (auto) kernel would then
-	// silently reroute this baseline through the very path it baselines.
-	// The CI gate asserts commit-fixed beats commit ≥1.5× within one run.
+	// PCS commit trio at each PCSMus size. Commitments run the fixed-base
+	// kernel exactly when tables are attached, so the commit-fixed record
+	// attaches them to an SRS of its own and the shared bench SRS stays
+	// without. The CI gate asserts commit-fixed beats commit ≥1.5× within
+	// one run.
 	for _, mu := range cfg.PCSMus {
 		mu := mu
 		var m *poly.MLE
-		var tables *pcs.CommitTables
+		var fixed *pcs.SRS
 		setup := func() error {
 			srsFor(mu)
 			if m == nil {
@@ -803,8 +759,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				Params: params,
 				Setup:  setup,
 				Iterate: func() error {
-					_, err := srsFor(mu).CommitWith(m, msm.Options{
-						Parallel: true, Aggregation: msm.AggregateGrouped, Kernel: msm.KernelFast})
+					_, err := srsFor(mu).Commit(m)
 					return err
 				},
 			},
@@ -816,20 +771,21 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					if err := setup(); err != nil {
 						return err
 					}
-					if tables == nil {
-						var err error
-						if tables, err = pcs.PrecomputeTables(srsFor(mu), pcs.TableOptions{}); err != nil {
+					if fixed == nil {
+						s := pcs.SetupFromSeed(seedBytes(cfg.Seed), mu)
+						tables, err := pcs.PrecomputeTables(s, pcs.TableOptions{})
+						if err != nil {
 							return err
 						}
-						if err := srsFor(mu).AttachTables(tables); err != nil {
+						if err := s.AttachTables(tables); err != nil {
 							return err
 						}
+						fixed = s
 					}
 					return nil
 				},
 				Iterate: func() error {
-					_, err := srsFor(mu).CommitWith(m, msm.Options{
-						Parallel: true, Aggregation: msm.AggregateGrouped, Kernel: msm.KernelFixedBase})
+					_, err := fixed.Commit(m)
 					return err
 				},
 			},
@@ -911,7 +867,6 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				return nil
 			}
 			params := map[string]string{"mu": strconv.Itoa(mu), "scheme": scheme}
-			opt := msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped, Kernel: msm.KernelFast}
 			out = append(out,
 				// The cold ceremony: what a fresh engine pays before its
 				// first commitment under this scheme.
@@ -934,7 +889,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 						if err != nil {
 							return err
 						}
-						_, err = b.CommitWith(m, opt)
+						_, err = b.Commit(m)
 						return err
 					},
 				},
@@ -948,7 +903,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 						if err != nil {
 							return err
 						}
-						_, _, err = b.OpenWith(m, point, opt)
+						_, _, err = b.Open(m, point)
 						return err
 					},
 				},
@@ -971,10 +926,10 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					if err != nil {
 						return err
 					}
-					if comm, err = b.CommitWith(m, opt); err != nil {
+					if comm, err = b.Commit(m); err != nil {
 						return err
 					}
-					opening, value, err = b.OpenWith(m, point, opt)
+					opening, value, err = b.Open(m, point)
 					return err
 				},
 				Iterate: func() error {
@@ -1003,7 +958,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 						if err != nil {
 							return err
 						}
-						_, _, err = b.OpenShiftWith(m, point, opt)
+						_, _, err = b.OpenShift(m, point)
 						return err
 					},
 				},
@@ -1026,10 +981,10 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 							rot[i] = m.Evals[(i+1)%n]
 						}
 						rm := poly.NewMLE(rot)
-						if _, err := b.CommitWith(rm, opt); err != nil {
+						if _, err := b.Commit(rm); err != nil {
 							return err
 						}
-						_, _, err = b.OpenWith(rm, point, opt)
+						_, _, err = b.Open(rm, point)
 						return err
 					},
 				},

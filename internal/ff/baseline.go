@@ -6,7 +6,7 @@ import "math/bits"
 // FpMulBaseline are the looped CIOS implementations (with the original
 // compare-loop reduction) that Fr.Mul/Fp.Mul shipped with before the
 // unrolled no-carry rewrite — kept verbatim, exactly like msm keeps
-// KernelPippenger and sumcheck keeps KernelBaseline, so that
+// Pippenger and sumcheck keeps ProveReference, so that
 //
 //   - the ff/{fr,fp}/mul-baseline bench records stay comparable across the
 //     trajectory, and the CI -assert-faster gate can prove the unrolled

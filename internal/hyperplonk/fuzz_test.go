@@ -2,7 +2,6 @@ package hyperplonk
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -18,7 +17,7 @@ var fuzzSeedProof = sync.OnceValues(func() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk, _, err := Setup(circuit, rand.New(rand.NewSource(301)))
+	pk, _, err := setupSeeded(circuit, 77)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,14 @@ import (
 	"testing"
 
 	"zkspeed/internal/ff"
+	"zkspeed/internal/pcs"
 )
+
+// setupSeeded preprocesses circuit under a fresh PST ceremony derived
+// from seed.
+func setupSeeded(circuit *Circuit, seed byte) (*ProvingKey, *VerifyingKey, error) {
+	return SetupWithPCS(circuit, pcs.SetupFromSeed([]byte{seed}, circuit.Mu))
+}
 
 func randFr(rng *rand.Rand) ff.Fr {
 	v := new(big.Int).Rand(rng, ff.FrModulusBig())
@@ -107,8 +114,7 @@ func TestEndToEndProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(99))
-	pk, vk, err := Setup(circuit, rng)
+	pk, vk, err := setupSeeded(circuit, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +141,7 @@ func TestVerifyRejectsWrongPublicInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(100))
-	pk, vk, err := Setup(circuit, rng)
+	pk, vk, err := setupSeeded(circuit, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +164,7 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(101))
-	pk, vk, err := Setup(circuit, rng)
+	pk, vk, err := setupSeeded(circuit, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,6 @@ func TestSetupRejectsWrongSRS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(103))
 	otherCircuit := NewBuilder()
 	v := otherCircuit.Witness(ff.NewFr(1))
 	otherCircuit.AssertBool(v)
@@ -268,7 +271,7 @@ func TestSetupRejectsWrongSRS(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c2.Mu != circuit.Mu {
-		pk, _, err := Setup(c2, rng)
+		pk, _, err := setupSeeded(c2, 103)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"zkspeed/internal/ff"
-	"zkspeed/internal/msm"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/poly"
 	"zkspeed/internal/sumcheck"
@@ -47,51 +46,17 @@ type ProveOptions struct {
 	// CollectTimings enables the per-step wall-clock breakdown; when
 	// false, ProveWithContext returns nil timings.
 	CollectTimings bool
-	// Parallelism bounds the goroutines every kernel of the proof may
-	// use — the MSM bucket loops and, since the MTU refactor, the
-	// SumCheck/MLE pipeline (sumcheck sweeps, eq-table builds, MLE
-	// folds/evaluations, fraction and product trees). 0 = one per CPU.
-	// This is the knob the engine's WithParallelism threads down.
-	Parallelism int
-	// Scratch is the arena the SumCheck/MLE kernels draw per-proof
-	// buffers from; nil uses the poly package's shared arena. The
-	// engine passes a per-Engine arena so buffers stay warm across
-	// proofs.
-	Scratch *poly.Scratch
-	// SumcheckKernel pins the sumcheck prover implementation; the zero
-	// value is the fused fast path. KernelBaseline reproduces the
-	// pre-refactor prover (benchmark reference and digest-compare
-	// tests); proofs are byte-identical either way.
-	SumcheckKernel sumcheck.Kernel
+	// Exec is the execution context every kernel of the proof runs under
+	// — the MSMs of the commitments and the opening chain, the three
+	// sumchecks and the MLE kernels: its Procs bounds their goroutines
+	// and its Scratch is the arena they draw per-proof buffers from. The
+	// engine fills in WithParallelism and its own arena.
+	Exec poly.Options
 	// Scheme, when non-empty, pins the commitment scheme this proof must
 	// be produced under ("pst", "zeromorph"); proving fails rather than
 	// silently using a key preprocessed under a different backend. Empty
 	// accepts whatever scheme the proving key carries.
 	Scheme string
-}
-
-// msmOptions resolves the MSM configuration every commitment and opening
-// of this proof runs under.
-func (o *ProveOptions) msmOptions() msm.Options {
-	return msm.Options{Parallel: true, Procs: o.Parallelism, Aggregation: msm.AggregateGrouped}
-}
-
-// polyOptions resolves the MTU kernel configuration (eq-table builds,
-// fraction/product trees, MLE folds and evaluations).
-func (o *ProveOptions) polyOptions() poly.Options {
-	return poly.Options{Procs: o.Parallelism, Scratch: o.Scratch}
-}
-
-// sumcheckOptions resolves the sumcheck prover configuration.
-func (o *ProveOptions) sumcheckOptions() *sumcheck.Options {
-	return &sumcheck.Options{Kernel: o.SumcheckKernel, Procs: o.Parallelism, Scratch: o.Scratch}
-}
-
-// cloneTables reports whether virtual-polynomial inputs must be cloned:
-// the baseline sumcheck kernel folds its tables in place, while the
-// fused kernel preserves them.
-func (o *ProveOptions) cloneTables() bool {
-	return o.SumcheckKernel == sumcheck.KernelBaseline
 }
 
 // Prove generates a HyperPlonk proof for the assignment under pk with
@@ -126,9 +91,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	}
 	proof := &Proof{Scheme: pk.PCS.Scheme()}
 	tm := &StepTimings{}
-	mopt := opts.msmOptions()
-	popt := opts.polyOptions()
-	scopt := opts.sumcheckOptions()
+	popt := opts.Exec
 	start := time.Now()
 
 	tr := transcript.New("zkspeed.hyperplonk.v1")
@@ -143,7 +106,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	t0 := time.Now()
 	var err error
 	for j, w := range []*poly.MLE{a.W1, a.W2, a.W3} {
-		if proof.WitnessComms[j], err = pk.PCS.CommitSparseWith(w, mopt); err != nil {
+		if proof.WitnessComms[j], err = pk.PCS.CommitSparseWith(w, popt); err != nil {
 			return nil, nil, err
 		}
 		tr.AppendG1("witness", &proof.WitnessComms[j].P)
@@ -157,10 +120,10 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	t0 = time.Now()
 	zcPoint := tr.ChallengeFrs("zerocheck.t", mu)
 	// The eq factor (Build MLE on the Multifunction Tree Unit) rides
-	// along as an annotation: the fused sumcheck kernel never builds the
+	// along as an annotation: the sumcheck prover never builds the
 	// table, tracking the r(X) polynomial analytically instead.
-	vpZero := buildGatePoly(c, a, zcPoint, opts.cloneTables())
-	zcRes := sumcheck.ProveWith(vpZero, tr, scopt)
+	vpZero := buildGatePoly(c, a, zcPoint)
+	zcRes := sumcheck.ProveWith(vpZero, tr, popt)
 	proof.ZeroCheck = zcRes.Proof
 	rGate := zcRes.Challenges
 	tm.GateIdentity = time.Since(t0)
@@ -175,10 +138,10 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	nd := constructNAndD(c, a, &beta, &gamma, popt)
 	phi := poly.FractionMLEWith(nd.N, nd.D, popt) // FracMLE unit (batched inversion)
 	pi := poly.ProductMLEWith(phi, popt)          // Multifunction Tree Unit
-	if proof.PhiComm, err = pk.PCS.CommitWith(phi, mopt); err != nil {
+	if proof.PhiComm, err = pk.PCS.CommitWith(phi, popt); err != nil {
 		return nil, nil, err
 	}
-	if proof.PiComm, err = pk.PCS.CommitWith(pi, mopt); err != nil {
+	if proof.PiComm, err = pk.PCS.CommitWith(pi, popt); err != nil {
 		return nil, nil, err
 	}
 	tr.AppendG1("phi", &proof.PhiComm.P)
@@ -186,8 +149,8 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	alpha := tr.ChallengeFr("permcheck.alpha")
 	pcPoint := tr.ChallengeFrs("permcheck.t", mu)
 	p1, p2 := poly.ProductSides(phi, pi)
-	vpPerm := buildPermPoly(phi, pi, p1, p2, nd, pcPoint, &alpha, opts.cloneTables())
-	pcRes := sumcheck.ProveWith(vpPerm, tr, scopt)
+	vpPerm := buildPermPoly(phi, pi, p1, p2, nd, pcPoint, &alpha)
+	pcRes := sumcheck.ProveWith(vpPerm, tr, popt)
 	proof.PermCheck = pcRes.Proof
 	rPerm := pcRes.Challenges
 	tm.WireIdentity = time.Since(t0)
@@ -236,21 +199,17 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	// OpenCheck: sumcheck over f_open = Σ_j y_j·k_j (Eq. 5). The k_j
 	// eq tables are materialized (one per opening point, so none is
 	// shared by every term); the y_j combined MLEs are reused for g'
-	// below, which the fused kernel permits without cloning.
+	// below, which the sumcheck prover permits without cloning.
 	vpOpen := sumcheck.NewVirtualPoly(mu)
 	one := ff.NewFr(1)
 	ksEval := make([][]ff.Fr, numPoints)
 	for j := 0; j < numPoints; j++ {
-		yj := ys[j]
-		if opts.cloneTables() {
-			yj = yj.Clone()
-		}
-		iy := vpOpen.AddMLE(yj)
+		iy := vpOpen.AddMLE(ys[j])
 		ik := vpOpen.AddMLE(poly.EqTableWith(points[j], popt)) // Build MLE (MTU)
 		vpOpen.AddTerm(one, iy, ik)
 		ksEval[j] = points[j]
 	}
-	ocRes := sumcheck.ProveWith(vpOpen, tr, scopt)
+	ocRes := sumcheck.ProveWith(vpOpen, tr, popt)
 	proof.OpenCheck = ocRes.Proof
 	rOpen := ocRes.Challenges
 
@@ -261,7 +220,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 		kAtR[j] = poly.EvalEq(ksEval[j], rOpen)
 	}
 	gPrime := poly.LinearCombineWith(ys, kAtR, popt)
-	opening, gVal, err := pk.PCS.OpenWith(gPrime, rOpen, mopt)
+	opening, gVal, err := pk.PCS.OpenWith(gPrime, rOpen, popt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -286,25 +245,19 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 }
 
 // buildGatePoly assembles f_zero = (qL w1 + qR w2 + qM w1 w2 - qO w3 + qC)·eq
-// (Eq. 3). The eq factor is an annotation (the fused kernel tracks it
-// analytically; the baseline kernel materializes the table). Tables are
-// cloned only for the baseline kernel, which folds them in place.
-func buildGatePoly(c *Circuit, a *Assignment, zcPoint []ff.Fr, clone bool) *sumcheck.VirtualPoly {
+// (Eq. 3). The eq factor is an annotation the sumcheck prover tracks
+// analytically; the circuit and witness tables are registered as they are,
+// since the prover leaves them intact.
+func buildGatePoly(c *Circuit, a *Assignment, zcPoint []ff.Fr) *sumcheck.VirtualPoly {
 	vp := sumcheck.NewVirtualPoly(c.Mu)
-	reg := func(m *poly.MLE) int {
-		if clone {
-			m = m.Clone()
-		}
-		return vp.AddMLE(m)
-	}
-	iQL := reg(c.QL)
-	iQR := reg(c.QR)
-	iQM := reg(c.QM)
-	iQO := reg(c.QO)
-	iQC := reg(c.QC)
-	iW1 := reg(a.W1)
-	iW2 := reg(a.W2)
-	iW3 := reg(a.W3)
+	iQL := vp.AddMLE(c.QL)
+	iQR := vp.AddMLE(c.QR)
+	iQM := vp.AddMLE(c.QM)
+	iQO := vp.AddMLE(c.QO)
+	iQC := vp.AddMLE(c.QC)
+	iW1 := vp.AddMLE(a.W1)
+	iW2 := vp.AddMLE(a.W2)
+	iW3 := vp.AddMLE(a.W3)
 	iEq := vp.AddEqMLE(zcPoint)
 	one := ff.NewFr(1)
 	var neg ff.Fr
@@ -373,24 +326,18 @@ func constructNAndD(c *Circuit, a *Assignment, beta, gamma *ff.Fr, popt poly.Opt
 // buildPermPoly assembles f_perm (Eq. 4):
 //
 //	f_perm = π·eq - p1·p2·eq + α(φ·D1·D2·D3)·eq - α(N1·N2·N3)·eq
-func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha *ff.Fr, clone bool) *sumcheck.VirtualPoly {
+func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha *ff.Fr) *sumcheck.VirtualPoly {
 	vp := sumcheck.NewVirtualPoly(phi.NumVars)
-	reg := func(m *poly.MLE) int {
-		if clone {
-			m = m.Clone()
-		}
-		return vp.AddMLE(m)
-	}
-	iPi := reg(pi)
-	iP1 := vp.AddMLE(p1) // ProductSides already returns fresh tables
+	iPi := vp.AddMLE(pi)
+	iP1 := vp.AddMLE(p1)
 	iP2 := vp.AddMLE(p2)
-	iPhi := reg(phi)
-	iD1 := reg(nd.D1)
-	iD2 := reg(nd.D2)
-	iD3 := reg(nd.D3)
-	iN1 := reg(nd.N1)
-	iN2 := reg(nd.N2)
-	iN3 := reg(nd.N3)
+	iPhi := vp.AddMLE(phi)
+	iD1 := vp.AddMLE(nd.D1)
+	iD2 := vp.AddMLE(nd.D2)
+	iD3 := vp.AddMLE(nd.D3)
+	iN1 := vp.AddMLE(nd.N1)
+	iN2 := vp.AddMLE(nd.N2)
+	iN3 := vp.AddMLE(nd.N3)
 	iEq := vp.AddEqMLE(pcPoint)
 	one := ff.NewFr(1)
 	var negOne, negAlpha ff.Fr

@@ -8,18 +8,17 @@ import (
 	"zkspeed/internal/hyperplonk"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/poly"
-	"zkspeed/internal/sumcheck"
 	"zkspeed/internal/workload"
 )
 
-// TestProofDigestsAcrossKernels is the MTU refactor's acceptance gate:
+// TestProofDigestsAcrossContexts is the kernel layer's acceptance gate:
 // for every problem size μ in 2..12 the serialized proof must be
-// byte-identical across (a) the retained pre-refactor prover
-// (KernelBaseline, one worker — exactly the code path before this
-// change), (b) the fused kernel run serially, and (c) the fused kernel
-// run with a wide worker pool and a private arena. Field arithmetic is
-// exact, so any divergence is a bug in the kernel layer, not noise.
-func TestProofDigestsAcrossKernels(t *testing.T) {
+// byte-identical between a serial run and a run with a wide worker pool
+// and a private arena. Field arithmetic is exact, so any divergence is a
+// bug in the kernel layer, not noise. (That the bytes also match the
+// round-by-round and Pippenger references is pinned a layer down, by the
+// sumcheck and msm reference tests and the digest pins in this package.)
+func TestProofDigestsAcrossContexts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full proofs are slow")
 	}
@@ -32,7 +31,7 @@ func TestProofDigestsAcrossKernels(t *testing.T) {
 		// Small synthetic workloads pad up to a minimum cube; size the
 		// SRS for the compiled circuit, not the requested μ.
 		srs := pcs.SetupFromSeed([]byte{0xd1, byte(mu)}, circuit.Mu)
-		pk, vk, err := hyperplonk.SetupWithSRS(circuit, srs)
+		pk, vk, err := hyperplonk.SetupWithPCS(circuit, srs)
 		if err != nil {
 			t.Fatalf("mu=%d: setup: %v", mu, err)
 		}
@@ -40,9 +39,8 @@ func TestProofDigestsAcrossKernels(t *testing.T) {
 			name string
 			opts *hyperplonk.ProveOptions
 		}{
-			{"pre-refactor", &hyperplonk.ProveOptions{SumcheckKernel: sumcheck.KernelBaseline, Parallelism: 1}},
-			{"fused-serial", &hyperplonk.ProveOptions{Parallelism: 1}},
-			{"fused-parallel", &hyperplonk.ProveOptions{Parallelism: 8, Scratch: poly.NewScratch()}},
+			{"serial", &hyperplonk.ProveOptions{Exec: poly.Options{Procs: 1}}},
+			{"parallel", &hyperplonk.ProveOptions{Exec: poly.Options{Procs: 8, Scratch: poly.NewScratch()}}},
 		}
 		var want []byte
 		for _, v := range variants {
@@ -63,7 +61,7 @@ func TestProofDigestsAcrossKernels(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(blob, want) {
-				t.Fatalf("mu=%d: %s proof bytes differ from pre-refactor prover", mu, v.name)
+				t.Fatalf("mu=%d: %s proof bytes differ from the serial run", mu, v.name)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"zkspeed/internal/hyperplonk"
 	"zkspeed/internal/pcs"
+	"zkspeed/internal/poly"
 	"zkspeed/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func TestPSTProofBytesUnchangedByInterface(t *testing.T) {
 			t.Fatalf("mu=%d: setup: %v", mu, err)
 		}
 		proof, _, err := hyperplonk.ProveWithContext(context.Background(), pk, assignment,
-			&hyperplonk.ProveOptions{Parallelism: 4})
+			&hyperplonk.ProveOptions{Exec: poly.Options{Procs: 4}})
 		if err != nil {
 			t.Fatalf("mu=%d: prove: %v", mu, err)
 		}

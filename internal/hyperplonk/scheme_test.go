@@ -9,6 +9,7 @@ import (
 	"zkspeed/internal/ff"
 	"zkspeed/internal/hyperplonk"
 	"zkspeed/internal/pcs"
+	"zkspeed/internal/poly"
 	"zkspeed/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func TestZeromorphProveVerify(t *testing.T) {
 	for _, mu := range []int{2, 4, 6} {
 		pk, vk, assignment, pub := zeromorphKeys(t, mu)
 		proof, _, err := hyperplonk.ProveWithContext(context.Background(), pk, assignment,
-			&hyperplonk.ProveOptions{Parallelism: 4})
+			&hyperplonk.ProveOptions{Exec: poly.Options{Procs: 4}})
 		if err != nil {
 			t.Fatalf("mu=%d: prove: %v", mu, err)
 		}

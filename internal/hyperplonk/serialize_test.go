@@ -2,7 +2,6 @@ package hyperplonk
 
 import (
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"zkspeed/internal/curve"
@@ -17,8 +16,7 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(201))
-	pk, vk, err := Setup(circuit, rng)
+	pk, vk, err := setupSeeded(circuit, 201)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +77,7 @@ func TestProofDeserializationRejectsAllTruncations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(204))
-	pk, _, err := Setup(circuit, rng)
+	pk, _, err := setupSeeded(circuit, 204)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +105,7 @@ func TestProofDeserializationRejectsOffCurvePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(202))
-	pk, _, err := Setup(circuit, rng)
+	pk, _, err := setupSeeded(circuit, 202)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +132,7 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(203))
-	pk, _, err := Setup(circuit, rng)
+	pk, _, err := setupSeeded(circuit, 203)
 	if err != nil {
 		t.Fatal(err)
 	}

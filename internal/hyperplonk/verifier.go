@@ -22,30 +22,14 @@ const (
 
 // VerifyOptions tunes proof verification.
 type VerifyOptions struct {
-	// Parallelism bounds the goroutines the verifier's MLE kernels may
-	// use — the public-input table evaluation today, batched pairing
-	// schedules as they arrive. 0 = one per CPU.
-	Parallelism int
+	// Exec is the execution context of the verifier's MLE kernels — the
+	// public-input table evaluation; the zero value means one goroutine
+	// per CPU and the shared arena.
+	Exec poly.Options
 	// Scheme, when non-empty, pins the commitment scheme the proof must
 	// have been produced under ("pst", "zeromorph"); verification fails
 	// up front on a mismatch. Empty accepts the verifying key's scheme.
 	Scheme string
-}
-
-// scheme resolves the pinned scheme name; a nil receiver pins nothing.
-func (o *VerifyOptions) scheme() string {
-	if o == nil {
-		return ""
-	}
-	return o.Scheme
-}
-
-// polyOptions resolves the verifier-side MTU kernel configuration.
-func (o *VerifyOptions) polyOptions() poly.Options {
-	if o == nil {
-		return poly.Options{}
-	}
-	return poly.Options{Procs: o.Parallelism}
 }
 
 // Verify checks a HyperPlonk proof with default options and no
@@ -61,7 +45,9 @@ func Verify(vk *VerifyingKey, pub []ff.Fr, proof *Proof) error {
 // checked before the transcript replay and again before the (pairing-
 // heavy) opening check.
 func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof *Proof, opts *VerifyOptions) error {
-	popt := opts.polyOptions()
+	if opts == nil {
+		opts = &VerifyOptions{}
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -76,7 +62,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	if got, want := proof.Scheme, vk.PCS.Scheme(); got != want {
 		return fmt.Errorf("hyperplonk: proof carries scheme %v, verifying key uses %v", got, want)
 	}
-	if pinned := opts.scheme(); pinned != "" {
+	if pinned := opts.Scheme; pinned != "" {
 		want, err := pcs.ParseScheme(pinned)
 		if err != nil {
 			return err
@@ -208,7 +194,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 
 	// (d) Public input consistency: w1 restricted to the PI sub-cube.
 	piMLE := PublicInputMLE(pub, piVars)
-	wantPI := piMLE.EvaluateWith(rPI, popt)
+	wantPI := piMLE.EvaluateWith(rPI, opts.Exec)
 	gotPI := ev(ptPI, polyW1)
 	if !gotPI.Equal(&wantPI) {
 		return errors.New("hyperplonk: public input check failed")

@@ -7,25 +7,22 @@ import (
 	"zkspeed/internal/ff"
 )
 
-// The fast MSM path: signed-digit windows, optional GLV splitting, and
-// optionally batch-affine bucket accumulation, with point-chunked
-// parallelism.
+// The fast MSM path: signed-digit windows, GLV splitting and batch-affine
+// bucket accumulation, with point-chunked parallelism.
 //
 // Pipeline:
 //
-//  1. Recode every scalar (or, under GLV, both half-scalars of every
-//     scalar) into carry-corrected signed window digits in
+//  1. Split every scalar through the GLV endomorphism and recode both
+//     half-scalars into carry-corrected signed window digits in
 //     [-2^(c-1), 2^(c-1)); a negative digit adds the negated point, so
 //     only 2^(c-1) buckets per window are needed.
 //  2. Partition the (point, digit-row) pairs into chunks and accumulate
-//     buckets per (window, chunk) task — Jacobian mixed adds, or affine
-//     adds under Montgomery batch inversion (see affineAcc).
+//     buckets per (window, chunk) task — affine adds under Montgomery
+//     batch inversion (see affineAcc), or Jacobian mixed adds for a chunk
+//     below minBatchAffinePoints.
 //  3. Aggregate each task's buckets (Σ (i+1)·B_i, serial or grouped per
 //     opt.Aggregation), merge chunk partials per window in chunk order
 //     (deterministic), and Horner-combine the window sums.
-
-// glvMaxBits bounds the signed-digit width of a GLV half-scalar.
-const glvMaxBits = ff.GLVBits
 
 // minChunkPoints is the smallest chunk worth a separate task: below this
 // the per-task bucket-aggregation overhead outweighs the parallelism.
@@ -36,7 +33,7 @@ const minChunkPoints = 2048
 const batchAddSize = 512
 
 // minBatchAffinePoints is the smallest chunk (in effective points, 2n
-// under GLV) that accumulates its buckets in affine coordinates. Every
+// after the GLV split) that accumulates its buckets in affine coordinates. Every
 // window of a chunk pays at least one shared inversion (~10 mixed
 // additions) to save about half a mixed addition per point, so small
 // inputs — a verifier's (μ+2)-term combination, the tail of an opening
@@ -81,7 +78,7 @@ func signedDigits(words []uint64, c, nw int, neg bool, out []int16) {
 }
 
 // DefaultWindowFast returns the heuristic window width for the fast path
-// (signed windows; pts is the effective point count, i.e. 2n under GLV).
+// (signed windows; pts is the effective point count, 2n after the GLV split).
 //
 // Breakpoints recalibrated for the signed/GLV regime from a window sweep
 // (go test -bench over windows 6..12 at n=2^10 and 2^12, Xeon 2.10GHz,
@@ -114,17 +111,11 @@ func DefaultWindowFast(pts int) int {
 	}
 }
 
-// msmFast computes the MSM with signed windows, optionally splitting every
-// scalar through the GLV endomorphism and optionally accumulating buckets
-// in batch-affine coordinates.
-func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options, glv, batchAffine bool) curve.G1Jac {
+// msmFast computes the MSM with signed windows over the GLV split of every
+// scalar: 2n effective points of half-length scalars.
+func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	n := len(points)
-	nPts := n
-	bits := ff.FrBits
-	if glv {
-		nPts = 2 * n
-		bits = glvMaxBits
-	}
+	nPts := 2 * n
 	c := opt.Window
 	if c <= 0 {
 		c = DefaultWindowFast(nPts)
@@ -137,7 +128,7 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options, glv, batchAf
 	if c > 15 {
 		c = 15
 	}
-	nw := signedWindows(bits, c)
+	nw := signedWindows(ff.GLVBits, c)
 	procs := opt.procs()
 
 	// Stage 1: bases and digit rows (row i = digits[i*nw : (i+1)*nw]).
@@ -146,17 +137,11 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options, glv, batchAf
 	parallelFor(n, procs, func(lo, hi int) {
 		var split ff.GLVSplitter
 		for i := lo; i < hi; i++ {
-			if glv {
-				k1, k2 := split.Split(&scalars[i])
-				bases[2*i] = points[i]
-				bases[2*i+1].Phi(&points[i])
-				signedDigits(k1.W[:], c, nw, k1.Neg, digits[(2*i)*nw:(2*i+1)*nw])
-				signedDigits(k2.W[:], c, nw, k2.Neg, digits[(2*i+1)*nw:(2*i+2)*nw])
-			} else {
-				w := scalars[i].CanonicalLimbs()
-				bases[i] = points[i]
-				signedDigits(w[:], c, nw, false, digits[i*nw:(i+1)*nw])
-			}
+			k1, k2 := split.Split(&scalars[i])
+			bases[2*i] = points[i]
+			bases[2*i+1].Phi(&points[i])
+			signedDigits(k1.W[:], c, nw, k1.Neg, digits[(2*i)*nw:(2*i+1)*nw])
+			signedDigits(k2.W[:], c, nw, k2.Neg, digits[(2*i+1)*nw:(2*i+2)*nw])
 		}
 	})
 
@@ -176,7 +161,7 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options, glv, batchAf
 		if hi > nPts {
 			hi = nPts
 		}
-		if batchAffine && hi-lo >= minBatchAffinePoints {
+		if hi-lo >= minBatchAffinePoints {
 			partials[w*nChunks+chunk] = bucketAccAffine(bases, digits, nw, w, c, lo, hi, opt.Aggregation)
 		} else {
 			partials[w*nChunks+chunk] = bucketAccJac(bases, digits, nw, w, c, lo, hi, opt.Aggregation)

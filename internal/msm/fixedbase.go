@@ -30,10 +30,9 @@ import (
 // stays affordable because it reuses the batch-affine addition kernel
 // across the independent per-group running sums (aggregateAffine).
 //
-// The recoding is the carry-corrected signed-digit scheme of KernelSigned
-// (full 255-bit scalars — GLV buys nothing once the doublings are free)
-// and the bucket accumulation is the batch-affine staging of
-// KernelBatchAffine.
+// The recoding is the fast path's carry-corrected signed-digit scheme over
+// full 255-bit scalars (GLV buys nothing once the doublings are free) and
+// the bucket accumulation is its batch-affine staging (affineAcc).
 
 // fbMagic identifies a serialized fixed-base table.
 var fbMagic = [4]byte{'z', 'k', 'f', 'b'}
@@ -210,7 +209,7 @@ func MSMFixedBase(t *FixedBaseTable, scalars []ff.Fr, opt Options) curve.G1Jac {
 	}
 	nw := t.windows
 	digits := make([]int16, n*nw)
-	parallelFor(n, opt.ResolvedProcs(), func(lo, hi int) {
+	parallelFor(n, opt.procs(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			w := scalars[i].CanonicalLimbs()
 			signedDigits(w[:], t.window, nw, false, digits[i*nw:(i+1)*nw])
@@ -247,7 +246,7 @@ func SparseMSMFixedBase(t *FixedBaseTable, scalars []ff.Fr, opt Options) curve.G
 	if len(rows) > 0 {
 		nw := t.windows
 		digits := make([]int16, len(rows)*nw)
-		parallelFor(len(rows), opt.ResolvedProcs(), func(lo, hi int) {
+		parallelFor(len(rows), opt.procs(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				w := denseScalars[i].CanonicalLimbs()
 				signedDigits(w[:], t.window, nw, false, digits[i*nw:(i+1)*nw])
@@ -270,7 +269,7 @@ func SparseMSMFixedBase(t *FixedBaseTable, scalars []ff.Fr, opt Options) curve.G
 func fixedBaseBuckets(t *FixedBaseTable, rows []int32, digits []int16, n int, opt Options) curve.G1Jac {
 	nw := t.windows
 	nb := 1 << uint(t.window-1)
-	procs := opt.ResolvedProcs()
+	procs := opt.procs()
 	nTasks := procs
 	// A task below ~minChunkPoints inserts doesn't pay for its own bucket
 	// set and aggregation.

@@ -28,7 +28,7 @@ func BenchmarkMSMFast(b *testing.B) {
 		pts, scalars := benchInputs(1 << logN)
 		b.Run(fmt.Sprintf("n%d", logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = MSMWithOptions(pts, scalars, Options{Parallel: true, Aggregation: AggregateGrouped, Kernel: KernelFast})
+				_ = MSMWithOptions(pts, scalars, Options{Parallel: true, Aggregation: AggregateGrouped})
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/poly"
 )
 
 // hostileInputs seeds n points/scalars with the edge cases every MSM
@@ -51,10 +52,11 @@ func hostileInputs(rng *rand.Rand, n int) ([]curve.G1Affine, []ff.Fr) {
 	return pts, scalars
 }
 
-// TestFixedBaseCrossValidation extends the PR 4 property matrix to
-// KernelFixedBase: windows × aggregation × parallel mode over hostile
-// inputs, asserting equality with KernelPippenger (and transitively the
-// naive oracle, which the Pippenger matrix pins elsewhere).
+// TestFixedBaseCrossValidation extends the MSM property matrix to the
+// fixed-base kernel: windows × aggregation × parallel mode over hostile
+// inputs, asserting equality with the Pippenger reference (and
+// transitively the naive oracle, which the Pippenger matrix pins
+// elsewhere).
 func TestFixedBaseCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	sizes := []int{1, 2, 3, 30}
@@ -63,7 +65,7 @@ func TestFixedBaseCrossValidation(t *testing.T) {
 	}
 	for _, n := range sizes {
 		pts, scalars := hostileInputs(rng, n)
-		want := MSMWithOptions(pts, scalars, Options{Kernel: KernelPippenger})
+		want := Pippenger(pts, scalars, Options{})
 		for _, w := range []int{0, 2, 5, 9, 13} {
 			tbl := BuildFixedBaseTable(pts, w, 0)
 			for _, agg := range []Aggregation{AggregateSerial, AggregateGrouped} {
@@ -193,19 +195,6 @@ func TestFixedBaseSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFixedBaseKernelRejected: the plain dispatcher cannot run the
-// fixed-base kernel (it has no table) and must say so loudly.
-func TestFixedBaseKernelRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MSMWithOptions accepted KernelFixedBase")
-		}
-	}()
-	rng := rand.New(rand.NewSource(75))
-	pts := randPoints(rng, 2)
-	MSMWithOptions(pts, make([]ff.Fr, 2), Options{Kernel: KernelFixedBase})
-}
-
 // TestDefaultWindowFixedBase: monotone in size, clamped, and at least as
 // wide as the variable-base heuristic (the doublings are free).
 func TestDefaultWindowFixedBase(t *testing.T) {
@@ -226,29 +215,25 @@ func TestDefaultWindowFixedBase(t *testing.T) {
 	}
 }
 
-// TestResolvedProcs is the regression test for the Procs normalization:
-// every combination of Parallel and raw Procs resolves to the same
-// budget at every kernel layer (msm here; pcs.OpenWith forwards this
-// resolved value to poly instead of the raw field).
-func TestResolvedProcs(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		parallel bool
-		procs    int
-		want     int
-	}{
-		{false, 0, 1},
-		{false, 8, 1},
-		{true, 0, max},
-		{true, -3, 1},
-		{true, 1, 1},
-		{true, 5, 5},
-	}
-	for _, c := range cases {
-		o := Options{Parallel: c.parallel, Procs: c.procs}
-		if got := o.ResolvedProcs(); got != c.want {
-			t.Fatalf("ResolvedProcs(parallel=%v, procs=%d) = %d, want %d",
-				c.parallel, c.procs, got, c.want)
+// TestOneBudgetRule pins the single rule for a goroutine budget: the
+// MSM layer resolves Procs exactly as the execution context it is derived
+// from (poly.Options, which sumcheck.ProveWith and the poly kernels resolve
+// through) — a non-positive budget means every CPU, never one goroutine —
+// and only Parallel == false forces a serial MSM.
+func TestOneBudgetRule(t *testing.T) {
+	for _, procs := range []int{-1, 0, 1, 3, 64} {
+		want := procs
+		if procs <= 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		if got := (poly.Options{Procs: procs}).Workers(); got != want {
+			t.Fatalf("poly: Procs %d resolves to %d workers, want %d", procs, got, want)
+		}
+		if got := (&Options{Parallel: true, Procs: procs}).procs(); got != want {
+			t.Fatalf("msm: Procs %d resolves to %d workers, want %d", procs, got, want)
+		}
+		if got := (&Options{Procs: procs}).procs(); got != 1 {
+			t.Fatalf("msm: serial MSM with Procs %d resolves to %d workers, want 1", procs, got)
 		}
 	}
 }

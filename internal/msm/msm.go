@@ -1,22 +1,23 @@
 // Package msm implements multi-scalar multiplication over BLS12-381 G1.
 //
-// Two generations of the kernel coexist:
+// There is one fast path and one named reference:
 //
-//   - KernelPippenger is the classic software shape — unsigned windows,
+//   - MSM, MSMWithOptions and SparseMSM run the fast path: signed-digit
+//     windows (halving the bucket count to 2^(c-1)), GLV endomorphism
+//     splitting (halving the window-loop bit length), and batch-affine
+//     bucket accumulation (Montgomery batch inversion turning ~11-mul
+//     Jacobian mixed adds into ~6-mul affine adds), plus point-chunked
+//     parallelism so large MSMs scale past the window count. See fast.go.
+//   - Pippenger is the classic software shape — unsigned windows,
 //     Jacobian mixed adds per bucket insert, parallelism across windows —
-//     kept intact as the benchmark baseline and as the §4.2 reference
-//     (the paper's MSM unit design knob, Table 2).
-//   - The fast path (the default) layers the three standard algorithmic
-//     upgrades on top: signed-digit windows (halving the bucket count to
-//     2^(c-1)), GLV endomorphism splitting (halving the window-loop bit
-//     length), and batch-affine bucket accumulation (Montgomery batch
-//     inversion turning ~11-mul Jacobian mixed adds into ~6-mul affine
-//     adds), plus point-chunked parallelism so large MSMs scale past the
-//     window count. See fast.go.
+//     kept as the benchmark reference, the §4.2 window × aggregation
+//     sweep (the paper's MSM unit design knob, Table 2) and a test oracle
+//     next to Naive.
 //
-// The package also provides the Sparse MSM scheme used for witness
-// commitments (§3.3.1/§4.2: tree-reduce the 1-valued scalars, skip zeros,
-// fast MSM on the ~10% dense remainder) and both bucket-aggregation
+// A fixed point set with a precomputed table takes MSMFixedBase instead
+// (fixedbase.go). The package also provides the Sparse MSM scheme used for
+// witness commitments (§3.3.1/§4.2: tree-reduce the 1-valued scalars, skip
+// zeros, fast MSM on the ~10% dense remainder) and both bucket-aggregation
 // schedules compared in Fig. 5 (SZKP's serial running sum vs. zkSpeed's
 // grouped aggregation).
 package msm
@@ -29,11 +30,6 @@ import (
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
 )
-
-// windowDigit extracts bits [lo, lo+c) of w.
-func windowDigit(w [4]uint64, lo, c int) uint64 {
-	return digitAt(w[:], lo, c)
-}
 
 // digitAt extracts bits [lo, lo+c) of a little-endian word slice.
 func digitAt(w []uint64, lo, c int) uint64 {
@@ -49,60 +45,10 @@ func digitAt(w []uint64, lo, c int) uint64 {
 	return v & ((1 << c) - 1)
 }
 
-// Kernel selects the MSM bucket-accumulation algorithm.
-type Kernel int
-
-const (
-	// KernelAuto (the zero value) resolves to KernelFast — callers get
-	// the full fast path unless they ask for a specific regime.
-	KernelAuto Kernel = iota
-	// KernelPippenger is the pre-optimization reference: unsigned
-	// windows, Jacobian mixed adds, window-level parallelism only.
-	KernelPippenger
-	// KernelSigned uses signed-digit (wNAF-style) windows with Jacobian
-	// buckets: 2^(c-1) buckets instead of 2^c-1.
-	KernelSigned
-	// KernelSignedGLV adds GLV endomorphism splitting to KernelSigned:
-	// 2n half-length scalars, halving the window-loop bit length.
-	KernelSignedGLV
-	// KernelBatchAffine uses signed windows with batch-affine bucket
-	// accumulation (Montgomery batch inversion), without GLV.
-	KernelBatchAffine
-	// KernelFast combines signed windows, GLV splitting and batch-affine
-	// buckets — the default production path.
-	KernelFast
-	// KernelFixedBase consumes a precomputed window-multiple table for a
-	// fixed point set (the SRS commit basis): no doubling chain, one
-	// global signed-digit bucket pass over all (point, window) pairs. It
-	// needs the table alongside the points, so it is reachable only
-	// through MSMFixedBase / SparseMSMFixedBase (pcs routes to them when
-	// tables are attached); MSMWithOptions rejects it.
-	KernelFixedBase
-)
-
-// String names the kernel for benchmark labels.
-func (k Kernel) String() string {
-	switch k {
-	case KernelPippenger:
-		return "pippenger"
-	case KernelSigned:
-		return "signed"
-	case KernelSignedGLV:
-		return "glv"
-	case KernelBatchAffine:
-		return "batchaffine"
-	case KernelFixedBase:
-		return "fixedbase"
-	case KernelFast, KernelAuto:
-		return "fast"
-	}
-	return fmt.Sprintf("kernel(%d)", int(k))
-}
-
 // Options configures an MSM computation.
 type Options struct {
-	// Window is the Pippenger window width in bits; 0 selects a size- and
-	// kernel-aware heuristic (DefaultWindow / DefaultWindowFast).
+	// Window is the window width in bits; 0 selects a size heuristic
+	// (DefaultWindowFast, or DefaultWindow under Pippenger).
 	Window int
 	// Aggregation selects the bucket aggregation schedule.
 	Aggregation Aggregation
@@ -110,37 +56,22 @@ type Options struct {
 	// fast path also across point chunks).
 	Parallel bool
 	// Procs bounds the number of goroutines a parallel MSM may use;
-	// 0 means GOMAXPROCS. This is the knob zkspeed.WithParallelism
-	// reaches down to.
+	// a value ≤ 0 means GOMAXPROCS.
 	Procs int
-	// Kernel selects the bucket-accumulation algorithm; the zero value
-	// (KernelAuto) is the combined fast path.
-	Kernel Kernel
 }
 
-// ResolvedProcs is the single place the goroutine budget is clamped:
-// serial runs and non-positive budgets resolve to 1 goroutine, and a
-// parallel run with Procs == 0 resolves to GOMAXPROCS. Every kernel in
-// this package and every caller that forwards the budget to another
-// kernel layer (pcs.OpenWith hands it to poly) must resolve through
-// here, so a zero Procs from a call site that never set it means the
-// same thing — "all CPUs" — at every level instead of silently hitting
-// each layer's own default.
-func (o *Options) ResolvedProcs() int {
+// procs resolves the goroutine budget under the rule poly.Options shares:
+// a serial run uses one goroutine, a parallel one Procs, and a
+// non-positive Procs means GOMAXPROCS.
+func (o *Options) procs() int {
 	if !o.Parallel {
 		return 1
 	}
 	if o.Procs > 0 {
 		return o.Procs
 	}
-	if o.Procs < 0 {
-		return 1
-	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// procs resolves the goroutine budget.
-func (o *Options) procs() int { return o.ResolvedProcs() }
 
 // Aggregation identifies a bucket-aggregation schedule.
 type Aggregation int
@@ -158,7 +89,7 @@ const (
 const GroupSize = 16
 
 // DefaultWindow returns the heuristic window size for an n-point MSM on
-// the unsigned KernelPippenger path (the pre-optimization regime).
+// the unsigned Pippenger reference.
 func DefaultWindow(n int) int {
 	c := 1
 	for 1<<uint(c+1) < n && c < 16 {
@@ -181,8 +112,23 @@ func MSM(points []curve.G1Affine, scalars []ff.Fr) curve.G1Jac {
 	return MSMWithOptions(points, scalars, Options{Parallel: true, Aggregation: AggregateGrouped})
 }
 
-// MSMWithOptions computes Σ scalars[i]·points[i].
+// MSMWithOptions computes Σ scalars[i]·points[i] on the fast path.
 func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
+	if len(points) != len(scalars) {
+		panic(fmt.Sprintf("msm: %d points vs %d scalars", len(points), len(scalars)))
+	}
+	if len(points) == 0 {
+		return curve.G1Jac{}
+	}
+	return msmFast(points, scalars, opt)
+}
+
+// Pippenger is the retained pre-optimization reference: unsigned window
+// digits, one Jacobian bucket set of 2^c-1 per window, parallel across
+// windows only. Nothing in the prover calls it; the bench suite sweeps it
+// over window × aggregation (Fig. 5), CI gates the fast path against it,
+// and tests use it as an oracle.
+func Pippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	if len(points) != len(scalars) {
 		panic(fmt.Sprintf("msm: %d points vs %d scalars", len(points), len(scalars)))
 	}
@@ -190,27 +136,6 @@ func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve
 	if len(points) == 0 {
 		return out
 	}
-	switch opt.Kernel {
-	case KernelFixedBase:
-		panic("msm: KernelFixedBase needs a precomputed table; call MSMFixedBase")
-	case KernelPippenger:
-		return msmPippenger(points, scalars, opt)
-	case KernelSigned:
-		return msmFast(points, scalars, opt, false, false)
-	case KernelSignedGLV:
-		return msmFast(points, scalars, opt, true, false)
-	case KernelBatchAffine:
-		return msmFast(points, scalars, opt, false, true)
-	default: // KernelAuto, KernelFast
-		return msmFast(points, scalars, opt, true, true)
-	}
-}
-
-// msmPippenger is the retained pre-optimization reference path: unsigned
-// window digits, one Jacobian bucket set of 2^c-1 per window, parallel
-// across windows only.
-func msmPippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
-	var out curve.G1Jac
 	c := opt.Window
 	if c <= 0 {
 		c = DefaultWindow(len(points))
@@ -225,7 +150,7 @@ func msmPippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G
 	processWindow := func(w int) {
 		buckets := make([]curve.G1Jac, 1<<uint(c))
 		for i := range points {
-			d := windowDigit(words[i], w*c, c)
+			d := digitAt(words[i][:], w*c, c)
 			if d != 0 {
 				buckets[d].AddMixed(&points[i])
 			}
@@ -233,9 +158,9 @@ func msmPippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G
 		windowSums[w] = aggregateBuckets(buckets[1:], opt.Aggregation)
 	}
 
-	if opt.Parallel && numWindows > 1 {
+	if procs := opt.procs(); procs > 1 && numWindows > 1 {
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, opt.procs())
+		sem := make(chan struct{}, procs)
 		for w := 0; w < numWindows; w++ {
 			wg.Add(1)
 			sem <- struct{}{}
@@ -376,8 +301,8 @@ func ClassifyScalars(scalars []ff.Fr) SparseStats {
 // SparseMSM computes Σ scalars[i]·points[i] exploiting sparsity as zkSpeed
 // does for witness commitments: zeros are skipped, the points with scalar 1
 // are summed with a pairwise reduction tree, and the dense remainder goes
-// through the bucket MSM selected by opt (the fast path by default — the
-// dense-remainder Pippenger of §4.2 inherits every kernel upgrade).
+// through the fast bucket MSM (the dense-remainder Pippenger of §4.2
+// inherits every kernel upgrade).
 func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	if len(points) != len(scalars) {
 		panic("msm: mismatched sparse MSM input")

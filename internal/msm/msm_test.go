@@ -43,12 +43,12 @@ func TestScalarWords(t *testing.T) {
 	}
 }
 
-func TestWindowDigit(t *testing.T) {
-	w := [4]uint64{0xffffffffffffffff, 0x1, 0, 0}
-	if d := windowDigit(w, 0, 8); d != 0xff {
+func TestDigitAt(t *testing.T) {
+	w := []uint64{0xffffffffffffffff, 0x1, 0, 0}
+	if d := digitAt(w, 0, 8); d != 0xff {
 		t.Fatalf("digit(0,8) = %x", d)
 	}
-	if d := windowDigit(w, 60, 8); d != 0x1f {
+	if d := digitAt(w, 60, 8); d != 0x1f {
 		// bits 60..63 are 1111, bits 64..67 are 0001 → 0001_1111
 		t.Fatalf("digit(60,8) = %x", d)
 	}
@@ -226,8 +226,15 @@ func BenchmarkSparseMSM1024(b *testing.B) {
 	}
 }
 
-// allKernels enumerates every bucket-accumulation algorithm.
-var allKernels = []Kernel{KernelPippenger, KernelSigned, KernelSignedGLV, KernelBatchAffine, KernelFast}
+// paths are the two bucket MSMs of the package: the fast path every caller
+// runs and the retained Pippenger reference.
+var paths = []struct {
+	name string
+	run  func([]curve.G1Affine, []ff.Fr, Options) curve.G1Jac
+}{
+	{"fast", MSMWithOptions},
+	{"pippenger", Pippenger},
+}
 
 // TestSignedDigitsRoundTrip: the carry-corrected recoder reconstructs the
 // value for adversarial bit patterns across window widths.
@@ -285,18 +292,16 @@ func TestSignedDigitsRoundTrip(t *testing.T) {
 }
 
 // TestMSMCrossValidation is the property test over the full configuration
-// space: every kernel × window width × aggregation schedule × parallel
-// mode against the naive scalar-mul oracle, on inputs seeded with the
-// edge cases every regime must survive — zeros, ones, -1 (max scalar),
-// λ and -λ (degenerate GLV splits), tiny and full-width scalars, points
-// at infinity, and repeated points (forcing bucket doublings).
+// space: fast path and Pippenger reference × window width × aggregation
+// schedule × parallel mode against the naive scalar-mul oracle, on inputs
+// seeded with the edge cases every regime must survive — zeros, ones, -1
+// (max scalar), λ and -λ (degenerate GLV splits), tiny and full-width
+// scalars, points at infinity, and repeated points (forcing bucket
+// doublings). The sizes straddle minBatchAffinePoints (2n effective
+// points), so the fast path runs on Jacobian and on batch-affine buckets.
 func TestMSMCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	sizes := []int{1, 2, 3, 30}
-	if !testing.Short() {
-		sizes = append(sizes, 130)
-	}
-	for _, n := range sizes {
+	for _, n := range []int{1, 2, 3, 30, minBatchAffinePoints/2 - 1, minBatchAffinePoints / 2} {
 		pts := randPoints(rng, n)
 		scalars := make([]ff.Fr, n)
 		for i := range scalars {
@@ -329,30 +334,24 @@ func TestMSMCrossValidation(t *testing.T) {
 			}
 		}
 		want := Naive(pts, scalars)
-		for _, kernel := range allKernels {
+		for _, path := range paths {
 			for _, w := range []int{0, 2, 5, 9} {
 				for _, agg := range []Aggregation{AggregateSerial, AggregateGrouped} {
 					for _, par := range []bool{false, true} {
 						if testing.Short() && (w == 2 || (par && agg == AggregateSerial)) {
 							continue
 						}
-						got := MSMWithOptions(pts, scalars, Options{
-							Window: w, Aggregation: agg, Parallel: par, Kernel: kernel,
-						})
+						got := path.run(pts, scalars, Options{Window: w, Aggregation: agg, Parallel: par})
 						if !got.Equal(&want) {
-							t.Fatalf("n=%d kernel=%v w=%d agg=%d par=%v: MSM mismatch",
-								n, kernel, w, agg, par)
+							t.Fatalf("n=%d %s w=%d agg=%d par=%v: MSM mismatch", n, path.name, w, agg, par)
 						}
 					}
 				}
 			}
 		}
-		// Sparse path across kernels (dense remainder inherits the kernel).
-		for _, kernel := range allKernels {
-			got := SparseMSM(pts, scalars, Options{Kernel: kernel, Parallel: true})
-			if !got.Equal(&want) {
-				t.Fatalf("n=%d kernel=%v: sparse MSM mismatch", n, kernel)
-			}
+		got := SparseMSM(pts, scalars, Options{Parallel: true})
+		if !got.Equal(&want) {
+			t.Fatalf("n=%d: sparse MSM mismatch", n)
 		}
 	}
 }
@@ -368,10 +367,12 @@ func TestMSMProcsBound(t *testing.T) {
 		scalars[i] = randFr(rng)
 	}
 	want := Naive(pts, scalars)
-	for _, procs := range []int{1, 2, 3, 16} {
-		got := MSMWithOptions(pts, scalars, Options{Parallel: true, Procs: procs})
-		if !got.Equal(&want) {
-			t.Fatalf("procs=%d: MSM mismatch", procs)
+	for _, path := range paths {
+		for _, procs := range []int{-1, 0, 1, 2, 3, 16} {
+			got := path.run(pts, scalars, Options{Parallel: true, Procs: procs})
+			if !got.Equal(&want) {
+				t.Fatalf("%s procs=%d: MSM mismatch", path.name, procs)
+			}
 		}
 	}
 }

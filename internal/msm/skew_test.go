@@ -68,8 +68,9 @@ func skewedInputs(rng *rand.Rand, n int) map[string]skewedInput {
 	}
 }
 
-// TestMSMSkewedScalars runs the batch-affine kernels (and the fixed-base
-// kernel, which shares their accumulator) over the skewed distributions
+// TestMSMSkewedScalars runs the fast path (Jacobian buckets at n = 40,
+// batch-affine above), the Pippenger reference and the fixed-base kernel,
+// which shares the fast path's accumulator, over the skewed distributions
 // against the naive oracle. The sizes put the conflict queue past its
 // reduction threshold both for the size-picked window and for a forced
 // wide one (window 11: 1024 buckets, full 512-update batches).
@@ -82,15 +83,16 @@ func TestMSMSkewedScalars(t *testing.T) {
 	for _, n := range sizes {
 		for name, in := range skewedInputs(rng, n) {
 			want := Naive(in.pts, in.scalars)
+			if ref := Pippenger(in.pts, in.scalars, Options{Aggregation: AggregateGrouped, Parallel: true}); !ref.Equal(&want) {
+				t.Fatalf("%s n=%d: Pippenger reference mismatch", name, n)
+			}
 			for _, w := range []int{0, 11} {
-				for _, kernel := range []Kernel{KernelFast, KernelBatchAffine} {
-					for _, par := range []bool{false, true} {
-						got := MSMWithOptions(in.pts, in.scalars, Options{
-							Window: w, Aggregation: AggregateGrouped, Parallel: par, Kernel: kernel,
-						})
-						if !got.Equal(&want) {
-							t.Fatalf("%s n=%d kernel=%v w=%d par=%v: MSM mismatch", name, n, kernel, w, par)
-						}
+				for _, par := range []bool{false, true} {
+					got := MSMWithOptions(in.pts, in.scalars, Options{
+						Window: w, Aggregation: AggregateGrouped, Parallel: par,
+					})
+					if !got.Equal(&want) {
+						t.Fatalf("%s n=%d w=%d par=%v: MSM mismatch", name, n, w, par)
 					}
 				}
 				tbl := BuildFixedBaseTable(in.pts, w, 0)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"zkspeed/internal/ff"
-	"zkspeed/internal/msm"
 	"zkspeed/internal/poly"
 )
 
@@ -146,8 +145,8 @@ func conformanceOne(t *testing.T, scheme Scheme, mu int) {
 
 	// Serial and parallel opens must produce byte-identical proofs
 	// (field arithmetic is exact; any divergence is a kernel bug).
-	serialOpt := msm.Options{}
-	parOpt := msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped}
+	serialOpt := poly.Options{Procs: 1}
+	parOpt := poly.Options{}
 	pSerial, vSerial, err := backend.OpenWith(m, points[0], serialOpt)
 	if err != nil {
 		t.Fatalf("OpenWith(serial): %v", err)

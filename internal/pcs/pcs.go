@@ -17,8 +17,6 @@ package pcs
 import (
 	"errors"
 	"fmt"
-	"math/big"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -59,21 +57,6 @@ type Commitment struct {
 // at a point: one quotient commitment per variable.
 type OpeningProof struct {
 	Quotients []curve.G1Affine
-}
-
-// Setup runs the simulated trusted-setup ceremony for mu variables using
-// the provided entropy source. The toxic waste is discarded before return.
-//
-// Deprecated: use SetupFromSeed with a seed drawn from any entropy source
-// (crypto/rand in production, a fixed seed in tests) — it additionally
-// makes the ceremony reproducible from the seed alone.
-func Setup(mu int, rng *rand.Rand) *SRS {
-	taus := make([]ff.Fr, mu)
-	rMod := ff.FrModulusBig()
-	for i := range taus {
-		taus[i].SetBigInt(new(big.Int).Rand(rng, rMod))
-	}
-	return SetupWithTaus(taus)
 }
 
 // SetupFromSeed derives the simulated ceremony deterministically from a
@@ -122,34 +105,32 @@ func SetupWithTaus(taus []ff.Fr) *SRS {
 // MaxVars returns the largest MLE size this SRS supports.
 func (s *SRS) MaxVars() int { return s.Mu }
 
-// defaultMSMOptions is the MSM configuration commitments use when the
-// caller does not thread one through: the fast kernel, grouped
-// aggregation, parallel across all CPUs.
-func defaultMSMOptions() msm.Options {
-	return msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped}
+// msmOptions derives the MSM configuration of a commitment or opening
+// from the proof's execution context: grouped aggregation, parallel under
+// the context's goroutine budget. Both backends configure every MSM of
+// the proving side through here.
+func msmOptions(opt poly.Options) msm.Options {
+	return msm.Options{Parallel: true, Procs: opt.Procs, Aggregation: msm.AggregateGrouped}
 }
 
 // Commit commits to an MLE of exactly Mu variables (dense MSM).
 func (s *SRS) Commit(m *poly.MLE) (Commitment, error) {
-	return s.CommitWith(m, defaultMSMOptions())
+	return s.CommitWith(m, poly.Options{})
 }
 
-// CommitWith is Commit with an explicit MSM configuration — the hook the
-// engine uses to bound kernel parallelism (zkspeed.WithParallelism).
-func (s *SRS) CommitWith(m *poly.MLE, opt msm.Options) (Commitment, error) {
+// CommitWith is Commit under an explicit execution context — the hook the
+// engine uses to bound kernel parallelism (zkspeed.WithParallelism). The
+// MSM runs over the fixed-base tables exactly when they are attached.
+func (s *SRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	if t := s.tables.Load(); t != nil && useFixedBase(opt.Kernel) {
-		sum := msm.MSMFixedBase(t.tbl, m.Evals, opt)
-		var c Commitment
-		c.P.FromJacobian(&sum)
-		return c, nil
+	var sum curve.G1Jac
+	if t := s.tables.Load(); t != nil {
+		sum = msm.MSMFixedBase(t.tbl, m.Evals, msmOptions(opt))
+	} else {
+		sum = msm.MSMWithOptions(s.Lag[0], m.Evals, msmOptions(opt))
 	}
-	if opt.Kernel == msm.KernelFixedBase {
-		return Commitment{}, errors.New("pcs: KernelFixedBase requested but no tables attached (PrecomputeTables + AttachTables)")
-	}
-	sum := msm.MSMWithOptions(s.Lag[0], m.Evals, opt)
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil
@@ -157,25 +138,20 @@ func (s *SRS) CommitWith(m *poly.MLE, opt msm.Options) (Commitment, error) {
 
 // CommitSparse commits using the Sparse MSM path (witness commitments).
 func (s *SRS) CommitSparse(m *poly.MLE) (Commitment, error) {
-	return s.CommitSparseWith(m, defaultMSMOptions())
+	return s.CommitSparseWith(m, poly.Options{})
 }
 
-// CommitSparseWith is CommitSparse with an explicit MSM configuration for
-// the dense-remainder path.
-func (s *SRS) CommitSparseWith(m *poly.MLE, opt msm.Options) (Commitment, error) {
+// CommitSparseWith is CommitSparse under an explicit execution context.
+func (s *SRS) CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	if t := s.tables.Load(); t != nil && useFixedBase(opt.Kernel) {
-		sum := msm.SparseMSMFixedBase(t.tbl, m.Evals, opt)
-		var c Commitment
-		c.P.FromJacobian(&sum)
-		return c, nil
+	var sum curve.G1Jac
+	if t := s.tables.Load(); t != nil {
+		sum = msm.SparseMSMFixedBase(t.tbl, m.Evals, msmOptions(opt))
+	} else {
+		sum = msm.SparseMSM(s.Lag[0], m.Evals, msmOptions(opt))
 	}
-	if opt.Kernel == msm.KernelFixedBase {
-		return Commitment{}, errors.New("pcs: KernelFixedBase requested but no tables attached (PrecomputeTables + AttachTables)")
-	}
-	sum := msm.SparseMSM(s.Lag[0], m.Evals, opt)
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil
@@ -184,20 +160,17 @@ func (s *SRS) CommitSparseWith(m *poly.MLE, opt msm.Options) (Commitment, error)
 // Open produces an opening proof and the evaluation of m at point.
 // m is not modified.
 func (s *SRS) Open(m *poly.MLE, point []ff.Fr) (OpeningProof, ff.Fr, error) {
-	return s.OpenWith(m, point, defaultMSMOptions())
+	return s.OpenWith(m, point, poly.Options{})
 }
 
-// OpenWith is Open with an explicit MSM configuration for the halving
-// quotient-commitment chain. The quotient extraction and the MLE Update
-// fold share the MSM's goroutine budget via the poly kernel layer.
-func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (OpeningProof, ff.Fr, error) {
+// OpenWith is Open under an explicit execution context: the halving
+// quotient-commitment chain, the quotient extraction and the MLE Update
+// fold share its goroutine budget and arena.
+func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningProof, ff.Fr, error) {
 	if m.NumVars != s.Mu || len(point) != s.Mu {
 		return OpeningProof{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
 	}
-	// ResolvedProcs is the one normalization point for the goroutine
-	// budget: Parallel=false or Procs<0 collapse to 1 here rather than
-	// leaking a raw 0 (= GOMAXPROCS to poly) downstream.
-	popt := poly.Options{Procs: opt.ResolvedProcs()}
+	mopt := msmOptions(opt)
 	work := m.Clone()
 	proof := OpeningProof{Quotients: make([]curve.G1Affine, s.Mu)}
 	q := make([]ff.Fr, 0, work.Len()/2)
@@ -205,14 +178,14 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (OpeningProo
 		half := work.Len() / 2
 		q = q[:half]
 		evals := work.Evals
-		poly.ParallelRange(half, popt, func(lo, hi int) {
+		poly.ParallelRange(half, opt, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				q[i].Sub(&evals[2*i+1], &evals[2*i])
 			}
 		})
-		sum := msm.MSMWithOptions(s.Lag[k+1], q, opt)
+		sum := msm.MSMWithOptions(s.Lag[k+1], q, mopt)
 		proof.Quotients[k].FromJacobian(&sum)
-		work.FixVariableWith(&point[k], popt)
+		work.FixVariableWith(&point[k], opt)
 	}
 	return proof, work.Evals[0], nil
 }

@@ -55,7 +55,7 @@ func TestCommitMatchesTrapdoor(t *testing.T) {
 func TestSparseCommitMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	mu := 5
-	srs := Setup(mu, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), mu)
 	evals := make([]ff.Fr, 1<<mu)
 	for i := range evals {
 		switch {
@@ -86,7 +86,7 @@ func TestOpenVerifyRoundTrip(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(73))
 	mu := 4
-	srs := Setup(mu, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), mu)
 	m := randMLE(rng, mu)
 	c, err := srs.Commit(m)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestOpenVerifyRoundTrip(t *testing.T) {
 func TestCommitmentHomomorphism(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	mu := 4
-	srs := Setup(mu, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), mu)
 	a := randMLE(rng, mu)
 	b := randMLE(rng, mu)
 	ca, _ := srs.Commit(a)
@@ -172,7 +172,7 @@ func TestOpenAtBooleanPoint(t *testing.T) {
 	// this form.
 	rng := rand.New(rand.NewSource(78))
 	mu := 3
-	srs := Setup(mu, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), mu)
 	m := randMLE(rng, mu)
 	c, err := srs.Commit(m)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestOpenAtBooleanPoint(t *testing.T) {
 
 func TestOpenDimensionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
-	srs := Setup(3, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), 3)
 	m := randMLE(rng, 2)
 	if _, err := srs.Commit(m); err == nil {
 		t.Fatal("commit should reject wrong dimension")
@@ -212,7 +212,7 @@ func TestOpenDimensionErrors(t *testing.T) {
 
 func BenchmarkCommit256(b *testing.B) {
 	rng := rand.New(rand.NewSource(76))
-	srs := Setup(8, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), 8)
 	m := randMLE(rng, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,7 +224,7 @@ func BenchmarkCommit256(b *testing.B) {
 
 func BenchmarkOpen256(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
-	srs := Setup(8, rng)
+	srs := SetupFromSeed([]byte("pcs-test"), 8)
 	m := randMLE(rng, 8)
 	point := make([]ff.Fr, 8)
 	for i := range point {

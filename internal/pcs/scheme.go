@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"zkspeed/internal/ff"
-	"zkspeed/internal/msm"
 	"zkspeed/internal/poly"
 )
 
@@ -107,18 +106,20 @@ type PCS interface {
 	// Digest identifies the setup's commit basis (cache keys).
 	Digest() [32]byte
 
-	// Commit commits to a dense MLE of exactly MaxVars variables;
-	// CommitWith threads an explicit MSM configuration through.
+	// Commit commits to a dense MLE of exactly MaxVars variables. The
+	// *With forms of this and the methods below run under the caller's
+	// execution context (goroutine budget and arena); the plain forms use
+	// the zero poly.Options, all CPUs and the shared arena.
 	Commit(m *poly.MLE) (Commitment, error)
-	CommitWith(m *poly.MLE, opt msm.Options) (Commitment, error)
+	CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error)
 	// CommitSparse takes the sparse-MSM path (witness commitments).
 	CommitSparse(m *poly.MLE) (Commitment, error)
-	CommitSparseWith(m *poly.MLE, opt msm.Options) (Commitment, error)
+	CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error)
 
 	// Open proves m(point) and returns the evaluation; m is not
 	// modified. Verify checks a claimed evaluation against a commitment.
 	Open(m *poly.MLE, point []ff.Fr) (OpeningProof, ff.Fr, error)
-	OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (OpeningProof, ff.Fr, error)
+	OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningProof, ff.Fr, error)
 	Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error)
 
 	// Combine returns Σ coeffs[i]·cs[i] (additive homomorphism, batch
@@ -131,7 +132,7 @@ type PCS interface {
 	// OpenShift proves the evaluation of the cyclic shift of m at point
 	// against m's own commitment.
 	OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error)
-	OpenShiftWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (ShiftProof, ff.Fr, error)
+	OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error)
 	VerifyShifted(c Commitment, point []ff.Fr, value ff.Fr, proof ShiftProof) (bool, error)
 }
 
@@ -172,7 +173,7 @@ func (s *SRS) OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error) {
 }
 
 // OpenShiftWith is unsupported under PST.
-func (s *SRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (ShiftProof, ff.Fr, error) {
+func (s *SRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error) {
 	return ShiftProof{}, ff.Fr{}, ErrShiftUnsupported
 }
 

@@ -15,8 +15,8 @@ import (
 // doubling can be precomputed once (msm.FixedBaseTable), persisted in a
 // cache directory keyed by the SRS digest, and memory-mapped back lazily
 // when they outgrow the caller's residency budget. CommitWith and
-// CommitSparseWith route through the fixed-base kernel whenever tables
-// are attached; the proof bytes are identical either way (the kernels
+// CommitSparseWith run the fixed-base kernel exactly when tables are
+// attached; the proof bytes are identical either way (the kernels
 // compute the same group element), which the digest-compare tests pin.
 
 // TableOptions configures PrecomputeTables.
@@ -165,14 +165,4 @@ func PrecomputeTables(s *SRS, opt TableOptions) (*CommitTables, error) {
 	}
 	ct.tbl = tbl
 	return ct, nil
-}
-
-// useFixedBase reports whether opt routes a commitment through attached
-// tables: the auto kernel opts in (tables are strictly faster and the
-// result is identical), an explicit fixed-base request demands them, and
-// every other explicit kernel pins the variable-base path — which is how
-// the bench suite keeps its variable-base records honest on an SRS that
-// has tables attached.
-func useFixedBase(k msm.Kernel) bool {
-	return k == msm.KernelAuto || k == msm.KernelFixedBase
 }

@@ -27,8 +27,8 @@ func testMLE(t *testing.T, rng *rand.Rand, mu int) *poly.MLE {
 }
 
 // TestPrecomputeRouting: commitments through attached tables are
-// byte-identical to the variable-base kernels, for both the dense and
-// sparse paths, and kernel pinning opts out.
+// byte-identical to the variable-base path, for both the dense and
+// sparse forms, under any execution context.
 func TestPrecomputeRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	srs := SetupFromSeed([]byte("tables-routing"), 6)
@@ -44,14 +44,6 @@ func TestPrecomputeRouting(t *testing.T) {
 	}
 	if !want.P.Equal(&wantSparse.P) {
 		t.Fatal("dense/sparse baseline disagree")
-	}
-
-	// No tables attached: an explicit fixed-base request must fail loudly.
-	if _, err := srs.CommitWith(m, msm.Options{Kernel: msm.KernelFixedBase}); err == nil {
-		t.Fatal("KernelFixedBase without tables accepted")
-	}
-	if _, err := srs.CommitSparseWith(m, msm.Options{Kernel: msm.KernelFixedBase}); err == nil {
-		t.Fatal("sparse KernelFixedBase without tables accepted")
 	}
 
 	ct, err := PrecomputeTables(srs, TableOptions{})
@@ -71,11 +63,7 @@ func TestPrecomputeRouting(t *testing.T) {
 		t.Fatal("Tables() lost the attachment")
 	}
 
-	for _, opt := range []msm.Options{
-		{},
-		{Parallel: true, Aggregation: msm.AggregateGrouped},
-		{Kernel: msm.KernelFixedBase, Parallel: true},
-	} {
+	for _, opt := range []poly.Options{{}, {Procs: 1}, {Procs: 3}} {
 		got, err := srs.CommitWith(m, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -90,16 +78,6 @@ func TestPrecomputeRouting(t *testing.T) {
 		if !gotSparse.P.Equal(&want.P) {
 			t.Fatalf("fixed-base sparse commit differs (opt=%+v)", opt)
 		}
-	}
-
-	// Pinning any other kernel keeps the variable-base path even with
-	// tables attached (the bench suite depends on this).
-	pinned, err := srs.CommitWith(m, msm.Options{Kernel: msm.KernelFast, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pinned.P.Equal(&want.P) {
-		t.Fatal("pinned KernelFast commit differs")
 	}
 
 	// Attaching tables from a different ceremony must be refused.
@@ -240,38 +218,50 @@ func TestSRSDigest(t *testing.T) {
 	}
 }
 
-// TestOpenWithProcsNormalization is the pcs side of the Procs regression:
-// a negative Procs with Parallel set used to leak straight into
-// poly.Options (where it meant "serial" only by accident of ParallelRange
-// clamping) and Parallel=false+Procs>0 used to run serial at the MSM but
-// the raw value was never forwarded at all. Openings must verify under
-// every combination.
-func TestOpenWithProcsNormalization(t *testing.T) {
+// TestOpenUnderAnyBudget is the pcs side of the one-budget rule: both
+// backends hand the execution context's Procs to the MSM layer untouched
+// (msmOptions; msm's TestOneBudgetRule pins that it then resolves like
+// poly.Options), so a non-positive budget means every CPU for commitments
+// and quotient folds alike, and openings are byte-identical and verify
+// under every value.
+func TestOpenUnderAnyBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
-	srs := SetupFromSeed([]byte("procs-open"), 4)
 	m := testMLE(t, rng, 4)
-	c, err := srs.Commit(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	point := make([]ff.Fr, 4)
 	for i := range point {
 		point[i] = ff.NewFr(rng.Uint64())
 	}
-	for _, opt := range []msm.Options{
-		{Parallel: false, Procs: 0},
-		{Parallel: false, Procs: 8},
-		{Parallel: true, Procs: 0},
-		{Parallel: true, Procs: -3},
-		{Parallel: true, Procs: 2},
-	} {
-		proof, val, err := srs.OpenWith(m, point, opt)
+	for _, scheme := range []Scheme{SchemePST, SchemeZeromorph} {
+		backend, err := NewBackend(scheme, []byte("procs-open"), 4)
 		if err != nil {
-			t.Fatalf("opt=%+v: %v", opt, err)
+			t.Fatal(err)
 		}
-		ok, err := srs.Verify(c, point, val, proof)
-		if err != nil || !ok {
-			t.Fatalf("opt=%+v: opening did not verify (ok=%v err=%v)", opt, ok, err)
+		c, err := backend.Commit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := backend.Open(m, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{-1, 0, 1, 3, 64} {
+			opt := poly.Options{Procs: procs}
+			if mo := msmOptions(opt); !mo.Parallel || mo.Procs != procs {
+				t.Fatalf("%v: budget %d reaches the MSM layer as %+v", scheme, procs, mo)
+			}
+			proof, val, err := backend.OpenWith(m, point, opt)
+			if err != nil {
+				t.Fatalf("%v procs=%d: %v", scheme, procs, err)
+			}
+			for i := range want.Quotients {
+				if !proof.Quotients[i].Equal(&want.Quotients[i]) {
+					t.Fatalf("%v procs=%d: quotient %d differs from the default opening", scheme, procs, i)
+				}
+			}
+			ok, err := backend.Verify(c, point, val, proof)
+			if err != nil || !ok {
+				t.Fatalf("%v procs=%d: opening did not verify (ok=%v err=%v)", scheme, procs, ok, err)
+			}
 		}
 	}
 }

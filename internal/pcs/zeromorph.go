@@ -116,20 +116,15 @@ func (s *ZeromorphSRS) Digest() [32]byte {
 // Commit commits to an MLE of exactly Mu variables (dense MSM against
 // the powers basis).
 func (s *ZeromorphSRS) Commit(m *poly.MLE) (Commitment, error) {
-	return s.CommitWith(m, defaultMSMOptions())
+	return s.CommitWith(m, poly.Options{})
 }
 
-// CommitWith is Commit with an explicit MSM configuration. The
-// fixed-base table kernel is PST-only; requesting it here is an error
-// rather than a silent fallback.
-func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt msm.Options) (Commitment, error) {
+// CommitWith is Commit under an explicit execution context.
+func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	if opt.Kernel == msm.KernelFixedBase {
-		return Commitment{}, errors.New("pcs: KernelFixedBase is not supported by the zeromorph backend")
-	}
-	sum := msm.MSMWithOptions(s.Pow, m.Evals, opt)
+	sum := msm.MSMWithOptions(s.Pow, m.Evals, msmOptions(opt))
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil
@@ -137,18 +132,15 @@ func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt msm.Options) (Commitment, err
 
 // CommitSparse commits using the sparse MSM path (witness commitments).
 func (s *ZeromorphSRS) CommitSparse(m *poly.MLE) (Commitment, error) {
-	return s.CommitSparseWith(m, defaultMSMOptions())
+	return s.CommitSparseWith(m, poly.Options{})
 }
 
-// CommitSparseWith is CommitSparse with an explicit MSM configuration.
-func (s *ZeromorphSRS) CommitSparseWith(m *poly.MLE, opt msm.Options) (Commitment, error) {
+// CommitSparseWith is CommitSparse under an explicit execution context.
+func (s *ZeromorphSRS) CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	if opt.Kernel == msm.KernelFixedBase {
-		return Commitment{}, errors.New("pcs: KernelFixedBase is not supported by the zeromorph backend")
-	}
-	sum := msm.SparseMSM(s.Pow, m.Evals, opt)
+	sum := msm.SparseMSM(s.Pow, m.Evals, msmOptions(opt))
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil
@@ -164,11 +156,11 @@ func (s *ZeromorphSRS) SupportsShift() bool { return true }
 
 // Open produces an opening proof and the evaluation of m at point.
 func (s *ZeromorphSRS) Open(m *poly.MLE, point []ff.Fr) (OpeningProof, ff.Fr, error) {
-	return s.OpenWith(m, point, defaultMSMOptions())
+	return s.OpenWith(m, point, poly.Options{})
 }
 
-// OpenWith is Open with an explicit MSM configuration.
-func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (OpeningProof, ff.Fr, error) {
+// OpenWith is Open under an explicit execution context.
+func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningProof, ff.Fr, error) {
 	proof, v, _, err := s.openCore(m, point, opt, false)
 	return proof, v, err
 }
@@ -176,11 +168,11 @@ func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (Op
 // OpenShift proves the evaluation of the cyclic shift of m at point,
 // against m's own commitment (verify with VerifyShifted).
 func (s *ZeromorphSRS) OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error) {
-	return s.OpenShiftWith(m, point, defaultMSMOptions())
+	return s.OpenShiftWith(m, point, poly.Options{})
 }
 
-// OpenShiftWith is OpenShift with an explicit MSM configuration.
-func (s *ZeromorphSRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt msm.Options) (ShiftProof, ff.Fr, error) {
+// OpenShiftWith is OpenShift under an explicit execution context.
+func (s *ZeromorphSRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error) {
 	proof, v, boundary, err := s.openCore(m, point, opt, true)
 	if err != nil {
 		return ShiftProof{}, ff.Fr{}, err
@@ -193,12 +185,12 @@ func (s *ZeromorphSRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt msm.Options
 // in terms of the ORIGINAL coefficients (scalar z·ζ^{−1} on f plus a
 // constant boundary term), so the verifier checks it against the
 // original commitment.
-func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, opt msm.Options, shift bool) (OpeningProof, ff.Fr, ff.Fr, error) {
+func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, shift bool) (OpeningProof, ff.Fr, ff.Fr, error) {
 	if m.NumVars != s.Mu || len(point) != s.Mu {
 		return OpeningProof{}, ff.Fr{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
 	}
 	mu, n := s.Mu, 1<<s.Mu
-	popt := poly.Options{Procs: opt.ResolvedProcs()}
+	opt := msmOptions(popt)
 
 	var boundary ff.Fr
 	g := make([]ff.Fr, n)

@@ -70,11 +70,11 @@ func (m *MLE) FixVariable(r *ff.Fr) *MLE {
 // multiplication. Results are identical to FixVariable for any Options.
 func (m *MLE) FixVariableWith(r *ff.Fr, opts Options) *MLE {
 	half := len(m.Evals) / 2
-	nw := opts.procs()
+	nw := opts.Workers()
 	if nw <= 1 || half < 2*minParallelWork {
 		return m.FixVariable(r)
 	}
-	arena := opts.arena()
+	arena := opts.Arena()
 	out := arena.Get(half)
 	src := m.Evals
 	ParallelRange(half, opts, func(lo, hi int) {
@@ -135,7 +135,7 @@ func (m *MLE) EvaluateWith(point []ff.Fr, opts Options) ff.Fr {
 	if m.NumVars == 0 {
 		return m.Evals[0]
 	}
-	arena := opts.arena()
+	arena := opts.Arena()
 	half := len(m.Evals) / 2
 	// First fold reads the (immutable) input table and writes an arena
 	// buffer — out-of-place, so it can be chunked freely. first is never
@@ -155,7 +155,7 @@ func (m *MLE) EvaluateWith(point []ff.Fr, opts Options) ff.Fr {
 	for v := 1; v < m.NumVars; v++ {
 		half = len(cur) / 2
 		r := &point[v]
-		if opts.procs() > 1 && half >= 2*minParallelWork {
+		if opts.Workers() > 1 && half >= 2*minParallelWork {
 			if spare == nil {
 				spare = arena.Get(half)
 			}
@@ -210,7 +210,7 @@ func EqTable(point []ff.Fr) *MLE {
 // within a layer). Identical output to EqTable for any Options.
 func EqTableWith(point []ff.Fr, opts Options) *MLE {
 	mu := len(point)
-	if opts.procs() <= 1 || 1<<mu < 4*minParallelWork {
+	if opts.Workers() <= 1 || 1<<mu < 4*minParallelWork {
 		return EqTable(point)
 	}
 	table := make([]ff.Fr, 1<<mu)
@@ -322,7 +322,7 @@ func LinearCombineWith(mles []*MLE, coeffs []ff.Fr, opts Options) *MLE {
 			panic("poly: LinearCombine dimension mismatch")
 		}
 	}
-	if opts.procs() <= 1 || 1<<nv < 2*minParallelWork {
+	if opts.Workers() <= 1 || 1<<nv < 2*minParallelWork {
 		return LinearCombine(mles, coeffs)
 	}
 	out := make([]ff.Fr, 1<<nv)

@@ -8,10 +8,12 @@ import (
 	"zkspeed/internal/ff"
 )
 
-// Options configures the parallel MTU kernel variants (the *With entry
-// points) the same way msm.Options configures the MSM kernels: Procs
-// bounds goroutine fan-out and Scratch supplies reusable field-element
-// buffers so steady-state kernel invocations allocate nothing.
+// Options is the execution context of a proof: Procs bounds goroutine
+// fan-out and Scratch supplies reusable field-element buffers so
+// steady-state kernel invocations allocate nothing. The parallel MTU
+// kernels here (the *With entry points), sumcheck.ProveWith, the pcs.PCS
+// *With methods and the prover and verifier options all take this one
+// value, which the Engine fills from WithParallelism and its arena.
 //
 // The zero value is the sensible default: one goroutine per CPU and the
 // package-level shared arena. Every kernel produces values identical to
@@ -19,10 +21,8 @@ import (
 // chunked schedules cannot perturb results — which is what keeps proofs
 // byte-identical across serial and parallel paths.
 type Options struct {
-	// Procs bounds the number of goroutines a kernel may use; 0 means
-	// GOMAXPROCS, 1 forces the serial path. This is the knob
-	// zkspeed.WithParallelism reaches down to, via
-	// hyperplonk.ProveOptions.Parallelism.
+	// Procs bounds the number of goroutines a kernel may use; a value
+	// ≤ 0 means GOMAXPROCS, 1 forces the serial path.
 	Procs int
 	// Scratch is the arena temporary tables are drawn from; nil uses a
 	// package-level shared arena. Callers running many proofs (the
@@ -30,16 +30,17 @@ type Options struct {
 	Scratch *Scratch
 }
 
-// procs resolves the goroutine budget.
-func (o Options) procs() int {
+// Workers resolves the goroutine budget: Procs, or GOMAXPROCS when Procs
+// is not positive. msm.Options resolves its own Procs by the same rule.
+func (o Options) Workers() int {
 	if o.Procs > 0 {
 		return o.Procs
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// arena resolves the scratch arena.
-func (o Options) arena() *Scratch {
+// Arena resolves the scratch arena: Scratch, or the shared one when nil.
+func (o Options) Arena() *Scratch {
 	if o.Scratch != nil {
 		return o.Scratch
 	}
@@ -111,7 +112,7 @@ func (s *Scratch) Put(buf []ff.Fr) {
 }
 
 // ParallelRange splits [0, n) into one contiguous chunk per goroutine
-// (at most opts.procs(), and never more than n/minParallelWork) and runs
+// (at most opts.Workers(), and never more than n/minParallelWork) and runs
 // fn on each concurrently, returning when all chunks finish. fn's writes
 // must be disjoint per index; with exact field arithmetic the chunking
 // cannot change results, only wall-clock. procs <= 1 (or a small n) runs
@@ -125,7 +126,7 @@ func ParallelRange(n int, opts Options, fn func(lo, hi int)) {
 // items per goroutine, for callers whose per-item work is much heavier
 // than a field multiplication (e.g. a whole inversion batch per item).
 func parallelRangeMin(n, minWork int, opts Options, fn func(lo, hi int)) {
-	nw := opts.procs()
+	nw := opts.Workers()
 	if max := n / minWork; nw > max {
 		nw = max
 	}

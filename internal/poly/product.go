@@ -43,7 +43,7 @@ func ProductMLE(phi *MLE) *MLE {
 // dispatch overhead. Identical output to ProductMLE for any Options.
 func ProductMLEWith(phi *MLE, opts Options) *MLE {
 	n := phi.Len()
-	if opts.procs() <= 1 || n < 4*minParallelWork {
+	if opts.Workers() <= 1 || n < 4*minParallelWork {
 		return ProductMLE(phi)
 	}
 	pi := make([]ff.Fr, n)

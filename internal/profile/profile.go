@@ -39,7 +39,7 @@ const (
 
 // Row is one Table 1 entry.
 type Row struct {
-	Kernel    string
+	Name      string
 	ModmulsM  float64 // millions
 	InputMB   float64
 	OutputMB  float64
@@ -70,64 +70,64 @@ func Table1(mu int) []Row {
 
 	rows := []Row{
 		{
-			Kernel:   "Poly Open MSMs",
+			Name:     "Poly Open MSMs",
 			ModmulsM: cpuDenseMSMModmuls(n) / 1e6, // halving chain totals ~n points
 			InputMB:  mb(n * (pointBytes + frBytes)),
 		},
 		{
-			Kernel:   "Wire Identity MSMs",
+			Name:     "Wire Identity MSMs",
 			ModmulsM: 2 * cpuDenseMSMModmuls(n) / 1e6, // φ and π commits
 			InputMB:  mb(2 * n * (pointBytes + frBytes)),
 		},
 		{
-			Kernel:   "Witness MSMs",
+			Name:     "Witness MSMs",
 			ModmulsM: 3 * cpuSparseMSMModmuls(n) / 1e6,
 			InputMB:  mb(3 * ((denseFrac+onesFrac)*n*pointBytes + denseFrac*n*frBytes)),
 		},
 		{
-			Kernel:   "Batch Evaluations",
+			Name:     "Batch Evaluations",
 			ModmulsM: 22 * n / 1e6,
 			InputMB:  mb(2 * n * frBytes), // φ, π; the rest is compressed/shared
 		},
 		{
-			Kernel:   "ZeroCheck Rounds",
+			Name:     "ZeroCheck Rounds",
 			ModmulsM: zeroCheckMuls * n / 1e6,
 			InputMB:  mb(9*n*frBytes + n*frBytes), // rounds ≥2 stream 9 tables; round 1 streams eq
 		},
 		{
-			Kernel:   "Fraction MLE",
+			Name:     "Fraction MLE",
 			ModmulsM: 5 * n / 1e6, // partial products + backward pass + N·D⁻¹
 			OutputMB: mb(n * frBytes),
 		},
 		{
-			Kernel:   "PermCheck Rounds",
+			Name:     "PermCheck Rounds",
 			ModmulsM: permCheckMuls * n / 1e6,
 			InputMB:  mb(11 * 2 * n * frBytes),
 		},
 		{
-			Kernel:   "Linear Combine",
+			Name:     "Linear Combine",
 			ModmulsM: 18 * n / 1e6, // 22 weighted accumulations, selector/sparse tables nearly free
 			InputMB:  mb(2 * n * frBytes),
 			OutputMB: mb(6 * n * frBytes),
 		},
 		{
-			Kernel:   "OpenCheck Rounds",
+			Name:     "OpenCheck Rounds",
 			ModmulsM: openCheckMuls * n / 1e6,
 			InputMB:  mb(12 * 2 * n * frBytes),
 		},
 		{
-			Kernel:   "Construct N & D",
+			Name:     "Construct N & D",
 			ModmulsM: 10 * n / 1e6,
 			InputMB:  mb(3*denseFrac*n*frBytes + 3*n*2.7), // sparse witnesses + packed σ
 			OutputMB: mb(8 * n * frBytes),
 		},
 		{
-			Kernel:   "Product MLE",
+			Name:     "Product MLE",
 			ModmulsM: n / 1e6,
 			OutputMB: mb(n * frBytes),
 		},
 		{
-			Kernel:   "All MLE Updates",
+			Name:     "All MLE Updates",
 			ModmulsM: (9 + 11 + 12) * n / 1e6,
 			InputMB:  mb((9 + 11 + 12) * 2 * n * frBytes * 0.85),
 			OutputMB: mb((9 + 11 + 12) * n * frBytes * 0.85),
@@ -147,7 +147,7 @@ func Format(rows []Row) string {
 	fmt.Fprintf(&b, "%-22s %12s %10s %10s %12s\n", "Kernel", "Modmuls (M)", "In (MB)", "Out (MB)", "AI (mm/B)")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-22s %12.1f %10.1f %10.1f %12.2f\n",
-			r.Kernel, r.ModmulsM, r.InputMB, r.OutputMB, r.Intensity)
+			r.Name, r.ModmulsM, r.InputMB, r.OutputMB, r.Intensity)
 	}
 	return b.String()
 }

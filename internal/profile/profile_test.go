@@ -25,7 +25,7 @@ var paperTable1 = map[string]float64{
 func rowsByName(rows []Row) map[string]Row {
 	m := make(map[string]Row, len(rows))
 	for _, r := range rows {
-		m[r.Kernel] = r
+		m[r.Name] = r
 	}
 	return m
 }
@@ -74,15 +74,15 @@ func TestTable1RankingMSMsOnTop(t *testing.T) {
 	// the bottom must be MLE Updates — the motivation for the paper's
 	// compute vs. bandwidth split.
 	top := map[string]bool{
-		rows[0].Kernel: true, rows[1].Kernel: true, rows[2].Kernel: true,
+		rows[0].Name: true, rows[1].Name: true, rows[2].Name: true,
 	}
 	for _, k := range []string{"Poly Open MSMs", "Wire Identity MSMs", "Witness MSMs"} {
 		if !top[k] {
 			t.Fatalf("%s not among top-3 arithmetic intensity", k)
 		}
 	}
-	if rows[len(rows)-1].Kernel != "All MLE Updates" {
-		t.Fatalf("lowest-intensity kernel = %s, want All MLE Updates", rows[len(rows)-1].Kernel)
+	if rows[len(rows)-1].Name != "All MLE Updates" {
+		t.Fatalf("lowest-intensity kernel = %s, want All MLE Updates", rows[len(rows)-1].Name)
 	}
 	// Intensity gap between MSMs and everything else is order-of-magnitude
 	// (paper: 7.8-8.7 vs <0.3).

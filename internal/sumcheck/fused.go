@@ -8,8 +8,8 @@ import (
 	"zkspeed/internal/transcript"
 )
 
-// The fused sumcheck kernel (KernelFused). Five changes over the
-// baseline, all transcript-preserving (field arithmetic is exact, so
+// The fused sumcheck prover. Five changes over ProveReference, all
+// transcript-preserving (field arithmetic is exact, so
 // every rearrangement below yields bit-identical round polynomials):
 //
 //  1. Fused MLE Update: the post-challenge fold of every table (Eq. 2)
@@ -38,9 +38,9 @@ import (
 //     across rounds, and fold buffers come from the poly.Scratch arena
 //     — steady state, a whole proof performs a handful of allocations.
 //
-// Unlike the baseline kernel, the fused prover leaves vp's tables
-// untouched: the first fold writes into scratch, so callers no longer
-// clone tables they want to keep.
+// Unlike ProveReference, the fused prover leaves vp's tables untouched:
+// the first fold writes into scratch, so callers do not clone tables they
+// want to keep.
 
 // fusedMinChunk is the smallest per-worker instance range worth a
 // dispatch; below it the tail rounds run inline on the coordinator.
@@ -87,8 +87,15 @@ type fusedProver struct {
 	wg   sync.WaitGroup
 }
 
-// proveFused runs the fused kernel.
-func proveFused(vp *VirtualPoly, tr *transcript.Transcript, opt *Options) ProverResult {
+// ProveWith runs the sumcheck prover under an explicit execution context
+// (worker count and arena; the zero value means GOMAXPROCS workers and the
+// shared arena). Proof bytes are identical to ProveReference's for any
+// worker count and arena — field arithmetic is exact, so the schedule
+// cannot perturb the transcript.
+func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) ProverResult {
+	if len(vp.MLEs) == 0 {
+		panic("sumcheck: virtual polynomial has no MLEs")
+	}
 	mu := vp.NumVars
 	deg := vp.Degree()
 	ne := deg + 1
@@ -101,10 +108,7 @@ func proveFused(vp *VirtualPoly, tr *transcript.Transcript, opt *Options) Prover
 		}
 		return res
 	}
-	arena := defaultFusedArena
-	if opt != nil && opt.Scratch != nil {
-		arena = opt.Scratch
-	}
+	arena := opt.Arena()
 
 	p := &fusedProver{vp: vp, ne: ne, nMLE: nMLE, eqIdx: -1}
 	p.eqMode = vp.eqIdx >= 0 && vp.eqPoint != nil && eqInEveryTerm(vp)
@@ -119,7 +123,7 @@ func proveFused(vp *VirtualPoly, tr *transcript.Transcript, opt *Options) Prover
 	n := 1 << mu
 
 	// Worker pool sized for the widest round; later rounds use a prefix.
-	nw := clampWorkers(opt.procs(), n/2)
+	nw := clampWorkers(opt.Workers(), n/2)
 	p.acc = arena.Get(nw * ne)
 	p.lad = arena.Get(nw * nMLE * ne)
 
@@ -353,10 +357,6 @@ func proveFused(vp *VirtualPoly, tr *transcript.Transcript, opt *Options) Prover
 	return res
 }
 
-// defaultFusedArena keeps fused-prover scratch warm across proofs for
-// callers that do not pass their own arena.
-var defaultFusedArena = poly.NewScratch()
-
 // eqInEveryTerm reports whether the annotated eq MLE appears exactly
 // once in every term — the shape the analytic-eq path handles.
 func eqInEveryTerm(vp *VirtualPoly) bool {
@@ -564,7 +564,7 @@ func (p *fusedProver) sweep(w, lo, hi int) {
 		}
 		// Per-point products: reduced terms summed, then the shared
 		// factors applied once (distributivity is exact in F_r, so this
-		// equals the baseline's per-term products bit for bit).
+		// equals the reference's per-term products bit for bit).
 		for t := 0; t <= p.maxT; t++ {
 			if t == 1 && p.skipOne {
 				continue

@@ -10,25 +10,31 @@ import (
 	"zkspeed/internal/transcript"
 )
 
-// kernelMatrix is the configuration sweep the fused prover must match
-// the baseline under: both kernels, serial and oversubscribed worker
+// contexts is the execution-context sweep ProveWith must match
+// ProveReference under: the default, serial and oversubscribed worker
 // counts, shared and private arenas.
-func kernelMatrix() []*Options {
-	return []*Options{
-		nil, // defaults: fused, GOMAXPROCS
-		{Kernel: KernelBaseline, Procs: 1},
-		{Kernel: KernelBaseline, Procs: 16},
-		{Kernel: KernelFused, Procs: 1},
-		{Kernel: KernelFused, Procs: 16},
-		{Kernel: KernelFused, Procs: 3, Scratch: poly.NewScratch()},
+func contexts() []poly.Options {
+	return []poly.Options{
+		{}, // defaults: GOMAXPROCS workers, shared arena
+		{Procs: 1},
+		{Procs: 3},
+		{Procs: 16},
+		{Procs: 1, Scratch: poly.NewScratch()},
+		{Procs: 3, Scratch: poly.NewScratch()},
+		{Procs: 16, Scratch: poly.NewScratch()},
 	}
 }
 
-func optLabel(o *Options) string {
-	if o == nil {
-		return "default"
+// checkProvers runs ProveReference and ProveWith under every context on
+// fresh instances from build (the reference consumes its tables) and
+// compares each result with want.
+func checkProvers(t *testing.T, label, domain string, build func() *VirtualPoly, want ProverResult) {
+	t.Helper()
+	equalResults(t, label+" reference", ProveReference(build(), transcript.New(domain)), want)
+	for _, opt := range contexts() {
+		got := ProveWith(build(), transcript.New(domain), opt)
+		equalResults(t, fmt.Sprintf("%s procs%d private=%v", label, opt.Procs, opt.Scratch != nil), got, want)
 	}
-	return fmt.Sprintf("%v/procs%d", o.Kernel, o.Procs)
 }
 
 // oracleRounds computes every round polynomial and challenge by brute
@@ -98,7 +104,7 @@ func equalResults(t *testing.T, label string, got, want ProverResult) {
 
 // TestProveWithPropertySweep sweeps virtual-polynomial shapes — term
 // count × degree × μ, including the μ=0 and μ=1 edge cubes — and checks
-// every kernel configuration against the naive evaluate-everywhere
+// both provers under every context against the naive evaluate-everywhere
 // oracle: identical round polynomials, identical challenges (hence
 // identical transcripts), identical final evaluations.
 func TestProveWithPropertySweep(t *testing.T) {
@@ -127,8 +133,8 @@ func TestProveWithPropertySweep(t *testing.T) {
 					vp.AddTerm(c, idx...)
 				}
 
-				// The oracle never mutates its tables; baseline kernels
-				// consume theirs, so hand each run a cloned instance.
+				// The oracle never mutates its tables; ProveReference
+				// consumes its own, so hand each run a cloned instance.
 				clone := func() *VirtualPoly {
 					cp := NewVirtualPoly(mu)
 					for _, m := range vp.MLEs {
@@ -138,19 +144,15 @@ func TestProveWithPropertySweep(t *testing.T) {
 					return cp
 				}
 				want := oracleRounds(clone(), transcript.New("prop"))
-				for _, opt := range kernelMatrix() {
-					label := fmt.Sprintf("mu=%d terms=%d deg=%d %s", mu, nTerms, deg, optLabel(opt))
-					got := ProveWith(clone(), transcript.New("prop"), opt)
-					equalResults(t, label, got, want)
-				}
+				checkProvers(t, fmt.Sprintf("mu=%d terms=%d deg=%d", mu, nTerms, deg), "prop", clone, want)
 			}
 		}
 	}
 }
 
 // TestEqAnnotatedMatchesMaterialized sweeps ZeroCheck-shaped instances
-// where the eq factor is registered via AddEqMLE and checks every
-// kernel configuration against the oracle run on the materialized
+// where the eq factor is registered via AddEqMLE and checks both provers
+// under every context against the oracle run on the materialized
 // table: the analytic-eq path (no table, no fold, one fewer sweep
 // column, claim-derived g(1), extrapolated top column) must reproduce
 // the transcript bit for bit, including the eq MLE's final evaluation.
@@ -193,11 +195,7 @@ func TestEqAnnotatedMatchesMaterialized(t *testing.T) {
 				return vp
 			}
 			want := oracleRounds(build(false), transcript.New("eq"))
-			for _, opt := range kernelMatrix() {
-				label := fmt.Sprintf("mu=%d deg=%d %s", mu, deg, optLabel(opt))
-				got := ProveWith(build(true), transcript.New("eq"), opt)
-				equalResults(t, label, got, want)
-			}
+			checkProvers(t, fmt.Sprintf("mu=%d deg=%d", mu, deg), "eq", func() *VirtualPoly { return build(true) }, want)
 		}
 	}
 }
@@ -233,10 +231,7 @@ func TestEqAnnotatedEdgePoints(t *testing.T) {
 			return vp
 		}
 		want := oracleRounds(build(false), transcript.New("edge"))
-		for _, opt := range kernelMatrix() {
-			got := ProveWith(build(true), transcript.New("edge"), opt)
-			equalResults(t, fmt.Sprintf("t=%d %s", tval, optLabel(opt)), got, want)
-		}
+		checkProvers(t, fmt.Sprintf("t=%d", tval), "edge", func() *VirtualPoly { return build(true) }, want)
 	}
 
 	// μ=0: no rounds; the lazily registered eq table must still
@@ -245,7 +240,7 @@ func TestEqAnnotatedEdgePoints(t *testing.T) {
 	iEq := vp.AddEqMLE([]ff.Fr{})
 	iM := vp.AddMLE(poly.NewMLE([]ff.Fr{randFr(rng)}))
 	vp.AddTerm(ff.FrOne(), iEq, iM)
-	res := ProveWith(vp, transcript.New("mu0"), nil)
+	res := Prove(vp, transcript.New("mu0"))
 	if len(res.FinalEvals) != 2 || !res.FinalEvals[iEq].IsOne() {
 		t.Fatal("mu=0 eq annotation: final eval must be the empty product 1")
 	}
@@ -282,15 +277,13 @@ func TestFusedSharedFactorShapes(t *testing.T) {
 		return cp
 	}
 	want := oracleRounds(clone(), transcript.New("shape"))
-	for _, opt := range kernelMatrix() {
-		got := ProveWith(clone(), transcript.New("shape"), opt)
-		equalResults(t, optLabel(opt), got, want)
-	}
+	checkProvers(t, "shared factors", "shape", clone, want)
 }
 
-// TestFusedPreservesTables: the fused kernel must leave the caller's
-// MLE tables untouched (the prover no longer clones them).
-func TestFusedPreservesTables(t *testing.T) {
+// TestProveKeepsTablesReferenceConsumes: Prove must leave the caller's MLE
+// tables untouched (the prover does not clone them), while ProveReference
+// folds them in place down to one entry each.
+func TestProveKeepsTablesReferenceConsumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	mu := 5
 	vp := NewVirtualPoly(mu)
@@ -301,7 +294,7 @@ func TestFusedPreservesTables(t *testing.T) {
 		vp.AddMLE(m)
 	}
 	vp.AddTerm(ff.FrOne(), 0, 1, 2)
-	ProveWith(vp, transcript.New("preserve"), &Options{Kernel: KernelFused})
+	Prove(vp, transcript.New("preserve"))
 	for k, m := range vp.MLEs {
 		if m.Len() != snapshots[k].Len() {
 			t.Fatalf("MLE %d was folded", k)
@@ -310,6 +303,77 @@ func TestFusedPreservesTables(t *testing.T) {
 			if !m.Evals[i].Equal(&snapshots[k].Evals[i]) {
 				t.Fatalf("MLE %d mutated at %d", k, i)
 			}
+		}
+	}
+	res := ProveReference(vp, transcript.New("preserve"))
+	for k, m := range vp.MLEs {
+		if m.Len() != 1 || !m.Evals[0].Equal(&res.FinalEvals[k]) {
+			t.Fatalf("ProveReference left MLE %d with %d entries, want its final evaluation alone", k, m.Len())
+		}
+	}
+}
+
+// TestProverShapesMatchReference runs the three instances a HyperPlonk
+// proof makes — gate identity (9 tables, degree 4, Eq. 3), wiring identity
+// (11 tables, degree 5, Eq. 4) and opening (12 tables, degree 2, Eq. 5) —
+// at μ = 1..10: ProveWith under every context must reproduce
+// ProveReference's round polynomials, challenges and final evaluations.
+func TestProverShapesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	one := ff.FrOne()
+	for mu := 1; mu <= 10; mu++ {
+		tables := make([]*poly.MLE, 12)
+		for k := range tables {
+			tables[k] = randMLE(rng, mu)
+		}
+		point := make([]ff.Fr, mu)
+		for i := range point {
+			point[i] = randFr(rng)
+		}
+		alpha := randFr(rng)
+		// add registers clones of the first n tables (the reference folds
+		// them in place) and returns their indices.
+		add := func(vp *VirtualPoly, n int) []int {
+			idx := make([]int, n)
+			for k := range idx {
+				idx[k] = vp.AddMLE(tables[k].Clone())
+			}
+			return idx
+		}
+		shapes := map[string]func() *VirtualPoly{
+			"gate": func() *VirtualPoly {
+				vp := NewVirtualPoly(mu)
+				i := add(vp, 8) // qL qR qM qO qC w1 w2 w3
+				eq := vp.AddEqMLE(point)
+				vp.AddTerm(one, i[0], i[5], eq)
+				vp.AddTerm(one, i[1], i[6], eq)
+				vp.AddTerm(one, i[2], i[5], i[6], eq)
+				vp.AddTerm(alpha, i[3], i[7], eq)
+				vp.AddTerm(one, i[4], eq)
+				return vp
+			},
+			"perm": func() *VirtualPoly {
+				vp := NewVirtualPoly(mu)
+				i := add(vp, 10) // π p1 p2 φ D1..D3 N1..N3
+				eq := vp.AddEqMLE(point)
+				vp.AddTerm(one, i[0], eq)
+				vp.AddTerm(one, i[1], i[2], eq)
+				vp.AddTerm(alpha, i[3], i[4], i[5], i[6], eq)
+				vp.AddTerm(alpha, i[7], i[8], i[9], eq)
+				return vp
+			},
+			"open": func() *VirtualPoly {
+				vp := NewVirtualPoly(mu)
+				i := add(vp, 12) // six (y_j, k_j) pairs
+				for j := 0; j < 6; j++ {
+					vp.AddTerm(one, i[2*j], i[2*j+1])
+				}
+				return vp
+			},
+		}
+		for name, build := range shapes {
+			want := ProveReference(build(), transcript.New(name))
+			checkProvers(t, fmt.Sprintf("%s mu=%d", name, mu), name, build, want)
 		}
 	}
 }
@@ -335,14 +399,13 @@ func TestClampWorkersSmallRounds(t *testing.T) {
 
 // TestSmallMuParallelMatchesSerial proves the clamp fix end to end at
 // μ=2..4 with a worker budget far above the instance count: results must
-// match the serial run exactly (the pre-fix code path degraded to one
-// worker; either way the transcript must not change).
+// match the serial reference exactly.
 func TestSmallMuParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for mu := 2; mu <= 4; mu++ {
 		vp, vpCopy := buildTestPoly(rng, mu, 3, 3)
-		serial := ProveWith(vp, transcript.New("clamp"), &Options{Kernel: KernelBaseline, Procs: 1})
-		wide := ProveWith(vpCopy, transcript.New("clamp"), &Options{Kernel: KernelBaseline, Procs: 64})
+		serial := ProveReference(vp, transcript.New("clamp"))
+		wide := ProveWith(vpCopy, transcript.New("clamp"), poly.Options{Procs: 64})
 		equalResults(t, fmt.Sprintf("mu=%d", mu), wide, serial)
 	}
 }
@@ -365,14 +428,14 @@ func TestProveWithSteadyStateAllocs(t *testing.T) {
 	build := func() *VirtualPoly {
 		vp := NewVirtualPoly(mu)
 		for _, m := range base {
-			vp.AddMLE(m) // fused kernel preserves tables: no clones needed
+			vp.AddMLE(m) // ProveWith preserves tables: no clones needed
 		}
 		vp.AddTerm(ff.FrOne(), 0, 1, 2, 3)
 		vp.AddTerm(coeff, 0, 3)
 		return vp
 	}
-	opt := &Options{Kernel: KernelFused, Procs: 1, Scratch: poly.NewScratch()}
-	vp := build()                               // reusable: the fused kernel never mutates the tables
+	opt := poly.Options{Procs: 1, Scratch: poly.NewScratch()}
+	vp := build()                               // reusable: ProveWith never mutates the tables
 	ProveWith(vp, transcript.New("alloc"), opt) // warm the arena
 	avg := testing.AllocsPerRun(10, func() {
 		ProveWith(vp, transcript.New("alloc"), opt)

@@ -4,15 +4,16 @@
 // instances (Eqs. 3-5 of the paper). The prover mirrors the zkSpeed
 // SumCheck PE dataflow (Fig. 4): per hypercube instance, every unique MLE
 // is extended once to all needed evaluation points, per-term products are
-// formed, and results accumulate per evaluation point; after each round the
-// MLE Update kernel (Eq. 2) folds the verifier challenge into every table.
+// formed, and results accumulate per evaluation point, with the MLE Update
+// kernel (Eq. 2) that folds the verifier challenge into every table fused
+// into the next round's sweep (Prove/ProveWith, fused.go). ProveReference
+// is the round-by-round prover with a separate update pass, kept as the
+// reference the fused dataflow is measured and tested against.
 package sumcheck
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zkspeed/internal/ff"
 	"zkspeed/internal/poly"
@@ -31,10 +32,10 @@ type VirtualPoly struct {
 	MLEs    []*poly.MLE
 	Terms   []Term
 	// eqIdx/eqPoint annotate one registered MLE as eq(X, eqPoint) — the
-	// r(X) polynomial of ZeroCheck and PermCheck. The fused kernel
-	// exploits the structure (no table build, no fold, one fewer
-	// evaluation point per round); every other consumer sees an
-	// ordinary MLE, materialized lazily by mle().
+	// r(X) polynomial of ZeroCheck and PermCheck. ProveWith exploits the
+	// structure (no table build, no fold, one fewer evaluation point per
+	// round); every other consumer sees an ordinary MLE, materialized
+	// lazily by mle().
 	eqIdx   int // -1 when absent
 	eqPoint []ff.Fr
 }
@@ -55,11 +56,11 @@ func (vp *VirtualPoly) AddMLE(m *poly.MLE) int {
 
 // AddEqMLE registers eq(X, point) — the Build MLE output the ZeroCheck
 // and PermCheck instances multiply every term by — without materializing
-// its 2^μ table. The fused kernel evaluates the eq factor analytically
-// (its bound prefix is a running scalar, its suffix a precomputed weight
+// its 2^μ table. ProveWith evaluates the eq factor analytically (its
+// bound prefix is a running scalar, its suffix a precomputed weight
 // table, its round variable a linear factor of the round polynomial);
-// the baseline kernel and the oracle helpers materialize the table on
-// first touch, so proofs are identical either way.
+// ProveReference and the oracle helpers materialize the table on first
+// touch, so proofs are identical either way.
 func (vp *VirtualPoly) AddEqMLE(point []ff.Fr) int {
 	if len(point) != vp.NumVars {
 		panic(fmt.Sprintf("sumcheck: eq point has %d coords, virtual poly has %d vars", len(point), vp.NumVars))
@@ -167,63 +168,6 @@ type ProverResult struct {
 	FinalEvals []ff.Fr // each MLE evaluated at r, in registration order
 }
 
-// Kernel selects the sumcheck prover implementation, mirroring the MSM
-// package's kernel-selector pattern: the pre-refactor path is retained
-// under an explicit name so benchmark records pinned to it stay
-// comparable, while the default resolves to the fast path.
-type Kernel int
-
-const (
-	// KernelAuto (the zero value) resolves to KernelFused.
-	KernelAuto Kernel = iota
-	// KernelBaseline is the pre-refactor prover: per-round goroutine
-	// spawns, a separate MLE Update pass after each challenge, fresh
-	// scratch slices every round. Kept as the benchmark reference the
-	// way msm.KernelPippenger was kept.
-	KernelBaseline
-	// KernelFused is the MTU fast path: a persistent worker pool for
-	// the whole protocol, the post-challenge fold of every MLE table
-	// fused into the next round's instance-range sweep (the PE dataflow
-	// of Fig. 4), per-worker evaluation-ladder scratch reused across
-	// rounds, g(1) derived from the running claim instead of evaluated,
-	// and factors shared by every term (the eq table) multiplied once
-	// per evaluation point.
-	KernelFused
-)
-
-// String names the kernel for benchmark labels.
-func (k Kernel) String() string {
-	switch k {
-	case KernelBaseline:
-		return "baseline"
-	case KernelFused, KernelAuto:
-		return "fused"
-	}
-	return fmt.Sprintf("kernel(%d)", int(k))
-}
-
-// Options configures a sumcheck proof, mirroring msm.Options.
-type Options struct {
-	// Kernel selects the prover implementation; the zero value
-	// (KernelAuto) is the fused fast path.
-	Kernel Kernel
-	// Procs bounds the number of goroutines the prover may use;
-	// 0 means GOMAXPROCS, 1 forces the serial path. This is the knob
-	// zkspeed.WithParallelism reaches down to.
-	Procs int
-	// Scratch is the arena per-round buffers are drawn from; nil uses
-	// the poly package's shared arena.
-	Scratch *poly.Scratch
-}
-
-// procs resolves the goroutine budget.
-func (o *Options) procs() int {
-	if o != nil && o.Procs > 0 {
-		return o.Procs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // clampWorkers bounds a worker count by the number of hypercube
 // instances: more workers than instances would leave the extras idle,
 // and small rounds still deserve every instance they have (nw = half,
@@ -239,32 +183,26 @@ func clampWorkers(procs, half int) int {
 	return nw
 }
 
-// Prove runs the sumcheck prover with default options (the fused
-// kernel). Unlike the baseline kernel it leaves the MLE tables inside vp
-// intact, but callers must not rely on that when selecting kernels
-// explicitly: KernelBaseline consumes the tables (folded in place round
-// by round). Challenges are drawn from tr, which the verifier replays.
+// Prove runs the sumcheck prover with default options (one worker per
+// CPU, shared arena). It leaves the MLE tables inside vp intact.
+// Challenges are drawn from tr, which the verifier replays.
 func Prove(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
-	return ProveWith(vp, tr, nil)
+	return ProveWith(vp, tr, poly.Options{})
 }
 
-// ProveWith runs the sumcheck prover under an explicit configuration;
-// a nil opt means defaults (fused kernel, GOMAXPROCS workers, shared
-// arena). Proof bytes are identical across kernels, worker counts and
-// arenas — field arithmetic is exact, so the schedule cannot perturb the
-// transcript.
-func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt *Options) ProverResult {
+// ProveReference is the round-by-round prover the MTU dataflow of
+// ProveWith is measured against: every round evaluates all deg+1 columns
+// of the round polynomial over materialized tables (the eq table
+// included), then a separate MLE Update pass folds the challenge into
+// each table, on one goroutine with fresh scratch per round. It consumes
+// vp's tables (folded in place), so callers pass clones of anything they
+// keep. Nothing in the prover calls it: the bench suite and its CI gates
+// time it beside ProveWith, and tests use it as the oracle — proofs are
+// byte-identical, field arithmetic being exact.
+func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 	if len(vp.MLEs) == 0 {
 		panic("sumcheck: virtual polynomial has no MLEs")
 	}
-	if opt != nil && opt.Kernel == KernelBaseline {
-		return proveBaseline(vp, tr, opt.procs())
-	}
-	return proveFused(vp, tr, opt)
-}
-
-// proveBaseline is the retained pre-refactor prover (KernelBaseline).
-func proveBaseline(vp *VirtualPoly, tr *transcript.Transcript, procs int) ProverResult {
 	for k := range vp.MLEs {
 		vp.mle(k) // materialize a lazily registered eq table
 	}
@@ -275,7 +213,7 @@ func proveBaseline(vp *VirtualPoly, tr *transcript.Transcript, procs int) Prover
 	}
 	res.Proof.Rounds = make([]RoundPoly, 0, mu)
 	for round := 0; round < mu; round++ {
-		rp := proveRound(vp, deg, procs)
+		rp := referenceRound(vp, deg)
 		tr.AppendFrs("sumcheck.round", rp.Evals)
 		r := tr.ChallengeFr("sumcheck.r")
 		res.Proof.Rounds = append(res.Proof.Rounds, rp)
@@ -291,71 +229,44 @@ func proveBaseline(vp *VirtualPoly, tr *transcript.Transcript, procs int) Prover
 	return res
 }
 
-// proveRound computes the round polynomial evaluations at X = 0..deg.
-// Work is split across goroutines by hypercube instance ranges, mirroring
-// the multi-PE parallelism of §4.1.3.
-func proveRound(vp *VirtualPoly, deg, procs int) RoundPoly {
+// referenceRound computes the round polynomial evaluations at X = 0..deg
+// by the textbook sweep: per hypercube instance, every MLE is extended to
+// all evaluation points and every term product accumulated per point.
+func referenceRound(vp *VirtualPoly, deg int) RoundPoly {
 	half := vp.MLEs[0].Len() / 2
 	nEvals := deg + 1
-	nw := clampWorkers(procs, half)
-	partial := make([][]ff.Fr, nw)
-	var wg sync.WaitGroup
-	chunk := (half + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > half {
-			hi = half
-		}
-		if lo >= hi {
-			partial[w] = make([]ff.Fr, nEvals)
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := make([]ff.Fr, nEvals)
-			// per-MLE evaluation ladders (Fig. 4 "Per-MLE Evaluations")
-			evals := make([][]ff.Fr, len(vp.MLEs))
-			for k := range evals {
-				evals[k] = make([]ff.Fr, nEvals)
-			}
-			var delta, prod ff.Fr
-			for i := lo; i < hi; i++ {
-				for k, m := range vp.MLEs {
-					e0 := &m.Evals[2*i]
-					e1 := &m.Evals[2*i+1]
-					ev := evals[k]
-					ev[0] = *e0
-					if nEvals > 1 {
-						ev[1] = *e1
-						delta.Sub(e1, e0)
-						for t := 2; t < nEvals; t++ {
-							ev[t].Add(&ev[t-1], &delta)
-						}
-					}
-				}
-				for _, term := range vp.Terms {
-					for t := 0; t < nEvals; t++ {
-						prod = term.Coeff
-						for _, k := range term.Indices {
-							prod.Mul(&prod, &evals[k][t])
-						}
-						acc[t].Add(&acc[t], &prod)
-					}
+	acc := make([]ff.Fr, nEvals)
+	// per-MLE evaluation ladders (Fig. 4 "Per-MLE Evaluations")
+	evals := make([][]ff.Fr, len(vp.MLEs))
+	for k := range evals {
+		evals[k] = make([]ff.Fr, nEvals)
+	}
+	var delta, prod ff.Fr
+	for i := 0; i < half; i++ {
+		for k, m := range vp.MLEs {
+			e0 := &m.Evals[2*i]
+			e1 := &m.Evals[2*i+1]
+			ev := evals[k]
+			ev[0] = *e0
+			if nEvals > 1 {
+				ev[1] = *e1
+				delta.Sub(e1, e0)
+				for t := 2; t < nEvals; t++ {
+					ev[t].Add(&ev[t-1], &delta)
 				}
 			}
-			partial[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := make([]ff.Fr, nEvals)
-	for w := range partial {
-		for t := 0; t < nEvals; t++ {
-			out[t].Add(&out[t], &partial[w][t])
+		}
+		for _, term := range vp.Terms {
+			for t := 0; t < nEvals; t++ {
+				prod = term.Coeff
+				for _, k := range term.Indices {
+					prod.Mul(&prod, &evals[k][t])
+				}
+				acc[t].Add(&acc[t], &prod)
+			}
 		}
 	}
-	return RoundPoly{Evals: out}
+	return RoundPoly{Evals: acc}
 }
 
 // InterpolateAt evaluates the degree-(len(evals)-1) polynomial defined by

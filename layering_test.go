@@ -1,6 +1,7 @@
 package zkspeed_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -57,21 +58,19 @@ func TestInternalImportBoundary(t *testing.T) {
 // TestPCSInterfaceBoundary enforces the commitment-scheme layering rule:
 // the hyperplonk protocol layer and the root engine reach the PCS only
 // through the pcs.PCS interface. Naming the concrete PST type or its
-// free setup functions is confined to three files — the deprecated
-// compatibility wrappers, the root's type alias + deprecated free
-// functions, and the PST-only fixed-base table machinery — so a new
-// backend never requires touching prover, verifier or engine code.
+// free setup functions is confined to two files — the root's SRS type
+// alias and the PST-only fixed-base table machinery — so a new backend
+// never requires touching prover, verifier or engine code.
 func TestPCSInterfaceBoundary(t *testing.T) {
 	// Selector expressions on the pcs package that bind callers to the
 	// concrete PST scheme.
 	forbidden := []string{
-		"pcs.SRS", "pcs.Setup(", "pcs.SetupFromSeed", "pcs.SetupWithTaus",
+		"pcs.SRS", "pcs.SetupFromSeed", "pcs.SetupWithTaus",
 		"pcs.CombineCommitments", "pcs.PrecomputeTables", "pcs.ResolveTableWindow",
 	}
 	allowed := map[string]bool{
-		"internal/hyperplonk/compat.go": true, // deprecated SetupWithSRS / rng Setup
-		"zkspeed.go":                    true, // SRS type alias + deprecated free funcs
-		"pst.go":                        true, // SRSFor + fixed-base tables (PST-only)
+		"zkspeed.go": true, // SRS type alias
+		"pst.go":     true, // SRSFor + fixed-base tables (PST-only)
 	}
 	check := func(path string) {
 		if allowed[path] || strings.HasSuffix(path, "_test.go") || !strings.HasSuffix(path, ".go") {
@@ -98,5 +97,69 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 			}
 			check(filepath.Join(dir, e.Name()))
 		}
+	}
+}
+
+// TestOnePathPerLayer keeps the shape "a reference is a function, never
+// an option value": no non-test source outside the frozen benchmark
+// directory names a kernel selector or a deprecated entry point, no
+// struct has a field called Kernel, and the goroutine budget is a field
+// of exactly the three option structs that own one — everything else
+// carries a poly.Options.
+func TestOnePathPerLayer(t *testing.T) {
+	banned := []string{"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel"}
+	procsOwners := map[string]bool{
+		"internal/msm/msm.go":      true, // msm.Options
+		"internal/poly/options.go": true, // poly.Options
+		"internal/pcs/tables.go":   true, // pcs.TableOptions
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path == "internal/benchmark" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, tok := range banned {
+			if strings.Contains(string(src), tok) {
+				t.Errorf("%s contains %q: variants are deleted and references are functions", path, tok)
+			}
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					switch {
+					case name.Name == "Kernel":
+						t.Errorf("%s: struct field Kernel: select a path by calling it, not by an option value", fset.Position(name.Pos()))
+					case name.Name == "Procs" && !procsOwners[filepath.ToSlash(path)]:
+						t.Errorf("%s: struct field Procs: carry a poly.Options instead of a second goroutine budget", fset.Position(name.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -54,16 +54,13 @@ func WithoutSRSCache() Option {
 }
 
 // WithParallelism bounds each level of the Engine's parallelism to n:
-// the ProveBatch worker pool runs at most n concurrent proofs, and every
-// kernel inside a proof caps its goroutine fan-out at n — the MSM bucket
-// loops (witness commits, φ/π commits, the opening chain) and, since the
-// MTU kernel refactor, the whole SumCheck/MLE pipeline too: the
-// ZeroCheck/PermCheck/OpenCheck sumcheck instance sweeps, eq-table
-// builds, MLE folds and evaluations, the fraction-MLE batch inversion
-// and the product-MLE tree. The caps compose — a batch of proofs can
-// occupy up to n×n goroutines; callers sharing a box with other work
-// should size n for that product. Values below 1 fall back to the
-// default (one worker per CPU).
+// the ProveBatch worker pool runs at most n concurrent proofs, and n is
+// the goroutine budget of the one execution context (poly.Options) every
+// kernel inside a proof or verification runs under — MSMs, sumchecks and
+// MLE kernels alike. The caps compose — a batch of proofs can occupy up to
+// n×n goroutines; callers sharing a box with other work should size n for
+// that product. Values below 1 fall back to the default (one worker per
+// CPU).
 func WithParallelism(n int) Option {
 	return func(c *engineConfig) {
 		if n >= 1 {

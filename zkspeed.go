@@ -29,8 +29,6 @@
 package zkspeed
 
 import (
-	"math/rand"
-
 	"zkspeed/internal/dse"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/hyperplonk"
@@ -78,28 +76,11 @@ type SRS = pcs.SRS
 // NewBuilder creates an empty circuit builder.
 func NewBuilder() *Builder { return hyperplonk.NewBuilder() }
 
-// Setup preprocesses a circuit under a fresh simulated-ceremony SRS.
-//
-// Deprecated: use Engine.Setup — an Engine built WithEntropy caches the
-// SRS and keys so repeated setups are free, and takes any io.Reader
-// entropy source instead of *rand.Rand.
-func Setup(c *Circuit, rng *rand.Rand) (*ProvingKey, *VerifyingKey, error) {
-	return hyperplonk.Setup(c, rng)
-}
-
-// SetupWithSRS preprocesses a circuit under an existing universal SRS —
-// HyperPlonk's one-time-setup property.
-//
-// Deprecated: use Engine.Setup with an Engine built via WithSRS(srs); the
-// Engine also caches the resulting keys by circuit digest.
-func SetupWithSRS(c *Circuit, srs *SRS) (*ProvingKey, *VerifyingKey, error) {
-	return hyperplonk.SetupWithSRS(c, srs)
-}
-
 // SetupWithPCS preprocesses a circuit under an existing commitment
-// backend reached through the pcs.PCS interface — the scheme-agnostic
-// form of SetupWithSRS. The backend of an existing key is available as
-// pk.PCS, so a second circuit of the same size reuses the ceremony:
+// backend reached through the pcs.PCS interface — HyperPlonk's
+// one-time-setup property without an Engine. The backend of an existing
+// key is available as pk.PCS, so a second circuit of the same size reuses
+// the ceremony:
 //
 //	pk2, vk2, err := zkspeed.SetupWithPCS(c2, pk1.PCS)
 func SetupWithPCS(c *Circuit, backend PCS) (*ProvingKey, *VerifyingKey, error) {
@@ -114,30 +95,6 @@ type PCS = pcs.PCS
 // accepted by WithPCSScheme, sorted.
 func PCSSchemes() []string {
 	return pcs.Schemes()
-}
-
-// Prove generates a proof for the assignment.
-//
-// Deprecated: use Engine.Prove, which adds context cancellation, key
-// caching and batch proving.
-func Prove(pk *ProvingKey, a *Assignment) (*Proof, *StepTimings, error) {
-	return hyperplonk.Prove(pk, a)
-}
-
-// Verify checks a proof against the verifying key and public inputs.
-//
-// Deprecated: use Engine.Verify (by circuit) or Engine.VerifyWithKey.
-func Verify(vk *VerifyingKey, pub []Scalar, proof *Proof) error {
-	return hyperplonk.Verify(vk, pub, proof)
-}
-
-// SyntheticWorkload builds a valid random 2^mu-gate circuit with the
-// paper's §6.2 witness statistics.
-//
-// Deprecated: use SyntheticWorkloadSeeded, which does not expose
-// *rand.Rand in the public API.
-func SyntheticWorkload(mu int, rng *rand.Rand) (*Circuit, *Assignment, []Scalar, error) {
-	return workload.Synthetic(mu, rng)
 }
 
 // SyntheticWorkloadSeeded builds a valid random 2^mu-gate circuit with the
