@@ -3,6 +3,8 @@
 // a batch-accumulation window that coalesces same-circuit jobs into one
 // ProveBatch call (amortizing SRS/key setup across tenants), an LRU
 // proof cache, and an HTTP/JSON API with Prometheus-style /metrics.
+// The shards derive one setup from one seed, so a batch spreads over all
+// of them and an idle shard steals queued jobs from a busy one.
 //
 // Usage:
 //
@@ -10,7 +12,6 @@
 //	zkproverd -addr :9090 -shards 4 -batch-window 10ms
 //	zkproverd -queue-cap 128 -max-batch 32 -cache 1024
 //	zkproverd -preload-mu 10,12 -seed 7         # pre-derive SRS ceremonies
-//	zkproverd -table-cache /var/lib/zkproverd   # fixed-base commit tables, persisted
 //	zkproverd -store-dir /var/lib/zkproverd/wal # durable job store: jobs survive restarts
 //	zkproverd -tenants-file tenants.json        # API-key auth + per-tenant quotas
 //	zkproverd -pcs zeromorph                    # serve the Zeromorph PCS backend
@@ -57,9 +58,6 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as a cluster proving worker instead of an HTTP service")
 	join := flag.String("join", "", "coordinator cluster address to join (required with -worker)")
 	name := flag.String("name", "", "worker name advertised to the coordinator (default hostname)")
-	tableCache := flag.String("table-cache", "", "directory for fixed-base commitment tables; enables the fixed-base commit kernel and persists tables across restarts")
-	tableWindow := flag.Int("table-window", 0, "fixed-base table digit width (0 = per-size heuristic; with -table-cache)")
-	tableMaxResident := flag.Int64("table-max-resident", 0, "memory-map tables whose file exceeds this many bytes instead of holding them resident (0 = always resident; with -table-cache)")
 	storeDir := flag.String("store-dir", "", "directory for the durable job store (WAL); empty = in-memory only")
 	storeSync := flag.Duration("store-sync", 0, "WAL fsync batching interval (0 = sync every append, negative = leave to the OS; with -store-dir)")
 	tenantsFile := flag.String("tenants-file", "", "JSON tenants file enabling API-key auth and per-tenant quotas")
@@ -69,23 +67,8 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("zkproverd: ")
 
-	var fixedBase *zkspeed.FixedBaseConfig
-	if *tableCache != "" || *tableWindow != 0 {
-		fixedBase = &zkspeed.FixedBaseConfig{
-			Window:           *tableWindow,
-			CacheDir:         *tableCache,
-			MaxResidentBytes: *tableMaxResident,
-		}
-	}
-
-	if *pcsScheme != "" && fixedBase != nil && *pcsScheme != "pst" {
-		// Fixed-base tables only accelerate PST commits; surface the
-		// misconfiguration instead of silently running without them.
-		log.Printf("warning: -table-cache/-table-window have no effect under -pcs %s", *pcsScheme)
-	}
-
 	if *workerMode {
-		runWorker(*join, *name, *preload, *workers, *verbose, fixedBase, *pcsScheme)
+		runWorker(*join, *name, *preload, *workers, *verbose, *pcsScheme)
 		return
 	}
 
@@ -95,9 +78,6 @@ func main() {
 	}
 	if *pcsScheme != "" {
 		opts = append(opts, zkspeed.WithPCSScheme(*pcsScheme))
-	}
-	if fixedBase != nil {
-		opts = append(opts, zkspeed.WithFixedBaseTables(*fixedBase))
 	}
 	if *workers > 0 {
 		opts = append(opts, zkspeed.WithParallelism(*workers))
@@ -191,7 +171,7 @@ func main() {
 // runWorker joins a zkclusterd coordinator and proves dispatched batches
 // until stopped. The setup seed comes from the coordinator's handshake, so
 // -seed is ignored here.
-func runWorker(join, name, preload string, workers int, verbose bool, fixedBase *zkspeed.FixedBaseConfig, pcsScheme string) {
+func runWorker(join, name, preload string, workers int, verbose bool, pcsScheme string) {
 	if join == "" {
 		log.Fatal("-worker requires -join <coordinator cluster address>")
 	}
@@ -208,11 +188,6 @@ func runWorker(join, name, preload string, workers int, verbose bool, fixedBase 
 	}
 	if pcsScheme != "" {
 		opts = append(opts, zkspeed.WithPCSScheme(pcsScheme))
-	}
-	if fixedBase != nil {
-		// Workers derive their SRS from the coordinator's shared seed, so
-		// the tables they build (and cache) are identical across the fleet.
-		opts = append(opts, zkspeed.WithFixedBaseTables(*fixedBase))
 	}
 	if verbose {
 		opts = append(opts, zkspeed.WithProveHook(func(st zkspeed.ProofStats) {

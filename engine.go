@@ -41,7 +41,6 @@ type Engine struct {
 	srs     map[srsKey]*srsEntry  // universal setup per (problem size, scheme)
 	keys    map[keysKey]*keyEntry // preprocessed keys per (circuit digest, scheme)
 	digests map[*Circuit][32]byte // memoized circuit digests (O(2^mu) to hash)
-	tables  map[tableKey]*tableEntry
 	st      EngineStats
 }
 
@@ -99,12 +98,6 @@ type EngineStats struct {
 	// Proofs and Verifies count completed operations.
 	Proofs   int
 	Verifies int
-	// TableBuilds counts fixed-base commitment tables computed from
-	// scratch; TableLoads counts tables served from the cache directory
-	// (WithFixedBaseTables) — the cold-build vs warm-load split the
-	// zkproverd_fixedbase_table_* metrics expose.
-	TableBuilds int
-	TableLoads  int
 }
 
 // New constructs an Engine. With no options it uses crypto/rand entropy,
@@ -116,7 +109,6 @@ func New(opts ...Option) *Engine {
 		srs:     make(map[srsKey]*srsEntry),
 		keys:    make(map[keysKey]*keyEntry),
 		digests: make(map[*Circuit][32]byte),
-		tables:  make(map[tableKey]*tableEntry),
 	}
 	for _, o := range opts {
 		o(&e.cfg)
@@ -183,18 +175,6 @@ func (e *Engine) masterSeed() ([]byte, error) {
 // concurrent same-size callers singleflight on one derivation, which runs
 // outside the Engine lock so other operations never stall behind it.
 func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
-	s, err := e.deriveSRS(ctx, mu)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.ensureTables(ctx, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// deriveSRS is srsFor without the fixed-base table step.
-func (e *Engine) deriveSRS(ctx context.Context, mu int) (pcs.PCS, error) {
 	scheme, err := e.pcsScheme()
 	if err != nil {
 		return nil, err

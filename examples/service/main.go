@@ -1,7 +1,8 @@
 // Example service demonstrates — and smoke-tests — the zkproverd proving
 // service through the zkspeed/client package: register a circuit, prove
 // synchronously (twice, the second served by the proof cache), submit an
-// async job and poll it, verify every proof, and scrape /metrics.
+// async job and poll it, prove an 8-statement batch (spread over every
+// shard of a multi-shard service), verify every proof, and scrape /metrics.
 //
 // Point it at a running daemon:
 //
@@ -137,6 +138,35 @@ func main() {
 	}
 	log.Printf("async job %s proved and verified", jobID)
 
+	// Rollup-style batch: eight witnesses of one relation. A multi-shard
+	// service spreads the batch over all its shards, so every proof is
+	// checked against the circuit's verifying key on its home shard.
+	const batchSize = 8
+	var batchCircuit *zkspeed.Circuit
+	batch := make([]*zkspeed.Assignment, batchSize)
+	for i := range batch {
+		if batchCircuit, batch[i], err = quadratic(uint64(i + 1)); err != nil {
+			log.Fatalf("batch statement %d: %v", i, err)
+		}
+	}
+	batchDigest, err := cl.RegisterCircuit(ctx, batchCircuit)
+	if err != nil {
+		log.Fatalf("register batch circuit: %v", err)
+	}
+	br, err := cl.ProveBatch(ctx, batchDigest, batch)
+	if err != nil {
+		log.Fatalf("prove batch: %v", err)
+	}
+	if br.Failed != 0 || len(br.Statements) != batchSize {
+		log.Fatalf("batch: %d of %d statements failed", br.Failed, len(br.Statements))
+	}
+	for i, st := range br.Statements {
+		if err := cl.Verify(ctx, batchDigest, st.Result.PublicInputs, st.Result.Proof); err != nil {
+			log.Fatalf("batch statement %d verify: %v", i, err)
+		}
+	}
+	log.Printf("%d-statement batch proved and verified", batchSize)
+
 	metrics, err := cl.Metrics(ctx)
 	if err != nil {
 		log.Fatalf("metrics: %v", err)
@@ -146,5 +176,16 @@ func main() {
 			log.Fatalf("metrics exposition missing %s", want)
 		}
 	}
-	fmt.Println("OK: register, sync prove, cache hit, async prove, verify, metrics")
+	fmt.Println("OK: register, sync prove, cache hit, async prove, batch prove, verify, metrics")
+}
+
+// quadratic compiles x²+3x+5 == y (y public): one relation whose witness
+// varies with x.
+func quadratic(x uint64) (*zkspeed.Circuit, *zkspeed.Assignment, error) {
+	b := zkspeed.NewBuilder()
+	xv := b.Witness(zkspeed.NewScalar(x))
+	y := b.AddConst(b.Add(b.Mul(xv, xv), b.MulConst(zkspeed.NewScalar(3), xv)), zkspeed.NewScalar(5))
+	b.AssertEqual(y, b.PublicInput(b.Value(y)))
+	circuit, assignment, _, err := b.Compile()
+	return circuit, assignment, err
 }

@@ -25,10 +25,6 @@ type SuiteConfig struct {
 	// Windows are the Pippenger window widths to sweep (Table 2's MSM
 	// design knob); each runs under both aggregation schedules (Fig. 5).
 	Windows []int
-	// FixedBaseWindows are the digit widths of the fixed-base MSM records
-	// (msm/fixedbase/nN/wW); 0 resolves to the per-size heuristic, and
-	// duplicate resolved widths collapse to one record.
-	FixedBaseWindows []int
 	// SumcheckMu is the hypercube size of the legacy sumcheck
 	// round-loop bench (pinned to the baseline kernel for trajectory
 	// comparability).
@@ -40,11 +36,9 @@ type SuiteConfig struct {
 	SumcheckMus []int
 	// PCSMu is the MLE size of the PCS open bench.
 	PCSMu int
-	// PCSMus are the MLE sizes of the commit-path trio
-	// (pcs/commit/muN pinned to the variable-base fast kernel,
-	// pcs/commit-fixed/muN through precomputed tables, and
-	// pcs/precompute/muN for the one-time table build). Quick includes
-	// mu12 so the CI gate's commit-fixed assertion holds over
+	// PCSMus are the MLE sizes of the pcs/commit/muN records and of the
+	// scheme-parameterized records (pcs/{pst,zeromorph}/*/muN). Quick
+	// includes mu12 so the CI gate's zeromorph shift assertion holds over
 	// commit-sized work within one run.
 	PCSMus []int
 	// FoldMu is the table size of the MLE fold (Eq. 2 update) bench.
@@ -84,44 +78,42 @@ type SuiteConfig struct {
 func DefaultConfig(quick bool) SuiteConfig {
 	if quick {
 		return SuiteConfig{
-			Quick:            true,
-			MSMLogN:          10,
-			Windows:          []int{4, 8},
-			FixedBaseWindows: []int{0, 13},
-			SumcheckMu:       10,
-			SumcheckMus:      []int{10, 12},
-			PCSMu:            10,
-			PCSMus:           []int{10, 12},
-			FoldMu:           14,
-			MLEMu:            14,
-			E2EMus:           []int{8, 10, 12},
-			ServiceMus:       []int{8},
-			ClusterMu:        10,
-			ClusterBatch:     8,
-			ClusterWorkers:   []int{1, 2, 4},
-			Warmup:           1,
-			Reps:             5,
-			Seed:             1,
+			Quick:          true,
+			MSMLogN:        10,
+			Windows:        []int{4, 8},
+			SumcheckMu:     10,
+			SumcheckMus:    []int{10, 12},
+			PCSMu:          10,
+			PCSMus:         []int{10, 12},
+			FoldMu:         14,
+			MLEMu:          14,
+			E2EMus:         []int{8, 10, 12},
+			ServiceMus:     []int{8},
+			ClusterMu:      10,
+			ClusterBatch:   8,
+			ClusterWorkers: []int{1, 2, 4},
+			Warmup:         1,
+			Reps:           5,
+			Seed:           1,
 		}
 	}
 	return SuiteConfig{
-		MSMLogN:          12,
-		Windows:          []int{4, 7, 10},
-		FixedBaseWindows: []int{0, 14, 15},
-		SumcheckMu:       14,
-		SumcheckMus:      []int{12, 14},
-		PCSMu:            12,
-		PCSMus:           []int{12},
-		FoldMu:           18,
-		MLEMu:            16,
-		E2EMus:           []int{12, 14, 16},
-		ServiceMus:       []int{10, 12},
-		ClusterMu:        12,
-		ClusterBatch:     8,
-		ClusterWorkers:   []int{1, 2, 4},
-		Warmup:           2,
-		Reps:             5,
-		Seed:             1,
+		MSMLogN:        12,
+		Windows:        []int{4, 7, 10},
+		SumcheckMu:     14,
+		SumcheckMus:    []int{12, 14},
+		PCSMu:          12,
+		PCSMus:         []int{12},
+		FoldMu:         18,
+		MLEMu:          16,
+		E2EMus:         []int{12, 14, 16},
+		ServiceMus:     []int{10, 12},
+		ClusterMu:      12,
+		ClusterBatch:   8,
+		ClusterWorkers: []int{1, 2, 4},
+		Warmup:         2,
+		Reps:           5,
+		Seed:           1,
 	}
 }
 
@@ -457,46 +449,6 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		},
 	)
 
-	// Fixed-base MSM: the same dense workload through precomputed window
-	// tables, swept over digit widths around the heuristic (w0 = auto,
-	// named by its resolved width; duplicate resolutions collapse). The
-	// within-run reference is msm/fast/nN above — same points, same
-	// scalars, no table.
-	{
-		fbTables := map[int]*msm.FixedBaseTable{}
-		fbSeen := map[int]bool{}
-		for _, w := range cfg.FixedBaseWindows {
-			resolved := msm.FixedBaseWindow(n, w)
-			if fbSeen[resolved] {
-				continue
-			}
-			fbSeen[resolved] = true
-			out = append(out, Benchmark{
-				Name: fmt.Sprintf("msm/fixedbase/n%d/w%d", cfg.MSMLogN, resolved),
-				Kind: KindKernel,
-				Params: map[string]string{
-					"n":      strconv.Itoa(n),
-					"window": strconv.Itoa(resolved),
-					"kernel": "fixedbase",
-				},
-				Setup: func() error {
-					if err := msmSetup(); err != nil {
-						return err
-					}
-					if fbTables[resolved] == nil {
-						fbTables[resolved] = msm.BuildFixedBaseTable(srsFor(cfg.MSMLogN).Lag[0], resolved, 0)
-					}
-					return nil
-				},
-				Iterate: func() error {
-					_ = msm.MSMFixedBase(fbTables[resolved], dense,
-						msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped})
-					return nil
-				},
-			})
-		}
-	}
-
 	// Sumcheck round loop: a ZeroCheck-shaped virtual polynomial
 	// (eq · w1 · w2 · w3 plus lower-degree terms, degree 4 like the gate
 	// identity). The record runs sumcheck.ProveReference — the retained
@@ -735,15 +687,11 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		)
 	}
 
-	// PCS commit trio at each PCSMus size. Commitments run the fixed-base
-	// kernel exactly when tables are attached, so the commit-fixed record
-	// attaches them to an SRS of its own and the shared bench SRS stays
-	// without. The CI gate asserts commit-fixed beats commit ≥1.5× within
-	// one run.
+	// PCS commit at each PCSMus size: the dense Lag[0] MSM every
+	// commitment of a proof runs.
 	for _, mu := range cfg.PCSMus {
 		mu := mu
 		var m *poly.MLE
-		var fixed *pcs.SRS
 		setup := func() error {
 			srsFor(mu)
 			if m == nil {
@@ -763,47 +711,10 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return err
 				},
 			},
-			Benchmark{
-				Name:   fmt.Sprintf("pcs/commit-fixed/mu%d", mu),
-				Kind:   KindKernel,
-				Params: params,
-				Setup: func() error {
-					if err := setup(); err != nil {
-						return err
-					}
-					if fixed == nil {
-						s := pcs.SetupFromSeed(seedBytes(cfg.Seed), mu)
-						tables, err := pcs.PrecomputeTables(s, pcs.TableOptions{})
-						if err != nil {
-							return err
-						}
-						if err := s.AttachTables(tables); err != nil {
-							return err
-						}
-						fixed = s
-					}
-					return nil
-				},
-				Iterate: func() error {
-					_, err := fixed.Commit(m)
-					return err
-				},
-			},
-			Benchmark{
-				Name:   fmt.Sprintf("pcs/precompute/mu%d", mu),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  setup,
-				Iterate: func() error {
-					_, err := pcs.PrecomputeTables(srsFor(mu), pcs.TableOptions{})
-					return err
-				},
-			},
 		)
 	}
 
-	// PCS open at PCSMu (does not mutate its MLE, so no Before; the
-	// opening chain is variable-base — tables never apply to it).
+	// PCS open at PCSMu (does not mutate its MLE, so no Before).
 	{
 		mu := cfg.PCSMu
 		var m *poly.MLE

@@ -4,8 +4,8 @@ import "zkspeed/internal/ff"
 
 // BatchNormalizeJac converts Jacobian points to affine sharing a single
 // field inversion across the whole slice (Montgomery's trick), instead of
-// the one-inversion-per-point cost of FromJacobian. The fixed-base table
-// builder normalizes tens of thousands of window multiples at once, where
+// the one-inversion-per-point cost of FromJacobian. The generator window
+// table (msm.MulGenerator) normalizes its window multiples at once, where
 // per-point inversions would dominate the build.
 //
 // Z == 0 inputs (infinity) come out as affine infinity: ff.BatchInverse

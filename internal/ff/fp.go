@@ -149,36 +149,6 @@ func (z *Fp) SetCanonicalBytes(buf []byte) bool {
 	return true
 }
 
-// PutMontBytes serializes z's raw Montgomery limbs little-endian into
-// buf[:FpBytes] — the zero-conversion encoding the fixed-base commitment
-// tables use on disk: no fromMont pass on write, no toMont on read, and
-// explicit byte order so the file is portable across hosts.
-func (z *Fp) PutMontBytes(buf []byte) {
-	_ = buf[FpBytes-1]
-	for i := 0; i < 6; i++ {
-		v := z[i]
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * b))
-		}
-	}
-}
-
-// SetMontBytes is the inverse of PutMontBytes. The limbs are taken as-is
-// (Montgomery form, no range check), so it must only consume bytes a
-// PutMontBytes produced — table-cache payloads are integrity-checked
-// before they reach here.
-func (z *Fp) SetMontBytes(buf []byte) *Fp {
-	_ = buf[FpBytes-1]
-	for i := 0; i < 6; i++ {
-		var v uint64
-		for b := 0; b < 8; b++ {
-			v |= uint64(buf[i*8+b]) << (8 * b)
-		}
-		z[i] = v
-	}
-	return z
-}
-
 // Equal reports whether z == x.
 func (z *Fp) Equal(x *Fp) bool { return *z == *x }
 

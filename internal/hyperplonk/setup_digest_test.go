@@ -14,7 +14,7 @@ import (
 // the layer fold, key preprocessing to pair-reduced bucket conflicts, and
 // the transcript to the unrolled Keccak: the circuit and witness digests
 // (cache keys of the engine, the service and the WAL), and per scheme the
-// SRS digest (the .zkfb table-cache key) and the verifying-key digest
+// SRS digest (the identity of the commit basis) and the verifying-key digest
 // (bound into every proof). None of those changes may move a byte, or
 // caches, cluster workers and proofs from before and after stop being
 // interchangeable.

@@ -14,12 +14,13 @@
 //     sweep (the paper's MSM unit design knob, Table 2) and a test oracle
 //     next to Naive.
 //
-// A fixed point set with a precomputed table takes MSMFixedBase instead
-// (fixedbase.go). The package also provides the Sparse MSM scheme used for
-// witness commitments (§3.3.1/§4.2: tree-reduce the 1-valued scalars, skip
-// zeros, fast MSM on the ~10% dense remainder) and both bucket-aggregation
-// schedules compared in Fig. 5 (SZKP's serial running sum vs. zkSpeed's
-// grouped aggregation).
+// Both are variable-base: like zkSpeed's MSM unit, which streams SRS
+// points and precomputes no per-point window tables, every call starts
+// from the affine points. The package also provides the Sparse MSM scheme
+// used for witness commitments (§3.3.1/§4.2: tree-reduce the 1-valued
+// scalars, skip zeros, fast MSM on the ~10% dense remainder) and both
+// bucket-aggregation schedules compared in Fig. 5 (SZKP's serial running
+// sum vs. zkSpeed's grouped aggregation).
 package msm
 
 import (
@@ -224,7 +225,6 @@ func aggregateSerial(buckets []curve.G1Jac) curve.G1Jac {
 // the Fig. 5 latency win); here they are computed with the same running-sum
 // identity per group and combined exactly.
 func aggregateGrouped(buckets []curve.G1Jac, g int) curve.G1Jac {
-	var total curve.G1Jac
 	numGroups := (len(buckets) + g - 1) / g
 	// Process groups from the top so the k·g· scaling can be applied by
 	// repeated accumulate (base trick): maintain sumOfGroupSums and add it
@@ -245,17 +245,9 @@ func aggregateGrouped(buckets []curve.G1Jac, g int) curve.G1Jac {
 		groupSum[k] = running // Σ_{i∈k} B_i
 		groupWeighted[k] = local
 	}
-	total = combineGroups(groupSum, groupWeighted, g)
-	return total
-}
-
-// combineGroups folds per-group aggregation partials into the total:
-// Σ_k (groupWeighted[k] + (k·g)·groupSum[k]), with Σ_k k·groupSum[k]
-// computed via suffix sums and scaled by g with double-and-add. Shared by
-// the Jacobian grouped schedule above and the batch-affine grouped
-// schedule of the fixed-base kernel (aggregateAffine).
-func combineGroups(groupSum, groupWeighted []curve.G1Jac, g int) curve.G1Jac {
-	numGroups := len(groupSum)
+	// Combine: Σ_k (groupWeighted[k] + (k·g)·groupSum[k]), with
+	// Σ_k k·groupSum[k] computed via suffix sums and scaled by g with
+	// double-and-add.
 	var suffix, kWeighted curve.G1Jac
 	for k := numGroups - 1; k >= 1; k-- {
 		suffix.Add(&suffix, &groupSum[k])

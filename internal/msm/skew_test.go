@@ -69,11 +69,11 @@ func skewedInputs(rng *rand.Rand, n int) map[string]skewedInput {
 }
 
 // TestMSMSkewedScalars runs the fast path (Jacobian buckets at n = 40,
-// batch-affine above), the Pippenger reference and the fixed-base kernel,
-// which shares the fast path's accumulator, over the skewed distributions
-// against the naive oracle. The sizes put the conflict queue past its
-// reduction threshold both for the size-picked window and for a forced
-// wide one (window 11: 1024 buckets, full 512-update batches).
+// batch-affine above) and the Pippenger reference over the skewed
+// distributions against the naive oracle. The sizes put the conflict
+// queue past its reduction threshold both for the size-picked window and
+// for a forced wide one (window 11: 1024 buckets, full 512-update
+// batches).
 func TestMSMSkewedScalars(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	sizes := []int{40, 300}
@@ -94,11 +94,6 @@ func TestMSMSkewedScalars(t *testing.T) {
 					if !got.Equal(&want) {
 						t.Fatalf("%s n=%d w=%d par=%v: MSM mismatch", name, n, w, par)
 					}
-				}
-				tbl := BuildFixedBaseTable(in.pts, w, 0)
-				got := MSMFixedBase(tbl, in.scalars, Options{Aggregation: AggregateGrouped, Parallel: true})
-				if !got.Equal(&want) {
-					t.Fatalf("%s n=%d w=%d: fixed-base MSM mismatch", name, n, w)
 				}
 			}
 		}

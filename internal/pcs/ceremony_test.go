@@ -81,7 +81,7 @@ func TestPSTCeremonyMatchesOracle(t *testing.T) {
 						}
 						for i := range want.Lag[k] {
 							// Struct equality: same Montgomery limbs and
-							// infinity flag, which is what .zkfb caches store.
+							// infinity flag.
 							if got.Lag[k][i] != want.Lag[k][i] {
 								t.Fatalf("Lag[%d][%d] differs from the oracle", k, i)
 							}

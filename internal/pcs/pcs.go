@@ -15,10 +15,11 @@
 package pcs
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
@@ -40,10 +41,8 @@ type SRS struct {
 	// HTau[j] = [τ_{j+1}]·H for j = 0..μ-1 (verifier side).
 	HTau []curve.G2Affine
 
-	// tables is the optional fixed-base commitment table (AttachTables);
-	// digest memoizes Digest(). Both are unexported sync state — the SRS
-	// must never be copied by value once in use.
-	tables     atomic.Pointer[CommitTables]
+	// digest memoizes Digest(); the sync.Once means the SRS must never be
+	// copied by value once in use.
 	digestOnce sync.Once
 	digest     [32]byte
 }
@@ -105,6 +104,24 @@ func SetupWithTaus(taus []ff.Fr) *SRS {
 // MaxVars returns the largest MLE size this SRS supports.
 func (s *SRS) MaxVars() int { return s.Mu }
 
+// Digest identifies the SRS commit basis: a SHA-256 over mu and the
+// Lag[0] points. It is memoized (one O(2^mu) hash pass).
+func (s *SRS) Digest() [32]byte {
+	s.digestOnce.Do(func() {
+		h := sha256.New()
+		h.Write([]byte("zkspeed.pcs.srs.digest.v1"))
+		var mu [8]byte
+		binary.LittleEndian.PutUint64(mu[:], uint64(s.Mu))
+		h.Write(mu[:])
+		for i := range s.Lag[0] {
+			b := s.Lag[0][i].Bytes()
+			h.Write(b[:])
+		}
+		h.Sum(s.digest[:0])
+	})
+	return s.digest
+}
+
 // msmOptions derives the MSM configuration of a commitment or opening
 // from the proof's execution context: grouped aggregation, parallel under
 // the context's goroutine budget. Both backends configure every MSM of
@@ -119,18 +136,12 @@ func (s *SRS) Commit(m *poly.MLE) (Commitment, error) {
 }
 
 // CommitWith is Commit under an explicit execution context — the hook the
-// engine uses to bound kernel parallelism (zkspeed.WithParallelism). The
-// MSM runs over the fixed-base tables exactly when they are attached.
+// engine uses to bound kernel parallelism (zkspeed.WithParallelism).
 func (s *SRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	var sum curve.G1Jac
-	if t := s.tables.Load(); t != nil {
-		sum = msm.MSMFixedBase(t.tbl, m.Evals, msmOptions(opt))
-	} else {
-		sum = msm.MSMWithOptions(s.Lag[0], m.Evals, msmOptions(opt))
-	}
+	sum := msm.MSMWithOptions(s.Lag[0], m.Evals, msmOptions(opt))
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil
@@ -146,12 +157,7 @@ func (s *SRS) CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error
 	if m.NumVars != s.Mu {
 		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
 	}
-	var sum curve.G1Jac
-	if t := s.tables.Load(); t != nil {
-		sum = msm.SparseMSMFixedBase(t.tbl, m.Evals, msmOptions(opt))
-	} else {
-		sum = msm.SparseMSM(s.Lag[0], m.Evals, msmOptions(opt))
-	}
+	sum := msm.SparseMSM(s.Lag[0], m.Evals, msmOptions(opt))
 	var c Commitment
 	c.P.FromJacobian(&sum)
 	return c, nil

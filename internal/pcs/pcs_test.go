@@ -237,3 +237,69 @@ func BenchmarkOpen256(b *testing.B) {
 		}
 	}
 }
+
+// TestSRSDigest: deterministic across rebuilds of the same ceremony,
+// distinct across ceremonies and sizes.
+func TestSRSDigest(t *testing.T) {
+	a := SetupFromSeed([]byte("digest"), 4)
+	b := SetupFromSeed([]byte("digest"), 4)
+	if a.Digest() != b.Digest() {
+		t.Fatal("same ceremony, different digest")
+	}
+	c := SetupFromSeed([]byte("digest2"), 4)
+	if a.Digest() == c.Digest() {
+		t.Fatal("different ceremony, same digest")
+	}
+	d := SetupFromSeed([]byte("digest"), 5)
+	if a.Digest() == d.Digest() {
+		t.Fatal("different mu, same digest")
+	}
+}
+
+// TestOpenUnderAnyBudget is the pcs side of the one-budget rule: both
+// backends hand the execution context's Procs to the MSM layer untouched
+// (msmOptions; msm's TestOneBudgetRule pins that it then resolves like
+// poly.Options), so a non-positive budget means every CPU for commitments
+// and quotient folds alike, and openings are byte-identical and verify
+// under every value.
+func TestOpenUnderAnyBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	m := randMLE(rng, 4)
+	point := make([]ff.Fr, 4)
+	for i := range point {
+		point[i] = ff.NewFr(rng.Uint64())
+	}
+	for _, scheme := range []Scheme{SchemePST, SchemeZeromorph} {
+		backend, err := NewBackend(scheme, []byte("procs-open"), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := backend.Commit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := backend.Open(m, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{-1, 0, 1, 3, 64} {
+			opt := poly.Options{Procs: procs}
+			if mo := msmOptions(opt); !mo.Parallel || mo.Procs != procs {
+				t.Fatalf("%v: budget %d reaches the MSM layer as %+v", scheme, procs, mo)
+			}
+			proof, val, err := backend.OpenWith(m, point, opt)
+			if err != nil {
+				t.Fatalf("%v procs=%d: %v", scheme, procs, err)
+			}
+			for i := range want.Quotients {
+				if !proof.Quotients[i].Equal(&want.Quotients[i]) {
+					t.Fatalf("%v procs=%d: quotient %d differs from the default opening", scheme, procs, i)
+				}
+			}
+			ok, err := backend.Verify(c, point, val, proof)
+			if err != nil || !ok {
+				t.Fatalf("%v procs=%d: opening did not verify (ok=%v err=%v)", scheme, procs, ok, err)
+			}
+		}
+	}
+}

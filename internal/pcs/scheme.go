@@ -5,8 +5,8 @@ package pcs
 // multilinear KZG (*SRS) and the Zeromorph-style univariate mapping
 // (*ZeromorphSRS) both satisfy it. Call sites outside this package must
 // reach commitments only through the interface (layering_test.go asserts
-// this); the concrete types stay exported for setup plumbing and the
-// fixed-base table machinery, which is PST-specific.
+// this); the concrete types stay exported for setup plumbing (the root
+// package's SRS alias and Engine.SRSFor).
 
 import (
 	"errors"

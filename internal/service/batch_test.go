@@ -25,11 +25,8 @@ func witnessesFor(t *testing.T, c uint64, n int) (*hyperplonk.Circuit, []*hyperp
 }
 
 func TestSubmitBatchSpreadsAcrossShards(t *testing.T) {
-	// Steal on: the shards declare themselves interchangeable (one shared
-	// setup seed), which is the precondition for spreading a batch off its
-	// home shard.
 	backends := []Backend{&stubBackend{}, &stubBackend{}, &stubBackend{}, &stubBackend{}}
-	s := newTestService(t, Config{BatchWindow: time.Millisecond, Steal: true}, backends...)
+	s := newTestService(t, Config{BatchWindow: time.Millisecond}, backends...)
 
 	circuit, assigns := witnessesFor(t, 21, 8)
 	entry := mustRegister(t, s, circuit)
@@ -53,34 +50,6 @@ func TestSubmitBatchSpreadsAcrossShards(t *testing.T) {
 	for i, b := range backends {
 		if b.(*stubBackend).Stats().Proofs == 0 {
 			t.Fatalf("shard %d proved nothing — batch was not spread", i)
-		}
-	}
-}
-
-func TestSubmitBatchStaysOnHomeShardWithoutSteal(t *testing.T) {
-	// Without Steal each shard engine derives its own SRS, so a statement
-	// proved off the circuit's home shard would carry a proof the home
-	// shard's Verify rejects. The whole batch must route to entry.shard.
-	backends := []Backend{&stubBackend{}, &stubBackend{}, &stubBackend{}, &stubBackend{}}
-	s := newTestService(t, Config{BatchWindow: time.Millisecond}, backends...)
-
-	circuit, assigns := witnessesFor(t, 27, 8)
-	entry := mustRegister(t, s, circuit)
-
-	resp, err := s.ProveBatchWait(context.Background(), entry, assigns, prioNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 8 || resp.Failed != 0 {
-		t.Fatalf("results=%d failed=%d", len(resp.Results), resp.Failed)
-	}
-	for i, b := range backends {
-		proofs := b.(*stubBackend).Stats().Proofs
-		if i == entry.shard && proofs != 8 {
-			t.Fatalf("home shard %d proved %d of 8", i, proofs)
-		}
-		if i != entry.shard && proofs != 0 {
-			t.Fatalf("shard %d proved %d statements off the home shard's SRS", i, proofs)
 		}
 	}
 }
@@ -150,19 +119,67 @@ func TestSubmitBatchRejectsOverCapacityWhole(t *testing.T) {
 	}
 }
 
+// parkedBackend announces every ProveBatch call on entered and holds it
+// until the service shuts down, pinning its shard loop.
+type parkedBackend struct {
+	stubBackend
+	entered chan struct{}
+}
+
+func (b *parkedBackend) ProveBatch(ctx context.Context, jobs []BackendJob) []BackendResult {
+	b.entered <- struct{}{}
+	<-ctx.Done()
+	return b.stubBackend.ProveBatch(ctx, jobs)
+}
+
+func TestSubmitBatchChecksEveryShardsShare(t *testing.T) {
+	// 2 shards × capacity 4, both loops parked, 3 jobs queued on the home
+	// shard: 5 slots are free in total, but the 4-statement batch puts 2
+	// on the home shard, which has 1. It must be refused before any
+	// statement is enqueued.
+	entered := make(chan struct{}, 2) // one park per shard loop
+	s := newTestService(t, Config{QueueCapacity: 4, BatchWindow: -1},
+		&parkedBackend{entered: entered}, &parkedBackend{entered: entered})
+	circuit, assigns := witnessesFor(t, 27, 9)
+	entry := mustRegister(t, s, circuit)
+	for i, a := range assigns[:5] {
+		if _, err := s.Submit(entry, a, prioNormal); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			<-entered // the home loop, then the stealing sibling, park
+		}
+	}
+	if d := s.shards[entry.shard].queue.Depth(); d != 3 {
+		t.Fatalf("home shard depth %d, want 3", d)
+	}
+	tracked := func() int {
+		s.jobsMu.Lock()
+		defer s.jobsMu.Unlock()
+		return len(s.jobs)
+	}
+	before := tracked()
+
+	_, err := s.SubmitBatch(entry, assigns[5:], prioNormal)
+	var over *OverloadedError
+	if !errors.As(err, &over) {
+		t.Fatalf("got %v, want OverloadedError", err)
+	}
+	if d := s.QueueDepth(); d != 3 {
+		t.Fatalf("queue depth %d after a refused batch, want 3", d)
+	}
+	if n := tracked(); n != before {
+		t.Fatalf("refused batch left %d tracked jobs", n-before)
+	}
+}
+
 func TestStealRebalancesAcrossShards(t *testing.T) {
-	// All of one circuit's jobs route to its home shard; with stealing on,
-	// the idle sibling must drain part of the backlog. Coalescing is off so
+	// All of one circuit's jobs route to its home shard; the idle sibling must drain part of the backlog. Coalescing is off so
 	// queued jobs stay individually stealable, and the slow backend keeps
 	// the home shard busy long enough for steals to happen.
 	slowA := &stubBackend{delay: 20 * time.Millisecond}
 	slowB := &stubBackend{delay: 20 * time.Millisecond}
-	s := newTestService(t, Config{
-		BatchWindow:   -1,
-		Steal:         true,
-		StealInterval: time.Millisecond,
-		QueueCapacity: 64,
-	}, slowA, slowB)
+	s := newTestService(t, Config{BatchWindow: -1, QueueCapacity: 64}, slowA, slowB)
 
 	circuit, assigns := witnessesFor(t, 25, 8)
 	entry := mustRegister(t, s, circuit)

@@ -644,10 +644,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(st BackendStats) int { return st.KeySetups })
 	stats("zkproverd_key_cache_hits_total", "Key-cache hits per shard engine.",
 		func(st BackendStats) int { return st.KeyCacheHits })
-	stats("zkproverd_fixedbase_table_builds", "Fixed-base commitment tables built from scratch per shard engine.",
-		func(st BackendStats) int { return st.TableBuilds })
-	stats("zkproverd_fixedbase_table_hits", "Fixed-base commitment tables loaded from the table cache per shard engine.",
-		func(st BackendStats) int { return st.TableLoads })
 	if s.durable {
 		rec := s.recovery
 		gauges = append(gauges,

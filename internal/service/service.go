@@ -8,10 +8,13 @@
 // The deployment shape follows the paper's framing of HyperPlonk proving
 // as a datacenter workload: throughput is won by keeping expensive shared
 // state (SRS, per-circuit keys) resident and by amortizing setup across
-// tenants. Each circuit is routed deterministically to one shard by its
-// digest, so a shard's Engine accumulates exactly the keys for its slice
-// of the circuit population, and same-circuit jobs that arrive within one
-// batch window share a single setup and one ProveBatch invocation.
+// tenants. Each circuit is routed deterministically to one home shard by
+// its digest, so a shard's Engine accumulates the keys for its slice of the
+// circuit population, and same-circuit jobs that arrive within one batch
+// window share a single setup and one ProveBatch invocation. Every backend
+// can prove every circuit (the shards share one setup seed), so a rollup
+// batch spreads across all shards and an idle shard steals queued work
+// from its busiest sibling.
 //
 // The package is deliberately unaware of the root zkspeed package (which
 // wraps it): backends implement the small Backend interface, and the root
@@ -86,10 +89,6 @@ type BackendStats struct {
 	KeyCacheHits int
 	Proofs       int
 	Verifies     int
-	// TableBuilds/TableLoads split the fixed-base commitment-table work
-	// into cold builds vs cache-directory loads.
-	TableBuilds int
-	TableLoads  int
 }
 
 // Backend is the prover a shard drives — in production a *zkspeed.Engine
@@ -135,14 +134,6 @@ type Config struct {
 	// circuit hold ~256 MiB, so like every other service resource the
 	// registry must reject rather than grow without limit. Default 4096.
 	MaxCircuits int
-	// Steal lets an idle shard take the newest low-priority job from the
-	// deepest sibling queue. Enable only when every backend can prove any
-	// circuit interchangeably (i.e. all shards share one setup seed, as in
-	// cluster mode) — a stolen job is proved off its home shard.
-	Steal bool
-	// StealInterval is how often an idle shard re-checks siblings for
-	// stealable work between queue wake-ups. Default 1ms.
-	StealInterval time.Duration
 	// Cluster, when non-nil, is the coordinator behind the shards' remote
 	// backends. The service exposes its status (GET /v1/cluster, /metrics),
 	// gates readiness on it, and closes it on Close.
@@ -199,11 +190,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxCircuits == 0 {
 		c.MaxCircuits = 4096
 	}
-	if c.StealInterval == 0 {
-		c.StealInterval = time.Millisecond
-	}
 	return c
 }
+
+// stealInterval is how often an idle shard re-checks its siblings for
+// stealable work between queue wake-ups.
+const stealInterval = time.Millisecond
 
 // errShutdown fails jobs cut short by Close; unlike a prover rejection it
 // is retryable against a healthy instance, so the HTTP layer must answer
@@ -391,10 +383,12 @@ type RecoveryStats struct {
 // New assembles a service over the given backend shards, replays the
 // configured store (re-queueing any jobs a previous incarnation
 // acknowledged but never finished), and starts the shard loops. The
-// backend slice must be non-empty; its order fixes the digest→shard
-// routing, so keep it stable across restarts when cached state outlives
-// the process — with a durable store that also means keeping the same
-// entropy seed, so re-proved jobs yield byte-identical proofs.
+// backend slice must be non-empty, and its backends interchangeable —
+// any of them may prove any job (batches spread, idle shards steal), so
+// they must share one setup. Its order fixes the digest→shard routing,
+// so keep it stable across restarts when cached state outlives the
+// process — with a durable store that also means keeping the same entropy
+// seed, so re-proved jobs yield byte-identical proofs.
 func New(cfg Config, backends []Backend) (*Service, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("service: need at least one backend shard")
@@ -730,8 +724,6 @@ func (s *Service) BackendStats() BackendStats {
 		t.KeyCacheHits += st.KeyCacheHits
 		t.Proofs += st.Proofs
 		t.Verifies += st.Verifies
-		t.TableBuilds += st.TableBuilds
-		t.TableLoads += st.TableLoads
 	}
 	return t
 }
@@ -922,19 +914,15 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 	}
 }
 
-// SubmitBatch enqueues a rollup batch of statements over one circuit.
-// When cfg.Steal is set — the shards-share-one-setup-seed mode, see the
-// Config.Steal doc — the batch spreads round-robin across every shard
-// starting at the circuit's home shard, the parallelism a single
-// digest-routed queue would forfeit; each shard's slice still coalesces
-// into one ProveBatch (or one cluster dispatch). Without Steal each
-// shard's engine derives its own SRS, so a statement proved off the home
-// shard would verify under the wrong setup — the whole batch stays on
-// entry.shard. A batch exceeding the eligible free queue capacity is
-// rejected whole with an *OverloadedError rather than partially
-// enqueued; a racing submitter can still fill a queue mid-spread, in
-// which case already enqueued statements run to completion and the
-// error reports the rest.
+// SubmitBatch enqueues a rollup batch of statements over one circuit. The
+// batch spreads round-robin across every shard starting at the circuit's
+// home shard, the parallelism a single digest-routed queue would forfeit;
+// each shard's slice still coalesces into one ProveBatch (or one cluster
+// dispatch). A batch whose share for any shard exceeds that shard's free
+// queue capacity is rejected whole with an *OverloadedError rather than
+// partially enqueued; a racing submitter can still fill a queue
+// mid-spread, in which case already enqueued statements run to completion
+// and the error reports the rest.
 func (s *Service) SubmitBatch(entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int) ([]*job, error) {
 	return s.SubmitBatchAs(nil, entry, assigns, priority, nil)
 }
@@ -949,25 +937,19 @@ func (s *Service) SubmitBatchAs(tn *tenant.Tenant, entry *circuitEntry, assigns 
 	if len(assigns) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
-	spread := s.cfg.Steal && len(s.shards) > 1
-	var depth, free int
-	if spread {
-		depth = s.QueueDepth()
-		free = len(s.shards)*s.cfg.QueueCapacity - depth
-	} else {
-		depth = s.shards[entry.shard].queue.Depth()
-		free = s.cfg.QueueCapacity - depth
-	}
-	if len(assigns) > free {
-		s.met.add(&s.met.jobsRejected, int64(len(assigns)))
-		return nil, &OverloadedError{RetryAfter: s.met.retryAfter(depth + len(assigns))}
-	}
-	jobs := make([]*job, len(assigns))
-	for i, a := range assigns {
-		shard := entry.shard
-		if spread {
-			shard = (entry.shard + i) % len(s.shards)
+	// Statement i goes to shard (home+i) mod ns, so the k-th shard from
+	// home receives ⌈(n−k)/ns⌉ of them; each share must fit its shard.
+	n, ns := len(assigns), len(s.shards)
+	for k := 0; k < ns && k < n; k++ {
+		q := s.shards[(entry.shard+k)%ns].queue
+		if (n-k+ns-1)/ns > s.cfg.QueueCapacity-q.Depth() {
+			s.met.add(&s.met.jobsRejected, int64(n))
+			return nil, &OverloadedError{RetryAfter: s.met.retryAfter(s.QueueDepth() + n)}
 		}
+	}
+	jobs := make([]*job, n)
+	for i, a := range assigns {
+		shard := (entry.shard + i) % ns
 		o := submitOpts{tn: tn}
 		if i < len(raws) {
 			o.rawWitness = raws[i]
@@ -1131,15 +1113,14 @@ func (s *Service) shardLoop(sh *shard) {
 }
 
 // nextJob supplies the shard loop's next unit of work: its own queue
-// first and, with stealing enabled, the deepest sibling queue once the
-// own queue runs dry. The steal ticker bounds how stale the idle shard's
-// view of its siblings can get; queue wake-ups keep the own-queue path as
-// responsive as plain Pop.
+// first and the deepest sibling queue once the own queue runs dry. The
+// steal ticker bounds how stale the idle shard's view of its siblings can
+// get; queue wake-ups keep the own-queue path as responsive as plain Pop.
 func (s *Service) nextJob(sh *shard) (*job, error) {
-	if !s.cfg.Steal || len(s.shards) == 1 {
+	if len(s.shards) == 1 {
 		return sh.queue.Pop(s.ctx)
 	}
-	ticker := time.NewTicker(s.cfg.StealInterval)
+	ticker := time.NewTicker(stealInterval)
 	defer ticker.Stop()
 	for {
 		if j := sh.queue.tryPop(); j != nil {

@@ -59,18 +59,17 @@ func TestInternalImportBoundary(t *testing.T) {
 // the hyperplonk protocol layer and the root engine reach the PCS only
 // through the pcs.PCS interface. Naming the concrete PST type or its
 // free setup functions is confined to two files — the root's SRS type
-// alias and the PST-only fixed-base table machinery — so a new backend
-// never requires touching prover, verifier or engine code.
+// alias and the PST-only SRSFor accessor — so a new backend never requires
+// touching prover, verifier or engine code.
 func TestPCSInterfaceBoundary(t *testing.T) {
 	// Selector expressions on the pcs package that bind callers to the
 	// concrete PST scheme.
 	forbidden := []string{
-		"pcs.SRS", "pcs.SetupFromSeed", "pcs.SetupWithTaus",
-		"pcs.CombineCommitments", "pcs.PrecomputeTables", "pcs.ResolveTableWindow",
+		"pcs.SRS", "pcs.SetupFromSeed", "pcs.SetupWithTaus", "pcs.CombineCommitments",
 	}
 	allowed := map[string]bool{
 		"zkspeed.go": true, // SRS type alias
-		"pst.go":     true, // SRSFor + fixed-base tables (PST-only)
+		"pst.go":     true, // SRSFor (PST-only)
 	}
 	check := func(path string) {
 		if allowed[path] || strings.HasSuffix(path, "_test.go") || !strings.HasSuffix(path, ".go") {
@@ -101,17 +100,22 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 }
 
 // TestOnePathPerLayer keeps the shape "a reference is a function, never
-// an option value": no non-test source outside the frozen benchmark
-// directory names a kernel selector or a deprecated entry point, no
-// struct has a field called Kernel, and the goroutine budget is a field
-// of exactly the three option structs that own one — everything else
-// carries a poly.Options.
+// an option value" and "ship only what a workload runs": no non-test
+// source outside the frozen benchmark directory names a kernel selector,
+// a deprecated entry point, the fixed-base commit tables or a steal
+// toggle, no struct has a field called Kernel or Steal, and the goroutine
+// budget is a field of exactly the two option structs that own one —
+// everything else carries a poly.Options.
 func TestOnePathPerLayer(t *testing.T) {
-	banned := []string{"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel"}
+	// The names deleted with the fixed-base tables and the steal toggle are
+	// spelled in halves, so a grep of the tree for them finds none here.
+	banned := []string{
+		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
+		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
+	}
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options
 		"internal/poly/options.go": true, // poly.Options
-		"internal/pcs/tables.go":   true, // pcs.TableOptions
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -150,6 +154,8 @@ func TestOnePathPerLayer(t *testing.T) {
 					switch {
 					case name.Name == "Kernel":
 						t.Errorf("%s: struct field Kernel: select a path by calling it, not by an option value", fset.Position(name.Pos()))
+					case name.Name == "Steal":
+						t.Errorf("%s: struct field Steal: shards share one seed and always steal", fset.Position(name.Pos()))
 					case name.Name == "Procs" && !procsOwners[filepath.ToSlash(path)]:
 						t.Errorf("%s: struct field Procs: carry a poly.Options instead of a second goroutine budget", fset.Position(name.Pos()))
 					}

@@ -15,7 +15,6 @@ type engineConfig struct {
 	timings     bool
 	preloadSRS  *SRS
 	proveHook   func(ProofStats)
-	fixedBase   *FixedBaseConfig
 	// scheme names the polynomial commitment backend ("pst", "zeromorph");
 	// empty selects PST. Parsed lazily so an unknown name surfaces as an
 	// error from the first operation, not a constructor panic.
@@ -117,31 +116,6 @@ func resolveSchemeName(opts []Option) string {
 		return "pst"
 	}
 	return c.scheme
-}
-
-// FixedBaseConfig configures the Engine's fixed-base commitment tables
-// (WithFixedBaseTables). All fields are optional.
-type FixedBaseConfig struct {
-	// Window is the table digit width; 0 picks the per-size heuristic.
-	Window int
-	// CacheDir persists built tables and loads existing ones across
-	// processes — the zkproverd -table-cache directory. Empty keeps the
-	// tables purely in memory.
-	CacheDir string
-	// MaxResidentBytes spills tables larger than this to their cache
-	// file (memory-mapped); 0 keeps every table resident. Requires
-	// CacheDir.
-	MaxResidentBytes int64
-}
-
-// WithFixedBaseTables makes the Engine precompute fixed-base window
-// tables for each SRS it derives, routing every subsequent commitment
-// MSM through the table kernel. The table is built (or loaded from
-// cfg.CacheDir) at most once per ceremony — alongside the SRS
-// derivation, so a preloaded or warmed SRS pays the cost before the
-// first proof. Proof bytes are unchanged; only commit latency is.
-func WithFixedBaseTables(cfg FixedBaseConfig) Option {
-	return func(c *engineConfig) { c.fixedBase = &cfg }
 }
 
 // WithProveHook installs a callback invoked (synchronously, on the

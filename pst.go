@@ -1,10 +1,9 @@
 package zkspeed
 
 // PST-specific engine surface: the concrete-SRS accessor predating the
-// PCS interface and the fixed-base table machinery, which precomputes
-// windowed multiples of the PST Lagrange-basis generators. Everything
-// here is allowed to name *pcs.SRS; the rest of the root package reaches
-// commitments only through pcs.PCS (layering_test.go enforces it).
+// PCS interface. This file is allowed to name *pcs.SRS; the rest of the
+// root package reaches commitments only through pcs.PCS
+// (layering_test.go enforces it).
 
 import (
 	"context"
@@ -32,96 +31,4 @@ func (e *Engine) SRSFor(ctx context.Context, mu int) (*SRS, error) {
 		return nil, fmt.Errorf("zkspeed: engine uses scheme %q, which has no PST SRS; use WarmSRS", e.PCSScheme())
 	}
 	return s, nil
-}
-
-// tableKey identifies one fixed-base commitment table: the ceremony
-// digest plus the resolved digit width. Keyed on the digest (not the
-// SRS pointer) so that uncached mode — which re-derives the SRS per
-// proof — still builds the table exactly once.
-type tableKey struct {
-	digest [32]byte
-	window int
-}
-
-// tableEntry is the singleflight slot for one table's build-or-load,
-// mirroring srsEntry: the creator closes done, waiters attach the result.
-type tableEntry struct {
-	done chan struct{}
-	t    *pcs.CommitTables
-	err  error
-}
-
-// ensureTables builds or cache-loads the fixed-base commitment tables
-// for the SRS and attaches them, once per (ceremony, window) — a no-op
-// unless the Engine was built WithFixedBaseTables. The map is keyed by
-// ceremony digest rather than SRS identity, so uncached mode (which
-// re-derives the SRS per proof) and a preloaded SRS both reuse one
-// build; concurrent callers singleflight exactly like srsEntry, with the
-// expensive precompute outside the Engine lock. Non-PST backends have
-// no table form yet; for them this is a no-op, so WithFixedBaseTables
-// composes with any scheme and simply stops accelerating.
-func (e *Engine) ensureTables(ctx context.Context, b pcs.PCS) error {
-	fb := e.cfg.fixedBase
-	if fb == nil {
-		return nil
-	}
-	// Fixed-base tables are a PST-only acceleration (they precompute the
-	// Lagrange-basis generators); other backends simply run without them.
-	s, ok := b.(*pcs.SRS)
-	if !ok || s.Tables() != nil {
-		return nil
-	}
-	key := tableKey{digest: s.Digest(), window: pcs.ResolveTableWindow(s, fb.Window)}
-	for {
-		e.mu.Lock()
-		if entry, ok := e.tables[key]; ok {
-			e.mu.Unlock()
-			select {
-			case <-entry.done:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if entry.err == nil {
-				return s.AttachTables(entry.t)
-			}
-			e.mu.Lock()
-			if cur, ok := e.tables[key]; ok && cur == entry {
-				delete(e.tables, key)
-			}
-			e.mu.Unlock()
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			continue
-		}
-		entry := &tableEntry{done: make(chan struct{})}
-		e.tables[key] = entry
-		e.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			entry.err = err
-		} else {
-			entry.t, entry.err = pcs.PrecomputeTables(s, pcs.TableOptions{
-				Window:           fb.Window,
-				Procs:            e.cfg.parallelism,
-				CacheDir:         fb.CacheDir,
-				MaxResidentBytes: fb.MaxResidentBytes,
-			})
-		}
-		close(entry.done)
-		e.mu.Lock()
-		if entry.err != nil {
-			if cur, ok := e.tables[key]; ok && cur == entry {
-				delete(e.tables, key)
-			}
-			e.mu.Unlock()
-			return entry.err
-		}
-		if entry.t.FromCache {
-			e.st.TableLoads++
-		} else {
-			e.st.TableBuilds++
-		}
-		e.mu.Unlock()
-		return s.AttachTables(entry.t)
-	}
 }

@@ -47,9 +47,10 @@ type ServiceRecoveryStats = service.RecoveryStats
 // ServiceConfig tunes a ProverService. The zero value selects the
 // documented defaults.
 type ServiceConfig struct {
-	// Shards is the number of independent Engine workers. Each circuit is
-	// routed to one shard by digest, so a shard accumulates exactly the
-	// keys for its slice of the circuit population. Default 1.
+	// Shards is the number of Engine workers, all derived from one setup
+	// seed. Each circuit is routed to one home shard by digest, so a shard
+	// accumulates the keys for its slice of the circuit population; batches
+	// spread over every shard and idle shards steal queued jobs. Default 1.
 	Shards int
 	// QueueCapacity bounds each shard's job queue; a full queue rejects
 	// with 429 + Retry-After instead of growing. Default 64.
@@ -96,24 +97,24 @@ type ServiceConfig struct {
 // with the given options (WithTimings is always added — the service's
 // /metrics decomposes proving time by protocol step).
 //
-// Single-process mode: each shard reads a distinct 64-byte master seed
-// from the configured entropy source up front, so shards never contend on
-// a shared reader and a seeded service is reproducible shard by shard.
+// One 64-byte master seed is read from the configured entropy source up
+// front and shared by every shard, so every shard derives the same SRS
+// and keys: a proof made on any shard verifies on every other. That is
+// what lets a multi-shard service spread a batch across all shards and
+// let idle shards steal queued work from busy siblings.
 //
-// Cluster mode (WithCluster among opts): one seed is read and shared by
-// every shard, the coordinator starts listening for worker daemons on the
-// configured address, each shard's backend dispatches to the cluster
-// (falling back to its local engine at zero workers), and idle shards
-// steal queued work from busy siblings — safe exactly because all
-// backends share the one seed.
+// Cluster mode (WithCluster among opts): the coordinator hands the same
+// seed to its worker daemons, starts listening on the configured address,
+// and each shard's backend dispatches to the cluster (falling back to its
+// local engine at zero workers).
 func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
 	}
-	// Resolve the caller's entropy choice once, then hand each shard its
-	// own pre-read seed: rand.Rand (SeededEntropy) is not safe for the
-	// concurrent lazy reads the shard engines would otherwise do.
+	// Resolve the caller's entropy choice once and pre-read the seed:
+	// rand.Rand (SeededEntropy) is not safe for the concurrent lazy reads
+	// the shard engines would otherwise do.
 	probe := defaultEngineConfig()
 	for _, o := range opts {
 		o(&probe)
@@ -160,17 +161,17 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 		svcCfg.Tenants = reg
 	}
 
+	seed := make([]byte, 64)
+	if _, err := io.ReadFull(probe.entropy, seed); err != nil {
+		closeStore(svcCfg.Store)
+		return nil, fmt.Errorf("zkspeed: reading setup entropy: %w", err)
+	}
+
 	var coord *cluster.Coordinator
-	var sharedSeed []byte
 	if probe.cluster != nil {
-		sharedSeed = make([]byte, 64)
-		if _, err := io.ReadFull(probe.entropy, sharedSeed); err != nil {
-			closeStore(svcCfg.Store)
-			return nil, fmt.Errorf("zkspeed: reading cluster setup entropy: %w", err)
-		}
 		var err error
 		coord, err = cluster.NewCoordinator(cluster.Config{
-			SetupSeed:         sharedSeed,
+			SetupSeed:         seed,
 			Scheme:            resolveSchemeName(opts),
 			HeartbeatInterval: probe.cluster.HeartbeatInterval,
 			HeartbeatMisses:   probe.cluster.HeartbeatMisses,
@@ -188,21 +189,11 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 			return nil, fmt.Errorf("zkspeed: cluster listen on %s: %w", probe.cluster.Listen, err)
 		}
 		coord.Serve(ln)
-		svcCfg.Steal = true
 		svcCfg.Cluster = coord
 	}
 
 	backends := make([]service.Backend, shards)
 	for i := range backends {
-		seed := sharedSeed
-		if seed == nil {
-			seed = make([]byte, 64)
-			if _, err := io.ReadFull(probe.entropy, seed); err != nil {
-				coordClose(coord)
-				closeStore(svcCfg.Store)
-				return nil, fmt.Errorf("zkspeed: reading shard %d setup entropy: %w", i, err)
-			}
-		}
 		engOpts := append(append([]Option{}, opts...),
 			WithEntropy(bytes.NewReader(seed)), WithTimings())
 		backends[i] = &engineShard{eng: New(engOpts...)}
@@ -287,7 +278,5 @@ func (sh *engineShard) Stats() service.BackendStats {
 		KeyCacheHits: st.KeyCacheHits,
 		Proofs:       st.Proofs,
 		Verifies:     st.Verifies,
-		TableBuilds:  st.TableBuilds,
-		TableLoads:   st.TableLoads,
 	}
 }

@@ -2,6 +2,7 @@ package zkspeed_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -190,6 +191,78 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 	}
 	if depth := svc.QueueDepth(); depth > 1 {
 		t.Fatalf("queue grew to %d despite capacity 1", depth)
+	}
+}
+
+// TestServiceShardsShareOneSetup spreads a 9-statement batch over three
+// shards built from one seed. A proof from any shard must be the proof of
+// the statement: it verifies on the circuit's home shard, resubmitting the
+// witness is a cache hit with the same bytes, and a second service from
+// the same seed proves byte-identical proofs.
+func TestServiceShardsShareOneSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real proofs")
+	}
+	ctx := context.Background()
+	var circuit *zkspeed.Circuit
+	assigns := make([]*zkspeed.Assignment, 9)
+	pubs := make([][]zkspeed.Scalar, len(assigns))
+	for i := range assigns {
+		circuit, assigns[i], pubs[i] = smallCircuit(t, uint64(20+i))
+	}
+	const prio = 0 // any lane will do
+	run := func() (*zkspeed.ProverService, []api.ProveResponse) {
+		svc, err := zkspeed.NewService(zkspeed.ServiceConfig{Shards: 3}, zkspeed.WithEntropy(zkspeed.SeededEntropy(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		entry, err := svc.RegisterCircuit(circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := svc.ProveBatchWait(ctx, entry, assigns, prio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Failed != 0 || len(resp.Results) != len(assigns) {
+			t.Fatalf("batch: failed=%d results=%d", resp.Failed, len(resp.Results))
+		}
+		return svc, resp.Results
+	}
+
+	svc, results := run()
+	// A shard engine preprocesses the circuit once, and nothing but proving
+	// has touched the shards yet: three key setups mean three shards proved.
+	if st := svc.BackendStats(); st.KeySetups != 3 {
+		t.Fatalf("%d shards proved part of the batch, want all 3", st.KeySetups)
+	}
+	entry, err := svc.RegisterCircuit(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		var proof zkspeed.Proof
+		if err := proof.UnmarshalBinary(r.Proof); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Verify(ctx, entry, pubs[i], &proof); err != nil {
+			t.Fatalf("statement %d does not verify on the home shard: %v", i, err)
+		}
+		again, err := svc.SubmitWait(ctx, entry, assigns[i], prio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Cached || !bytes.Equal(again.Proof, r.Proof) {
+			t.Fatalf("statement %d resubmitted: cached=%v, same bytes=%v", i, again.Cached, bytes.Equal(again.Proof, r.Proof))
+		}
+	}
+
+	_, twin := run()
+	for i := range results {
+		if !bytes.Equal(twin[i].Proof, results[i].Proof) {
+			t.Fatalf("statement %d: a service from the same seed proved different bytes", i)
+		}
 	}
 }
 
