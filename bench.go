@@ -32,14 +32,8 @@ type (
 	BenchmarkCase = bench.Benchmark
 	// BenchRunner executes benchmarks with warmup and repetitions.
 	BenchRunner = bench.Runner
-	// BenchReport is the machine-readable BENCH_<sha>.json document.
-	BenchReport = bench.Report
 	// BenchRecord is one benchmark's measured result.
 	BenchRecord = bench.Record
-	// BenchRunConfig records the run parameters inside a report.
-	BenchRunConfig = bench.RunConfig
-	// BenchComparison is the outcome of gating a run against a baseline.
-	BenchComparison = bench.Comparison
 )
 
 // DefaultBenchConfig returns the standard suite shape (quick = CI-sized).
@@ -49,21 +43,6 @@ func DefaultBenchConfig(quick bool) BenchConfig { return bench.DefaultConfig(qui
 // across window widths and both aggregation schedules, the sumcheck round
 // loop, PCS commit/open, and the MLE fold.
 func KernelBenchmarks(cfg BenchConfig) []BenchmarkCase { return bench.KernelSuite(cfg) }
-
-// NewBenchReport assembles an empty report capturing this process's
-// environment (CPU, GOMAXPROCS, Go version) under the given git SHA.
-func NewBenchReport(gitSHA string, run BenchRunConfig) *BenchReport {
-	return bench.NewReport(gitSHA, run, time.Now())
-}
-
-// ReadBenchReport loads and validates a BENCH_*.json file.
-func ReadBenchReport(path string) (*BenchReport, error) { return bench.ReadReportFile(path) }
-
-// CompareBenchReports flags benchmarks whose current median is more than
-// thresholdPct percent slower than the baseline median.
-func CompareBenchReports(baseline, current *BenchReport, thresholdPct float64) *BenchComparison {
-	return bench.Compare(baseline, current, thresholdPct)
-}
 
 // E2EBenchmarks builds the end-to-end suite: one Engine.Prove benchmark,
 // one cold-start benchmark and one Engine.Verify benchmark per problem

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"zkspeed"
+	"zkspeed/api"
 	"zkspeed/client"
 )
 
@@ -246,5 +249,58 @@ func TestClientUnknownCircuit(t *testing.T) {
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("unknown circuit: %v", err)
+	}
+}
+
+// TestClientTenantKeys drives the tenant path against a service started
+// with a tenants file: no key is refused, WithAPIKey authenticates a full
+// register → prove → verify flow, and a tenant over its request-rate
+// quota gets a *QuotaError carrying the server's code.
+func TestClientTenantKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real proofs")
+	}
+	tenants := filepath.Join(t.TempDir(), "tenants.json")
+	// bob's bucket holds one request and refills once every ~17 minutes.
+	if err := os.WriteFile(tenants, []byte(`{"tenants":[
+		{"id":"alice","key":"alice-key"},
+		{"id":"bob","key":"bob-key","requests_per_sec":0.001,"burst":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := startService(t, zkspeed.ServiceConfig{BatchWindow: time.Millisecond, TenantsFile: tenants})
+	ctx := context.Background()
+	circuit, assign := buildCircuit(t, 5, 4)
+	newClient := func(opts ...client.Option) *client.Client {
+		return client.New(srv.URL, append(opts, client.WithHTTPClient(srv.Client()))...)
+	}
+
+	var apiErr *client.APIError
+	if _, err := newClient().RegisterCircuit(ctx, circuit); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("register without a key: got %v, want APIError 401", err)
+	}
+
+	alice := newClient(client.WithAPIKey("alice-key"))
+	digest, err := alice.RegisterCircuit(ctx, circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alice.Prove(ctx, digest, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Verify(ctx, digest, res.PublicInputs, res.Proof); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+
+	bob := newClient(client.WithAPIKey("bob-key"))
+	if _, err := bob.RegisterCircuit(ctx, circuit); err != nil {
+		t.Fatal(err) // spends bob's one request
+	}
+	var qe *client.QuotaError
+	if _, err := bob.Prove(ctx, digest, assign); !errors.As(err, &qe) {
+		t.Fatalf("prove over the rate quota: got %v, want QuotaError", err)
+	}
+	if qe.Code != api.ErrCodeQuotaRate || !qe.Retryable() || qe.RetryAfter <= 0 {
+		t.Fatalf("quota error %+v: want code %q, retryable, with a Retry-After", qe, api.ErrCodeQuotaRate)
 	}
 }

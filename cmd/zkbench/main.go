@@ -3,25 +3,22 @@
 // aggregation schedules, sumcheck round loop, PCS commit/open, MLE fold),
 // end-to-end Engine.Prove, and service-level (proofs driven through
 // zkproverd's HTTP path against a loopback server, plus the cached
-// overhead floor) — and writes a machine-readable BENCH_<sha>.json
-// performance record. With -compare it gates the fresh run against a
-// committed baseline and exits nonzero on regression, which is how CI
-// decides whether a PR made the prover slower.
+// overhead floor) — and prints each record's median and p95, plus the
+// per-step shares of records that decompose into protocol steps.
+// -assert-faster gates compare two records of the same run, which is how
+// CI holds each fast path to its margin over the retained reference on
+// whatever hardware it runs. Comparing two commits is the repository
+// benchmark's job (go run ./internal/benchmark -compare over paired runs).
 //
 // Usage:
 //
-//	zkbench -quick                                   # CI-sized suite, writes BENCH_<sha>.json
-//	zkbench -quick -compare bench/baseline.json -threshold 15
+//	zkbench -quick                                   # CI-sized suite
+//	zkbench -quick -run 'sumcheck/round' \
+//	  -assert-faster 'sumcheck/round/mu12/parallel*1.3<sumcheck/round/mu12/serial'
 //	zkbench -e2e-mu 12,14,16,18 -reps 5              # full paper-range sweep (minutes per size)
 //	zkbench -run 'msm/' -list                        # show the MSM benchmarks and exit
-//	zkbench -quick -out bench/baseline.json          # refresh the committed baseline
 //
-// -compare is repeatable: CI gates one run against both a merge-base
-// report measured on the same runner (enforcing) and the committed
-// trajectory baseline (advisory when the hardware differs).
-//
-// Exit codes: 0 success, 1 regression (or missing baseline benchmark),
-// 2 usage or runtime error.
+// Exit codes: 0 success, 1 a gate failed, 2 usage or runtime error.
 package main
 
 import (
@@ -29,8 +26,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -45,11 +42,6 @@ func main() {
 	e2eMu := flag.String("e2e-mu", "", "comma-separated end-to-end problem sizes, e.g. 12,14,16 (empty = suite default)")
 	runFilter := flag.String("run", "", "only run benchmarks whose name matches this regexp")
 	list := flag.Bool("list", false, "list the selected benchmark names and exit")
-	out := flag.String("out", ".", "output path: a directory (canonical BENCH_<sha>.json name) or an exact .json file")
-	sha := flag.String("sha", "", "git SHA recorded in the report (empty = autodetect)")
-	var compares compareList
-	flag.Var(&compares, "compare", "baseline BENCH_*.json to gate against (repeatable: one run can gate against several baselines)")
-	threshold := flag.Float64("threshold", 10, "regression threshold in percent over the baseline median")
 	var asserts assertList
 	flag.Var(&asserts, "assert-faster",
 		"within-run speed assertion 'A<B' or 'A*1.4<B' on benchmark medians (repeatable); "+
@@ -102,95 +94,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	report := zkspeed.NewBenchReport(resolveSHA(*sha), zkspeed.BenchRunConfig{
-		Quick:  *quick,
-		Warmup: cfg.Warmup,
-		Reps:   cfg.Reps,
-		Seed:   cfg.Seed,
-	})
 	runner := zkspeed.BenchRunner{
 		Warmup: cfg.Warmup,
 		Reps:   cfg.Reps,
 		Log:    log.Printf,
 	}
-	log.Printf("running %d benchmarks (warmup %d, reps %d) on %s",
-		len(benchmarks), cfg.Warmup, cfg.Reps, report.Env.CPU)
-	if err := runner.RunAll(report, benchmarks); err != nil {
+	log.Printf("running %d benchmarks (warmup %d, reps %d, GOMAXPROCS %d)",
+		len(benchmarks), cfg.Warmup, cfg.Reps, runtime.GOMAXPROCS(0))
+	recs, err := runner.RunAll(benchmarks)
+	if err != nil {
 		log.Print(err)
 		os.Exit(2)
 	}
 
-	path, err := report.WriteFile(*out)
-	if err != nil {
-		log.Printf("writing report: %v", err)
-		os.Exit(2)
-	}
-	log.Printf("wrote %s (%d results)", path, len(report.Results))
-
 	failed := false
 	for _, a := range asserts {
-		if err := a.check(report); err != nil {
+		if err := a.check(recs); err != nil {
 			log.Printf("FAIL assertion %s: %v", a, err)
 			failed = true
 		} else {
 			log.Printf("ok: assertion %s holds", a)
-		}
-	}
-	for _, baselinePath := range compares {
-		baseline, err := zkspeed.ReadBenchReport(baselinePath)
-		if err != nil {
-			log.Printf("reading baseline: %v", err)
-			os.Exit(2)
-		}
-		// A run whose shape was narrowed by flags gates only the matching
-		// scope: -run drops baseline records outside the regex (but keeps
-		// matching ones absent from the current run, so renames within the
-		// gated subset still surface as missing), and -e2e-mu drops e2e
-		// baseline records for sizes this run did not measure. Default-
-		// shape runs keep full missing-benchmark detection so suite
-		// coverage cannot silently shrink without a baseline refresh.
-		if filter != nil || *e2eMu != "" {
-			selected := make(map[string]bool, len(benchmarks))
-			for _, bm := range benchmarks {
-				selected[bm.Name] = true
-			}
-			var kept []zkspeed.BenchRecord
-			for _, rec := range baseline.Results {
-				if filter != nil && !filter.MatchString(rec.Name) {
-					continue
-				}
-				if *e2eMu != "" && strings.HasPrefix(rec.Name, "e2e/") && !selected[rec.Name] {
-					continue
-				}
-				kept = append(kept, rec)
-			}
-			baseline.Results = kept
-		}
-		if len(baseline.Results) == 0 {
-			log.Printf("baseline %s has no benchmarks comparable to this run — the gate would pass vacuously", baselinePath)
-			os.Exit(2)
-		}
-		if baseline.Run.Quick != *quick || baseline.Run.Seed != cfg.Seed {
-			log.Printf("note: %s was recorded with quick=%v seed=%d but this run has quick=%v seed=%d — the runs measure different work",
-				baselinePath, baseline.Run.Quick, baseline.Run.Seed, *quick, cfg.Seed)
-		}
-		cmp := zkspeed.CompareBenchReports(baseline, report, *threshold)
-		fmt.Printf("--- vs %s ---\n%s", baselinePath, cmp.Format())
-		regressions := 0
-		for _, e := range cmp.Entries {
-			if e.Regression {
-				regressions++
-			}
-		}
-		switch {
-		case cmp.Failed():
-			log.Printf("FAIL against %s: %d regression(s) beyond %.1f%%, %d baseline benchmark(s) missing from this run",
-				baselinePath, regressions, *threshold, len(cmp.MissingInCurrent))
-			failed = true
-		case cmp.EnvNote != "":
-			log.Printf("advisory: hardware mismatch with %s — timing deltas reported above but not gated", baselinePath)
-		default:
-			log.Printf("ok: within %.1f%% of %s", *threshold, baselinePath)
 		}
 	}
 	if failed {
@@ -199,9 +122,8 @@ func main() {
 }
 
 // listAll prints every registered benchmark name across both suite
-// shapes, tagged with the suites that contain it — so gate expressions
-// (-assert-faster, -compare scopes) can be authored without reading
-// suite.go. An optional -run regexp narrows the listing.
+// shapes, tagged with the suites that contain it — so -assert-faster
+// expressions can be authored without reading suite.go. An optional -run regexp narrows the listing.
 func listAll(filter *regexp.Regexp, seed int64) {
 	type entry struct {
 		name  string
@@ -247,17 +169,8 @@ func listAll(filter *regexp.Regexp, seed int64) {
 	}
 }
 
-// compareList collects repeated -compare flags.
-type compareList []string
-
-func (c *compareList) String() string { return strings.Join(*c, ",") }
-func (c *compareList) Set(v string) error {
-	*c = append(*c, v)
-	return nil
-}
-
 // fasterAssertion is one parsed -assert-faster flag: median(left)·factor
-// must be strictly below median(right) within the fresh report.
+// must be strictly below median(right) within the fresh run.
 type fasterAssertion struct {
 	left, right string
 	factor      float64
@@ -270,9 +183,9 @@ func (a fasterAssertion) String() string {
 	return fmt.Sprintf("%s<%s", a.left, a.right)
 }
 
-func (a fasterAssertion) check(r *zkspeed.BenchReport) error {
+func (a fasterAssertion) check(recs []zkspeed.BenchRecord) error {
 	find := func(name string) (int64, error) {
-		for _, rec := range r.Results {
+		for _, rec := range recs {
 			if rec.Name == name {
 				return rec.Stats.MedianNS, nil
 			}
@@ -338,24 +251,4 @@ func parseMuList(s string) ([]int, error) {
 		mus = append(mus, mu)
 	}
 	return mus, nil
-}
-
-// resolveSHA picks the git SHA recorded in the report: the -sha flag, the
-// repository HEAD, the CI-provided GITHUB_SHA, or "dev", in that order.
-func resolveSHA(flagSHA string) string {
-	if flagSHA != "" {
-		return flagSHA
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
-		if s := strings.TrimSpace(string(out)); s != "" {
-			return s
-		}
-	}
-	if s := os.Getenv("GITHUB_SHA"); s != "" {
-		if len(s) > 12 {
-			s = s[:12]
-		}
-		return s
-	}
-	return "dev"
 }

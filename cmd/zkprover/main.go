@@ -88,7 +88,6 @@ func main() {
 	opts := []zkspeed.Option{
 		zkspeed.WithEntropy(zkspeed.SeededEntropy(*seed)),
 		zkspeed.WithTimings(),
-		zkspeed.WithSRSCache(),
 	}
 	if *workers > 0 {
 		opts = append(opts, zkspeed.WithParallelism(*workers))

@@ -169,11 +169,9 @@ func (e *Engine) masterSeed() ([]byte, error) {
 }
 
 // srsFor returns (deriving if needed) the SRS for mu. The ceremony is
-// derived deterministically from the Engine's master seed, so an Engine
-// that does not retain the SRS (WithoutSRSCache) rebuilds the identical
-// ceremony on demand and earlier proofs stay verifiable. In caching mode
-// concurrent same-size callers singleflight on one derivation, which runs
-// outside the Engine lock so other operations never stall behind it.
+// derived deterministically from the Engine's master seed; concurrent
+// same-size callers singleflight on one derivation, which runs outside the
+// Engine lock so other operations never stall behind it.
 func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 	scheme, err := e.pcsScheme()
 	if err != nil {
@@ -186,20 +184,6 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if !e.cfg.cache {
-		seed, err := e.masterSeed()
-		if err != nil {
-			return nil, err
-		}
-		s, err := pcs.NewBackend(scheme, seed, mu)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.st.SRSSetups++
-		e.mu.Unlock()
-		return s, nil
 	}
 	key := srsKey{mu: mu, scheme: scheme}
 	for {
@@ -258,34 +242,13 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 // from cache. The context is checked before each setup stage so a
 // cancelled caller does not pay for the ceremony or the preprocessing.
 //
-// In caching mode concurrent callers of the same circuit singleflight on a
-// keyEntry; the SRS derivation and the per-circuit preprocessing both run
-// outside the Engine lock, so cached proofs and Stats never stall behind a
-// setup.
+// Concurrent callers of the same circuit singleflight on a keyEntry; the
+// SRS derivation and the per-circuit preprocessing both run outside the
+// Engine lock, so cached proofs and Stats never stall behind a setup.
 func (e *Engine) keysFor(ctx context.Context, circuit *Circuit) (*circuitKeys, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if !e.cfg.cache {
-		// No retention: straight-line setup, nothing stored (not even the
-		// digest memo, which would pin the circuit tables in memory).
-		srs, err := e.srsFor(ctx, circuit.Mu)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		pk, vk, err := hyperplonk.SetupWithPCS(circuit, srs)
-		if err != nil {
-			return nil, false, err
-		}
-		e.mu.Lock()
-		e.st.KeySetups++
-		e.mu.Unlock()
-		return &circuitKeys{pk: pk, vk: vk}, false, nil
-	}
-
 	scheme, err := e.pcsScheme()
 	if err != nil {
 		return nil, false, err
@@ -439,8 +402,7 @@ func (e *Engine) Prove(ctx context.Context, circuit *Circuit, assignment *Assign
 // service's registry and routing all share. Computing it is an O(2^mu)
 // SHA3 pass, so the first computation happens outside the lock (it is
 // pure, so a concurrent duplicate is merely redundant); callers that need
-// it repeatedly should go through here rather than Circuit.Digest. The
-// memo pins the circuit in memory, which is why uncached mode skips it.
+// it repeatedly should go through here rather than Circuit.Digest.
 func (e *Engine) CircuitDigest(circuit *Circuit) [32]byte {
 	e.mu.Lock()
 	d, ok := e.digests[circuit]
@@ -449,11 +411,9 @@ func (e *Engine) CircuitDigest(circuit *Circuit) [32]byte {
 		return d
 	}
 	d = circuit.Digest()
-	if e.cfg.cache {
-		e.mu.Lock()
-		e.digests[circuit] = d
-		e.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.digests[circuit] = d
+	e.mu.Unlock()
 	return d
 }
 

@@ -153,34 +153,6 @@ func digestOf(c *zkspeed.Circuit) []byte {
 	return d[:]
 }
 
-// TestEngineWithoutCache: disabling the cache re-runs setup per call, but
-// the ceremony re-derivation is deterministic, so a proof made by one call
-// still verifies in a later one.
-func TestEngineWithoutCache(t *testing.T) {
-	eng := zkspeed.New(
-		zkspeed.WithEntropy(zkspeed.SeededEntropy(4)),
-		zkspeed.WithoutSRSCache(),
-	)
-	circuit, assignment, pub := smallCircuit(t, 5)
-	ctx := context.Background()
-	var last *zkspeed.ProofResult
-	for i := 0; i < 2; i++ {
-		res, err := eng.Prove(ctx, circuit, assignment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res
-	}
-	st := eng.Stats()
-	if st.SRSSetups != 2 || st.KeySetups != 2 || st.KeyCacheHits != 0 {
-		t.Fatalf("WithoutSRSCache must re-run setup per proof, got %+v", st)
-	}
-	// The Prove→Verify round trip must survive the re-derived ceremony.
-	if err := eng.Verify(ctx, circuit, pub, last.Proof); err != nil {
-		t.Fatalf("proof made by an uncached engine must verify on the same engine: %v", err)
-	}
-}
-
 // TestEngineProveBatch: 4 jobs on a cached SRS run setup exactly once and
 // all proofs verify (the acceptance criterion for batching).
 func TestEngineProveBatch(t *testing.T) {
@@ -374,18 +346,5 @@ func TestEngineSRSPreload(t *testing.T) {
 	// Proofs under the shared SRS verify on the originating engine too.
 	if err := eng1.Verify(ctx, circuit, pub, res.Proof); err != nil {
 		t.Fatalf("cross-engine verification failed: %v", err)
-	}
-
-	// The preload must also be honoured when retention is disabled.
-	eng3 := zkspeed.New(zkspeed.WithSRS(srs), zkspeed.WithoutSRSCache())
-	res3, err := eng3.Prove(ctx, circuit, assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := eng3.Stats(); st.SRSSetups != 0 {
-		t.Fatalf("uncached engine ignored the preloaded SRS: %+v", st)
-	}
-	if err := eng1.Verify(ctx, circuit, pub, res3.Proof); err != nil {
-		t.Fatalf("preloaded+uncached proof must verify under the shared ceremony: %v", err)
 	}
 }

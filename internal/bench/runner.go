@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 )
 
@@ -9,9 +11,9 @@ import (
 // runner's goroutine, strictly sequentially, so closures may share state
 // (e.g. a lazily derived SRS) without locking.
 type Benchmark struct {
-	// Name is the stable identifier the comparator matches on
-	// (e.g. "msm/pippenger/n10/w8/grouped"). Renaming a benchmark orphans
-	// its baseline entry, so treat names as part of the schema.
+	// Name is the stable identifier -run filters and -assert-faster gates
+	// match on (e.g. "msm/pippenger/n10/w8/grouped"). Renaming a benchmark
+	// breaks every gate that names it, so treat names as part of the API.
 	Name string
 	// Kind is KindKernel or KindE2E.
 	Kind string
@@ -47,7 +49,8 @@ type Runner struct {
 	Warmup int
 	// Reps is the number of measured iterations.
 	Reps int
-	// Log, when non-nil, receives one progress line per benchmark.
+	// Log, when non-nil, receives one progress line per benchmark, plus a
+	// line of step shares for records that decompose into steps.
 	Log func(format string, args ...any)
 }
 
@@ -112,18 +115,48 @@ func (r *Runner) Run(bm Benchmark) (Record, error) {
 	if r.Log != nil {
 		r.Log("%-40s median %12v  p95 %12v  (%d reps)",
 			rec.Name, time.Duration(rec.Stats.MedianNS), time.Duration(rec.Stats.P95NS), reps)
+		if len(rec.StepsNS) > 0 {
+			r.Log("%-40s steps %s", "", stepShares(rec.StepsNS))
+		}
 	}
 	return rec, nil
 }
 
-// RunAll executes the benchmarks in order, appending records to the report.
-func (r *Runner) RunAll(report *Report, bms []Benchmark) error {
+// RunAll executes the benchmarks in order and returns their records.
+func (r *Runner) RunAll(bms []Benchmark) ([]Record, error) {
+	recs := make([]Record, 0, len(bms))
 	for _, bm := range bms {
 		rec, err := r.Run(bm)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		report.Results = append(report.Results, rec)
+		recs = append(recs, rec)
 	}
-	return nil
+	return recs, nil
+}
+
+// stepShares renders a step decomposition as percentages of its total,
+// largest first (ties by name, so the line is stable).
+func stepShares(steps map[string]int64) string {
+	names := make([]string, 0, len(steps))
+	var total int64
+	for k, v := range steps {
+		names = append(names, k)
+		total += v
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if steps[names[i]] != steps[names[j]] {
+			return steps[names[i]] > steps[names[j]]
+		}
+		return names[i] < names[j]
+	})
+	parts := make([]string, len(names))
+	for i, k := range names {
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(steps[k]) / float64(total)
+		}
+		parts[i] = fmt.Sprintf("%s %.0f%%", k, pct)
+	}
+	return strings.Join(parts, ", ")
 }

@@ -98,12 +98,15 @@ func TestKernelSuiteRuns(t *testing.T) {
 	if len(bms) != 44 {
 		t.Fatalf("want 44 kernel benchmarks, got %d", len(bms))
 	}
-	report := NewReport("test", RunConfig{Reps: 1}, time.Unix(0, 0))
 	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
-	if err := r.RunAll(report, bms); err != nil {
+	recs, err := r.RunAll(bms)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range report.Results {
+	if len(recs) != len(bms) {
+		t.Fatalf("RunAll returned %d records for %d benchmarks", len(recs), len(bms))
+	}
+	for _, rec := range recs {
 		if rec.Kind != KindKernel {
 			t.Errorf("%s: kind %q", rec.Name, rec.Kind)
 		}

@@ -1,29 +1,11 @@
-// Package bench is the continuous-benchmarking harness of this repository:
-// a structured suite of kernel-level and end-to-end prover benchmarks, a
-// versioned machine-readable result schema (BENCH_<sha>.json), and a
-// regression comparator that CI gates on.
-//
-// The paper this repository reproduces stands on quantitative claims (the
-// 801× geomean speedup of Table 3, 171.61 ms at 2^24 in Table 4), so every
-// performance-oriented PR needs a shared definition of "faster". This
-// package is that definition: one runner, one schema, one comparator used
-// by `go test -bench`, by `cmd/zkbench`, and by the CI bench-gate job.
+// Package bench is the micro-benchmark harness of this repository: a
+// structured suite of kernel-level and end-to-end prover benchmarks and
+// the runner that measures them. `go test -bench` (through RunB) and
+// `cmd/zkbench` run the same closures; zkbench prints each record and
+// checks within-run speed gates. Comparing two commits is not this
+// package's job: the repository benchmark (internal/benchmark, driven by
+// BENCHMARK.json) does that over paired, alternating runs.
 package bench
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"strings"
-	"time"
-)
-
-// Schema identifies the BENCH_*.json format. Bump the version suffix on
-// any incompatible change; Decode rejects mismatches so a stale baseline
-// fails loudly instead of comparing apples to oranges.
-const Schema = "zkspeed-bench/v1"
 
 // Record kinds.
 const (
@@ -33,176 +15,27 @@ const (
 	KindCluster = "cluster" // a batch driven through a coordinator + worker fleet
 )
 
-// Report is one benchmark run: environment, run parameters and results.
-type Report struct {
-	Schema  string    `json:"schema"`
-	Env     Env       `json:"env"`
-	Run     RunConfig `json:"run"`
-	Results []Record  `json:"results"`
-}
-
-// Env captures where the numbers came from. Comparisons across differing
-// CPUs are flagged by the comparator — medians move more across machines
-// than across commits.
-type Env struct {
-	GitSHA     string `json:"git_sha"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	CPU        string `json:"cpu,omitempty"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// TimestampUTC is RFC 3339; informational only (never compared).
-	TimestampUTC string `json:"timestamp_utc"`
-}
-
-// RunConfig records the suite parameters the results were measured under.
-type RunConfig struct {
-	Quick  bool `json:"quick"`
-	Warmup int  `json:"warmup"`
-	Reps   int  `json:"reps"`
-	// Seed is the value every suite input was derived from; comparing
-	// runs with different seeds measures different work.
-	Seed int64 `json:"seed"`
-}
-
 // Record is one benchmark's measured result.
 type Record struct {
-	Name   string            `json:"name"`
-	Kind   string            `json:"kind"`
-	Params map[string]string `json:"params,omitempty"`
-	Reps   int               `json:"reps"`
-	Stats  Stats             `json:"stats"`
-	// RawNS holds the individual post-warmup samples, for debugging a
-	// suspicious median without re-running.
-	RawNS []int64 `json:"raw_ns,omitempty"`
+	Name   string
+	Kind   string
+	Params map[string]string
+	Reps   int
+	Stats  Stats
+	// RawNS holds the individual post-warmup samples.
+	RawNS []int64
 	// StepsNS decomposes an e2e proof into per-protocol-step shares
 	// (mean ns across reps), the software analogue of the paper's
 	// Table 1 / Fig. 12 kernel breakdown. Kernel records leave it empty.
-	StepsNS map[string]int64 `json:"steps_ns,omitempty"`
+	StepsNS map[string]int64
 }
 
 // Stats summarizes the post-warmup samples of one benchmark.
 type Stats struct {
-	MeanNS   int64 `json:"mean_ns"`
-	MedianNS int64 `json:"median_ns"`
-	P95NS    int64 `json:"p95_ns"`
-	StddevNS int64 `json:"stddev_ns"`
-	MinNS    int64 `json:"min_ns"`
-	MaxNS    int64 `json:"max_ns"`
-}
-
-// Median returns the median as a duration.
-func (s Stats) Median() time.Duration { return time.Duration(s.MedianNS) }
-
-// NewReport assembles an empty report for this process's environment.
-// now is passed in (rather than read here) so tests stay deterministic.
-func NewReport(gitSHA string, run RunConfig, now time.Time) *Report {
-	return &Report{
-		Schema: Schema,
-		Env: Env{
-			GitSHA:       gitSHA,
-			GoVersion:    runtime.Version(),
-			GOOS:         runtime.GOOS,
-			GOARCH:       runtime.GOARCH,
-			CPU:          cpuModel(),
-			NumCPU:       runtime.NumCPU(),
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			TimestampUTC: now.UTC().Format(time.RFC3339),
-		},
-		Run: run,
-	}
-}
-
-// FileName returns the canonical artifact name for this report.
-func (r *Report) FileName() string {
-	sha := r.Env.GitSHA
-	if sha == "" {
-		sha = "unknown"
-	}
-	return "BENCH_" + sha + ".json"
-}
-
-// Encode renders the report as indented JSON with a trailing newline.
-func (r *Report) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Decode parses and validates a BENCH_*.json document. Beyond the schema
-// version, every record must be non-trivial (named, with a positive median
-// over at least one rep): a truncated or corrupt baseline must fail loudly
-// here rather than silently disarm the regression gate downstream.
-func Decode(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: parsing report: %w", err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("bench: schema %q not supported (want %q)", r.Schema, Schema)
-	}
-	for i, rec := range r.Results {
-		if rec.Name == "" || rec.Reps < 1 || rec.Stats.MedianNS <= 0 {
-			return nil, fmt.Errorf("bench: invalid record %d (%q): reps %d, median %dns",
-				i, rec.Name, rec.Reps, rec.Stats.MedianNS)
-		}
-	}
-	return &r, nil
-}
-
-// WriteFile writes the report to path: a path ending in ".json" is used
-// verbatim; anything else is treated as a directory (created if missing)
-// and gets the canonical FileName appended. It returns the path actually
-// written.
-func (r *Report) WriteFile(path string) (string, error) {
-	if path == "" {
-		path = "."
-	}
-	if strings.HasSuffix(path, ".json") {
-		if dir := filepath.Dir(path); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return "", err
-			}
-		}
-	} else {
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return "", err
-		}
-		path = filepath.Join(path, r.FileName())
-	}
-	data, err := r.Encode()
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// ReadReportFile loads and validates a report from disk.
-func ReadReportFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
-// cpuModel best-effort identifies the CPU (Linux /proc/cpuinfo; empty
-// elsewhere — the field is informational and omitted when unknown).
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
-			return strings.TrimSpace(v)
-		}
-	}
-	return ""
+	MeanNS   int64
+	MedianNS int64
+	P95NS    int64
+	StddevNS int64
+	MinNS    int64
+	MaxNS    int64
 }

@@ -26,8 +26,7 @@ type SuiteConfig struct {
 	// design knob); each runs under both aggregation schedules (Fig. 5).
 	Windows []int
 	// SumcheckMu is the hypercube size of the legacy sumcheck
-	// round-loop bench (pinned to the baseline kernel for trajectory
-	// comparability).
+	// round-loop bench (pinned to the reference kernel).
 	SumcheckMu int
 	// SumcheckMus are the hypercube sizes of the serial-vs-parallel
 	// sumcheck records (sumcheck/round/muN/{serial,parallel}) — the
@@ -63,7 +62,7 @@ type SuiteConfig struct {
 	// ClusterWorkers are the in-process worker-fleet sizes to sweep. The
 	// CI bench gate asserts the 2-worker batch beats the 1-worker batch
 	// within the same run (meaningless on a single-core machine, which is
-	// why the assertion lives in CI rather than in the baseline).
+	// why the assertion lives in CI's gate list rather than in a test).
 	ClusterWorkers []int
 	// Warmup/Reps are the default runner parameters for this config.
 	Warmup, Reps int

@@ -31,7 +31,7 @@ func TestSubmitBatchSpreadsAcrossShards(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 21, 8)
 	entry := mustRegister(t, s, circuit)
 
-	resp, err := s.ProveBatchWait(context.Background(), entry, assigns, prioNormal)
+	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestProveBatchWaitDigestIsOrderSensitive(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 22, 2)
 	entry := mustRegister(t, s, circuit)
 
-	fwd, err := s.ProveBatchWait(context.Background(), entry, assigns, prioNormal)
+	fwd, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := s.ProveBatchWait(context.Background(), entry,
-		[]*hyperplonk.Assignment{assigns[1], assigns[0]}, prioNormal)
+	rev, err := s.ProveBatchWait(context.Background(), nil, entry,
+		[]*hyperplonk.Assignment{assigns[1], assigns[0]}, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestProveBatchReportsFailuresWithoutDigest(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 23, 3)
 	entry := mustRegister(t, s, circuit)
 
-	resp, err := s.ProveBatchWait(context.Background(), entry, assigns, prioNormal)
+	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSubmitBatchRejectsOverCapacityWhole(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 24, 6)
 	entry := mustRegister(t, s, circuit)
 
-	_, err := s.SubmitBatch(entry, assigns, prioNormal)
+	_, err := s.SubmitBatch(nil, entry, assigns, prioNormal, nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -143,7 +143,7 @@ func TestSubmitBatchChecksEveryShardsShare(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 27, 9)
 	entry := mustRegister(t, s, circuit)
 	for i, a := range assigns[:5] {
-		if _, err := s.Submit(entry, a, prioNormal); err != nil {
+		if _, err := s.Submit(nil, entry, a, prioNormal, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i < 2 {
@@ -160,7 +160,7 @@ func TestSubmitBatchChecksEveryShardsShare(t *testing.T) {
 	}
 	before := tracked()
 
-	_, err := s.SubmitBatch(entry, assigns[5:], prioNormal)
+	_, err := s.SubmitBatch(nil, entry, assigns[5:], prioNormal, nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -186,7 +186,7 @@ func TestStealRebalancesAcrossShards(t *testing.T) {
 
 	jobs := make([]*job, len(assigns))
 	for i, a := range assigns {
-		j, err := s.Submit(entry, a, prioNormal)
+		j, err := s.Submit(nil, entry, a, prioNormal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

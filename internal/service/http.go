@@ -312,7 +312,7 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, err := s.SubmitAs(tn, entry, &assign, priority, req.Witness)
+	j, err := s.Submit(tn, entry, &assign, priority, req.Witness)
 	if !s.writeSubmitErr(w, err) {
 		return
 	}
@@ -492,7 +492,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	if entry == nil {
 		return
 	}
-	resp, err := s.ProveBatchWaitAs(r.Context(), tn, entry, assigns, priority, req.Witnesses)
+	resp, err := s.ProveBatchWait(r.Context(), tn, entry, assigns, priority, req.Witnesses)
 	if !s.writeSubmitErr(w, err) {
 		return
 	}
@@ -644,7 +644,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(st BackendStats) int { return st.KeySetups })
 	stats("zkproverd_key_cache_hits_total", "Key-cache hits per shard engine.",
 		func(st BackendStats) int { return st.KeyCacheHits })
-	if s.durable {
+	if s.store != nil {
 		rec := s.recovery
 		gauges = append(gauges,
 			gauge{name: "zkproverd_recovery_circuits", help: "Circuits re-registered from the store at startup.", value: float64(rec.Circuits)},

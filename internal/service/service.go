@@ -138,12 +138,12 @@ type Config struct {
 	// backends. The service exposes its status (GET /v1/cluster, /metrics),
 	// gates readiness on it, and closes it on Close.
 	Cluster ClusterInfo
-	// Store persists the job lifecycle. nil selects a volatile in-memory
-	// store (the pre-durability behaviour). A durable store (store.WAL)
-	// changes two things: New replays it — re-registering circuits,
-	// re-queueing unfinished jobs under their original IDs, restoring
-	// completed results for polling — and Close drains queued jobs to the
-	// store instead of failing them terminally. The service takes
+	// Store persists the job lifecycle. nil keeps jobs in process memory
+	// only (the pre-durability behaviour). A store (store.WAL) changes two
+	// things: New replays it — re-registering circuits, re-queueing
+	// unfinished jobs under their original IDs, restoring completed results
+	// for polling — and Close drains queued jobs to the store instead of
+	// failing them terminally. The service takes
 	// ownership and closes the store on Close.
 	Store store.Store
 	// Tenants, when non-nil, turns on API-key authentication and
@@ -344,10 +344,10 @@ type Service struct {
 	shards []*shard
 	met    *Metrics
 	cache  *proofCache
-	store  store.Store
-	// durable caches store.Durable(); it gates every persistence call so
-	// the volatile default pays no marshalling or bookkeeping cost.
-	durable  bool
+	// store is nil when the service is volatile; every persistence call
+	// is gated on it so the volatile default pays no marshalling or
+	// bookkeeping cost.
+	store    store.Store
 	recovery RecoveryStats
 
 	regMu    sync.RWMutex
@@ -394,16 +394,12 @@ func New(cfg Config, backends []Backend) (*Service, error) {
 		return nil, errors.New("service: need at least one backend shard")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Store == nil {
-		cfg.Store = store.NewMem(cfg.JobRetention)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:      cfg,
 		met:      newMetrics(),
 		cache:    newProofCache(cfg.CacheSize),
 		store:    cfg.Store,
-		durable:  cfg.Store.Durable(),
 		circuits: make(map[[32]byte]*circuitEntry),
 		jobs:     make(map[string]*job),
 		ctx:      ctx,
@@ -421,7 +417,7 @@ func New(cfg Config, backends []Backend) (*Service, error) {
 		}
 		s.shards = append(s.shards, &shard{idx: i, queue: newJobQueue(cfg.QueueCapacity), backend: b})
 	}
-	if s.durable {
+	if s.store != nil {
 		if err := s.replayStore(); err != nil {
 			cancel()
 			return nil, err
@@ -547,7 +543,7 @@ func (s *Service) Recovery() RecoveryStats { return s.recovery }
 // Tenants exposes the tenant registry (nil when unauthenticated).
 func (s *Service) Tenants() *tenant.Registry { return s.cfg.Tenants }
 
-// Store exposes the job store (tests and the daemon read its stats).
+// Store exposes the job store (nil when the service is volatile).
 func (s *Service) Store() store.Store { return s.store }
 
 // SetReady toggles the /readyz answer. reason explains a false state
@@ -591,18 +587,14 @@ func (s *Service) Close() {
 	s.cancel()
 	for _, sh := range s.shards {
 		for _, j := range sh.queue.Close() {
-			if j.persisted && !s.durable {
-				// Volatile store: nothing survives the process, so the
-				// terminal record is the in-memory one (kept pollable
-				// until exit). Recorded for interface symmetry.
-				s.store.Fail(j.id, errShutdown.Error())
-			}
 			j.fail(errShutdown)
 		}
 	}
 	s.wg.Wait()
-	s.store.Sync()
-	s.store.Close()
+	if s.store != nil {
+		s.store.Sync()
+		s.store.Close()
+	}
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}
@@ -629,16 +621,6 @@ var ErrRegistryFull = errors.New("service: circuit registry full")
 // circuit must already be validated — both wire deserialization and the
 // builder guarantee that.
 func (s *Service) RegisterCircuit(c *hyperplonk.Circuit) (*circuitEntry, error) {
-	return s.registerCircuit(c, nil)
-}
-
-// RegisterCircuitBlob registers a circuit whose ZKSC encoding the caller
-// already holds, sparing the durable store a re-marshal.
-func (s *Service) RegisterCircuitBlob(c *hyperplonk.Circuit, blob []byte) (*circuitEntry, error) {
-	return s.registerCircuit(c, blob)
-}
-
-func (s *Service) registerCircuit(c *hyperplonk.Circuit, blob []byte) (*circuitEntry, error) {
 	digest := c.Digest()
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -648,14 +630,12 @@ func (s *Service) registerCircuit(c *hyperplonk.Circuit, blob []byte) (*circuitE
 	if len(s.circuits) >= s.cfg.MaxCircuits {
 		return nil, ErrRegistryFull
 	}
-	if s.durable {
+	if s.store != nil {
 		// Persist before acknowledging: a registration the store cannot
 		// record would strand every job that references it after a crash.
-		if blob == nil {
-			var err error
-			if blob, err = c.MarshalBinary(); err != nil {
-				return nil, fmt.Errorf("service: encoding circuit for store: %w", err)
-			}
+		blob, err := c.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("service: encoding circuit for store: %w", err)
 		}
 		if err := s.store.PutCircuit(digest, blob); err != nil {
 			return nil, fmt.Errorf("service: persisting circuit: %w", err)
@@ -664,17 +644,6 @@ func (s *Service) registerCircuit(c *hyperplonk.Circuit, blob []byte) (*circuitE
 	e := &circuitEntry{digest: digest, circuit: c, shard: s.shardFor(digest), scheme: s.scheme}
 	s.circuits[digest] = e
 	return e, nil
-}
-
-// RegisterCircuitInfo registers the circuit and returns its wire
-// metadata — the in-process analogue of POST /v1/circuits, used by
-// daemons that preload circuits at startup.
-func (s *Service) RegisterCircuitInfo(c *hyperplonk.Circuit) (api.CircuitInfo, error) {
-	entry, err := s.RegisterCircuit(c)
-	if err != nil {
-		return api.CircuitInfo{}, err
-	}
-	return entry.info(), nil
 }
 
 // Preload registers the circuit and warms its shard's SRS and key caches
@@ -747,28 +716,25 @@ type submitOpts struct {
 	streamedID string
 }
 
-// Submit enqueues one anonymous proving job (or serves it from the proof
-// cache). The returned job's done channel closes when a terminal
-// response is available. An *OverloadedError means the shard queue was
-// full; a *tenant.QuotaError (via SubmitAs) a tenant quota refusal.
-func (s *Service) Submit(entry *circuitEntry, assign *hyperplonk.Assignment, priority int) (*job, error) {
-	return s.submitTo(entry, assign, priority, entry.shard, submitOpts{})
-}
-
-// SubmitAs is Submit on behalf of an authenticated tenant (nil tn is
-// anonymous), charging its in-flight quota for the job's lifetime.
-func (s *Service) SubmitAs(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, priority int, rawWitness []byte) (*job, error) {
+// Submit enqueues one proving job (or serves it from the proof cache) on
+// behalf of tenant tn, charging its in-flight quota for the job's
+// lifetime; nil tn is anonymous. rawWitness, when non-nil, is the
+// assignment's ZKSW encoding, sparing the store a re-marshal. The returned
+// job's done channel closes when a terminal response is available. An
+// *OverloadedError means the shard queue was full; a *tenant.QuotaError a
+// tenant quota refusal.
+func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, priority int, rawWitness []byte) (*job, error) {
 	return s.submitTo(entry, assign, priority, entry.shard, submitOpts{tn: tn, rawWitness: rawWitness})
 }
 
 // SubmitStream decodes a ZKSW witness incrementally from r and submits
-// the job. On a durable store the raw bytes tee into the store as they
+// the job. With a store the raw bytes tee into the store as they
 // arrive — chunk records ahead of the submit record — so a large upload
 // is never buffered whole before its first byte is durable. Decode
 // failures are reported wrapped in errBadWitness.
 func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
 	assign := new(hyperplonk.Assignment)
-	if !s.durable {
+	if s.store == nil {
 		if err := assign.UnmarshalFrom(r); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadWitness, err)
 		}
@@ -856,7 +822,7 @@ func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, p
 		s.trackJob(j)
 		return j, nil
 	}
-	if s.durable {
+	if s.store != nil {
 		// Append the submit record before the queue push: once the push
 		// succeeds the job can reach a shard (and its Claim record) at
 		// any moment, and the log must never show a claim for an
@@ -902,7 +868,7 @@ func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, p
 // SubmitWait is Submit plus waiting for the terminal response — the
 // synchronous prove path.
 func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *hyperplonk.Assignment, priority int) (api.ProveResponse, error) {
-	j, err := s.Submit(entry, assign, priority)
+	j, err := s.Submit(nil, entry, assign, priority, nil)
 	if err != nil {
 		return api.ProveResponse{}, err
 	}
@@ -914,26 +880,21 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 	}
 }
 
-// SubmitBatch enqueues a rollup batch of statements over one circuit. The
-// batch spreads round-robin across every shard starting at the circuit's
-// home shard, the parallelism a single digest-routed queue would forfeit;
-// each shard's slice still coalesces into one ProveBatch (or one cluster
-// dispatch). A batch whose share for any shard exceeds that shard's free
+// SubmitBatch enqueues a rollup batch of statements over one circuit on
+// behalf of tenant tn (nil is anonymous). The batch spreads round-robin
+// across every shard starting at the circuit's home shard, the
+// parallelism a single digest-routed queue would forfeit; each shard's
+// slice still coalesces into one ProveBatch (or one cluster dispatch). A
+// batch whose share for any shard exceeds that shard's free
 // queue capacity is rejected whole with an *OverloadedError rather than
 // partially enqueued; a racing submitter can still fill a queue
 // mid-spread, in which case already enqueued statements run to completion
-// and the error reports the rest.
-func (s *Service) SubmitBatch(entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int) ([]*job, error) {
-	return s.SubmitBatchAs(nil, entry, assigns, priority, nil)
-}
-
-// SubmitBatchAs is SubmitBatch on behalf of a tenant. raws, when
-// non-nil, carries each statement's ZKSW encoding (index-aligned with
-// assigns) so the durable store is spared a re-marshal per statement.
-// Each statement charges the tenant's in-flight quota independently; a
-// quota refusal mid-spread behaves like the racing-submitter case —
-// already enqueued statements run to completion.
-func (s *Service) SubmitBatchAs(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
+// and the error reports the rest. raws, when non-nil, carries each
+// statement's ZKSW encoding (index-aligned with assigns) so the store is
+// spared a re-marshal per statement. Each statement charges the tenant's
+// in-flight quota independently; a quota refusal mid-spread behaves like
+// the racing-submitter case.
+func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
 	if len(assigns) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
@@ -964,17 +925,11 @@ func (s *Service) SubmitBatchAs(tn *tenant.Tenant, entry *circuitEntry, assigns 
 }
 
 // ProveBatchWait is SubmitBatch plus waiting for every statement — the
-// synchronous POST /v1/prove_batch path. The batch digest binds the proof
-// blobs in statement order and is only computed when every statement
-// succeeded.
-func (s *Service) ProveBatchWait(ctx context.Context, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int) (api.ProveBatchResponse, error) {
-	return s.ProveBatchWaitAs(ctx, nil, entry, assigns, priority, nil)
-}
-
-// ProveBatchWaitAs is ProveBatchWait on behalf of a tenant (see
-// SubmitBatchAs for the tn/raws semantics).
-func (s *Service) ProveBatchWaitAs(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
-	jobs, err := s.SubmitBatchAs(tn, entry, assigns, priority, raws)
+// synchronous POST /v1/prove_batch path (see SubmitBatch for the tn/raws
+// semantics). The batch digest binds the proof blobs in statement order
+// and is only computed when every statement succeeded.
+func (s *Service) ProveBatchWait(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
+	jobs, err := s.SubmitBatch(tn, entry, assigns, priority, raws)
 	if err != nil {
 		return api.ProveBatchResponse{}, err
 	}

@@ -238,13 +238,13 @@ func TestBatchWindowCoalescesSameCircuit(t *testing.T) {
 
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a2, a3} {
-		j, err := s.Submit(entry, a, prioNormal)
+		j, err := s.Submit(nil, entry, a, prioNormal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, j)
 	}
-	oj, err := s.Submit(otherEntry, oa, prioNormal)
+	oj, err := s.Submit(nil, otherEntry, oa, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 	// one batch window: the backend must prove only the 2 unique ones.
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a1, a2} {
-		j, err := s.Submit(entry, a, prioNormal)
+		j, err := s.Submit(nil, entry, a, prioNormal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestSubmitRejectsWitnessSizeMismatch(t *testing.T) {
 		t.Skip("fixtures compiled to the same size")
 	}
 	entry := mustRegister(t, s, small)
-	if _, err := s.Submit(entry, bigAssign, prioNormal); !errors.Is(err, errWitnessSize) {
+	if _, err := s.Submit(nil, entry, bigAssign, prioNormal, nil); !errors.Is(err, errWitnessSize) {
 		t.Fatalf("mismatched witness accepted: %v", err)
 	}
 }
@@ -388,7 +388,7 @@ func TestShutdownFailsQueuedJobs(t *testing.T) {
 	s := newTestService(t, Config{BatchWindow: time.Millisecond, QueueCapacity: 8}, stub)
 	circuit, assign := buildCircuit(t, 3, 7)
 	entry := mustRegister(t, s, circuit)
-	j, err := s.Submit(entry, assign, prioNormal)
+	j, err := s.Submit(nil, entry, assign, prioNormal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

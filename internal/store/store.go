@@ -2,14 +2,13 @@
 // proving job's lifecycle (submit → claim → complete/fail), the circuit
 // blobs the jobs reference, and the completed results clients poll for.
 //
-// Two implementations share the Store interface. Mem keeps everything in
-// process memory — the pre-durability behaviour, still the default when
-// no store directory is configured. WAL persists every transition to an
+// WAL implements the Store interface: it persists every transition to an
 // append-only, checksummed, segmented write-ahead log with batched
 // fsyncs and periodic compaction, so a daemon restart (graceful or
 // SIGKILL) rebuilds its queues, circuit registry and completed-proof
 // results by replaying the log: an acknowledged job is never lost, it is
-// either re-proved or served from its recorded result.
+// either re-proved or served from its recorded result. A service with no
+// store keeps its jobs in process memory only.
 //
 // The store records facts, not policy: a submitted job with no terminal
 // record is "pending" regardless of claims (a claim only witnesses that
@@ -23,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // JobRecord is one submitted proving job as the store sees it.
@@ -80,15 +78,10 @@ type State struct {
 }
 
 // Store records job lifecycle transitions and circuit registrations.
-// All methods are safe for concurrent use. Append methods on a durable
-// store return only after the record is in the log (durability of the
-// write itself follows the configured sync policy).
+// All methods are safe for concurrent use. Append methods return only
+// after the record is in the log (durability of the write itself follows
+// the configured sync policy).
 type Store interface {
-	// Durable reports whether records survive a process restart. The
-	// service uses it to decide shutdown semantics: queued jobs drain to
-	// a durable store (they resume after restart) but fail terminally on
-	// a volatile one (so clients never poll a vanished id forever).
-	Durable() bool
 	// PutCircuit persists a registered circuit blob. Idempotent.
 	PutCircuit(digest [32]byte, blob []byte) error
 	// Submit records a job acknowledged to a client. With j.Witness nil
@@ -123,9 +116,8 @@ type Store interface {
 // ErrClosed is returned by appends on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// memState is the shared in-memory bookkeeping both implementations
-// maintain: Mem as its only state, WAL as the replay mirror that makes
-// State and compaction O(live) instead of O(log).
+// memState is the WAL's in-memory replay mirror, which makes State and
+// compaction O(live) instead of O(log).
 type memState struct {
 	circuits  map[[32]byte][]byte
 	pending   map[string]*JobRecord
@@ -235,119 +227,4 @@ func (st *memState) snapshot() State {
 		out.Failed[id] = f
 	}
 	return out
-}
-
-// Mem is the volatile Store: the same bookkeeping as the WAL's in-memory
-// mirror with no log behind it. It is the default when zkproverd runs
-// without -store-dir, and doubles as the test stand-in.
-type Mem struct {
-	mu     sync.Mutex
-	st     *memState
-	closed bool
-}
-
-// NewMem returns an empty volatile store retaining the given number of
-// terminal records (0 selects the 1024 default).
-func NewMem(retention int) *Mem {
-	return &Mem{st: newMemState(retention)}
-}
-
-func (m *Mem) Durable() bool { return false }
-
-func (m *Mem) PutCircuit(digest [32]byte, blob []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.st.putCircuit(digest, blob)
-	return nil
-}
-
-func (m *Mem) Submit(j JobRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	return m.st.submit(j)
-}
-
-// memChunkWriter buffers streamed witness chunks into the state.
-type memChunkWriter struct {
-	m  *Mem
-	id string
-}
-
-func (w *memChunkWriter) Write(p []byte) (int, error) {
-	w.m.mu.Lock()
-	defer w.m.mu.Unlock()
-	if w.m.closed {
-		return 0, ErrClosed
-	}
-	w.m.st.appendChunk(w.id, p)
-	return len(p), nil
-}
-
-func (w *memChunkWriter) Close() error { return nil }
-
-func (m *Mem) WitnessWriter(id string) (io.WriteCloser, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	m.st.chunks[id] = nil
-	return &memChunkWriter{m: m, id: id}, nil
-}
-
-func (m *Mem) DiscardWitness(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.st.chunks, id)
-	return nil
-}
-
-func (m *Mem) Claim(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (m *Mem) Complete(r Result) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.st.complete(r)
-	return nil
-}
-
-func (m *Mem) Fail(id, msg string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.st.fail(Failure{ID: id, Msg: msg})
-	return nil
-}
-
-func (m *Mem) State() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.st.snapshot()
-}
-
-func (m *Mem) Sync() error { return nil }
-
-func (m *Mem) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	return nil
 }

@@ -164,8 +164,6 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	return w, nil
 }
 
-func (w *WAL) Durable() bool { return true }
-
 // segPath names segment files so lexical order equals numeric order.
 func (w *WAL) segPath(seq uint64) string {
 	return filepath.Join(w.cfg.Dir, fmt.Sprintf("seg-%012d.wal", seq))
@@ -553,6 +551,15 @@ func (w *WAL) PutCircuit(digest [32]byte, blob []byte) error {
 func (w *WAL) Submit(j JobRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	// A streamed submit with no chunks to adopt must not reach the log:
+	// replay would reject the record as corruption and the WAL would no
+	// longer open.
+	if _, ok := w.st.chunks[j.ID]; j.Witness == nil && !ok {
+		return fmt.Errorf("store: submit %s: no streamed witness", j.ID)
+	}
 	w.liveEst += int64(len(j.Witness)+len(j.ID)) + 64
 	return w.append(encodeSubmit(j))
 }

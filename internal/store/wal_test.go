@@ -26,77 +26,83 @@ func mustOpen(t *testing.T, cfg WALConfig) *WAL {
 	return w
 }
 
+// TestMemLifecycle walks one job through each terminal transition and
+// reads the result back from the WAL's in-memory state, without a
+// replay; after Close every append is refused.
 func TestMemLifecycle(t *testing.T) {
-	m := NewMem(0)
-	if m.Durable() {
-		t.Fatal("Mem claims durability")
-	}
+	w := mustOpen(t, WALConfig{Dir: t.TempDir()})
 	d := digestOf(1)
-	if err := m.PutCircuit(d, []byte("circuit")); err != nil {
+	if err := w.PutCircuit(d, []byte("circuit")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(JobRecord{ID: "job-1", Circuit: d, Priority: 1, Witness: []byte("wit")}); err != nil {
+	if err := w.Submit(JobRecord{ID: "job-1", Circuit: d, Priority: 1, Witness: []byte("wit")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Claim("job-1"); err != nil {
+	if err := w.Claim("job-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Complete(Result{ID: "job-1", Proof: []byte("proof"), ProverNS: 7}); err != nil {
+	if err := w.Complete(Result{ID: "job-1", Proof: []byte("proof"), ProverNS: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(JobRecord{ID: "job-2", Circuit: d, Witness: []byte("w2")}); err != nil {
+	if err := w.Submit(JobRecord{ID: "job-2", Circuit: d, Witness: []byte("w2")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fail("job-2", "rejected"); err != nil {
+	if err := w.Fail("job-2", "rejected"); err != nil {
 		t.Fatal(err)
 	}
-	st := m.State()
+	st := w.State()
 	if len(st.Pending) != 0 || len(st.Done) != 1 || len(st.Failed) != 1 {
 		t.Fatalf("state = %d pending / %d done / %d failed", len(st.Pending), len(st.Done), len(st.Failed))
 	}
 	if !bytes.Equal(st.Done["job-1"].Proof, []byte("proof")) {
 		t.Fatal("proof mismatch")
 	}
-	if err := m.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(JobRecord{ID: "job-3"}); err != ErrClosed {
+	if err := w.Submit(JobRecord{ID: "job-3"}); err != ErrClosed {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 }
 
+// TestMemStreamedWitness: streamed chunks assemble into the submitted
+// witness, and an aborted upload is never adopted — the refused submit
+// leaves nothing in the log that would stop a later replay.
 func TestMemStreamedWitness(t *testing.T) {
-	m := NewMem(0)
-	cw, err := m.WitnessWriter("job-1")
+	dir := t.TempDir()
+	w := mustOpen(t, WALConfig{Dir: dir})
+	cw, err := w.WitnessWriter("job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cw.Write([]byte("abc"))
 	cw.Write([]byte("def"))
 	cw.Close()
-	if err := m.Submit(JobRecord{ID: "job-1", Circuit: digestOf(2)}); err != nil {
+	if err := w.Submit(JobRecord{ID: "job-1", Circuit: digestOf(2)}); err != nil {
 		t.Fatal(err)
 	}
-	st := m.State()
+	st := w.State()
 	if len(st.Pending) != 1 || !bytes.Equal(st.Pending[0].Witness, []byte("abcdef")) {
 		t.Fatalf("streamed witness not assembled: %+v", st.Pending)
 	}
 
-	// An aborted upload leaves nothing behind.
-	cw2, _ := m.WitnessWriter("job-2")
+	cw2, _ := w.WitnessWriter("job-2")
 	cw2.Write([]byte("junk"))
-	m.DiscardWitness("job-2")
-	if err := m.Submit(JobRecord{ID: "job-2", Circuit: digestOf(2)}); err == nil {
+	w.DiscardWitness("job-2")
+	if err := w.Submit(JobRecord{ID: "job-2", Circuit: digestOf(2)}); err == nil {
 		t.Fatal("submit adopted discarded witness")
+	}
+	w.Close()
+	r := mustOpen(t, WALConfig{Dir: dir})
+	defer r.Close()
+	if st := r.State(); len(st.Pending) != 1 || st.Pending[0].ID != "job-1" {
+		t.Fatalf("replay after a refused submit: %+v", st.Pending)
 	}
 }
 
 func TestWALRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, WALConfig{Dir: dir})
-	if !w.Durable() {
-		t.Fatal("WAL not durable")
-	}
 	d := digestOf(3)
 	if err := w.PutCircuit(d, []byte("zksc-blob")); err != nil {
 		t.Fatal(err)

@@ -102,16 +102,20 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // TestOnePathPerLayer keeps the shape "a reference is a function, never
 // an option value" and "ship only what a workload runs": no non-test
 // source outside the frozen benchmark directory names a kernel selector,
-// a deprecated entry point, the fixed-base commit tables or a steal
-// toggle, no struct has a field called Kernel or Steal, and the goroutine
+// a deprecated entry point, the fixed-base commit tables, a steal toggle,
+// the cross-run bench comparator, the uncached engine, the volatile null
+// store or a second per-tenant submit entry point, no struct has a field called Kernel or Steal, and the goroutine
 // budget is a field of exactly the two option structs that own one —
 // everything else carries a poly.Options.
 func TestOnePathPerLayer(t *testing.T) {
-	// The names deleted with the fixed-base tables and the steal toggle are
-	// spelled in halves, so a grep of the tree for them finds none here.
+	// The names deleted with the fixed-base tables, the steal toggle, the
+	// bench comparator, the uncached engine, the volatile store and the
+	// tenant-suffixed submit methods are spelled in halves, so a grep of
+	// the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
+		"Compare" + "BenchReports", "Read" + "BenchReport", "Without" + "SRSCache", "New" + "Mem", "Submit" + "As",
 	}
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options

@@ -11,7 +11,6 @@ import (
 type engineConfig struct {
 	entropy     io.Reader
 	parallelism int
-	cache       bool
 	timings     bool
 	preloadSRS  *SRS
 	proveHook   func(ProofStats)
@@ -28,29 +27,11 @@ func defaultEngineConfig() engineConfig {
 	return engineConfig{
 		entropy:     crand.Reader,
 		parallelism: runtime.GOMAXPROCS(0),
-		cache:       true,
 	}
 }
 
 // Option configures an Engine at construction time.
 type Option func(*engineConfig)
-
-// WithSRSCache enables caching of the universal SRS and per-circuit keys
-// across proofs. This is the default; the option exists to state the
-// intent explicitly and to re-enable caching after WithoutSRSCache.
-func WithSRSCache() Option {
-	return func(c *engineConfig) { c.cache = true }
-}
-
-// WithoutSRSCache disables retention: every Prove/Verify re-derives the
-// SRS and circuit preprocessing instead of keeping them in memory. The
-// ceremony is re-derived deterministically from the Engine's master
-// entropy seed, so proofs made earlier remain verifiable — the trade is
-// setup time per call for memory. Useful for memory-constrained callers
-// and for tests that measure setup cost.
-func WithoutSRSCache() Option {
-	return func(c *engineConfig) { c.cache = false }
-}
 
 // WithParallelism bounds each level of the Engine's parallelism to n:
 // the ProveBatch worker pool runs at most n concurrent proofs, and n is
@@ -87,8 +68,8 @@ func WithTimings() Option {
 
 // WithSRS preloads an existing universal SRS — the reuse hook for sharing
 // one ceremony across Engines or processes. The preloaded SRS serves every
-// circuit of its size regardless of the caching mode; other sizes derive
-// from the Engine's entropy as usual.
+// circuit of its size; other sizes derive from the Engine's entropy as
+// usual.
 func WithSRS(srs *SRS) Option {
 	return func(c *engineConfig) { c.preloadSRS = srs }
 }

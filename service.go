@@ -81,7 +81,7 @@ type ServiceConfig struct {
 	// jobs a previous incarnation acknowledged but never finished re-queue
 	// under their original ids, completed results stay pollable — and on
 	// shutdown queued jobs drain to the store instead of failing. Empty
-	// keeps the volatile in-memory store.
+	// keeps jobs in process memory only.
 	StoreDir string
 	// StoreSync tunes the WAL fsync policy: 0 syncs every append
 	// (safest), >0 batches syncs at that interval, <0 leaves flushing to

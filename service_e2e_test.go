@@ -221,7 +221,7 @@ func TestServiceShardsShareOneSetup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := svc.ProveBatchWait(ctx, entry, assigns, prio)
+		resp, err := svc.ProveBatchWait(ctx, nil, entry, assigns, prio, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
