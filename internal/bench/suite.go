@@ -366,13 +366,21 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	// scalar vectors are identical across (window, aggregation) pairs, so
 	// they are derived once and shared like the SRS cache.
 	n := 1 << cfg.MSMLogN
-	var dense, sparse, ones []ff.Fr
+	type msmInputs struct{ dense, sparse []ff.Fr }
+	inputs := map[int]*msmInputs{}
+	inputsFor := func(logN int) *msmInputs {
+		in, ok := inputs[logN]
+		if !ok {
+			dense := challengeFrs(cfg.Seed, "msm.scalars", 1<<logN)
+			in = &msmInputs{dense, sparseScalars(dense)}
+			inputs[logN] = in
+		}
+		return in
+	}
+	var dense, ones []ff.Fr
 	msmSetup := func() error {
 		srsFor(cfg.MSMLogN)
-		if dense == nil {
-			dense = challengeFrs(cfg.Seed, "msm.scalars", n)
-			sparse = sparseScalars(dense)
-		}
+		dense = inputsFor(cfg.MSMLogN).dense
 		return nil
 	}
 	for _, w := range cfg.Windows {
@@ -402,29 +410,46 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	}
 
 	// The fast path (signed + GLV + batch-affine, auto window) — what
-	// pcs.Commit actually runs — plus its sparse twin.
+	// pcs.Commit actually runs — plus its sparse twin, at the suite's MSM
+	// size and, in the full suite, at the 2^16 points of a μ = 16 commit
+	// (2^17 after the GLV split, where DefaultWindowFast's sweep runs).
+	fastSizes := []int{cfg.MSMLogN}
+	if !cfg.Quick && cfg.MSMLogN != 16 {
+		fastSizes = append(fastSizes, 16)
+	}
+	for _, logN := range fastSizes {
+		logN := logN
+		params := map[string]string{"n": strconv.Itoa(1 << logN), "kernel": "fast"}
+		setup := func() error {
+			srsFor(logN)
+			inputsFor(logN)
+			return nil
+		}
+		out = append(out,
+			Benchmark{
+				Name:   fmt.Sprintf("msm/fast/n%d", logN),
+				Kind:   KindKernel,
+				Params: params,
+				Setup:  setup,
+				Iterate: func() error {
+					_ = msm.MSM(srsFor(logN).Lag[0], inputsFor(logN).dense)
+					return nil
+				},
+			},
+			Benchmark{
+				Name:   fmt.Sprintf("msm/sparse-fast/n%d", logN),
+				Kind:   KindKernel,
+				Params: params,
+				Setup:  setup,
+				Iterate: func() error {
+					_ = msm.SparseMSM(srsFor(logN).Lag[0], inputsFor(logN).sparse,
+						msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped})
+					return nil
+				},
+			},
+		)
+	}
 	out = append(out,
-		Benchmark{
-			Name:   fmt.Sprintf("msm/fast/n%d", cfg.MSMLogN),
-			Kind:   KindKernel,
-			Params: map[string]string{"n": strconv.Itoa(n), "kernel": "fast"},
-			Setup:  msmSetup,
-			Iterate: func() error {
-				_ = msm.MSM(srsFor(cfg.MSMLogN).Lag[0], dense)
-				return nil
-			},
-		},
-		Benchmark{
-			Name:   fmt.Sprintf("msm/sparse-fast/n%d", cfg.MSMLogN),
-			Kind:   KindKernel,
-			Params: map[string]string{"n": strconv.Itoa(n), "kernel": "fast"},
-			Setup:  msmSetup,
-			Iterate: func() error {
-				_ = msm.SparseMSM(srsFor(cfg.MSMLogN).Lag[0], sparse,
-					msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped})
-				return nil
-			},
-		},
 		// All scalars equal to one: every bucket update of the MSM hits
 		// the same bucket, the shape of a selector column's commitment in
 		// key preprocessing. Tracks the accumulator's collision handling.

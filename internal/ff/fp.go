@@ -31,29 +31,17 @@ func init() {
 		panic("ff: bad Fp modulus")
 	}
 	fpModulus = q
-	bigToLimbs6(q, &fpQ)
+	bigToWords(q, fpQ[:])
 	fpQInvNeg = negInv64(fpQ[0])
 	r := new(big.Int).Lsh(big.NewInt(1), 384)
-	bigToLimbs6(new(big.Int).Mod(r, q), &fpOne)
-	bigToLimbs6(new(big.Int).Mod(new(big.Int).Mul(r, r), q), &fpRSquare)
+	bigToWords(new(big.Int).Mod(r, q), fpOne[:])
+	bigToWords(new(big.Int).Mod(new(big.Int).Mul(r, r), q), fpRSquare[:])
 	var b uint64
 	fpQMinus2[0], b = bits.Sub64(fpQ[0], 2, 0)
 	for i := 1; i < 6; i++ {
 		fpQMinus2[i], b = bits.Sub64(fpQ[i], 0, b)
 	}
 	initFrobCoeff()
-}
-
-func bigToLimbs6(v *big.Int, out *Fp) {
-	var w big.Int
-	w.Set(v)
-	for i := 0; i < 6; i++ {
-		out[i] = w.Uint64()
-		w.Rsh(&w, 64)
-	}
-	if w.Sign() != 0 {
-		panic("ff: value exceeds 6 limbs")
-	}
 }
 
 // FpModulusBig returns a copy of the modulus as a big.Int.
@@ -89,7 +77,7 @@ func (z *Fp) Set(x *Fp) *Fp { *z = *x; return z }
 func (z *Fp) SetBigInt(v *big.Int) *Fp {
 	var w big.Int
 	w.Mod(v, fpModulus)
-	bigToLimbs6(&w, z)
+	bigToWords(&w, z[:])
 	z.toMont()
 	return z
 }
@@ -184,24 +172,30 @@ func (z *Fp) Double(x *Fp) *Fp {
 	return z
 }
 
-// Sub sets z = x - y mod p and returns z.
+// Sub sets z = x - y mod p and returns z. Branchless — on random
+// operands the borrow is a coin flip, which a branch mispredicts half the
+// time: both x - y and x - y + p are computed, each as one unbroken carry
+// chain, and the borrow's mask selects between them (as in reduce).
 func (z *Fp) Sub(x, y *Fp) *Fp {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	z[4], b = bits.Sub64(x[4], y[4], b)
-	z[5], b = bits.Sub64(x[5], y[5], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], fpQ[0], 0)
-		z[1], c = bits.Add64(z[1], fpQ[1], c)
-		z[2], c = bits.Add64(z[2], fpQ[2], c)
-		z[3], c = bits.Add64(z[3], fpQ[3], c)
-		z[4], c = bits.Add64(z[4], fpQ[4], c)
-		z[5], _ = bits.Add64(z[5], fpQ[5], c)
-	}
+	d0, b := bits.Sub64(x[0], y[0], 0)
+	d1, b := bits.Sub64(x[1], y[1], b)
+	d2, b := bits.Sub64(x[2], y[2], b)
+	d3, b := bits.Sub64(x[3], y[3], b)
+	d4, b := bits.Sub64(x[4], y[4], b)
+	d5, b := bits.Sub64(x[5], y[5], b)
+	e0, c := bits.Add64(d0, fpQ[0], 0)
+	e1, c := bits.Add64(d1, fpQ[1], c)
+	e2, c := bits.Add64(d2, fpQ[2], c)
+	e3, c := bits.Add64(d3, fpQ[3], c)
+	e4, c := bits.Add64(d4, fpQ[4], c)
+	e5, _ := bits.Add64(d5, fpQ[5], c)
+	wrap := -b // all-ones when x - y borrowed
+	z[0] = d0&^wrap | e0&wrap
+	z[1] = d1&^wrap | e1&wrap
+	z[2] = d2&^wrap | e2&wrap
+	z[3] = d3&^wrap | e3&wrap
+	z[4] = d4&^wrap | e4&wrap
+	z[5] = d5&^wrap | e5&wrap
 	return z
 }
 

@@ -146,6 +146,8 @@ func triplePlusDouble(z, t, x *Fp2) {
 // transcribed; tower_test.go checks Frobenius against Exp(p).
 var frobCoeff [6]Fp2
 
+var bigOne = big.NewInt(1)
+
 func initFrobCoeff() {
 	e := new(big.Int).Sub(fpModulus, bigOne)
 	e.Div(e, big.NewInt(6))

@@ -55,12 +55,12 @@ func setupField4(hexMod string) (*big.Int, Fr, uint64, Fr, Fr) {
 		panic("ff: bad modulus " + hexMod)
 	}
 	var lim Fr
-	bigToLimbs4(q, &lim)
+	bigToWords(q, lim[:])
 	inv := negInv64(lim[0])
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
 	var one, r2 Fr
-	bigToLimbs4(new(big.Int).Mod(r, q), &one)
-	bigToLimbs4(new(big.Int).Mod(new(big.Int).Mul(r, r), q), &r2)
+	bigToWords(new(big.Int).Mod(r, q), one[:])
+	bigToWords(new(big.Int).Mod(new(big.Int).Mul(r, r), q), r2[:])
 	return q, lim, inv, r2, one
 }
 
@@ -73,15 +73,17 @@ func negInv64(m uint64) uint64 {
 	return -inv
 }
 
-func bigToLimbs4(v *big.Int, out *Fr) {
+// bigToWords writes the non-negative v into out as little-endian 64-bit
+// words; v must fit.
+func bigToWords(v *big.Int, out []uint64) {
 	var w big.Int
 	w.Set(v)
-	for i := 0; i < 4; i++ {
+	for i := range out {
 		out[i] = w.Uint64()
 		w.Rsh(&w, 64)
 	}
 	if w.Sign() != 0 {
-		panic("ff: value exceeds 4 limbs")
+		panic("ff: value exceeds its limbs")
 	}
 }
 
@@ -131,7 +133,7 @@ func (z *Fr) Set(x *Fr) *Fr { *z = *x; return z }
 func (z *Fr) SetBigInt(v *big.Int) *Fr {
 	var w big.Int
 	w.Mod(v, frModulus)
-	bigToLimbs4(&w, z)
+	bigToWords(&w, z[:])
 	z.toMont()
 	return z
 }
@@ -236,20 +238,22 @@ func (z *Fr) Double(x *Fr) *Fr {
 	return z
 }
 
-// Sub sets z = x - y mod q and returns z.
+// Sub sets z = x - y mod q and returns z. Branchless, like Fp.Sub: x - y
+// and x - y + q as two unbroken carry chains, selected by the borrow.
 func (z *Fr) Sub(x, y *Fr) *Fr {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], frQ[0], 0)
-		z[1], c = bits.Add64(z[1], frQ[1], c)
-		z[2], c = bits.Add64(z[2], frQ[2], c)
-		z[3], _ = bits.Add64(z[3], frQ[3], c)
-	}
+	d0, b := bits.Sub64(x[0], y[0], 0)
+	d1, b := bits.Sub64(x[1], y[1], b)
+	d2, b := bits.Sub64(x[2], y[2], b)
+	d3, b := bits.Sub64(x[3], y[3], b)
+	e0, c := bits.Add64(d0, frQ[0], 0)
+	e1, c := bits.Add64(d1, frQ[1], c)
+	e2, c := bits.Add64(d2, frQ[2], c)
+	e3, _ := bits.Add64(d3, frQ[3], c)
+	wrap := -b // all-ones when x - y borrowed
+	z[0] = d0&^wrap | e0&wrap
+	z[1] = d1&^wrap | e1&wrap
+	z[2] = d2&^wrap | e2&wrap
+	z[3] = d3&^wrap | e3&wrap
 	return z
 }
 

@@ -17,6 +17,76 @@ func halfToBig(h HalfScalar) *big.Int {
 	return v
 }
 
+// glvSplitBig is the math/big Babai rounding GLVSplit replaced, kept as its
+// oracle: ĉ₁ = round(k·x²/r) (half up), ĉ₂ = round(k/r), then
+// (k₁, k₂) = (k − ĉ₁λ − ĉ₂, ĉ₁ − ĉ₂x²).
+func glvSplitBig(kb *big.Int) (k1, k2 *big.Int) {
+	c1 := new(big.Int).Mul(kb, glvX2)
+	c1.Add(c1, new(big.Int).Rsh(frModulus, 1))
+	c1.Div(c1, frModulus)
+	c2 := big.NewInt(0)
+	if new(big.Int).Lsh(kb, 1).Cmp(frModulus) >= 0 {
+		c2.SetInt64(1)
+	}
+	k1 = new(big.Int).Mul(c1, glvLambda)
+	k1.Sub(kb, k1)
+	k1.Sub(k1, c2)
+	k2 = new(big.Int).Mul(c2, glvX2)
+	k2.Sub(c1, k2)
+	return k1, k2
+}
+
+// glvCases are the scalars every split test runs: the boundaries of both
+// roundings (0, 1, r−1, ⌊r/2⌋ and ⌊r/2⌋+1 for ĉ₂; λ and r−λ, which split
+// to (0, ±1)) and n random scalars.
+func glvCases(n int, seed int64) []*big.Int {
+	rMod := FrModulusBig()
+	lambda := GLVLambda()
+	cases := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		big.NewInt(2),
+		new(big.Int).Sub(rMod, big.NewInt(1)),
+		new(big.Int).Sub(rMod, big.NewInt(2)),
+		new(big.Int).Rsh(rMod, 1),
+		new(big.Int).Add(new(big.Int).Rsh(rMod, 1), big.NewInt(1)),
+		new(big.Int).Set(lambda),
+		new(big.Int).Sub(rMod, lambda),
+		new(big.Int).Lsh(big.NewInt(1), 128),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 254), big.NewInt(1)),
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		cases = append(cases, new(big.Int).Rand(rng, rMod))
+	}
+	return cases
+}
+
+// checkGLVSplit asserts the split of kb equals the oracle's, recombines to
+// kb mod r and stays within the norm bound.
+func checkGLVSplit(t *testing.T, kb *big.Int) {
+	t.Helper()
+	var k Fr
+	k.SetBigInt(kb)
+	k1, k2 := GLVSplit(&k)
+	b1, b2 := halfToBig(k1), halfToBig(k2)
+	if w1, w2 := glvSplitBig(new(big.Int).Mod(kb, frModulus)); b1.Cmp(w1) != 0 || b2.Cmp(w2) != 0 {
+		t.Fatalf("k=%s: split (%s, %s), oracle (%s, %s)", kb, b1, b2, w1, w2)
+	}
+	if b1.BitLen() > GLVBits || b2.BitLen() > GLVBits {
+		t.Fatalf("k=%s: half-scalar too wide (%d, %d bits)", kb, b1.BitLen(), b2.BitLen())
+	}
+	if (k1.Neg && k1.IsZero()) || (k2.Neg && k2.IsZero()) {
+		t.Fatalf("k=%s: negative zero", kb)
+	}
+	got := new(big.Int).Mul(b2, glvLambda)
+	got.Add(got, b1)
+	got.Mod(got, frModulus)
+	if want := new(big.Int).Mod(kb, frModulus); got.Cmp(want) != 0 {
+		t.Fatalf("k=%s: k1+k2·λ = %s != k", kb, got)
+	}
+}
+
 // TestGLVLambdaIsEigenvalue: λ² + λ + 1 ≡ 0 (mod r), the defining
 // equation of the endomorphism eigenvalue.
 func TestGLVLambdaIsEigenvalue(t *testing.T) {
@@ -31,60 +101,54 @@ func TestGLVLambdaIsEigenvalue(t *testing.T) {
 }
 
 // TestGLVSplit: k₁ + k₂λ ≡ k (mod r) and both halves stay within the
-// 128-bit norm bound, across random and adversarial scalars.
+// 128-bit norm bound, across the boundary scalars and random ones.
 func TestGLVSplit(t *testing.T) {
-	rMod := FrModulusBig()
-	lambda := GLVLambda()
-	cases := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(2),
-		new(big.Int).Sub(rMod, big.NewInt(1)), // -1
-		new(big.Int).Sub(rMod, big.NewInt(2)),
-		new(big.Int).Rsh(rMod, 1), // ~r/2, the ĉ₂ rounding boundary
-		new(big.Int).Add(new(big.Int).Rsh(rMod, 1), big.NewInt(1)),
-		new(big.Int).Set(lambda),             // splits to (0, 1)
-		new(big.Int).Sub(rMod, lambda),       // -λ
-		new(big.Int).Lsh(big.NewInt(1), 128), // just past one half-width
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 254), big.NewInt(1)),
-	}
-	rng := rand.New(rand.NewSource(71))
-	for i := 0; i < 200; i++ {
-		cases = append(cases, new(big.Int).Rand(rng, rMod))
-	}
-	var s GLVSplitter
-	for _, kb := range cases {
-		var k Fr
-		k.SetBigInt(kb)
-		k1, k2 := s.Split(&k)
-		b1, b2 := halfToBig(k1), halfToBig(k2)
-		if b1.BitLen() > GLVBits || b2.BitLen() > GLVBits {
-			t.Fatalf("k=%s: half-scalar too wide (%d, %d bits)", kb, b1.BitLen(), b2.BitLen())
-		}
-		got := new(big.Int).Mul(b2, lambda)
-		got.Add(got, b1)
-		got.Mod(got, rMod)
-		want := new(big.Int).Mod(kb, rMod)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("k=%s: k1+k2·λ = %s != k", kb, got)
-		}
+	for _, kb := range glvCases(200, 71) {
+		checkGLVSplit(t, kb)
 	}
 }
 
-// TestGLVSplitterReuse: a splitter gives the same answers when reused
-// (its temporaries carry no state across calls).
-func TestGLVSplitterReuse(t *testing.T) {
-	var s1, s2 GLVSplitter
-	rng := rand.New(rand.NewSource(72))
-	for i := 0; i < 20; i++ {
-		var k Fr
-		k.SetBigInt(new(big.Int).Rand(rng, FrModulusBig()))
-		a1, a2 := s1.Split(&k)
-		// s1 has been used i times already; s2 freshly per loop.
-		b1, b2 := s2.Split(&k)
-		if a1 != b1 || a2 != b2 {
-			t.Fatalf("splitter state leaked across calls at i=%d", i)
+// TestGLVSplitMatchesOracle: the limb split returns exactly the math/big
+// rounding's halves on the boundary scalars and 10k random ones.
+func TestGLVSplitMatchesOracle(t *testing.T) {
+	n := 10000
+	if testing.Short() {
+		n = 1000
+	}
+	for _, kb := range glvCases(n, 72) {
+		checkGLVSplit(t, kb)
+	}
+}
+
+// TestGLVSplitAllocs: the split runs on stack limbs only.
+func TestGLVSplitAllocs(t *testing.T) {
+	var k Fr
+	k.SetBigInt(new(big.Int).Sub(FrModulusBig(), big.NewInt(3)))
+	if a := testing.AllocsPerRun(100, func() { GLVSplit(&k) }); a != 0 {
+		t.Fatalf("GLVSplit allocates %.1f times per call", a)
+	}
+}
+
+// FuzzGLVSplit checks the limb split against the math/big oracle on
+// arbitrary 32-byte scalars (reduced mod r).
+//
+//	go test ./internal/ff -run '^$' -fuzz '^FuzzGLVSplit$' -fuzztime 30s
+func FuzzGLVSplit(f *testing.F) {
+	f.Add(make([]byte, 32))
+	f.Add(new(big.Int).Rsh(FrModulusBig(), 1).FillBytes(make([]byte, 32)))
+	f.Add(GLVLambda().FillBytes(make([]byte, 32)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 32 {
+			return
 		}
-		s2 = GLVSplitter{}
+		checkGLVSplit(t, new(big.Int).SetBytes(data[:32]))
+	})
+}
+
+func BenchmarkGLVSplit(b *testing.B) {
+	var k Fr
+	k.SetBigInt(new(big.Int).Rand(rand.New(rand.NewSource(73)), FrModulusBig()))
+	for i := 0; i < b.N; i++ {
+		GLVSplit(&k)
 	}
 }

@@ -8,21 +8,29 @@ import (
 )
 
 // The fast MSM path: signed-digit windows, GLV splitting and batch-affine
-// bucket accumulation, with point-chunked parallelism.
+// bucket accumulation and aggregation, scheduled so no goroutine idles.
 //
 // Pipeline:
 //
-//  1. Split every scalar through the GLV endomorphism and recode both
-//     half-scalars into carry-corrected signed window digits in
-//     [-2^(c-1), 2^(c-1)); a negative digit adds the negated point, so
-//     only 2^(c-1) buckets per window are needed.
-//  2. Partition the (point, digit-row) pairs into chunks and accumulate
-//     buckets per (window, chunk) task — affine adds under Montgomery
-//     batch inversion (see affineAcc), or Jacobian mixed adds for a chunk
-//     below minBatchAffinePoints.
+//  1. Split every scalar through the GLV endomorphism (ff.GLVSplit) and
+//     recode both half-scalars into carry-corrected signed window digits
+//     in [-2^(c-1), 2^(c-1)) — signedWindows(128, c) of them, no idle
+//     carry window; a negative digit adds the negated point, so only
+//     2^(c-1) buckets per window are needed.
+//  2. Accumulate buckets per task (scheduleWindows: whole windows, plus
+//     point chunks of the windows left over after the last full round) —
+//     affine adds under Montgomery batch inversion (see affineAcc), or
+//     Jacobian mixed adds for a chunk below minBatchAffinePoints.
 //  3. Aggregate each task's buckets (Σ (i+1)·B_i, serial or grouped per
-//     opt.Aggregation), merge chunk partials per window in chunk order
-//     (deterministic), and Horner-combine the window sums.
+//     opt.Aggregation; grouped over affine buckets advances the groups in
+//     lockstep under shared inversions, aggregateGroupedAffine), merge
+//     chunk partials per window in task order (deterministic), and
+//     Horner-combine the window sums.
+//
+// Per effective point (2n of them) and window, a bucket update costs ~6
+// field multiplications — 3 of the batch inversion, the slope, its square
+// and the new y — and the aggregation adds ~12 per bucket, amortised over
+// 2^(c-1) buckets against ~2^c points a window at the default widths.
 
 // minChunkPoints is the smallest chunk worth a separate task: below this
 // the per-task bucket-aggregation overhead outweighs the parallelism.
@@ -42,11 +50,13 @@ const batchAddSize = 512
 // n = 128; from n = 512 (12.6 against 14.9 ms) affine buckets win.
 const minBatchAffinePoints = 256
 
-// signedWindows returns the window count for a bits-wide magnitude:
-// ceil(bits/c) data windows plus one carry window, so the top digit is
-// only ever the carry (0 or 1) and can never overflow to -2^(c-1).
+// signedWindows returns the number of signed base-2^c digits a magnitude
+// below 2^bits needs: the smallest nw with c·nw ≥ bits+2. The recoder
+// carries at most 1 into each window, so the top window ends the carry
+// chain exactly when its raw value plus 1 stays below 2^(c-1), i.e. when
+// it holds at most c-2 of the magnitude's bits.
 func signedWindows(bits, c int) int {
-	return (bits+c-1)/c + 1
+	return (bits+1)/c + 1
 }
 
 // signedDigits writes the nw carry-corrected signed base-2^c digits of
@@ -54,8 +64,9 @@ func signedWindows(bits, c int) int {
 // neg is set (folding the GLV half-scalar sign into the digit stream).
 // Raw digits lie in [-2^(c-1), 2^(c-1)); the neg flip can map the bottom
 // end to +2^(c-1), so consumers must accept |digit| ≤ 2^(c-1) (bucket
-// index |d|-1). The value is Σ out[i]·2^(ci).
-func signedDigits(words []uint64, c, nw int, neg bool, out []int16) {
+// index |d|-1). Digit i goes to out[i*stride] (the window-major layout
+// of the callers); the value is Σ digit_i·2^(ci).
+func signedDigits(words []uint64, c, nw int, neg bool, out []int16, stride int) {
 	half := int64(1) << (c - 1)
 	full := int64(1) << c
 	carry := int64(0)
@@ -70,7 +81,7 @@ func signedDigits(words []uint64, c, nw int, neg bool, out []int16) {
 		if neg {
 			d = -d
 		}
-		out[i] = int16(d)
+		out[i*stride] = int16(d)
 	}
 	if carry != 0 {
 		panic("msm: signed digit recoding overflow")
@@ -80,34 +91,51 @@ func signedDigits(words []uint64, c, nw int, neg bool, out []int16) {
 // DefaultWindowFast returns the heuristic window width for the fast path
 // (signed windows; pts is the effective point count, 2n after the GLV split).
 //
-// Breakpoints recalibrated for the signed/GLV regime from a window sweep
-// (go test -bench over windows 6..12 at n=2^10 and 2^12, Xeon 2.10GHz,
-// single-threaded): signed windows halve the per-window aggregation cost
-// (2^(c-1) buckets) and batch-affine makes bucket inserts ~3× cheaper
-// than the aggregation's Jacobian adds, so wider windows pay off roughly
-// one point-count octave earlier than the unsigned DefaultWindow — w8
-// was fastest at 2048 effective points (w6 ~1.8×, w12 ~2.1× slower) and
-// w10 at 8192 (w8 ~1.25×, w12 ~1.3× slower), with the curve flat (±10%)
-// for ±1 bit around each breakpoint. Above the swept range the
-// breakpoints extend the same octave-per-2-bits trend toward the paper's
-// large-problem design space (Table 2 stops at 10-bit hardware windows;
-// software keeps gaining slowly to 13).
+// The breakpoints come from a sweep of every width within ±3 of the
+// optimum at each power of two from 2^6 to 2^21 effective points, random
+// points and scalars, median of 3–25 runs, on 2 goroutines and on 1
+// (AMD EPYC, 2 vCPUs, Go 1.24). Milliseconds on 2 goroutines from 2^10
+// up, best first:
+//
+//	2^10  c=9 2.5   c=8 2.5   c=10 2.7
+//	2^12  c=11 6.7  c=9 6.9   c=10 7.2
+//	2^13  c=11 11.5 c=12 12.3 c=9 12.9
+//	2^14  c=11 21.4 c=12 21.7 c=13 22.1
+//	2^15  c=13 35.4 c=12 36.8 c=11 38.9
+//	2^16  c=13 64.5 c=12 68.7 c=14 69.2
+//	2^17  c=13 126  c=14 131  c=12 142  c=15 143
+//	2^18  c=15 241  c=13 248  c=14 252
+//	2^19  c=15 465  c=13 475  c=14 480
+//	2^20  c=15 924  c=14 957  c=13 970
+//	2^21  c=15 1803 c=14 1916 c=13 1941
+//
+// On one goroutine the table's width is the best or within 3 % of it,
+// except at 2^15, where c=12 beat c=13 by 9 % in median (1 % in the
+// fastest run). Two effects shape the table besides the usual trade of
+// window count against buckets: from 16 groups of buckets (c ≥ 9) the
+// grouped aggregation runs on affine buckets in lockstep and stops
+// penalising wide windows, and widths whose window count 2 divides
+// (c = 11, 13: 12 and 10 windows) need no chunked windows on two
+// goroutines (see scheduleWindows). At 2^17 that is c=13 against c=12's
+// 11 windows, one of them cut in halves. c=15 (9 windows) takes over
+// once per-point work outweighs the cut window's extra aggregation; c is
+// at most 15 because digits are int16.
 func DefaultWindowFast(pts int) int {
 	switch {
 	case pts < 1<<7:
 		return 4
 	case pts < 1<<9:
 		return 6
+	case pts < 1<<10:
+		return 7
 	case pts < 1<<12:
-		return 8
-	case pts < 1<<14:
-		return 10
-	case pts < 1<<17:
+		return 9
+	case pts < 1<<15:
 		return 11
-	case pts < 1<<20:
-		return 12
-	default:
+	case pts < 1<<18:
 		return 13
+	default:
+		return 15
 	}
 }
 
@@ -131,119 +159,210 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 	nw := signedWindows(ff.GLVBits, c)
 	procs := opt.procs()
 
-	// Stage 1: bases and digit rows (row i = digits[i*nw : (i+1)*nw]).
-	bases := make([]curve.G1Affine, nPts)
-	digits := make([]int16, nPts*nw)
+	// Stage 1: the effective points are points[0:n] followed by
+	// φ(points)[0:n], carrying the k₁ and the k₂ halves of the scalars.
+	// Digits are window-major — digits[w*nPts+j] is window w of effective
+	// point j — so each window task reads its digits as one run.
+	phis := make([]curve.G1Affine, n)
+	digits := make([]int16, nw*nPts)
 	parallelFor(n, procs, func(lo, hi int) {
-		var split ff.GLVSplitter
 		for i := lo; i < hi; i++ {
-			k1, k2 := split.Split(&scalars[i])
-			bases[2*i] = points[i]
-			bases[2*i+1].Phi(&points[i])
-			signedDigits(k1.W[:], c, nw, k1.Neg, digits[(2*i)*nw:(2*i+1)*nw])
-			signedDigits(k2.W[:], c, nw, k2.Neg, digits[(2*i+1)*nw:(2*i+2)*nw])
+			k1, k2 := ff.GLVSplit(&scalars[i])
+			phis[i].Phi(&points[i])
+			signedDigits(k1.W[:], c, nw, k1.Neg, digits[i:], nPts)
+			signedDigits(k2.W[:], c, nw, k2.Neg, digits[n+i:], nPts)
 		}
 	})
 
-	// Stage 2+3: bucket accumulation and aggregation per (window, chunk).
-	nChunks := (procs + nw - 1) / nw
-	if max := nPts / minChunkPoints; nChunks > max {
-		nChunks = max
-	}
-	if nChunks < 1 {
-		nChunks = 1
-	}
-	chunkLen := (nPts + nChunks - 1) / nChunks
-	partials := make([]curve.G1Jac, nw*nChunks)
-	task := func(w, chunk int) {
-		lo := chunk * chunkLen
-		hi := lo + chunkLen
-		if hi > nPts {
-			hi = nPts
-		}
-		if hi-lo >= minBatchAffinePoints {
-			partials[w*nChunks+chunk] = bucketAccAffine(bases, digits, nw, w, c, lo, hi, opt.Aggregation)
+	// Stage 2+3: bucket accumulation and aggregation per task.
+	tasks := scheduleWindows(nw, nPts, procs)
+	partials := make([]curve.G1Jac, len(tasks))
+	run := func(k int) {
+		t := tasks[k]
+		wd := digits[t.w*nPts : (t.w+1)*nPts]
+		var acc bucketAcc
+		if t.hi-t.lo >= minBatchAffinePoints {
+			acc = newAffineAcc(1 << uint(c-1))
 		} else {
-			partials[w*nChunks+chunk] = bucketAccJac(bases, digits, nw, w, c, lo, hi, opt.Aggregation)
+			acc = make(jacAcc, 1<<uint(c-1))
 		}
+		if t.lo < n {
+			hi := min(t.hi, n)
+			acc.addAll(points[t.lo:hi], wd[t.lo:hi])
+		}
+		if t.hi > n {
+			lo := max(t.lo, n)
+			acc.addAll(phis[lo-n:t.hi-n], wd[lo:t.hi])
+		}
+		partials[k] = acc.aggregate(opt.Aggregation)
 	}
-	if procs > 1 && nw*nChunks > 1 {
+	if procs > 1 && len(tasks) > 1 {
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, procs)
-		for w := 0; w < nw; w++ {
-			for chunk := 0; chunk < nChunks; chunk++ {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(w, chunk int) {
-					defer wg.Done()
-					task(w, chunk)
-					<-sem
-				}(w, chunk)
-			}
+		for k := range tasks {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(k int) {
+				defer wg.Done()
+				run(k)
+				<-sem
+			}(k)
 		}
 		wg.Wait()
 	} else {
-		for w := 0; w < nw; w++ {
-			for chunk := 0; chunk < nChunks; chunk++ {
-				task(w, chunk)
-			}
+		for k := range tasks {
+			run(k)
 		}
 	}
 
-	// Merge chunk partials per window (chunk order — deterministic), then
+	// Merge chunk partials per window (task order — deterministic), then
 	// Horner-combine the window sums.
 	windowSums := make([]curve.G1Jac, nw)
-	for w := 0; w < nw; w++ {
-		for chunk := 0; chunk < nChunks; chunk++ {
-			windowSums[w].Add(&windowSums[w], &partials[w*nChunks+chunk])
-		}
+	for k, t := range tasks {
+		windowSums[t.w].Add(&windowSums[t.w], &partials[k])
 	}
 	var out curve.G1Jac
 	return hornerCombine(windowSums, c, &out)
 }
 
-// bucketAccJac accumulates the signed digits of window w over
-// bases[lo:hi] into 2^(c-1) Jacobian buckets and aggregates them.
-func bucketAccJac(bases []curve.G1Affine, digits []int16, nw, w, c, lo, hi int, agg Aggregation) curve.G1Jac {
-	buckets := make([]curve.G1Jac, 1<<uint(c-1))
-	for i := lo; i < hi; i++ {
-		d := digits[i*nw+w]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			buckets[d-1].AddMixed(&bases[i])
-		} else {
-			var np curve.G1Affine
-			np.Neg(&bases[i])
-			buckets[-d-1].AddMixed(&np)
+// windowTask is the bucket accumulation of window w over the effective
+// points [lo, hi).
+type windowTask struct{ w, lo, hi int }
+
+// scheduleWindows lays out the accumulation tasks for procs goroutines:
+// one whole window per task while the windows fill every goroutine, and
+// the nw mod procs windows left over each cut into point chunks so the
+// last round keeps every goroutine busy too. A chunk costs a bucket
+// aggregation of its own, so nothing is cut when procs is 1, when procs
+// divides nw, or below minChunkPoints points a chunk.
+func scheduleWindows(nw, nPts, procs int) []windowTask {
+	whole, chunks := nw, 1
+	if r := nw % procs; procs > 1 && r != 0 {
+		if k := min(procs/gcd(r, procs), nPts/minChunkPoints); k > 1 {
+			whole, chunks = nw-r, k
 		}
 	}
-	return aggregateBuckets(buckets, agg)
+	tasks := make([]windowTask, 0, whole+(nw-whole)*chunks)
+	for w := 0; w < whole; w++ {
+		tasks = append(tasks, windowTask{w, 0, nPts})
+	}
+	size := (nPts + chunks - 1) / chunks
+	for w := whole; w < nw; w++ {
+		for lo := 0; lo < nPts; lo += size {
+			tasks = append(tasks, windowTask{w, lo, min(lo+size, nPts)})
+		}
+	}
+	return tasks
 }
 
-// bucketAccAffine is bucketAccJac with batch-affine buckets: inserts are
-// staged and applied in batches sharing one field inversion each.
-func bucketAccAffine(bases []curve.G1Affine, digits []int16, nw, w, c, lo, hi int, agg Aggregation) curve.G1Jac {
-	nb := 1 << uint(c-1)
-	acc := newAffineAcc(nb)
-	for i := lo; i < hi; i++ {
-		d := digits[i*nw+w]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			acc.add(int32(d-1), &bases[i], false)
-		} else {
-			acc.add(int32(-d-1), &bases[i], true)
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// bucketAcc collects the bucket updates of one window task: digit d of
+// point P adds P to bucket d-1, or −P to bucket −d-1 when d < 0.
+type bucketAcc interface {
+	addAll(pts []curve.G1Affine, digits []int16)
+	// aggregate returns Σ (i+1)·B_i over the buckets.
+	aggregate(agg Aggregation) curve.G1Jac
+}
+
+// jacAcc is the bucket set of a small task: Jacobian mixed additions.
+type jacAcc []curve.G1Jac
+
+func (b jacAcc) addAll(pts []curve.G1Affine, digits []int16) {
+	for i, d := range digits {
+		switch {
+		case d > 0:
+			b[d-1].AddMixed(&pts[i])
+		case d < 0:
+			var np curve.G1Affine
+			np.Neg(&pts[i])
+			b[-d-1].AddMixed(&np)
 		}
 	}
-	buckets := acc.finish()
-	jb := make([]curve.G1Jac, nb)
+}
+
+func (b jacAcc) aggregate(agg Aggregation) curve.G1Jac { return aggregateBuckets(b, agg) }
+
+func (a *affineAcc) addAll(pts []curve.G1Affine, digits []int16) {
+	for i, d := range digits {
+		switch {
+		case d > 0:
+			a.add(int32(d-1), &pts[i], false)
+		case d < 0:
+			a.add(int32(-d-1), &pts[i], true)
+		}
+	}
+}
+
+func (a *affineAcc) aggregate(agg Aggregation) curve.G1Jac {
+	buckets := a.finish()
+	if agg == AggregateGrouped && len(buckets) >= minLockstepGroups*GroupSize {
+		return aggregateGroupedAffine(buckets, GroupSize)
+	}
+	jb := make([]curve.G1Jac, len(buckets))
 	for i := range jb {
 		jb[i].FromAffine(&buckets[i])
 	}
 	return aggregateBuckets(jb, agg)
+}
+
+// minLockstepGroups is the smallest group count aggregateGroupedAffine
+// takes: below it, the 2G additions of a step are too few to pay for
+// their shared inversion. Measured on one goroutine: from 16 groups
+// (c = 9) the lockstep wins — 2^10 effective points at c=9 in 4.5 against
+// 5.5 ms on Jacobian buckets, 2^11 at c=10 in 7.3 against 9.3 ms — while
+// 8 groups (c = 8) gained nothing measurable.
+const minLockstepGroups = 16
+
+// aggregateGroupedAffine is aggregateGrouped over affine buckets with the
+// groups advanced in lockstep. Step s adds the s-th bucket from the top
+// of every group to the group's running sum, and the running sum as it
+// stood before the step to the group's weighted sum: 2G independent
+// affine additions sharing one inversion — the software shape of the
+// pipelined group units of §4.2.2 — where the serial running sum pays two
+// Jacobian additions per bucket. Reading the running sum before its update
+// leaves each weighted sum one group sum short, added at the end.
+// len(buckets) must be a multiple of g.
+func aggregateGroupedAffine(buckets []curve.G1Affine, g int) curve.G1Jac {
+	G := len(buckets) / g
+	acc := make([]curve.G1Affine, 2*G) // running sums, then weighted sums
+	adds := make([]curve.G1Affine, 2*G)
+	idx := make([]int32, 2*G)
+	denoms := make([]ff.Fp, 2*G)
+	scratch := make([]ff.Fp, 2*G)
+	for i := range acc {
+		acc[i] = curve.G1Infinity()
+	}
+	for s := g - 1; s >= 0; s-- {
+		// Only additions of a finite point are staged, so empty buckets —
+		// every bucket of a window that structured scalars never reach —
+		// cost no share of the batch.
+		m := 0
+		for k := 0; k < G; k++ {
+			if b := &buckets[k*g+s]; !b.Inf {
+				idx[m], adds[m] = int32(k), *b
+				m++
+			}
+			if !acc[k].Inf {
+				idx[m], adds[m] = int32(G+k), acc[k]
+				m++
+			}
+		}
+		curve.BatchAddMixed(acc, idx[:m], adds[:m], denoms, scratch)
+	}
+	groupSum := make([]curve.G1Jac, G)
+	groupWeighted := make([]curve.G1Jac, G)
+	for k := 0; k < G; k++ {
+		groupSum[k].FromAffine(&acc[k])
+		groupWeighted[k].FromAffine(&acc[G+k])
+		groupWeighted[k].AddMixed(&acc[k])
+	}
+	return combineGroups(groupSum, groupWeighted, g)
 }
 
 // affineAcc stages bucket updates for curve.BatchAddMixed, which needs
@@ -304,17 +423,25 @@ func newAffineAcc(nb int) *affineAcc {
 	return a
 }
 
-// add stages p (negated when neg) for addition into bucket b.
+// add stages p (negated when neg) for addition into bucket b. The point
+// is copied once, to wherever it waits, and negated there; an empty
+// bucket that nothing is staged for takes it without a batch slot.
 func (a *affineAcc) add(b int32, p *curve.G1Affine, neg bool) {
-	pt := *p
-	if neg {
-		pt.Neg(&pt)
-	}
-	if a.pending[b] {
+	var dst *curve.G1Affine
+	switch {
+	case a.pending[b]:
 		a.qIdx = append(a.qIdx, b)
-		a.qPts = append(a.qPts, pt)
-	} else {
-		a.stage(b, &pt)
+		a.qPts = append(a.qPts, *p)
+		dst = &a.qPts[len(a.qPts)-1]
+	case a.slots[b].Inf:
+		a.slots[b] = *p
+		dst = &a.slots[b]
+	default:
+		a.stage(b, p)
+		dst = &a.adds[len(a.adds)-1]
+	}
+	if neg {
+		dst.Y.Neg(&dst.Y)
 	}
 	if len(a.idx) >= a.batch {
 		a.runBatch() // batch full of distinct targets — best amortization

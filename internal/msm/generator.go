@@ -25,11 +25,9 @@ const (
 	// genWindow is the digit width c: 29·2^8 points ≈ 0.75 MB of table,
 	// the widest that stays under 1 MB.
 	genWindow = 9
-	// genWindows is ⌈255/c⌉. signedWindows' extra carry window is not
-	// needed here: the top window holds only 255 − 28·9 = 3 scalar bits, so
-	// its digit plus an incoming carry never reaches 2^(c-1) (signedDigits
-	// panics on a carry-out, should this ever stop being true).
-	genWindows = (ff.FrBits + genWindow - 1) / genWindow
+	// genWindows is signedWindows(ff.FrBits, genWindow) = 29: the top
+	// window holds only 255 − 28·9 = 3 scalar bits, so no carry window.
+	genWindows = (ff.FrBits+1)/genWindow + 1
 	// genChunk is how many additions share one field inversion.
 	genChunk = 1024
 )
@@ -66,18 +64,19 @@ func MulGenerator(scalars []ff.Fr) []curve.G1Affine {
 	genTableOnce.Do(buildGenTable)
 	const half = 1 << (genWindow - 1)
 	out := make([]curve.G1Affine, len(scalars))
-	forChunks(len(scalars), func(from, to int, s *chunkScratch) {
+	forChunks(len(scalars), runtime.GOMAXPROCS(0), func(from, to int, s *chunkScratch) {
 		acc := out[from:to]
-		digits := make([]int16, len(acc)*genWindows)
+		digits := make([]int16, genWindows*len(acc))
 		for i := range acc {
 			w := scalars[from+i].CanonicalLimbs()
-			signedDigits(w[:], genWindow, genWindows, false, digits[i*genWindows:(i+1)*genWindows])
+			signedDigits(w[:], genWindow, genWindows, false, digits[i:], len(acc))
 			acc[i] = curve.G1Infinity()
 		}
 		for w := 0; w < genWindows; w++ {
 			row := genTable[w*half : (w+1)*half]
+			wd := digits[w*len(acc) : (w+1)*len(acc)]
 			for i := range acc {
-				switch d := digits[i*genWindows+w]; {
+				switch d := wd[i]; {
 				case d > 0:
 					s.adds[i] = row[d-1]
 				case d < 0:
@@ -86,7 +85,7 @@ func MulGenerator(scalars []ff.Fr) []curve.G1Affine {
 					s.adds[i] = curve.G1Infinity()
 				}
 			}
-			s.addInto(acc)
+			s.addInto(acc, s.adds)
 		}
 	})
 	return out
@@ -101,14 +100,39 @@ func SumPairs(points []curve.G1Affine) []curve.G1Affine {
 		panic("msm: SumPairs needs an even number of points")
 	}
 	out := make([]curve.G1Affine, len(points)/2)
-	forChunks(len(out), func(from, to int, s *chunkScratch) {
+	forChunks(len(out), runtime.GOMAXPROCS(0), func(from, to int, s *chunkScratch) {
 		for i := from; i < to; i++ {
 			out[i] = points[2*i]
 			s.adds[i-from] = points[2*i+1]
 		}
-		s.addInto(out[from:to])
+		s.addInto(out[from:to], s.adds)
 	})
 	return out
+}
+
+// sumOnes returns Σ points — the part of a sparse MSM whose scalars are
+// 1 — as the pairwise reduction tree of §4.2 on batched affine additions:
+// each level adds the upper half of the points onto the lower half in
+// place, up to genChunk additions to a shared inversion, until fewer than
+// minBatchAffinePoints are left for Jacobian mixed additions. It uses
+// procs goroutines and overwrites points.
+func sumOnes(points []curve.G1Affine, procs int) curve.G1Jac {
+	for len(points) >= minBatchAffinePoints {
+		h := len(points) / 2
+		forChunks(h, procs, func(from, to int, s *chunkScratch) {
+			s.addInto(points[from:to], points[h+from:h+to])
+		})
+		if len(points)%2 == 1 {
+			points[h] = points[2*h]
+			h++
+		}
+		points = points[:h]
+	}
+	var sum curve.G1Jac
+	for i := range points {
+		sum.AddMixed(&points[i])
+	}
+	return sum
 }
 
 // chunkScratch is one worker's reusable curve.BatchAddMixed scratch for
@@ -120,18 +144,18 @@ type chunkScratch struct {
 	denoms, scratch []ff.Fp
 }
 
-// addInto sets acc[i] += s.adds[i] for every i, sharing one inversion.
-func (s *chunkScratch) addInto(acc []curve.G1Affine) {
-	curve.BatchAddMixed(acc, s.idx[:len(acc)], s.adds, s.denoms, s.scratch)
+// addInto sets acc[i] += adds[i] for every i, sharing one inversion.
+func (s *chunkScratch) addInto(acc, adds []curve.G1Affine) {
+	curve.BatchAddMixed(acc, s.idx[:len(acc)], adds, s.denoms, s.scratch)
 }
 
-// forChunks covers [0, n) with ranges of at most genChunk, spread over all
-// CPUs, and hands each call its worker's scratch. The chunk bound keeps
-// the scratch (≈ 200 KB a worker) independent of n.
-func forChunks(n int, fn func(from, to int, s *chunkScratch)) {
+// forChunks covers [0, n) with ranges of at most genChunk, spread over
+// procs goroutines, and hands each call its worker's scratch. The chunk
+// bound keeps the scratch (≈ 200 KB a worker) independent of n.
+func forChunks(n, procs int, fn func(from, to int, s *chunkScratch)) {
 	nChunks := (n + genChunk - 1) / genChunk
 	size := min(n, genChunk)
-	parallelFor(nChunks, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	parallelFor(nChunks, procs, func(lo, hi int) {
 		s := &chunkScratch{
 			adds:    make([]curve.G1Affine, size),
 			idx:     make([]int32, size),

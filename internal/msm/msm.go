@@ -4,10 +4,13 @@
 //
 //   - MSM, MSMWithOptions and SparseMSM run the fast path: signed-digit
 //     windows (halving the bucket count to 2^(c-1)), GLV endomorphism
-//     splitting (halving the window-loop bit length), and batch-affine
-//     bucket accumulation (Montgomery batch inversion turning ~11-mul
-//     Jacobian mixed adds into ~6-mul affine adds), plus point-chunked
-//     parallelism so large MSMs scale past the window count. See fast.go.
+//     splitting on fixed limbs (halving the window-loop bit length), and
+//     batch-affine bucket accumulation and grouped aggregation (Montgomery
+//     batch inversion turning ~11-mul Jacobian mixed adds into ~6-mul
+//     affine adds). Each window is one task; windows left over after the
+//     last full round of goroutines are cut into point chunks. The default
+//     width comes from a two-goroutine sweep (DefaultWindowFast). See
+//     fast.go.
 //   - Pippenger is the classic software shape — unsigned windows,
 //     Jacobian mixed adds per bucket insert, parallelism across windows —
 //     kept as the benchmark reference, the §4.2 window × aggregation
@@ -18,9 +21,9 @@
 // points and precomputes no per-point window tables, every call starts
 // from the affine points. The package also provides the Sparse MSM scheme
 // used for witness commitments (§3.3.1/§4.2: tree-reduce the 1-valued
-// scalars, skip zeros, fast MSM on the ~10% dense remainder) and both
-// bucket-aggregation schedules compared in Fig. 5 (SZKP's serial running
-// sum vs. zkSpeed's grouped aggregation).
+// scalars on batched affine additions, skip zeros, fast MSM on the ~10%
+// dense remainder) and both bucket-aggregation schedules compared in
+// Fig. 5 (SZKP's serial running sum vs. zkSpeed's grouped aggregation).
 package msm
 
 import (
@@ -226,9 +229,6 @@ func aggregateSerial(buckets []curve.G1Jac) curve.G1Jac {
 // identity per group and combined exactly.
 func aggregateGrouped(buckets []curve.G1Jac, g int) curve.G1Jac {
 	numGroups := (len(buckets) + g - 1) / g
-	// Process groups from the top so the k·g· scaling can be applied by
-	// repeated accumulate (base trick): maintain sumOfGroupSums and add it
-	// g times per step down — equivalently compute directly.
 	groupSum := make([]curve.G1Jac, numGroups)
 	groupWeighted := make([]curve.G1Jac, numGroups)
 	for k := 0; k < numGroups; k++ {
@@ -245,9 +245,14 @@ func aggregateGrouped(buckets []curve.G1Jac, g int) curve.G1Jac {
 		groupSum[k] = running // Σ_{i∈k} B_i
 		groupWeighted[k] = local
 	}
-	// Combine: Σ_k (groupWeighted[k] + (k·g)·groupSum[k]), with
-	// Σ_k k·groupSum[k] computed via suffix sums and scaled by g with
-	// double-and-add.
+	return combineGroups(groupSum, groupWeighted, g)
+}
+
+// combineGroups returns Σ_k (groupWeighted[k] + (k·g)·groupSum[k]), with
+// Σ_k k·groupSum[k] computed via suffix sums and scaled by g with
+// double-and-add.
+func combineGroups(groupSum, groupWeighted []curve.G1Jac, g int) curve.G1Jac {
+	numGroups := len(groupSum)
 	var suffix, kWeighted curve.G1Jac
 	for k := numGroups - 1; k >= 1; k-- {
 		suffix.Add(&suffix, &groupSum[k])
@@ -292,9 +297,9 @@ func ClassifyScalars(scalars []ff.Fr) SparseStats {
 
 // SparseMSM computes Σ scalars[i]·points[i] exploiting sparsity as zkSpeed
 // does for witness commitments: zeros are skipped, the points with scalar 1
-// are summed with a pairwise reduction tree, and the dense remainder goes
-// through the fast bucket MSM (the dense-remainder Pippenger of §4.2
-// inherits every kernel upgrade).
+// are summed with a pairwise reduction tree of batched affine additions
+// (sumOnes), and the dense remainder goes through the fast bucket MSM (the
+// dense-remainder Pippenger of §4.2 inherits every kernel upgrade).
 func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	if len(points) != len(scalars) {
 		panic("msm: mismatched sparse MSM input")
@@ -312,35 +317,11 @@ func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Ja
 			denseScalars = append(denseScalars, scalars[i])
 		}
 	}
-	onesSum := TreeSum(onesPts)
+	onesSum := sumOnes(onesPts, opt.procs())
 	denseSum := MSMWithOptions(densePts, denseScalars, opt)
 	var out curve.G1Jac
 	out.Add(&onesSum, &denseSum)
 	return out
-}
-
-// TreeSum adds points with a pairwise binary reduction tree — the schedule
-// the MSM unit uses for 1-valued scalars (§4.2), which keeps the pipelined
-// PADD unit full in hardware.
-func TreeSum(points []curve.G1Affine) curve.G1Jac {
-	if len(points) == 0 {
-		return curve.G1Jac{}
-	}
-	level := make([]curve.G1Jac, len(points))
-	for i := range points {
-		level[i].FromAffine(&points[i])
-	}
-	for len(level) > 1 {
-		next := make([]curve.G1Jac, (len(level)+1)/2)
-		for i := 0; i < len(level)/2; i++ {
-			next[i].Add(&level[2*i], &level[2*i+1])
-		}
-		if len(level)%2 == 1 {
-			next[len(next)-1] = level[len(level)-1]
-		}
-		level = next
-	}
-	return level[0]
 }
 
 // Naive computes the MSM by independent scalar multiplications; used as a

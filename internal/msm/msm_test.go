@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -143,17 +144,82 @@ func TestSparseMSM(t *testing.T) {
 	}
 }
 
+// runningSum is Σ points by serial mixed additions, the oracle of the
+// ones tree.
+func runningSum(points []curve.G1Affine) curve.G1Jac {
+	var sum curve.G1Jac
+	for i := range points {
+		sum.AddMixed(&points[i])
+	}
+	return sum
+}
+
+// TestTreeSum: the ones tree (sumOnes) equals the running sum on sizes
+// below, at and across minBatchAffinePoints and a genChunk level.
 func TestTreeSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 33} {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 33, minBatchAffinePoints - 1, minBatchAffinePoints, 2*genChunk + 3} {
 		pts := randPoints(rng, n)
-		var want curve.G1Jac
-		for i := range pts {
-			want.AddMixed(&pts[i])
-		}
-		got := TreeSum(pts)
+		want := runningSum(pts)
+		got := sumOnes(append([]curve.G1Affine(nil), pts...), 2)
 		if !got.Equal(&want) {
 			t.Fatalf("tree sum mismatch at n=%d", n)
+		}
+	}
+}
+
+// TestSumOnesEdgeCases: the ones tree and SparseMSM over all-one scalars
+// against Naive on the inputs whose batched additions leave the generic
+// chord: tiny and odd lengths, repeated points (doublings), P next to −P
+// (cancellation to infinity), points at infinity and 2^12 copies of one
+// point (a selector commitment), for procs 1, 2 and 3.
+func TestSumOnesEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	base := randPoints(rng, 1025)
+	cases := map[string][]curve.G1Affine{}
+	for _, n := range []int{0, 1, 2, 3, 257, 1025} {
+		cases[fmt.Sprintf("n=%d", n)] = base[:n]
+	}
+	repeated := make([]curve.G1Affine, 777)
+	cancel := make([]curve.G1Affine, 2*minBatchAffinePoints+1)
+	for i := range repeated {
+		repeated[i] = base[i%5]
+	}
+	for i := range cancel {
+		cancel[i] = base[i/2]
+		if i%2 == 1 {
+			cancel[i].Neg(&base[i/2])
+		}
+	}
+	// Halves that cancel exactly: the first level empties every slot.
+	halves := append(append([]curve.G1Affine(nil), base[:600]...), base[:600]...)
+	for i := 600; i < len(halves); i++ {
+		halves[i].Neg(&halves[i])
+	}
+	withInf := append([]curve.G1Affine(nil), base[:300]...)
+	for i := 0; i < len(withInf); i += 7 {
+		withInf[i] = curve.G1Infinity()
+	}
+	equal := make([]curve.G1Affine, 1<<12)
+	for i := range equal {
+		equal[i] = base[0]
+	}
+	cases["repeated"], cases["cancel"], cases["halves"] = repeated, cancel, halves
+	cases["infinity"], cases["equal-2^12"] = withInf, equal
+	for name, pts := range cases {
+		ones := make([]ff.Fr, len(pts))
+		for i := range ones {
+			ones[i].SetOne()
+		}
+		want := Naive(pts, ones)
+		for _, procs := range []int{1, 2, 3} {
+			if got := sumOnes(append([]curve.G1Affine(nil), pts...), procs); !got.Equal(&want) {
+				t.Fatalf("%s procs=%d: sumOnes mismatch", name, procs)
+			}
+			got := SparseMSM(pts, ones, Options{Parallel: true, Procs: procs, Aggregation: AggregateGrouped})
+			if !got.Equal(&want) {
+				t.Fatalf("%s procs=%d: SparseMSM mismatch", name, procs)
+			}
 		}
 	}
 }
@@ -183,6 +249,41 @@ func TestAggregationSchemesAgree(t *testing.T) {
 		}
 		if !a.Equal(&want) {
 			t.Fatalf("serial aggregation wrong at %d buckets", nb)
+		}
+	}
+}
+
+// TestAggregateGroupedAffine: the lockstep aggregation over affine
+// buckets equals the serial running sum, with empty buckets (whole groups
+// of them, and a group's top), equal buckets inside and across groups
+// (doublings when a running sum meets its next bucket) and a bucket that
+// cancels the running sum above it.
+func TestAggregateGroupedAffine(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for _, nb := range []int{GroupSize, 16 * GroupSize, 64 * GroupSize} {
+		pts := randPoints(rng, nb)
+		for i := range pts {
+			switch {
+			case i%GroupSize == GroupSize-1 && i%3 == 0, i/GroupSize == 2:
+				pts[i] = curve.G1Infinity()
+			case i%11 == 5:
+				pts[i] = pts[i-1]
+			case i%13 == 7 && i >= GroupSize:
+				pts[i] = pts[i-GroupSize/2]
+			}
+		}
+		if nb > GroupSize {
+			// The top two buckets of group 1 cancel: its running sum
+			// returns to ∞.
+			pts[2*GroupSize-2].Neg(&pts[2*GroupSize-1])
+		}
+		jac := make([]curve.G1Jac, nb)
+		for i := range jac {
+			jac[i].FromAffine(&pts[i])
+		}
+		want := aggregateSerial(jac)
+		if got := aggregateGroupedAffine(pts, GroupSize); !got.Equal(&want) {
+			t.Fatalf("%d buckets: lockstep aggregation mismatch", nb)
 		}
 	}
 }
@@ -238,57 +339,195 @@ var paths = []struct {
 	{"pippenger", Pippenger},
 }
 
-// TestSignedDigitsRoundTrip: the carry-corrected recoder reconstructs the
-// value for adversarial bit patterns across window widths.
-func TestSignedDigitsRoundTrip(t *testing.T) {
-	max := new(big.Int)
-	cases := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		max.Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(1)), // all ones
-		new(big.Int).Lsh(big.NewInt(1), 254),
-		new(big.Int).Sub(ff.FrModulusBig(), big.NewInt(1)),
+// recode runs signedDigits on v — a magnitude below 2^bits, handed over
+// in as many words as the callers use for that width (2 for a GLV half,
+// 4 for a full scalar) — into nw digits. It reports false where the
+// recoder panics because the top window would carry out, and otherwise
+// checks that the digits are in range and sum back to ±v.
+func recode(t *testing.T, v *big.Int, bits, c, nw int, neg bool) bool {
+	t.Helper()
+	words := make([]uint64, (bits+63)/64)
+	mask := new(big.Int).SetUint64(^uint64(0))
+	for i := range words {
+		words[i] = new(big.Int).And(new(big.Int).Rsh(v, uint(64*i)), mask).Uint64()
 	}
-	rng := rand.New(rand.NewSource(58))
-	for i := 0; i < 50; i++ {
-		cases = append(cases, new(big.Int).Rand(rng, ff.FrModulusBig()))
+	digits := make([]int16, nw)
+	ok := func() (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		signedDigits(words, c, nw, neg, digits, 1)
+		return true
+	}()
+	if !ok {
+		return false
 	}
-	for _, v := range cases {
-		var buf [32]byte
-		v.FillBytes(buf[:])
-		var words [4]uint64
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 8; j++ {
-				words[i] |= uint64(buf[31-(i*8+j)]) << (8 * j)
+	got := new(big.Int)
+	for i := nw - 1; i >= 0; i-- {
+		got.Lsh(got, uint(c))
+		got.Add(got, big.NewInt(int64(digits[i])))
+	}
+	want := new(big.Int).Set(v)
+	if neg {
+		want.Neg(want)
+	}
+	if got.Cmp(want) != 0 {
+		t.Fatalf("bits=%d c=%d neg=%v v=%s: recoded to %s", bits, c, neg, v, got)
+	}
+	// Raw digits lie in [-2^(c-1), 2^(c-1)); the neg flip can map the
+	// bottom end to +2^(c-1). Buckets only need |d| ≤ 2^(c-1) (index
+	// |d|-1 into 2^(c-1) buckets).
+	half := int64(1) << (c - 1)
+	for _, d := range digits {
+		if int64(d) < -half || int64(d) > half {
+			t.Fatalf("bits=%d c=%d: digit %d out of range", bits, c, d)
+		}
+	}
+	return true
+}
+
+// carryPatterns are the magnitudes below 2^bits that push the recoder's
+// carry chain hardest at width c: all ones (every window carries, and the
+// top window receives a carry on top of its own bits), the top bit alone,
+// and every window's raw digit at 2^(c-1) — the value that recodes to
+// −2^(c-1) and carries — with the ones below it saturated or not.
+func carryPatterns(bits, c int) []*big.Int {
+	top := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+	allOnes := new(big.Int).Sub(top, big.NewInt(1))
+	halves := new(big.Int)
+	for i := 0; i*c < bits; i++ {
+		halves.Or(halves, new(big.Int).Lsh(big.NewInt(1), uint(i*c+c-1)))
+	}
+	halves.And(halves, allOnes)
+	saturated := new(big.Int).Or(halves, new(big.Int).Rsh(allOnes, 1))
+	return []*big.Int{
+		allOnes,
+		new(big.Int).Rsh(top, 1),
+		halves,
+		saturated,
+		new(big.Int).Sub(allOnes, big.NewInt(int64(1)<<(c-1))),
+	}
+}
+
+// TestSignedWindowsTight: at every width the fast path and the generator
+// can use, signedWindows is enough for every carry-forcing magnitude of a
+// GLV half (128 bits) and of a full scalar (255 bits), and one window
+// fewer is not.
+func TestSignedWindowsTight(t *testing.T) {
+	for _, bits := range []int{ff.GLVBits, ff.FrBits} {
+		for c := 2; c <= 15; c++ {
+			nw := signedWindows(bits, c)
+			short := false
+			for _, v := range carryPatterns(bits, c) {
+				for _, neg := range []bool{false, true} {
+					if !recode(t, v, bits, c, nw, neg) {
+						t.Fatalf("bits=%d c=%d: %s does not recode in %d windows", bits, c, v, nw)
+					}
+				}
+				short = short || !recode(t, v, bits, c, nw-1, false)
+			}
+			if !short {
+				t.Fatalf("bits=%d c=%d: every pattern recodes in %d windows, so %d is not tight", bits, c, nw-1, nw)
 			}
 		}
-		for _, c := range []int{2, 3, 5, 8, 13, 15} {
-			for _, neg := range []bool{false, true} {
-				nw := signedWindows(255, c)
-				digits := make([]int16, nw)
-				signedDigits(words[:], c, nw, neg, digits)
-				got := new(big.Int)
-				for i := nw - 1; i >= 0; i-- {
-					got.Lsh(got, uint(c))
-					got.Add(got, big.NewInt(int64(digits[i])))
-				}
-				want := new(big.Int).Set(v)
-				if neg {
-					want.Neg(want)
-				}
-				if got.Cmp(want) != 0 {
-					t.Fatalf("c=%d neg=%v v=%s: recoded to %s", c, neg, v, got)
-				}
-				// Raw digits lie in [-2^(c-1), 2^(c-1)); the neg flip can
-				// map the bottom end to +2^(c-1). Buckets only need
-				// |d| ≤ 2^(c-1) (index |d|-1 into 2^(c-1) buckets).
-				half := int64(1) << (c - 1)
-				for _, d := range digits {
-					if int64(d) < -half || int64(d) > half {
-						t.Fatalf("c=%d: digit %d out of range", c, d)
+	}
+}
+
+// TestSignedDigitsRoundTrip: the carry-corrected recoder reconstructs the
+// value in signedWindows(bits, c) digits for boundary and random
+// magnitudes of both widths the package recodes.
+func TestSignedDigitsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for _, bits := range []int{ff.GLVBits, ff.FrBits} {
+		top := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+		cases := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			new(big.Int).Sub(top, big.NewInt(1)), // all ones
+			new(big.Int).Rsh(top, 1),
+		}
+		if bits == ff.FrBits {
+			cases = append(cases, new(big.Int).Sub(ff.FrModulusBig(), big.NewInt(1)))
+		}
+		for i := 0; i < 50; i++ {
+			cases = append(cases, new(big.Int).Rand(rng, top))
+		}
+		for _, v := range cases {
+			for _, c := range []int{2, 3, 5, 8, 12, 13, 15} {
+				for _, neg := range []bool{false, true} {
+					if !recode(t, v, bits, c, signedWindows(bits, c), neg) {
+						t.Fatalf("bits=%d c=%d v=%s: recoding overflowed", bits, c, v)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMSMEveryWindow: the fast path at every width it accepts, on sizes
+// around the Jacobian/affine crossover (255 and 256 points are 510 and 512
+// effective ones) and past minChunkPoints, under both aggregations — the
+// lockstep affine aggregation takes over from c = 9.
+func TestMSMEveryWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	sizes := []int{1, 255, 256, 2049}
+	if testing.Short() {
+		sizes = []int{1, 255, 256}
+	}
+	for _, n := range sizes {
+		pts := randPoints(rng, n)
+		scalars := make([]ff.Fr, n)
+		for i := range scalars {
+			scalars[i] = randFr(rng)
+		}
+		want := Naive(pts, scalars)
+		for c := 2; c <= 15; c++ {
+			for _, agg := range []Aggregation{AggregateSerial, AggregateGrouped} {
+				got := MSMWithOptions(pts, scalars, Options{Window: c, Aggregation: agg, Parallel: true})
+				if !got.Equal(&want) {
+					t.Fatalf("n=%d c=%d agg=%d: MSM mismatch", n, c, agg)
+				}
+			}
+		}
+	}
+}
+
+// TestScheduleWindows: every (window, effective point) pair is in exactly
+// one task; nothing is cut when procs is 1 or divides the window count;
+// otherwise the tasks split evenly over procs.
+func TestScheduleWindows(t *testing.T) {
+	for _, tc := range []struct{ nw, nPts, procs, wantTasks int }{
+		{10, 1 << 17, 1, 10},
+		{10, 1 << 17, 2, 10},
+		{11, 1 << 17, 2, 12},  // 10 whole windows + the 11th in halves
+		{13, 1 << 14, 2, 14},  // 12 + 2
+		{10, 1 << 17, 4, 12},  // 8 + 2 windows in halves
+		{10, 1 << 17, 3, 12},  // 9 + 1 window in thirds
+		{11, 3000, 2, 11},     // a half would be under minChunkPoints
+		{4, 1 << 16, 16, 16},  // 4 windows in quarters
+		{65, 1 << 12, 2, 66},  // c = 2
+		{10, 1 << 17, 16, 80}, // 10 windows in eighths
+	} {
+		tasks := scheduleWindows(tc.nw, tc.nPts, tc.procs)
+		if len(tasks) != tc.wantTasks {
+			t.Fatalf("%+v: %d tasks", tc, len(tasks))
+		}
+		covered := make([]int, tc.nw)
+		for _, task := range tasks {
+			if task.lo != covered[task.w] || task.hi <= task.lo || task.hi > tc.nPts {
+				t.Fatalf("%+v: task %+v leaves a gap or overlaps", tc, task)
+			}
+			covered[task.w] = task.hi
+		}
+		for w, hi := range covered {
+			if hi != tc.nPts {
+				t.Fatalf("%+v: window %d covered to %d", tc, w, hi)
+			}
+		}
+		if len(tasks)%tc.procs != 0 && len(tasks) != tc.nw {
+			t.Fatalf("%+v: %d chunked tasks do not divide over %d goroutines", tc, len(tasks), tc.procs)
 		}
 	}
 }

@@ -109,13 +109,15 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // everything else carries a poly.Options.
 func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
-	// bench comparator, the uncached engine, the volatile store and the
-	// tenant-suffixed submit methods are spelled in halves, so a grep of
-	// the tree for them finds none here.
+	// bench comparator, the uncached engine, the volatile store, the
+	// tenant-suffixed submit methods, the Jacobian ones tree and the
+	// math/big GLV splitter are spelled in halves, so a grep of the tree
+	// for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
 		"Compare" + "BenchReports", "Read" + "BenchReport", "Without" + "SRSCache", "New" + "Mem", "Submit" + "As",
+		"Tree" + "Sum", "GLV" + "Splitter",
 	}
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options
