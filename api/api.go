@@ -46,8 +46,6 @@ type CircuitInfo struct {
 	Mu        int    `json:"mu"`
 	NumGates  int    `json:"num_gates"`
 	NumPublic int    `json:"num_public"`
-	// Shard is the backend shard this circuit's jobs are routed to.
-	Shard int `json:"shard"`
 	// PCSScheme is the polynomial commitment scheme the circuit's proofs
 	// are produced under.
 	PCSScheme string `json:"pcs_scheme"`
@@ -109,8 +107,8 @@ type ProveResponse struct {
 // batch of statements over one circuit, proved as a unit. Exactly one of
 // CircuitDigest or Circuit must be set, as in ProveRequest. The call is
 // synchronous: the response carries every proof (or per-statement
-// failure). In cluster mode the statements are spread across shards and
-// worker daemons; in single-process mode they spread across local shards.
+// failure). The statements spread across the service's batch loops, and
+// in cluster mode across worker daemons.
 type ProveBatchRequest struct {
 	CircuitDigest string `json:"circuit_digest,omitempty"`
 	// Circuit optionally carries a ZKSC blob, registering the circuit as
@@ -152,7 +150,8 @@ type VerifyResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Health is the body of GET /healthz.
+// Health is the body of GET /healthz. Shards is the number of batch
+// loops draining the service's one job queue.
 type Health struct {
 	Status        string `json:"status"`
 	Shards        int    `json:"shards"`
@@ -230,7 +229,7 @@ type ClusterStatus struct {
 //	401 ErrCodeUnauthorized   missing or unknown API key
 //	403 ErrCodeKeyDisabled    valid key, administratively disabled
 //	413 ErrCodeWitnessTooBig  witness exceeds the tenant's per-upload cap
-//	429 ErrCodeOverloaded     shard queue full (not tenant-specific)
+//	429 ErrCodeOverloaded     job queue full (not tenant-specific)
 //	429 ErrCodeQuotaRate      tenant requests/sec bucket empty
 //	429 ErrCodeQuotaBytes     tenant witness-bytes budget exhausted
 //	429 ErrCodeQuotaInflight  tenant at max in-flight jobs

@@ -468,7 +468,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				}
 				// Coalescing and caching off, one job per ProveBatch: the
 				// victim's latency must come from scheduling, and a flooder
-				// mega-batch would hold the shard for MaxBatch proofs.
+				// mega-batch would hold the loop for MaxBatch proofs.
 				svc, err = NewService(ServiceConfig{
 					BatchWindow:   -1,
 					MaxBatch:      1,
@@ -534,7 +534,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 			// Re-saturate untimed before every victim prove so each
 			// measured iteration sees a full backlog, not whatever the
 			// previous iterations drained. The deterministic stagger
-			// breaks phase lock with the shard's prove cycle: without it
+			// breaks phase lock with the loop's prove cycle: without it
 			// every victim request would land just after a flooder proof
 			// started and measure the worst-case remainder every rep,
 			// instead of the uniform arrival phase real tenants have.
@@ -612,7 +612,7 @@ func clusterBatchStatements(mu, n int, seed int64) (*Circuit, []*Assignment, err
 // ClusterBenchmarks builds the distributed-proving suite: one
 // cluster/prove_batch/muN/workersK case per fleet size in
 // cfg.ClusterWorkers. Setup starts an in-process coordinator with K
-// dispatch shards and joins K in-process workers pinned to one core each
+// batch loops and joins K in-process workers pinned to one core each
 // (WithParallelism(1)), so K is the only parallelism knob and the
 // workers2-vs-workers1 ratio is the cluster's scaling factor, not the
 // engine's. Each iteration POSTs the same cfg.ClusterBatch-statement
@@ -641,8 +641,8 @@ func ClusterBenchmarks(cfg BenchConfig) []BenchmarkCase {
 			},
 			Setup: func() error {
 				var err error
-				// One dispatch shard per worker so batch statements fan
-				// out K-wide; coalescing off (each statement dispatches
+				// One batch loop per worker so batch statements fan out
+				// K-wide; coalescing off (each statement dispatches
 				// individually) and the proof cache disabled.
 				svc, err = NewService(ServiceConfig{
 					Shards:      workers,

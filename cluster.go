@@ -35,11 +35,12 @@ type ClusterConfig struct {
 }
 
 // WithCluster makes NewService run as a cluster coordinator: it listens
-// for worker daemons on cfg.Listen, dispatches each shard's batches to
-// them over the wire, and falls back to the local engines when no worker
-// is registered. All shards (and every joining worker) share one setup
-// seed read from the service's entropy source, so proofs verify across
-// the whole cluster and are byte-identical wherever they were produced.
+// for worker daemons on cfg.Listen, dispatches the service's batches to
+// them over the wire, and falls back to the local engine when no worker
+// is registered. The local engine and every joining worker share one
+// setup seed read from the service's entropy source, so proofs verify
+// across the whole cluster and are byte-identical wherever they were
+// produced.
 // The option has no effect on a plain New engine.
 func WithCluster(cfg ClusterConfig) Option {
 	return func(c *engineConfig) { c.cluster = &cfg }
@@ -81,16 +82,16 @@ func JoinCluster(ctx context.Context, addr string, cfg ClusterWorkerConfig, opts
 		NewBackend: func(setupSeed []byte) (service.Backend, error) {
 			engOpts := append(append([]Option{}, opts...),
 				WithEntropy(bytes.NewReader(setupSeed)), WithTimings())
-			return &engineShard{eng: New(engOpts...)}, nil
+			return &engineBackend{eng: New(engOpts...)}, nil
 		},
 	}
 	return cluster.Join(ctx, addr, wcfg)
 }
 
-// WarmSRS pre-derives the shard engine's universal setup for one problem
-// size — the preload hook cluster workers run right after joining. It is
-// scheme-agnostic: a Zeromorph shard warms its powers-of-τ setup the same
-// way a PST shard warms its Lagrange-basis SRS.
-func (sh *engineShard) WarmSRS(ctx context.Context, mu int) error {
-	return sh.eng.WarmSRS(ctx, mu)
+// WarmSRS pre-derives the engine's universal setup for one problem size —
+// the preload hook cluster workers run right after joining. It is
+// scheme-agnostic: a Zeromorph engine warms its powers-of-τ setup the same
+// way a PST engine warms its Lagrange-basis SRS.
+func (b *engineBackend) WarmSRS(ctx context.Context, mu int) error {
+	return b.eng.WarmSRS(ctx, mu)
 }

@@ -1,10 +1,10 @@
 // Command zkclusterd runs the zkspeed cluster coordinator: the zkproverd
 // HTTP/JSON proving service plus a TCP listener that zkproverd -worker
-// daemons join. Incoming jobs are routed digest→shard as usual, but each
-// shard dispatches its batches to the least-loaded worker holding the
+// daemons join. Jobs queue and coalesce as in zkproverd, but each batch
+// loop dispatches its batches to the least-loaded worker holding the
 // circuit (streaming the ZKSC blob the first time), re-queues work from
-// workers that die mid-job, steals queued jobs across shards to keep the
-// fleet busy, and proves locally when zero workers are registered.
+// workers that die mid-job, and proves locally when zero workers are
+// registered; -shards loops keep that many batches in flight.
 //
 // Every worker receives the coordinator's 64-byte setup seed in the join
 // handshake, so all engines in the cluster derive the same SRS and the
@@ -45,8 +45,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	clusterAddr := flag.String("cluster-addr", ":9444", "TCP address workers join")
-	shards := flag.Int("shards", 1, "number of dispatch shards")
-	queueCap := flag.Int("queue-cap", 64, "queued jobs per shard before 429")
+	shards := flag.Int("shards", 1, "number of batch loops dispatching to workers")
+	queueCap := flag.Int("queue-cap", 64, "queued jobs before 429")
 	batchWindow := flag.Duration("batch-window", 5*time.Millisecond, "batch accumulation window (0 disables coalescing)")
 	maxBatch := flag.Int("max-batch", 16, "max jobs per dispatched batch")
 	cacheSize := flag.Int("cache", 256, "proof-cache entries (negative disables)")
@@ -107,7 +107,7 @@ func main() {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("serving HTTP on %s, cluster on %s (%d shard(s), queue %d/shard)",
+		log.Printf("serving HTTP on %s, cluster on %s (%d batch loop(s), queue %d)",
 			*addr, svc.Cluster().ClusterStatus().Addr, *shards, *queueCap)
 		errCh <- server.ListenAndServe()
 	}()
@@ -162,8 +162,8 @@ func preloadCircuits(svc *zkspeed.ProverService, list string, seed int64) error 
 		if err != nil {
 			return fmt.Errorf("preloading mu=%d: %w", mu, err)
 		}
-		log.Printf("preloaded synthetic mu=%d circuit %s (shard %d) in %v",
-			mu, info.Digest[:12], info.Shard, time.Since(t0).Round(time.Millisecond))
+		log.Printf("preloaded synthetic mu=%d circuit %s in %v",
+			mu, info.Digest[:12], time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -1,14 +1,14 @@
-// Command zkproverd runs the zkspeed proving service: a pool of sharded
-// prover engines behind a bounded priority job queue with backpressure,
-// a batch-accumulation window that coalesces same-circuit jobs into one
-// ProveBatch call (amortizing SRS/key setup across tenants), an LRU
-// proof cache, and an HTTP/JSON API with Prometheus-style /metrics.
-// The shards derive one setup from one seed, so a batch spreads over all
-// of them and an idle shard steals queued jobs from a busy one.
+// Command zkproverd runs the zkspeed proving service: one prover engine
+// behind a bounded priority job queue with backpressure, drained by
+// -shards batch loops whose batch-accumulation window coalesces
+// same-circuit jobs into one ProveBatch call (amortizing SRS/key setup
+// across tenants), an LRU proof cache, and an HTTP/JSON API with
+// Prometheus-style /metrics. Every loop shares the engine's one SRS and
+// key cache, so -preload-mu warms them all.
 //
 // Usage:
 //
-//	zkproverd                                   # serve on :8080, 1 shard
+//	zkproverd                                   # serve on :8080, 1 batch loop
 //	zkproverd -addr :9090 -shards 4 -batch-window 10ms
 //	zkproverd -queue-cap 128 -max-batch 32 -cache 1024
 //	zkproverd -preload-mu 10,12 -seed 7         # pre-derive SRS ceremonies
@@ -44,8 +44,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	shards := flag.Int("shards", 1, "number of prover engine shards")
-	queueCap := flag.Int("queue-cap", 64, "queued jobs per shard before 429")
+	shards := flag.Int("shards", 1, "number of batch loops draining the job queue")
+	queueCap := flag.Int("queue-cap", 64, "queued jobs before 429")
 	batchWindow := flag.Duration("batch-window", 5*time.Millisecond, "batch accumulation window (0 disables coalescing)")
 	maxBatch := flag.Int("max-batch", 16, "max jobs per ProveBatch call")
 	cacheSize := flag.Int("cache", 256, "proof-cache entries (negative disables)")
@@ -53,7 +53,7 @@ func main() {
 	maxCircuits := flag.Int("max-circuits", 4096, "registered circuits before registrations are rejected")
 	seed := flag.Int64("seed", 0, "deterministic setup entropy seed (0 = crypto/rand)")
 	preload := flag.String("preload-mu", "", "comma-separated problem sizes whose SRS to pre-derive at startup, e.g. 10,12")
-	workers := flag.Int("workers", 0, "per-shard ProveBatch worker pool size (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "ProveBatch worker pool size (0 = one per CPU)")
 	verbose := flag.Bool("v", false, "log every completed proof")
 	workerMode := flag.Bool("worker", false, "run as a cluster proving worker instead of an HTTP service")
 	join := flag.String("join", "", "coordinator cluster address to join (required with -worker)")
@@ -136,7 +136,7 @@ func main() {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("serving on %s (%d shard(s), queue %d/shard, batch window %v, cache %d)",
+		log.Printf("serving on %s (%d batch loop(s), queue %d, batch window %v, cache %d)",
 			*addr, *shards, *queueCap, *batchWindow, *cacheSize)
 		errCh <- server.ListenAndServe()
 	}()
@@ -260,8 +260,8 @@ func preloadCircuits(svc *zkspeed.ProverService, list string, seed int64) error 
 		if err != nil {
 			return fmt.Errorf("preloading mu=%d: %w", mu, err)
 		}
-		log.Printf("preloaded synthetic mu=%d circuit %s (shard %d) in %v",
-			mu, info.Digest[:12], info.Shard, time.Since(t0).Round(time.Millisecond))
+		log.Printf("preloaded synthetic mu=%d circuit %s in %v",
+			mu, info.Digest[:12], time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -2,10 +2,11 @@
 // proving: it starts an in-process coordinator (the same code path as
 // cmd/zkclusterd) plus two workers, proves a 16-statement batch through
 // the HTTP API, kills one worker while the batch is in flight, then fires
-// a burst of async singles to exercise cross-shard work stealing. It
-// verifies every proof and asserts the /metrics counters recorded at
-// least one steal and one re-queue, exiting non-zero on any failure —
-// CI's cluster-smoke job runs exactly this.
+// a burst of async singles at the surviving worker. It verifies every
+// proof and asserts from /metrics that the death was re-queued and that
+// every single was dispatched to the survivor, none proved locally,
+// exiting non-zero on any failure — CI's cluster-smoke job runs exactly
+// this.
 package main
 
 import (
@@ -25,12 +26,12 @@ import (
 func main() {
 	seed := flag.Int64("seed", 7, "setup-entropy seed shared by the cluster")
 	statements := flag.Int("statements", 16, "batch size for the worker-death phase")
-	singles := flag.Int("singles", 8, "async singles fired to force work stealing")
+	singles := flag.Int("singles", 8, "async singles fired at the surviving worker")
 	flag.Parse()
 	log.SetFlags(0)
 
-	// Coordinator: two dispatch shards, coalescing off so queued singles
-	// stay individually stealable, worker listener on loopback.
+	// Coordinator: two batch loops, coalescing off so every single is its
+	// own dispatch, worker listener on loopback.
 	svc, err := zkspeed.NewService(zkspeed.ServiceConfig{
 		Shards:      2,
 		BatchWindow: -1,
@@ -111,10 +112,14 @@ func main() {
 	}
 	log.Printf("batch of %d statements survived the worker death (digest %.16s...)", len(assigns), batch.BatchDigest)
 
-	// Phase 2: async singles of one circuit all route to its home shard;
-	// the idle sibling shard must steal part of the backlog. Fresh
-	// witnesses (disjoint from phase 1's) so the proof cache stays cold
-	// and the jobs actually queue.
+	// Phase 2: async singles with one worker left. Coalescing is off, so
+	// each single must reach the survivor as its own dispatch, and none may
+	// fall back to local proving. Fresh witnesses (disjoint from phase 1's)
+	// so the proof cache stays cold and the jobs actually queue.
+	before, err := cl.Metrics(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	_, moreAssigns := statementsOf(5000, *singles)
 	jobIDs := make([]string, len(moreAssigns))
 	for i, a := range moreAssigns {
@@ -136,15 +141,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	steals := metricValue(metrics, "zkproverd_jobs_stolen_total")
+	grew := func(name string) float64 { return metricValue(metrics, name) - metricValue(before, name) }
+	dispatches := grew("zkproverd_cluster_dispatches_total")
+	fallbacks := grew("zkproverd_cluster_local_fallbacks_total")
 	requeues := metricValue(metrics, "zkproverd_cluster_requeues_total")
 	deaths := metricValue(metrics, "zkproverd_cluster_worker_deaths_total")
-	log.Printf("metrics: steals=%g requeues=%g worker_deaths=%g", steals, requeues, deaths)
+	log.Printf("metrics: requeues=%g worker_deaths=%g; singles phase: dispatches=+%g local_fallbacks=+%g",
+		requeues, deaths, dispatches, fallbacks)
 	if requeues < 1 {
 		log.Fatal("expected at least one re-queue after the worker death")
 	}
-	if steals < 1 {
-		log.Fatal("expected at least one cross-shard steal during the singles burst")
+	if dispatches < float64(len(moreAssigns)) {
+		log.Fatalf("expected at least %d dispatches to the surviving worker during the singles burst", len(moreAssigns))
+	}
+	if fallbacks != 0 {
+		log.Fatal("a single was proved locally with a live worker registered")
 	}
 	log.Print("cluster smoke: OK")
 }
@@ -152,7 +163,7 @@ func main() {
 // statementsOf builds n distinct witnesses (x = start..start+n-1) of one
 // fixed circuit: a repeated multiply-add chain whose final value is the
 // public input. Around 400 gates — big enough that proofs take long
-// enough to queue (and be stolen), small enough for CI.
+// enough to queue, small enough for CI.
 func statementsOf(start uint64, n int) (*zkspeed.Circuit, []*zkspeed.Assignment) {
 	var circuit *zkspeed.Circuit
 	assigns := make([]*zkspeed.Assignment, n)

@@ -87,7 +87,7 @@ func load(ctx context.Context, cl *client.Client, idsPath string, jobs, mu int, 
 // verify waits out every recorded job on the restarted daemon and
 // byte-compares its proof against a control re-prove of the same
 // statement by a fresh, identically seeded in-process Engine — the same
-// construction the daemon's shard uses, so with matching seeds the
+// construction the daemon's engine uses, so with matching seeds the
 // recovered proof must match bit for bit.
 func verify(ctx context.Context, cl *client.Client, idsPath string, mu int, seed int64) {
 	blob, err := os.ReadFile(idsPath)

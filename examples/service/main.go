@@ -2,7 +2,7 @@
 // service through the zkspeed/client package: register a circuit, prove
 // synchronously (twice, the second served by the proof cache), submit an
 // async job and poll it, prove an 8-statement batch (spread over every
-// shard of a multi-shard service), verify every proof, and scrape /metrics.
+// batch loop of the service), verify every proof, and scrape /metrics.
 //
 // Point it at a running daemon:
 //
@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("healthz: %v", err)
 	}
-	log.Printf("service healthy: %d shard(s), queue %d/%d", health.Shards, health.QueueDepth, health.QueueCapacity)
+	log.Printf("service healthy: %d batch loop(s), queue %d/%d", health.Shards, health.QueueDepth, health.QueueCapacity)
 
 	circuit, assignment, pub, err := zkspeed.SyntheticWorkloadSeeded(*mu, *seed)
 	if err != nil {
@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("circuit lookup: %v", err)
 	}
-	log.Printf("registered 2^%d-gate circuit %s… on shard %d", info.Mu, digest[:12], info.Shard)
+	log.Printf("registered 2^%d-gate circuit %s…", info.Mu, digest[:12])
 
 	// Synchronous prove; retry with the server's own pacing if overloaded.
 	var res *client.ProveResult
@@ -116,7 +116,7 @@ func main() {
 	log.Printf("identical request served from proof cache")
 
 	// Async submit + poll, on a second relation (different seed ⇒
-	// different circuit, likely a different shard).
+	// different circuit).
 	circuit2, assignment2, _, err := zkspeed.SyntheticWorkloadSeeded(*mu, *seed+1)
 	if err != nil {
 		log.Fatalf("workload 2: %v", err)
@@ -138,9 +138,9 @@ func main() {
 	}
 	log.Printf("async job %s proved and verified", jobID)
 
-	// Rollup-style batch: eight witnesses of one relation. A multi-shard
-	// service spreads the batch over all its shards, so every proof is
-	// checked against the circuit's verifying key on its home shard.
+	// Rollup-style batch: eight witnesses of one relation. A multi-loop
+	// service spreads the batch over its loops; every proof must verify
+	// against the circuit's one verifying key.
 	const batchSize = 8
 	var batchCircuit *zkspeed.Circuit
 	batch := make([]*zkspeed.Assignment, batchSize)

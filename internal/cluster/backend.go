@@ -11,9 +11,9 @@ import (
 	"zkspeed/internal/service"
 )
 
-// Backend adapts a Coordinator to the service.Backend interface, so a
-// shard's queue can be drained by the whole cluster: ProveBatch ships the
-// batch to a worker daemon and decodes the returned proofs; with no
+// Backend adapts a Coordinator to the service.Backend interface, so the
+// service's queue can be drained by the whole cluster: ProveBatch ships
+// the batch to a worker daemon and decodes the returned proofs; with no
 // workers registered (or after the retry budget is spent on dying
 // workers) it degrades to the local backend. Verify and Setup always run
 // locally — they are cheap relative to proving and keep the coordinator
@@ -32,27 +32,13 @@ func NewBackend(coord *Coordinator, local service.Backend) *Backend {
 }
 
 // ProveBatch dispatches the batch to a worker, falling back to the local
-// engine when the cluster cannot serve it. The service guarantees all
-// jobs in one batch share a circuit; mixed batches are split defensively.
+// engine when the cluster cannot serve it. Every job shares one circuit:
+// the service builds each batch from one job and its same-digest
+// arrivals.
 func (b *Backend) ProveBatch(ctx context.Context, jobs []service.BackendJob) []service.BackendResult {
 	if len(jobs) == 0 {
 		return nil
 	}
-	// Group contiguous same-circuit runs (in practice: one group).
-	out := make([]service.BackendResult, 0, len(jobs))
-	for start := 0; start < len(jobs); {
-		end := start + 1
-		for end < len(jobs) && jobs[end].Circuit == jobs[start].Circuit {
-			end++
-		}
-		out = append(out, b.proveGroup(ctx, jobs[start:end])...)
-		start = end
-	}
-	return out
-}
-
-// proveGroup ships one single-circuit group to the cluster.
-func (b *Backend) proveGroup(ctx context.Context, jobs []service.BackendJob) []service.BackendResult {
 	if b.coord.WorkerCount() == 0 {
 		b.coord.noteLocalFallback()
 		return b.local.ProveBatch(ctx, jobs)

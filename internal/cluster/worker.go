@@ -15,7 +15,7 @@ import (
 
 // SRSWarmer is the optional preload hook a worker backend may implement:
 // pre-derive the SRS for a problem size before any circuit of that size
-// arrives (the root package's engine shard implements it).
+// arrives (the root package's engine backend implements it).
 type SRSWarmer interface {
 	WarmSRS(ctx context.Context, mu int) error
 }

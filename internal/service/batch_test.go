@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,36 +24,6 @@ func witnessesFor(t *testing.T, c uint64, n int) (*hyperplonk.Circuit, []*hyperp
 		assigns = append(assigns, a)
 	}
 	return circuit, assigns
-}
-
-func TestSubmitBatchSpreadsAcrossShards(t *testing.T) {
-	backends := []Backend{&stubBackend{}, &stubBackend{}, &stubBackend{}, &stubBackend{}}
-	s := newTestService(t, Config{BatchWindow: time.Millisecond}, backends...)
-
-	circuit, assigns := witnessesFor(t, 21, 8)
-	entry := mustRegister(t, s, circuit)
-
-	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 8 || resp.Failed != 0 {
-		t.Fatalf("results=%d failed=%d", len(resp.Results), resp.Failed)
-	}
-	if resp.BatchDigest == "" {
-		t.Fatal("missing batch digest on a fully successful batch")
-	}
-	for i, r := range resp.Results {
-		if r.Status != api.StatusDone || len(r.Proof) == 0 {
-			t.Fatalf("statement %d: %+v", i, r)
-		}
-	}
-	// Round-robin spread: every shard proved at least one statement.
-	for i, b := range backends {
-		if b.(*stubBackend).Stats().Proofs == 0 {
-			t.Fatalf("shard %d proved nothing — batch was not spread", i)
-		}
-	}
 }
 
 func TestProveBatchWaitDigestIsOrderSensitive(t *testing.T) {
@@ -119,39 +91,164 @@ func TestSubmitBatchRejectsOverCapacityWhole(t *testing.T) {
 	}
 }
 
-// parkedBackend announces every ProveBatch call on entered and holds it
-// until the service shuts down, pinning its shard loop.
-type parkedBackend struct {
+// gateBackend announces every ProveBatch call on entered and holds it
+// until release closes (or the service shuts down), recording the most
+// calls it held at once.
+type gateBackend struct {
 	stubBackend
 	entered chan struct{}
+	release chan struct{}
+
+	gmu       sync.Mutex
+	held, max int
 }
 
-func (b *parkedBackend) ProveBatch(ctx context.Context, jobs []BackendJob) []BackendResult {
+func newGateBackend(calls int) *gateBackend {
+	return &gateBackend{entered: make(chan struct{}, calls), release: make(chan struct{})}
+}
+
+func (b *gateBackend) ProveBatch(ctx context.Context, jobs []BackendJob) []BackendResult {
+	b.gmu.Lock()
+	b.held++
+	b.max = max(b.max, b.held)
+	b.gmu.Unlock()
 	b.entered <- struct{}{}
-	<-ctx.Done()
+	select {
+	case <-b.release:
+	case <-ctx.Done():
+	}
+	b.gmu.Lock()
+	b.held--
+	b.gmu.Unlock()
 	return b.stubBackend.ProveBatch(ctx, jobs)
 }
 
-func TestSubmitBatchChecksEveryShardsShare(t *testing.T) {
-	// 2 shards × capacity 4, both loops parked, 3 jobs queued on the home
-	// shard: 5 slots are free in total, but the 4-statement batch puts 2
-	// on the home shard, which has 1. It must be refused before any
-	// statement is enqueued.
-	entered := make(chan struct{}, 2) // one park per shard loop
-	s := newTestService(t, Config{QueueCapacity: 4, BatchWindow: -1},
-		&parkedBackend{entered: entered}, &parkedBackend{entered: entered})
-	circuit, assigns := witnessesFor(t, 27, 9)
+func (b *gateBackend) maxHeld() int {
+	b.gmu.Lock()
+	defer b.gmu.Unlock()
+	return b.max
+}
+
+// waitEntered waits for n more ProveBatch calls to reach the gate.
+func (b *gateBackend) waitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-b.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d ProveBatch calls arrived", i, n)
+		}
+	}
+}
+
+// TestEveryLoopWakesOnBurst pushes six singles of distinct circuits at
+// three idle loops in one burst, coalescing off. All three loops must
+// wake and hold a backend call at once: a wake-up meant for one consumer
+// would leave two loops asleep beside a non-empty queue. Released, the
+// loops drain the rest, never more than three calls at a time.
+func TestEveryLoopWakesOnBurst(t *testing.T) {
+	const loops, singles = 3, 6
+	gate := newGateBackend(singles)
+	s := newLoopService(t, Config{BatchWindow: -1}, gate, loops)
+	entries := make([]*circuitEntry, singles)
+	assigns := make([]*hyperplonk.Assignment, singles)
+	for i := range entries {
+		var c *hyperplonk.Circuit
+		c, assigns[i] = buildCircuit(t, uint64(30+i), 1)
+		entries[i] = mustRegister(t, s, c)
+	}
+	jobs := make([]*job, singles)
+	for i := range jobs {
+		j, err := s.Submit(nil, entries[i], assigns[i], prioNormal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	gate.waitEntered(t, loops)
+	if d := s.QueueDepth(); d != singles-loops {
+		t.Fatalf("queue depth %d with every loop held, want %d", d, singles-loops)
+	}
+	close(gate.release)
+	for _, j := range jobs {
+		select {
+		case <-j.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never finished", j.id)
+		}
+		if r := j.response(); r.Status != api.StatusDone {
+			t.Fatalf("job %s: %+v", j.id, r)
+		}
+	}
+	if m := gate.maxHeld(); m != loops {
+		t.Fatalf("at most %d concurrent ProveBatch calls, want %d", m, loops)
+	}
+	if p := gate.Stats().Proofs; p != singles {
+		t.Fatalf("backend proved %d jobs, want %d", p, singles)
+	}
+}
+
+// TestArrivalWakesEveryCollector holds two loops in their batch windows
+// on different circuits, then submits a second job of the later loop's
+// circuit. It must join that batch at once: a wake-up handed to a single
+// waiter would go to the earlier loop's collector, which cannot use it,
+// and leave the job queued until that window closes a minute later.
+func TestArrivalWakesEveryCollector(t *testing.T) {
+	s := newLoopService(t, Config{BatchWindow: time.Minute, MaxBatch: 2}, &stubBackend{}, 2)
+	circuitA, assignA := buildCircuit(t, 40, 1)
+	circuitB, assignsB := witnessesFor(t, 41, 2)
+	entryA, entryB := mustRegister(t, s, circuitA), mustRegister(t, s, circuitB)
+	popped := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.QueueDepth() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no loop popped the job")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	submit := func(e *circuitEntry, a *hyperplonk.Assignment) *job {
+		t.Helper()
+		j, err := s.Submit(nil, e, a, prioNormal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	submit(entryA, assignA)
+	popped()
+	submit(entryB, assignsB[0])
+	popped()
+	j := submit(entryB, assignsB[1])
+	select {
+	case <-j.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("same-circuit arrival did not wake its collector")
+	}
+	if r := j.response(); r.Status != api.StatusDone || r.BatchSize != 2 {
+		t.Fatalf("arrival: %+v, want done in a batch of 2", r)
+	}
+}
+
+func TestSubmitBatchRefusedEnqueuesNothing(t *testing.T) {
+	// 2 loops × capacity 4, both loops held, 3 jobs queued: the 2-statement
+	// batch exceeds the one free slot and must be refused before any
+	// statement is enqueued or tracked.
+	gate := newGateBackend(2)
+	s := newLoopService(t, Config{QueueCapacity: 4, BatchWindow: -1}, gate, 2)
+	circuit, assigns := witnessesFor(t, 27, 7)
 	entry := mustRegister(t, s, circuit)
 	for i, a := range assigns[:5] {
 		if _, err := s.Submit(nil, entry, a, prioNormal, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i < 2 {
-			<-entered // the home loop, then the stealing sibling, park
+			gate.waitEntered(t, 1) // each loop takes one job and is held
 		}
 	}
-	if d := s.shards[entry.shard].queue.Depth(); d != 3 {
-		t.Fatalf("home shard depth %d, want 3", d)
+	if d := s.QueueDepth(); d != 3 {
+		t.Fatalf("queue depth %d, want 3", d)
 	}
 	tracked := func() int {
 		s.jobsMu.Lock()
@@ -171,39 +268,50 @@ func TestSubmitBatchChecksEveryShardsShare(t *testing.T) {
 	if n := tracked(); n != before {
 		t.Fatalf("refused batch left %d tracked jobs", n-before)
 	}
+	if r := s.Metrics().Snapshot().JobsRejected; r != 2 {
+		t.Fatalf("JobsRejected = %d, want the batch's 2 statements", r)
+	}
 }
 
-func TestStealRebalancesAcrossShards(t *testing.T) {
-	// All of one circuit's jobs route to its home shard; the idle sibling must drain part of the backlog. Coalescing is off so
-	// queued jobs stay individually stealable, and the slow backend keeps
-	// the home shard busy long enough for steals to happen.
-	slowA := &stubBackend{delay: 20 * time.Millisecond}
-	slowB := &stubBackend{delay: 20 * time.Millisecond}
-	s := newTestService(t, Config{BatchWindow: -1, QueueCapacity: 64}, slowA, slowB)
-
-	circuit, assigns := witnessesFor(t, 25, 8)
-	entry := mustRegister(t, s, circuit)
-
-	jobs := make([]*job, len(assigns))
-	for i, a := range assigns {
-		j, err := s.Submit(nil, entry, a, prioNormal, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = j
-	}
-	for _, j := range jobs {
-		<-j.done
-		if r := j.response(); r.Status != api.StatusDone {
-			t.Fatalf("job %s: %+v", j.id, r)
-		}
-	}
-	if slowA.Stats().Proofs == 0 || slowB.Stats().Proofs == 0 {
-		t.Fatalf("work was not rebalanced: shard0=%d shard1=%d",
-			slowA.Stats().Proofs, slowB.Stats().Proofs)
-	}
-	if stolen := s.Metrics().Snapshot().JobsStolen; stolen < 1 {
-		t.Fatalf("JobsStolen = %d, want >= 1", stolen)
+// TestRetryAfterScalesWithLoops fills a 6-slot queue behind held loops
+// after one measured 1 s proof: the loops drain the backlog in parallel,
+// so Retry-After charges depth/loops proofs plus the one in flight.
+func TestRetryAfterScalesWithLoops(t *testing.T) {
+	for _, tc := range []struct {
+		loops         int
+		single, batch time.Duration // 6 queued + 1, and + 2 statements
+	}{
+		{1, 7 * time.Second, 9 * time.Second},
+		{3, 3 * time.Second, 3*time.Second + time.Second/3*2},
+	} {
+		t.Run(fmt.Sprintf("loops%d", tc.loops), func(t *testing.T) {
+			gate := newGateBackend(tc.loops)
+			s := newLoopService(t, Config{QueueCapacity: 6, BatchWindow: -1}, gate, tc.loops)
+			s.met.observeProve(time.Second, nil)
+			circuit, assigns := witnessesFor(t, 28, tc.loops+9)
+			entry := mustRegister(t, s, circuit)
+			for i, a := range assigns[:tc.loops+6] {
+				if _, err := s.Submit(nil, entry, a, prioNormal, nil); err != nil {
+					t.Fatal(err)
+				}
+				if i < tc.loops {
+					gate.waitEntered(t, 1)
+				}
+			}
+			var over *OverloadedError
+			if _, err := s.Submit(nil, entry, assigns[tc.loops+6], prioNormal, nil); !errors.As(err, &over) {
+				t.Fatalf("submit into a full queue: %v", err)
+			}
+			if over.RetryAfter != tc.single {
+				t.Fatalf("single Retry-After %v, want %v", over.RetryAfter, tc.single)
+			}
+			if _, err := s.SubmitBatch(nil, entry, assigns[tc.loops+7:], prioNormal, nil); !errors.As(err, &over) {
+				t.Fatalf("batch into a full queue: %v", err)
+			}
+			if over.RetryAfter != tc.batch {
+				t.Fatalf("batch Retry-After %v, want %v", over.RetryAfter, tc.batch)
+			}
+		})
 	}
 }
 
@@ -247,8 +355,7 @@ func TestReadyzLifecycle(t *testing.T) {
 
 func TestReadyzRequiresClusterWorkers(t *testing.T) {
 	fc := &fakeCluster{workers: 0}
-	backends := []Backend{&stubBackend{}}
-	s, err := New(Config{Cluster: fc}, backends)
+	s, err := New(Config{Cluster: fc}, &stubBackend{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

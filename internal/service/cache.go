@@ -11,7 +11,7 @@ import (
 // relation, the witness digest binds the assignment. Two requests share
 // an entry iff both match, in which case the stored proof is byte-for-
 // byte valid for the new request (the prover is deterministic given the
-// transcript, and the SRS is fixed per shard).
+// transcript, and the service's one SRS is fixed).
 type cacheKey struct {
 	circuit, witness [32]byte
 }

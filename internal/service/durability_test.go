@@ -147,7 +147,7 @@ func TestShutdownDrainsToStore(t *testing.T) {
 
 	w := openTestWAL(t, dir)
 	svc, err := New(Config{Store: w, BatchWindow: -1, MaxBatch: 1, QueueCapacity: 16},
-		[]Backend{&stubBackend{delay: 50 * time.Millisecond}})
+		&stubBackend{delay: 50 * time.Millisecond}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestShutdownDrainsToStore(t *testing.T) {
 // must still leave every queued job with a terminal (retryable) response
 // — never a silently vanished id.
 func TestShutdownVolatileFailsTerminally(t *testing.T) {
-	svc, err := New(Config{BatchWindow: -1, MaxBatch: 1}, []Backend{&stubBackend{delay: 50 * time.Millisecond}})
+	svc, err := New(Config{BatchWindow: -1, MaxBatch: 1}, &stubBackend{delay: 50 * time.Millisecond}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestFairShareIsolation(t *testing.T) {
 		}
 	}
 	contendedP95 := percentile(measure(svcCont, entryV, rounds), 0.95)
-	if depth := svcCont.shards[0].queue.Depth(); depth == 0 {
+	if depth := svcCont.QueueDepth(); depth == 0 {
 		t.Fatal("flooder backlog drained during measurement — contended numbers are meaningless")
 	}
 

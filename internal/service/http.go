@@ -30,7 +30,7 @@ import (
 //	GET  /v1/jobs/{id}          poll an async job
 //	POST /v1/verify             verify a proof
 //	GET  /v1/cluster            cluster coordinator status (404 if local)
-//	GET  /healthz               liveness + queue/shard summary
+//	GET  /healthz               liveness + queue summary
 //	GET  /readyz                readiness (503 until ready)
 //	GET  /metrics               Prometheus text exposition
 //
@@ -218,7 +218,7 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool
 }
 
 // checkPCSScheme enforces a request's pcs_scheme against the scheme this
-// service's shards prove under. Both unknown names and known-but-unserved
+// service proves under. Both unknown names and known-but-unserved
 // ones are 422 — the statement cannot be served as phrased — and the body
 // lists every scheme this build registers so the client can repair the
 // request without a discovery round trip.
@@ -455,8 +455,8 @@ func (s *Service) resolveCircuit(w http.ResponseWriter, digestHex string, blob [
 }
 
 // handleProveBatch proves a rollup batch synchronously: the statements
-// spread across shards (and, in cluster mode, worker daemons) and the
-// response aggregates every proof plus the batch digest.
+// spread across the batch loops (and, in cluster mode, worker daemons)
+// and the response aggregates every proof plus the batch digest.
 func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.ProveBatchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -602,9 +602,9 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snap := s.met.Snapshot()
 	writeJSON(w, http.StatusOK, api.Health{
 		Status:        "ok",
-		Shards:        len(s.shards),
+		Shards:        s.loops,
 		QueueDepth:    s.QueueDepth(),
-		QueueCapacity: s.cfg.QueueCapacity * len(s.shards),
+		QueueCapacity: s.cfg.QueueCapacity,
 		Circuits:      s.circuitCount(),
 		JobsDone:      snap.JobsDone,
 		JobsFailed:    snap.JobsFailed,
@@ -613,37 +613,17 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// One Stats snapshot feeds all three cumulative engine series; they are
+	// monotonic, so they render as counters.
+	st := s.backend.Stats()
 	gauges := []gauge{
 		{name: "zkproverd_circuits_registered", help: "Registered circuits.", value: float64(s.circuitCount())},
 		{name: "zkproverd_proof_cache_entries", help: "Proofs in the LRU cache.", value: float64(s.cache.Len())},
+		{name: "zkproverd_queue_depth", help: "Queued jobs.", value: float64(s.queue.Depth())},
+		{name: "zkproverd_srs_setups_total", help: "SRS ceremonies run by the engine.", counter: true, value: float64(st.SRSSetups)},
+		{name: "zkproverd_key_setups_total", help: "Circuit preprocessings run by the engine.", counter: true, value: float64(st.KeySetups)},
+		{name: "zkproverd_key_cache_hits_total", help: "Engine key-cache hits.", counter: true, value: float64(st.KeyCacheHits)},
 	}
-	for _, sh := range s.shards {
-		gauges = append(gauges, gauge{
-			name: "zkproverd_queue_depth", help: "Queued jobs per shard.",
-			labels: fmt.Sprintf(`shard="%d"`, sh.idx), value: float64(sh.queue.Depth()),
-		})
-	}
-	// One consistent Stats snapshot per shard feeds all three cumulative
-	// series; they are monotonic, so they render as counters.
-	snaps := make([]BackendStats, len(s.shards))
-	for i, sh := range s.shards {
-		snaps[i] = sh.backend.Stats()
-	}
-	stats := func(name, help string, pick func(BackendStats) int) {
-		for i := range s.shards {
-			gauges = append(gauges, gauge{
-				name: name, help: help, counter: true,
-				labels: fmt.Sprintf(`shard="%d"`, i),
-				value:  float64(pick(snaps[i])),
-			})
-		}
-	}
-	stats("zkproverd_srs_setups_total", "SRS ceremonies run per shard engine.",
-		func(st BackendStats) int { return st.SRSSetups })
-	stats("zkproverd_key_setups_total", "Circuit preprocessings per shard engine.",
-		func(st BackendStats) int { return st.KeySetups })
-	stats("zkproverd_key_cache_hits_total", "Key-cache hits per shard engine.",
-		func(st BackendStats) int { return st.KeyCacheHits })
 	if s.store != nil {
 		rec := s.recovery
 		gauges = append(gauges,

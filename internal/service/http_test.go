@@ -183,7 +183,7 @@ func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	if resp := submit(3, 7); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit: %d", resp.StatusCode)
 	}
-	// Wait for the shard to move the first job from the queue into its
+	// Wait for the loop to move the first job from the queue into its
 	// batch collector, freeing the single queue slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.QueueDepth() != 0 {
@@ -341,7 +341,7 @@ func TestMetricsExposition(t *testing.T) {
 		"zkproverd_prove_seconds_count 1",
 		"zkproverd_circuits_registered 1",
 		"zkproverd_proof_cache_entries 1",
-		`zkproverd_queue_depth{shard="0"} 0`,
+		"zkproverd_queue_depth 0",
 		`zkproverd_http_requests_total{route="POST /v1/prove",code="200"} 2`,
 	} {
 		if !strings.Contains(text, want) {
@@ -351,7 +351,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestHTTPRegisterPCSSchemeMismatch(t *testing.T) {
-	s := newTestService(t, Config{}) // stub backends serve "pst"
+	s := newTestService(t, Config{}) // the stub backend serves "pst"
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

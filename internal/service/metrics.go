@@ -23,7 +23,6 @@ type Metrics struct {
 	jobsDone     int64
 	jobsFailed   int64
 	jobsRejected int64
-	jobsStolen   int64
 	cacheHits    int64
 	batches      int64
 	batchJobs    int64
@@ -136,15 +135,16 @@ func (m *Metrics) observeHTTP(pattern string, code int) {
 }
 
 // retryAfter estimates how long an overloaded queue needs to drain depth
-// jobs, bounded to [1s, 120s] so the header is always actionable.
-func (m *Metrics) retryAfter(depth int) time.Duration {
+// jobs with loops batch loops draining it in parallel, bounded to
+// [1s, 120s] so the header is always actionable.
+func (m *Metrics) retryAfter(depth, loops int) time.Duration {
 	m.mu.Lock()
 	per := m.ewmaProveSec
 	m.mu.Unlock()
 	if per == 0 {
 		per = 0.5 // no proof measured yet; assume a modest circuit
 	}
-	d := time.Duration(per * float64(depth+1) * float64(time.Second))
+	d := time.Duration(per * (float64(depth)/float64(loops) + 1) * float64(time.Second))
 	if d < time.Second {
 		d = time.Second
 	}
@@ -157,7 +157,6 @@ func (m *Metrics) retryAfter(depth int) time.Duration {
 // Snapshot is a consistent copy of the counters, for tests and /healthz.
 type MetricsSnapshot struct {
 	JobsDone, JobsFailed, JobsRejected int64
-	JobsStolen                         int64
 	CacheHits                          int64
 	Batches, BatchJobs                 int64
 	Verifies, VerifyFailed             int64
@@ -169,9 +168,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	defer m.mu.Unlock()
 	return MetricsSnapshot{
 		JobsDone: m.jobsDone, JobsFailed: m.jobsFailed, JobsRejected: m.jobsRejected,
-		JobsStolen: m.jobsStolen,
-		CacheHits:  m.cacheHits,
-		Batches:    m.batches, BatchJobs: m.batchJobs,
+		CacheHits: m.cacheHits,
+		Batches:   m.batches, BatchJobs: m.batchJobs,
 		Verifies: m.verifies, VerifyFailed: m.verifyFailed,
 		ProveCount: m.proveCount,
 	}
@@ -182,7 +180,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // the exposition declares the right TYPE.
 type gauge struct {
 	name, help string
-	labels     string // rendered label set, e.g. `shard="0"`, may be empty
+	labels     string // rendered label set, e.g. `tenant="acme"`, may be empty
 	value      float64
 	counter    bool
 }
@@ -205,8 +203,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges []gauge) {
 		[2]string{`{status="failed"}`, fmt.Sprint(m.jobsFailed)},
 		[2]string{`{status="rejected"}`, fmt.Sprint(m.jobsRejected)},
 		[2]string{`{status="cached"}`, fmt.Sprint(m.cacheHits)})
-	counter("zkproverd_jobs_stolen_total", "Jobs taken from a sibling shard's queue by an idle shard.",
-		[2]string{"", fmt.Sprint(m.jobsStolen)})
 	counter("zkproverd_batches_total", "ProveBatch calls issued to backends.",
 		[2]string{"", fmt.Sprint(m.batches)})
 	counter("zkproverd_batch_jobs_total", "Jobs carried inside ProveBatch calls.",
@@ -267,7 +263,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges []gauge) {
 	fmt.Fprintf(w, "zkproverd_prove_seconds_count %d\n", m.proveCount)
 
 	// Gauges arrive ordered by the service; emit HELP/TYPE once per name
-	// even when a name repeats with different label sets (per-shard rows).
+	// even when a name repeats with different label sets (per-tenant rows).
 	prev := ""
 	for _, g := range gauges {
 		if g.name != prev {

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// OverloadedError is returned by Submit when the target shard's queue is
+// OverloadedError is returned by Submit when the service's queue is
 // full. The HTTP layer maps it to 429 with a Retry-After header; the
 // estimate is derived from the queue depth and the recent per-proof
 // latency, so a client that honors it lands after the backlog drains.
@@ -136,7 +136,7 @@ func (l *lane) pop() *job {
 	}
 }
 
-// remove extracts an arbitrary queued job (coalescing, stealing). The
+// remove extracts an arbitrary queued job (coalescing). The
 // tenant's deficit is still charged so out-of-band departures don't
 // grant extra share — it may go negative, which just delays the
 // tenant's next DRR pop.
@@ -182,25 +182,28 @@ func (l *lane) drain() []*job {
 	return out
 }
 
-// jobQueue is a bounded three-lane priority queue owned by one shard,
-// each lane fair-sharing across tenants via deficit round robin. Push is
-// called by any submitter; Pop/PopMatching only by the shard's loop
-// goroutine (single consumer). Bounding happens here — a full queue
-// rejects instead of growing, which is the service's backpressure point.
+// jobQueue is the service's one bounded three-lane priority queue, each
+// lane fair-sharing across tenants via deficit round robin. Push is called
+// by any submitter; Pop and PopMatching by any of the service's batch
+// loops. Bounding happens here — a full queue rejects instead of growing,
+// which is the service's backpressure point.
 type jobQueue struct {
 	mu     sync.Mutex
 	lanes  [numPriorities]*lane // high to low
 	size   int
 	cap    int
-	seq    uint64 // push order stamp, for StealNewest
+	seq    uint64 // push order stamp, for PopMatching's oldest-first pick
 	closed bool
-	// notify carries at most one pending wake-up for the consumer; Push
-	// tops it up, Pop and the batch collector drain it.
-	notify chan struct{}
+	// arrived is closed and replaced by every push, waking every consumer
+	// waiting on it at once: idle loops in Pop and batch collectors
+	// waiting for a same-circuit arrival alike. A consumer reads it
+	// (wake) before it looks at the queue, so a push landing between the
+	// look and the wait closes the channel it is about to wait on.
+	arrived chan struct{}
 }
 
 func newJobQueue(capacity int) *jobQueue {
-	q := &jobQueue{cap: capacity, notify: make(chan struct{}, 1)}
+	q := &jobQueue{cap: capacity, arrived: make(chan struct{})}
 	for i := range q.lanes {
 		q.lanes[i] = newLane()
 	}
@@ -222,23 +225,19 @@ func (q *jobQueue) forcePush(j *job) error {
 
 func (q *jobQueue) push(j *job, force bool) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return errors.New("service: shutting down")
 	}
 	if !force && q.size >= q.cap {
-		q.mu.Unlock()
 		return errQueueFull
 	}
 	q.seq++
 	j.pushSeq = q.seq
 	q.lanes[j.priority].push(j)
 	q.size++
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
+	close(q.arrived)
+	q.arrived = make(chan struct{})
 	return nil
 }
 
@@ -268,11 +267,12 @@ func (q *jobQueue) tryPop() *job {
 // Pop blocks until a job is available or the context is cancelled.
 func (q *jobQueue) Pop(ctx context.Context) (*job, error) {
 	for {
+		arrived := q.wake()
 		if j := q.tryPop(); j != nil {
 			return j, nil
 		}
 		select {
-		case <-q.notify:
+		case <-arrived:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -305,38 +305,13 @@ func (q *jobQueue) PopMatching(digest [32]byte) *job {
 	return nil
 }
 
-// StealNewest removes the newest job from the lowest-priority non-empty
-// lane — the work-stealing primitive. Stealing from the opposite end of
-// the queue than Pop minimizes contention with the owner's drain order:
-// the owner is about to serve the high-priority head, so an idle sibling
-// takes the low-priority tail, the job that would otherwise wait longest.
-// Unlike Pop/PopMatching this may be called from any shard's loop.
-func (q *jobQueue) StealNewest() *job {
+// wake returns the channel the next push closes. Read it before looking
+// at the queue, not after, or an arrival in between goes unseen.
+func (q *jobQueue) wake() <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for p := numPriorities - 1; p >= 0; p-- {
-		l := q.lanes[p]
-		if l.size == 0 {
-			continue
-		}
-		var newest *job
-		l.each(func(j *job) bool {
-			if newest == nil || j.pushSeq > newest.pushSeq {
-				newest = j
-			}
-			return true
-		})
-		if newest != nil {
-			l.remove(newest)
-			q.size--
-			return newest
-		}
-	}
-	return nil
+	return q.arrived
 }
-
-// wake exposes the consumer-side wait channel for the batch collector.
-func (q *jobQueue) wake() <-chan struct{} { return q.notify }
 
 // Close marks the queue rejecting and drains every queued job so the
 // caller can fail them.

@@ -7,53 +7,17 @@ import (
 	"testing"
 )
 
-// TestQueueStealNewestOrder pins the steal end of the queue: the newest
-// job of the lowest-priority non-empty lane, while Pop keeps serving the
-// oldest high-priority job.
-func TestQueueStealNewestOrder(t *testing.T) {
-	q := newJobQueue(16)
-	mk := func(id string, prio int) *job {
-		return &job{id: id, priority: prio, done: make(chan struct{})}
-	}
-	for _, j := range []*job{
-		mk("high-0", prioHigh), mk("high-1", prioHigh),
-		mk("norm-0", prioNormal),
-		mk("low-0", prioLow), mk("low-1", prioLow),
-	} {
-		if err := q.Push(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if j := q.StealNewest(); j.id != "low-1" {
-		t.Fatalf("first steal got %s, want low-1", j.id)
-	}
-	if j := q.tryPop(); j.id != "high-0" {
-		t.Fatalf("pop got %s, want high-0", j.id)
-	}
-	if j := q.StealNewest(); j.id != "low-0" {
-		t.Fatalf("second steal got %s, want low-0", j.id)
-	}
-	if j := q.StealNewest(); j.id != "norm-0" {
-		t.Fatalf("third steal got %s, want norm-0 (low lane empty)", j.id)
-	}
-	if j := q.StealNewest(); j.id != "high-1" {
-		t.Fatalf("fourth steal got %s, want high-1", j.id)
-	}
-	if j := q.StealNewest(); j != nil {
-		t.Fatalf("steal from empty queue got %s", j.id)
-	}
-}
-
-// TestQueueConcurrentPopMatchingAndSteal hammers one queue with
-// concurrent producers, a Pop/PopMatching consumer (the owning shard's
-// loop), and a StealNewest stealer (an idle sibling), across all three
-// lanes. Every pushed job must come out exactly once — no double-pop, no
-// loss. Run with -race; the assertions catch logic races, the detector
-// catches memory races.
-func TestQueueConcurrentPopMatchingAndSteal(t *testing.T) {
+// TestQueueConcurrentConsumers hammers one queue with concurrent
+// producers and three consumers shaped like batch loops — Pop, then
+// PopMatching for the popped job's digest — across all three lanes. Every
+// pushed job must come out exactly once — no double-pop, no loss. Run
+// with -race; the assertions catch logic races, the detector catches
+// memory races.
+func TestQueueConcurrentConsumers(t *testing.T) {
 	const (
 		producers   = 4
 		perProducer = 300
+		consumers   = 3
 		total       = producers * perProducer
 	)
 	q := newJobQueue(total)
@@ -90,48 +54,34 @@ func TestQueueConcurrentPopMatchingAndSteal(t *testing.T) {
 		return len(seen) >= total
 	}
 
-	var consumers sync.WaitGroup
-	consumers.Add(2)
-	// Owning consumer: Pop, then coalesce same-digest jobs like the shard
-	// loop's batch collector.
-	go func() {
-		defer consumers.Done()
-		for {
-			j, err := q.Pop(ctx)
-			if err != nil {
-				return
-			}
-			full := record(j)
-			for !full {
-				j2 := q.PopMatching(j.digest)
-				if j2 == nil {
-					break
+	var loops sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				j, err := q.Pop(ctx)
+				if err != nil {
+					return
 				}
-				full = record(j2)
+				full := record(j)
+				for !full {
+					j2 := q.PopMatching(j.digest)
+					if j2 == nil {
+						break
+					}
+					full = record(j2)
+				}
+				if full {
+					cancel()
+					return
+				}
 			}
-			if full {
-				cancel()
-				return
-			}
-		}
-	}()
-	// Stealing consumer: drain from the other end.
-	go func() {
-		defer consumers.Done()
-		for ctx.Err() == nil {
-			j := q.StealNewest()
-			if j == nil {
-				continue
-			}
-			if record(j) {
-				cancel()
-				return
-			}
-		}
-	}()
+		}()
+	}
 
 	wg.Wait()
-	consumers.Wait()
+	loops.Wait()
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -1,20 +1,18 @@
-// Package service implements zkproverd's proving service: a pool of
-// sharded prover backends behind bounded priority queues with
-// backpressure, a batch-accumulation window that coalesces same-circuit
-// jobs into one ProveBatch call, an LRU proof cache keyed by (circuit
-// digest, witness digest), a circuit registry, and the HTTP/JSON API that
-// exposes all of it (see http.go and the zkspeed/api package).
+// Package service implements zkproverd's proving service: one bounded
+// priority queue with backpressure, drained by a fixed number of batch
+// loops over one prover backend; a batch-accumulation window that
+// coalesces same-circuit jobs into one ProveBatch call; an LRU proof cache
+// keyed by (circuit digest, witness digest); a circuit registry; and the
+// HTTP/JSON API that exposes all of it (see http.go and the zkspeed/api
+// package).
 //
 // The deployment shape follows the paper's framing of HyperPlonk proving
 // as a datacenter workload: throughput is won by keeping expensive shared
 // state (SRS, per-circuit keys) resident and by amortizing setup across
-// tenants. Each circuit is routed deterministically to one home shard by
-// its digest, so a shard's Engine accumulates the keys for its slice of the
-// circuit population, and same-circuit jobs that arrive within one batch
-// window share a single setup and one ProveBatch invocation. Every backend
-// can prove every circuit (the shards share one setup seed), so a rollup
-// batch spreads across all shards and an idle shard steals queued work
-// from its busiest sibling.
+// tenants. HyperPlonk's setup is universal, so the one backend holds one
+// SRS per problem size and one key set per circuit for every loop, and
+// same-circuit jobs that arrive within one batch window share a single
+// ProveBatch invocation. An idle loop simply pops the next queued job.
 //
 // The package is deliberately unaware of the root zkspeed package (which
 // wraps it): backends implement the small Backend interface, and the root
@@ -23,7 +21,6 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -63,7 +60,7 @@ func parsePriority(s string) (int, error) {
 	return 0, fmt.Errorf("service: unknown priority %q", s)
 }
 
-// BackendJob is one proving work item handed to a backend shard.
+// BackendJob is one proving work item handed to the backend.
 type BackendJob struct {
 	Circuit    *hyperplonk.Circuit
 	Assignment *hyperplonk.Assignment
@@ -82,7 +79,7 @@ type BackendResult struct {
 	Err          error
 }
 
-// BackendStats are the setup/work counters of one shard's engine.
+// BackendStats are the backend engine's setup/work counters.
 type BackendStats struct {
 	SRSSetups    int
 	KeySetups    int
@@ -91,19 +88,21 @@ type BackendStats struct {
 	Verifies     int
 }
 
-// Backend is the prover a shard drives — in production a *zkspeed.Engine
-// (adapted by the root package), in tests a stub.
+// Backend is the prover the batch loops drive — in production a
+// *zkspeed.Engine (adapted by the root package, and wrapped by
+// cluster.Backend in cluster mode), in tests a stub. Every loop calls it
+// concurrently.
 type Backend interface {
 	// ProveBatch proves the jobs, amortizing setup; len(results) ==
 	// len(jobs) and per-job failures land in BackendResult.Err.
 	ProveBatch(ctx context.Context, jobs []BackendJob) []BackendResult
-	// Verify checks a proof for a circuit this backend owns.
+	// Verify checks a proof for a circuit.
 	Verify(ctx context.Context, c *hyperplonk.Circuit, pub []ff.Fr, proof *hyperplonk.Proof) error
 	// Setup warms the backend's SRS and key caches for the circuit
 	// without proving anything.
 	Setup(ctx context.Context, c *hyperplonk.Circuit) error
 	// Scheme names the polynomial commitment scheme the backend proves
-	// under ("pst", "zeromorph"); every shard of a service must agree.
+	// under ("pst", "zeromorph").
 	Scheme() string
 	// Stats reports the backend's cumulative work counters.
 	Stats() BackendStats
@@ -112,10 +111,10 @@ type Backend interface {
 // Config tunes the service. Zero values select the documented defaults;
 // CacheSize < 0 disables the proof cache.
 type Config struct {
-	// QueueCapacity bounds each shard's queue; a full queue rejects with
+	// QueueCapacity bounds the job queue; a full queue rejects with
 	// OverloadedError (HTTP 429). Default 64.
 	QueueCapacity int
-	// BatchWindow is how long a shard holds the first job of a batch while
+	// BatchWindow is how long a loop holds the first job of a batch while
 	// same-circuit jobs accumulate behind it. 0 selects the 5ms default;
 	// negative disables coalescing.
 	BatchWindow time.Duration
@@ -134,8 +133,8 @@ type Config struct {
 	// circuit hold ~256 MiB, so like every other service resource the
 	// registry must reject rather than grow without limit. Default 4096.
 	MaxCircuits int
-	// Cluster, when non-nil, is the coordinator behind the shards' remote
-	// backends. The service exposes its status (GET /v1/cluster, /metrics),
+	// Cluster, when non-nil, is the coordinator behind the remote
+	// backend. The service exposes its status (GET /v1/cluster, /metrics),
 	// gates readiness on it, and closes it on Close.
 	Cluster ClusterInfo
 	// Store persists the job lifecycle. nil keeps jobs in process memory
@@ -170,7 +169,7 @@ func (c Config) withDefaults() Config {
 		c.BatchWindow = 5 * time.Millisecond
 	}
 	if c.BatchWindow < 0 {
-		c.BatchWindow = 0 // coalescing disabled; shardLoop skips the collector
+		c.BatchWindow = 0 // coalescing disabled; batchLoop skips the collector
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 16
@@ -192,10 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// stealInterval is how often an idle shard re-checks its siblings for
-// stealable work between queue wake-ups.
-const stealInterval = time.Millisecond
 
 // errShutdown fails jobs cut short by Close; unlike a prover rejection it
 // is retryable against a healthy instance, so the HTTP layer must answer
@@ -222,7 +217,7 @@ type job struct {
 	// persisted marks jobs with a store submit record (cache hits are
 	// answered synchronously and never persisted).
 	persisted bool
-	// pushSeq is the owning queue's insertion stamp (StealNewest order).
+	// pushSeq is the queue's insertion stamp (PopMatching takes the oldest).
 	pushSeq uint64
 
 	mu     sync.Mutex
@@ -307,7 +302,6 @@ func (j *job) response() api.ProveResponse {
 type circuitEntry struct {
 	digest  [32]byte
 	circuit *hyperplonk.Circuit
-	shard   int
 	scheme  string
 
 	mu     sync.Mutex
@@ -323,27 +317,21 @@ func (e *circuitEntry) info() api.CircuitInfo {
 		Mu:        e.circuit.Mu,
 		NumGates:  e.circuit.NumGates(),
 		NumPublic: e.circuit.NumPublic,
-		Shard:     e.shard,
 		PCSScheme: e.scheme,
 		Proofs:    proofs,
 	}
 }
 
-// shard couples one backend with its queue and loop.
-type shard struct {
-	idx     int
-	queue   *jobQueue
-	backend Backend
-}
-
 // Service is the proving service. Construct with New, serve its Handler,
 // Close on shutdown.
 type Service struct {
-	cfg    Config
-	scheme string // commitment scheme shared by every shard backend
-	shards []*shard
-	met    *Metrics
-	cache  *proofCache
+	cfg     Config
+	backend Backend
+	scheme  string // backend.Scheme(), advertised in registrations and proofs
+	queue   *jobQueue
+	loops   int // batch loops draining queue
+	met     *Metrics
+	cache   *proofCache
 	// store is nil when the service is volatile; every persistence call
 	// is gated on it so the volatile default pays no marshalling or
 	// bookkeeping cost.
@@ -380,23 +368,21 @@ type RecoveryStats struct {
 	Failures int
 }
 
-// New assembles a service over the given backend shards, replays the
-// configured store (re-queueing any jobs a previous incarnation
-// acknowledged but never finished), and starts the shard loops. The
-// backend slice must be non-empty, and its backends interchangeable —
-// any of them may prove any job (batches spread, idle shards steal), so
-// they must share one setup. Its order fixes the digest→shard routing,
-// so keep it stable across restarts when cached state outlives the
-// process — with a durable store that also means keeping the same entropy
-// seed, so re-proved jobs yield byte-identical proofs.
-func New(cfg Config, backends []Backend) (*Service, error) {
-	if len(backends) == 0 {
-		return nil, errors.New("service: need at least one backend shard")
-	}
+// New assembles a service over the backend, replays the configured store
+// (re-queueing any jobs a previous incarnation acknowledged but never
+// finished), and starts loops batch loops (at least one) draining the
+// one queue into the backend concurrently. With a durable store, keep
+// the backend's entropy seed across restarts so re-proved jobs yield
+// byte-identical proofs.
+func New(cfg Config, backend Backend, loops int) (*Service, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:      cfg,
+		backend:  backend,
+		scheme:   backend.Scheme(),
+		queue:    newJobQueue(cfg.QueueCapacity),
+		loops:    max(loops, 1),
 		met:      newMetrics(),
 		cache:    newProofCache(cfg.CacheSize),
 		store:    cfg.Store,
@@ -406,36 +392,25 @@ func New(cfg Config, backends []Backend) (*Service, error) {
 		cancel:   cancel,
 	}
 	s.ready.Store(true)
-	// Populate the full shard slice before starting any loop: a stealing
-	// shard iterates its siblings, so the slice must be complete (and never
-	// mutated again) by the time the first loop goroutine runs.
-	s.scheme = backends[0].Scheme()
-	for i, b := range backends {
-		if got := b.Scheme(); got != s.scheme {
-			cancel()
-			return nil, fmt.Errorf("service: shard %d proves under scheme %q, shard 0 under %q", i, got, s.scheme)
-		}
-		s.shards = append(s.shards, &shard{idx: i, queue: newJobQueue(cfg.QueueCapacity), backend: b})
-	}
 	if s.store != nil {
 		if err := s.replayStore(); err != nil {
 			cancel()
 			return nil, err
 		}
 	}
-	for _, sh := range s.shards {
+	for range s.loops {
 		s.wg.Add(1)
-		go s.shardLoop(sh)
+		go s.batchLoop()
 	}
 	return s, nil
 }
 
-// PCSScheme reports the commitment scheme this service's shards prove
-// under — what registrations and proof responses advertise.
+// PCSScheme reports the commitment scheme this service proves under —
+// what registrations and proof responses advertise.
 func (s *Service) PCSScheme() string { return s.scheme }
 
 // replayStore rebuilds the registry, queues and pollable results from
-// the store's recovered state. It runs before the shard loops start, so
+// the store's recovered state. It runs before the batch loops start, so
 // re-queued jobs keep their submit order ahead of any new arrivals.
 func (s *Service) replayStore() error {
 	st := s.store.State()
@@ -510,7 +485,7 @@ func (s *Service) replayStore() error {
 		s.noteJobID(rec.ID)
 		// forcePush: capacity bounded the original admission; dropping a
 		// recovered job here would break the zero-loss guarantee.
-		if err := s.shards[entry.shard].queue.forcePush(j); err != nil {
+		if err := s.queue.forcePush(j); err != nil {
 			return fmt.Errorf("service: re-queueing %s: %w", rec.ID, err)
 		}
 		s.trackJob(j)
@@ -571,7 +546,7 @@ func (s *Service) ReadyState() api.Ready {
 	return api.Ready{Ready: true}
 }
 
-// Close stops the shard loops and shuts down the store and the cluster
+// Close stops the batch loops and shuts down the store and the cluster
 // coordinator if one is attached. Safe to call more than once.
 //
 // Queued-but-unstarted jobs are never abandoned silently: every one is
@@ -585,10 +560,8 @@ func (s *Service) ReadyState() api.Ready {
 func (s *Service) Close() {
 	s.SetReady(false, "shutting down")
 	s.cancel()
-	for _, sh := range s.shards {
-		for _, j := range sh.queue.Close() {
-			j.fail(errShutdown)
-		}
+	for _, j := range s.queue.Close() {
+		j.fail(errShutdown)
 	}
 	s.wg.Wait()
 	if s.store != nil {
@@ -605,12 +578,6 @@ func (s *Service) Cluster() ClusterInfo { return s.cfg.Cluster }
 
 // Metrics exposes the instrumentation (the HTTP layer and tests read it).
 func (s *Service) Metrics() *Metrics { return s.met }
-
-// shardFor routes a circuit digest to a shard. The first four digest
-// bytes are uniform, so the population spreads evenly.
-func (s *Service) shardFor(digest [32]byte) int {
-	return int(binary.BigEndian.Uint32(digest[:4]) % uint32(len(s.shards)))
-}
 
 // ErrRegistryFull is returned by RegisterCircuit at the MaxCircuits
 // bound; the HTTP layer renders it as 507 Insufficient Storage.
@@ -641,19 +608,20 @@ func (s *Service) RegisterCircuit(c *hyperplonk.Circuit) (*circuitEntry, error) 
 			return nil, fmt.Errorf("service: persisting circuit: %w", err)
 		}
 	}
-	e := &circuitEntry{digest: digest, circuit: c, shard: s.shardFor(digest), scheme: s.scheme}
+	e := &circuitEntry{digest: digest, circuit: c, scheme: s.scheme}
 	s.circuits[digest] = e
 	return e, nil
 }
 
-// Preload registers the circuit and warms its shard's SRS and key caches
-// so the first real request pays no one-time setup.
+// Preload registers the circuit and warms the backend's SRS and key
+// caches, which every loop shares, so the first real request pays no
+// one-time setup.
 func (s *Service) Preload(ctx context.Context, c *hyperplonk.Circuit) (api.CircuitInfo, error) {
 	entry, err := s.RegisterCircuit(c)
 	if err != nil {
 		return api.CircuitInfo{}, err
 	}
-	if err := s.shards[entry.shard].backend.Setup(ctx, c); err != nil {
+	if err := s.backend.Setup(ctx, c); err != nil {
 		return api.CircuitInfo{}, err
 	}
 	return entry.info(), nil
@@ -673,29 +641,12 @@ func (s *Service) circuitCount() int {
 	return len(s.circuits)
 }
 
-// QueueDepth is the total number of queued jobs across shards.
-func (s *Service) QueueDepth() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.queue.Depth()
-	}
-	return n
-}
+// QueueDepth is the number of queued jobs.
+func (s *Service) QueueDepth() int { return s.queue.Depth() }
 
-// BackendStats sums the per-shard engine counters — the visibility hook
-// the end-to-end tests assert setup amortization on.
-func (s *Service) BackendStats() BackendStats {
-	var t BackendStats
-	for _, sh := range s.shards {
-		st := sh.backend.Stats()
-		t.SRSSetups += st.SRSSetups
-		t.KeySetups += st.KeySetups
-		t.KeyCacheHits += st.KeyCacheHits
-		t.Proofs += st.Proofs
-		t.Verifies += st.Verifies
-	}
-	return t
-}
+// BackendStats reports the backend engine's counters — the visibility
+// hook the end-to-end tests assert setup amortization on.
+func (s *Service) BackendStats() BackendStats { return s.backend.Stats() }
 
 var errWitnessSize = errors.New("service: witness size does not match circuit")
 
@@ -721,10 +672,10 @@ type submitOpts struct {
 // lifetime; nil tn is anonymous. rawWitness, when non-nil, is the
 // assignment's ZKSW encoding, sparing the store a re-marshal. The returned
 // job's done channel closes when a terminal response is available. An
-// *OverloadedError means the shard queue was full; a *tenant.QuotaError a
+// *OverloadedError means the queue was full; a *tenant.QuotaError a
 // tenant quota refusal.
 func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, priority int, rawWitness []byte) (*job, error) {
-	return s.submitTo(entry, assign, priority, entry.shard, submitOpts{tn: tn, rawWitness: rawWitness})
+	return s.submit(entry, assign, priority, submitOpts{tn: tn, rawWitness: rawWitness})
 }
 
 // SubmitStream decodes a ZKSW witness incrementally from r and submits
@@ -738,7 +689,7 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 		if err := assign.UnmarshalFrom(r); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadWitness, err)
 		}
-		return s.submitTo(entry, assign, priority, entry.shard, submitOpts{tn: tn})
+		return s.submit(entry, assign, priority, submitOpts{tn: tn})
 	}
 	id := s.nextJobID()
 	ww, err := s.store.WitnessWriter(id)
@@ -754,7 +705,7 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 		s.store.DiscardWitness(id)
 		return nil, fmt.Errorf("service: sealing witness stream: %w", err)
 	}
-	j, err := s.submitTo(entry, assign, priority, entry.shard, submitOpts{tn: tn, streamedID: id})
+	j, err := s.submit(entry, assign, priority, submitOpts{tn: tn, streamedID: id})
 	if err != nil {
 		s.store.DiscardWitness(id)
 		return nil, err
@@ -762,10 +713,9 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 	return j, nil
 }
 
-// submitTo is the submission core with an explicit target shard —
-// SubmitBatch spreads a rollup batch across all shards instead of
-// serializing it on the circuit's home shard.
-func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, priority, shardIdx int, o submitOpts) (*job, error) {
+// submit is the submission core shared by Submit, SubmitStream and
+// SubmitBatch.
+func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, priority int, o submitOpts) (*job, error) {
 	if assign.W1.Len() != entry.circuit.NumGates() ||
 		assign.W2.Len() != entry.circuit.NumGates() ||
 		assign.W3.Len() != entry.circuit.NumGates() {
@@ -824,7 +774,7 @@ func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, p
 	}
 	if s.store != nil {
 		// Append the submit record before the queue push: once the push
-		// succeeds the job can reach a shard (and its Claim record) at
+		// succeeds the job can reach a loop (and its Claim record) at
 		// any moment, and the log must never show a claim for an
 		// unsubmitted job.
 		rec := store.JobRecord{ID: id, Tenant: tid, Circuit: entry.digest, Priority: priority}
@@ -845,8 +795,7 @@ func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, p
 		}
 		j.persisted = true
 	}
-	sh := s.shards[shardIdx]
-	if err := sh.queue.Push(j); err != nil {
+	if err := s.queue.Push(j); err != nil {
 		if j.persisted {
 			// Neutralize the submit record — the client never saw the id,
 			// so replaying it after a restart would prove a job nobody
@@ -857,7 +806,7 @@ func (s *Service) submitTo(entry *circuitEntry, assign *hyperplonk.Assignment, p
 		if errors.Is(err, errQueueFull) {
 			s.met.add(&s.met.jobsRejected, 1)
 			s.met.observeTenant(tid, tenantRejected)
-			return nil, &OverloadedError{RetryAfter: s.met.retryAfter(sh.queue.Depth())}
+			return nil, &OverloadedError{RetryAfter: s.met.retryAfter(s.queue.Depth(), s.loops)}
 		}
 		return nil, err
 	}
@@ -881,41 +830,33 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 }
 
 // SubmitBatch enqueues a rollup batch of statements over one circuit on
-// behalf of tenant tn (nil is anonymous). The batch spreads round-robin
-// across every shard starting at the circuit's home shard, the
-// parallelism a single digest-routed queue would forfeit; each shard's
-// slice still coalesces into one ProveBatch (or one cluster dispatch). A
-// batch whose share for any shard exceeds that shard's free
-// queue capacity is rejected whole with an *OverloadedError rather than
-// partially enqueued; a racing submitter can still fill a queue
-// mid-spread, in which case already enqueued statements run to completion
-// and the error reports the rest. raws, when non-nil, carries each
-// statement's ZKSW encoding (index-aligned with assigns) so the store is
-// spared a re-marshal per statement. Each statement charges the tenant's
-// in-flight quota independently; a quota refusal mid-spread behaves like
-// the racing-submitter case.
+// behalf of tenant tn (nil is anonymous). Every loop pops from the one
+// queue, so the statements spread over all loops, each loop's share
+// coalescing into one ProveBatch (or one cluster dispatch). A batch larger
+// than the queue's free capacity is rejected whole with an
+// *OverloadedError rather than partially enqueued; a racing submitter can
+// still fill the queue mid-batch, in which case already enqueued
+// statements run to completion and the error reports the rest. raws, when
+// non-nil, carries each statement's ZKSW encoding (index-aligned with
+// assigns) so the store is spared a re-marshal per statement. Each
+// statement charges the tenant's in-flight quota independently; a quota
+// refusal mid-batch behaves like the racing-submitter case.
 func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
 	if len(assigns) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
-	// Statement i goes to shard (home+i) mod ns, so the k-th shard from
-	// home receives ⌈(n−k)/ns⌉ of them; each share must fit its shard.
-	n, ns := len(assigns), len(s.shards)
-	for k := 0; k < ns && k < n; k++ {
-		q := s.shards[(entry.shard+k)%ns].queue
-		if (n-k+ns-1)/ns > s.cfg.QueueCapacity-q.Depth() {
-			s.met.add(&s.met.jobsRejected, int64(n))
-			return nil, &OverloadedError{RetryAfter: s.met.retryAfter(s.QueueDepth() + n)}
-		}
+	n := len(assigns)
+	if depth := s.queue.Depth(); n > s.cfg.QueueCapacity-depth {
+		s.met.add(&s.met.jobsRejected, int64(n))
+		return nil, &OverloadedError{RetryAfter: s.met.retryAfter(depth+n, s.loops)}
 	}
 	jobs := make([]*job, n)
 	for i, a := range assigns {
-		shard := (entry.shard + i) % ns
 		o := submitOpts{tn: tn}
 		if i < len(raws) {
 			o.rawWitness = raws[i]
 		}
-		j, err := s.submitTo(entry, a, priority, shard, o)
+		j, err := s.submit(entry, a, priority, o)
 		if err != nil {
 			return nil, fmt.Errorf("statement %d: %w", i, err)
 		}
@@ -1018,10 +959,9 @@ func (s *Service) trackJob(j *job) {
 	s.order = kept
 }
 
-// Verify checks a proof against a registered circuit on the shard that
-// owns it (whose engine holds — or derives — the matching keys and SRS).
+// Verify checks a proof against a registered circuit.
 func (s *Service) Verify(ctx context.Context, entry *circuitEntry, pub []ff.Fr, proof *hyperplonk.Proof) error {
-	err := s.shards[entry.shard].backend.Verify(ctx, entry.circuit, pub, proof)
+	err := s.backend.Verify(ctx, entry.circuit, pub, proof)
 	s.met.mu.Lock()
 	s.met.verifies++
 	if err != nil {
@@ -1031,14 +971,15 @@ func (s *Service) Verify(ctx context.Context, entry *circuitEntry, pub []ff.Fr, 
 	return err
 }
 
-// shardLoop is a shard's single consumer: pop a job, hold it for the
-// batch window while same-circuit jobs coalesce behind it, prove the
-// batch, publish results. Proving runs inside the loop, so a shard works
-// one batch at a time while its queue absorbs (and coalesces) arrivals.
-func (s *Service) shardLoop(sh *shard) {
+// batchLoop is one of the service's consumers: pop a job, hold it for
+// the batch window while same-circuit jobs coalesce behind it, prove the
+// batch, publish results. Proving runs inside the loop, so a loop works
+// one batch at a time while the queue absorbs (and coalesces) arrivals;
+// the other loops keep popping meanwhile.
+func (s *Service) batchLoop() {
 	defer s.wg.Done()
 	for {
-		j, err := s.nextJob(sh)
+		j, err := s.queue.Pop(s.ctx)
 		if err != nil {
 			return
 		}
@@ -1047,14 +988,15 @@ func (s *Service) shardLoop(sh *shard) {
 			timer := time.NewTimer(s.cfg.BatchWindow)
 		collect:
 			for len(batch) < s.cfg.MaxBatch {
-				if j2 := sh.queue.PopMatching(j.digest); j2 != nil {
+				arrived := s.queue.wake()
+				if j2 := s.queue.PopMatching(j.digest); j2 != nil {
 					batch = append(batch, j2)
 					continue
 				}
 				select {
 				case <-timer.C:
 					break collect
-				case <-sh.queue.wake():
+				case <-arrived:
 					// Arrival — re-try PopMatching; a non-matching job
 					// stays queued for the next batch.
 				case <-s.ctx.Done():
@@ -1063,65 +1005,15 @@ func (s *Service) shardLoop(sh *shard) {
 			}
 			timer.Stop()
 		}
-		s.runBatch(sh, batch)
+		s.runBatch(batch)
 	}
-}
-
-// nextJob supplies the shard loop's next unit of work: its own queue
-// first and the deepest sibling queue once the own queue runs dry. The
-// steal ticker bounds how stale the idle shard's view of its siblings can
-// get; queue wake-ups keep the own-queue path as responsive as plain Pop.
-func (s *Service) nextJob(sh *shard) (*job, error) {
-	if len(s.shards) == 1 {
-		return sh.queue.Pop(s.ctx)
-	}
-	ticker := time.NewTicker(stealInterval)
-	defer ticker.Stop()
-	for {
-		if j := sh.queue.tryPop(); j != nil {
-			return j, nil
-		}
-		if j := s.stealFor(sh); j != nil {
-			return j, nil
-		}
-		select {
-		case <-sh.queue.wake():
-		case <-ticker.C:
-		case <-s.ctx.Done():
-			return nil, s.ctx.Err()
-		}
-	}
-}
-
-// stealFor takes the newest low-priority job from the deepest sibling
-// queue. Depth 1 qualifies: the sibling is busy proving (its loop is not
-// in Pop) or it would have drained the job already.
-func (s *Service) stealFor(sh *shard) *job {
-	var victim *shard
-	depth := 0
-	for _, other := range s.shards {
-		if other == sh {
-			continue
-		}
-		if d := other.queue.Depth(); d > depth {
-			victim, depth = other, d
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	j := victim.queue.StealNewest()
-	if j != nil {
-		s.met.add(&s.met.jobsStolen, 1)
-	}
-	return j
 }
 
 // runBatch drives one ProveBatch call and publishes per-job outcomes.
 // Byte-identical statements (same circuit and witness digests) within the
 // batch are proved once and share the result — the in-flight analogue of
 // the proof cache, which they all missed because none had finished yet.
-func (s *Service) runBatch(sh *shard, batch []*job) {
+func (s *Service) runBatch(batch []*job) {
 	uniqueOf := make(map[cacheKey]int, len(batch))
 	var jobs []BackendJob
 	for _, j := range batch {
@@ -1136,7 +1028,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 			jobs = append(jobs, BackendJob{Circuit: j.entry.circuit, Assignment: j.assign})
 		}
 	}
-	results := sh.backend.ProveBatch(s.ctx, jobs)
+	results := s.backend.ProveBatch(s.ctx, jobs)
 	s.met.mu.Lock()
 	s.met.batches++
 	s.met.batchJobs += int64(len(batch))

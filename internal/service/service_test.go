@@ -128,12 +128,20 @@ func mustRegister(t *testing.T, s *Service, c *hyperplonk.Circuit) *circuitEntry
 	return entry
 }
 
-func newTestService(t *testing.T, cfg Config, backends ...Backend) *Service {
+// newTestService starts a one-loop service over the given backend, or
+// over a fresh stubBackend when none is given.
+func newTestService(t *testing.T, cfg Config, backend ...Backend) *Service {
 	t.Helper()
-	if len(backends) == 0 {
-		backends = []Backend{&stubBackend{}}
+	if len(backend) == 0 {
+		return newLoopService(t, cfg, &stubBackend{}, 1)
 	}
-	s, err := New(cfg, backends)
+	return newLoopService(t, cfg, backend[0], 1)
+}
+
+// newLoopService starts a service with the given number of batch loops.
+func newLoopService(t *testing.T, cfg Config, b Backend, loops int) *Service {
+	t.Helper()
+	s, err := New(cfg, b, loops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestQueuePriorityOrderAndBackpressure(t *testing.T) {
 	}
 	// The drain estimate Submit attaches to the rejection never drops
 	// below the one-second floor, so Retry-After is always actionable.
-	if ra := newMetrics().retryAfter(3); ra < time.Second {
+	if ra := newMetrics().retryAfter(3, 1); ra < time.Second {
 		t.Fatalf("Retry-After %v below floor", ra)
 	}
 	want := []string{"high", "normal", "low"}
@@ -392,7 +400,7 @@ func TestShutdownFailsQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the shard pick it up
+	time.Sleep(50 * time.Millisecond) // let the loop pick it up
 	s.Close()
 	select {
 	case <-j.done:

@@ -104,20 +104,23 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // source outside the frozen benchmark directory names a kernel selector,
 // a deprecated entry point, the fixed-base commit tables, a steal toggle,
 // the cross-run bench comparator, the uncached engine, the volatile null
-// store or a second per-tenant submit entry point, no struct has a field called Kernel or Steal, and the goroutine
-// budget is a field of exactly the two option structs that own one —
-// everything else carries a poly.Options.
+// store, a second per-tenant submit entry point, or the shard routing and
+// work stealing of the one-queue service; no struct has a field called
+// Kernel, Steal or Shard, and the goroutine budget is a field of exactly
+// the two option structs that own one — everything else carries a
+// poly.Options.
 func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
 	// bench comparator, the uncached engine, the volatile store, the
-	// tenant-suffixed submit methods, the Jacobian ones tree and the
-	// math/big GLV splitter are spelled in halves, so a grep of the tree
-	// for them finds none here.
+	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
+	// GLV splitter and the per-shard service queues are spelled in halves,
+	// so a grep of the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
 		"Compare" + "BenchReports", "Read" + "BenchReport", "Without" + "SRSCache", "New" + "Mem", "Submit" + "As",
 		"Tree" + "Sum", "GLV" + "Splitter",
+		"Steal" + "Newest", "steal" + "For", "shard" + "For", "jobs_" + "stolen",
 	}
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options
@@ -160,8 +163,8 @@ func TestOnePathPerLayer(t *testing.T) {
 					switch {
 					case name.Name == "Kernel":
 						t.Errorf("%s: struct field Kernel: select a path by calling it, not by an option value", fset.Position(name.Pos()))
-					case name.Name == "Steal":
-						t.Errorf("%s: struct field Steal: shards share one seed and always steal", fset.Position(name.Pos()))
+					case name.Name == "Steal" || name.Name == "Shard":
+						t.Errorf("%s: struct field %s: one queue feeds every batch loop, nothing is routed or stolen", fset.Position(name.Pos()), name.Name)
 					case name.Name == "Procs" && !procsOwners[filepath.ToSlash(path)]:
 						t.Errorf("%s: struct field Procs: carry a poly.Options instead of a second goroutine budget", fset.Position(name.Pos()))
 					}

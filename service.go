@@ -2,7 +2,7 @@ package zkspeed
 
 // Public surface of the proving service. The service itself lives in
 // internal/service (queue, batch windows, proof cache, HTTP handlers);
-// this file re-exports it and contributes the Engine-backed shard
+// this file re-exports it and contributes the Engine-backed backend
 // construction, which must be built here because internal/service cannot
 // import the root package. cmd/zkproverd and the zkspeed/client package
 // compile against this surface (plus the zkspeed/api wire types) alone.
@@ -22,21 +22,22 @@ import (
 	"zkspeed/internal/tenant"
 )
 
-// ProverService is a sharded proving service: a pool of Engine workers
-// behind bounded priority queues with backpressure, a batch-accumulation
-// window coalescing same-circuit jobs into ProveBatch calls, an LRU proof
-// cache keyed by (circuit digest, witness digest), and an HTTP/JSON API
-// (Handler). Construct with NewService; Close releases the shard loops.
+// ProverService is a proving service: one Engine behind a bounded
+// priority queue with backpressure, drained by batch loops whose
+// batch-accumulation window coalesces same-circuit jobs into ProveBatch
+// calls, an LRU proof cache keyed by (circuit digest, witness digest), and
+// an HTTP/JSON API (Handler). Construct with NewService; Close releases
+// the batch loops.
 type ProverService = service.Service
 
-// ServiceBackendStats aggregates the per-shard Engine counters
+// ServiceBackendStats are the service Engine's counters
 // (ProverService.BackendStats) — how many SRS ceremonies, key setups and
-// proofs the service's engines actually ran, the observable half of the
+// proofs the service's engine actually ran, the observable half of the
 // amortization story.
 type ServiceBackendStats = service.BackendStats
 
-// ServiceOverloadedError is returned (wrapped) by the submit paths when a
-// shard queue is full; the HTTP layer renders it as 429 + Retry-After.
+// ServiceOverloadedError is returned (wrapped) by the submit paths when
+// the job queue is full; the HTTP layer renders it as 429 + Retry-After.
 type ServiceOverloadedError = service.OverloadedError
 
 // ServiceRecoveryStats describes what a durable-store service replayed
@@ -47,15 +48,13 @@ type ServiceRecoveryStats = service.RecoveryStats
 // ServiceConfig tunes a ProverService. The zero value selects the
 // documented defaults.
 type ServiceConfig struct {
-	// Shards is the number of Engine workers, all derived from one setup
-	// seed. Each circuit is routed to one home shard by digest, so a shard
-	// accumulates the keys for its slice of the circuit population; batches
-	// spread over every shard and idle shards steal queued jobs. Default 1.
+	// Shards is the number of batch loops draining the one job queue into
+	// the one Engine, each proving one batch at a time. Default 1.
 	Shards int
-	// QueueCapacity bounds each shard's job queue; a full queue rejects
-	// with 429 + Retry-After instead of growing. Default 64.
+	// QueueCapacity bounds the job queue; a full queue rejects with 429 +
+	// Retry-After instead of growing. Default 64.
 	QueueCapacity int
-	// BatchWindow is how long a shard holds the first job of a batch
+	// BatchWindow is how long a loop holds the first job of a batch
 	// while same-circuit jobs accumulate behind it, sharing one setup and
 	// one ProveBatch call. 0 selects the 5ms default; negative disables
 	// coalescing.
@@ -93,28 +92,20 @@ type ServiceConfig struct {
 	TenantsFile string
 }
 
-// NewService builds a ProverService over cfg.Shards Engines constructed
-// with the given options (WithTimings is always added — the service's
-// /metrics decomposes proving time by protocol step).
+// NewService builds a ProverService over one Engine constructed with the
+// given options (WithTimings is always added — the service's /metrics
+// decomposes proving time by protocol step) and drained by cfg.Shards
+// batch loops. The Engine is concurrency-safe and single-flights its SRS
+// ceremonies and key preprocessing, so every loop shares one universal
+// setup and one key set per circuit, and one Preload warms them all.
 //
-// One 64-byte master seed is read from the configured entropy source up
-// front and shared by every shard, so every shard derives the same SRS
-// and keys: a proof made on any shard verifies on every other. That is
-// what lets a multi-shard service spread a batch across all shards and
-// let idle shards steal queued work from busy siblings.
-//
-// Cluster mode (WithCluster among opts): the coordinator hands the same
-// seed to its worker daemons, starts listening on the configured address,
-// and each shard's backend dispatches to the cluster (falling back to its
-// local engine at zero workers).
+// Cluster mode (WithCluster among opts): the coordinator hands the
+// Engine's 64-byte setup seed to its worker daemons, starts listening on
+// the configured address, and the backend dispatches each batch to the
+// cluster (falling back to the local Engine at zero workers).
 func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	// Resolve the caller's entropy choice once and pre-read the seed:
-	// rand.Rand (SeededEntropy) is not safe for the concurrent lazy reads
-	// the shard engines would otherwise do.
+	// Resolve the caller's entropy choice once and pre-read the seed the
+	// Engine and, in cluster mode, every worker derive their setup from.
 	probe := defaultEngineConfig()
 	for _, o := range opts {
 		o(&probe)
@@ -192,16 +183,12 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 		svcCfg.Cluster = coord
 	}
 
-	backends := make([]service.Backend, shards)
-	for i := range backends {
-		engOpts := append(append([]Option{}, opts...),
-			WithEntropy(bytes.NewReader(seed)), WithTimings())
-		backends[i] = &engineShard{eng: New(engOpts...)}
-		if coord != nil {
-			backends[i] = cluster.NewBackend(coord, backends[i])
-		}
+	engOpts := append(append([]Option{}, opts...), WithEntropy(bytes.NewReader(seed)), WithTimings())
+	var backend service.Backend = &engineBackend{eng: New(engOpts...)}
+	if coord != nil {
+		backend = cluster.NewBackend(coord, backend)
 	}
-	svc, err := service.New(svcCfg, backends)
+	svc, err := service.New(svcCfg, backend, cfg.Shards)
 	if err != nil {
 		coordClose(coord)
 		closeStore(svcCfg.Store)
@@ -226,19 +213,19 @@ func closeStore(st store.Store) {
 	}
 }
 
-// engineShard adapts one *Engine to the service's Backend interface.
-type engineShard struct {
+// engineBackend adapts an *Engine to the service's Backend interface.
+type engineBackend struct {
 	eng *Engine
 }
 
-func (sh *engineShard) ProveBatch(ctx context.Context, jobs []service.BackendJob) []service.BackendResult {
+func (b *engineBackend) ProveBatch(ctx context.Context, jobs []service.BackendJob) []service.BackendResult {
 	pjobs := make([]ProofJob, len(jobs))
 	for i, j := range jobs {
 		pjobs[i] = ProofJob{Circuit: j.Circuit, Assignment: j.Assignment}
 	}
 	// The batch-level context error, if any, is already reflected in the
 	// per-job errors the service reports individually.
-	results, _ := sh.eng.ProveBatch(ctx, pjobs)
+	results, _ := b.eng.ProveBatch(ctx, pjobs)
 	out := make([]service.BackendResult, len(jobs))
 	for i, r := range results {
 		if r.Err != nil {
@@ -255,23 +242,23 @@ func (sh *engineShard) ProveBatch(ctx context.Context, jobs []service.BackendJob
 	return out
 }
 
-func (sh *engineShard) Verify(ctx context.Context, c *Circuit, pub []Scalar, proof *Proof) error {
-	return sh.eng.Verify(ctx, c, pub, proof)
+func (b *engineBackend) Verify(ctx context.Context, c *Circuit, pub []Scalar, proof *Proof) error {
+	return b.eng.Verify(ctx, c, pub, proof)
 }
 
-func (sh *engineShard) Setup(ctx context.Context, c *Circuit) error {
-	_, _, err := sh.eng.Setup(ctx, c)
+func (b *engineBackend) Setup(ctx context.Context, c *Circuit) error {
+	_, _, err := b.eng.Setup(ctx, c)
 	return err
 }
 
-// Scheme reports the engine's commitment scheme — the service refuses
-// mixed-scheme shard sets and advertises this name in the API.
-func (sh *engineShard) Scheme() string {
-	return sh.eng.PCSScheme()
+// Scheme reports the engine's commitment scheme, the name the service
+// advertises in the API.
+func (b *engineBackend) Scheme() string {
+	return b.eng.PCSScheme()
 }
 
-func (sh *engineShard) Stats() service.BackendStats {
-	st := sh.eng.Stats()
+func (b *engineBackend) Stats() service.BackendStats {
+	st := b.eng.Stats()
 	return service.BackendStats{
 		SRSSetups:    st.SRSSetups,
 		KeySetups:    st.KeySetups,

@@ -174,7 +174,7 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 			api.ProveRequest{Circuit: cb, Witness: wb}, nil, wantCode)
 	}
 	submit(1, http.StatusAccepted)
-	// Wait for the shard to move job 1 into its batch collector so the
+	// Wait for the loop to move job 1 into its batch collector so the
 	// single queue slot is free again.
 	deadline := time.Now().Add(10 * time.Second)
 	for svc.QueueDepth() != 0 {
@@ -194,12 +194,13 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 	}
 }
 
-// TestServiceShardsShareOneSetup spreads a 9-statement batch over three
-// shards built from one seed. A proof from any shard must be the proof of
-// the statement: it verifies on the circuit's home shard, resubmitting the
-// witness is a cache hit with the same bytes, and a second service from
-// the same seed proves byte-identical proofs.
-func TestServiceShardsShareOneSetup(t *testing.T) {
+// TestPreloadWarmsEveryLoop preloads a circuit on a three-loop service and
+// then proves a 9-statement batch over it. The loops share one Engine, so
+// the batch runs on the one SRS ceremony and one key setup Preload paid
+// for, whichever loop proves a statement; every proof verifies,
+// resubmitting a witness is a cache hit with the same bytes, and a second
+// service from the same seed proves byte-identical proofs.
+func TestPreloadWarmsEveryLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real proofs")
 	}
@@ -217,6 +218,9 @@ func TestServiceShardsShareOneSetup(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(svc.Close)
+		if _, err := svc.Preload(ctx, circuit); err != nil {
+			t.Fatal(err)
+		}
 		entry, err := svc.RegisterCircuit(circuit)
 		if err != nil {
 			t.Fatal(err)
@@ -232,10 +236,8 @@ func TestServiceShardsShareOneSetup(t *testing.T) {
 	}
 
 	svc, results := run()
-	// A shard engine preprocesses the circuit once, and nothing but proving
-	// has touched the shards yet: three key setups mean three shards proved.
-	if st := svc.BackendStats(); st.KeySetups != 3 {
-		t.Fatalf("%d shards proved part of the batch, want all 3", st.KeySetups)
+	if st := svc.BackendStats(); st.SRSSetups != 1 || st.KeySetups != 1 {
+		t.Fatalf("%d SRS ceremonies and %d key setups after Preload and a 3-loop batch, want 1 and 1", st.SRSSetups, st.KeySetups)
 	}
 	entry, err := svc.RegisterCircuit(circuit)
 	if err != nil {
@@ -247,7 +249,7 @@ func TestServiceShardsShareOneSetup(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := svc.Verify(ctx, entry, pubs[i], &proof); err != nil {
-			t.Fatalf("statement %d does not verify on the home shard: %v", i, err)
+			t.Fatalf("statement %d does not verify: %v", i, err)
 		}
 		again, err := svc.SubmitWait(ctx, entry, assigns[i], prio)
 		if err != nil {
