@@ -24,6 +24,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"zkspeed"
@@ -60,6 +63,10 @@ type jsonReport struct {
 	Estimate      *jsonEst    `json:"estimate,omitempty"`
 	TotalNS       int64       `json:"total_ns"`
 	VerifiedNS    int64       `json:"verify_ns,omitempty"`
+	// PeakRSSMB is the process's resident-set high-water mark (VmHWM) at
+	// exit, or where /proc is missing the memory the Go runtime obtained
+	// from the system — the repository benchmark's peak_rss_mb rule.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 // jsonEst is the accelerator-model coupling in the -json report.
@@ -120,6 +127,8 @@ func main() {
 	st := eng.Stats()
 	report.SRSSetups = st.SRSSetups
 	report.KeySetups = st.KeySetups
+	report.PeakRSSMB = peakRSSMB()
+	say("peak RSS: %.1f MB\n", report.PeakRSSMB)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -128,6 +137,24 @@ func main() {
 			log.Fatalf("encoding report: %v", err)
 		}
 	}
+}
+
+// peakRSSMB reads the resident-set high-water mark (VmHWM) in MB, falling
+// back to the runtime's Sys where /proc is missing (which bounds it from
+// above).
+func peakRSSMB() float64 {
+	if data, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+				if kb, err := strconv.ParseFloat(strings.Fields(rest)[0], 64); err == nil {
+					return kb / 1e3
+				}
+			}
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.Sys) / 1e6
 }
 
 func toJSONProof(res *zkspeed.ProofResult, job int) jsonProof {

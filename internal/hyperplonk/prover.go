@@ -135,9 +135,9 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	t0 = time.Now()
 	beta := tr.ChallengeFr("permcheck.beta")
 	gamma := tr.ChallengeFr("permcheck.gamma")
-	nd := constructNAndD(c, a, &beta, &gamma, popt)
-	phi := poly.FractionMLEWith(nd.N, nd.D, popt) // FracMLE unit (batched inversion)
-	pi := poly.ProductMLEWith(phi, popt)          // Multifunction Tree Unit
+	nd := wireFactors(c, a, &beta, &gamma)
+	phi := poly.FractionOfProductsWith(nd.N[:], nd.D[:], popt) // Construct N&D into the FracMLE unit
+	pi := poly.ProductMLEWith(phi, popt)                       // Multifunction Tree Unit
 	if proof.PhiComm, err = pk.PCS.CommitWith(phi, popt); err != nil {
 		return nil, nil, err
 	}
@@ -196,18 +196,16 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 		}
 		ys[j] = poly.LinearCombineWith(members, coeffs, popt)
 	}
-	// OpenCheck: sumcheck over f_open = Σ_j y_j·k_j (Eq. 5). The k_j
-	// eq tables are materialized (one per opening point, so none is
-	// shared by every term); the y_j combined MLEs are reused for g'
-	// below, which the sumcheck prover permits without cloning.
+	// OpenCheck: sumcheck over f_open = Σ_j y_j·k_j (Eq. 5). Each k_j is
+	// its own eq factor, registered without a table (the sumcheck prover
+	// folds only the y_j); the y_j combined MLEs are reused for g' below,
+	// which the sumcheck prover permits without cloning.
 	vpOpen := sumcheck.NewVirtualPoly(mu)
 	one := ff.NewFr(1)
-	ksEval := make([][]ff.Fr, numPoints)
 	for j := 0; j < numPoints; j++ {
 		iy := vpOpen.AddMLE(ys[j])
-		ik := vpOpen.AddMLE(poly.EqTableWith(points[j], popt)) // Build MLE (MTU)
+		ik := vpOpen.AddEqMLE(points[j])
 		vpOpen.AddTerm(one, iy, ik)
-		ksEval[j] = points[j]
 	}
 	ocRes := sumcheck.ProveWith(vpOpen, tr, popt)
 	proof.OpenCheck = ocRes.Proof
@@ -217,7 +215,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	// chain (2^{μ-1}-, 2^{μ-2}-, …, 1-point MSMs).
 	kAtR := make([]ff.Fr, numPoints)
 	for j := 0; j < numPoints; j++ {
-		kAtR[j] = poly.EvalEq(ksEval[j], rOpen)
+		kAtR[j] = ocRes.FinalEvals[2*j+1] // eq(points[j], r_open)
 	}
 	gPrime := poly.LinearCombineWith(ys, kAtR, popt)
 	opening, gVal, err := pk.PCS.OpenWith(gPrime, rOpen, popt)
@@ -270,56 +268,23 @@ func buildGatePoly(c *Circuit, a *Assignment, zcPoint []ff.Fr) *sumcheck.Virtual
 	return vp
 }
 
-// nAndD carries the Construct N&D unit outputs (§4.4.1).
+// nAndD carries the Construct N&D unit's factors (§4.4.1):
+// N_j = w_j + β·id_j + γ and D_j = w_j + β·σ_j + γ, as affine MLEs whose
+// entries are formed where they are read — the FracMLE batches and the
+// PermCheck's first two rounds — so no table of them is ever stored.
 type nAndD struct {
-	N1, N2, N3, D1, D2, D3 *poly.MLE
-	N, D                   *poly.MLE
+	N, D [3]poly.Affine
 }
 
-// constructNAndD builds the numerator/denominator MLEs of the permutation
-// argument: N_j = w_j + β·id_j + γ and D_j = w_j + β·σ_j + γ, then the
-// elementwise products N = N1N2N3, D = D1D2D3 — the Construct N&D unit,
-// chunked across goroutines per gate range (every output index is
-// independent).
-func constructNAndD(c *Circuit, a *Assignment, beta, gamma *ff.Fr, popt poly.Options) *nAndD {
+// wireFactors describes N_j and D_j for the wiring identity; id_j is the
+// identity MLE offset by j·n.
+func wireFactors(c *Circuit, a *Assignment, beta, gamma *ff.Fr) *nAndD {
 	n := c.NumGates()
-	ws := []*poly.MLE{a.W1, a.W2, a.W3}
 	out := &nAndD{}
-	mkN := make([]*poly.MLE, 3)
-	mkD := make([]*poly.MLE, 3)
-	for j := 0; j < 3; j++ {
-		mkN[j] = poly.NewMLE(make([]ff.Fr, n))
-		mkD[j] = poly.NewMLE(make([]ff.Fr, n))
+	for j, w := range []*poly.MLE{a.W1, a.W2, a.W3} {
+		out.N[j] = poly.Affine{W: w, Scale: *beta, Offset: uint64(j * n), Shift: *gamma}
+		out.D[j] = poly.Affine{W: w, Scale: *beta, S: c.Sigma[j], Shift: *gamma}
 	}
-	nProd := make([]ff.Fr, n)
-	dProd := make([]ff.Fr, n)
-	poly.ParallelRange(n, popt, func(lo, hi int) {
-		var t, id ff.Fr
-		for j := 0; j < 3; j++ {
-			ne, de := mkN[j].Evals, mkD[j].Evals
-			w, sigma := ws[j].Evals, c.Sigma[j].Evals
-			for i := lo; i < hi; i++ {
-				// N_j[i] = w + β·(j·n+i) + γ
-				id.SetUint64(uint64(j*n + i))
-				t.Mul(beta, &id)
-				ne[i].Add(&w[i], &t)
-				ne[i].Add(&ne[i], gamma)
-				t.Mul(beta, &sigma[i])
-				de[i].Add(&w[i], &t)
-				de[i].Add(&de[i], gamma)
-			}
-		}
-		for i := lo; i < hi; i++ {
-			nProd[i].Mul(&mkN[0].Evals[i], &mkN[1].Evals[i])
-			nProd[i].Mul(&nProd[i], &mkN[2].Evals[i])
-			dProd[i].Mul(&mkD[0].Evals[i], &mkD[1].Evals[i])
-			dProd[i].Mul(&dProd[i], &mkD[2].Evals[i])
-		}
-	})
-	out.N1, out.N2, out.N3 = mkN[0], mkN[1], mkN[2]
-	out.D1, out.D2, out.D3 = mkD[0], mkD[1], mkD[2]
-	out.N = poly.NewMLE(nProd)
-	out.D = poly.NewMLE(dProd)
 	return out
 }
 
@@ -332,12 +297,12 @@ func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha 
 	iP1 := vp.AddMLE(p1)
 	iP2 := vp.AddMLE(p2)
 	iPhi := vp.AddMLE(phi)
-	iD1 := vp.AddMLE(nd.D1)
-	iD2 := vp.AddMLE(nd.D2)
-	iD3 := vp.AddMLE(nd.D3)
-	iN1 := vp.AddMLE(nd.N1)
-	iN2 := vp.AddMLE(nd.N2)
-	iN3 := vp.AddMLE(nd.N3)
+	iD1 := vp.AddAffineMLE(nd.D[0])
+	iD2 := vp.AddAffineMLE(nd.D[1])
+	iD3 := vp.AddAffineMLE(nd.D[2])
+	iN1 := vp.AddAffineMLE(nd.N[0])
+	iN2 := vp.AddAffineMLE(nd.N[1])
+	iN3 := vp.AddAffineMLE(nd.N[2])
 	iEq := vp.AddEqMLE(pcPoint)
 	one := ff.NewFr(1)
 	var negOne, negAlpha ff.Fr

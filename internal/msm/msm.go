@@ -299,14 +299,17 @@ func ClassifyScalars(scalars []ff.Fr) SparseStats {
 // does for witness commitments: zeros are skipped, the points with scalar 1
 // are summed with a pairwise reduction tree of batched affine additions
 // (sumOnes), and the dense remainder goes through the fast bucket MSM (the
-// dense-remainder Pippenger of §4.2 inherits every kernel upgrade).
+// dense-remainder Pippenger of §4.2 inherits every kernel upgrade). The
+// scalars are classified once up front, so each partition is allocated
+// at its exact size.
 func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	if len(points) != len(scalars) {
 		panic("msm: mismatched sparse MSM input")
 	}
-	var onesPts []curve.G1Affine
-	var densePts []curve.G1Affine
-	var denseScalars []ff.Fr
+	st := ClassifyScalars(scalars)
+	onesPts := make([]curve.G1Affine, 0, st.Ones)
+	densePts := make([]curve.G1Affine, 0, st.Dense)
+	denseScalars := make([]ff.Fr, 0, st.Dense)
 	for i := range scalars {
 		switch {
 		case scalars[i].IsZero():

@@ -144,6 +144,49 @@ func TestSparseMSM(t *testing.T) {
 	}
 }
 
+// TestSparseMSMAllocs pins the partition discipline: the ones and dense
+// partitions are sized from one classification pass, so a witness-shaped
+// input costs three partition allocations plus the dense MSM's own,
+// not a chain of append regrowths.
+func TestSparseMSMAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	n := 4096
+	pts := randPoints(rng, n)
+	scalars := make([]ff.Fr, n)
+	for i := range scalars {
+		switch {
+		case i%10 < 4:
+		case i%10 < 9:
+			scalars[i].SetOne()
+		default:
+			scalars[i] = randFr(rng)
+		}
+	}
+	opt := Options{Procs: 1}
+	var onesPts, densePts []curve.G1Affine
+	var denseScalars []ff.Fr
+	for i := range scalars {
+		switch {
+		case scalars[i].IsZero():
+		case scalars[i].IsOne():
+			onesPts = append(onesPts, pts[i])
+		default:
+			densePts = append(densePts, pts[i])
+			denseScalars = append(denseScalars, scalars[i])
+		}
+	}
+	work := make([]curve.G1Affine, len(onesPts)) // sumOnes sums in place
+	kernels := testing.AllocsPerRun(5, func() {
+		copy(work, onesPts)
+		sumOnes(work, opt.procs())
+		MSMWithOptions(densePts, denseScalars, opt)
+	})
+	sparse := testing.AllocsPerRun(5, func() { SparseMSM(pts, scalars, opt) })
+	if extra := sparse - kernels; extra > 3 {
+		t.Fatalf("SparseMSM allocates %.0f objects beyond its kernels' %.0f, want <= 3", extra, kernels)
+	}
+}
+
 // runningSum is Σ points by serial mixed additions, the oracle of the
 // ones tree.
 func runningSum(points []curve.G1Affine) curve.G1Jac {

@@ -177,9 +177,16 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 		return OpeningProof{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
 	}
 	mopt := msmOptions(opt)
-	work := m.Clone()
+	// The fold chain and the quotients run in arena buffers returned at
+	// the end; m itself is only read.
+	arena := opt.Arena()
+	buf, qBuf := arena.Get(m.Len()), arena.Get(m.Len()/2)
+	defer arena.Put(buf)
+	defer arena.Put(qBuf)
+	copy(buf, m.Evals)
+	work := &poly.MLE{NumVars: m.NumVars, Evals: buf}
 	proof := OpeningProof{Quotients: make([]curve.G1Affine, s.Mu)}
-	q := make([]ff.Fr, 0, work.Len()/2)
+	q := qBuf[:0]
 	for k := 0; k < s.Mu; k++ {
 		half := work.Len() / 2
 		q = q[:half]

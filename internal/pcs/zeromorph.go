@@ -192,8 +192,13 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 	mu, n := s.Mu, 1<<s.Mu
 	opt := msmOptions(popt)
 
+	// The quotient chain folds g, an arena copy of the table (m itself is
+	// only read); q̂ then reuses the buffer.
 	var boundary ff.Fr
-	g := make([]ff.Fr, n)
+	arena := popt.Arena()
+	buf := arena.Get(n)
+	defer arena.Put(buf)
+	g := buf
 	if shift {
 		boundary = m.Evals[0]
 		copy(g, m.Evals[1:])
@@ -247,7 +252,10 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 	// Batched degree check: q̂(x) = Σ_k y^k·x^{N−2^k}·U(q_k)(x). Every
 	// summand tops out at degree N−1, so committing q̂ under Pow proves
 	// each q_k has degree < 2^k.
-	qhat := make([]ff.Fr, n)
+	qhat := buf
+	for i := range qhat {
+		qhat[i].SetZero()
+	}
 	var yPow ff.Fr
 	yPow.SetOne()
 	for k := 0; k < mu; k++ {

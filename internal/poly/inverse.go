@@ -158,6 +158,52 @@ func FractionMLEWith(num, den *MLE, opts Options) *MLE {
 	return &MLE{NumVars: num.NumVars, Evals: out}
 }
 
+// FractionOfProductsWith computes φ = Π_j num[j] / Π_j den[j] elementwise:
+// the Construct N&D unit feeding the FracMLE unit directly. Each 64-element
+// batch forms its numerator and denominator products on the worker's
+// stack, shares one inversion across the denominators and writes φ, so
+// neither product table is ever stored. Every factor must have the same
+// variable count. Inverses are unique, so the output equals FractionMLEWith
+// over the materialized products for any Options.
+func FractionOfProductsWith(num, den []Affine, opts Options) *MLE {
+	nv := num[0].W.NumVars
+	for _, fs := range [][]Affine{num, den} {
+		for _, f := range fs {
+			if f.W.NumVars != nv {
+				panic("poly: FractionOfProductsWith dimension mismatch")
+			}
+		}
+	}
+	n := 1 << nv
+	out := make([]ff.Fr, n)
+	nBatches := (n + fracBatch - 1) / fracBatch
+	parallelRangeMin(nBatches, 2, opts, func(lo, hi int) {
+		var nb, db [fracBatch]ff.Fr
+		var t ff.Fr
+		for b := lo; b < hi; b++ {
+			start := b * fracBatch
+			end := min(start+fracBatch, n)
+			for i := start; i < end; i++ {
+				num[0].At(i, &nb[i-start])
+				for j := 1; j < len(num); j++ {
+					num[j].At(i, &t)
+					nb[i-start].Mul(&nb[i-start], &t)
+				}
+				den[0].At(i, &db[i-start])
+				for j := 1; j < len(den); j++ {
+					den[j].At(i, &t)
+					db[i-start].Mul(&db[i-start], &t)
+				}
+			}
+			invertBatchFixed(db[:end-start], out[start:end])
+			for i := start; i < end; i++ {
+				out[i].Mul(&out[i], &nb[i-start])
+			}
+		}
+	})
+	return &MLE{NumVars: nv, Evals: out}
+}
+
 // invertBatchFixed inverts one batch of at most fracBatch elements with
 // an explicit product tree held in stack arrays (no heap allocation).
 // Zero entries pass through as zero, exactly like invertBatchTree.

@@ -182,53 +182,51 @@ func (m *MLE) EvaluateWith(point []ff.Fr, opts Options) ff.Fr {
 // Built with 2^{μ+1}-4 multiplications via the binary-tree schedule the
 // Multifunction Tree Unit implements.
 func EqTable(point []ff.Fr) *MLE {
-	mu := len(point)
-	table := make([]ff.Fr, 1<<mu)
-	table[0].SetOne()
-	size := 1
-	for j := 0; j < mu; j++ {
-		rj := &point[j]
-		// Appending variable j+1 as the current MSB: index bit 2^j.
-		for i := size - 1; i >= 0; i-- {
-			// table entry splits into (1-r)·t and r·t; compute the product
-			// once and derive the complement by subtraction (footnote 3 of
-			// the paper: (1-r1)(1-r2) = (1-r1) - (1-r1)r2).
-			var hi ff.Fr
-			hi.Mul(&table[i], rj)
-			table[i+size].Set(&hi)
-			table[i].Sub(&table[i], &hi)
-		}
-		size <<= 1
-	}
-	return &MLE{NumVars: mu, Evals: table}
+	return EqTableWith(point, Options{Procs: 1})
 }
 
-// EqTableWith is EqTable under an explicit kernel configuration: each
-// doubling layer of the binary-tree schedule is chunked across
-// goroutines once the layer is wide enough (every entry i reads and
-// writes only table[i] and table[i+size], so entries are independent
-// within a layer). Identical output to EqTable for any Options.
+// EqTableWith is EqTable under an explicit kernel configuration (see
+// EqTableInto). Identical output to EqTable for any Options.
 func EqTableWith(point []ff.Fr, opts Options) *MLE {
-	mu := len(point)
-	if opts.Workers() <= 1 || 1<<mu < 4*minParallelWork {
-		return EqTable(point)
+	table := make([]ff.Fr, 1<<len(point))
+	EqTableInto(table, point, opts)
+	return &MLE{NumVars: len(point), Evals: table}
+}
+
+// EqTableInto writes the eq(X, point) table into dst, which must hold
+// 2^len(point) entries — the form callers with an arena buffer use. Each
+// doubling layer of the binary-tree schedule is chunked across goroutines
+// once the layer is wide enough (every entry i reads and writes only
+// table[i] and table[i+size], so entries are independent within a layer).
+func EqTableInto(dst, point []ff.Fr, opts Options) {
+	if len(dst) != 1<<len(point) {
+		panic(fmt.Sprintf("poly: eq table of %d coords into %d entries", len(point), len(dst)))
 	}
-	table := make([]ff.Fr, 1<<mu)
-	table[0].SetOne()
-	size := 1
-	for j := 0; j < mu; j++ {
+	dst[0].SetOne()
+	serial := opts.Workers() <= 1 || len(dst) < 4*minParallelWork
+	for j, size := 0, 1; j < len(point); j, size = j+1, size<<1 {
 		rj := &point[j]
+		if serial {
+			eqLayer(dst, rj, size, 0, size) // no closure: small tables allocate nothing
+			continue
+		}
 		ParallelRange(size, opts, func(lo, hi int) {
-			var hiP ff.Fr
-			for i := lo; i < hi; i++ {
-				hiP.Mul(&table[i], rj)
-				table[i+size].Set(&hiP)
-				table[i].Sub(&table[i], &hiP)
-			}
+			eqLayer(dst, rj, size, lo, hi)
 		})
-		size <<= 1
 	}
-	return &MLE{NumVars: mu, Evals: table}
+}
+
+// eqLayer appends variable j+1 as the current MSB (index bit size = 2^j)
+// for entries [lo, hi): each splits into (1-r)·t and r·t, the product
+// computed once and the complement derived by subtraction (footnote 3 of
+// the paper: (1-r1)(1-r2) = (1-r1) - (1-r1)r2).
+func eqLayer(dst []ff.Fr, r *ff.Fr, size, lo, hi int) {
+	var hiP ff.Fr
+	for i := lo; i < hi; i++ {
+		hiP.Mul(&dst[i], r)
+		dst[i+size] = hiP
+		dst[i].Sub(&dst[i], &hiP)
+	}
 }
 
 // EvalEq evaluates eq(a, b) for two points of equal length in O(μ).
@@ -272,6 +270,41 @@ func EvalIdentity(point []ff.Fr, offset uint64) ff.Fr {
 		acc.Add(&acc, &t)
 	}
 	return acc
+}
+
+// Affine is the MLE W + Scale·S + Shift, with S the identity MLE
+// IdentityMLE(·, Offset) when nil — the wire factors N_j = w_j + β·id_j + γ
+// and D_j = w_j + β·σ_j + γ the Construct N&D unit streams (§4.4.1). Its
+// entries are formed on demand (At), so the table need never be stored;
+// MLE materializes it for consumers that want one.
+type Affine struct {
+	W      *MLE
+	Scale  ff.Fr
+	S      *MLE
+	Offset uint64
+	Shift  ff.Fr
+}
+
+// At sets out to entry i.
+func (a *Affine) At(i int, out *ff.Fr) {
+	var t ff.Fr
+	if a.S != nil {
+		t.Mul(&a.Scale, &a.S.Evals[i])
+	} else {
+		t.SetUint64(a.Offset + uint64(i))
+		t.Mul(&a.Scale, &t)
+	}
+	out.Add(&a.W.Evals[i], &t)
+	out.Add(out, &a.Shift)
+}
+
+// MLE materializes the table.
+func (a *Affine) MLE() *MLE {
+	out := make([]ff.Fr, len(a.W.Evals))
+	for i := range out {
+		a.At(i, &out[i])
+	}
+	return &MLE{NumVars: a.W.NumVars, Evals: out}
 }
 
 // Add returns the elementwise sum of a and b as a new MLE.

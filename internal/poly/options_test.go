@@ -127,6 +127,50 @@ func TestFractionMLEWithMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFractionOfProductsMatchesMaterialized checks the streamed
+// Construct N&D + FracMLE kernel against FractionMLE over product tables
+// built entry by entry from N_j = w_j + β·(j·n+i) + γ and
+// D_j = w_j + β·σ_j + γ.
+func TestFractionOfProductsMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, mu := range []int{0, 1, 3, 10, 12} {
+		n := 1 << mu
+		beta, gamma := randomFr(rng), randomFr(rng)
+		num, den := make([]Affine, 3), make([]Affine, 3)
+		nProd, dProd := make([]ff.Fr, n), make([]ff.Fr, n)
+		for i := range nProd {
+			nProd[i].SetOne()
+			dProd[i].SetOne()
+		}
+		for j := 0; j < 3; j++ {
+			w, sigma := randomMLE(rng, mu), randomMLE(rng, mu)
+			num[j] = Affine{W: w, Scale: beta, Offset: uint64(j * n), Shift: gamma}
+			den[j] = Affine{W: w, Scale: beta, S: sigma, Shift: gamma}
+			var v, id ff.Fr
+			for i := 0; i < n; i++ {
+				id.SetUint64(uint64(j*n + i))
+				v.Mul(&beta, &id)
+				v.Add(&v, &w.Evals[i])
+				v.Add(&v, &gamma)
+				nProd[i].Mul(&nProd[i], &v)
+				v.Mul(&beta, &sigma.Evals[i])
+				v.Add(&v, &w.Evals[i])
+				v.Add(&v, &gamma)
+				dProd[i].Mul(&dProd[i], &v)
+			}
+		}
+		want := FractionMLE(NewMLE(nProd), NewMLE(dProd))
+		for oi, opts := range optionsMatrix() {
+			got := FractionOfProductsWith(num, den, opts)
+			for i := range want.Evals {
+				if !got.Evals[i].Equal(&want.Evals[i]) {
+					t.Fatalf("mu=%d opts#%d: FractionOfProductsWith mismatch at %d", mu, oi, i)
+				}
+			}
+		}
+	}
+}
+
 func TestLinearCombineWithMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, mu := range []int{0, 1, 3, 10, 12} {

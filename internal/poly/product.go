@@ -91,19 +91,29 @@ func ProductRootPoint(numVars int) []ff.Fr {
 
 // ProductSides returns the p1 and p2 MLEs of the product-check constraint
 // π(x) = p1(x)·p2(x): p1(y) = v(0,y) and p2(y) = v(1,y) where v = φ ‖ π.
-// In table form p1[i] = v[2i] and p2[i] = v[2i+1].
+// In table form p1[i] = v[2i] and p2[i] = v[2i+1]: the low half of each
+// side deinterleaves φ and the high half π, written straight from the two
+// tables (v itself is never stored).
 func ProductSides(phi, pi *MLE) (p1, p2 *MLE) {
 	n := phi.Len()
-	v := make([]ff.Fr, 2*n)
-	copy(v[:n], phi.Evals)
-	copy(v[n:], pi.Evals)
 	e1 := make([]ff.Fr, n)
 	e2 := make([]ff.Fr, n)
-	for i := 0; i < n; i++ {
-		e1[i] = v[2*i]
-		e2[i] = v[2*i+1]
+	if n == 1 {
+		e1[0], e2[0] = phi.Evals[0], pi.Evals[0]
+	} else {
+		h := n / 2
+		deinterleave(e1[:h], e2[:h], phi.Evals)
+		deinterleave(e1[h:], e2[h:], pi.Evals)
 	}
 	return &MLE{NumVars: phi.NumVars, Evals: e1}, &MLE{NumVars: phi.NumVars, Evals: e2}
+}
+
+// deinterleave sets even[i] = src[2i] and odd[i] = src[2i+1].
+func deinterleave(even, odd, src []ff.Fr) {
+	for i := range even {
+		even[i] = src[2*i]
+		odd[i] = src[2*i+1]
+	}
 }
 
 // MergeEval evaluates the merged polynomial v = φ ‖ π (μ+1 variables, π on

@@ -318,6 +318,10 @@ func TestProveKeepsTablesReferenceConsumes(t *testing.T) {
 // (11 tables, degree 5, Eq. 4) and opening (12 tables, degree 2, Eq. 5) —
 // at μ = 1..10: ProveWith under every context must reproduce
 // ProveReference's round polynomials, challenges and final evaluations.
+// The wiring identity also runs as the prover registers it (N_j and D_j
+// affine), and the opening with one eq factor per term at the prover's
+// six points: two random, two equal past x_1 (S0, S1), a Boolean one
+// (the product root) and a zero-padded one (the public inputs').
 func TestProverShapesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	one := ff.FrOne()
@@ -331,6 +335,22 @@ func TestProverShapesMatchReference(t *testing.T) {
 			point[i] = randFr(rng)
 		}
 		alpha := randFr(rng)
+		beta, gamma := randFr(rng), randFr(rng)
+		openPts := make([][]ff.Fr, 6)
+		for j := range openPts {
+			openPts[j] = make([]ff.Fr, mu)
+		}
+		for i := 0; i < mu; i++ {
+			openPts[0][i] = randFr(rng)
+			openPts[1][i] = randFr(rng)
+		}
+		copy(openPts[2][1:], openPts[1])
+		copy(openPts[3][1:], openPts[1])
+		openPts[3][0].SetOne()
+		openPts[4] = poly.ProductRootPoint(mu)
+		for i := 0; i < (mu+1)/2; i++ {
+			openPts[5][i] = randFr(rng)
+		}
 		// add registers clones of the first n tables (the reference folds
 		// them in place) and returns their indices.
 		add := func(vp *VirtualPoly, n int) []int {
@@ -360,6 +380,30 @@ func TestProverShapesMatchReference(t *testing.T) {
 				vp.AddTerm(one, i[1], i[2], eq)
 				vp.AddTerm(alpha, i[3], i[4], i[5], i[6], eq)
 				vp.AddTerm(alpha, i[7], i[8], i[9], eq)
+				return vp
+			},
+			"perm-affine": func() *VirtualPoly {
+				vp := NewVirtualPoly(mu)
+				i := add(vp, 4) // π p1 p2 φ
+				var d, n [3]int
+				for j := 0; j < 3; j++ {
+					w, sigma := tables[4+j], tables[7+j] // read only: affine sources are never folded in place
+					d[j] = vp.AddAffineMLE(poly.Affine{W: w, Scale: beta, S: sigma, Shift: gamma})
+					n[j] = vp.AddAffineMLE(poly.Affine{W: w, Scale: beta, Offset: uint64(j << mu), Shift: gamma})
+				}
+				eq := vp.AddEqMLE(point)
+				vp.AddTerm(one, i[0], eq)
+				vp.AddTerm(one, i[1], i[2], eq)
+				vp.AddTerm(alpha, i[3], d[0], d[1], d[2], eq)
+				vp.AddTerm(alpha, n[0], n[1], n[2], eq)
+				return vp
+			},
+			"open-eq": func() *VirtualPoly {
+				vp := NewVirtualPoly(mu)
+				i := add(vp, 6) // y_1..y_6
+				for j, pt := range openPts {
+					vp.AddTerm(one, i[j], vp.AddEqMLE(pt))
+				}
 				return vp
 			},
 			"open": func() *VirtualPoly {

@@ -31,18 +31,24 @@ type VirtualPoly struct {
 	NumVars int
 	MLEs    []*poly.MLE
 	Terms   []Term
-	// eqIdx/eqPoint annotate one registered MLE as eq(X, eqPoint) — the
-	// r(X) polynomial of ZeroCheck and PermCheck. ProveWith exploits the
-	// structure (no table build, no fold, one fewer evaluation point per
-	// round); every other consumer sees an ordinary MLE, materialized
-	// lazily by mle().
-	eqIdx   int // -1 when absent
-	eqPoint []ff.Fr
+	// lazy describes, index for index with MLEs, the MLEs registered
+	// without a table (their MLEs entry is nil until materialized):
+	// eq(X, point) factors and affine wire factors. ProveWith forms them
+	// on the fly; every other consumer sees an ordinary MLE, materialized
+	// on first touch by mle().
+	lazy []lazyMLE
+}
+
+// lazyMLE describes a table-less MLE; the zero value is an ordinary table.
+type lazyMLE struct {
+	eq     bool
+	point  []ff.Fr // eq(X, point) when eq
+	affine *poly.Affine
 }
 
 // NewVirtualPoly creates an empty virtual polynomial over numVars variables.
 func NewVirtualPoly(numVars int) *VirtualPoly {
-	return &VirtualPoly{NumVars: numVars, eqIdx: -1}
+	return &VirtualPoly{NumVars: numVars}
 }
 
 // AddMLE registers an MLE and returns its index.
@@ -50,34 +56,50 @@ func (vp *VirtualPoly) AddMLE(m *poly.MLE) int {
 	if m.NumVars != vp.NumVars {
 		panic(fmt.Sprintf("sumcheck: MLE has %d vars, virtual poly has %d", m.NumVars, vp.NumVars))
 	}
+	return vp.add(m, lazyMLE{})
+}
+
+func (vp *VirtualPoly) add(m *poly.MLE, l lazyMLE) int {
 	vp.MLEs = append(vp.MLEs, m)
+	vp.lazy = append(vp.lazy, l)
 	return len(vp.MLEs) - 1
 }
 
-// AddEqMLE registers eq(X, point) — the Build MLE output the ZeroCheck
-// and PermCheck instances multiply every term by — without materializing
-// its 2^μ table. ProveWith evaluates the eq factor analytically (its
-// bound prefix is a running scalar, its suffix a precomputed weight
-// table, its round variable a linear factor of the round polynomial);
-// ProveReference and the oracle helpers materialize the table on first
-// touch, so proofs are identical either way.
+// AddEqMLE registers eq(X, point) — the Build MLE output a ZeroCheck or
+// PermCheck multiplies every term by, and an OpenCheck term by its own
+// opening point — without materializing its 2^μ table. It may be called
+// once per term, each call registering a new factor. ProveWith evaluates
+// the eq factors analytically (each one's bound prefix is a running
+// scalar, its suffix a weight table shared by every factor with the same
+// point[1:], and its round variable a linear factor of its terms' round
+// polynomial); ProveReference and the oracle helpers materialize the
+// table on first touch, so proofs are identical either way.
 func (vp *VirtualPoly) AddEqMLE(point []ff.Fr) int {
 	if len(point) != vp.NumVars {
 		panic(fmt.Sprintf("sumcheck: eq point has %d coords, virtual poly has %d vars", len(point), vp.NumVars))
 	}
-	if vp.eqIdx >= 0 {
-		panic("sumcheck: virtual polynomial already has an eq annotation")
-	}
-	vp.MLEs = append(vp.MLEs, nil)
-	vp.eqIdx = len(vp.MLEs) - 1
-	vp.eqPoint = point
-	return vp.eqIdx
+	return vp.add(nil, lazyMLE{eq: true, point: point})
 }
 
-// mle returns the k-th MLE, materializing a lazily registered eq table.
+// AddAffineMLE registers the affine MLE a (W + Scale·S + Shift, the
+// PermCheck's N_j and D_j) without materializing its table: ProveWith
+// forms its entries in the two rounds that read original tables, and
+// only its fold buffers are ever stored. Other consumers materialize it.
+func (vp *VirtualPoly) AddAffineMLE(a poly.Affine) int {
+	if a.W.NumVars != vp.NumVars || (a.S != nil && a.S.NumVars != vp.NumVars) {
+		panic(fmt.Sprintf("sumcheck: affine MLE has %d vars, virtual poly has %d", a.W.NumVars, vp.NumVars))
+	}
+	return vp.add(nil, lazyMLE{affine: &a})
+}
+
+// mle returns the k-th MLE, materializing a lazily registered table.
 func (vp *VirtualPoly) mle(k int) *poly.MLE {
-	if vp.MLEs[k] == nil && k == vp.eqIdx {
-		vp.MLEs[k] = poly.EqTable(vp.eqPoint)
+	if vp.MLEs[k] == nil {
+		if l := vp.lazy[k]; l.eq {
+			vp.MLEs[k] = poly.EqTable(l.point)
+		} else {
+			vp.MLEs[k] = l.affine.MLE()
+		}
 	}
 	return vp.MLEs[k]
 }
@@ -204,7 +226,7 @@ func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 		panic("sumcheck: virtual polynomial has no MLEs")
 	}
 	for k := range vp.MLEs {
-		vp.mle(k) // materialize a lazily registered eq table
+		vp.mle(k) // materialize lazily registered tables
 	}
 	mu := vp.NumVars
 	deg := vp.Degree()
