@@ -245,8 +245,8 @@ func parseMuList(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -e2e-mu entry %q: %v", f, err)
 		}
-		if mu < 2 || mu > 20 {
-			return nil, fmt.Errorf("-e2e-mu %d out of the supported functional range [2,20]", mu)
+		if mu < 2 || mu > zkspeed.MaxMu {
+			return nil, fmt.Errorf("-e2e-mu %d out of the supported functional range [2,%d]", mu, zkspeed.MaxMu)
 		}
 		mus = append(mus, mu)
 	}

@@ -139,20 +139,33 @@ func main() {
 	}
 }
 
+// parseMus parses a comma-separated -preload-mu list.
+func parseMus(list string) ([]int, error) {
+	var mus []int
+	for _, f := range strings.Split(list, ",") {
+		mu, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -preload-mu entry %q: %v", f, err)
+		}
+		if mu < 2 || mu > zkspeed.MaxMu {
+			return nil, fmt.Errorf("-preload-mu %d out of the supported functional range [2,%d]", mu, zkspeed.MaxMu)
+		}
+		mus = append(mus, mu)
+	}
+	return mus, nil
+}
+
 // preloadCircuits registers synthetic workloads for the listed sizes so
 // the SRS ceremonies and key setups run before the first request arrives.
 func preloadCircuits(svc *zkspeed.ProverService, list string, seed int64) error {
 	if seed == 0 {
 		seed = 1
 	}
-	for _, f := range strings.Split(list, ",") {
-		mu, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return fmt.Errorf("bad -preload-mu entry %q: %v", f, err)
-		}
-		if mu < 2 || mu > 20 {
-			return fmt.Errorf("-preload-mu %d out of the supported functional range [2,20]", mu)
-		}
+	mus, err := parseMus(list)
+	if err != nil {
+		return err
+	}
+	for _, mu := range mus {
 		circuit, _, _, err := zkspeed.SyntheticWorkloadSeeded(mu, seed)
 		if err != nil {
 			return err

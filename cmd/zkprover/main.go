@@ -78,6 +78,14 @@ type jsonEst struct {
 	SpeedupVsMeasured float64 `json:"speedup_vs_measured"`
 }
 
+// checkMu rejects a -mu outside the sizes the prover supports.
+func checkMu(mu int) error {
+	if mu < 2 || mu > zkspeed.MaxMu {
+		return fmt.Errorf("mu=%d out of the supported functional range [2,%d]", mu, zkspeed.MaxMu)
+	}
+	return nil
+}
+
 func main() {
 	mu := flag.Int("mu", 10, "log2 of the gate count")
 	seed := flag.Int64("seed", 1, "workload generator and setup-entropy seed")
@@ -88,8 +96,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print one machine-readable JSON document instead of text")
 	flag.Parse()
 
-	if *mu < 2 || *mu > 20 {
-		log.Fatalf("mu=%d out of the supported functional range [2,20]", *mu)
+	if err := checkMu(*mu); err != nil {
+		log.Fatal(err)
 	}
 
 	opts := []zkspeed.Option{

@@ -232,8 +232,8 @@ func parseMus(list string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -preload-mu entry %q: %v", f, err)
 		}
-		if mu < 2 || mu > 20 {
-			return nil, fmt.Errorf("-preload-mu %d out of the supported functional range [2,20]", mu)
+		if mu < 2 || mu > zkspeed.MaxMu {
+			return nil, fmt.Errorf("-preload-mu %d out of the supported functional range [2,%d]", mu, zkspeed.MaxMu)
 		}
 		mus = append(mus, mu)
 	}

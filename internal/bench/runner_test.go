@@ -92,11 +92,11 @@ func TestKernelSuiteRuns(t *testing.T) {
 	// finalexp, miller/n1, miller/n17) + 1 window × 2 schedules of the
 	// pippenger reference +
 	// {fast, sparse-fast, fast/allones} + legacy sumcheck + 1
-	// serial/parallel sumcheck pair + commit + open + per-scheme records
+	// serial/parallel sumcheck pair + commit + commit-key + open + per-scheme records
 	// (pst: setup+commit+open+verify; zeromorph: setup+commit+open+verify+
 	// open-shift+naive) + 5 serial/parallel MTU kernel pairs + sha3 + fold.
-	if len(bms) != 44 {
-		t.Fatalf("want 44 kernel benchmarks, got %d", len(bms))
+	if len(bms) != 45 {
+		t.Fatalf("want 45 kernel benchmarks, got %d", len(bms))
 	}
 	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
 	recs, err := r.RunAll(bms)

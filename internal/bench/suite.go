@@ -12,6 +12,7 @@ import (
 	"zkspeed/internal/poly"
 	"zkspeed/internal/sumcheck"
 	"zkspeed/internal/transcript"
+	"zkspeed/internal/workload"
 )
 
 // SuiteConfig selects the sizes the structured suite runs at. All inputs
@@ -410,9 +411,11 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	}
 
 	// The fast path (signed + GLV + batch-affine, auto window) — what
-	// pcs.Commit actually runs — plus its sparse twin, at the suite's MSM
-	// size and, in the full suite, at the 2^16 points of a μ = 16 commit
-	// (2^17 after the GLV split, where DefaultWindowFast's sweep runs).
+	// pcs.Commit runs on a dense table — plus the same call on a
+	// witness-shaped table, which it routes through the sparse path, at
+	// the suite's MSM size and, in the full suite, at the 2^16 points of a
+	// μ = 16 commit (2^17 after the GLV split, where DefaultWindowFast's
+	// sweep runs).
 	fastSizes := []int{cfg.MSMLogN}
 	if !cfg.Quick && cfg.MSMLogN != 16 {
 		fastSizes = append(fastSizes, 16)
@@ -442,8 +445,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				Params: params,
 				Setup:  setup,
 				Iterate: func() error {
-					_ = msm.SparseMSM(srsFor(logN).Lag[0], inputsFor(logN).sparse,
-						msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped})
+					_ = msm.MSM(srsFor(logN).Lag[0], inputsFor(logN).sparse)
 					return nil
 				},
 			},
@@ -736,6 +738,39 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 			},
 		)
+	}
+
+	// Key set-up's eight commitments of a synthetic circuit at each PCSMus
+	// size: five selectors of zeros and ones and three σ tables of
+	// (μ+2)-bit slot indices, the sparsest tables in the system. CI holds
+	// them against one dense pcs/commit of the same size.
+	for _, mu := range cfg.PCSMus {
+		mu := mu
+		var tables []*poly.MLE
+		out = append(out, Benchmark{
+			Name:   fmt.Sprintf("pcs/commit-key/mu%d", mu),
+			Kind:   KindKernel,
+			Params: map[string]string{"mu": strconv.Itoa(mu), "tables": "8"},
+			Setup: func() error {
+				srsFor(mu)
+				if tables == nil {
+					c, _, _, err := workload.SyntheticSeed(mu, cfg.Seed)
+					if err != nil {
+						return err
+					}
+					tables = []*poly.MLE{c.QL, c.QR, c.QM, c.QO, c.QC, c.Sigma[0], c.Sigma[1], c.Sigma[2]}
+				}
+				return nil
+			},
+			Iterate: func() error {
+				for _, m := range tables {
+					if _, err := srsFor(mu).Commit(m); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+		})
 	}
 
 	// PCS open at PCSMu (does not mutate its MLE, so no Before).

@@ -77,7 +77,7 @@ func Table4() string {
 	cpuS := sim.CPUTimeMS(24) / 1000
 
 	// HyperPlonk proof size at μ=24 under this implementation
-	// (uncompressed G1 points; see EXPERIMENTS.md for the accounting).
+	// (uncompressed G1 points; proofSizeKB itemises the accounting).
 	proofKB := proofSizeKB(24)
 
 	var b strings.Builder

@@ -2,10 +2,12 @@ package hyperplonk_test
 
 import (
 	"context"
+	"math/big"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"zkspeed/internal/ff"
 	"zkspeed/internal/hyperplonk"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/poly"
@@ -59,5 +61,60 @@ func TestProveAllocationBound(t *testing.T) {
 	if got > allocTables*table {
 		t.Fatalf("one proof allocates %d B = %.1f tables of 2^%d entries, want <= %d",
 			got, float64(got)/float64(table), circuit.Mu, allocTables)
+	}
+}
+
+// TestValidateAllocationBound: Validate and CheckAssignment read σ as
+// canonical limbs, so their allocations do not grow with the gate count
+// (a math/big decode per entry made 3·2^μ of them; a run measures 1 and
+// 0), and Validate still rejects every out-of-range or repeated image.
+func TestValidateAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const mu = 10
+	circuit, assignment, _, err := workload.SyntheticSeed(mu, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		if err := circuit.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Fatalf("Validate allocates %.0f objects at 2^%d gates, want <= 2", a, mu)
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		if err := circuit.CheckAssignment(assignment); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 {
+		t.Fatalf("CheckAssignment allocates %.0f objects at 2^%d gates, want <= 1", a, mu)
+	}
+
+	n := uint64(circuit.NumGates())
+	sigma := circuit.Sigma[1].Evals
+	orig := sigma[5]
+	var twoTo64, wrapped, minusOne ff.Fr
+	twoTo64.SetBigInt(new(big.Int).Lsh(big.NewInt(1), 64))
+	wrapped.Add(&twoTo64, &orig) // low word orig: only the high word is wrong
+	one := ff.NewFr(1)
+	minusOne.Neg(&one)
+	for name, v := range map[string]ff.Fr{
+		"3n":          ff.NewFr(3 * n),
+		"2^64":        twoTo64,
+		"2^64+orig":   wrapped,
+		"r-1":         minusOne,
+		"duplicate":   sigma[6],
+		"other table": circuit.Sigma[2].Evals[0],
+	} {
+		sigma[5] = v
+		if err := circuit.Validate(); err == nil {
+			t.Errorf("sigma image %s accepted", name)
+		}
+	}
+	sigma[5] = orig
+	if err := circuit.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

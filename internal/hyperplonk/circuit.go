@@ -70,11 +70,11 @@ func (c *Circuit) Validate() error {
 	seen := make([]bool, 3*n)
 	for j := 0; j < 3; j++ {
 		for i := 0; i < n; i++ {
-			v := c.Sigma[j].Evals[i].BigInt()
-			if !v.IsUint64() || v.Uint64() >= uint64(3*n) {
+			v := c.Sigma[j].Evals[i].CanonicalLimbs()
+			if v[1]|v[2]|v[3] != 0 || v[0] >= uint64(3*n) {
 				return fmt.Errorf("hyperplonk: sigma%d[%d] out of range", j+1, i)
 			}
-			s := v.Uint64()
+			s := v[0]
 			if seen[s] {
 				return fmt.Errorf("hyperplonk: sigma maps two slots to %d", s)
 			}
@@ -125,7 +125,7 @@ func (c *Circuit) CheckAssignment(a *Assignment) error {
 	for j := 0; j < 3; j++ {
 		for i := 0; i < n; i++ {
 			self := uint64(j*n + i)
-			img := c.Sigma[j].Evals[i].BigInt().Uint64()
+			img := c.Sigma[j].Evals[i].CanonicalLimbs()[0]
 			if !wire(self).Equal(wire(img)) {
 				return fmt.Errorf("hyperplonk: copy constraint violated at slot (%d,%d)", j+1, i)
 			}

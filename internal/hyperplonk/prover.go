@@ -106,7 +106,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	t0 := time.Now()
 	var err error
 	for j, w := range []*poly.MLE{a.W1, a.W2, a.W3} {
-		if proof.WitnessComms[j], err = pk.PCS.CommitSparseWith(w, popt); err != nil {
+		if proof.WitnessComms[j], err = pk.PCS.CommitWith(w, popt); err != nil {
 			return nil, nil, err
 		}
 		tr.AppendG1("witness", &proof.WitnessComms[j].P)

@@ -7,8 +7,9 @@ import (
 	"zkspeed/internal/ff"
 )
 
-// The fast MSM path: signed-digit windows, GLV splitting and batch-affine
-// bucket accumulation and aggregation, scheduled so no goroutine idles.
+// The bucket MSM routes: signed-digit windows, GLV splitting (or, for
+// narrow scalars, none) and batch-affine bucket accumulation and
+// aggregation, scheduled so no goroutine idles.
 //
 // Pipeline:
 //
@@ -16,7 +17,8 @@ import (
 //     recode both half-scalars into carry-corrected signed window digits
 //     in [-2^(c-1), 2^(c-1)) — signedWindows(128, c) of them, no idle
 //     carry window; a negative digit adds the negated point, so only
-//     2^(c-1) buckets per window are needed.
+//     2^(c-1) buckets per window are needed. The narrow route recodes
+//     each scalar whole into signedWindows(bits, c) digits instead.
 //  2. Accumulate buckets per task (scheduleWindows: whole windows, plus
 //     point chunks of the windows left over after the last full round) —
 //     affine adds under Montgomery batch inversion (see affineAcc), or
@@ -40,14 +42,15 @@ const minChunkPoints = 2048
 // how many bucket updates share one field inversion.
 const batchAddSize = 512
 
-// minBatchAffinePoints is the smallest chunk (in effective points, 2n
-// after the GLV split) that accumulates its buckets in affine coordinates. Every
-// window of a chunk pays at least one shared inversion (~10 mixed
-// additions) to save about half a mixed addition per point, so small
-// inputs — a verifier's (μ+2)-term combination, the tail of an opening
-// chain — are faster on Jacobian buckets: measured serially at the default
-// window, 1.4 against 3.4 ms for n = 18 and 5.3 against 6.0 ms for
-// n = 128; from n = 512 (12.6 against 14.9 ms) affine buckets win.
+// minBatchAffinePoints is the smallest chunk (in effective points: 2n
+// after the GLV split, n on the narrow route) that accumulates its buckets
+// in affine coordinates. Every window of a chunk pays at least one shared
+// inversion (~10 mixed additions) to save about half a mixed addition per
+// point, so small inputs — a verifier's (μ+2)-term combination, the tail
+// of an opening chain — are faster on Jacobian buckets: measured serially
+// at the default window, 1.4 against 3.4 ms for n = 18 and 5.3 against
+// 6.0 ms for n = 128; from n = 512 (12.6 against 14.9 ms) affine buckets
+// win.
 const minBatchAffinePoints = 256
 
 // signedWindows returns the number of signed base-2^c digits a magnitude
@@ -144,28 +147,14 @@ func DefaultWindowFast(pts int) int {
 func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	n := len(points)
 	nPts := 2 * n
-	c := opt.Window
-	if c <= 0 {
-		c = DefaultWindowFast(nPts)
-	}
-	// Signed digits with magnitude up to 2^(c-1) must fit int16, and the
-	// recoder walks 64-bit words: clamp to sensible widths.
-	if c < 2 {
-		c = 2
-	}
-	if c > 15 {
-		c = 15
-	}
+	c := clampWindow(opt.Window, DefaultWindowFast(nPts))
 	nw := signedWindows(ff.GLVBits, c)
-	procs := opt.procs()
 
-	// Stage 1: the effective points are points[0:n] followed by
-	// φ(points)[0:n], carrying the k₁ and the k₂ halves of the scalars.
-	// Digits are window-major — digits[w*nPts+j] is window w of effective
-	// point j — so each window task reads its digits as one run.
+	// The effective points are points[0:n] followed by φ(points)[0:n],
+	// carrying the k₁ and the k₂ halves of the scalars.
 	phis := make([]curve.G1Affine, n)
 	digits := make([]int16, nw*nPts)
-	parallelFor(n, procs, func(lo, hi int) {
+	parallelFor(n, opt.procs(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k1, k2 := ff.GLVSplit(&scalars[i])
 			phis[i].Phi(&points[i])
@@ -173,8 +162,73 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 			signedDigits(k2.W[:], c, nw, k2.Neg, digits[n+i:], nPts)
 		}
 	})
+	return bucketSum(points, phis, digits, c, nw, opt)
+}
 
-	// Stage 2+3: bucket accumulation and aggregation per task.
+// msmNarrow computes the MSM of scalars below 2^bits, bits ≤ ff.GLVBits,
+// with signed windows over the n points themselves: no GLV split, no
+// φ(P), and signedWindows(bits, c) windows instead of
+// signedWindows(ff.GLVBits, c) over twice the points.
+//
+// Its width is DefaultWindowFast(n), the GLV path's width for as many
+// effective points. A sweep of every width within ±2 of it, random points
+// and scalars below 2^bits, median of 7 runs on 2 goroutines (Intel Xeon,
+// 2 vCPUs, Go 1.24), put it within run-to-run noise of the best width at
+// 64 and 128 bits and 5–20 % behind at σ's μ+2 bits. Taking the
+// narrowest width that needs as few windows there (up to 2 narrower)
+// gained 1–4 % in a paired re-run, within noise, so the width stays the
+// default. Milliseconds at the default width, at the best width, and on
+// the GLV path:
+//
+//	n     bits  default     best        GLV
+//	2^8   10    c=6  0.3    c=6  0.3    0.8
+//	2^8   128   c=6  3.4    c=6  3.4    3.9
+//	2^10  12    c=9  1.1    c=8  0.8    1.7
+//	2^12  14    c=11 3.8    c=9  3.2    7.8
+//	2^12  64    c=11 12.7   c=9  12.3   14.0
+//	2^14  16    c=11 12.6   c=9  12.1   19.8
+//	2^14  128   c=11 66.3   c=11 66.3   83.3
+//	2^16  18    c=13 46.4   c=11 41.7   61.8
+//	2^16  64    c=13 110.8  c=13 110.8  141.5
+//	2^16  128   c=13 213    c=15 206    298
+//	2^18  20    c=15 178    c=14 162    251
+//	2^18  128   c=15 695    c=15 695    932
+//
+// The GLV path already skips a narrow scalar's zero digits; what the
+// narrow path saves is the split, φ(P), the digit scan of the empty half
+// and the aggregation of empty windows.
+func msmNarrow(points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) curve.G1Jac {
+	n := len(points)
+	c := clampWindow(opt.Window, DefaultWindowFast(n))
+	nw := signedWindows(bits, c)
+	digits := make([]int16, nw*n)
+	parallelFor(n, opt.procs(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := scalars[i].CanonicalLimbs()
+			signedDigits(w[:], c, nw, false, digits[i:], n)
+		}
+	})
+	return bucketSum(points, nil, digits, c, nw, opt)
+}
+
+// clampWindow returns w, or def when w is not set, within the widths the
+// recoder supports: signed digits of magnitude up to 2^(c-1) must fit
+// int16, and the recoder walks 64-bit words.
+func clampWindow(w, def int) int {
+	if w <= 0 {
+		w = def
+	}
+	return min(max(w, 2), 15)
+}
+
+// bucketSum accumulates and aggregates the window buckets of the
+// effective points lo ++ hi, whose digits are window-major —
+// digits[w*nPts+j] is window w of effective point j, so each window task
+// reads its digits as one run — and Horner-combines the window sums.
+func bucketSum(lo, hi []curve.G1Affine, digits []int16, c, nw int, opt Options) curve.G1Jac {
+	n := len(lo)
+	nPts := n + len(hi)
+	procs := opt.procs()
 	tasks := scheduleWindows(nw, nPts, procs)
 	partials := make([]curve.G1Jac, len(tasks))
 	run := func(k int) {
@@ -187,12 +241,12 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 			acc = make(jacAcc, 1<<uint(c-1))
 		}
 		if t.lo < n {
-			hi := min(t.hi, n)
-			acc.addAll(points[t.lo:hi], wd[t.lo:hi])
+			end := min(t.hi, n)
+			acc.addAll(lo[t.lo:end], wd[t.lo:end])
 		}
 		if t.hi > n {
-			lo := max(t.lo, n)
-			acc.addAll(phis[lo-n:t.hi-n], wd[lo:t.hi])
+			start := max(t.lo, n)
+			acc.addAll(hi[start-n:t.hi-n], wd[start:t.hi])
 		}
 		partials[k] = acc.aggregate(opt.Aggregation)
 	}

@@ -1,16 +1,25 @@
 // Package msm implements multi-scalar multiplication over BLS12-381 G1.
 //
-// There is one fast path and one named reference:
+// There is one routed fast path and one named reference:
 //
-//   - MSM, MSMWithOptions and SparseMSM run the fast path: signed-digit
-//     windows (halving the bucket count to 2^(c-1)), GLV endomorphism
-//     splitting on fixed limbs (halving the window-loop bit length), and
-//     batch-affine bucket accumulation and grouped aggregation (Montgomery
-//     batch inversion turning ~11-mul Jacobian mixed adds into ~6-mul
-//     affine adds). Each window is one task; windows left over after the
-//     last full round of goroutines are cut into point chunks. The default
-//     width comes from a two-goroutine sweep (DefaultWindowFast). See
-//     fast.go.
+//   - MSM and MSMWithOptions are the only entry points callers choose.
+//     One allocation-free pass over the scalars picks one of three routes,
+//     so a commitment pays only for its non-trivial scalars: zkSpeed's
+//     sparse MSM (§3.3.1/§4.2, with the §6.2 statistics) applied to every
+//     commitment. When zeros and ones are the majority (witnesses,
+//     selectors), the zeros are skipped, the ones tree-reduced on batched
+//     affine additions, and the dense remainder goes on to one of the
+//     other two routes. When every scalar fits in ff.GLVBits bits (σ's
+//     slot indices), signed windows cover only the scalars' real width
+//     over the points themselves. Otherwise the GLV path runs in place:
+//     signed-digit windows (halving the bucket count to 2^(c-1)), GLV
+//     endomorphism splitting on fixed limbs (halving the window-loop bit
+//     length), and batch-affine bucket accumulation and grouped
+//     aggregation (Montgomery batch inversion turning ~11-mul Jacobian
+//     mixed adds into ~6-mul affine adds). Both bucket routes run each
+//     window as one task and cut the windows left over after the last
+//     full round of goroutines into point chunks; their widths come from
+//     two-goroutine sweeps (DefaultWindowFast). See fast.go.
 //   - Pippenger is the classic software shape — unsigned windows,
 //     Jacobian mixed adds per bucket insert, parallelism across windows —
 //     kept as the benchmark reference, the §4.2 window × aggregation
@@ -19,15 +28,14 @@
 //
 // Both are variable-base: like zkSpeed's MSM unit, which streams SRS
 // points and precomputes no per-point window tables, every call starts
-// from the affine points. The package also provides the Sparse MSM scheme
-// used for witness commitments (§3.3.1/§4.2: tree-reduce the 1-valued
-// scalars on batched affine additions, skip zeros, fast MSM on the ~10%
-// dense remainder) and both bucket-aggregation schedules compared in
-// Fig. 5 (SZKP's serial running sum vs. zkSpeed's grouped aggregation).
+// from the affine points. The package also provides both
+// bucket-aggregation schedules compared in Fig. 5 (SZKP's serial running
+// sum vs. zkSpeed's grouped aggregation).
 package msm
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -109,14 +117,26 @@ func DefaultWindow(n int) int {
 	return c
 }
 
-// MSM computes Σ scalars[i]·points[i] with default options: the combined
-// fast path (signed windows + GLV + batch-affine buckets), grouped
+// MSM computes Σ scalars[i]·points[i] with default options: grouped
 // aggregation, full parallelism.
 func MSM(points []curve.G1Affine, scalars []ff.Fr) curve.G1Jac {
 	return MSMWithOptions(points, scalars, Options{Parallel: true, Aggregation: AggregateGrouped})
 }
 
-// MSMWithOptions computes Σ scalars[i]·points[i] on the fast path.
+// MSMWithOptions computes Σ scalars[i]·points[i]. It is the one MSM
+// entry point: a single allocation-free pass over the scalars (classify)
+// picks the route, so a commitment pays only for its non-trivial scalars.
+//
+//   - Zeros and ones are the majority (witnesses, selectors;
+//     sparseRoute): zeros are skipped, the ones summed by the §4.2
+//     reduction tree, and the dense remainder takes one of the two routes
+//     below (sparseMSM).
+//   - Every other scalar fits in ff.GLVBits bits (the σ tables' (μ+2)-bit
+//     slot indices): signed windows over the scalars' real width on the
+//     n points themselves, with no GLV split (msmNarrow).
+//   - Otherwise the GLV path runs in place on the input (msmFast).
+//
+// Every route computes the same group element.
 func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
 	if len(points) != len(scalars) {
 		panic(fmt.Sprintf("msm: %d points vs %d scalars", len(points), len(scalars)))
@@ -124,7 +144,25 @@ func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve
 	if len(points) == 0 {
 		return curve.G1Jac{}
 	}
-	return msmFast(points, scalars, opt)
+	st, bits := classify(scalars)
+	if sparseRoute(st) {
+		return sparseMSM(points, scalars, st, bits, opt)
+	}
+	return msmDense(points, scalars, bits, opt)
+}
+
+// msmDense runs the bucket MSM whose window loop bits calls for: the
+// narrow path when every scalar fits in a GLV half, the GLV path
+// otherwise.
+func msmDense(points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) curve.G1Jac {
+	switch {
+	case len(points) == 0:
+		return curve.G1Jac{}
+	case bits <= ff.GLVBits:
+		return msmNarrow(points, scalars, bits, opt)
+	default:
+		return msmFast(points, scalars, opt)
+	}
 }
 
 // Pippenger is the retained pre-optimization reference: unsigned window
@@ -281,32 +319,69 @@ type SparseStats struct {
 
 // ClassifyScalars partitions scalars into zeros, ones and dense values.
 func ClassifyScalars(scalars []ff.Fr) SparseStats {
-	var st SparseStats
-	for i := range scalars {
-		switch {
-		case scalars[i].IsZero():
-			st.Zeros++
-		case scalars[i].IsOne():
-			st.Ones++
-		default:
-			st.Dense++
-		}
-	}
+	st, _ := classify(scalars)
 	return st
 }
 
-// SparseMSM computes Σ scalars[i]·points[i] exploiting sparsity as zkSpeed
-// does for witness commitments: zeros are skipped, the points with scalar 1
-// are summed with a pairwise reduction tree of batched affine additions
-// (sumOnes), and the dense remainder goes through the fast bucket MSM (the
-// dense-remainder Pippenger of §4.2 inherits every kernel upgrade). The
-// scalars are classified once up front, so each partition is allocated
-// at its exact size.
-func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
-	if len(points) != len(scalars) {
-		panic("msm: mismatched sparse MSM input")
+// classify counts the zeros, ones and dense scalars and returns, with
+// them, the bit length of the widest dense scalar while it is at most
+// ff.GLVBits: the width scan stops at the first wider scalar (a random
+// table's first), after which bits only says "wide". Zeros and ones are
+// compared in Montgomery form; only a width scan leaves it.
+func classify(scalars []ff.Fr) (st SparseStats, bits int) {
+	for i := range scalars {
+		s := &scalars[i]
+		switch {
+		case s.IsZero():
+			st.Zeros++
+		case s.IsOne():
+			st.Ones++
+		default:
+			st.Dense++
+			if bits <= ff.GLVBits {
+				bits = max(bits, bitLen(s.CanonicalLimbs()))
+			}
+		}
 	}
-	st := ClassifyScalars(scalars)
+	return st, bits
+}
+
+// bitLen returns the bit length of a little-endian four-word magnitude.
+func bitLen(w [4]uint64) int {
+	for i := len(w) - 1; i >= 0; i-- {
+		if w[i] != 0 {
+			return 64*i + bits.Len64(w[i])
+		}
+	}
+	return 0
+}
+
+// sparseRoute reports whether zeros and ones are the majority of the
+// scalars classify counted, the share from which the sparse route pays.
+//
+// The share comes from a sweep of sparseMSM against msmFast on 2^12 and
+// 2^16 random points, half the trivial scalars zeros and half ones, the
+// rest random full-width; median of 9 runs on 2 goroutines (Intel Xeon,
+// 2 vCPUs, Go 1.24). Time of the sparse route ÷ the GLV path:
+//
+//	trivial share   0     1/4   3/8   1/2   5/8   3/4   7/8   0.9*  1
+//	2^12            1.00  0.97  1.03  0.84  1.07  0.95  0.85  0.76  0.34
+//	2^16            0.96  1.18  1.05  0.99  0.91  0.94  0.81  0.79  0.31
+//
+// (* the §6.2 witness shape, 45 % zeros and 45 % ones.) Up to half the
+// scalars the two are within run-to-run noise, while the
+// partition would copy more than n/2 points; from there the sparse route
+// gains, 3× on a selector's zeros and ones.
+func sparseRoute(st SparseStats) bool {
+	return st.Zeros+st.Ones > st.Dense
+}
+
+// sparseMSM is the route of zkSpeed's witness commitments (§3.3.1/§4.2):
+// zeros are skipped, the points with scalar 1 are summed with a pairwise
+// reduction tree of batched affine additions (sumOnes), and the dense
+// remainder goes on to msmDense. st and bits come from classify, so each
+// partition is allocated at its exact size.
+func sparseMSM(points []curve.G1Affine, scalars []ff.Fr, st SparseStats, bits int, opt Options) curve.G1Jac {
 	onesPts := make([]curve.G1Affine, 0, st.Ones)
 	densePts := make([]curve.G1Affine, 0, st.Dense)
 	denseScalars := make([]ff.Fr, 0, st.Dense)
@@ -321,10 +396,16 @@ func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Ja
 		}
 	}
 	onesSum := sumOnes(onesPts, opt.procs())
-	denseSum := MSMWithOptions(densePts, denseScalars, opt)
+	denseSum := msmDense(densePts, denseScalars, bits, opt)
 	var out curve.G1Jac
 	out.Add(&onesSum, &denseSum)
 	return out
+}
+
+// SparseMSM is MSMWithOptions, which routes sparse input by itself. The
+// repository benchmark's layer records still call it by this name.
+func SparseMSM(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
+	return MSMWithOptions(points, scalars, opt)
 }
 
 // Naive computes the MSM by independent scalar multiplications; used as a

@@ -3,6 +3,7 @@ package msm
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -147,7 +148,9 @@ func TestSparseMSM(t *testing.T) {
 // TestSparseMSMAllocs pins the partition discipline: the ones and dense
 // partitions are sized from one classification pass, so a witness-shaped
 // input costs three partition allocations plus the dense MSM's own,
-// not a chain of append regrowths.
+// not a chain of append regrowths; and an input the sparse route does not
+// take (a dense table, σ's narrow indices) allocates nothing beyond its
+// bucket MSM — no partition copy.
 func TestSparseMSMAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	n := 4096
@@ -179,11 +182,144 @@ func TestSparseMSMAllocs(t *testing.T) {
 	kernels := testing.AllocsPerRun(5, func() {
 		copy(work, onesPts)
 		sumOnes(work, opt.procs())
-		MSMWithOptions(densePts, denseScalars, opt)
+		msmFast(densePts, denseScalars, opt)
 	})
-	sparse := testing.AllocsPerRun(5, func() { SparseMSM(pts, scalars, opt) })
+	sparse := testing.AllocsPerRun(5, func() { MSMWithOptions(pts, scalars, opt) })
 	if extra := sparse - kernels; extra > 3 {
-		t.Fatalf("SparseMSM allocates %.0f objects beyond its kernels' %.0f, want <= 3", extra, kernels)
+		t.Fatalf("sparse route allocates %.0f objects beyond its kernels' %.0f, want <= 3", extra, kernels)
+	}
+
+	dense := make([]ff.Fr, n)
+	narrow := make([]ff.Fr, n)
+	for i := range dense {
+		dense[i] = randFr(rng)
+		narrow[i].SetUint64(uint64(rng.Intn(3 * n)))
+	}
+	for _, tc := range []struct {
+		name    string
+		scalars []ff.Fr
+		kernel  func()
+	}{
+		{"dense", dense, func() { msmFast(pts, dense, opt) }},
+		{"narrow", narrow, func() { msmNarrow(pts, narrow, bits.Len(uint(3*n)), opt) }},
+	} {
+		kernel := testing.AllocsPerRun(5, tc.kernel)
+		routed := testing.AllocsPerRun(5, func() { MSMWithOptions(pts, tc.scalars, opt) })
+		if routed != kernel {
+			t.Fatalf("%s input: routed MSM allocates %.0f objects, its kernel %.0f", tc.name, routed, kernel)
+		}
+	}
+}
+
+// widthScalars returns n scalars of bit length exactly w (w ≥ 1), the
+// last one a bit shorter when w > 2, so the widest is not the last.
+func widthScalars(rng *rand.Rand, n, w int) []ff.Fr {
+	out := make([]ff.Fr, n)
+	for i := range out {
+		wi := w
+		if i == n-1 && n > 1 && w > 2 {
+			wi--
+		}
+		top := new(big.Int).Lsh(big.NewInt(1), uint(wi-1))
+		v := new(big.Int).Rand(rng, top)
+		out[i].SetBigInt(v.Add(v, top))
+	}
+	return out
+}
+
+// TestMSMRoutes: the routed MSM equals the Pippenger reference (and the
+// naive oracle on one point) on every route — zeros and ones, narrow
+// widths on both sides of a word and of ff.GLVBits, full width — at one
+// point, below minBatchAffinePoints (Jacobian buckets) and above it; and
+// classify picks the route the input calls for.
+func TestMSMRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	const mu = 16 // σ's indices are μ+2 bits
+	for _, n := range []int{1, minBatchAffinePoints - 1, 600} {
+		pts := randPoints(rng, n)
+		type input struct {
+			scalars []ff.Fr
+			sparse  bool
+			bits    int // classify's width; > ff.GLVBits means the GLV path
+		}
+		inputs := map[string]input{}
+		zeros, ones, witness, mixed := make([]ff.Fr, n), make([]ff.Fr, n), make([]ff.Fr, n), widthScalars(rng, n, mu+2)
+		for i := range ones {
+			ones[i].SetOne()
+			switch {
+			case i%20 < 9:
+			case i%20 < 18:
+				witness[i].SetOne()
+			default:
+				witness[i] = randFr(rng)
+			}
+			if i%3 == 0 {
+				mixed[i].SetZero()
+			}
+		}
+		if n > 1 {
+			// Either side of the majority rule.
+			for _, fifths := range []int{2, 3} {
+				sc := make([]ff.Fr, n)
+				for i := range sc {
+					switch {
+					case i%5 >= fifths:
+						sc[i] = randFr(rng)
+					case i%2 == 1:
+						sc[i].SetOne()
+					}
+				}
+				inputs[fmt.Sprintf("%d/5 trivial", fifths)] = input{sc, fifths == 3, ff.FrBits}
+			}
+		}
+		inputs["all-zero"] = input{zeros, true, 0}
+		inputs["all-one"] = input{ones, true, 0}
+		if n > 1 {
+			witness[n-1] = randFr(rng) // a dense scalar at every size
+			inputs["45/45/10"] = input{witness, true, ff.FrBits}
+			inputs["zeros+narrow"] = input{mixed, false, mu + 2}
+		}
+		for _, w := range []int{1, 2, mu + 2, 63, 64, 65, 128, 129} {
+			inputs[fmt.Sprintf("width-%d", w)] = input{widthScalars(rng, n, w), w == 1, w}
+		}
+		full := make([]ff.Fr, n)
+		for i := range full {
+			full[i] = randFr(rng)
+		}
+		inputs["full-width"] = input{full, false, ff.FrBits}
+
+		for name, in := range inputs {
+			st, bits := classify(in.scalars)
+			if sparseRoute(st) != in.sparse {
+				t.Fatalf("n=%d %s: sparse route %v, want %v", n, name, !in.sparse, in.sparse)
+			}
+			if wide := bits > ff.GLVBits; wide != (in.bits > ff.GLVBits) || (!wide && st.Dense > 0 && bits != in.bits) {
+				t.Fatalf("n=%d %s: classify width %d, want %d", n, name, bits, in.bits)
+			}
+			want := Pippenger(pts, in.scalars, Options{Aggregation: AggregateGrouped, Parallel: true})
+			if n == 1 {
+				if naive := Naive(pts, in.scalars); !naive.Equal(&want) {
+					t.Fatalf("%s: Pippenger and Naive disagree", name)
+				}
+			}
+			for _, opt := range []Options{
+				{Aggregation: AggregateGrouped, Parallel: true, Procs: 2},
+				{Aggregation: AggregateSerial},
+			} {
+				if got := MSMWithOptions(pts, in.scalars, opt); !got.Equal(&want) {
+					t.Fatalf("n=%d %s %+v: routed MSM mismatch", n, name, opt)
+				}
+			}
+			// The narrow kernel itself on every input within its width,
+			// at forced windows too (zeros and ones route sparse).
+			if in.bits <= ff.GLVBits {
+				for _, c := range []int{0, 2, 7} {
+					if got := msmNarrow(pts, in.scalars, max(in.bits, 1), Options{Window: c, Aggregation: AggregateGrouped}); !got.Equal(&want) {
+						t.Fatalf("n=%d %s c=%d: narrow MSM mismatch", n, name, c)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -147,21 +147,9 @@ func (s *SRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
 	return c, nil
 }
 
-// CommitSparse commits using the Sparse MSM path (witness commitments).
-func (s *SRS) CommitSparse(m *poly.MLE) (Commitment, error) {
-	return s.CommitSparseWith(m, poly.Options{})
-}
-
-// CommitSparseWith is CommitSparse under an explicit execution context.
-func (s *SRS) CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
-	if m.NumVars != s.Mu {
-		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
-	}
-	sum := msm.SparseMSM(s.Lag[0], m.Evals, msmOptions(opt))
-	var c Commitment
-	c.P.FromJacobian(&sum)
-	return c, nil
-}
+// CommitSparse is Commit, which routes sparse scalars by itself. It stays
+// only for the repository benchmark's layer records, which call it.
+func (s *SRS) CommitSparse(m *poly.MLE) (Commitment, error) { return s.Commit(m) }
 
 // Open produces an opening proof and the evaluation of m at point.
 // m is not modified.

@@ -112,9 +112,10 @@ type PCS interface {
 	// the zero poly.Options, all CPUs and the shared arena.
 	Commit(m *poly.MLE) (Commitment, error)
 	CommitWith(m *poly.MLE, opt poly.Options) (Commitment, error)
-	// CommitSparse takes the sparse-MSM path (witness commitments).
+	// CommitSparse is Commit under its old name: the MSM routes zeros,
+	// ones and narrow scalars by itself. The repository benchmark's layer
+	// records are its only caller.
 	CommitSparse(m *poly.MLE) (Commitment, error)
-	CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error)
 
 	// Open proves m(point) and returns the evaluation; m is not
 	// modified. Verify checks a claimed evaluation against a commitment.

@@ -130,21 +130,9 @@ func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, er
 	return c, nil
 }
 
-// CommitSparse commits using the sparse MSM path (witness commitments).
-func (s *ZeromorphSRS) CommitSparse(m *poly.MLE) (Commitment, error) {
-	return s.CommitSparseWith(m, poly.Options{})
-}
-
-// CommitSparseWith is CommitSparse under an explicit execution context.
-func (s *ZeromorphSRS) CommitSparseWith(m *poly.MLE, opt poly.Options) (Commitment, error) {
-	if m.NumVars != s.Mu {
-		return Commitment{}, fmt.Errorf("pcs: MLE has %d vars, SRS supports %d", m.NumVars, s.Mu)
-	}
-	sum := msm.SparseMSM(s.Pow, m.Evals, msmOptions(opt))
-	var c Commitment
-	c.P.FromJacobian(&sum)
-	return c, nil
-}
+// CommitSparse is Commit, which routes sparse scalars by itself. It stays
+// only for the repository benchmark's layer records, which call it.
+func (s *ZeromorphSRS) CommitSparse(m *poly.MLE) (Commitment, error) { return s.Commit(m) }
 
 // Combine returns Σ coeffs[i]·cs[i].
 func (s *ZeromorphSRS) Combine(cs []Commitment, coeffs []ff.Fr) Commitment {

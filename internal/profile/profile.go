@@ -4,10 +4,11 @@
 //
 // The counts come from a documented first-principles cost model of the
 // reference prover (per-instance sumcheck multiply counts from Eqs. 3-5,
-// Pippenger accounting for the MSMs). EXPERIMENTS.md tabulates these
-// numbers against the paper's measured values; the kernel ranking by
-// arithmetic intensity — the property Table 1 exists to demonstrate —
-// is preserved.
+// Pippenger accounting for the MSMs). TestTable1ModmulsWithinFactorOfPaper
+// holds these numbers within 2× of the paper's measured values (its
+// paperTable1 lists them), and `zkspeedsim -exp table1` prints them; the
+// kernel ranking by arithmetic intensity — the property Table 1 exists to
+// demonstrate — is preserved.
 package profile
 
 import (

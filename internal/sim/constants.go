@@ -2,7 +2,8 @@ package sim
 
 // Technology and protocol constants. Values marked "paper:" are stated in
 // the zkSpeed paper; values marked "calibrated:" are fitted so the model
-// reproduces a published curve or table, and EXPERIMENTS.md records the fit.
+// reproduces a published curve or table, and the tests in sim_test.go
+// (Table 5 area and power, the ~800× speedup, the CPU anchors) hold the fit.
 
 const (
 	// ClockGHz: paper: all units clock at 1 GHz (§6.1) → 1 cycle = 1 ns.

@@ -17,8 +17,8 @@ type Named struct {
 	Mu   int // log2 problem size
 	// CPUms is the paper's measured CPU baseline (AMD EPYC 7502).
 	CPUms float64
-	// PaperZKSpeedms is the paper's reported zkSpeed runtime (for
-	// EXPERIMENTS.md comparison).
+	// PaperZKSpeedms is the paper's reported zkSpeed runtime, printed
+	// next to the model's in experiments.Table3 (`zkspeedsim -exp table3`).
 	PaperZKSpeedms float64
 }
 

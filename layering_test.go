@@ -105,7 +105,8 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // a deprecated entry point, the fixed-base commit tables, a steal toggle,
 // the cross-run bench comparator, the uncached engine, the volatile null
 // store, a second per-tenant submit entry point, or the shard routing and
-// work stealing of the one-queue service; no struct has a field called
+// work stealing of the one-queue service; nothing calls the sparse commit
+// aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
 // poly.Options.
@@ -122,6 +123,10 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Tree" + "Sum", "GLV" + "Splitter",
 		"Steal" + "Newest", "steal" + "For", "shard" + "For", "jobs_" + "stolen",
 	}
+	// The sparse commit names survive only as aliases of the routed
+	// commit for the frozen benchmark's layer records: they may be
+	// defined, never used, outside internal/benchmark.
+	oldCommitNames := map[string]bool{"CommitSparse": true, "SparseMSM": true}
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options
 		"internal/poly/options.go": true, // poly.Options
@@ -154,6 +159,16 @@ func TestOnePathPerLayer(t *testing.T) {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			var use *ast.Ident
+			switch e := n.(type) {
+			case *ast.SelectorExpr:
+				use = e.Sel
+			case *ast.CallExpr:
+				use, _ = e.Fun.(*ast.Ident)
+			}
+			if use != nil && oldCommitNames[use.Name] {
+				t.Errorf("%s: %s is an alias kept for internal/benchmark; call Commit, CommitWith or msm.MSMWithOptions", fset.Position(use.Pos()), use.Name)
+			}
 			st, ok := n.(*ast.StructType)
 			if !ok {
 				return true

@@ -97,6 +97,11 @@ func PCSSchemes() []string {
 	return pcs.Schemes()
 }
 
+// MaxMu is the largest circuit size, as log2 of the gate count, that the
+// commands accept. A μ=22 proof peaks at 6.56 GB RSS on a 2-vCPU, 7.5 GB
+// x86-64 machine; μ=23 does not fit in that memory.
+const MaxMu = 22
+
 // SyntheticWorkloadSeeded builds a valid random 2^mu-gate circuit with the
 // paper's §6.2 witness statistics, deterministically from seed.
 func SyntheticWorkloadSeeded(mu int, seed int64) (*Circuit, *Assignment, []Scalar, error) {
