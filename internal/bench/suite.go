@@ -302,12 +302,14 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 
 	// Pairing kernels, the verifier's floor: one full pairing, the shared
 	// Miller loop for one pair and for the 17 of a μ=16 PST opening check,
-	// and the final exponentiation alone. Points are random multiples of
-	// the generators.
+	// the same 17 pairs against prepared G2 lines (the consumer alone, as
+	// a PCS verifier runs it), and the final exponentiation alone. Points
+	// are random multiples of the generators.
 	{
 		const millerPairs = 17
 		var ps []curve.G1Affine
 		var qs []curve.G2Affine
+		var prepared []curve.G2Prepared
 		var miller ff.Fp12
 		pairingSetup := func() error {
 			if ps != nil {
@@ -326,6 +328,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				qs[i].FromJacobian(qj.ScalarMul(&g2j, &s[2*i+1]))
 			}
 			var err error
+			if prepared, err = curve.PrepareG2(qs...); err != nil {
+				return err
+			}
 			miller, err = curve.MillerLoop(&ps[0], &qs[0])
 			return err
 		}
@@ -359,6 +364,16 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 			})
 		}
+		out = append(out, Benchmark{
+			Name: fmt.Sprintf("curve/miller-prepared/n%d", millerPairs), Kind: KindKernel,
+			Params: map[string]string{"pairs": strconv.Itoa(millerPairs)},
+			Setup:  pairingSetup,
+			Iterate: func() error {
+				var err error
+				gtSink, err = curve.PreparedMillerLoop(ps, prepared)
+				return err
+			},
+		})
 	}
 
 	// MSM sweeps: real SRS points (the Lagrange basis commitments run

@@ -8,17 +8,26 @@ import (
 
 // This file implements the reduced ate pairing e: G1 × G2 → GT ⊂ Fp12.
 //
-// The Miller loop never leaves the twist. Each G2 argument is carried as
-// an accumulator in homogeneous projective Fp2 coordinates, so doubling
-// and addition steps need no inversion, and the line through the
-// accumulator is produced as three Fp2 coefficients: carrying it to
-// E(Fp12) by (x', y') → (x'·w⁻², y'·w⁻³) and clearing w³ puts a line
-// evaluated at P = (xP, yP) at c0 + c1·xP·v + c4·yP·v·w, which is folded
-// into the running value by the sparse ff.Fp12.MulBy014. Every scaling involved
-// (the projective denominators, w³, a sign) lies in a proper subfield of
-// Fp12 and is killed by the final exponentiation. All pairs of one
-// product share the loop: one Fp12 squaring per bit of |x| however many
-// pairs there are.
+// The Miller loop is split into a G2 walk and a G1 consumer. The walk
+// (PrepareG2) never leaves the twist: each G2 argument is carried as an
+// accumulator in homogeneous projective Fp2 coordinates, so doubling and
+// addition steps need no inversion, and the line through the accumulator
+// is recorded as three Fp2 coefficients — 68 triples per point, one per
+// doubling (63) and addition (5) over the bits of |x|. Carrying a line
+// to E(Fp12) by (x', y') → (x'·w⁻², y'·w⁻³) and clearing w³ puts it,
+// evaluated at P = (xP, yP), at c0 + c1·xP·v − c4·yP·v·w. The consumer
+// (PreparedMillerLoop) scales every recorded triple by (xP, −yP) and folds
+// it into the running value by the sparse ff.Fp12.MulBy014; all pairs of
+// one product share one Fp12 squaring per bit of |x| however many pairs
+// there are. Every scaling involved (the projective denominators, w³, a
+// sign) lies in a proper subfield of Fp12 and is killed by the final
+// exponentiation.
+//
+// The lines depend on Q alone, so a verifier whose G2 arguments are fixed
+// (both PCS backends pair only against SRS elements) prepares them once
+// and pays only the consumer per check. MultiMillerLoop, PairingCheck and
+// Pair prepare their G2 arguments on the fly and run the same consumer:
+// there is one Miller loop.
 //
 // The final exponentiation splits (p¹²-1)/r into the easy part
 // (p⁶-1)(p²+1) — a conjugation, one inversion, two Frobenius maps — and
@@ -35,31 +44,71 @@ type GT = ff.Fp12
 // blsX is |x|; the BLS12-381 parameter x = -0xd201000000010000 is negative.
 const blsX uint64 = 0xd201000000010000
 
+// millerLines is the number of lines one Miller loop folds: a doubling for
+// each of the 63 bits of |x| below the top one, and an addition for each
+// of the 5 further set bits.
+const millerLines = 68
+
+var (
+	errPairingLen     = errors.New("curve: mismatched pairing vectors")
+	errPairingOnCurve = errors.New("curve: pairing input not on curve")
+)
+
+// line holds the coefficients of one Miller-loop line; evaluated at P it
+// is c0 + c1·xP·v − c4·yP·v·w.
+type line struct {
+	c0, c1, c4 ff.Fp2
+}
+
+// G2Prepared holds the Miller-loop lines of one G2 point, in the order the
+// loop consumes them (~20 KB). The zero value is not a prepared point: its
+// lines are zero, so a check that uses it fails.
+type G2Prepared struct {
+	lines [millerLines]line
+	inf   bool
+}
+
 // g2Proj is a point of the twist in homogeneous projective coordinates
 // (x' = x/z, y' = y/z).
 type g2Proj struct {
 	x, y, z ff.Fp2
 }
 
-// millerPair is one (P, Q) of a pairing product inside the loop: P enters
-// only as the two factors that scale a line's coefficients.
-type millerPair struct {
-	xP, negYP ff.Fp
-	q         G2Affine
-	t         g2Proj
+// PrepareG2 runs the G2 walk of the Miller loop for each point and
+// returns its lines. It rejects points off the twist; a point at infinity
+// is prepared as one, and its pairs contribute 1.
+func PrepareG2(qs ...G2Affine) ([]G2Prepared, error) {
+	out := make([]G2Prepared, len(qs))
+	for i := range qs {
+		if !qs[i].IsOnCurve() {
+			return nil, errPairingOnCurve
+		}
+		out[i].prepare(&qs[i])
+	}
+	return out, nil
 }
 
-// lineInto multiplies f by the line c0 + c1·xP·v - c4·yP·v·w.
-func (m *millerPair) lineInto(f *ff.Fp12, c0, c1, c4 *ff.Fp2) {
-	c1.MulByFp(c1, &m.xP)
-	c4.MulByFp(c4, &m.negYP)
-	f.MulBy014(f, c0, c1, c4)
+// prepare records the lines of q's Miller loop.
+func (p *G2Prepared) prepare(q *G2Affine) {
+	if q.Inf {
+		p.inf = true
+		return
+	}
+	t := g2Proj{x: q.X, y: q.Y}
+	t.z.SetOne()
+	j := 0
+	for i := 62; i >= 0; i-- { // below the top bit of |x|
+		t.double(&p.lines[j])
+		j++
+		if blsX>>uint(i)&1 == 1 {
+			t.add(q, &p.lines[j])
+			j++
+		}
+	}
 }
 
-// double sets t = 2t and multiplies f by the tangent at (the old) t
-// evaluated at P.
-func (m *millerPair) double(f *ff.Fp12) {
-	t := &m.t
+// double sets t = 2t and records the tangent at (the old) t.
+func (t *g2Proj) double(ln *line) {
 	// Tangent, scaled by -2YZ: (3b'Z² - Y²) + 3X²·xP·v - 2YZ·yP·v·w.
 	// 2t, scaled by 4: X₃ = 2XY(B-F), Y₃ = (B+F)² - 12E², Z₃ = 4BH with
 	// B = Y², E = 3b'Z², F = 3E, H = 2YZ.
@@ -94,16 +143,14 @@ func (m *millerPair) double(f *ff.Fp12) {
 	t.z.Double(&t.z)
 	t.z.Double(&t.z)
 
-	e.Sub(&e, &b)
-	s.Double(&j)
-	s.Add(&s, &j)
-	m.lineInto(f, &e, &s, &h)
+	ln.c0.Sub(&e, &b)
+	ln.c1.Double(&j)
+	ln.c1.Add(&ln.c1, &j)
+	ln.c4 = h
 }
 
-// add sets t = t + q and multiplies f by the chord through (the old) t
-// and q evaluated at P.
-func (m *millerPair) add(f *ff.Fp12) {
-	t, q := &m.t, &m.q
+// add sets t = t + q and records the chord through (the old) t and q.
+func (t *g2Proj) add(q *G2Affine, ln *line) {
 	// With O = Y - y₂Z and L = X - x₂Z the chord, scaled by -L, is
 	// (L·y₂ - O·x₂) + O·xP·v - L·yP·v·w.
 	var o, l, c, d, e, g, h, s ff.Fp2
@@ -129,51 +176,80 @@ func (m *millerPair) add(f *ff.Fp12) {
 
 	c.Mul(&l, &q.Y)
 	s.Mul(&o, &q.X)
-	c.Sub(&c, &s)
-	m.lineInto(f, &c, &o, &l)
+	ln.c0.Sub(&c, &s)
+	ln.c1 = o
+	ln.c4 = l
 }
 
-// MultiMillerLoop computes Π f_{x,Q_i}(P_i), the product of the Miller
-// values of every pair (each up to a factor the final exponentiation
-// removes), in one pass over the bits of |x|. Pairs with a point at
-// infinity contribute 1.
-func MultiMillerLoop(ps []G1Affine, qs []G2Affine) (ff.Fp12, error) {
+// millerPair is one (P, Q) of a pairing product inside the consumer: P
+// enters only as the two factors that scale a line's coefficients.
+type millerPair struct {
+	xP, negYP ff.Fp
+	q         *G2Prepared
+}
+
+// lineInto multiplies f by the j-th line of q evaluated at P.
+func (m *millerPair) lineInto(f *ff.Fp12, j int) {
+	l := &m.q.lines[j]
+	var c1, c4 ff.Fp2
+	c1.MulByFp(&l.c1, &m.xP)
+	c4.MulByFp(&l.c4, &m.negYP)
+	f.MulBy014(f, &l.c0, &c1, &c4)
+}
+
+// PreparedMillerLoop computes Π f_{x,Q_i}(P_i) from prepared G2 lines,
+// the product of the Miller values of every pair (each up to a factor the
+// final exponentiation removes), in one pass over the bits of |x|. It
+// rejects G1 points off the curve; pairs with a point at infinity
+// contribute 1.
+func PreparedMillerLoop(ps []G1Affine, qs []G2Prepared) (ff.Fp12, error) {
 	var f ff.Fp12
 	f.SetOne()
 	if len(ps) != len(qs) {
-		return f, errors.New("curve: mismatched pairing vectors")
+		return f, errPairingLen
 	}
 	pairs := make([]millerPair, 0, len(ps))
 	for i := range ps {
-		if !ps[i].IsOnCurve() || !qs[i].IsOnCurve() {
-			return f, errors.New("curve: pairing input not on curve")
+		if !ps[i].IsOnCurve() {
+			return f, errPairingOnCurve
 		}
-		if ps[i].Inf || qs[i].Inf {
+		if ps[i].Inf || qs[i].inf {
 			continue
 		}
-		m := millerPair{xP: ps[i].X, q: qs[i]}
+		m := millerPair{xP: ps[i].X, q: &qs[i]}
 		m.negYP.Neg(&ps[i].Y)
-		m.t.x, m.t.y = qs[i].X, qs[i].Y
-		m.t.z.SetOne()
 		pairs = append(pairs, m)
 	}
 	if len(pairs) == 0 {
 		return f, nil
 	}
+	j := 0
 	for i := 62; i >= 0; i-- { // below the top bit of |x|
 		f.Square(&f)
 		for k := range pairs {
-			pairs[k].double(&f)
+			pairs[k].lineInto(&f, j)
 		}
+		j++
 		if blsX>>uint(i)&1 == 1 {
 			for k := range pairs {
-				pairs[k].add(&f)
+				pairs[k].lineInto(&f, j)
 			}
+			j++
 		}
 	}
 	// x < 0: f_{-|x|} ~ conj(f_{|x|}) up to factors killed by the final exp.
 	f.Conjugate(&f)
 	return f, nil
+}
+
+// MultiMillerLoop is PreparedMillerLoop with the G2 lines prepared on the
+// fly. It rejects inputs off their curves.
+func MultiMillerLoop(ps []G1Affine, qs []G2Affine) (ff.Fp12, error) {
+	prep, err := PrepareG2(qs...)
+	if err != nil {
+		return ff.Fp12{}, err
+	}
+	return PreparedMillerLoop(ps, prep)
 }
 
 // MillerLoop computes the (un-exponentiated) Miller value f_{x,Q}(P), up
@@ -251,6 +327,17 @@ func Pair(p *G1Affine, q *G2Affine) (GT, error) {
 // loop and one final exponentiation across all pairs.
 func PairingCheck(ps []G1Affine, qs []G2Affine) (bool, error) {
 	f, err := MultiMillerLoop(ps, qs)
+	if err != nil {
+		return false, err
+	}
+	out := FinalExponentiation(&f)
+	return out.IsOne(), nil
+}
+
+// PreparedPairingCheck is PairingCheck against prepared G2 lines: the
+// check a verifier with fixed G2 arguments makes.
+func PreparedPairingCheck(ps []G1Affine, qs []G2Prepared) (bool, error) {
+	f, err := PreparedMillerLoop(ps, qs)
 	if err != nil {
 		return false, err
 	}

@@ -161,6 +161,127 @@ func TestMultiMillerIsProductOfSingles(t *testing.T) {
 	}
 }
 
+// TestPreparedPairingMatchesOracle pins the prepared consumer to the
+// first-principles oracle: the product of the oracle's Miller values,
+// reduced once, cubed, must equal the prepared loop under the fast final
+// exponentiation, with infinity on either side of some pairs.
+func TestPreparedPairingMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	for _, n := range []int{1, 2, 17} {
+		for _, inf := range []string{"none", "P", "Q"} {
+			ps := make([]G1Affine, n)
+			qs := make([]G2Affine, n)
+			var refF ff.Fp12
+			refF.SetOne()
+			for i := 0; i < n; i++ {
+				ps[i], qs[i] = randG1(rng), randG2(rng)
+				if i == n/2 {
+					switch inf {
+					case "P":
+						ps[i] = G1Infinity()
+					case "Q":
+						qs[i] = G2Infinity()
+					}
+				}
+				f, err := refMillerLoop(&ps[i], &qs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				refF.Mul(&refF, &f)
+			}
+			prep, err := PrepareG2(qs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := PreparedMillerLoop(ps, prep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := refFinalExponentiation(&refF)
+			got := FinalExponentiation(&f)
+			if want := cube(&ref); !got.Equal(&want) {
+				t.Fatalf("n=%d inf=%s: prepared loop != oracle³", n, inf)
+			}
+			ok, err := PreparedPairingCheck(ps, prep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantOne := n == 1 && inf != "none"; ok != wantOne {
+				t.Fatalf("n=%d inf=%s: PreparedPairingCheck = %v", n, inf, ok)
+			}
+		}
+	}
+}
+
+// TestPreparedLinesReused prepares one set of G2 lines and checks it
+// against 100 different G1 vectors, half of them balanced products, each
+// against a fresh PairingCheck: the lines carry no state between checks.
+func TestPreparedLinesReused(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const n = 3
+	g1, g2 := G1Generator(), G2Generator()
+	var g1j G1Jac
+	g1j.FromAffine(&g1)
+	var g2j G2Jac
+	g2j.FromAffine(&g2)
+	// qs = (H, [s_1]H, …, [s_{n-1}]H); a balanced vector is
+	// (-(Σ a_i·s_i)·G, a_1·G, …, a_{n-1}·G).
+	qs := []G2Affine{g2}
+	ss := make([]ff.Fr, n)
+	for i := 1; i < n; i++ {
+		ss[i] = randScalar(rng)
+		var qj G2Jac
+		var q G2Affine
+		q.FromJacobian(qj.ScalarMul(&g2j, &ss[i]))
+		qs = append(qs, q)
+	}
+	prep, err := PrepareG2(qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := 0; it < 100; it++ {
+		ps := make([]G1Affine, n)
+		var sum ff.Fr
+		for i := 1; i < n; i++ {
+			a := randScalar(rng)
+			var pj G1Jac
+			ps[i].FromJacobian(pj.ScalarMul(&g1j, &a))
+			a.Mul(&a, &ss[i])
+			sum.Add(&sum, &a)
+		}
+		balanced := it%2 == 0
+		if !balanced {
+			sum.Add(&sum, &ss[1])
+		}
+		sum.Neg(&sum)
+		var pj G1Jac
+		ps[0].FromJacobian(pj.ScalarMul(&g1j, &sum))
+
+		fresh, err := MultiMillerLoop(ps, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PreparedMillerLoop(ps, prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(&fresh) {
+			t.Fatalf("input %d: prepared Miller value != fresh one", it)
+		}
+		want, err := PairingCheck(ps, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := PreparedPairingCheck(ps, prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != want || ok != balanced {
+			t.Fatalf("input %d: prepared %v, fresh %v, balanced %v", it, ok, want, balanced)
+		}
+	}
+}
+
 // TestPairingCheckTelescopes is the shape the PCS verifiers use: scalars
 // moved between the sides of many pairs must cancel.
 func TestPairingCheckTelescopes(t *testing.T) {
@@ -235,5 +356,30 @@ func TestPairingInputErrors(t *testing.T) {
 	}
 	if _, err := PairingCheck([]G1Affine{g1, g1}, []G2Affine{g2, badQ}); err == nil {
 		t.Fatal("PairingCheck accepted an off-curve G2 input")
+	}
+
+	// The prepared entry point: G2 is checked once, when it is prepared;
+	// G1 and the lengths on every check.
+	if _, err := PrepareG2(g2, badQ); err == nil {
+		t.Fatal("PrepareG2 accepted an off-curve G2 input")
+	}
+	prep, err := PrepareG2(g2, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PreparedPairingCheck([]G1Affine{g1, badP}, prep); err == nil {
+		t.Fatal("PreparedPairingCheck accepted an off-curve G1 input")
+	}
+	if _, err := PreparedPairingCheck([]G1Affine{g1}, prep); err == nil {
+		t.Fatal("PreparedPairingCheck accepted mismatched vector lengths")
+	}
+	if _, err := PreparedMillerLoop([]G1Affine{g1, g1, g1}, prep); err == nil {
+		t.Fatal("PreparedMillerLoop accepted mismatched vector lengths")
+	}
+	// A G2Prepared that PrepareG2 never filled fails the check.
+	var negG1 G1Affine
+	negG1.Neg(&g1)
+	if ok, err := PreparedPairingCheck([]G1Affine{g1, negG1}, []G2Prepared{prep[0], {}}); err != nil || ok {
+		t.Fatalf("zero G2Prepared: ok=%v err=%v, want a rejection", ok, err)
 	}
 }

@@ -45,6 +45,24 @@ type SRS struct {
 	// copied by value once in use.
 	digestOnce sync.Once
 	digest     [32]byte
+	// lines memoizes the Miller-loop lines of H and HTau[0..μ-1], in that
+	// order.
+	lines preparedG2
+}
+
+// preparedG2 memoizes the Miller-loop lines of an SRS's fixed G2 points.
+// They are built by the first verification, under a sync.Once like the
+// digest, so ceremony, key set-up and the prover never pay for them.
+type preparedG2 struct {
+	once  sync.Once
+	lines []curve.G2Prepared
+	err   error
+}
+
+// get returns the lines of qs, preparing them on the first call.
+func (p *preparedG2) get(qs ...curve.G2Affine) ([]curve.G2Prepared, error) {
+	p.once.Do(func() { p.lines, p.err = curve.PrepareG2(qs...) })
+	return p.lines, p.err
 }
 
 // Commitment is a hiding-free PST commitment to an MLE.
@@ -200,6 +218,12 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 //
 // Moving z across the pairing assumes the Q_k have order r; proof decoding
 // checks that (curve.G1Affine.IsInSubgroup).
+//
+// The G2 side of every check is therefore the same: the first Verify on
+// an SRS runs curve.PrepareG2 over H and HTau once, and every check pays
+// only the G1 half of the Miller loop against those stored lines (about
+// 20 KB per G2 point). Ceremony, key set-up and the prover never build
+// them.
 func (s *SRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
 	if len(point) != s.Mu || len(proof.Quotients) != s.Mu {
 		return false, errors.New("pcs: verify dimension mismatch")
@@ -216,8 +240,11 @@ func (s *SRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProo
 	for k := range proof.Quotients {
 		ps[k+1].Neg(&proof.Quotients[k])
 	}
-	qs := append([]curve.G2Affine{s.H}, s.HTau...)
-	return curve.PairingCheck(ps, qs)
+	lines, err := s.lines.get(append([]curve.G2Affine{s.H}, s.HTau...)...)
+	if err != nil {
+		return false, err
+	}
+	return curve.PreparedPairingCheck(ps, lines)
 }
 
 // CombineCommitments returns Σ coeffs[i]·cs[i] — commitments are additively

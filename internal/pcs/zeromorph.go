@@ -51,6 +51,8 @@ type ZeromorphSRS struct {
 
 	digestOnce sync.Once
 	digest     [32]byte
+	// lines memoizes the Miller-loop lines of H and HTau, in that order.
+	lines preparedG2
 }
 
 var _ PCS = (*ZeromorphSRS)(nil)
@@ -315,7 +317,9 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 }
 
 // Verify checks an ordinary opening: the combined commitment assembled
-// from the proof must be a multiple of (τ−ζ) witnessed by π.
+// from the proof must be a multiple of (τ−ζ) witnessed by π. Like
+// SRS.Verify, it pairs against the Miller-loop lines of H and [τ]H that
+// the first verification on this SRS prepares.
 func (s *ZeromorphSRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
 	return s.verifyCore(c, point, value, proof, ff.Fr{}, false)
 }
@@ -387,10 +391,11 @@ func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proo
 	var combAff, negPi curve.G1Affine
 	combAff.FromJacobian(&comb)
 	negPi.Neg(&pi)
-	return curve.PairingCheck(
-		[]curve.G1Affine{combAff, negPi},
-		[]curve.G2Affine{s.H, s.HTau},
-	)
+	lines, err := s.lines.get(s.H, s.HTau)
+	if err != nil {
+		return false, err
+	}
+	return curve.PreparedPairingCheck([]curve.G1Affine{combAff, negPi}, lines)
 }
 
 // zmScalars holds the per-opening scalar kit both sides compute from the

@@ -868,76 +868,3 @@ func extrapolationBasis(d int) []ff.Fr {
 	}
 	return basis
 }
-
-// claimInterpolator evaluates a round polynomial (given by its values at
-// X = 0..d) at the drawn challenge — the running claim the next round's
-// g(1) is derived from. Same math as InterpolateAt, but the d+1
-// denominators share one Montgomery-batched inversion and all scratch is
-// preallocated, so the per-round cost is one field inversion plus O(d)
-// multiplications.
-type claimInterpolator struct {
-	w     []ff.Fr // barycentric weights w_j = Π_{k≠j}(j-k), precomputed
-	diffs []ff.Fr
-	den   []ff.Fr
-	part  []ff.Fr
-}
-
-// interpolatorLen is the backing newClaimInterpolator needs for degree d.
-func interpolatorLen(d int) int { return 4*(d+1) + 1 }
-
-// newClaimInterpolator lays the interpolator for degree d out in backing
-// (interpolatorLen(d) entries).
-func newClaimInterpolator(d int, backing []ff.Fr) claimInterpolator {
-	ci := claimInterpolator{
-		w:     backing[:d+1],
-		diffs: backing[d+1 : 2*(d+1)],
-		den:   backing[2*(d+1) : 3*(d+1)],
-		part:  backing[3*(d+1):],
-	}
-	for j := 0; j <= d; j++ {
-		ci.w[j].SetOne()
-		for k := 0; k <= d; k++ {
-			if k == j {
-				continue
-			}
-			var jk ff.Fr
-			jk.SetInt64(int64(j - k))
-			ci.w[j].Mul(&ci.w[j], &jk)
-		}
-	}
-	return ci
-}
-
-// at evaluates the polynomial through evals at r.
-func (ci *claimInterpolator) at(evals []ff.Fr, r *ff.Fr) ff.Fr {
-	d := len(evals) - 1
-	var full ff.Fr
-	full.SetOne()
-	for k := 0; k <= d; k++ {
-		pk := ff.NewFr(uint64(k))
-		ci.diffs[k].Sub(r, &pk)
-		if ci.diffs[k].IsZero() {
-			// r landed on a sample point (probability ~d/2^255).
-			return evals[k]
-		}
-		full.Mul(&full, &ci.diffs[k])
-	}
-	// den_j = diffs_j·w_j, inverted as a batch: part holds running
-	// products, one Inverse unwinds them all.
-	ci.part[0].SetOne()
-	for j := 0; j <= d; j++ {
-		ci.den[j].Mul(&ci.diffs[j], &ci.w[j])
-		ci.part[j+1].Mul(&ci.part[j], &ci.den[j])
-	}
-	var inv ff.Fr
-	inv.Inverse(&ci.part[d+1])
-	var out, term ff.Fr
-	for j := d; j >= 0; j-- {
-		term.Mul(&inv, &ci.part[j]) // den_j^{-1}
-		inv.Mul(&inv, &ci.den[j])
-		term.Mul(&term, &full)
-		term.Mul(&term, &evals[j])
-		out.Add(&out, &term)
-	}
-	return out
-}

@@ -292,43 +292,81 @@ func referenceRound(vp *VirtualPoly, deg int) RoundPoly {
 }
 
 // InterpolateAt evaluates the degree-(len(evals)-1) polynomial defined by
-// its values at X = 0,1,…,d at an arbitrary point r (Lagrange form; the
-// fixed-cost Barycentric step of §4.1.1).
+// its values at X = 0,1,…,d at an arbitrary point r.
 func InterpolateAt(evals []ff.Fr, r *ff.Fr) ff.Fr {
 	d := len(evals) - 1
-	// If r is one of the sample points, return directly.
-	for j := 0; j <= d; j++ {
-		pj := ff.NewFr(uint64(j))
-		if pj.Equal(r) {
-			return evals[j]
-		}
+	ci := newClaimInterpolator(d, make([]ff.Fr, interpolatorLen(d)))
+	return ci.at(evals, r)
+}
+
+// claimInterpolator evaluates a round polynomial (given by its values at
+// X = 0..d) at the drawn challenge — the running claim the next round
+// checks (the verifier) or derives g(1) from (the prover). It is the
+// fixed-cost Barycentric step of §4.1.1: the weights are computed once,
+// the d+1 denominators share one Montgomery-batched inversion and all
+// scratch is preallocated, so the per-round cost is one field inversion
+// plus O(d) multiplications.
+type claimInterpolator struct {
+	w     []ff.Fr // barycentric weights w_j = Π_{k≠j}(j-k), precomputed
+	diffs []ff.Fr
+	den   []ff.Fr
+	part  []ff.Fr
+}
+
+// interpolatorLen is the backing newClaimInterpolator needs for degree d.
+func interpolatorLen(d int) int { return 4*(d+1) + 1 }
+
+// newClaimInterpolator lays the interpolator for degree d out in backing
+// (interpolatorLen(d) entries).
+func newClaimInterpolator(d int, backing []ff.Fr) claimInterpolator {
+	ci := claimInterpolator{
+		w:     backing[:d+1],
+		diffs: backing[d+1 : 2*(d+1)],
+		den:   backing[2*(d+1) : 3*(d+1)],
+		part:  backing[3*(d+1):],
 	}
-	// numerators: Π_k (r-k); per-j denominators: (j-k) products.
-	diffs := make([]ff.Fr, d+1)
-	var full ff.Fr
-	full.SetOne()
-	for k := 0; k <= d; k++ {
-		pk := ff.NewFr(uint64(k))
-		diffs[k].Sub(r, &pk)
-		full.Mul(&full, &diffs[k])
-	}
-	var out ff.Fr
 	for j := 0; j <= d; j++ {
-		// w_j = Π_{k≠j} (j-k); term = evals[j]·full / (diffs[j]·w_j)
-		var wj ff.Fr
-		wj.SetOne()
+		ci.w[j].SetOne()
 		for k := 0; k <= d; k++ {
 			if k == j {
 				continue
 			}
 			var jk ff.Fr
 			jk.SetInt64(int64(j - k))
-			wj.Mul(&wj, &jk)
+			ci.w[j].Mul(&ci.w[j], &jk)
 		}
-		var den, term ff.Fr
-		den.Mul(&diffs[j], &wj)
-		den.Inverse(&den)
-		term.Mul(&full, &den)
+	}
+	return ci
+}
+
+// at evaluates the polynomial through evals at r.
+func (ci *claimInterpolator) at(evals []ff.Fr, r *ff.Fr) ff.Fr {
+	d := len(evals) - 1
+	var full ff.Fr
+	full.SetOne()
+	for k := 0; k <= d; k++ {
+		pk := ff.NewFr(uint64(k))
+		ci.diffs[k].Sub(r, &pk)
+		if ci.diffs[k].IsZero() {
+			// r landed on a sample point (probability ~d/2^255).
+			return evals[k]
+		}
+		full.Mul(&full, &ci.diffs[k])
+	}
+	// den_j = diffs_j·w_j, inverted as a batch: part holds running
+	// products, one Inverse unwinds them all.
+	ci.part[0].SetOne()
+	for j := 0; j <= d; j++ {
+		ci.den[j].Mul(&ci.diffs[j], &ci.w[j])
+		ci.part[j+1].Mul(&ci.part[j], &ci.den[j])
+	}
+	var inv ff.Fr
+	inv.Inverse(&ci.part[d+1])
+	var out, term ff.Fr
+	for j := d; j >= 0; j-- {
+		term.Mul(&inv, &ci.part[j]) // den_j^{-1}
+		inv.Mul(&inv, &ci.den[j])
+		term.Mul(&term, &full)
 		term.Mul(&term, &evals[j])
 		out.Add(&out, &term)
 	}
@@ -351,6 +389,7 @@ func Verify(claim ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transc
 	}
 	cur := claim
 	res.Challenges = make([]ff.Fr, 0, numVars)
+	interp := newClaimInterpolator(degree, make([]ff.Fr, interpolatorLen(degree)))
 	for round, rp := range proof.Rounds {
 		if len(rp.Evals) != degree+1 {
 			return res, fmt.Errorf("sumcheck: round %d has %d evals, want %d", round, len(rp.Evals), degree+1)
@@ -363,7 +402,7 @@ func Verify(claim ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transc
 		tr.AppendFrs("sumcheck.round", rp.Evals)
 		r := tr.ChallengeFr("sumcheck.r")
 		res.Challenges = append(res.Challenges, r)
-		cur = InterpolateAt(rp.Evals, &r)
+		cur = interp.at(rp.Evals, &r)
 	}
 	res.FinalClaim = cur
 	return res, nil

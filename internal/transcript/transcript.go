@@ -47,9 +47,16 @@ func (t *Transcript) AppendFr(label string, v *ff.Fr) {
 }
 
 // AppendFrs absorbs a labeled scalar vector: the bytes of one AppendFr per
-// element, with the label-and-length frame they all share built once.
+// element, with the label-and-length frame they all share built once, on
+// the stack for any label up to 56 bytes.
 func (t *Transcript) AppendFrs(label string, vs []ff.Fr) {
-	frame := make([]byte, len(label)+8+ff.FrBytes)
+	var buf [96]byte
+	var frame []byte
+	if n := len(label) + 8 + ff.FrBytes; n <= len(buf) {
+		frame = buf[:n]
+	} else {
+		frame = make([]byte, n)
+	}
 	n := copy(frame, label)
 	binary.LittleEndian.PutUint64(frame[n:], ff.FrBytes)
 	for i := range vs {
