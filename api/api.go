@@ -107,8 +107,7 @@ type ProveResponse struct {
 // batch of statements over one circuit, proved as a unit. Exactly one of
 // CircuitDigest or Circuit must be set, as in ProveRequest. The call is
 // synchronous: the response carries every proof (or per-statement
-// failure). The statements spread across the service's batch loops, and
-// in cluster mode across worker daemons.
+// failure). The statements spread across the service's batch loops.
 type ProveBatchRequest struct {
 	CircuitDigest string `json:"circuit_digest,omitempty"`
 	// Circuit optionally carries a ZKSC blob, registering the circuit as
@@ -166,61 +165,12 @@ type Health struct {
 // Ready is the body of GET /readyz. The endpoint answers 200 when ready
 // and 503 otherwise — the knob load balancers watch. Readiness is distinct
 // from liveness (/healthz, always 200 while the process serves): a daemon
-// is alive but unready while preloading, after beginning a graceful drain,
-// and — in cluster mode — while zero workers are registered.
+// is alive but unready while preloading and after beginning a graceful
+// drain.
 type Ready struct {
 	Ready bool `json:"ready"`
 	// Reason explains a false Ready.
 	Reason string `json:"reason,omitempty"`
-}
-
-// ClusterWorkerInfo describes one registered worker daemon, as advertised
-// in its hello and updated by heartbeats.
-type ClusterWorkerInfo struct {
-	ID   uint64 `json:"id"`
-	Name string `json:"name"`
-	// Addr is the worker's remote address as seen by the coordinator.
-	Addr string `json:"addr"`
-	// Cores is the worker's advertised proving parallelism.
-	Cores int `json:"cores"`
-	// PCSScheme is the commitment scheme the worker proves under, as
-	// advertised in its hello. The coordinator refuses workers whose
-	// scheme differs from its own.
-	PCSScheme string `json:"pcs_scheme,omitempty"`
-	// PreloadedMus are the problem sizes whose SRS the worker pre-derived.
-	PreloadedMus []int `json:"preloaded_mus,omitempty"`
-	// ResidentCircuits counts circuits the worker holds decoded in memory
-	// (the coordinator skips the circuit blob when dispatching those).
-	ResidentCircuits int `json:"resident_circuits"`
-	// Inflight is the number of statements currently dispatched to the
-	// worker and not yet returned.
-	Inflight int `json:"inflight"`
-	// JobsDone counts statements the worker has returned successfully.
-	JobsDone int64 `json:"jobs_done"`
-	// LastSeenMS is milliseconds since the worker's last heartbeat or
-	// result.
-	LastSeenMS int64 `json:"last_seen_ms"`
-}
-
-// ClusterStatus is the body of GET /v1/cluster on a coordinator.
-type ClusterStatus struct {
-	// Addr is the coordinator's cluster listen address workers join.
-	Addr string `json:"addr"`
-	// PCSScheme is the commitment scheme this cluster proves under; every
-	// registered worker matches it.
-	PCSScheme string              `json:"pcs_scheme,omitempty"`
-	Workers   []ClusterWorkerInfo `json:"workers"`
-	// Dispatches counts batches sent to workers.
-	Dispatches int64 `json:"dispatches"`
-	// Requeues counts batches re-dispatched to another worker after the
-	// original worker died mid-job.
-	Requeues int64 `json:"requeues"`
-	// WorkerDeaths counts workers dropped (connection loss or missed
-	// heartbeats).
-	WorkerDeaths int64 `json:"worker_deaths"`
-	// LocalFallbacks counts batches proved by the coordinator's own
-	// engines because no worker was available.
-	LocalFallbacks int64 `json:"local_fallbacks"`
 }
 
 // Error codes distinguishing the refusal classes that share an HTTP

@@ -575,170 +575,10 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	return out
 }
 
-// clusterBatchStatements builds cfg.ClusterBatch distinct witnesses of one
-// fixed circuit at exactly the requested problem size: a repeated
-// multiply-add chain seeded per statement, sized so the padded gate count
-// lands on 2^mu. Distinct witnesses matter — the service dedupes
-// byte-identical statements within a batch, so a batch of copies would
-// prove once and measure nothing.
-func clusterBatchStatements(mu, n int, seed int64) (*Circuit, []*Assignment, error) {
-	chain := 1 << (mu - 2) // 2 gates per link → just over 2^(mu-1), pads to 2^mu
-	var circuit *Circuit
-	assigns := make([]*Assignment, n)
-	for i := 0; i < n; i++ {
-		b := NewBuilder()
-		x := b.Witness(NewScalar(uint64(seed) + uint64(i)))
-		acc := x
-		for k := 0; k < chain; k++ {
-			acc = b.Add(b.Mul(acc, x), x)
-		}
-		out := b.PublicInput(b.Value(acc))
-		b.AssertEqual(acc, out)
-		c, a, _, err := b.Compile()
-		if err != nil {
-			return nil, nil, err
-		}
-		if c.Mu != mu {
-			return nil, nil, fmt.Errorf("cluster bench circuit compiled to mu=%d, want %d", c.Mu, mu)
-		}
-		if circuit == nil {
-			circuit = c
-		}
-		assigns[i] = a
-	}
-	return circuit, assigns, nil
-}
-
-// ClusterBenchmarks builds the distributed-proving suite: one
-// cluster/prove_batch/muN/workersK case per fleet size in
-// cfg.ClusterWorkers. Setup starts an in-process coordinator with K
-// batch loops and joins K in-process workers pinned to one core each
-// (WithParallelism(1)), so K is the only parallelism knob and the
-// workers2-vs-workers1 ratio is the cluster's scaling factor, not the
-// engine's. Each iteration POSTs the same cfg.ClusterBatch-statement
-// batch through /v1/prove_batch with the proof cache disabled, so every
-// statement is really proved on a worker every rep.
-func ClusterBenchmarks(cfg BenchConfig) []BenchmarkCase {
-	var out []BenchmarkCase
-	for _, workers := range cfg.ClusterWorkers {
-		workers := workers
-		var (
-			svc     *ProverService
-			server  *http.Server
-			fleet   []*ClusterWorker
-			baseURL string
-			hc      *http.Client
-			reqBlob []byte
-		)
-		out = append(out, BenchmarkCase{
-			Name: fmt.Sprintf("cluster/prove_batch/mu%d/workers%d", cfg.ClusterMu, workers),
-			Kind: bench.KindCluster,
-			Params: map[string]string{
-				"mu":      strconv.Itoa(cfg.ClusterMu),
-				"workers": strconv.Itoa(workers),
-				"batch":   strconv.Itoa(cfg.ClusterBatch),
-				"seed":    strconv.FormatInt(cfg.Seed, 10),
-			},
-			Setup: func() error {
-				var err error
-				// One batch loop per worker so batch statements fan out
-				// K-wide; coalescing off (each statement dispatches
-				// individually) and the proof cache disabled.
-				svc, err = NewService(ServiceConfig{
-					Shards:      workers,
-					BatchWindow: -1,
-					CacheSize:   -1,
-				},
-					WithEntropy(SeededEntropy(cfg.Seed)),
-					WithCluster(ClusterConfig{Listen: "127.0.0.1:0"}),
-				)
-				if err != nil {
-					return err
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					return err
-				}
-				server = &http.Server{Handler: svc.Handler()}
-				go server.Serve(ln)
-				baseURL = "http://" + ln.Addr().String()
-				hc = &http.Client{}
-
-				clusterAddr := svc.Cluster().ClusterStatus().Addr
-				for i := 0; i < workers; i++ {
-					w, err := JoinCluster(context.Background(), clusterAddr,
-						ClusterWorkerConfig{Name: fmt.Sprintf("bench-w%d", i), Cores: 1},
-						WithParallelism(1))
-					if err != nil {
-						return err
-					}
-					fleet = append(fleet, w)
-				}
-				deadline := time.Now().Add(10 * time.Second)
-				for len(svc.Cluster().ClusterStatus().Workers) < workers {
-					if time.Now().After(deadline) {
-						return fmt.Errorf("cluster bench: fleet never reached %d workers", workers)
-					}
-					time.Sleep(time.Millisecond)
-				}
-
-				circuit, assigns, err := clusterBatchStatements(cfg.ClusterMu, cfg.ClusterBatch, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				// Preload warms the coordinator's SRS/key caches; the
-				// workers warm theirs on the first (warmup) iteration,
-				// which the measured reps exclude.
-				info, err := svc.Preload(context.Background(), circuit)
-				if err != nil {
-					return err
-				}
-				wits := make([][]byte, len(assigns))
-				for i, a := range assigns {
-					if wits[i], err = a.MarshalBinary(); err != nil {
-						return err
-					}
-				}
-				reqBlob, err = json.Marshal(api.ProveBatchRequest{
-					CircuitDigest: info.Digest, Witnesses: wits,
-				})
-				return err
-			},
-			Iterate: func() error {
-				resp, err := hc.Post(baseURL+"/v1/prove_batch", "application/json", bytes.NewReader(reqBlob))
-				if err != nil {
-					return err
-				}
-				defer resp.Body.Close()
-				var batch api.ProveBatchResponse
-				if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-					return err
-				}
-				if resp.StatusCode != http.StatusOK || batch.Failed != 0 || batch.BatchDigest == "" {
-					return fmt.Errorf("prove_batch: HTTP %d, %d failed, digest %q",
-						resp.StatusCode, batch.Failed, batch.BatchDigest)
-				}
-				return nil
-			},
-			Teardown: func() {
-				for _, w := range fleet {
-					w.Close()
-				}
-				fleet = nil
-				server.Close()
-				svc.Close()
-			},
-		})
-	}
-	return out
-}
-
 // SuiteBenchmarks is the full structured suite: kernels, end-to-end,
-// service-level (HTTP prove plus durability and fair-share), then the
-// distributed cluster batches.
+// then service-level (HTTP prove plus durability and fair-share).
 func SuiteBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	out := append(KernelBenchmarks(cfg), E2EBenchmarks(cfg)...)
 	out = append(out, ServiceBenchmarks(cfg)...)
-	out = append(out, DurabilityBenchmarks(cfg)...)
-	return append(out, ClusterBenchmarks(cfg)...)
+	return append(out, DurabilityBenchmarks(cfg)...)
 }

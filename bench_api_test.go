@@ -60,7 +60,7 @@ func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
 func TestQuickSuiteShape(t *testing.T) {
 	cfg := zkspeed.DefaultBenchConfig(true)
 	bms := zkspeed.SuiteBenchmarks(cfg)
-	kernels, e2e, svc, cluster := 0, 0, 0, 0
+	kernels, e2e, svc := 0, 0, 0
 	names := map[string]bool{}
 	for _, bm := range bms {
 		if names[bm.Name] {
@@ -74,8 +74,6 @@ func TestQuickSuiteShape(t *testing.T) {
 			e2e++
 		case bench.KindService:
 			svc++
-		case bench.KindCluster:
-			cluster++
 		default:
 			t.Errorf("%s: unknown kind %q", bm.Name, bm.Kind)
 		}
@@ -90,11 +88,6 @@ func TestQuickSuiteShape(t *testing.T) {
 	// cached overhead floor.
 	if svc < 2 || !names["service/http_prove/mu8"] || !names["service/http_prove_cached/mu8"] {
 		t.Errorf("quick suite service coverage wrong: %d service benchmarks", svc)
-	}
-	// The cluster level must sweep the 1- and 2-worker fleets the CI bench
-	// gate's speedup assertion holds over.
-	if cluster < 2 || !names["cluster/prove_batch/mu10/workers1"] || !names["cluster/prove_batch/mu10/workers2"] {
-		t.Errorf("quick suite cluster coverage wrong: %d cluster benchmarks", cluster)
 	}
 	for _, want := range []string{"msm/pippenger/", "msm/sparse-fast/", "sumcheck/rounds/", "pcs/commit/", "pcs/open/", "mle/fold/"} {
 		found := false

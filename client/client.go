@@ -616,16 +616,6 @@ func (c *Client) Ready(ctx context.Context) (*api.Ready, error) {
 	return &r, nil
 }
 
-// ClusterStatus fetches the coordinator's cluster view. A service not
-// running in cluster mode answers 404, surfaced as an *APIError.
-func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) {
-	var st api.ClusterStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Health fetches the service's liveness summary.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	var h api.Health

@@ -140,11 +140,6 @@ func TestClientEndToEnd(t *testing.T) {
 	if err != nil || !ready.Ready {
 		t.Fatalf("ready: %v %+v", err, ready)
 	}
-	// Local mode has no cluster endpoint.
-	var apiErr *client.APIError
-	if _, err := cl.ClusterStatus(ctx); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
-		t.Fatalf("cluster status on local service: %v", err)
-	}
 }
 
 // TestClientAutoRetry exercises the 429 auto-retry against a flaky front

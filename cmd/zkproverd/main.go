@@ -15,14 +15,9 @@
 //	zkproverd -store-dir /var/lib/zkproverd/wal # durable job store: jobs survive restarts
 //	zkproverd -tenants-file tenants.json        # API-key auth + per-tenant quotas
 //	zkproverd -pcs zeromorph                    # serve the Zeromorph PCS backend
-//	zkproverd -worker -join host:9444 -name w1  # proving worker for zkclusterd
 //
-// In -worker mode the daemon serves no HTTP: it dials the coordinator,
-// receives the cluster's shared setup seed in the handshake, and proves
-// dispatched batches until stopped (or the coordinator goes away).
-//
-// See the README's "Running the proving service" and "Running a proving
-// cluster" sections for the API walkthrough and wire formats.
+// See the README's "Running the proving service" section for the API
+// walkthrough and wire formats.
 package main
 
 import (
@@ -55,9 +50,6 @@ func main() {
 	preload := flag.String("preload-mu", "", "comma-separated problem sizes whose SRS to pre-derive at startup, e.g. 10,12")
 	workers := flag.Int("workers", 0, "ProveBatch worker pool size (0 = one per CPU)")
 	verbose := flag.Bool("v", false, "log every completed proof")
-	workerMode := flag.Bool("worker", false, "run as a cluster proving worker instead of an HTTP service")
-	join := flag.String("join", "", "coordinator cluster address to join (required with -worker)")
-	name := flag.String("name", "", "worker name advertised to the coordinator (default hostname)")
 	storeDir := flag.String("store-dir", "", "directory for the durable job store (WAL); empty = in-memory only")
 	storeSync := flag.Duration("store-sync", 0, "WAL fsync batching interval (0 = sync every append, negative = leave to the OS; with -store-dir)")
 	tenantsFile := flag.String("tenants-file", "", "JSON tenants file enabling API-key auth and per-tenant quotas")
@@ -66,11 +58,6 @@ func main() {
 
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("zkproverd: ")
-
-	if *workerMode {
-		runWorker(*join, *name, *preload, *workers, *verbose, *pcsScheme)
-		return
-	}
 
 	opts := []zkspeed.Option{}
 	if *seed != 0 {
@@ -164,59 +151,6 @@ func main() {
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
-		}
-	}
-}
-
-// runWorker joins a zkclusterd coordinator and proves dispatched batches
-// until stopped. The setup seed comes from the coordinator's handshake, so
-// -seed is ignored here.
-func runWorker(join, name, preload string, workers int, verbose bool, pcsScheme string) {
-	if join == "" {
-		log.Fatal("-worker requires -join <coordinator cluster address>")
-	}
-	if name == "" {
-		name, _ = os.Hostname()
-	}
-	mus, err := parseMus(preload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := []zkspeed.Option{}
-	if workers > 0 {
-		opts = append(opts, zkspeed.WithParallelism(workers))
-	}
-	if pcsScheme != "" {
-		opts = append(opts, zkspeed.WithPCSScheme(pcsScheme))
-	}
-	if verbose {
-		opts = append(opts, zkspeed.WithProveHook(func(st zkspeed.ProofStats) {
-			log.Printf("proved mu=%d (%d gates) in %v, %d-byte proof",
-				st.Mu, st.NumGates, st.ProverTime.Round(time.Microsecond), st.ProofBytes)
-		}))
-	}
-	w, err := zkspeed.JoinCluster(context.Background(), join, zkspeed.ClusterWorkerConfig{
-		Name:       name,
-		Cores:      workers,
-		PreloadMus: mus,
-		Logf:       log.Printf,
-	}, opts...)
-	if err != nil {
-		log.Fatalf("joining %s: %v", join, err)
-	}
-	log.Printf("worker %q joined coordinator %s (id %d)", name, join, w.ID())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- w.Wait() }()
-	select {
-	case sig := <-stop:
-		log.Printf("received %s, leaving cluster", sig)
-		w.Close()
-	case err := <-done:
-		if err != nil {
-			log.Fatalf("worker stopped: %v", err)
 		}
 	}
 }

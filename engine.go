@@ -125,8 +125,8 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // WarmSRS pre-derives the Engine's universal setup for one problem size
-// under the Engine's configured scheme — the scheme-agnostic preload
-// hook (cluster workers run it right after joining).
+// under the Engine's configured scheme, so a benchmark or a caller can
+// pay the ceremony before its first timed proof.
 func (e *Engine) WarmSRS(ctx context.Context, mu int) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -142,7 +142,7 @@ func (e *Engine) pcsScheme() (pcs.Scheme, error) {
 }
 
 // PCSScheme reports the scheme name the Engine commits under — what the
-// service advertises in circuit registrations and /v1/cluster.
+// service advertises in circuit registrations.
 func (e *Engine) PCSScheme() string {
 	s, err := e.pcsScheme()
 	if err != nil {

@@ -12,7 +12,6 @@ const (
 	KindKernel  = "kernel"  // one prover kernel in isolation (MSM, sumcheck, …)
 	KindE2E     = "e2e"     // a full Engine.Prove invocation
 	KindService = "service" // a prove driven through zkproverd's HTTP path
-	KindCluster = "cluster" // a batch driven through a coordinator + worker fleet
 )
 
 // Record is one benchmark's measured result.

@@ -54,17 +54,6 @@ type SuiteConfig struct {
 	// ServiceMus are the problem sizes for proving through the zkproverd
 	// HTTP path (service-level latency: HTTP + queue + batch + prove).
 	ServiceMus []int
-	// ClusterMu is the problem size of the distributed prove_batch
-	// benches (cluster/prove_batch/muN/workersK).
-	ClusterMu int
-	// ClusterBatch is the number of distinct statements per distributed
-	// batch — large enough that every worker receives work.
-	ClusterBatch int
-	// ClusterWorkers are the in-process worker-fleet sizes to sweep. The
-	// CI bench gate asserts the 2-worker batch beats the 1-worker batch
-	// within the same run (meaningless on a single-core machine, which is
-	// why the assertion lives in CI's gate list rather than in a test).
-	ClusterWorkers []int
 	// Warmup/Reps are the default runner parameters for this config.
 	Warmup, Reps int
 	// Seed derives every input (SRS, scalars, witness circuits).
@@ -78,42 +67,36 @@ type SuiteConfig struct {
 func DefaultConfig(quick bool) SuiteConfig {
 	if quick {
 		return SuiteConfig{
-			Quick:          true,
-			MSMLogN:        10,
-			Windows:        []int{4, 8},
-			SumcheckMu:     10,
-			SumcheckMus:    []int{10, 12},
-			PCSMu:          10,
-			PCSMus:         []int{10, 12},
-			FoldMu:         14,
-			MLEMu:          14,
-			E2EMus:         []int{8, 10, 12},
-			ServiceMus:     []int{8},
-			ClusterMu:      10,
-			ClusterBatch:   8,
-			ClusterWorkers: []int{1, 2, 4},
-			Warmup:         1,
-			Reps:           5,
-			Seed:           1,
+			Quick:       true,
+			MSMLogN:     10,
+			Windows:     []int{4, 8},
+			SumcheckMu:  10,
+			SumcheckMus: []int{10, 12},
+			PCSMu:       10,
+			PCSMus:      []int{10, 12},
+			FoldMu:      14,
+			MLEMu:       14,
+			E2EMus:      []int{8, 10, 12},
+			ServiceMus:  []int{8},
+			Warmup:      1,
+			Reps:        5,
+			Seed:        1,
 		}
 	}
 	return SuiteConfig{
-		MSMLogN:        12,
-		Windows:        []int{4, 7, 10},
-		SumcheckMu:     14,
-		SumcheckMus:    []int{12, 14},
-		PCSMu:          12,
-		PCSMus:         []int{12},
-		FoldMu:         18,
-		MLEMu:          16,
-		E2EMus:         []int{12, 14, 16},
-		ServiceMus:     []int{10, 12},
-		ClusterMu:      12,
-		ClusterBatch:   8,
-		ClusterWorkers: []int{1, 2, 4},
-		Warmup:         2,
-		Reps:           5,
-		Seed:           1,
+		MSMLogN:     12,
+		Windows:     []int{4, 7, 10},
+		SumcheckMu:  14,
+		SumcheckMus: []int{12, 14},
+		PCSMu:       12,
+		PCSMus:      []int{12},
+		FoldMu:      18,
+		MLEMu:       16,
+		E2EMus:      []int{12, 14, 16},
+		ServiceMus:  []int{10, 12},
+		Warmup:      2,
+		Reps:        5,
+		Seed:        1,
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // (cache keys of the engine, the service and the WAL), and per scheme the
 // SRS digest (the identity of the commit basis) and the verifying-key digest
 // (bound into every proof). None of those changes may move a byte, or
-// caches, cluster workers and proofs from before and after stop being
+// caches, replayed job stores and proofs from before and after stop being
 // interchangeable.
 var setupDigests = map[int]struct {
 	circuit, witness     string

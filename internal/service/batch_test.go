@@ -315,22 +315,6 @@ func TestRetryAfterScalesWithLoops(t *testing.T) {
 	}
 }
 
-// fakeCluster implements ClusterInfo for readiness and endpoint tests.
-type fakeCluster struct {
-	workers int
-	closed  bool
-}
-
-func (f *fakeCluster) ClusterStatus() api.ClusterStatus {
-	ws := make([]api.ClusterWorkerInfo, f.workers)
-	for i := range ws {
-		ws[i] = api.ClusterWorkerInfo{ID: uint64(i + 1), Name: "fake"}
-	}
-	return api.ClusterStatus{Addr: "127.0.0.1:0", Workers: ws, Dispatches: 3}
-}
-func (f *fakeCluster) WorkerCount() int { return f.workers }
-func (f *fakeCluster) Close() error     { f.closed = true; return nil }
-
 func TestReadyzLifecycle(t *testing.T) {
 	s := newTestService(t, Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -350,47 +334,6 @@ func TestReadyzLifecycle(t *testing.T) {
 	s.SetReady(true, "")
 	if resp := getJSON(t, srv, "/readyz", &ready); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-readied service answered %d", resp.StatusCode)
-	}
-}
-
-func TestReadyzRequiresClusterWorkers(t *testing.T) {
-	fc := &fakeCluster{workers: 0}
-	s, err := New(Config{Cluster: fc}, &stubBackend{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	var ready api.Ready
-	if resp := getJSON(t, srv, "/readyz", &ready); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("zero-worker cluster coordinator answered %d", resp.StatusCode)
-	}
-	fc.workers = 2
-	if resp := getJSON(t, srv, "/readyz", &ready); resp.StatusCode != http.StatusOK {
-		t.Fatalf("populated cluster answered %d", resp.StatusCode)
-	}
-
-	var cs api.ClusterStatus
-	if resp := getJSON(t, srv, "/v1/cluster", &cs); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/cluster: %d", resp.StatusCode)
-	}
-	if len(cs.Workers) != 2 || cs.Dispatches != 3 {
-		t.Fatalf("cluster status %+v", cs)
-	}
-	s.Close()
-	if !fc.closed {
-		t.Fatal("service Close did not close the cluster coordinator")
-	}
-}
-
-func TestClusterEndpointAbsentInLocalMode(t *testing.T) {
-	s := newTestService(t, Config{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	if resp := getJSON(t, srv, "/v1/cluster", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/cluster on a local service: %d", resp.StatusCode)
 	}
 }
 

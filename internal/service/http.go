@@ -29,7 +29,6 @@ import (
 //	POST /v1/prove_batch        prove a rollup batch (always sync)
 //	GET  /v1/jobs/{id}          poll an async job
 //	POST /v1/verify             verify a proof
-//	GET  /v1/cluster            cluster coordinator status (404 if local)
 //	GET  /healthz               liveness + queue summary
 //	GET  /readyz                readiness (503 until ready)
 //	GET  /metrics               Prometheus text exposition
@@ -46,7 +45,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/prove_batch", s.handleProveBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -455,8 +453,8 @@ func (s *Service) resolveCircuit(w http.ResponseWriter, digestHex string, blob [
 }
 
 // handleProveBatch proves a rollup batch synchronously: the statements
-// spread across the batch loops (and, in cluster mode, worker daemons)
-// and the response aggregates every proof plus the batch digest.
+// spread across the batch loops and the response aggregates every proof
+// plus the batch digest.
 func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.ProveBatchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -506,8 +504,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady answers readiness probes: 200 only when the service is
-// ready to prove (post-preload, pre-drain, and with a populated cluster
-// when one is configured).
+// ready to prove (post-preload and pre-drain).
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	st := s.ReadyState()
 	code := http.StatusOK
@@ -515,15 +512,6 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, st)
-}
-
-// handleCluster reports the coordinator's view of its workers.
-func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cluster == nil {
-		writeError(w, http.StatusNotFound, "not running in cluster mode")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Cluster.ClusterStatus())
 }
 
 // writeSubmitErr handles the submit error, reporting whether the caller
@@ -673,16 +661,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				labels: fmt.Sprintf(`tenant=%q`, ts.ID), value: float64(rej),
 			})
 		}
-	}
-	if s.cfg.Cluster != nil {
-		cs := s.cfg.Cluster.ClusterStatus()
-		gauges = append(gauges,
-			gauge{name: "zkproverd_cluster_workers", help: "Registered worker daemons.", value: float64(len(cs.Workers))},
-			gauge{name: "zkproverd_cluster_dispatches_total", help: "Batches dispatched to workers.", counter: true, value: float64(cs.Dispatches)},
-			gauge{name: "zkproverd_cluster_requeues_total", help: "Batches re-queued after a worker died mid-job.", counter: true, value: float64(cs.Requeues)},
-			gauge{name: "zkproverd_cluster_worker_deaths_total", help: "Workers dropped by connection loss or missed heartbeats.", counter: true, value: float64(cs.WorkerDeaths)},
-			gauge{name: "zkproverd_cluster_local_fallbacks_total", help: "Batches proved locally for lack of workers.", counter: true, value: float64(cs.LocalFallbacks)},
-		)
 	}
 	// Rendered off the wire: WritePrometheus holds the metrics lock, which
 	// the response's own request count (codeWriter) also takes.

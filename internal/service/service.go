@@ -68,11 +68,7 @@ type BackendJob struct {
 
 // BackendResult is the outcome of one BackendJob, in job order.
 type BackendResult struct {
-	Proof *hyperplonk.Proof
-	// ProofBlob optionally carries the proof's ZKSP encoding. Remote
-	// backends set it so the worker's bytes reach the client untouched;
-	// when nil the service marshals Proof itself.
-	ProofBlob    []byte
+	Proof        *hyperplonk.Proof
 	PublicInputs []ff.Fr
 	ProverTime   time.Duration
 	Steps        map[string]time.Duration
@@ -88,10 +84,9 @@ type BackendStats struct {
 	Verifies     int
 }
 
-// Backend is the prover the batch loops drive — in production a
-// *zkspeed.Engine (adapted by the root package, and wrapped by
-// cluster.Backend in cluster mode), in tests a stub. Every loop calls it
-// concurrently.
+// Backend is the prover the batch loops drive — in production the one
+// *zkspeed.Engine (adapted by the root package, which this package cannot
+// import), in tests a stub. Every loop calls it concurrently.
 type Backend interface {
 	// ProveBatch proves the jobs, amortizing setup; len(results) ==
 	// len(jobs) and per-job failures land in BackendResult.Err.
@@ -133,10 +128,6 @@ type Config struct {
 	// circuit hold ~256 MiB, so like every other service resource the
 	// registry must reject rather than grow without limit. Default 4096.
 	MaxCircuits int
-	// Cluster, when non-nil, is the coordinator behind the remote
-	// backend. The service exposes its status (GET /v1/cluster, /metrics),
-	// gates readiness on it, and closes it on Close.
-	Cluster ClusterInfo
 	// Store persists the job lifecycle. nil keeps jobs in process memory
 	// only (the pre-durability behaviour). A store (store.WAL) changes two
 	// things: New replays it — re-registering circuits, re-queueing
@@ -150,15 +141,6 @@ type Config struct {
 	// fair-share scheduling between tenants inside each priority lane.
 	// nil runs the service unauthenticated (every job anonymous).
 	Tenants *tenant.Registry
-}
-
-// ClusterInfo is what the HTTP layer needs from a cluster coordinator;
-// defined here (not in internal/cluster) so the dependency points from
-// the cluster to the service.
-type ClusterInfo interface {
-	ClusterStatus() api.ClusterStatus
-	WorkerCount() int
-	Close() error
 }
 
 func (c Config) withDefaults() Config {
@@ -530,8 +512,7 @@ func (s *Service) SetReady(ready bool, reason string) {
 	s.ready.Store(ready)
 }
 
-// ReadyState answers /readyz: ready iff SetReady(true) (the default) and,
-// in cluster mode, at least one worker is registered.
+// ReadyState answers /readyz: ready iff SetReady(true), the default.
 func (s *Service) ReadyState() api.Ready {
 	if !s.ready.Load() {
 		reason := "not ready"
@@ -540,14 +521,11 @@ func (s *Service) ReadyState() api.Ready {
 		}
 		return api.Ready{Ready: false, Reason: reason}
 	}
-	if s.cfg.Cluster != nil && s.cfg.Cluster.WorkerCount() == 0 {
-		return api.Ready{Ready: false, Reason: "cluster has no registered workers"}
-	}
 	return api.Ready{Ready: true}
 }
 
-// Close stops the batch loops and shuts down the store and the cluster
-// coordinator if one is attached. Safe to call more than once.
+// Close stops the batch loops and shuts down the store, if one is
+// attached. Safe to call more than once.
 //
 // Queued-but-unstarted jobs are never abandoned silently: every one is
 // failed in-memory with a retryable shutdown error (waiters unblock,
@@ -568,13 +546,7 @@ func (s *Service) Close() {
 		s.store.Sync()
 		s.store.Close()
 	}
-	if s.cfg.Cluster != nil {
-		s.cfg.Cluster.Close()
-	}
 }
-
-// Cluster exposes the attached coordinator (nil in single-process mode).
-func (s *Service) Cluster() ClusterInfo { return s.cfg.Cluster }
 
 // Metrics exposes the instrumentation (the HTTP layer and tests read it).
 func (s *Service) Metrics() *Metrics { return s.met }
@@ -832,7 +804,7 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 // SubmitBatch enqueues a rollup batch of statements over one circuit on
 // behalf of tenant tn (nil is anonymous). Every loop pops from the one
 // queue, so the statements spread over all loops, each loop's share
-// coalescing into one ProveBatch (or one cluster dispatch). A batch larger
+// coalescing into one ProveBatch call. A batch larger
 // than the queue's free capacity is rejected whole with an
 // *OverloadedError rather than partially enqueued; a racing submitter can
 // still fill the queue mid-batch, in which case already enqueued
@@ -1060,13 +1032,10 @@ func (s *Service) runBatch(batch []*job) {
 			failJob(j, r.Err)
 			continue
 		}
-		blob := r.ProofBlob
-		if blob == nil {
-			var err error
-			if blob, err = r.Proof.MarshalBinary(); err != nil {
-				failJob(j, fmt.Errorf("service: serializing proof: %w", err))
-				continue
-			}
+		blob, err := r.Proof.MarshalBinary()
+		if err != nil {
+			failJob(j, fmt.Errorf("service: serializing proof: %w", err))
+			continue
 		}
 		steps := make(map[string]int64, len(r.Steps))
 		for k, v := range r.Steps {

@@ -104,8 +104,10 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // source outside the frozen benchmark directory names a kernel selector,
 // a deprecated entry point, the fixed-base commit tables, a steal toggle,
 // the cross-run bench comparator, the uncached engine, the volatile null
-// store, a second per-tenant submit entry point, or the shard routing and
-// work stealing of the one-queue service; nothing calls the sparse commit
+// store, a second per-tenant submit entry point, the shard routing and
+// work stealing of the one-queue service, or the deleted multi-node
+// tier (its join and option entry points, wire protocol, metrics and
+// endpoint); nothing calls the sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
@@ -114,14 +116,15 @@ func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
 	// bench comparator, the uncached engine, the volatile store, the
 	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
-	// GLV splitter and the per-shard service queues are spelled in halves,
-	// so a grep of the tree for them finds none here.
+	// GLV splitter, the per-shard service queues and the multi-node tier
+	// are spelled in halves, so a grep of the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
 		"Compare" + "BenchReports", "Read" + "BenchReport", "Without" + "SRSCache", "New" + "Mem", "Submit" + "As",
 		"Tree" + "Sum", "GLV" + "Splitter",
 		"Steal" + "Newest", "steal" + "For", "shard" + "For", "jobs_" + "stolen",
+		"Join" + "Cluster", "With" + "Cluster", "ZK" + "CW", "zkproverd_" + "cluster_", "/v1/" + "cluster",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be

@@ -18,9 +18,6 @@ type engineConfig struct {
 	// empty selects PST. Parsed lazily so an unknown name surfaces as an
 	// error from the first operation, not a constructor panic.
 	scheme string
-	// cluster is read only by NewService (WithCluster); a plain New engine
-	// ignores it.
-	cluster *ClusterConfig
 }
 
 func defaultEngineConfig() engineConfig {
@@ -82,21 +79,6 @@ func WithSRS(srs *SRS) Option {
 // client error instead of panicking at construction.
 func WithPCSScheme(name string) Option {
 	return func(c *engineConfig) { c.scheme = name }
-}
-
-// resolveSchemeName applies the options to a scratch config and returns
-// the canonical scheme name they select — what cluster handshakes and
-// coordinator configs advertise before any Engine exists. An unknown
-// name passes through verbatim; the first engine operation rejects it.
-func resolveSchemeName(opts []Option) string {
-	var c engineConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.scheme == "" {
-		return "pst"
-	}
-	return c.scheme
 }
 
 // WithProveHook installs a callback invoked (synchronously, on the

@@ -12,10 +12,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
-	"zkspeed/internal/cluster"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/service"
 	"zkspeed/internal/store"
@@ -98,14 +96,9 @@ type ServiceConfig struct {
 // batch loops. The Engine is concurrency-safe and single-flights its SRS
 // ceremonies and key preprocessing, so every loop shares one universal
 // setup and one key set per circuit, and one Preload warms them all.
-//
-// Cluster mode (WithCluster among opts): the coordinator hands the
-// Engine's 64-byte setup seed to its worker daemons, starts listening on
-// the configured address, and the backend dispatches each batch to the
-// cluster (falling back to the local Engine at zero workers).
 func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
-	// Resolve the caller's entropy choice once and pre-read the seed the
-	// Engine and, in cluster mode, every worker derive their setup from.
+	// Resolve the caller's options once: the scheme check and the setup
+	// seed below read them before any Engine exists.
 	probe := defaultEngineConfig()
 	for _, o := range opts {
 		o(&probe)
@@ -152,57 +145,23 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 		svcCfg.Tenants = reg
 	}
 
+	// Pre-read the 64-byte seed the Engine derives every SRS from and hand
+	// it over as a byte reader: a daemon with a broken entropy source then
+	// refuses to start, like an unknown scheme above, instead of failing
+	// its first ceremony, and the SRS bytes are the same either way.
 	seed := make([]byte, 64)
 	if _, err := io.ReadFull(probe.entropy, seed); err != nil {
 		closeStore(svcCfg.Store)
 		return nil, fmt.Errorf("zkspeed: reading setup entropy: %w", err)
 	}
 
-	var coord *cluster.Coordinator
-	if probe.cluster != nil {
-		var err error
-		coord, err = cluster.NewCoordinator(cluster.Config{
-			SetupSeed:         seed,
-			Scheme:            resolveSchemeName(opts),
-			HeartbeatInterval: probe.cluster.HeartbeatInterval,
-			HeartbeatMisses:   probe.cluster.HeartbeatMisses,
-			MaxRetries:        probe.cluster.MaxRetries,
-			Logf:              probe.cluster.Logf,
-		})
-		if err != nil {
-			closeStore(svcCfg.Store)
-			return nil, err
-		}
-		ln, err := net.Listen("tcp", probe.cluster.Listen)
-		if err != nil {
-			coordClose(coord)
-			closeStore(svcCfg.Store)
-			return nil, fmt.Errorf("zkspeed: cluster listen on %s: %w", probe.cluster.Listen, err)
-		}
-		coord.Serve(ln)
-		svcCfg.Cluster = coord
-	}
-
 	engOpts := append(append([]Option{}, opts...), WithEntropy(bytes.NewReader(seed)), WithTimings())
-	var backend service.Backend = &engineBackend{eng: New(engOpts...)}
-	if coord != nil {
-		backend = cluster.NewBackend(coord, backend)
-	}
-	svc, err := service.New(svcCfg, backend, cfg.Shards)
+	svc, err := service.New(svcCfg, &engineBackend{eng: New(engOpts...)}, cfg.Shards)
 	if err != nil {
-		coordClose(coord)
 		closeStore(svcCfg.Store)
 		return nil, err
 	}
 	return svc, nil
-}
-
-// coordClose tears down a half-built coordinator on a NewService error
-// path.
-func coordClose(c *cluster.Coordinator) {
-	if c != nil {
-		c.Close()
-	}
 }
 
 // closeStore releases a store that never reached a successfully built

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"zkspeed"
@@ -265,6 +270,80 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 		if !bytes.Equal(twin[i].Proof, results[i].Proof) {
 			t.Fatalf("statement %d: a service from the same seed proved different bytes", i)
 		}
+	}
+}
+
+// TestNewServiceConstructionErrors drives NewService's refusals on a
+// durable store: an unknown commitment scheme, an entropy source that
+// fails the 64-byte seed read, and a missing tenants file each return an
+// error instead of a half-built service, and none leaves the store it
+// opened running (a WAL with a sync interval keeps a flush goroutine until
+// it is closed). A service then built with good options on the same store
+// directory starts, has replayed nothing, and proves a statement that
+// verifies.
+func TestNewServiceConstructionErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real proof")
+	}
+	dir := t.TempDir()
+	durable := zkspeed.ServiceConfig{StoreDir: dir, StoreSync: time.Hour}
+	noTenants := durable
+	noTenants.TenantsFile = filepath.Join(dir, "absent.json")
+	cases := []struct {
+		name string
+		cfg  zkspeed.ServiceConfig
+		opt  zkspeed.Option
+	}{
+		{"unknown scheme", durable, zkspeed.WithPCSScheme("no-such-scheme")},
+		{"entropy error", durable, zkspeed.WithEntropy(iotest.ErrReader(errors.New("entropy unavailable")))},
+		{"missing tenants file", noTenants, zkspeed.WithEntropy(zkspeed.SeededEntropy(3))},
+	}
+	flushers := walFlushers()
+	for _, tc := range cases {
+		if svc, err := zkspeed.NewService(tc.cfg, tc.opt); err == nil {
+			svc.Close()
+			t.Fatalf("%s: NewService succeeded", tc.name)
+		}
+		if n := walFlushers(); n != flushers {
+			t.Fatalf("%s: %d WAL flush goroutines after the refusal, want %d: the store was not closed", tc.name, n, flushers)
+		}
+	}
+
+	svc, err := zkspeed.NewService(zkspeed.ServiceConfig{StoreDir: dir}, zkspeed.WithEntropy(zkspeed.SeededEntropy(3)))
+	if err != nil {
+		t.Fatalf("good options after the refusals: %v", err)
+	}
+	defer svc.Close()
+	if rec := svc.Recovery(); rec != (zkspeed.ServiceRecoveryStats{Durable: true}) {
+		t.Fatalf("refused constructions left state behind: %+v", rec)
+	}
+	circuit, assign, pub := smallCircuit(t, 4)
+	entry, err := svc.RegisterCircuit(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := svc.SubmitWait(context.Background(), entry, assign, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var proof zkspeed.Proof
+	if err := proof.UnmarshalBinary(resp.Proof); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Verify(context.Background(), entry, pub, &proof); err != nil {
+		t.Fatalf("proof from the rebuilt service: %v", err)
+	}
+}
+
+// walFlushers counts the goroutines running an open WAL's sync loop.
+func walFlushers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "store.(*WAL).flushLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
