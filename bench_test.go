@@ -1,7 +1,7 @@
 package zkspeed_test
 
 // One benchmark per table/figure of the zkSpeed paper's evaluation, plus
-// end-to-end benchmarks of the functional HyperPlonk prover. The full
+// an end-to-end benchmark of the functional HyperPlonk verifier. The full
 // formatted artifacts are printed by `go run ./cmd/zkspeedsim -exp all`;
 // these benchmarks regenerate the underlying data and report the headline
 // quantity of each experiment as a custom metric.
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"zkspeed"
-	"zkspeed/internal/bench"
 	"zkspeed/internal/dse"
 	"zkspeed/internal/experiments"
 	"zkspeed/internal/profile"
@@ -229,37 +228,14 @@ func BenchmarkExperimentTextArtifacts(b *testing.B) {
 	}
 }
 
-// ---- Functional prover benchmarks (the real cryptography) ----
+// ---- Functional verifier benchmark (the real cryptography) ----
 //
-// These reuse the internal/bench suite closures via bench.RunB, so
-// `go test -bench`, `go run ./cmd/zkbench` and the CI bench-gate all
-// measure the exact same deterministic, seed-derived workloads.
+// The prover's kernel and end-to-end records live in the zkbench suite
+// (go run ./internal/zkbench); this one times Engine.Verify.
 
-// benchSeed fixes every functional benchmark's inputs (workload circuits,
-// SRS ceremonies, MSM scalars), making metrics reproducible run-to-run.
+// benchSeed fixes the benchmark's inputs (workload circuit, SRS
+// ceremony), making the metric reproducible run-to-run.
 const benchSeed = 1
-
-func benchmarkProve(b *testing.B, mu int) {
-	cfg := zkspeed.DefaultBenchConfig(true)
-	cfg.Seed = benchSeed
-	cfg.E2EMus = []int{mu}
-	bench.RunB(b, zkspeed.E2EBenchmarks(cfg)[0])
-}
-
-func BenchmarkProve2pow8(b *testing.B)  { benchmarkProve(b, 8) }
-func BenchmarkProve2pow10(b *testing.B) { benchmarkProve(b, 10) }
-func BenchmarkProve2pow12(b *testing.B) { benchmarkProve(b, 12) }
-
-// BenchmarkKernels runs the quick kernel suite (Pippenger/Sparse MSM
-// across windows and aggregation schedules, sumcheck rounds, PCS
-// commit/open, MLE fold) as sub-benchmarks.
-func BenchmarkKernels(b *testing.B) {
-	cfg := zkspeed.DefaultBenchConfig(true)
-	cfg.Seed = benchSeed
-	for _, bm := range zkspeed.KernelBenchmarks(cfg) {
-		b.Run(bm.Name, func(b *testing.B) { bench.RunB(b, bm) })
-	}
-}
 
 func BenchmarkVerify2pow10(b *testing.B) {
 	circuit, assignment, pub, err := zkspeed.SyntheticWorkloadSeeded(10, benchSeed)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -697,7 +696,9 @@ func decodeScalars(in [][]byte) ([]zkspeed.Scalar, error) {
 		if len(b) != 32 {
 			return nil, fmt.Errorf("client: public input %d is %d bytes, want 32", i, len(b))
 		}
-		out[i].SetBigInt(new(big.Int).SetBytes(b))
+		if !out[i].SetCanonicalBytes(b) {
+			return nil, fmt.Errorf("client: public input %d is non-canonical", i)
+		}
 	}
 	return out, nil
 }

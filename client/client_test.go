@@ -2,6 +2,8 @@ package client_test
 
 import (
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -234,6 +236,54 @@ func TestClientAutoRetryLargeAttemptCount(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 71 {
 		t.Fatalf("made %d attempts, want 71", got)
+	}
+}
+
+// TestClientRejectsNonCanonicalPublicInput: the client decodes a
+// server's public inputs as untrusted bytes. A stub in front of a real
+// service swaps the first public input for r, the scalar field's
+// modulus (a second 32-byte spelling of 0); the client must refuse the
+// response, not reduce it mod r.
+func TestClientRejectsNonCanonicalPublicInput(t *testing.T) {
+	svc, err := zkspeed.NewService(zkspeed.ServiceConfig{}, zkspeed.WithEntropy(zkspeed.SeededEntropy(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	r, _ := hex.DecodeString("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
+	var tamper atomic.Bool
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/prove" || !tamper.Load() {
+			svc.Handler().ServeHTTP(w, req)
+			return
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, req)
+		var resp api.ProveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.PublicInputs) == 0 {
+			http.Error(w, "stub: response without public inputs", http.StatusInternalServerError)
+			return
+		}
+		resp.PublicInputs[0] = r
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(resp)
+	}))
+	t.Cleanup(stub.Close)
+
+	circuit, assign := buildCircuit(t, 5, 9)
+	ctx := context.Background()
+	cl := client.New(stub.URL)
+	digest, err := cl.RegisterCircuit(ctx, circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Prove(ctx, digest, assign); err != nil {
+		t.Fatalf("untampered prove: %v", err)
+	}
+	tamper.Store(true)
+	res, err := cl.Prove(ctx, digest, assign)
+	if err == nil || !strings.Contains(err.Error(), "non-canonical") {
+		t.Fatalf("public input r accepted: result %+v, err %v", res, err)
 	}
 }
 

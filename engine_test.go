@@ -348,3 +348,10 @@ func TestEngineSRSPreload(t *testing.T) {
 		t.Fatalf("cross-engine verification failed: %v", err)
 	}
 }
+
+func TestStepBreakdownNilWithoutTimings(t *testing.T) {
+	res := &zkspeed.ProofResult{}
+	if res.StepBreakdown() != nil {
+		t.Fatal("StepBreakdown must be nil when timings were not collected")
+	}
+}

@@ -90,10 +90,6 @@ func ByBandwidth(points []Point) map[float64][]Point {
 	return out
 }
 
-// GlobalPareto builds the overall frontier across all bandwidths (the
-// inset of Fig. 9).
-func GlobalPareto(points []Point) []Point { return ParetoFront(points) }
-
 // FastestUnderArea returns the lowest-runtime point whose area (optionally
 // excluding the PHY, as in the §7.3 iso-CPU comparison) does not exceed
 // the budget. ok is false if nothing fits.

@@ -98,7 +98,7 @@ func TestExploreSubsetParetoShape(t *testing.T) {
 			fast2048.RuntimeMS, fast512.RuntimeMS)
 	}
 	// The global front must include points from multiple bandwidth tiers.
-	global := GlobalPareto(points)
+	global := ParetoFront(points)
 	tiers := map[float64]bool{}
 	for _, p := range global {
 		tiers[p.Config.BandwidthGBps] = true

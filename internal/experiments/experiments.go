@@ -203,7 +203,7 @@ func Figure9() string {
 			front[len(front)-1].RuntimeMS, front[len(front)-1].AreaMM2,
 			front[0].AreaMM2, front[0].RuntimeMS)
 	}
-	global := dse.GlobalPareto(points)
+	global := dse.ParetoFront(points)
 	fmt.Fprintf(&b, "global Pareto: %d points\n", len(global))
 	// Sample of the global frontier.
 	step := len(global) / 12

@@ -54,9 +54,6 @@ func NewFp(v uint64) Fp {
 	return e
 }
 
-// FpOne returns the multiplicative identity.
-func FpOne() Fp { return fpOne }
-
 // SetZero sets z to 0 and returns it.
 func (z *Fp) SetZero() *Fp { *z = Fp{}; return z }
 

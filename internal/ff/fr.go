@@ -11,6 +11,7 @@
 package ff
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -97,9 +98,6 @@ func NewFr(v uint64) Fr {
 	return e
 }
 
-// FrZero returns the additive identity.
-func FrZero() Fr { return Fr{} }
-
 // FrOne returns the multiplicative identity.
 func FrOne() Fr { return frOne }
 
@@ -177,6 +175,29 @@ func (z *Fr) Bytes() [FrBytes]byte {
 		}
 	}
 	return out
+}
+
+// SetCanonicalBytes sets z from the 32-byte big-endian encoding Bytes
+// produces and reports whether it was canonical, i.e. below r. Unlike
+// SetBytes it does not reduce: r+1 is a second 32-byte spelling of 1, and
+// decoders of untrusted bytes must refuse it. On false z is left zero.
+func (z *Fr) SetCanonicalBytes(buf []byte) bool {
+	_ = buf[FrBytes-1]
+	var c Fr
+	for i := 0; i < 4; i++ {
+		c[i] = binary.BigEndian.Uint64(buf[FrBytes-8*(i+1):])
+	}
+	var b uint64
+	for i := 0; i < 4; i++ {
+		_, b = bits.Sub64(c[i], frQ[i], b)
+	}
+	if b == 0 { // c - r did not borrow: c >= r
+		z.SetZero()
+		return false
+	}
+	c.toMont()
+	*z = c
+	return true
 }
 
 // SetBytes sets z from a big-endian byte slice (reduced mod q) and returns z.

@@ -40,6 +40,31 @@ func TestFrConstants(t *testing.T) {
 	}
 }
 
+// TestModuliFromCurveParameter derives both BLS12-381 moduli from the
+// curve's generator x = -0xd201000000010000 (r = x⁴ - x² + 1 and
+// p = (x-1)²·r/3 + x) instead of trusting the hex constants.
+func TestModuliFromCurveParameter(t *testing.T) {
+	x, _ := new(big.Int).SetString("-d201000000010000", 16)
+	x2 := new(big.Int).Mul(x, x)
+	r := new(big.Int).Mul(x2, x2)
+	r.Sub(r, x2)
+	r.Add(r, big.NewInt(1))
+	xm1 := new(big.Int).Sub(x, big.NewInt(1))
+	p := new(big.Int).Mul(xm1, xm1)
+	p.Mul(p, r)
+	if rem := new(big.Int).Mod(p, big.NewInt(3)); rem.Sign() != 0 {
+		t.Fatalf("(x-1)²·r is not divisible by 3 (remainder %v)", rem)
+	}
+	p.Quo(p, big.NewInt(3))
+	p.Add(p, x)
+	if r.Cmp(FrModulusBig()) != 0 {
+		t.Fatalf("r from x = %x, FrModulus = %x", r, FrModulusBig())
+	}
+	if p.Cmp(FpModulusBig()) != 0 {
+		t.Fatalf("p from x = %x, FpModulus = %x", p, FpModulusBig())
+	}
+}
+
 func TestFrMulAgainstBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -207,6 +232,49 @@ func TestFrBytesRoundTrip(t *testing.T) {
 		if !back.Equal(&a) {
 			t.Fatalf("bytes round trip failed for %s", a)
 		}
+	}
+}
+
+func TestFrSetCanonicalBytes(t *testing.T) {
+	enc := func(v *big.Int) []byte { return v.FillBytes(make([]byte, FrBytes)) }
+	max := new(big.Int).Lsh(big.NewInt(1), 8*FrBytes)
+	max.Sub(max, big.NewInt(1))
+	for _, c := range []struct {
+		v  *big.Int
+		ok bool
+	}{
+		{big.NewInt(0), true},
+		{big.NewInt(1), true},
+		{new(big.Int).Sub(frModulus, big.NewInt(1)), true},
+		{frModulus, false},
+		{new(big.Int).Add(frModulus, big.NewInt(1)), false},
+		{max, false},
+	} {
+		var z, want Fr
+		z.SetOne()
+		if got := z.SetCanonicalBytes(enc(c.v)); got != c.ok {
+			t.Fatalf("SetCanonicalBytes(%v) = %v, want %v", c.v, got, c.ok)
+		}
+		if c.ok {
+			want.SetBigInt(c.v)
+		}
+		if !z.Equal(&want) {
+			t.Fatalf("SetCanonicalBytes(%v) left %v", c.v, z)
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 100; i++ {
+		a := randFr(rng)
+		b := a.Bytes()
+		var back Fr
+		if !back.SetCanonicalBytes(b[:]) || !back.Equal(&a) {
+			t.Fatal("SetCanonicalBytes does not invert Bytes")
+		}
+	}
+	b := enc(new(big.Int).Sub(frModulus, big.NewInt(2)))
+	var out Fr
+	if avg := testing.AllocsPerRun(100, func() { out.SetCanonicalBytes(b) }); avg != 0 {
+		t.Fatalf("SetCanonicalBytes allocates %.1f objects per call, want 0", avg)
 	}
 }
 

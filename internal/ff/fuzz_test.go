@@ -64,6 +64,36 @@ func FuzzFrArith(f *testing.F) {
 	})
 }
 
+// FuzzFrSetCanonicalBytes checks the untrusted-input decoder against
+// math/big: it accepts a 32-byte string exactly when its value is below r,
+// and what it accepts encodes back to the same bytes.
+func FuzzFrSetCanonicalBytes(f *testing.F) {
+	f.Add(make([]byte, FrBytes))
+	f.Add(frModulus.FillBytes(make([]byte, FrBytes)))
+	f.Add(new(big.Int).Sub(frModulus, big.NewInt(1)).FillBytes(make([]byte, FrBytes)))
+	f.Add(bytes.Repeat([]byte{0xff}, FrBytes))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < FrBytes {
+			return
+		}
+		buf := data[:FrBytes]
+		var z Fr
+		ok := z.SetCanonicalBytes(buf)
+		if want := new(big.Int).SetBytes(buf).Cmp(frModulus) < 0; ok != want {
+			t.Fatalf("SetCanonicalBytes(%x) = %v, want %v", buf, ok, want)
+		}
+		if !ok {
+			if !z.IsZero() {
+				t.Fatalf("rejected %x but left %v", buf, z)
+			}
+			return
+		}
+		if back := z.Bytes(); !bytes.Equal(back[:], buf) {
+			t.Fatalf("accepted %x but encodes back as %x", buf, back)
+		}
+	})
+}
+
 func FuzzFpArith(f *testing.F) {
 	f.Add(make([]byte, 96))
 	f.Add(bytes.Repeat([]byte{0xff}, 96))

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
@@ -100,12 +99,9 @@ func readFr(r *bytes.Reader, v *ff.Fr) error {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return err
 	}
-	// Enforce canonical encoding.
-	enc := new(big.Int).SetBytes(buf[:])
-	if enc.Cmp(ff.FrModulusBig()) >= 0 {
+	if !v.SetCanonicalBytes(buf[:]) {
 		return errors.New("hyperplonk: non-canonical field element")
 	}
-	v.SetBigInt(enc)
 	return nil
 }
 

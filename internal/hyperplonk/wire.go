@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"zkspeed/internal/ff"
 	"zkspeed/internal/poly"
@@ -50,17 +49,13 @@ func writeFrTable(w *bytes.Buffer, evals []ff.Fr) {
 func readFrTable(r io.Reader, n int) (*poly.MLE, error) {
 	evals := make([]ff.Fr, n)
 	var buf [32]byte
-	mod := ff.FrModulusBig()
-	enc := new(big.Int)
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, err
 		}
-		enc.SetBytes(buf[:])
-		if enc.Cmp(mod) >= 0 {
+		if !evals[i].SetCanonicalBytes(buf[:]) {
 			return nil, errors.New("hyperplonk: non-canonical field element")
 		}
-		evals[i].SetBigInt(enc)
 	}
 	return poly.NewMLE(evals), nil
 }

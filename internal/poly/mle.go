@@ -32,11 +32,6 @@ func NewMLE(evals []ff.Fr) *MLE {
 	return &MLE{NumVars: bits.TrailingZeros(uint(n)), Evals: evals}
 }
 
-// NewZeroMLE returns the all-zero MLE over numVars variables.
-func NewZeroMLE(numVars int) *MLE {
-	return &MLE{NumVars: numVars, Evals: make([]ff.Fr, 1<<numVars)}
-}
-
 // Clone deep-copies the MLE.
 func (m *MLE) Clone() *MLE {
 	e := make([]ff.Fr, len(m.Evals))

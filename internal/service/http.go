@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"net/http"
 	"strings"
 
@@ -674,16 +673,13 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // encodings.
 func decodeFrs(in [][]byte) ([]ff.Fr, error) {
 	out := make([]ff.Fr, len(in))
-	mod := ff.FrModulusBig()
 	for i, b := range in {
 		if len(b) != 32 {
 			return nil, fmt.Errorf("public input %d is %d bytes, want 32", i, len(b))
 		}
-		enc := new(big.Int).SetBytes(b)
-		if enc.Cmp(mod) >= 0 {
+		if !out[i].SetCanonicalBytes(b) {
 			return nil, fmt.Errorf("public input %d is non-canonical", i)
 		}
-		out[i].SetBigInt(enc)
 	}
 	return out, nil
 }

@@ -88,18 +88,6 @@ func (m *Metrics) observeTenant(id string, o tenantOutcome) {
 	}
 }
 
-// TenantCounts returns per-tenant terminal outcome counts as
-// [done, failed, rejected]; the "" key is the anonymous bucket.
-func (m *Metrics) TenantCounts() map[string][3]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][3]int64, len(m.tenantJobs))
-	for id, c := range m.tenantJobs {
-		out[id] = [3]int64{c.done, c.failed, c.rejected}
-	}
-	return out
-}
-
 func (m *Metrics) add(field *int64, n int64) {
 	m.mu.Lock()
 	*field += n

@@ -1,10 +1,4 @@
-package zkspeed
-
-// Public surface of the continuous-benchmarking subsystem. The harness
-// itself lives in internal/bench; this file re-exports it and contributes
-// the end-to-end Engine.Prove benchmarks, which must be built here because
-// internal/bench cannot import the root package. cmd/zkbench (like every
-// command) compiles against this surface alone.
+package main
 
 import (
 	"bytes"
@@ -16,116 +10,77 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
+	"zkspeed"
 	"zkspeed/api"
-	"zkspeed/internal/bench"
 	"zkspeed/internal/store"
 )
 
-// Benchmark-harness types, re-exported for commands and external callers.
-type (
-	// BenchConfig selects the sizes the benchmark suite runs at.
-	BenchConfig = bench.SuiteConfig
-	// BenchmarkCase is one runnable benchmark (kernel or end-to-end).
-	BenchmarkCase = bench.Benchmark
-	// BenchRunner executes benchmarks with warmup and repetitions.
-	BenchRunner = bench.Runner
-	// BenchRecord is one benchmark's measured result.
-	BenchRecord = bench.Record
-)
-
-// DefaultBenchConfig returns the standard suite shape (quick = CI-sized).
-func DefaultBenchConfig(quick bool) BenchConfig { return bench.DefaultConfig(quick) }
-
-// KernelBenchmarks builds the kernel-level suite: Pippenger and Sparse MSM
-// across window widths and both aggregation schedules, the sumcheck round
-// loop, PCS commit/open, and the MLE fold.
-func KernelBenchmarks(cfg BenchConfig) []BenchmarkCase { return bench.KernelSuite(cfg) }
-
-// E2EBenchmarks builds the end-to-end suite: one Engine.Prove benchmark,
+// e2eSuite builds the end-to-end suite: one Engine.Prove benchmark,
 // one cold-start benchmark and one Engine.Verify benchmark per problem
 // size in cfg.E2EMus. The prove case primes its Engine's SRS and key
 // caches in Setup, so the timed iterations measure steady-state proving
 // (the paper's per-proof latency, setup amortized away), and runs the
 // Engine WithTimings so every record decomposes into per-step kernel
-// shares (steps_ns) analogous to the paper's Table 1 profile. The setup
+// shares analogous to the paper's Table 1 profile. The setup
 // case times exactly what the prove case primes, on a fresh Engine per
 // iteration.
-func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
-	var out []BenchmarkCase
+func e2eSuite(cfg suiteConfig) []benchmark {
+	var out []benchmark
 	for _, mu := range cfg.E2EMus {
 		mu := mu
 		var (
-			eng      *Engine
-			circuit  *Circuit
-			assign   *Assignment
-			stepSum  map[string]time.Duration
-			stepReps int
+			eng     *zkspeed.Engine
+			circuit *zkspeed.Circuit
+			assign  *zkspeed.Assignment
+			steps   stepMeans
 		)
-		out = append(out, BenchmarkCase{
-			Name:   fmt.Sprintf("e2e/prove/mu%d", mu),
-			Kind:   bench.KindE2E,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10)},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("e2e/prove/mu%d", mu),
 			Setup: func() error {
-				eng = New(WithEntropy(SeededEntropy(cfg.Seed)), WithTimings())
+				eng = zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)), zkspeed.WithTimings())
 				var err error
-				circuit, assign, _, err = SyntheticWorkloadSeeded(mu, cfg.Seed)
+				circuit, assign, _, err = zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 				if err != nil {
 					return err
 				}
-				stepSum = make(map[string]time.Duration)
-				stepReps = 0
+				steps.reset()
 				// Prime the SRS ceremony and key preprocessing so no
 				// iteration (warmup included) pays one-time setup.
 				_, _, err = eng.Setup(context.Background(), circuit)
 				return err
 			},
 			// Warmup iterations also pass through Iterate; resetting here
-			// keeps steps_ns a mean over exactly the measured reps, in
+			// keeps the steps a mean over exactly the measured reps, in
 			// line with the record's warmup-excluded stats.
-			StartMeasured: func() {
-				stepSum = make(map[string]time.Duration)
-				stepReps = 0
-			},
+			StartMeasured: steps.reset,
 			Iterate: func() error {
 				res, err := eng.Prove(context.Background(), circuit, assign)
 				if err != nil {
 					return err
 				}
 				for k, v := range res.StepBreakdown() {
-					stepSum[k] += v
+					steps.sum[k] += v
 				}
-				stepReps++
+				steps.reps++
 				return nil
 			},
-			Steps: func() map[string]time.Duration {
-				if stepReps == 0 {
-					return nil
-				}
-				mean := make(map[string]time.Duration, len(stepSum))
-				for k, v := range stepSum {
-					mean[k] = v / time.Duration(stepReps)
-				}
-				return mean
-			},
+			Steps: steps.mean,
 		})
 		// The cold start the steady-state record amortizes away: a fresh
 		// Engine's SRS ceremony plus this circuit's digest and key
 		// preprocessing — what the first proof of a new process waits for.
-		var coldCircuit *Circuit
-		out = append(out, BenchmarkCase{
-			Name:   fmt.Sprintf("e2e/setup/mu%d", mu),
-			Kind:   bench.KindE2E,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10)},
+		var coldCircuit *zkspeed.Circuit
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("e2e/setup/mu%d", mu),
 			Setup: func() error {
 				var err error
-				coldCircuit, _, _, err = SyntheticWorkloadSeeded(mu, cfg.Seed)
+				coldCircuit, _, _, err = zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 				return err
 			},
 			Iterate: func() error {
-				cold := New(WithEntropy(SeededEntropy(cfg.Seed)))
+				cold := zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
 				if err := cold.WarmSRS(context.Background(), mu); err != nil {
 					return err
 				}
@@ -137,19 +92,17 @@ func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 		// one proof (sumcheck replays, the batched commitment combination
 		// and the PCS opening check), keys cached.
 		var (
-			vEng     *Engine
-			vCircuit *Circuit
-			vResult  *ProofResult
+			vEng     *zkspeed.Engine
+			vCircuit *zkspeed.Circuit
+			vResult  *zkspeed.ProofResult
 		)
-		out = append(out, BenchmarkCase{
-			Name:   fmt.Sprintf("e2e/verify/mu%d", mu),
-			Kind:   bench.KindE2E,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10)},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("e2e/verify/mu%d", mu),
 			Setup: func() error {
-				vEng = New(WithEntropy(SeededEntropy(cfg.Seed)))
-				var assign *Assignment
+				vEng = zkspeed.New(zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
+				var assign *zkspeed.Assignment
 				var err error
-				vCircuit, assign, _, err = SyntheticWorkloadSeeded(mu, cfg.Seed)
+				vCircuit, assign, _, err = zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 				if err != nil {
 					return err
 				}
@@ -164,16 +117,16 @@ func E2EBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	return out
 }
 
-// ServiceBenchmarks builds the service-level suite: proofs driven through
+// serviceSuite builds the service-level suite: proofs driven through
 // zkproverd's full HTTP path (JSON decode, queue, batch window, Engine,
 // proof serialization) against a loopback server. Two cases per problem
 // size: http_prove measures the uncached end-to-end latency (the proof
-// cache is disabled so every iteration really proves, with steps_ns
+// cache is disabled so every iteration really proves, with the steps
 // relayed from the service response), and http_prove_cached repeats one
 // identical request so the measurement isolates the service overhead
 // floor — HTTP + cache lookup, no proving.
-func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
-	var out []BenchmarkCase
+func serviceSuite(cfg suiteConfig) []benchmark {
+	var out []benchmark
 	for _, mu := range cfg.ServiceMus {
 		for _, cached := range []bool{false, true} {
 			mu, cached := mu, cached
@@ -182,13 +135,12 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				name = fmt.Sprintf("service/http_prove_cached/mu%d", mu)
 			}
 			var (
-				svc      *ProverService
-				server   *http.Server
-				baseURL  string
-				reqBlob  []byte
-				hc       *http.Client
-				stepSum  map[string]time.Duration
-				stepReps int
+				svc     *zkspeed.ProverService
+				server  *http.Server
+				baseURL string
+				reqBlob []byte
+				hc      *http.Client
+				steps   stepMeans
 			)
 			iterate := func() error {
 				resp, err := hc.Post(baseURL+"/v1/prove", "application/json", bytes.NewReader(reqBlob))
@@ -207,25 +159,23 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 					return fmt.Errorf("prove: cached=%v, want %v", proved.Cached, cached)
 				}
 				for k, v := range proved.StepsNS {
-					stepSum[k] += time.Duration(v)
+					steps.sum[k] += time.Duration(v)
 				}
-				stepReps++
+				steps.reps++
 				return nil
 			}
-			out = append(out, BenchmarkCase{
-				Name:   name,
-				Kind:   bench.KindService,
-				Params: map[string]string{"mu": strconv.Itoa(mu), "seed": strconv.FormatInt(cfg.Seed, 10), "cached": strconv.FormatBool(cached)},
+			out = append(out, benchmark{
+				Name: name,
 				Setup: func() error {
 					cacheSize := -1 // every iteration must prove
 					if cached {
 						cacheSize = 4
 					}
 					var err error
-					svc, err = NewService(ServiceConfig{
+					svc, err = zkspeed.NewService(zkspeed.ServiceConfig{
 						BatchWindow: time.Millisecond,
 						CacheSize:   cacheSize,
-					}, WithEntropy(SeededEntropy(cfg.Seed)))
+					}, zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
 					if err != nil {
 						return err
 					}
@@ -237,7 +187,7 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 					go server.Serve(ln)
 					baseURL = "http://" + ln.Addr().String()
 					hc = &http.Client{}
-					circuit, assign, _, err := SyntheticWorkloadSeeded(mu, cfg.Seed)
+					circuit, assign, _, err := zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 					if err != nil {
 						return err
 					}
@@ -257,8 +207,7 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 					if err != nil {
 						return err
 					}
-					stepSum = make(map[string]time.Duration)
-					stepReps = 0
+					steps.reset()
 					if cached {
 						// One priming prove populates the cache; every
 						// timed iteration then hits it.
@@ -273,21 +222,9 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 					}
 					return nil
 				},
-				StartMeasured: func() {
-					stepSum = make(map[string]time.Duration)
-					stepReps = 0
-				},
-				Iterate: iterate,
-				Steps: func() map[string]time.Duration {
-					if stepReps == 0 {
-						return nil
-					}
-					mean := make(map[string]time.Duration, len(stepSum))
-					for k, v := range stepSum {
-						mean[k] = v / time.Duration(stepReps)
-					}
-					return mean
-				},
+				StartMeasured: steps.reset,
+				Iterate:       iterate,
+				Steps:         steps.mean,
 				Teardown: func() {
 					server.Close()
 					svc.Close()
@@ -298,7 +235,7 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	return out
 }
 
-// DurabilityBenchmarks builds the durable-store and multi-tenant suite.
+// durabilitySuite builds the durable-store and multi-tenant suite.
 //
 // service/recovery/jobsN measures crash recovery itself: Setup populates
 // a WAL with a circuit blob and N jobs (half completed with results, half
@@ -313,20 +250,14 @@ func ServiceBenchmarks(cfg BenchConfig) []BenchmarkCase {
 // jobs. CI asserts contended stays within 2x solo (see the bench-gate
 // -assert-faster expression) — without fair-share the victim would wait
 // behind the flooder's entire backlog, two orders of magnitude worse.
-func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
+func durabilitySuite(cfg suiteConfig) []benchmark {
 	mu := cfg.ServiceMus[0]
 	const recoveryJobs = 64
-	var out []BenchmarkCase
+	var out []benchmark
 
 	var walDir string
-	out = append(out, BenchmarkCase{
+	out = append(out, benchmark{
 		Name: fmt.Sprintf("service/recovery/jobs%d", recoveryJobs),
-		Kind: bench.KindService,
-		Params: map[string]string{
-			"mu":   strconv.Itoa(mu),
-			"jobs": strconv.Itoa(recoveryJobs),
-			"seed": strconv.FormatInt(cfg.Seed, 10),
-		},
 		Setup: func() error {
 			var err error
 			walDir, err = os.MkdirTemp("", "zkbench-recovery-")
@@ -337,7 +268,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 			if err != nil {
 				return err
 			}
-			circuit, assign, _, err := SyntheticWorkloadSeeded(mu, cfg.Seed)
+			circuit, assign, _, err := zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 			if err != nil {
 				return err
 			}
@@ -401,7 +332,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 			variant = "contended"
 		}
 		var (
-			svc       *ProverService
+			svc       *zkspeed.ProverService
 			server    *http.Server
 			tmpDir    string
 			baseURL   string
@@ -441,14 +372,8 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 			}
 			return fmt.Errorf("fairshare: queue never saturated")
 		}
-		out = append(out, BenchmarkCase{
+		out = append(out, benchmark{
 			Name: fmt.Sprintf("service/fairshare/mu%d/%s", mu, variant),
-			Kind: bench.KindService,
-			Params: map[string]string{
-				"mu":        strconv.Itoa(mu),
-				"seed":      strconv.FormatInt(cfg.Seed, 10),
-				"contended": strconv.FormatBool(contended),
-			},
 			Setup: func() error {
 				var err error
 				tmpDir, err = os.MkdirTemp("", "zkbench-fairshare-")
@@ -469,13 +394,13 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				// Coalescing and caching off, one job per ProveBatch: the
 				// victim's latency must come from scheduling, and a flooder
 				// mega-batch would hold the loop for MaxBatch proofs.
-				svc, err = NewService(ServiceConfig{
+				svc, err = zkspeed.NewService(zkspeed.ServiceConfig{
 					BatchWindow:   -1,
 					MaxBatch:      1,
 					CacheSize:     -1,
 					QueueCapacity: 256,
 					TenantsFile:   tenantsPath,
-				}, WithEntropy(SeededEntropy(cfg.Seed)))
+				}, zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
 				if err != nil {
 					return err
 				}
@@ -488,7 +413,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				baseURL = "http://" + ln.Addr().String()
 				hc = &http.Client{}
 
-				victimCircuit, victimAssign, _, err := SyntheticWorkloadSeeded(mu, cfg.Seed)
+				victimCircuit, victimAssign, _, err := zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed)
 				if err != nil {
 					return err
 				}
@@ -511,7 +436,7 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 				}
 				// A distinct flooder circuit (different seed) keeps the two
 				// tenants' jobs from ever sharing a batch.
-				floodCircuit, floodAssign, _, err := SyntheticWorkloadSeeded(mu, cfg.Seed+1)
+				floodCircuit, floodAssign, _, err := zkspeed.SyntheticWorkloadSeeded(mu, cfg.Seed+1)
 				if err != nil {
 					return err
 				}
@@ -575,10 +500,30 @@ func DurabilityBenchmarks(cfg BenchConfig) []BenchmarkCase {
 	return out
 }
 
-// SuiteBenchmarks is the full structured suite: kernels, end-to-end,
+// suite is the full structured suite: kernels, end-to-end,
 // then service-level (HTTP prove plus durability and fair-share).
-func SuiteBenchmarks(cfg BenchConfig) []BenchmarkCase {
-	out := append(KernelBenchmarks(cfg), E2EBenchmarks(cfg)...)
-	out = append(out, ServiceBenchmarks(cfg)...)
-	return append(out, DurabilityBenchmarks(cfg)...)
+func suite(cfg suiteConfig) []benchmark {
+	out := append(kernelSuite(cfg), e2eSuite(cfg)...)
+	out = append(out, serviceSuite(cfg)...)
+	return append(out, durabilitySuite(cfg)...)
+}
+
+// stepMeans accumulates per-step durations over a benchmark's iterations
+// and reports their means as its Steps decomposition.
+type stepMeans struct {
+	sum  map[string]time.Duration
+	reps int
+}
+
+func (m *stepMeans) reset() { m.sum, m.reps = make(map[string]time.Duration), 0 }
+
+func (m *stepMeans) mean() map[string]time.Duration {
+	if m.reps == 0 {
+		return nil
+	}
+	out := make(map[string]time.Duration, len(m.sum))
+	for k, v := range m.sum {
+		out[k] = v / time.Duration(m.reps)
+	}
+	return out
 }

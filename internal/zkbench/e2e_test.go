@@ -1,55 +1,52 @@
-package zkspeed_test
+package main
 
-// Tests of the public benchmarking surface: the end-to-end suite must
-// measure real cached-setup proofs and decompose them into per-step kernel
-// shares, and the suite must satisfy the coverage contract the CI gate
-// relies on (kernels + ≥2 e2e sizes in quick mode).
+// The end-to-end suite must measure real cached-setup proofs and
+// decompose them into per-step kernel shares, and the suite must satisfy
+// the coverage contract the CI gate relies on (kernels + ≥2 e2e sizes in
+// quick mode).
 
 import (
 	"strings"
 	"testing"
-
-	"zkspeed"
-	"zkspeed/internal/bench"
 )
 
 func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
-	cfg := zkspeed.DefaultBenchConfig(true)
+	cfg := defaultConfig(true)
 	cfg.E2EMus = []int{6}
 	cfg.Seed = 3
-	bms := zkspeed.E2EBenchmarks(cfg)
+	bms := e2eSuite(cfg)
 	if len(bms) != 3 {
 		t.Fatalf("want a prove, a setup and a verify benchmark, got %d", len(bms))
 	}
-	r := zkspeed.BenchRunner{Warmup: 1, Reps: 2}
-	cold, err := r.Run(bms[1])
+	r := runner{Warmup: 1, Reps: 2}
+	cold, err := r.run(bms[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Name != "e2e/setup/mu6" || cold.Kind != "e2e" || cold.Stats.MedianNS <= 0 {
+	if cold.Name != "e2e/setup/mu6" || cold.Median <= 0 {
 		t.Fatalf("cold-start record: %+v", cold)
 	}
-	ver, err := r.Run(bms[2])
+	ver, err := r.run(bms[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver.Name != "e2e/verify/mu6" || ver.Kind != "e2e" || ver.Stats.MedianNS <= 0 {
+	if ver.Name != "e2e/verify/mu6" || ver.Median <= 0 {
 		t.Fatalf("verify record: %+v", ver)
 	}
-	rec, err := r.Run(bms[0])
+	rec, err := r.run(bms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Name != "e2e/prove/mu6" || rec.Kind != "e2e" {
+	if rec.Name != "e2e/prove/mu6" {
 		t.Fatalf("record identity: %+v", rec)
 	}
-	if rec.Stats.MedianNS <= 0 {
+	if rec.Median <= 0 {
 		t.Fatal("median must be positive")
 	}
 	// The Engine runs WithTimings, so every protocol step must appear.
 	for _, step := range []string{"witness_commit", "gate_identity", "wire_identity", "batch_evals", "poly_open"} {
-		if _, ok := rec.StepsNS[step]; !ok {
-			t.Errorf("steps_ns missing %q: %v", step, rec.StepsNS)
+		if _, ok := rec.Steps[step]; !ok {
+			t.Errorf("steps missing %q: %v", step, rec.Steps)
 		}
 	}
 }
@@ -58,8 +55,7 @@ func TestE2EBenchmarkRecordsStepShares(t *testing.T) {
 // least 4 kernel benchmarks and at least 2 end-to-end problem sizes, with
 // both MSM flavors swept over both aggregation schedules.
 func TestQuickSuiteShape(t *testing.T) {
-	cfg := zkspeed.DefaultBenchConfig(true)
-	bms := zkspeed.SuiteBenchmarks(cfg)
+	bms := suite(defaultConfig(true))
 	kernels, e2e, svc := 0, 0, 0
 	names := map[string]bool{}
 	for _, bm := range bms {
@@ -67,15 +63,13 @@ func TestQuickSuiteShape(t *testing.T) {
 			t.Errorf("duplicate benchmark name %q", bm.Name)
 		}
 		names[bm.Name] = true
-		switch bm.Kind {
-		case bench.KindKernel:
-			kernels++
-		case bench.KindE2E:
+		switch {
+		case strings.HasPrefix(bm.Name, "e2e/"):
 			e2e++
-		case bench.KindService:
+		case strings.HasPrefix(bm.Name, "service/"):
 			svc++
 		default:
-			t.Errorf("%s: unknown kind %q", bm.Name, bm.Kind)
+			kernels++
 		}
 	}
 	if kernels < 4 {
@@ -112,12 +106,5 @@ func TestQuickSuiteShape(t *testing.T) {
 		if !found {
 			t.Errorf("quick suite missing the %s aggregation schedule", agg)
 		}
-	}
-}
-
-func TestStepBreakdownNilWithoutTimings(t *testing.T) {
-	res := &zkspeed.ProofResult{}
-	if res.StepBreakdown() != nil {
-		t.Fatal("StepBreakdown must be nil when timings were not collected")
 	}
 }

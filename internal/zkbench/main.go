@@ -10,13 +10,18 @@
 // whatever hardware it runs. Comparing two commits is the repository
 // benchmark's job (go run ./internal/benchmark -compare over paired runs).
 //
+// It lives under internal/ so that one package holds the whole suite: the
+// kernel records call zkspeed/internal/... directly (suite.go), the
+// end-to-end, service and durability records go through the public
+// zkspeed API (e2e.go).
+//
 // Usage:
 //
-//	zkbench -quick                                   # CI-sized suite
-//	zkbench -quick -run 'sumcheck/round' \
+//	go run ./internal/zkbench -quick                 # CI-sized suite
+//	go run ./internal/zkbench -quick -run 'sumcheck/round' \
 //	  -assert-faster 'sumcheck/round/mu12/parallel*1.3<sumcheck/round/mu12/serial'
-//	zkbench -e2e-mu 12,14,16,18 -reps 5              # full paper-range sweep (minutes per size)
-//	zkbench -run 'msm/' -list                        # show the MSM benchmarks and exit
+//	go run ./internal/zkbench -e2e-mu 12,14,16,18 -reps 5   # full paper-range sweep (minutes per size)
+//	go run ./internal/zkbench -run 'msm/' -list      # show the MSM benchmarks and exit
 //
 // Exit codes: 0 success, 1 a gate failed, 2 usage or runtime error.
 package main
@@ -51,7 +56,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("zkbench: ")
 
-	cfg := zkspeed.DefaultBenchConfig(*quick)
+	cfg := defaultConfig(*quick)
 	cfg.Seed = *seed
 	if *reps > 0 {
 		cfg.Reps = *reps
@@ -68,7 +73,7 @@ func main() {
 		cfg.E2EMus = mus
 	}
 
-	benchmarks := zkspeed.SuiteBenchmarks(cfg)
+	benchmarks := suite(cfg)
 	var filter *regexp.Regexp
 	if *runFilter != "" {
 		re, err := regexp.Compile(*runFilter)
@@ -77,7 +82,7 @@ func main() {
 			os.Exit(2)
 		}
 		filter = re
-		var kept []zkspeed.BenchmarkCase
+		var kept []benchmark
 		for _, bm := range benchmarks {
 			if re.MatchString(bm.Name) {
 				kept = append(kept, bm)
@@ -94,14 +99,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	runner := zkspeed.BenchRunner{
+	r := runner{
 		Warmup: cfg.Warmup,
 		Reps:   cfg.Reps,
 		Log:    log.Printf,
 	}
 	log.Printf("running %d benchmarks (warmup %d, reps %d, GOMAXPROCS %d)",
 		len(benchmarks), cfg.Warmup, cfg.Reps, runtime.GOMAXPROCS(0))
-	recs, err := runner.RunAll(benchmarks)
+	recs, err := r.runAll(benchmarks)
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -133,9 +138,9 @@ func listAll(filter *regexp.Regexp, seed int64) {
 	var order []string
 	index := map[string]*entry{}
 	collect := func(quick bool) {
-		cfg := zkspeed.DefaultBenchConfig(quick)
+		cfg := defaultConfig(quick)
 		cfg.Seed = seed
-		for _, bm := range zkspeed.SuiteBenchmarks(cfg) {
+		for _, bm := range suite(cfg) {
 			e, ok := index[bm.Name]
 			if !ok {
 				e = &entry{name: bm.Name}
@@ -183,11 +188,11 @@ func (a fasterAssertion) String() string {
 	return fmt.Sprintf("%s<%s", a.left, a.right)
 }
 
-func (a fasterAssertion) check(recs []zkspeed.BenchRecord) error {
+func (a fasterAssertion) check(recs []record) error {
 	find := func(name string) (int64, error) {
 		for _, rec := range recs {
 			if rec.Name == name {
-				return rec.Stats.MedianNS, nil
+				return int64(rec.Median), nil
 			}
 		}
 		return 0, fmt.Errorf("benchmark %q not in this run", name)

@@ -46,12 +46,7 @@ func TestAssertFasterParse(t *testing.T) {
 }
 
 func TestAssertFasterCheck(t *testing.T) {
-	rec := func(name string, medianNS int64) zkspeed.BenchRecord {
-		r := zkspeed.BenchRecord{Name: name, Reps: 1}
-		r.Stats.MedianNS = medianNS
-		return r
-	}
-	recs := []zkspeed.BenchRecord{rec("fast", 100), rec("slow", 150)}
+	recs := []record{{Name: "fast", Reps: 1, Median: 100}, {Name: "slow", Reps: 1, Median: 150}}
 
 	if err := (fasterAssertion{"fast", "slow", 1.4}).check(recs); err != nil {
 		t.Errorf("100ns×1.4 < 150ns must hold: %v", err)

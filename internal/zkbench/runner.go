@@ -1,24 +1,22 @@
-package bench
+package main
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
 
-// Benchmark is one measurable unit of the suite. All hooks run on the
+// benchmark is one measurable unit of the suite. All hooks run on the
 // runner's goroutine, strictly sequentially, so closures may share state
 // (e.g. a lazily derived SRS) without locking.
-type Benchmark struct {
+type benchmark struct {
 	// Name is the stable identifier -run filters and -assert-faster gates
 	// match on (e.g. "msm/pippenger/n10/w8/grouped"). Renaming a benchmark
-	// breaks every gate that names it, so treat names as part of the API.
+	// breaks every gate that names it, so treat names as part of the CLI.
 	Name string
-	// Kind is KindKernel or KindE2E.
-	Kind string
-	// Params documents the benchmark's knobs in the record.
-	Params map[string]string
 	// Setup runs once, untimed, before any iteration (derive SRSs, build
 	// circuits, prime Engine caches).
 	Setup func() error
@@ -41,8 +39,20 @@ type Benchmark struct {
 	Teardown func()
 }
 
-// Runner executes benchmarks with warmup and repetition.
-type Runner struct {
+// record is one benchmark's measured result: what zkbench prints and
+// what -assert-faster compares.
+type record struct {
+	Name        string
+	Reps        int
+	Median, P95 time.Duration
+	// Steps decomposes an e2e proof into per-protocol-step means over the
+	// measured reps, the software analogue of the paper's Table 1 /
+	// Fig. 12 kernel breakdown. Kernel records leave it empty.
+	Steps map[string]time.Duration
+}
+
+// runner executes benchmarks with warmup and repetition.
+type runner struct {
 	// Warmup iterations run before measurement and are discarded; they
 	// absorb one-time costs (page faults, branch predictors, lazily
 	// derived SRS state) the steady-state number should not include.
@@ -54,22 +64,16 @@ type Runner struct {
 	Log func(format string, args ...any)
 }
 
-// Run executes one benchmark and returns its record.
-func (r *Runner) Run(bm Benchmark) (Record, error) {
-	reps := r.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	warmup := r.Warmup
-	if warmup < 0 {
-		warmup = 0
-	}
+// run executes one benchmark and returns its record.
+func (r *runner) run(bm benchmark) (record, error) {
+	reps := max(r.Reps, 1)
+	warmup := max(r.Warmup, 0)
 	if bm.Iterate == nil {
-		return Record{}, fmt.Errorf("bench: %s has no Iterate", bm.Name)
+		return record{}, fmt.Errorf("bench: %s has no Iterate", bm.Name)
 	}
 	if bm.Setup != nil {
 		if err := bm.Setup(); err != nil {
-			return Record{}, fmt.Errorf("bench: %s setup: %w", bm.Name, err)
+			return record{}, fmt.Errorf("bench: %s setup: %w", bm.Name, err)
 		}
 	}
 	if bm.Teardown != nil {
@@ -82,51 +86,36 @@ func (r *Runner) Run(bm Benchmark) (Record, error) {
 		}
 		if bm.Before != nil {
 			if err := bm.Before(); err != nil {
-				return Record{}, fmt.Errorf("bench: %s before: %w", bm.Name, err)
+				return record{}, fmt.Errorf("bench: %s before: %w", bm.Name, err)
 			}
 		}
 		t0 := time.Now()
 		if err := bm.Iterate(); err != nil {
-			return Record{}, fmt.Errorf("bench: %s: %w", bm.Name, err)
+			return record{}, fmt.Errorf("bench: %s: %w", bm.Name, err)
 		}
 		if d := time.Since(t0); i >= warmup {
 			samples = append(samples, d)
 		}
 	}
-	rec := Record{
-		Name:   bm.Name,
-		Kind:   bm.Kind,
-		Params: bm.Params,
-		Reps:   reps,
-		Stats:  Summarize(samples),
-		RawNS:  make([]int64, len(samples)),
-	}
-	for i, d := range samples {
-		rec.RawNS[i] = d.Nanoseconds()
-	}
+	rec := record{Name: bm.Name, Reps: reps}
+	rec.Median, rec.P95 = summarize(samples)
 	if bm.Steps != nil {
-		if steps := bm.Steps(); len(steps) > 0 {
-			rec.StepsNS = make(map[string]int64, len(steps))
-			for k, v := range steps {
-				rec.StepsNS[k] = v.Nanoseconds()
-			}
-		}
+		rec.Steps = bm.Steps()
 	}
 	if r.Log != nil {
-		r.Log("%-40s median %12v  p95 %12v  (%d reps)",
-			rec.Name, time.Duration(rec.Stats.MedianNS), time.Duration(rec.Stats.P95NS), reps)
-		if len(rec.StepsNS) > 0 {
-			r.Log("%-40s steps %s", "", stepShares(rec.StepsNS))
+		r.Log("%-40s median %12v  p95 %12v  (%d reps)", rec.Name, rec.Median, rec.P95, reps)
+		if len(rec.Steps) > 0 {
+			r.Log("%-40s steps %s", "", stepShares(rec.Steps))
 		}
 	}
 	return rec, nil
 }
 
-// RunAll executes the benchmarks in order and returns their records.
-func (r *Runner) RunAll(bms []Benchmark) ([]Record, error) {
-	recs := make([]Record, 0, len(bms))
+// runAll executes the benchmarks in order and returns their records.
+func (r *runner) runAll(bms []benchmark) ([]record, error) {
+	recs := make([]record, 0, len(bms))
 	for _, bm := range bms {
-		rec, err := r.Run(bm)
+		rec, err := r.run(bm)
 		if err != nil {
 			return nil, err
 		}
@@ -135,20 +124,35 @@ func (r *Runner) RunAll(bms []Benchmark) ([]Record, error) {
 	return recs, nil
 }
 
+// summarize returns the median and p95 of a set of samples. The median
+// of an even-length set is the mean of the two central samples; p95 is
+// the nearest-rank percentile (with fewer than 20 samples this is simply
+// the maximum).
+func summarize(samples []time.Duration) (median, p95 time.Duration) {
+	n := len(samples)
+	if n == 0 {
+		return 0, 0
+	}
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	median = s[n/2]
+	if n%2 == 0 {
+		median = (s[n/2-1] + s[n/2]) / 2
+	}
+	return median, s[int(math.Ceil(0.95*float64(n)))-1]
+}
+
 // stepShares renders a step decomposition as percentages of its total,
 // largest first (ties by name, so the line is stable).
-func stepShares(steps map[string]int64) string {
+func stepShares(steps map[string]time.Duration) string {
 	names := make([]string, 0, len(steps))
-	var total int64
+	var total time.Duration
 	for k, v := range steps {
 		names = append(names, k)
 		total += v
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if steps[names[i]] != steps[names[j]] {
-			return steps[names[i]] > steps[names[j]]
-		}
-		return names[i] < names[j]
+	slices.SortFunc(names, func(a, b string) int {
+		return cmp.Or(cmp.Compare(steps[b], steps[a]), strings.Compare(a, b))
 	})
 	parts := make([]string, len(names))
 	for i, k := range names {

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"errors"
@@ -12,10 +12,8 @@ import (
 func TestRunnerLifecycle(t *testing.T) {
 	var setups, befores, iters int
 	itersAtMeasureStart := -1
-	bm := Benchmark{
+	bm := benchmark{
 		Name:   "fake/kernel",
-		Kind:   KindKernel,
-		Params: map[string]string{"k": "v"},
 		Setup:  func() error { setups++; return nil },
 		Before: func() error { befores++; return nil },
 		StartMeasured: func() {
@@ -30,8 +28,8 @@ func TestRunnerLifecycle(t *testing.T) {
 			return map[string]time.Duration{"stage": 2 * time.Millisecond}
 		},
 	}
-	r := Runner{Warmup: 2, Reps: 3}
-	rec, err := r.Run(bm)
+	r := runner{Warmup: 2, Reps: 3}
+	rec, err := r.run(bm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,30 +39,30 @@ func TestRunnerLifecycle(t *testing.T) {
 	if itersAtMeasureStart != 2 {
 		t.Errorf("StartMeasured fired after %d iterations, want exactly the 2 warmups", itersAtMeasureStart)
 	}
-	if rec.Reps != 3 || len(rec.RawNS) != 3 {
-		t.Errorf("want 3 measured samples, got reps=%d raw=%d", rec.Reps, len(rec.RawNS))
+	if rec.Reps != 3 {
+		t.Errorf("want 3 measured samples, got reps=%d", rec.Reps)
 	}
-	if rec.Stats.MedianNS < time.Millisecond.Nanoseconds() {
-		t.Errorf("median %dns below the 1ms sleep floor", rec.Stats.MedianNS)
+	if rec.Median < time.Millisecond {
+		t.Errorf("median %v below the 1ms sleep floor", rec.Median)
 	}
-	if rec.StepsNS["stage"] != (2 * time.Millisecond).Nanoseconds() {
-		t.Errorf("steps not propagated: %v", rec.StepsNS)
+	if rec.Steps["stage"] != 2*time.Millisecond {
+		t.Errorf("steps not propagated: %v", rec.Steps)
 	}
-	if rec.Name != "fake/kernel" || rec.Kind != KindKernel || rec.Params["k"] != "v" {
-		t.Errorf("metadata not propagated: %+v", rec)
+	if rec.Name != "fake/kernel" {
+		t.Errorf("name not propagated: %+v", rec)
 	}
 }
 
 func TestRunnerErrors(t *testing.T) {
 	boom := errors.New("boom")
-	r := Runner{Reps: 1}
-	if _, err := r.Run(Benchmark{Name: "x", Iterate: func() error { return boom }}); !errors.Is(err, boom) {
+	r := runner{Reps: 1}
+	if _, err := r.run(benchmark{Name: "x", Iterate: func() error { return boom }}); !errors.Is(err, boom) {
 		t.Errorf("iterate error not surfaced: %v", err)
 	}
-	if _, err := r.Run(Benchmark{Name: "x", Setup: func() error { return boom }, Iterate: func() error { return nil }}); !errors.Is(err, boom) {
+	if _, err := r.run(benchmark{Name: "x", Setup: func() error { return boom }, Iterate: func() error { return nil }}); !errors.Is(err, boom) {
 		t.Errorf("setup error not surfaced: %v", err)
 	}
-	if _, err := r.Run(Benchmark{Name: "x"}); err == nil || !strings.Contains(err.Error(), "no Iterate") {
+	if _, err := r.run(benchmark{Name: "x"}); err == nil || !strings.Contains(err.Error(), "no Iterate") {
 		t.Errorf("nil Iterate must error, got %v", err)
 	}
 }
@@ -73,7 +71,7 @@ func TestRunnerErrors(t *testing.T) {
 // checks the records look sane — this is the smoke test that the closures
 // wire real kernels, not stubs.
 func TestKernelSuiteRuns(t *testing.T) {
-	cfg := SuiteConfig{
+	cfg := suiteConfig{
 		Quick:       true,
 		MSMLogN:     5,
 		Windows:     []int{4},
@@ -87,7 +85,7 @@ func TestKernelSuiteRuns(t *testing.T) {
 		Reps:        1,
 		Seed:        7,
 	}
-	bms := KernelSuite(cfg)
+	bms := kernelSuite(cfg)
 	// 8 ff field-arithmetic records + 5 pairing records (pairing,
 	// finalexp, miller/n1, miller/n17, miller-prepared/n17) + 1 window × 2 schedules of the
 	// pippenger reference +
@@ -98,20 +96,35 @@ func TestKernelSuiteRuns(t *testing.T) {
 	if len(bms) != 46 {
 		t.Fatalf("want 46 kernel benchmarks, got %d", len(bms))
 	}
-	r := Runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
-	recs, err := r.RunAll(bms)
+	r := runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
+	recs, err := r.runAll(bms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(bms) {
-		t.Fatalf("RunAll returned %d records for %d benchmarks", len(recs), len(bms))
+		t.Fatalf("runAll returned %d records for %d benchmarks", len(recs), len(bms))
 	}
 	for _, rec := range recs {
-		if rec.Kind != KindKernel {
-			t.Errorf("%s: kind %q", rec.Name, rec.Kind)
-		}
-		if rec.Stats.MedianNS <= 0 {
+		if rec.Median <= 0 {
 			t.Errorf("%s: non-positive median", rec.Name)
 		}
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
+	median, p95 := summarize([]time.Duration{ms(3), ms(1), ms(2), ms(4), ms(100)})
+	if median != ms(3) {
+		t.Errorf("median: got %v", median)
+	}
+	if p95 != ms(100) {
+		t.Errorf("p95: got %v", p95)
+	}
+	// Even-length median averages the central pair.
+	if median, _ = summarize([]time.Duration{ms(1), ms(2), ms(3), ms(4)}); median != 2500*time.Microsecond {
+		t.Errorf("even median: got %v want 2.5ms", median)
+	}
+	if median, p95 = summarize(nil); median != 0 || p95 != 0 {
+		t.Errorf("empty input: got %v, %v", median, p95)
 	}
 }

@@ -1,9 +1,8 @@
-package bench
+package main
 
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
@@ -15,10 +14,10 @@ import (
 	"zkspeed/internal/workload"
 )
 
-// SuiteConfig selects the sizes the structured suite runs at. All inputs
+// suiteConfig selects the sizes the structured suite runs at. All inputs
 // are derived deterministically from Seed, so two runs of the same config
 // on the same machine measure identical work.
-type SuiteConfig struct {
+type suiteConfig struct {
 	// Quick marks the CI-sized variant of the suite.
 	Quick bool
 	// MSMLogN is log2 of the MSM point count.
@@ -60,13 +59,13 @@ type SuiteConfig struct {
 	Seed int64
 }
 
-// DefaultConfig returns the standard suite shape: quick is sized for a CI
+// defaultConfig returns the standard suite shape: quick is sized for a CI
 // gate on every PR (tens of seconds end to end), full for local runs that
 // track the paper's problem-size range (extend E2EMus toward 18 via
 // zkbench's -e2e-mu at the cost of minutes per size).
-func DefaultConfig(quick bool) SuiteConfig {
+func defaultConfig(quick bool) suiteConfig {
 	if quick {
-		return SuiteConfig{
+		return suiteConfig{
 			Quick:       true,
 			MSMLogN:     10,
 			Windows:     []int{4, 8},
@@ -83,7 +82,7 @@ func DefaultConfig(quick bool) SuiteConfig {
 			Seed:        1,
 		}
 	}
-	return SuiteConfig{
+	return suiteConfig{
 		MSMLogN:     12,
 		Windows:     []int{4, 7, 10},
 		SumcheckMu:  14,
@@ -150,13 +149,13 @@ func aggName(a msm.Aggregation) string {
 	return "serial"
 }
 
-// KernelSuite builds the kernel-level benchmarks: Pippenger and Sparse
+// kernelSuite builds the kernel-level benchmarks: Pippenger and Sparse
 // MSM across window widths and both bucket-aggregation schedules, the
 // sumcheck round loop, PCS commit and open, and the MLE fold — the hot
 // kernels of the paper's Table 1 profile. SRSs are derived lazily inside
 // Setup hooks and shared across benchmarks of the same size (the runner is
 // sequential, so the cache needs no locking).
-func KernelSuite(cfg SuiteConfig) []Benchmark {
+func kernelSuite(cfg suiteConfig) []benchmark {
 	srsCache := map[int]*pcs.SRS{}
 	srsFor := func(mu int) *pcs.SRS {
 		if s, ok := srsCache[mu]; ok {
@@ -167,7 +166,7 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		return s
 	}
 
-	var out []Benchmark
+	var out []benchmark
 
 	// Field-arithmetic kernels: the limb primitives every record below
 	// bottoms out in. Each Iterate runs a fixed chain of dependent
@@ -191,10 +190,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			}
 			return nil
 		}
-		ffParams := map[string]string{"ops": strconv.Itoa(ffOps)}
 		out = append(out,
-			Benchmark{
-				Name: "ff/fr/mul", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fr/mul", Setup: ffSetup,
 				Iterate: func() error {
 					z := frZ
 					for i := 0; i < ffOps; i++ {
@@ -204,8 +202,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fr/mul-baseline", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fr/mul-baseline", Setup: ffSetup,
 				Iterate: func() error {
 					z := frZ
 					for i := 0; i < ffOps; i++ {
@@ -215,8 +213,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fr/square", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fr/square", Setup: ffSetup,
 				Iterate: func() error {
 					z := frZ
 					for i := 0; i < ffOps; i++ {
@@ -226,9 +224,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fr/inverse", Kind: KindKernel,
-				Params: map[string]string{"ops": "256"}, Setup: ffSetup,
+			benchmark{
+				Name:  "ff/fr/inverse",
+				Setup: ffSetup,
 				Iterate: func() error {
 					z := frZ
 					for i := 0; i < 256; i++ {
@@ -238,17 +236,17 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fr/batchinverse-n1024", Kind: KindKernel,
-				Params: map[string]string{"n": "1024"}, Setup: ffSetup,
+			benchmark{
+				Name:  "ff/fr/batchinverse-n1024",
+				Setup: ffSetup,
 				Iterate: func() error {
 					out := poly.BatchInverse(invXs)
 					frSink = out[0]
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fp/mul", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fp/mul", Setup: ffSetup,
 				Iterate: func() error {
 					z := fpZ
 					for i := 0; i < ffOps; i++ {
@@ -258,8 +256,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fp/mul-baseline", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fp/mul-baseline", Setup: ffSetup,
 				Iterate: func() error {
 					z := fpZ
 					for i := 0; i < ffOps; i++ {
@@ -269,8 +267,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: "ff/fp/square", Kind: KindKernel, Params: ffParams, Setup: ffSetup,
+			benchmark{
+				Name: "ff/fp/square", Setup: ffSetup,
 				Iterate: func() error {
 					z := fpZ
 					for i := 0; i < ffOps; i++ {
@@ -318,16 +316,16 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			return err
 		}
 		out = append(out,
-			Benchmark{
-				Name: "curve/pairing", Kind: KindKernel, Setup: pairingSetup,
+			benchmark{
+				Name: "curve/pairing", Setup: pairingSetup,
 				Iterate: func() error {
 					var err error
 					gtSink, err = curve.Pair(&ps[0], &qs[0])
 					return err
 				},
 			},
-			Benchmark{
-				Name: "curve/finalexp", Kind: KindKernel, Setup: pairingSetup,
+			benchmark{
+				Name: "curve/finalexp", Setup: pairingSetup,
 				Iterate: func() error {
 					gtSink = curve.FinalExponentiation(&miller)
 					return nil
@@ -336,10 +334,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		)
 		for _, n := range []int{1, millerPairs} {
 			n := n
-			out = append(out, Benchmark{
-				Name: fmt.Sprintf("curve/miller/n%d", n), Kind: KindKernel,
-				Params: map[string]string{"pairs": strconv.Itoa(n)},
-				Setup:  pairingSetup,
+			out = append(out, benchmark{
+				Name:  fmt.Sprintf("curve/miller/n%d", n),
+				Setup: pairingSetup,
 				Iterate: func() error {
 					var err error
 					gtSink, err = curve.MultiMillerLoop(ps[:n], qs[:n])
@@ -347,10 +344,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				},
 			})
 		}
-		out = append(out, Benchmark{
-			Name: fmt.Sprintf("curve/miller-prepared/n%d", millerPairs), Kind: KindKernel,
-			Params: map[string]string{"pairs": strconv.Itoa(millerPairs)},
-			Setup:  pairingSetup,
+		out = append(out, benchmark{
+			Name:  fmt.Sprintf("curve/miller-prepared/n%d", millerPairs),
+			Setup: pairingSetup,
 			Iterate: func() error {
 				var err error
 				gtSink, err = curve.PreparedMillerLoop(ps, prepared)
@@ -385,20 +381,13 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	for _, w := range cfg.Windows {
 		for _, agg := range []msm.Aggregation{msm.AggregateSerial, msm.AggregateGrouped} {
 			w, agg := w, agg
-			params := map[string]string{
-				"n":      strconv.Itoa(n),
-				"window": strconv.Itoa(w),
-				"agg":    aggName(agg),
-			}
 			// msm.Pippenger is the retained pre-optimization reference,
 			// so these records stay comparable across the fast-path work
 			// (and the msm/fast assertion gates against a reference
 			// measured in the same run).
-			out = append(out, Benchmark{
-				Name:   fmt.Sprintf("msm/pippenger/n%d/w%d/%s", cfg.MSMLogN, w, aggName(agg)),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  msmSetup,
+			out = append(out, benchmark{
+				Name:  fmt.Sprintf("msm/pippenger/n%d/w%d/%s", cfg.MSMLogN, w, aggName(agg)),
+				Setup: msmSetup,
 				Iterate: func() error {
 					_ = msm.Pippenger(srsFor(cfg.MSMLogN).Lag[0], dense,
 						msm.Options{Window: w, Aggregation: agg, Parallel: true})
@@ -420,28 +409,23 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	}
 	for _, logN := range fastSizes {
 		logN := logN
-		params := map[string]string{"n": strconv.Itoa(1 << logN), "kernel": "fast"}
 		setup := func() error {
 			srsFor(logN)
 			inputsFor(logN)
 			return nil
 		}
 		out = append(out,
-			Benchmark{
-				Name:   fmt.Sprintf("msm/fast/n%d", logN),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  setup,
+			benchmark{
+				Name:  fmt.Sprintf("msm/fast/n%d", logN),
+				Setup: setup,
 				Iterate: func() error {
 					_ = msm.MSM(srsFor(logN).Lag[0], inputsFor(logN).dense)
 					return nil
 				},
 			},
-			Benchmark{
-				Name:   fmt.Sprintf("msm/sparse-fast/n%d", logN),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  setup,
+			benchmark{
+				Name:  fmt.Sprintf("msm/sparse-fast/n%d", logN),
+				Setup: setup,
 				Iterate: func() error {
 					_ = msm.MSM(srsFor(logN).Lag[0], inputsFor(logN).sparse)
 					return nil
@@ -453,10 +437,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		// All scalars equal to one: every bucket update of the MSM hits
 		// the same bucket, the shape of a selector column's commitment in
 		// key preprocessing. Tracks the accumulator's collision handling.
-		Benchmark{
-			Name:   fmt.Sprintf("msm/fast/n%d/allones", cfg.MSMLogN),
-			Kind:   KindKernel,
-			Params: map[string]string{"n": strconv.Itoa(n), "kernel": "fast", "scalars": "all-ones"},
+		benchmark{
+			Name: fmt.Sprintf("msm/fast/n%d/allones", cfg.MSMLogN),
 			Setup: func() error {
 				if ones == nil {
 					ones = make([]ff.Fr, n)
@@ -485,10 +467,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		var base []*poly.MLE
 		var coeffs []ff.Fr
 		var vp *sumcheck.VirtualPoly
-		out = append(out, Benchmark{
-			Name:   fmt.Sprintf("sumcheck/rounds/mu%d", mu),
-			Kind:   KindKernel,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "terms": "3", "degree": "4", "kernel": "reference"},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("sumcheck/rounds/mu%d", mu),
 			Setup: func() error {
 				point := challengeFrs(cfg.Seed, "sumcheck.point", mu)
 				base = []*poly.MLE{poly.EqTable(point)}
@@ -554,13 +534,10 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			vp.AddTerm(coeffs[0], 0, 1, 2)
 			vp.AddTerm(coeffs[1], 0, 3)
 		}
-		params := map[string]string{"mu": strconv.Itoa(mu), "terms": "3", "degree": "4"}
 		out = append(out,
-			Benchmark{
-				Name:   fmt.Sprintf("sumcheck/round/mu%d/serial", mu),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  scSetup,
+			benchmark{
+				Name:  fmt.Sprintf("sumcheck/round/mu%d/serial", mu),
+				Setup: scSetup,
 				Before: func() error {
 					vp = sumcheck.NewVirtualPoly(mu)
 					vp.AddMLE(eqTab.Clone())
@@ -576,11 +553,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name:   fmt.Sprintf("sumcheck/round/mu%d/parallel", mu),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  scSetup,
+			benchmark{
+				Name:  fmt.Sprintf("sumcheck/round/mu%d/parallel", mu),
+				Setup: scSetup,
 				Before: func() error {
 					vp = sumcheck.NewVirtualPoly(mu)
 					vp.AddEqMLE(point)
@@ -617,15 +592,14 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			point = challengeFrs(cfg.Seed, "mlek.point", mu)
 			return nil
 		}
-		params := map[string]string{"mu": strconv.Itoa(mu)}
 		popt := poly.Options{}
 		cloneBefore := func() error {
 			work = tab.Clone()
 			return nil
 		}
 		out = append(out,
-			Benchmark{
-				Name: fmt.Sprintf("mle/update/mu%d/serial", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/update/mu%d/serial", mu),
 				Setup: mleSetup, Before: cloneBefore,
 				Iterate: func() error {
 					for k := range point {
@@ -634,8 +608,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/update/mu%d/parallel", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/update/mu%d/parallel", mu),
 				Setup: mleSetup, Before: cloneBefore,
 				Iterate: func() error {
 					for k := range point {
@@ -644,64 +618,64 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/eval/mu%d/serial", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/eval/mu%d/serial", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = tab.Evaluate(point)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/eval/mu%d/parallel", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/eval/mu%d/parallel", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = tab.EvaluateWith(point, popt)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/build/mu%d/serial", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/build/mu%d/serial", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.EqTable(point)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/build/mu%d/parallel", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/build/mu%d/parallel", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.EqTableWith(point, popt)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/product/mu%d/serial", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/product/mu%d/serial", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.ProductMLE(den)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/product/mu%d/parallel", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/product/mu%d/parallel", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.ProductMLEWith(den, popt)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/frac/mu%d/serial", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/frac/mu%d/serial", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.FractionMLE(num, den)
 					return nil
 				},
 			},
-			Benchmark{
-				Name: fmt.Sprintf("mle/frac/mu%d/parallel", mu), Kind: KindKernel, Params: params,
+			benchmark{
+				Name:  fmt.Sprintf("mle/frac/mu%d/parallel", mu),
 				Setup: mleSetup,
 				Iterate: func() error {
 					_ = poly.FractionMLEWith(num, den, popt)
@@ -723,13 +697,10 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			}
 			return nil
 		}
-		params := map[string]string{"mu": strconv.Itoa(mu)}
 		out = append(out,
-			Benchmark{
-				Name:   fmt.Sprintf("pcs/commit/mu%d", mu),
-				Kind:   KindKernel,
-				Params: params,
-				Setup:  setup,
+			benchmark{
+				Name:  fmt.Sprintf("pcs/commit/mu%d", mu),
+				Setup: setup,
 				Iterate: func() error {
 					_, err := srsFor(mu).Commit(m)
 					return err
@@ -745,10 +716,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	for _, mu := range cfg.PCSMus {
 		mu := mu
 		var tables []*poly.MLE
-		out = append(out, Benchmark{
-			Name:   fmt.Sprintf("pcs/commit-key/mu%d", mu),
-			Kind:   KindKernel,
-			Params: map[string]string{"mu": strconv.Itoa(mu), "tables": "8"},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("pcs/commit-key/mu%d", mu),
 			Setup: func() error {
 				srsFor(mu)
 				if tables == nil {
@@ -776,10 +745,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		mu := cfg.PCSMu
 		var m *poly.MLE
 		var point []ff.Fr
-		out = append(out, Benchmark{
-			Name:   fmt.Sprintf("pcs/open/mu%d", mu),
-			Kind:   KindKernel,
-			Params: map[string]string{"mu": strconv.Itoa(mu)},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("pcs/open/mu%d", mu),
 			Setup: func() error {
 				srsFor(mu)
 				if m == nil {
@@ -834,24 +801,19 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				}
 				return nil
 			}
-			params := map[string]string{"mu": strconv.Itoa(mu), "scheme": scheme}
 			out = append(out,
 				// The cold ceremony: what a fresh engine pays before its
 				// first commitment under this scheme.
-				Benchmark{
-					Name:   fmt.Sprintf("pcs/%s/setup/mu%d", scheme, mu),
-					Kind:   KindKernel,
-					Params: params,
+				benchmark{
+					Name: fmt.Sprintf("pcs/%s/setup/mu%d", scheme, mu),
 					Iterate: func() error {
 						_, err := pcs.NewBackend(sc, seedBytes(cfg.Seed), mu)
 						return err
 					},
 				},
-				Benchmark{
-					Name:   fmt.Sprintf("pcs/%s/commit/mu%d", scheme, mu),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  setup,
+				benchmark{
+					Name:  fmt.Sprintf("pcs/%s/commit/mu%d", scheme, mu),
+					Setup: setup,
 					Iterate: func() error {
 						b, err := backendFor(mu)
 						if err != nil {
@@ -861,11 +823,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 						return err
 					},
 				},
-				Benchmark{
-					Name:   fmt.Sprintf("pcs/%s/open/mu%d", scheme, mu),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  setup,
+				benchmark{
+					Name:  fmt.Sprintf("pcs/%s/open/mu%d", scheme, mu),
+					Setup: setup,
 					Iterate: func() error {
 						b, err := backendFor(mu)
 						if err != nil {
@@ -882,10 +842,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 			var comm pcs.Commitment
 			var opening pcs.OpeningProof
 			var value ff.Fr
-			out = append(out, Benchmark{
-				Name:   fmt.Sprintf("pcs/%s/verify/mu%d", scheme, mu),
-				Kind:   KindKernel,
-				Params: params,
+			out = append(out, benchmark{
+				Name: fmt.Sprintf("pcs/%s/verify/mu%d", scheme, mu),
 				Setup: func() error {
 					if err := setup(); err != nil {
 						return err
@@ -916,11 +874,9 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 				continue
 			}
 			out = append(out,
-				Benchmark{
-					Name:   fmt.Sprintf("pcs/%s/open-shift/mu%d", scheme, mu),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  setup,
+				benchmark{
+					Name:  fmt.Sprintf("pcs/%s/open-shift/mu%d", scheme, mu),
+					Setup: setup,
 					Iterate: func() error {
 						b, err := backendFor(mu)
 						if err != nil {
@@ -930,14 +886,12 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 						return err
 					},
 				},
-				Benchmark{
+				benchmark{
 					// What proving a shifted evaluation costs without
 					// native support: materialize rotate(f), commit it,
 					// and run a full opening on the fresh commitment.
-					Name:   fmt.Sprintf("pcs/%s/open-shift-naive/mu%d", scheme, mu),
-					Kind:   KindKernel,
-					Params: params,
-					Setup:  setup,
+					Name:  fmt.Sprintf("pcs/%s/open-shift-naive/mu%d", scheme, mu),
+					Setup: setup,
 					Iterate: func() error {
 						b, err := backendFor(mu)
 						if err != nil {
@@ -965,10 +919,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 	// term of every cold start as well as of each Fiat–Shamir round.
 	{
 		var msg []byte
-		out = append(out, Benchmark{
-			Name:   "transcript/sha3/1MiB",
-			Kind:   KindKernel,
-			Params: map[string]string{"bytes": strconv.Itoa(1 << 20)},
+		out = append(out, benchmark{
+			Name: "transcript/sha3/1MiB",
 			Setup: func() error {
 				msg = make([]byte, 1<<20)
 				for i := range msg {
@@ -990,10 +942,8 @@ func KernelSuite(cfg SuiteConfig) []Benchmark {
 		mu := cfg.FoldMu
 		var base, work *poly.MLE
 		var point []ff.Fr
-		out = append(out, Benchmark{
-			Name:   fmt.Sprintf("mle/fold/mu%d", mu),
-			Kind:   KindKernel,
-			Params: map[string]string{"mu": strconv.Itoa(mu)},
+		out = append(out, benchmark{
+			Name: fmt.Sprintf("mle/fold/mu%d", mu),
 			Setup: func() error {
 				base = poly.NewMLE(challengeFrs(cfg.Seed, "fold.mle", 1<<mu))
 				point = challengeFrs(cfg.Seed, "fold.point", mu)

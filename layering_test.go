@@ -105,9 +105,11 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // a deprecated entry point, the fixed-base commit tables, a steal toggle,
 // the cross-run bench comparator, the uncached engine, the volatile null
 // store, a second per-tenant submit entry point, the shard routing and
-// work stealing of the one-queue service, or the deleted multi-node
+// work stealing of the one-queue service, the deleted multi-node
 // tier (its join and option entry points, wire protocol, metrics and
-// endpoint); nothing calls the sparse commit
+// endpoint), the root re-export of the benchmark suite, the record
+// fields only the deleted comparator read, or the caller-less helpers
+// deleted with them; nothing calls the sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
@@ -116,8 +118,9 @@ func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
 	// bench comparator, the uncached engine, the volatile store, the
 	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
-	// GLV splitter, the per-shard service queues and the multi-node tier
-	// are spelled in halves, so a grep of the tree for them finds none here.
+	// GLV splitter, the per-shard service queues, the multi-node tier and
+	// the benchmark re-export layer are spelled in halves, so a grep of the
+	// tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -125,6 +128,11 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Tree" + "Sum", "GLV" + "Splitter",
 		"Steal" + "Newest", "steal" + "For", "shard" + "For", "jobs_" + "stolen",
 		"Join" + "Cluster", "With" + "Cluster", "ZK" + "CW", "zkproverd_" + "cluster_", "/v1/" + "cluster",
+		"Bench" + "Config", "Benchmark" + "Case", "Bench" + "Runner", "Bench" + "Record", "DefaultBench" + "Config",
+		"Kernel" + "Benchmarks", "E2E" + "Benchmarks", "Service" + "Benchmarks", "Durability" + "Benchmarks",
+		"Suite" + "Benchmarks", "bench." + "RunB", "Kind" + "Kernel", "Kind" + "E2E", "Kind" + "Service",
+		"Raw" + "NS", "Mean" + "NS", "Stddev" + "NS", "Min" + "NS", "Max" + "NS",
+		"Tenant" + "Counts", "NewZero" + "MLE", "Fr" + "Zero()", "Fp" + "One()", "Global" + "Pareto",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be
