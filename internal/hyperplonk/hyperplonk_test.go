@@ -235,26 +235,35 @@ func TestUnsatisfiableWitnessCannotProve(t *testing.T) {
 func TestEvalScheduleShape(t *testing.T) {
 	// The paper reports exactly 22 evaluations among 13 polynomials at 6
 	// distinct points (§3.3.4).
-	if len(evalSchedule) != NumEvaluations {
-		t.Fatalf("schedule has %d entries, want %d", len(evalSchedule), NumEvaluations)
+	const mu = 4
+	rng := rand.New(rand.NewSource(105))
+	randPoint := func(n int) []ff.Fr {
+		pt := make([]ff.Fr, n)
+		for i := range pt {
+			pt[i] = randFr(rng)
+		}
+		return pt
+	}
+	cl, _ := buildClaims(mu, randPoint(mu), randPoint(mu), randPoint(2))
+	if len(cl.claims) != NumEvaluations {
+		t.Fatalf("claim list has %d entries, want %d", len(cl.claims), NumEvaluations)
 	}
 	polysSeen := map[int]bool{}
 	pointsSeen := map[int]bool{}
-	dup := map[[2]int]bool{}
-	for _, e := range evalSchedule {
-		polysSeen[e.poly] = true
-		pointsSeen[e.point] = true
-		key := [2]int{e.point, e.poly}
-		if dup[key] {
-			t.Fatal("duplicate schedule entry")
+	dup := map[claim]bool{}
+	for _, c := range cl.claims {
+		polysSeen[c.poly] = true
+		pointsSeen[c.point] = true
+		if dup[c] {
+			t.Fatal("duplicate claim")
 		}
-		dup[key] = true
+		dup[c] = true
 	}
 	if len(polysSeen) != numPolys {
-		t.Fatalf("schedule covers %d polys, want %d", len(polysSeen), numPolys)
+		t.Fatalf("claims cover %d polys, want %d", len(polysSeen), numPolys)
 	}
-	if len(pointsSeen) != numPoints {
-		t.Fatalf("schedule covers %d points, want %d", len(pointsSeen), numPoints)
+	if len(pointsSeen) != 6 || len(cl.points) != 6 {
+		t.Fatalf("claims cover %d of %d points, want 6", len(pointsSeen), len(cl.points))
 	}
 }
 

@@ -5,12 +5,13 @@ import (
 
 	"zkspeed/internal/ff"
 	"zkspeed/internal/pcs"
+	"zkspeed/internal/poly"
 	"zkspeed/internal/sumcheck"
 	"zkspeed/internal/transcript"
 )
 
-// Polynomial indices for the batch-evaluation schedule (§3.3.4): the 13
-// polynomials opened across 6 points.
+// Polynomial indices: the 13 polynomials the batch opening reads
+// (§3.3.4).
 const (
 	polyQL = iota
 	polyQR
@@ -28,42 +29,78 @@ const (
 	numPolys
 )
 
-// Opening-point indices.
-const (
-	ptGate = iota // ZeroCheck challenge point r_gate
-	ptPerm        // PermCheck challenge point r_perm
-	ptS0          // (0, r_perm[0..μ-2]) — product-check child point
-	ptS1          // (1, r_perm[0..μ-2]) — product-check child point
-	ptRoot        // (0,1,…,1) — grand-product root (fixed at compile time)
-	ptPI          // (r_pi, 0,…,0) — public-input check point
-	numPoints
-)
-
-// evalEntry names one of the 22 evaluations: polynomial `poly` at point
-// `point`.
-type evalEntry struct{ point, poly int }
-
-// evalSchedule lists the 22 evaluations among 13 polynomials at 6 distinct
-// points, matching the counts reported in §3.3.4 of the paper.
-var evalSchedule = []evalEntry{
-	// 8 evaluations at r_gate (gate identity).
-	{ptGate, polyQL}, {ptGate, polyQR}, {ptGate, polyQM}, {ptGate, polyQO},
-	{ptGate, polyQC}, {ptGate, polyW1}, {ptGate, polyW2}, {ptGate, polyW3},
-	// 8 evaluations at r_perm (wiring identity).
-	{ptPerm, polyW1}, {ptPerm, polyW2}, {ptPerm, polyW3},
-	{ptPerm, polySigma1}, {ptPerm, polySigma2}, {ptPerm, polySigma3},
-	{ptPerm, polyPhi}, {ptPerm, polyPi},
-	// 4 evaluations at the product-check child points.
-	{ptS0, polyPhi}, {ptS0, polyPi},
-	{ptS1, polyPhi}, {ptS1, polyPi},
-	// Grand product root.
-	{ptRoot, polyPi},
-	// Public input check.
-	{ptPI, polyW1},
-}
-
 // NumEvaluations is the batch-evaluation count (22 in the paper).
 const NumEvaluations = 22
+
+// claim is one evaluation the batch opening proves: polynomial poly at
+// opening point point. Its value travels in Proof.Evals, at the claim's
+// position in its claimList.
+type claim struct{ poly, point int }
+
+// claimList is the batch opening's input (§3.3.4): the opening points
+// the identities' final checks read and the claims at them, in the order
+// Proof.Evals carries their values. Prover and verifier build the same
+// list from the same challenges; the batch opening groups the claims by
+// point.
+type claimList struct {
+	points [][]ff.Fr
+	claims []claim
+}
+
+// open adds point as an opening point, claims each of polys at it and
+// returns the point's index.
+func (cl *claimList) open(point []ff.Fr, polys ...int) int {
+	j := len(cl.points)
+	cl.points = append(cl.points, point)
+	for _, q := range polys {
+		cl.claims = append(cl.claims, claim{poly: q, point: j})
+	}
+	return j
+}
+
+// value returns the claimed evaluation of poly at point, read from evals.
+func (cl *claimList) value(evals []ff.Fr, point, poly int) ff.Fr {
+	for k, c := range cl.claims {
+		if c == (claim{poly: poly, point: point}) {
+			return evals[k]
+		}
+	}
+	panic("hyperplonk: no claim for this polynomial at this point")
+}
+
+// claimPoints are the opening points' indices in a claimList.
+type claimPoints struct {
+	gate, perm, s0, s1, root, pi int
+}
+
+// buildClaims lays out the 22 evaluations among 13 polynomials at 6
+// distinct points, matching the counts reported in §3.3.4 of the paper:
+//   - the gate identity reads the selectors and witnesses at r_gate;
+//   - the wiring identity reads the witnesses, σ, φ and π at r_perm, φ
+//     and π at the product check's child points (b, r_perm[0..μ-2]) for
+//     b = 0, 1, and π at the grand product root (0,1,…,1);
+//   - the public-input check reads w1 at (r_pi, 0, …, 0).
+func buildClaims(mu int, rGate, rPerm, rPI []ff.Fr) (*claimList, claimPoints) {
+	cl := &claimList{}
+	var pts claimPoints
+	pts.gate = cl.open(rGate, polyQL, polyQR, polyQM, polyQO, polyQC, polyW1, polyW2, polyW3)
+	pts.perm = cl.open(rPerm, polyW1, polyW2, polyW3, polySigma1, polySigma2, polySigma3, polyPhi, polyPi)
+	s0 := make([]ff.Fr, mu)
+	s1 := make([]ff.Fr, mu)
+	copy(s0[1:], rPerm[:mu-1])
+	copy(s1[1:], rPerm[:mu-1])
+	s1[0].SetOne()
+	pts.s0 = cl.open(s0, polyPhi, polyPi)
+	pts.s1 = cl.open(s1, polyPhi, polyPi)
+	pts.root = cl.open(poly.ProductRootPoint(mu), polyPi)
+	pi := make([]ff.Fr, mu)
+	copy(pi, rPI)
+	pts.pi = cl.open(pi, polyW1)
+	if len(cl.claims) != NumEvaluations {
+		panic("hyperplonk: claim list does not match NumEvaluations")
+	}
+	return cl, pts
+}
 
 // Proof is a complete HyperPlonk proof. All components are succinct:
 // O(1) commitments, O(μ) sumcheck rounds and O(μ) opening quotients.
@@ -80,21 +117,11 @@ type Proof struct {
 	PhiComm   pcs.Commitment
 	PiComm    pcs.Commitment
 	PermCheck sumcheck.Proof
-	// Step 4: the 22 batch evaluations in evalSchedule order.
+	// Step 4: the 22 batch evaluations in claim-list order.
 	Evals [NumEvaluations]ff.Fr
 	// Step 5: polynomial opening.
 	OpenCheck sumcheck.Proof
 	Opening   pcs.OpeningProof
-}
-
-// evalOf fetches the claimed evaluation of poly at point from the schedule.
-func (p *Proof) evalOf(point, poly int) (ff.Fr, bool) {
-	for k, e := range evalSchedule {
-		if e.point == point && e.poly == poly {
-			return p.Evals[k], true
-		}
-	}
-	return ff.Fr{}, false
 }
 
 // ProvingKey holds everything the prover needs. The commitment backend

@@ -160,12 +160,11 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 		return nil, nil, err
 	}
 	t0 = time.Now()
-	piVars := c.PublicVars()
-	rPI := tr.ChallengeFrs("pi.r", piVars)
-	points := openingPoints(mu, rGate, rPerm, rPI)
+	rPI := tr.ChallengeFrs("pi.r", c.PublicVars())
+	cl, _ := buildClaims(mu, rGate, rPerm, rPI)
 	polys := gatherPolys(c, a, phi, pi)
-	for k, e := range evalSchedule {
-		proof.Evals[k] = polys[e.poly].EvaluateWith(points[e.point], popt) // MLE Evaluate (MTU)
+	for k, cm := range cl.claims {
+		proof.Evals[k] = polys[cm.poly].EvaluateWith(cl.points[cm.point], popt) // MLE Evaluate (MTU)
 	}
 	tr.AppendFrs("batch.evals", proof.Evals[:])
 	tm.BatchEvals = time.Since(t0)
@@ -177,22 +176,18 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	t0 = time.Now()
 	eta := tr.ChallengeFr("open.eta")
 	weights := etaWeights(&eta)
-	// Per-point combined MLEs y_j (MLE Combine unit) and their claimed
-	// combined evaluations v_j.
+	// Per-point combined MLEs y_j (MLE Combine unit): the claims grouped
+	// by point, each weighted by its η power.
+	numPoints := len(cl.points)
 	ys := make([]*poly.MLE, numPoints)
-	vs := make([]ff.Fr, numPoints)
-	for j := 0; j < numPoints; j++ {
+	for j := range ys {
 		var members []*poly.MLE
 		var coeffs []ff.Fr
-		for k, e := range evalSchedule {
-			if e.point != j {
-				continue
+		for k, cm := range cl.claims {
+			if cm.point == j {
+				members = append(members, polys[cm.poly])
+				coeffs = append(coeffs, weights[k])
 			}
-			members = append(members, polys[e.poly])
-			coeffs = append(coeffs, weights[k])
-			var t ff.Fr
-			t.Mul(&weights[k], &proof.Evals[k])
-			vs[j].Add(&vs[j], &t)
 		}
 		ys[j] = poly.LinearCombineWith(members, coeffs, popt)
 	}
@@ -204,7 +199,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	one := ff.NewFr(1)
 	for j := 0; j < numPoints; j++ {
 		iy := vpOpen.AddMLE(ys[j])
-		ik := vpOpen.AddEqMLE(points[j])
+		ik := vpOpen.AddEqMLE(cl.points[j])
 		vpOpen.AddTerm(one, iy, ik)
 	}
 	ocRes := sumcheck.ProveWith(vpOpen, tr, popt)
@@ -215,7 +210,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	// chain (2^{μ-1}-, 2^{μ-2}-, …, 1-point MSMs).
 	kAtR := make([]ff.Fr, numPoints)
 	for j := 0; j < numPoints; j++ {
-		kAtR[j] = ocRes.FinalEvals[2*j+1] // eq(points[j], r_open)
+		kAtR[j] = ocRes.FinalEvals[2*j+1] // eq(point_j, r_open)
 	}
 	gPrime := poly.LinearCombineWith(ys, kAtR, popt)
 	opening, gVal, err := pk.PCS.OpenWith(gPrime, rOpen, popt)
@@ -315,28 +310,7 @@ func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha 
 	return vp
 }
 
-// openingPoints derives the 6 batch-evaluation points (§3.3.4).
-func openingPoints(mu int, rGate, rPerm, rPI []ff.Fr) [][]ff.Fr {
-	pts := make([][]ff.Fr, numPoints)
-	pts[ptGate] = rGate
-	pts[ptPerm] = rPerm
-	// s0/s1: child points of the product-check — (b, r_perm[0..μ-2]).
-	s0 := make([]ff.Fr, mu)
-	s1 := make([]ff.Fr, mu)
-	copy(s0[1:], rPerm[:mu-1])
-	copy(s1[1:], rPerm[:mu-1])
-	s1[0].SetOne()
-	pts[ptS0] = s0
-	pts[ptS1] = s1
-	pts[ptRoot] = poly.ProductRootPoint(mu)
-	// Public-input point: (r_pi, 0, …, 0).
-	pi := make([]ff.Fr, mu)
-	copy(pi, rPI)
-	pts[ptPI] = pi
-	return pts
-}
-
-// gatherPolys collects the 13 polynomials in schedule order.
+// gatherPolys collects the 13 polynomials by index.
 func gatherPolys(c *Circuit, a *Assignment, phi, pi *poly.MLE) [numPolys]*poly.MLE {
 	return [numPolys]*poly.MLE{
 		polyQL:     c.QL,
@@ -355,7 +329,7 @@ func gatherPolys(c *Circuit, a *Assignment, phi, pi *poly.MLE) [numPolys]*poly.M
 	}
 }
 
-// etaWeights returns η^k for each schedule entry.
+// etaWeights returns η^k for the k-th claim.
 func etaWeights(eta *ff.Fr) [NumEvaluations]ff.Fr {
 	var out [NumEvaluations]ff.Fr
 	out[0].SetOne()

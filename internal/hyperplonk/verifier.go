@@ -104,22 +104,15 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	// ---- Step 4: batch evaluations ----
 	piVars := publicVars(vk.NumPublic)
 	rPI := tr.ChallengeFrs("pi.r", piVars)
-	points := openingPoints(mu, rGate, rPerm, rPI)
+	cl, pts := buildClaims(mu, rGate, rPerm, rPI)
 	tr.AppendFrs("batch.evals", proof.Evals[:])
-
-	ev := func(point, poly int) ff.Fr {
-		v, ok := proof.evalOf(point, poly)
-		if !ok {
-			panic("hyperplonk: evaluation missing from schedule")
-		}
-		return v
-	}
+	ev := func(point, poly int) ff.Fr { return cl.value(proof.Evals[:], point, poly) }
 
 	// (a) Gate identity final check:
 	// zc final claim == eq(t, r_gate)·(qL w1 + qR w2 + qM w1 w2 - qO w3 + qC)(r_gate).
 	var gateEval, t1 ff.Fr
-	qlE, qrE, qmE, qoE, qcE := ev(ptGate, polyQL), ev(ptGate, polyQR), ev(ptGate, polyQM), ev(ptGate, polyQO), ev(ptGate, polyQC)
-	w1g, w2g, w3g := ev(ptGate, polyW1), ev(ptGate, polyW2), ev(ptGate, polyW3)
+	qlE, qrE, qmE, qoE, qcE := ev(pts.gate, polyQL), ev(pts.gate, polyQR), ev(pts.gate, polyQM), ev(pts.gate, polyQO), ev(pts.gate, polyQC)
+	w1g, w2g, w3g := ev(pts.gate, polyW1), ev(pts.gate, polyW2), ev(pts.gate, polyW3)
 	t1.Mul(&qlE, &w1g)
 	gateEval.Add(&gateEval, &t1)
 	t1.Mul(&qrE, &w2g)
@@ -138,9 +131,9 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 
 	// (b) Wiring identity final check (Eq. 4 at r_perm).
 	n := uint64(1) << uint(mu)
-	w1p, w2p, w3p := ev(ptPerm, polyW1), ev(ptPerm, polyW2), ev(ptPerm, polyW3)
-	s1E, s2E, s3E := ev(ptPerm, polySigma1), ev(ptPerm, polySigma2), ev(ptPerm, polySigma3)
-	phiP, piP := ev(ptPerm, polyPhi), ev(ptPerm, polyPi)
+	w1p, w2p, w3p := ev(pts.perm, polyW1), ev(pts.perm, polyW2), ev(pts.perm, polyW3)
+	s1E, s2E, s3E := ev(pts.perm, polySigma1), ev(pts.perm, polySigma2), ev(pts.perm, polySigma3)
+	phiP, piP := ev(pts.perm, polyPhi), ev(pts.perm, polyPi)
 	dEval := func(w, sigma *ff.Fr) ff.Fr {
 		var d, t ff.Fr
 		t.Mul(&beta, sigma)
@@ -162,8 +155,8 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	n1 := nEval(&w1p, 0)
 	n2 := nEval(&w2p, n)
 	n3 := nEval(&w3p, 2*n)
-	phiS0, piS0 := ev(ptS0, polyPhi), ev(ptS0, polyPi)
-	phiS1, piS1 := ev(ptS1, polyPhi), ev(ptS1, polyPi)
+	phiS0, piS0 := ev(pts.s0, polyPhi), ev(pts.s0, polyPi)
+	phiS1, piS1 := ev(pts.s1, polyPhi), ev(pts.s1, polyPi)
 	msb := rPerm[mu-1]
 	p1E := poly.MergeEval(&phiS0, &piS0, &msb)
 	p2E := poly.MergeEval(&phiS1, &piS1, &msb)
@@ -187,7 +180,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	}
 
 	// (c) Grand product must equal 1 (the Π N/D = 1 permutation test).
-	root := ev(ptRoot, polyPi)
+	root := ev(pts.root, polyPi)
 	if !root.IsOne() {
 		return errors.New("hyperplonk: grand product check failed")
 	}
@@ -195,7 +188,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	// (d) Public input consistency: w1 restricted to the PI sub-cube.
 	piMLE := PublicInputMLE(pub, piVars)
 	wantPI := piMLE.EvaluateWith(rPI, opts.Exec)
-	gotPI := ev(ptPI, polyW1)
+	gotPI := ev(pts.pi, polyW1)
 	if !gotPI.Equal(&wantPI) {
 		return errors.New("hyperplonk: public input check failed")
 	}
@@ -207,14 +200,10 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	eta := tr.ChallengeFr("open.eta")
 	weights := etaWeights(&eta)
 	var claim ff.Fr
-	vs := make([]ff.Fr, numPoints)
-	for k, e := range evalSchedule {
+	for k := range cl.claims {
 		var t ff.Fr
 		t.Mul(&weights[k], &proof.Evals[k])
-		vs[e.point].Add(&vs[e.point], &t)
-	}
-	for j := range vs {
-		claim.Add(&claim, &vs[j])
+		claim.Add(&claim, &t)
 	}
 	ocRes, err := sumcheck.Verify(claim, proof.OpenCheck, mu, openCheckDegree, tr)
 	if err != nil {
@@ -239,15 +228,15 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 		polyPhi:    proof.PhiComm,
 		polyPi:     proof.PiComm,
 	}
-	kAtR := make([]ff.Fr, numPoints)
-	for j := 0; j < numPoints; j++ {
-		kAtR[j] = poly.EvalEq(points[j], rOpen)
+	kAtR := make([]ff.Fr, len(cl.points))
+	for j, pt := range cl.points {
+		kAtR[j] = poly.EvalEq(pt, rOpen)
 	}
 	coeffs := make([]ff.Fr, numPolys)
-	for k, e := range evalSchedule {
+	for k, c := range cl.claims {
 		var t ff.Fr
-		t.Mul(&weights[k], &kAtR[e.point])
-		coeffs[e.poly].Add(&coeffs[e.poly], &t)
+		t.Mul(&weights[k], &kAtR[c.point])
+		coeffs[c.poly].Add(&coeffs[c.poly], &t)
 	}
 	cG := vk.PCS.Combine(comms[:], coeffs)
 	ok, err := vk.PCS.Verify(cG, rOpen, ocRes.FinalClaim, proof.Opening)
