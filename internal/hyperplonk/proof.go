@@ -124,6 +124,11 @@ type Proof struct {
 	Opening   pcs.OpeningProof
 }
 
+// sumchecks lists the proof's sumchecks in wire order.
+func (p *Proof) sumchecks() []*sumcheck.Proof {
+	return []*sumcheck.Proof{&p.ZeroCheck, &p.PermCheck, &p.OpenCheck}
+}
+
 // ProvingKey holds everything the prover needs. The commitment backend
 // is reached only through the pcs.PCS interface, so a key preprocessed
 // under any registered scheme drives the same prover.

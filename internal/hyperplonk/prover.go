@@ -345,7 +345,7 @@ func (p *Proof) ProofSizeBytes() int {
 	const g1 = 96 // uncompressed
 	const fr = 32
 	size := 3*g1 + 2*g1 // witness + phi + pi commitments
-	for _, sc := range []sumcheck.Proof{p.ZeroCheck, p.PermCheck, p.OpenCheck} {
+	for _, sc := range p.sumchecks() {
 		for _, r := range sc.Rounds {
 			size += fr * len(r.Evals)
 		}

@@ -120,7 +120,7 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 	if len(p.Opening.Quotients) != wantQ {
 		return nil, fmt.Errorf("hyperplonk: %v proof has %d opening quotients, want %d", p.Scheme, len(p.Opening.Quotients), wantQ)
 	}
-	scs := [3]sumcheck.Proof{p.ZeroCheck, p.PermCheck, p.OpenCheck}
+	scs := p.sumchecks()
 	for i, sc := range scs {
 		if len(sc.Rounds) != mu {
 			return nil, fmt.Errorf("hyperplonk: sumcheck %d has %d rounds, want %d", i, len(sc.Rounds), mu)
@@ -219,8 +219,7 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	if err := readPoint(r, &p.PiComm.P); err != nil {
 		return err
 	}
-	scs := [3]*sumcheck.Proof{&p.ZeroCheck, &p.PermCheck, &p.OpenCheck}
-	for i, sc := range scs {
+	for i, sc := range p.sumchecks() {
 		sc.Rounds = make([]sumcheck.RoundPoly, mu)
 		for k := 0; k < mu; k++ {
 			sc.Rounds[k].Evals = make([]ff.Fr, roundEvalCounts[i])
