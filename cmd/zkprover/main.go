@@ -219,8 +219,8 @@ func runSingle(ctx context.Context, eng *zkspeed.Engine, mu int, seed int64, ski
 	}
 	tm := res.Timings
 	say("  step 1  witness commits:       %v\n", tm.WitnessCommit.Round(time.Microsecond))
-	say("  step 2  gate identity:         %v\n", tm.GateIdentity.Round(time.Microsecond))
-	say("  step 3  wiring identity:       %v\n", tm.WireIdentity.Round(time.Microsecond))
+	say("  step 2  wiring commits (φ, π): %v\n", tm.WireIdentity.Round(time.Microsecond))
+	say("  step 3  gate+wire zero-check:  %v\n", tm.ZeroCheck.Round(time.Microsecond))
 	say("  step 4  batch evaluations:     %v\n", tm.BatchEvals.Round(time.Microsecond))
 	say("  step 5  polynomial opening:    %v\n", tm.PolyOpen.Round(time.Microsecond))
 	say("  total prover time:             %v\n", tm.Total.Round(time.Microsecond))

@@ -418,8 +418,9 @@ func (e *Engine) CircuitDigest(circuit *Circuit) [32]byte {
 }
 
 // StepBreakdown returns the proof's per-protocol-step wall-clock times
-// keyed by stable step names (witness_commit, gate_identity, wire_identity,
-// batch_evals, poly_open), or nil when the Engine was not built
+// keyed by stable step names (witness_commit; wire_identity, the φ and π
+// commitments; gate_identity, the one zero-check of the gate and wiring
+// identities; batch_evals; poly_open), or nil when the Engine was not built
 // WithTimings(). The benchmark harness stores this decomposition in each
 // end-to-end record's steps_ns field.
 func (r *ProofResult) StepBreakdown() map[string]time.Duration {

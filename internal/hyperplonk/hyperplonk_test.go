@@ -191,7 +191,7 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 
 	// Tamper with a zerocheck round.
 	p3 := *proof
-	p3.ZeroCheck.Rounds[0].Evals[2] = randFr(rng2)
+	p3.IdentityCheck.Rounds[0].Evals[2] = randFr(rng2)
 	if err := Verify(vk, pub, &p3); err == nil {
 		t.Fatal("tampered zerocheck accepted")
 	}
@@ -233,8 +233,9 @@ func TestUnsatisfiableWitnessCannotProve(t *testing.T) {
 }
 
 func TestEvalScheduleShape(t *testing.T) {
-	// The paper reports exactly 22 evaluations among 13 polynomials at 6
-	// distinct points (§3.3.4).
+	// The paper reports 22 evaluations among 13 polynomials at 6 distinct
+	// points (§3.3.4); with the gate identity batched into the wiring
+	// identity's zero-check, 19 evaluations at 5 points remain.
 	const mu = 4
 	rng := rand.New(rand.NewSource(105))
 	randPoint := func(n int) []ff.Fr {
@@ -244,7 +245,7 @@ func TestEvalScheduleShape(t *testing.T) {
 		}
 		return pt
 	}
-	cl, _ := buildClaims(mu, randPoint(mu), randPoint(mu), randPoint(2))
+	cl, _ := buildClaims(mu, randPoint(mu), randPoint(2))
 	if len(cl.claims) != NumEvaluations {
 		t.Fatalf("claim list has %d entries, want %d", len(cl.claims), NumEvaluations)
 	}
@@ -262,8 +263,8 @@ func TestEvalScheduleShape(t *testing.T) {
 	if len(polysSeen) != numPolys {
 		t.Fatalf("claims cover %d polys, want %d", len(polysSeen), numPolys)
 	}
-	if len(pointsSeen) != 6 || len(cl.points) != 6 {
-		t.Fatalf("claims cover %d of %d points, want 6", len(pointsSeen), len(cl.points))
+	if len(pointsSeen) != 5 || len(cl.points) != 5 {
+		t.Fatalf("claims cover %d of %d points, want 5", len(pointsSeen), len(cl.points))
 	}
 }
 

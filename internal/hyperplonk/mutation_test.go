@@ -86,7 +86,7 @@ func proofMutants(p *Proof) []proofMutant {
 		}
 	}
 	mu := len(p.OpenCheck.Rounds)
-	cl, _ := buildClaims(mu, make([]ff.Fr, mu), make([]ff.Fr, mu), nil)
+	cl, _ := buildClaims(mu, make([]ff.Fr, mu), nil)
 	for k, c := range cl.claims {
 		ms = append(ms, proofMutant{fmt.Sprintf("evaluation %s at point %d", polyNames[c.poly], c.point),
 			func(q *Proof) { addOne(&q.Evals[k]) }})

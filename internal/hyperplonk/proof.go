@@ -29,8 +29,13 @@ const (
 	numPolys
 )
 
-// NumEvaluations is the batch-evaluation count (22 in the paper).
-const NumEvaluations = 22
+// NumEvaluations is the batch-evaluation count: 19, where the paper's
+// three sumchecks need 22 (§3.3.4), because the gate identity shares the
+// wiring identity's zero-check point.
+const NumEvaluations = 19
+
+// transcriptDomain separates this protocol's Fiat–Shamir transcripts.
+const transcriptDomain = "zkspeed.hyperplonk.v2"
 
 // claim is one evaluation the batch opening proves: polynomial poly at
 // opening point point. Its value travels in Proof.Evals, at the claim's
@@ -70,25 +75,26 @@ func (cl *claimList) value(evals []ff.Fr, point, poly int) ff.Fr {
 
 // claimPoints are the opening points' indices in a claimList.
 type claimPoints struct {
-	gate, perm, s0, s1, root, pi int
+	zero, s0, s1, root, pi int
 }
 
-// buildClaims lays out the 22 evaluations among 13 polynomials at 6
-// distinct points, matching the counts reported in §3.3.4 of the paper:
-//   - the gate identity reads the selectors and witnesses at r_gate;
-//   - the wiring identity reads the witnesses, σ, φ and π at r_perm, φ
-//     and π at the product check's child points (b, r_perm[0..μ-2]) for
-//     b = 0, 1, and π at the grand product root (0,1,…,1);
+// buildClaims lays out the 19 evaluations among 13 polynomials at 5
+// distinct points:
+//   - the identities' zero-check reads all 13 polynomials at its final
+//     point r;
+//   - the product check reads φ and π at its child points
+//     (b, r[0..μ-2]) for b = 0, 1, and π at the grand product root
+//     (0,1,…,1);
 //   - the public-input check reads w1 at (r_pi, 0, …, 0).
-func buildClaims(mu int, rGate, rPerm, rPI []ff.Fr) (*claimList, claimPoints) {
+func buildClaims(mu int, r, rPI []ff.Fr) (*claimList, claimPoints) {
 	cl := &claimList{}
 	var pts claimPoints
-	pts.gate = cl.open(rGate, polyQL, polyQR, polyQM, polyQO, polyQC, polyW1, polyW2, polyW3)
-	pts.perm = cl.open(rPerm, polyW1, polyW2, polyW3, polySigma1, polySigma2, polySigma3, polyPhi, polyPi)
+	pts.zero = cl.open(r, polyQL, polyQR, polyQM, polyQO, polyQC, polySigma1, polySigma2, polySigma3,
+		polyW1, polyW2, polyW3, polyPhi, polyPi)
 	s0 := make([]ff.Fr, mu)
 	s1 := make([]ff.Fr, mu)
-	copy(s0[1:], rPerm[:mu-1])
-	copy(s1[1:], rPerm[:mu-1])
+	copy(s0[1:], r[:mu-1])
+	copy(s1[1:], r[:mu-1])
 	s1[0].SetOne()
 	pts.s0 = cl.open(s0, polyPhi, polyPi)
 	pts.s1 = cl.open(s1, polyPhi, polyPi)
@@ -105,19 +111,17 @@ func buildClaims(mu int, rGate, rPerm, rPI []ff.Fr) (*claimList, claimPoints) {
 // Proof is a complete HyperPlonk proof. All components are succinct:
 // O(1) commitments, O(μ) sumcheck rounds and O(μ) opening quotients.
 type Proof struct {
-	// Scheme tags the commitment backend the proof was produced under;
-	// the zero value is PST, matching every pre-interface proof. The
-	// verifier rejects proofs whose scheme does not match its key.
+	// Scheme tags the commitment backend the proof was produced under.
+	// The verifier rejects proofs whose scheme does not match its key.
 	Scheme pcs.Scheme
 	// Step 1: witness commitments.
 	WitnessComms [3]pcs.Commitment
-	// Step 2: gate identity ZeroCheck.
-	ZeroCheck sumcheck.Proof
-	// Step 3: wiring identity.
-	PhiComm   pcs.Commitment
-	PiComm    pcs.Commitment
-	PermCheck sumcheck.Proof
-	// Step 4: the 22 batch evaluations in claim-list order.
+	// Step 2: the wiring identity's fraction and product commitments.
+	PhiComm pcs.Commitment
+	PiComm  pcs.Commitment
+	// Step 3: one zero-check of the gate and wiring identities.
+	IdentityCheck sumcheck.Proof
+	// Step 4: the 19 batch evaluations in claim-list order.
 	Evals [NumEvaluations]ff.Fr
 	// Step 5: polynomial opening.
 	OpenCheck sumcheck.Proof
@@ -126,7 +130,7 @@ type Proof struct {
 
 // sumchecks lists the proof's sumchecks in wire order.
 func (p *Proof) sumchecks() []*sumcheck.Proof {
-	return []*sumcheck.Proof{&p.ZeroCheck, &p.PermCheck, &p.OpenCheck}
+	return []*sumcheck.Proof{&p.IdentityCheck, &p.OpenCheck}
 }
 
 // ProvingKey holds everything the prover needs. The commitment backend
@@ -148,8 +152,9 @@ type VerifyingKey struct {
 	digest        [32]byte
 }
 
-// Digest returns a hash binding the verifying key, absorbed into every
-// transcript so proofs are circuit-specific.
+// Digest returns a hash binding the verifying key, its commitment scheme
+// and its SRS digest, absorbed into every transcript so proofs are
+// circuit- and setup-specific.
 func (vk *VerifyingKey) Digest() []byte { return vk.digest[:] }
 
 // SetupWithPCS preprocesses a circuit under an existing universal
@@ -190,7 +195,9 @@ func SetupWithPCS(circuit *Circuit, backend pcs.PCS) (*ProvingKey, *VerifyingKey
 			return nil, nil, err
 		}
 	}
-	// Bind the key material into a digest.
+	// Bind the key material, the scheme and the SRS into a digest: a
+	// verifier holding another setup, even one with the same key
+	// commitments, draws other challenges.
 	tr := transcript.New("zkspeed.hyperplonk.vk")
 	for i := range vk.SelectorComms {
 		tr.AppendG1("sel", &vk.SelectorComms[i].P)
@@ -202,6 +209,9 @@ func SetupWithPCS(circuit *Circuit, backend pcs.PCS) (*ProvingKey, *VerifyingKey
 	tr.AppendFr("mu", &muFr)
 	npFr := ff.NewFr(uint64(circuit.NumPublic))
 	tr.AppendFr("npub", &npFr)
+	tr.AppendBytes("scheme", []byte{byte(backend.Scheme())})
+	srs := backend.Digest()
+	tr.AppendBytes("srs", srs[:])
 	d := tr.ChallengeFr("digest")
 	vk.digest = d.Bytes()
 

@@ -17,25 +17,31 @@ import (
 // analogue of Fig. 12's breakdown).
 type StepTimings struct {
 	WitnessCommit time.Duration
-	GateIdentity  time.Duration
-	WireIdentity  time.Duration
-	BatchEvals    time.Duration
-	PolyOpen      time.Duration
-	Total         time.Duration
+	// WireIdentity builds the wiring identity's fraction and product
+	// MLEs φ and π and commits to them.
+	WireIdentity time.Duration
+	// ZeroCheck is the one sumcheck that proves the gate and the wiring
+	// identities together (buildIdentityPoly).
+	ZeroCheck  time.Duration
+	BatchEvals time.Duration
+	PolyOpen   time.Duration
+	Total      time.Duration
 }
 
 // Map returns the per-step breakdown keyed by stable step names — the
 // form benchmark records store (steps_ns) so a measured proof decomposes
-// into kernel shares like the paper's Table 1 profile. Total is not a
-// step and is omitted; a nil receiver yields nil.
+// into kernel shares like the paper's Table 1 profile. The zero-check
+// keeps the key of the step that ran the gate identity's own ZeroCheck,
+// gate_identity, which the repository benchmark's per-layer metric
+// reads. Total is not a step and is omitted; a nil receiver yields nil.
 func (t *StepTimings) Map() map[string]time.Duration {
 	if t == nil {
 		return nil
 	}
 	return map[string]time.Duration{
 		"witness_commit": t.WitnessCommit,
-		"gate_identity":  t.GateIdentity,
 		"wire_identity":  t.WireIdentity,
+		"gate_identity":  t.ZeroCheck,
 		"batch_evals":    t.BatchEvals,
 		"poly_open":      t.PolyOpen,
 	}
@@ -47,7 +53,7 @@ type ProveOptions struct {
 	// false, ProveWithContext returns nil timings.
 	CollectTimings bool
 	// Exec is the execution context every kernel of the proof runs under
-	// — the MSMs of the commitments and the opening chain, the three
+	// — the MSMs of the commitments and the opening chain, the two
 	// sumchecks and the MLE kernels: its Procs bounds their goroutines
 	// and its Scratch is the arena they draw per-proof buffers from. The
 	// engine fills in WithParallelism and its own arena.
@@ -67,7 +73,9 @@ func Prove(pk *ProvingKey, a *Assignment) (*Proof, *StepTimings, error) {
 
 // ProveWithContext generates a HyperPlonk proof for the assignment under
 // pk. The protocol steps run strictly in sequence, interleaved with SHA3
-// transcript updates, exactly as Fig. 2 of the paper lays them out. The
+// transcript updates, in the order of Fig. 2 of the paper, except that
+// the gate identity is batched into the wiring identity's zero-check
+// (buildIdentityPoly). The
 // context is checked at every protocol-step boundary, so cancellation
 // aborts the proof within one step and returns ctx.Err().
 func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *ProveOptions) (*Proof, *StepTimings, error) {
@@ -94,7 +102,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	popt := opts.Exec
 	start := time.Now()
 
-	tr := transcript.New("zkspeed.hyperplonk.v1")
+	tr := transcript.New(transcriptDomain)
 	tr.AppendBytes("vk", pk.VK.Digest())
 	pub := c.PublicInputs(a)
 	tr.AppendFrs("public", pub)
@@ -113,22 +121,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	}
 	tm.WitnessCommit = time.Since(t0)
 
-	// ---- Step 2: Gate Identity (ZeroCheck, §3.3.2) ----
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	t0 = time.Now()
-	zcPoint := tr.ChallengeFrs("zerocheck.t", mu)
-	// The eq factor (Build MLE on the Multifunction Tree Unit) rides
-	// along as an annotation: the sumcheck prover never builds the
-	// table, tracking the r(X) polynomial analytically instead.
-	vpZero := buildGatePoly(c, a, zcPoint)
-	zcRes := sumcheck.ProveWith(vpZero, tr, popt)
-	proof.ZeroCheck = zcRes.Proof
-	rGate := zcRes.Challenges
-	tm.GateIdentity = time.Since(t0)
-
-	// ---- Step 3: Wiring Identity (PermCheck, §3.3.3) ----
+	// ---- Step 2: Wiring Commits (FracMLE and product tree, §3.3.3) ----
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -146,14 +139,23 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	}
 	tr.AppendG1("phi", &proof.PhiComm.P)
 	tr.AppendG1("pi", &proof.PiComm.P)
-	alpha := tr.ChallengeFr("permcheck.alpha")
-	pcPoint := tr.ChallengeFrs("permcheck.t", mu)
-	p1, p2 := poly.ProductSides(phi, pi)
-	vpPerm := buildPermPoly(phi, pi, p1, p2, nd, pcPoint, &alpha)
-	pcRes := sumcheck.ProveWith(vpPerm, tr, popt)
-	proof.PermCheck = pcRes.Proof
-	rPerm := pcRes.Challenges
 	tm.WireIdentity = time.Since(t0)
+
+	// ---- Step 3: Gate and Wiring Identities (one ZeroCheck, §3.3.2-3) ----
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	t0 = time.Now()
+	alpha := tr.ChallengeFr("zerocheck.alpha")
+	zcPoint := tr.ChallengeFrs("zerocheck.t", mu)
+	// The eq factor (Build MLE on the Multifunction Tree Unit) rides
+	// along as an annotation: the sumcheck prover never builds the
+	// table, tracking the r(X) polynomial analytically instead.
+	p1, p2 := poly.ProductSides(phi, pi)
+	vpZero := buildIdentityPoly(c, a, phi, pi, p1, p2, nd, zcPoint, &alpha)
+	zcRes := sumcheck.ProveWith(vpZero, tr, popt)
+	proof.IdentityCheck = zcRes.Proof
+	tm.ZeroCheck = time.Since(t0)
 
 	// ---- Step 4: Batch Evaluations (§3.3.4) ----
 	if err := ctx.Err(); err != nil {
@@ -161,7 +163,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	}
 	t0 = time.Now()
 	rPI := tr.ChallengeFrs("pi.r", c.PublicVars())
-	cl, _ := buildClaims(mu, rGate, rPerm, rPI)
+	cl, _ := buildClaims(mu, zcRes.Challenges, rPI)
 	polys := gatherPolys(c, a, phi, pi)
 	for k, cm := range cl.claims {
 		proof.Evals[k] = polys[cm.poly].EvaluateWith(cl.points[cm.point], popt) // MLE Evaluate (MTU)
@@ -237,36 +239,10 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	return proof, tm, nil
 }
 
-// buildGatePoly assembles f_zero = (qL w1 + qR w2 + qM w1 w2 - qO w3 + qC)·eq
-// (Eq. 3). The eq factor is an annotation the sumcheck prover tracks
-// analytically; the circuit and witness tables are registered as they are,
-// since the prover leaves them intact.
-func buildGatePoly(c *Circuit, a *Assignment, zcPoint []ff.Fr) *sumcheck.VirtualPoly {
-	vp := sumcheck.NewVirtualPoly(c.Mu)
-	iQL := vp.AddMLE(c.QL)
-	iQR := vp.AddMLE(c.QR)
-	iQM := vp.AddMLE(c.QM)
-	iQO := vp.AddMLE(c.QO)
-	iQC := vp.AddMLE(c.QC)
-	iW1 := vp.AddMLE(a.W1)
-	iW2 := vp.AddMLE(a.W2)
-	iW3 := vp.AddMLE(a.W3)
-	iEq := vp.AddEqMLE(zcPoint)
-	one := ff.NewFr(1)
-	var neg ff.Fr
-	neg.Neg(&one)
-	vp.AddTerm(one, iQL, iW1, iEq)
-	vp.AddTerm(one, iQR, iW2, iEq)
-	vp.AddTerm(one, iQM, iW1, iW2, iEq)
-	vp.AddTerm(neg, iQO, iW3, iEq)
-	vp.AddTerm(one, iQC, iEq)
-	return vp
-}
-
 // nAndD carries the Construct N&D unit's factors (§4.4.1):
 // N_j = w_j + β·id_j + γ and D_j = w_j + β·σ_j + γ, as affine MLEs whose
 // entries are formed where they are read — the FracMLE batches and the
-// PermCheck's first two rounds — so no table of them is ever stored.
+// zero-check's first two rounds — so no table of them is ever stored.
 type nAndD struct {
 	N, D [3]poly.Affine
 }
@@ -283,11 +259,30 @@ func wireFactors(c *Circuit, a *Assignment, beta, gamma *ff.Fr) *nAndD {
 	return out
 }
 
-// buildPermPoly assembles f_perm (Eq. 4):
+// buildIdentityPoly assembles the one zero-check of both identities:
 //
-//	f_perm = π·eq - p1·p2·eq + α(φ·D1·D2·D3)·eq - α(N1·N2·N3)·eq
-func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha *ff.Fr) *sumcheck.VirtualPoly {
-	vp := sumcheck.NewVirtualPoly(phi.NumVars)
+//	f = (f_gate + α·f_prod + α²·f_frac)·eq
+//	f_gate = qL w1 + qR w2 + qM w1 w2 − qO w3 + qC   (Eq. 3)
+//	f_prod = π − p1·p2                                (Eq. 4)
+//	f_frac = φ·D1·D2·D3 − N1·N2·N3                    (Eq. 4)
+//
+// Each of the three vanishes on the hypercube exactly when its identity
+// holds, so one random α batches them: HyperPlonk reduces both identities
+// to zero-checks over the same cube (Chen, Bünz, Boneh and Zhang,
+// EUROCRYPT 2023). The degree is f_frac's, 5 with eq. The eq factor is an
+// annotation the sumcheck prover tracks analytically; the circuit and
+// witness tables are registered as they are, since the prover leaves them
+// intact.
+func buildIdentityPoly(c *Circuit, a *Assignment, phi, pi, p1, p2 *poly.MLE, nd *nAndD, zcPoint []ff.Fr, alpha *ff.Fr) *sumcheck.VirtualPoly {
+	vp := sumcheck.NewVirtualPoly(c.Mu)
+	iQL := vp.AddMLE(c.QL)
+	iQR := vp.AddMLE(c.QR)
+	iQM := vp.AddMLE(c.QM)
+	iQO := vp.AddMLE(c.QO)
+	iQC := vp.AddMLE(c.QC)
+	iW1 := vp.AddMLE(a.W1)
+	iW2 := vp.AddMLE(a.W2)
+	iW3 := vp.AddMLE(a.W3)
 	iPi := vp.AddMLE(pi)
 	iP1 := vp.AddMLE(p1)
 	iP2 := vp.AddMLE(p2)
@@ -298,15 +293,22 @@ func buildPermPoly(phi, pi, p1, p2 *poly.MLE, nd *nAndD, pcPoint []ff.Fr, alpha 
 	iN1 := vp.AddAffineMLE(nd.N[0])
 	iN2 := vp.AddAffineMLE(nd.N[1])
 	iN3 := vp.AddAffineMLE(nd.N[2])
-	iEq := vp.AddEqMLE(pcPoint)
+	iEq := vp.AddEqMLE(zcPoint)
 	one := ff.NewFr(1)
-	var negOne, negAlpha ff.Fr
+	var negOne, alpha2, negAlpha, negAlpha2 ff.Fr
 	negOne.Neg(&one)
+	alpha2.Square(alpha)
 	negAlpha.Neg(alpha)
-	vp.AddTerm(one, iPi, iEq)
-	vp.AddTerm(negOne, iP1, iP2, iEq)
-	vp.AddTerm(*alpha, iPhi, iD1, iD2, iD3, iEq)
-	vp.AddTerm(negAlpha, iN1, iN2, iN3, iEq)
+	negAlpha2.Neg(&alpha2)
+	vp.AddTerm(one, iQL, iW1, iEq)
+	vp.AddTerm(one, iQR, iW2, iEq)
+	vp.AddTerm(one, iQM, iW1, iW2, iEq)
+	vp.AddTerm(negOne, iQO, iW3, iEq)
+	vp.AddTerm(one, iQC, iEq)
+	vp.AddTerm(*alpha, iPi, iEq)
+	vp.AddTerm(negAlpha, iP1, iP2, iEq)
+	vp.AddTerm(alpha2, iPhi, iD1, iD2, iD3, iEq)
+	vp.AddTerm(negAlpha2, iN1, iN2, iN3, iEq)
 	return vp
 }
 
@@ -337,20 +339,4 @@ func etaWeights(eta *ff.Fr) [NumEvaluations]ff.Fr {
 		out[k].Mul(&out[k-1], eta)
 	}
 	return out
-}
-
-// ProofSizeBytes reports the serialized proof size: the metric in Table 4
-// (5.09 KB at 2^24 gates for HyperPlonk).
-func (p *Proof) ProofSizeBytes() int {
-	const g1 = 96 // uncompressed
-	const fr = 32
-	size := 3*g1 + 2*g1 // witness + phi + pi commitments
-	for _, sc := range p.sumchecks() {
-		for _, r := range sc.Rounds {
-			size += fr * len(r.Evals)
-		}
-	}
-	size += fr * NumEvaluations
-	size += g1 * len(p.Opening.Quotients)
-	return size
 }

@@ -12,21 +12,23 @@ import (
 	"zkspeed/internal/workload"
 )
 
-// pstProofDigests pins the serialized PST proof bytes from before the PCS
-// interface landed: SHA-256 of MarshalBinary for the deterministic
-// workload below, captured on the pre-refactor tree. The interface
-// extraction must be invisible on the wire — same transcript, same
-// quotients, same version-1 header — so these digests must never change.
+// pstProofDigests pins the serialized PST proof bytes: SHA-256 of
+// MarshalBinary for the deterministic workload below. They were first
+// captured before the PCS interface landed, and re-pinned for ZKSP
+// version 3, whose one zero-check proves both identities, whose rounds
+// leave out p(1) and whose verifying-key digest binds the scheme and the
+// SRS. The interface must stay invisible on the wire — same transcript,
+// same quotients — so only a protocol change may move these digests.
 var pstProofDigests = map[int]string{
-	2:  "6813e80924786f887748dd02185b80191494ba4938b9ac91119038c47082eaa3",
-	3:  "8be3082c61d35a1b6ffebfe98630fd66262d5f40d9746661cfd0b21d1899ab44",
-	4:  "88d101ba87e475e3bcc880e26b8965f8314d9da8f8cda8379673858dd56c63e6",
-	5:  "e010765a299c7ee3f2e49d3db92349f13a69fc7ce2e75faa1999dcff63dbfd02",
-	6:  "15c7a926221d1455efc932e5fd36494e5dc7a5098c3eae110f53e6c34ee09529",
-	7:  "a30a7db0b2352d2ac90fbc577a56d148ea3caec4da6b47f60dfe6b74bbeb517f",
-	8:  "bce4214f5aa7cdc8e7a457469154b34737317c62b98602b72c94f3ce76ee1503",
-	9:  "d0bf5bfe5173148927f09d2ae71f65832879007f5aa0d3f53787b90d24874d49",
-	10: "b876588f4799ba17e2327b9b486dcf721fb891459ac582bd4c17468e3dcb6129",
+	2:  "bb86aa86bcf3b2985593014c6ea91c272acc0dc086ec38aadb0bb61fb8d0fbf2",
+	3:  "c0685b7f837d5af6ad054f5e3a8ad4b1be8bd481b7f4fcb9d1901fbf5221d11c",
+	4:  "13e0ef449b3f73540ae701e0573a46bd3d74b5d5effed82c3df17d52ec231f93",
+	5:  "a65fea638b9241b5053d70250fea4e54ca0ebd0ed309b426940da5766c9b5896",
+	6:  "3347af3794040873fa7bc6bcf27cbce683f048e8617d015d42cab46e346dd93b",
+	7:  "8650c6dc3012c6c8eb68967cb71d82d58b83299edd757be43dbec690da3344c9",
+	8:  "74fc5f988530969b43ab343fffbd5b3aa6761d101c34bd5caec845193ff70dcd",
+	9:  "a9036d332812836c283409dea569838838fc06fc30f5b29f85f2f5bb847233ce",
+	10: "33c02f6f93afaf253ba89602e6860ac746b62b0696f4ff422c3f3956ca04b705",
 }
 
 // TestPSTProofBytesUnchangedByInterface is the API redesign's acceptance

@@ -68,9 +68,9 @@ func TestZeromorphProveVerify(t *testing.T) {
 	}
 }
 
-// TestZeromorphProofWireRoundTrip checks the version-2 tagged layout:
-// scheme and quotient shape survive a marshal/unmarshal cycle and the
-// decoded proof still verifies.
+// TestZeromorphProofWireRoundTrip checks the tagged layout: scheme and
+// quotient shape survive a marshal/unmarshal cycle and the decoded proof
+// still verifies.
 func TestZeromorphProofWireRoundTrip(t *testing.T) {
 	pk, vk, assignment, pub := zeromorphKeys(t, 4)
 	proof, _, err := hyperplonk.ProveWithContext(context.Background(), pk, assignment, nil)
@@ -81,8 +81,8 @@ func TestZeromorphProofWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if blob[4] != 2 {
-		t.Fatalf("zeromorph proof marshaled as version %d, want 2", blob[4])
+	if blob[4] != 3 || blob[6] != byte(pcs.SchemeZeromorph) {
+		t.Fatalf("zeromorph proof marshaled as version %d scheme %d, want 3 and %d", blob[4], blob[6], pcs.SchemeZeromorph)
 	}
 	var back hyperplonk.Proof
 	if err := back.UnmarshalBinary(blob); err != nil {

@@ -13,30 +13,55 @@ import (
 	"zkspeed/internal/sumcheck"
 )
 
-// Proof wire format (versioned, fixed-endian):
+// Proof wire format, version 3 (fixed-endian):
 //
-//	u32 magic "ZKSP" | u8 version | u8 mu [| u8 scheme]
-//	5 × G1 (96 B uncompressed)                 commitments
-//	3 sumchecks: per round, fixed eval counts  (5, 6, 3) × 32 B
-//	22 × 32 B                                  batch evaluations
-//	openingQuotientCount(scheme, mu) × G1      opening quotients
+//	u32 magic "ZKSP" | u8 version | u8 mu | u8 scheme   7-byte header
+//	5 × G1 (96 B uncompressed)                          commitments
+//	2 sumchecks: per round (5, 2) × 32 B                round values, p(1) left out
+//	19 × 32 B                                           batch evaluations
+//	openingQuotientCount(scheme, mu) × G1               opening quotients
 //
-// Version 1 has no scheme byte and is always PST with exactly mu
-// quotients — every blob issued before the PCS interface landed decodes
-// unchanged, and PST proofs still marshal as version 1 so their bytes
-// are identical pre/post refactor. Version 2 inserts a scheme tag after
-// mu; the quotient count is scheme-dependent (Zeromorph: mu+2 — the
+// The quotient count is scheme-dependent (Zeromorph: mu+2 — the
 // per-variable quotients plus the batched degree-check commitment and
-// the KZG witness).
+// the KZG witness). Versions 1 and 2 carried three sumchecks, rounds
+// with p(1) and 22 evaluations; they are refused.
 //
 // Points are serialized uncompressed (X||Y big-endian, zero for infinity)
 // and validated on deserialization.
 
 const (
-	proofMagic         = 0x5a4b5350 // "ZKSP"
-	proofVersionPST    = 1
-	proofVersionTagged = 2
+	proofMagic     = 0x5a4b5350 // "ZKSP"
+	proofVersion   = 3
+	proofHeaderLen = 7
+	g1Len          = 96
+	frLen          = 32
 )
+
+// roundEvalCounts is the values each sumcheck sends per round, in wire
+// order: its degree, p(1) being derived.
+var roundEvalCounts = [2]int{identityCheckDegree, openCheckDegree}
+
+// ProofSize is the encoded size, header excluded, of a proof over 2^mu
+// gates under scheme: the layout MarshalBinary writes.
+func ProofSize(scheme pcs.Scheme, mu int) (int, error) {
+	nQuot, err := openingQuotientCount(scheme, mu)
+	if err != nil {
+		return 0, err
+	}
+	size := 5*g1Len + NumEvaluations*frLen + nQuot*g1Len
+	for _, c := range roundEvalCounts {
+		size += mu * c * frLen
+	}
+	return size, nil
+}
+
+// ProofSizeBytes reports the serialized proof size, header excluded: the
+// metric in Table 4 (5.09 KB at 2^24 gates for HyperPlonk). It is 0 for
+// a proof of an unknown scheme.
+func (p *Proof) ProofSizeBytes() int {
+	size, _ := ProofSize(p.Scheme, len(p.OpenCheck.Rounds))
+	return size
+}
 
 // openingQuotientCount is the opening-proof shape each scheme commits to
 // on the wire.
@@ -50,8 +75,6 @@ func openingQuotientCount(scheme pcs.Scheme, mu int) (int, error) {
 		return 0, fmt.Errorf("hyperplonk: no wire format for scheme %v", scheme)
 	}
 }
-
-var roundEvalCounts = [3]int{zeroCheckDegree + 1, permCheckDegree + 1, openCheckDegree + 1}
 
 func writePoint(w *bytes.Buffer, p *curve.G1Affine) {
 	b := p.Bytes()
@@ -105,18 +128,17 @@ func readFr(r *bytes.Reader, v *ff.Fr) error {
 	return nil
 }
 
-// MarshalBinary serializes the proof. PST proofs emit the legacy
-// version-1 layout byte for byte; other schemes emit version 2 with the
-// scheme tag.
+// MarshalBinary serializes the proof.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	mu := len(p.ZeroCheck.Rounds)
+	mu := len(p.OpenCheck.Rounds)
 	if mu == 0 || mu > 64 {
 		return nil, fmt.Errorf("hyperplonk: implausible mu=%d", mu)
 	}
-	wantQ, err := openingQuotientCount(p.Scheme, mu)
+	size, err := ProofSize(p.Scheme, mu)
 	if err != nil {
 		return nil, err
 	}
+	wantQ, _ := openingQuotientCount(p.Scheme, mu)
 	if len(p.Opening.Quotients) != wantQ {
 		return nil, fmt.Errorf("hyperplonk: %v proof has %d opening quotients, want %d", p.Scheme, len(p.Opening.Quotients), wantQ)
 	}
@@ -132,20 +154,13 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 		}
 	}
 	var w bytes.Buffer
-	if p.Scheme == pcs.SchemePST {
-		var hdr [6]byte
-		binary.BigEndian.PutUint32(hdr[:4], proofMagic)
-		hdr[4] = proofVersionPST
-		hdr[5] = byte(mu)
-		w.Write(hdr[:])
-	} else {
-		var hdr [7]byte
-		binary.BigEndian.PutUint32(hdr[:4], proofMagic)
-		hdr[4] = proofVersionTagged
-		hdr[5] = byte(mu)
-		hdr[6] = byte(p.Scheme)
-		w.Write(hdr[:])
-	}
+	w.Grow(proofHeaderLen + size)
+	var hdr [proofHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[:4], proofMagic)
+	hdr[4] = proofVersion
+	hdr[5] = byte(mu)
+	hdr[6] = byte(p.Scheme)
+	w.Write(hdr[:])
 	for i := range p.WitnessComms {
 		writePoint(&w, &p.WitnessComms[i].P)
 	}
@@ -168,45 +183,34 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary deserializes and structurally validates a proof.
-// Version-1 blobs (pre-interface) decode as PST.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+	if len(data) < proofHeaderLen {
+		return io.ErrUnexpectedEOF
 	}
+	hdr := data[:proofHeaderLen]
 	if binary.BigEndian.Uint32(hdr[:4]) != proofMagic {
 		return errors.New("hyperplonk: bad proof magic")
 	}
-	scheme := pcs.SchemePST
-	switch hdr[4] {
-	case proofVersionPST:
-	case proofVersionTagged:
-		var tag [1]byte
-		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			return err
-		}
-		scheme = pcs.Scheme(tag[0])
-		if !scheme.Valid() {
-			return fmt.Errorf("hyperplonk: unknown proof scheme tag %d", tag[0])
-		}
-		// PST proofs always marshal as version 1; a version-2 PST blob is
-		// a second encoding of the same proof, and accepting it would
-		// break the canonical-bytes invariant the fuzzer enforces.
-		if scheme == pcs.SchemePST {
-			return errors.New("hyperplonk: non-canonical PST proof (version 2)")
-		}
-	default:
+	if hdr[4] != proofVersion {
 		return fmt.Errorf("hyperplonk: unsupported proof version %d", hdr[4])
 	}
 	mu := int(hdr[5])
 	if mu == 0 || mu > 64 {
 		return errors.New("hyperplonk: implausible mu")
 	}
-	nQuot, err := openingQuotientCount(scheme, mu)
+	scheme := pcs.Scheme(hdr[6])
+	if !scheme.Valid() {
+		return fmt.Errorf("hyperplonk: unknown proof scheme tag %d", hdr[6])
+	}
+	size, err := ProofSize(scheme, mu)
 	if err != nil {
 		return err
 	}
+	if len(data) != proofHeaderLen+size {
+		return fmt.Errorf("hyperplonk: %d-byte %v proof at mu=%d, want %d bytes", len(data), scheme, mu, proofHeaderLen+size)
+	}
+	nQuot, _ := openingQuotientCount(scheme, mu)
+	r := bytes.NewReader(data[proofHeaderLen:])
 	p.Scheme = scheme
 	for i := range p.WitnessComms {
 		if err := readPoint(r, &p.WitnessComms[i].P); err != nil {
@@ -240,9 +244,6 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 		if err := readPoint(r, &p.Opening.Quotients[i]); err != nil {
 			return err
 		}
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("hyperplonk: %d trailing bytes", r.Len())
 	}
 	return nil
 }

@@ -28,8 +28,8 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blob) != proof.ProofSizeBytes()+6 { // +header
-		t.Fatalf("serialized %d bytes, accounting says %d+6", len(blob), proof.ProofSizeBytes())
+	if len(blob) != proof.ProofSizeBytes()+proofHeaderLen {
+		t.Fatalf("serialized %d bytes, accounting says %d+%d", len(blob), proof.ProofSizeBytes(), proofHeaderLen)
 	}
 	var back Proof
 	if err := back.UnmarshalBinary(blob); err != nil {

@@ -12,12 +12,11 @@ import (
 	"zkspeed/internal/transcript"
 )
 
-// Degree bounds of the three sumcheck instances (number of multilinear
+// Degree bounds of the two sumcheck instances (number of multilinear
 // factors in the largest term, including the eq polynomial).
 const (
-	zeroCheckDegree = 4 // qM·w1·w2·eq
-	permCheckDegree = 5 // α·φ·D1·D2·D3·eq
-	openCheckDegree = 2 // y_j·k_j
+	identityCheckDegree = 5 // α²·φ·D1·D2·D3·eq
+	openCheckDegree     = 2 // y_j·k_j
 )
 
 // VerifyOptions tunes proof verification.
@@ -39,8 +38,8 @@ func Verify(vk *VerifyingKey, pub []ff.Fr, proof *Proof) error {
 }
 
 // VerifyWithContext checks a HyperPlonk proof against the verifying key
-// and public inputs. It replays the transcript, verifies all three
-// sumchecks, the gate/wiring/product/public-input identities over the 22
+// and public inputs. It replays the transcript, verifies both
+// sumchecks, the gate/wiring/product/public-input identities over the 19
 // batch evaluations, and the final PST pairing check. The context is
 // checked before the transcript replay and again before the (pairing-
 // heavy) opening check.
@@ -71,7 +70,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 			return fmt.Errorf("hyperplonk: options pin scheme %v but proof carries %v", want, proof.Scheme)
 		}
 	}
-	tr := transcript.New("zkspeed.hyperplonk.v1")
+	tr := transcript.New(transcriptDomain)
 	tr.AppendBytes("vk", vk.Digest())
 	tr.AppendFrs("public", pub)
 
@@ -80,60 +79,45 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 		tr.AppendG1("witness", &proof.WitnessComms[j].P)
 	}
 
-	// ---- Step 2: gate identity ----
-	zcPoint := tr.ChallengeFrs("zerocheck.t", mu)
-	zcRes, err := sumcheck.Verify(ff.Fr{}, proof.ZeroCheck, mu, zeroCheckDegree, tr)
-	if err != nil {
-		return fmt.Errorf("hyperplonk: zerocheck: %w", err)
-	}
-	rGate := zcRes.Challenges
-
-	// ---- Step 3: wiring identity ----
+	// ---- Steps 2-3: wiring commitments, then one zero-check of both identities ----
 	beta := tr.ChallengeFr("permcheck.beta")
 	gamma := tr.ChallengeFr("permcheck.gamma")
 	tr.AppendG1("phi", &proof.PhiComm.P)
 	tr.AppendG1("pi", &proof.PiComm.P)
-	alpha := tr.ChallengeFr("permcheck.alpha")
-	pcPoint := tr.ChallengeFrs("permcheck.t", mu)
-	pcRes, err := sumcheck.Verify(ff.Fr{}, proof.PermCheck, mu, permCheckDegree, tr)
+	alpha := tr.ChallengeFr("zerocheck.alpha")
+	zcPoint := tr.ChallengeFrs("zerocheck.t", mu)
+	zcRes, err := sumcheck.Verify(ff.Fr{}, proof.IdentityCheck, mu, identityCheckDegree, tr)
 	if err != nil {
-		return fmt.Errorf("hyperplonk: permcheck: %w", err)
+		return fmt.Errorf("hyperplonk: zerocheck: %w", err)
 	}
-	rPerm := pcRes.Challenges
+	r := zcRes.Challenges
 
 	// ---- Step 4: batch evaluations ----
 	piVars := publicVars(vk.NumPublic)
 	rPI := tr.ChallengeFrs("pi.r", piVars)
-	cl, pts := buildClaims(mu, rGate, rPerm, rPI)
+	cl, pts := buildClaims(mu, r, rPI)
 	tr.AppendFrs("batch.evals", proof.Evals[:])
 	ev := func(point, poly int) ff.Fr { return cl.value(proof.Evals[:], point, poly) }
 
-	// (a) Gate identity final check:
-	// zc final claim == eq(t, r_gate)·(qL w1 + qR w2 + qM w1 w2 - qO w3 + qC)(r_gate).
+	// (a) The zero-check's final claim must equal
+	// eq(t, r)·(f_gate + α·f_prod + α²·f_frac)(r) (buildIdentityPoly).
 	var gateEval, t1 ff.Fr
-	qlE, qrE, qmE, qoE, qcE := ev(pts.gate, polyQL), ev(pts.gate, polyQR), ev(pts.gate, polyQM), ev(pts.gate, polyQO), ev(pts.gate, polyQC)
-	w1g, w2g, w3g := ev(pts.gate, polyW1), ev(pts.gate, polyW2), ev(pts.gate, polyW3)
-	t1.Mul(&qlE, &w1g)
+	qlE, qrE, qmE, qoE, qcE := ev(pts.zero, polyQL), ev(pts.zero, polyQR), ev(pts.zero, polyQM), ev(pts.zero, polyQO), ev(pts.zero, polyQC)
+	w1E, w2E, w3E := ev(pts.zero, polyW1), ev(pts.zero, polyW2), ev(pts.zero, polyW3)
+	t1.Mul(&qlE, &w1E)
 	gateEval.Add(&gateEval, &t1)
-	t1.Mul(&qrE, &w2g)
+	t1.Mul(&qrE, &w2E)
 	gateEval.Add(&gateEval, &t1)
-	t1.Mul(&qmE, &w1g)
-	t1.Mul(&t1, &w2g)
+	t1.Mul(&qmE, &w1E)
+	t1.Mul(&t1, &w2E)
 	gateEval.Add(&gateEval, &t1)
-	t1.Mul(&qoE, &w3g)
+	t1.Mul(&qoE, &w3E)
 	gateEval.Sub(&gateEval, &t1)
 	gateEval.Add(&gateEval, &qcE)
-	eqGate := poly.EvalEq(zcPoint, rGate)
-	gateEval.Mul(&gateEval, &eqGate)
-	if !gateEval.Equal(&zcRes.FinalClaim) {
-		return errors.New("hyperplonk: gate identity check failed")
-	}
 
-	// (b) Wiring identity final check (Eq. 4 at r_perm).
 	n := uint64(1) << uint(mu)
-	w1p, w2p, w3p := ev(pts.perm, polyW1), ev(pts.perm, polyW2), ev(pts.perm, polyW3)
-	s1E, s2E, s3E := ev(pts.perm, polySigma1), ev(pts.perm, polySigma2), ev(pts.perm, polySigma3)
-	phiP, piP := ev(pts.perm, polyPhi), ev(pts.perm, polyPi)
+	s1E, s2E, s3E := ev(pts.zero, polySigma1), ev(pts.zero, polySigma2), ev(pts.zero, polySigma3)
+	phiE, piE := ev(pts.zero, polyPhi), ev(pts.zero, polyPi)
 	dEval := func(w, sigma *ff.Fr) ff.Fr {
 		var d, t ff.Fr
 		t.Mul(&beta, sigma)
@@ -142,50 +126,53 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 		return d
 	}
 	nEval := func(w *ff.Fr, offset uint64) ff.Fr {
-		id := poly.EvalIdentity(rPerm, offset)
+		id := poly.EvalIdentity(r, offset)
 		var nv, t ff.Fr
 		t.Mul(&beta, &id)
 		nv.Add(w, &t)
 		nv.Add(&nv, &gamma)
 		return nv
 	}
-	d1 := dEval(&w1p, &s1E)
-	d2 := dEval(&w2p, &s2E)
-	d3 := dEval(&w3p, &s3E)
-	n1 := nEval(&w1p, 0)
-	n2 := nEval(&w2p, n)
-	n3 := nEval(&w3p, 2*n)
+	d1 := dEval(&w1E, &s1E)
+	d2 := dEval(&w2E, &s2E)
+	d3 := dEval(&w3E, &s3E)
+	n1 := nEval(&w1E, 0)
+	n2 := nEval(&w2E, n)
+	n3 := nEval(&w3E, 2*n)
 	phiS0, piS0 := ev(pts.s0, polyPhi), ev(pts.s0, polyPi)
 	phiS1, piS1 := ev(pts.s1, polyPhi), ev(pts.s1, polyPi)
-	msb := rPerm[mu-1]
+	msb := r[mu-1]
 	p1E := poly.MergeEval(&phiS0, &piS0, &msb)
 	p2E := poly.MergeEval(&phiS1, &piS1, &msb)
 
-	var perm, tD, tN ff.Fr
-	perm = piP
+	var prod, frac, tN ff.Fr
 	t1.Mul(&p1E, &p2E)
-	perm.Sub(&perm, &t1)
-	tD.Mul(&phiP, &d1)
-	tD.Mul(&tD, &d2)
-	tD.Mul(&tD, &d3)
+	prod.Sub(&piE, &t1)
+	frac.Mul(&phiE, &d1)
+	frac.Mul(&frac, &d2)
+	frac.Mul(&frac, &d3)
 	tN.Mul(&n1, &n2)
 	tN.Mul(&tN, &n3)
-	tD.Sub(&tD, &tN)
-	tD.Mul(&tD, &alpha)
-	perm.Add(&perm, &tD)
-	eqPerm := poly.EvalEq(pcPoint, rPerm)
-	perm.Mul(&perm, &eqPerm)
-	if !perm.Equal(&pcRes.FinalClaim) {
-		return errors.New("hyperplonk: wiring identity check failed")
+	frac.Sub(&frac, &tN)
+	// f = f_gate + α·(f_prod + α·f_frac), by Horner.
+	f := frac
+	f.Mul(&f, &alpha)
+	f.Add(&f, &prod)
+	f.Mul(&f, &alpha)
+	f.Add(&f, &gateEval)
+	eqZero := poly.EvalEq(zcPoint, r)
+	f.Mul(&f, &eqZero)
+	if !f.Equal(&zcRes.FinalClaim) {
+		return errors.New("hyperplonk: gate and wiring identity check failed")
 	}
 
-	// (c) Grand product must equal 1 (the Π N/D = 1 permutation test).
+	// (b) Grand product must equal 1 (the Π N/D = 1 permutation test).
 	root := ev(pts.root, polyPi)
 	if !root.IsOne() {
 		return errors.New("hyperplonk: grand product check failed")
 	}
 
-	// (d) Public input consistency: w1 restricted to the PI sub-cube.
+	// (c) Public input consistency: w1 restricted to the PI sub-cube.
 	piMLE := PublicInputMLE(pub, piVars)
 	wantPI := piMLE.EvaluateWith(rPI, opts.Exec)
 	gotPI := ev(pts.pi, polyW1)

@@ -51,9 +51,8 @@ func stubProof(mu int) *hyperplonk.Proof {
 		}
 		return sumcheck.Proof{Rounds: rounds}
 	}
-	p.ZeroCheck = mk(5)
-	p.PermCheck = mk(6)
-	p.OpenCheck = mk(3)
+	p.IdentityCheck = mk(5)
+	p.OpenCheck = mk(2)
 	p.Opening = pcs.OpeningProof{Quotients: make([]curve.G1Affine, mu)}
 	for i := range p.Opening.Quotients {
 		p.Opening.Quotients[i] = inf

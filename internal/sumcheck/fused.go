@@ -130,7 +130,7 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 		panic("sumcheck: virtual polynomial has no MLEs")
 	}
 	mu := vp.NumVars
-	deg := vp.Degree()
+	deg := roundDegree(vp)
 	ne := deg + 1
 	nMLE := len(vp.MLEs)
 	res := ProverResult{}
@@ -236,12 +236,14 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 		defer close(p.jobs)
 	}
 
-	// One backing array for every round polynomial, the challenges, the
-	// final evaluations, the claim interpolator and the column scratch:
-	// the L(X) values of a single eq factor, or the h values and
-	// difference table of several groups.
-	frs := make([]ff.Fr, mu*ne+mu+nMLE+interpolatorLen(deg)+2*ne)
+	// One backing array for every round polynomial (all deg+1 values,
+	// then the deg values sent), the challenges, the final evaluations,
+	// the claim interpolator and the column scratch: the L(X) values of a
+	// single eq factor, or the h values and difference table of several
+	// groups.
+	frs := make([]ff.Fr, mu*ne+mu*deg+mu+nMLE+interpolatorLen(deg)+2*ne)
 	evalsBacking, frs := frs[:mu*ne], frs[mu*ne:]
+	sentBacking, frs := frs[:mu*deg], frs[mu*deg:]
 	res.Challenges, frs = frs[:0:mu], frs[mu:]
 	res.FinalEvals, frs = frs[:nMLE:nMLE], frs[nMLE:]
 	interp := newClaimInterpolator(deg, frs[:interpolatorLen(deg)])
@@ -372,9 +374,9 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 			}
 		}
 
-		tr.AppendFrs("sumcheck.round", evals)
-		r := tr.ChallengeFr("sumcheck.r")
-		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: evals})
+		sent := sentBacking[round*deg : (round+1)*deg]
+		r := sendRound(tr, evals, sent)
+		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
 		claim = interp.at(evals, &r)
 		p.r = r

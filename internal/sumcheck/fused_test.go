@@ -42,7 +42,7 @@ func checkProvers(t *testing.T, label, domain string, build func() *VirtualPoly,
 // over the untouched MLEs, replaying the same transcript schedule.
 func oracleRounds(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 	mu := vp.NumVars
-	deg := vp.Degree()
+	deg := roundDegree(vp)
 	res := ProverResult{}
 	point := make([]ff.Fr, mu)
 	for round := 0; round < mu; round++ {
@@ -60,10 +60,10 @@ func oracleRounds(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 			}
 			evals[t] = sum
 		}
-		tr.AppendFrs("sumcheck.round", evals)
-		r := tr.ChallengeFr("sumcheck.r")
+		sent := make([]ff.Fr, deg)
+		r := sendRound(tr, evals, sent)
 		point[round] = r
-		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: evals})
+		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
 	}
 	res.FinalEvals = make([]ff.Fr, len(vp.MLEs))

@@ -12,7 +12,6 @@
 package sumcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"zkspeed/internal/ff"
@@ -170,10 +169,28 @@ func CombineTermEvals(terms []Term, evals []ff.Fr) ff.Fr {
 	return out
 }
 
-// RoundPoly is the univariate round polynomial, sent as its evaluations at
-// X = 0, 1, …, d (d+1 points characterize a degree-d polynomial, §2.3).
+// RoundPoly is the univariate round polynomial p, sent as its values at
+// X = 0, 2, 3, …, d. d+1 values characterize a degree-d polynomial
+// (§2.3); the one left out, p(1), is claim − p(0), where claim is the
+// previous round's polynomial at its challenge (the sum being proved in
+// round 0), so the verifier derives it.
 type RoundPoly struct {
 	Evals []ff.Fr
+}
+
+// roundDegree is the degree bound vp's round polynomials are sent at:
+// its degree, but at least 1, so that p(0) and the derived p(1) always
+// determine a constant round.
+func roundDegree(vp *VirtualPoly) int { return max(vp.Degree(), 1) }
+
+// sendRound writes the values sent of the round polynomial given by its
+// values full at X = 0..d into sent (d entries: all but p(1)), appends
+// them to the transcript and draws the round's challenge.
+func sendRound(tr *transcript.Transcript, full, sent []ff.Fr) ff.Fr {
+	sent[0] = full[0]
+	copy(sent[1:], full[2:])
+	tr.AppendFrs("sumcheck.round", sent)
+	return tr.ChallengeFr("sumcheck.r")
 }
 
 // Proof is a complete sumcheck transcript: one round polynomial per
@@ -229,16 +246,15 @@ func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 		vp.mle(k) // materialize lazily registered tables
 	}
 	mu := vp.NumVars
-	deg := vp.Degree()
+	deg := roundDegree(vp)
 	res := ProverResult{
 		Challenges: make([]ff.Fr, 0, mu),
 	}
 	res.Proof.Rounds = make([]RoundPoly, 0, mu)
 	for round := 0; round < mu; round++ {
-		rp := referenceRound(vp, deg)
-		tr.AppendFrs("sumcheck.round", rp.Evals)
-		r := tr.ChallengeFr("sumcheck.r")
-		res.Proof.Rounds = append(res.Proof.Rounds, rp)
+		sent := make([]ff.Fr, deg)
+		r := sendRound(tr, referenceRound(vp, deg), sent)
+		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
 		for _, m := range vp.MLEs {
 			m.FixVariable(&r)
@@ -254,7 +270,7 @@ func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 // referenceRound computes the round polynomial evaluations at X = 0..deg
 // by the textbook sweep: per hypercube instance, every MLE is extended to
 // all evaluation points and every term product accumulated per point.
-func referenceRound(vp *VirtualPoly, deg int) RoundPoly {
+func referenceRound(vp *VirtualPoly, deg int) []ff.Fr {
 	half := vp.MLEs[0].Len() / 2
 	nEvals := deg + 1
 	acc := make([]ff.Fr, nEvals)
@@ -288,7 +304,7 @@ func referenceRound(vp *VirtualPoly, deg int) RoundPoly {
 			}
 		}
 	}
-	return RoundPoly{Evals: acc}
+	return acc
 }
 
 // InterpolateAt evaluates the degree-(len(evals)-1) polynomial defined by
@@ -379,30 +395,35 @@ type VerifyResult struct {
 	FinalClaim ff.Fr   // claimed value of the virtual polynomial at r
 }
 
-// Verify replays the sumcheck rounds against the transcript, checking the
-// g(0)+g(1) consistency at every round. The caller must separately check
-// FinalClaim against oracle evaluations of the underlying MLEs at r.
+// Verify replays the sumcheck rounds against the transcript. Each round
+// sends p(0), p(2), …, p(degree); the verifier sets p(1) = claim − p(0),
+// which is the round consistency check p(0) + p(1) = claim built into
+// the polynomial it interpolates at the challenge. A wrong claim or a
+// tampered round therefore surfaces in FinalClaim, which the caller must
+// check against oracle evaluations of the underlying MLEs at r.
 func Verify(claim ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transcript) (VerifyResult, error) {
 	var res VerifyResult
+	if degree < 1 {
+		return res, fmt.Errorf("sumcheck: degree %d, want at least 1", degree)
+	}
 	if len(proof.Rounds) != numVars {
 		return res, fmt.Errorf("sumcheck: expected %d rounds, got %d", numVars, len(proof.Rounds))
 	}
 	cur := claim
 	res.Challenges = make([]ff.Fr, 0, numVars)
-	interp := newClaimInterpolator(degree, make([]ff.Fr, interpolatorLen(degree)))
+	buf := make([]ff.Fr, degree+1+interpolatorLen(degree))
+	full, interp := buf[:degree+1], newClaimInterpolator(degree, buf[degree+1:])
 	for round, rp := range proof.Rounds {
-		if len(rp.Evals) != degree+1 {
-			return res, fmt.Errorf("sumcheck: round %d has %d evals, want %d", round, len(rp.Evals), degree+1)
+		if len(rp.Evals) != degree {
+			return res, fmt.Errorf("sumcheck: round %d has %d evals, want %d", round, len(rp.Evals), degree)
 		}
-		var s ff.Fr
-		s.Add(&rp.Evals[0], &rp.Evals[1])
-		if !s.Equal(&cur) {
-			return res, errors.New("sumcheck: round consistency check failed")
-		}
+		full[0] = rp.Evals[0]
+		full[1].Sub(&cur, &rp.Evals[0])
+		copy(full[2:], rp.Evals[1:])
 		tr.AppendFrs("sumcheck.round", rp.Evals)
 		r := tr.ChallengeFr("sumcheck.r")
 		res.Challenges = append(res.Challenges, r)
-		cur = interp.at(rp.Evals, &r)
+		cur = interp.at(full, &r)
 	}
 	res.FinalClaim = cur
 	return res, nil

@@ -85,9 +85,12 @@ func TestSumcheckCompleteness(t *testing.T) {
 	}
 }
 
+// TestSumcheckSoundnessWrongClaim: the verifier derives each round's p(1)
+// from the running claim, so a proof replayed against a wrong claim
+// passes the rounds but ends at a final claim the oracle refutes.
 func TestSumcheckSoundnessWrongClaim(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	vp, _ := buildTestPoly(rng, 5, 4, 3)
+	vp, vpOracle := buildTestPoly(rng, 5, 4, 3)
 	claim := vp.SumOverHypercube()
 	var bad ff.Fr
 	bad.SetOne()
@@ -98,7 +101,11 @@ func TestSumcheckSoundnessWrongClaim(t *testing.T) {
 	res := Prove(vp, trP)
 
 	trV := transcript.New("sc-test")
-	if _, err := Verify(bad, res.Proof, 5, deg, trV); err == nil {
+	vres, err := Verify(bad, res.Proof, 5, deg, trV)
+	if err != nil {
+		return
+	}
+	if want := vpOracle.EvaluateAt(vres.Challenges); vres.FinalClaim.Equal(&want) {
 		t.Fatal("verifier accepted a wrong claim")
 	}
 }
@@ -118,9 +125,8 @@ func TestSumcheckSoundnessTamperedRound(t *testing.T) {
 	trV := transcript.New("sc-test")
 	vres, err := Verify(claim, res.Proof, 5, deg, trV)
 	if err == nil {
-		// Round checks may pass if the tamper preserved g(0)+g(1) (it
-		// almost surely doesn't, but if it did, the oracle check must
-		// catch it).
+		// The rounds carry no check of their own (p(1) is derived from
+		// the claim): the oracle check must catch the tamper.
 		want := vpOracle.EvaluateAt(vres.Challenges)
 		if vres.FinalClaim.Equal(&want) {
 			t.Fatal("tampered proof fully verified")
@@ -141,11 +147,21 @@ func TestSumcheckRejectsMalformedProofs(t *testing.T) {
 	if _, err := Verify(claim, short, 4, deg, transcript.New("sc-test")); err == nil {
 		t.Fatal("accepted truncated proof")
 	}
-	// wrong number of evals in a round
-	bad := Proof{Rounds: append([]RoundPoly(nil), res.Proof.Rounds...)}
-	bad.Rounds[0] = RoundPoly{Evals: bad.Rounds[0].Evals[:deg]}
-	if _, err := Verify(claim, bad, 4, deg, transcript.New("sc-test")); err == nil {
+	// wrong number of evals in a round: one short, or the deg+1 values
+	// of a round that still sends p(1)
+	short1 := Proof{Rounds: append([]RoundPoly(nil), res.Proof.Rounds...)}
+	short1.Rounds[0] = RoundPoly{Evals: short1.Rounds[0].Evals[:deg-1]}
+	if _, err := Verify(claim, short1, 4, deg, transcript.New("sc-test")); err == nil {
 		t.Fatal("accepted malformed round")
+	}
+	long := Proof{Rounds: append([]RoundPoly(nil), res.Proof.Rounds...)}
+	long.Rounds[1] = RoundPoly{Evals: append(append([]ff.Fr(nil), long.Rounds[1].Evals...), ff.Fr{})}
+	if _, err := Verify(claim, long, 4, deg, transcript.New("sc-test")); err == nil {
+		t.Fatal("accepted a round of the old length")
+	}
+	// a degree-0 bound leaves nothing to send
+	if _, err := Verify(claim, res.Proof, 4, 0, transcript.New("sc-test")); err == nil {
+		t.Fatal("accepted degree 0")
 	}
 }
 
