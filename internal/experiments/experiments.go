@@ -12,6 +12,8 @@ import (
 	"strings"
 
 	"zkspeed/internal/dse"
+	"zkspeed/internal/hyperplonk"
+	"zkspeed/internal/pcs"
 	"zkspeed/internal/profile"
 	"zkspeed/internal/sim"
 	"zkspeed/internal/workload"
@@ -76,9 +78,10 @@ func Table4() string {
 	pw := sim.Power(res, area)
 	cpuS := sim.CPUTimeMS(24) / 1000
 
-	// HyperPlonk proof size at μ=24 under this implementation
-	// (uncompressed G1 points; proofSizeKB itemises the accounting).
-	proofKB := proofSizeKB(24)
+	// HyperPlonk proof size at μ=24 under this implementation: the PST
+	// proof layout's accounting, uncompressed G1 points, header excluded.
+	proofBytes, _ := hyperplonk.ProofSize(pcs.SchemePST, 24) // errs only for an unknown scheme
+	proofKB := float64(proofBytes) / 1024
 
 	var b strings.Builder
 	b.WriteString("Table 4: comparison with prior ZKP accelerators at 2^24 constraints/gates\n")
@@ -100,18 +103,6 @@ func Table4() string {
 	}
 	b.WriteString("(paper zkSpeed column: 171.61 ms, 366.46 mm^2, 170.88 W, 5.09 KB)\n")
 	return b.String()
-}
-
-// proofSizeKB reproduces the Proof.ProofSizeBytes accounting analytically
-// for any μ.
-func proofSizeKB(mu int) float64 {
-	const g1 = 96.0
-	const fr = 32.0
-	size := 5*g1 + // witness + φ + π commitments
-		float64(mu)*(5+6+3)*fr + // three sumchecks' round polynomials
-		22*fr + // batch evaluations
-		float64(mu)*g1 // opening quotients
-	return size / 1024
 }
 
 // Table5 renders the area and power breakdown of the highlighted design.

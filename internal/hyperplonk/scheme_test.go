@@ -148,10 +148,11 @@ func TestCrossSchemeRejection(t *testing.T) {
 	}
 }
 
-// TestVersion2PSTRejected: PST proofs are canonically version 1; a
-// hand-built version-2 blob carrying the PST tag must be rejected so
-// every accepted blob has exactly one encoding.
-func TestVersion2PSTRejected(t *testing.T) {
+// TestOldProofVersionsRejected: ZKSP versions 1 (PST, no scheme byte) and
+// 2 (scheme-tagged) carried three sumchecks, rounds with p(1) and 22
+// evaluations. A blob under either header must be refused by version,
+// before its body is read.
+func TestOldProofVersionsRejected(t *testing.T) {
 	const mu = 3
 	circuit, assignment, _, err := workload.SyntheticSeed(mu, 7)
 	if err != nil {
@@ -170,13 +171,13 @@ func TestVersion2PSTRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	// Rebuild as version 2 with an explicit PST tag.
-	v2 := make([]byte, 0, len(blob)+1)
-	v2 = append(v2, blob[:4]...)
-	v2 = append(v2, 2, blob[5], 0)
-	v2 = append(v2, blob[6:]...)
-	var back hyperplonk.Proof
-	if err := back.UnmarshalBinary(v2); err == nil {
-		t.Fatal("version-2 PST blob accepted")
+	for _, old := range [][]byte{
+		append([]byte{0x5a, 0x4b, 0x53, 0x50, 1, blob[5]}, blob[7:]...),          // version 1: no scheme byte
+		append([]byte{0x5a, 0x4b, 0x53, 0x50, 2, blob[5], blob[6]}, blob[7:]...), // version 2
+	} {
+		var back hyperplonk.Proof
+		if err := back.UnmarshalBinary(old); err == nil || !strings.Contains(err.Error(), "unsupported proof version") {
+			t.Fatalf("version-%d blob: got %v, want an unsupported-version error", old[4], err)
+		}
 	}
 }

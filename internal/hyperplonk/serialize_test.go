@@ -1,11 +1,13 @@
 package hyperplonk
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/pcs"
 )
 
 func TestProofSerializationRoundTrip(t *testing.T) {
@@ -28,9 +30,6 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blob) != proof.ProofSizeBytes()+proofHeaderLen {
-		t.Fatalf("serialized %d bytes, accounting says %d+%d", len(blob), proof.ProofSizeBytes(), proofHeaderLen)
-	}
 	var back Proof
 	if err := back.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
@@ -47,6 +46,41 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if string(blob) != string(blob2) {
 		t.Fatal("serialization not canonical")
 	}
+
+	// The size accounting follows the encoder at every size, under both
+	// schemes.
+	for mu := 2; mu <= 8; mu++ {
+		b := NewBuilder()
+		x := b.PublicInput(ff.NewFr(3))
+		for b.NumGatesUsed() <= 1<<(mu-1) {
+			x = b.Add(x, x)
+		}
+		circuit, assignment, _, err := b.Compile()
+		if err != nil || circuit.Mu != mu {
+			t.Fatalf("mu=%d: compiled mu=%d: %v", mu, circuit.Mu, err)
+		}
+		for _, scheme := range []pcs.Scheme{pcs.SchemePST, pcs.SchemeZeromorph} {
+			backend, err := pcs.NewBackend(scheme, []byte{0x5e, byte(mu)}, mu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pk, _, err := SetupWithPCS(circuit, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, _, err := ProveWithContext(context.Background(), pk, assignment, &ProveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := proof.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(blob) != proof.ProofSizeBytes()+proofHeaderLen {
+				t.Fatalf("mu=%d %v: serialized %d bytes, accounting says %d+%d", mu, scheme, len(blob), proof.ProofSizeBytes(), proofHeaderLen)
+			}
+		}
+	}
 }
 
 func TestProofDeserializationRejectsGarbage(t *testing.T) {
@@ -58,7 +92,7 @@ func TestProofDeserializationRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted zero garbage")
 	}
 	// Valid magic/version but truncated body.
-	blob := []byte{0x5a, 0x4b, 0x53, 0x50, 1, 4, 0, 0}
+	blob := []byte{0x5a, 0x4b, 0x53, 0x50, 3, 4, 0, 0}
 	if err := p.UnmarshalBinary(blob); err == nil {
 		t.Fatal("accepted truncated body")
 	}
@@ -117,7 +151,7 @@ func TestProofDeserializationRejectsOffCurvePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[6+10] ^= 0xff // corrupt the first witness commitment's X
+	blob[proofHeaderLen+10] ^= 0xff // corrupt the first witness commitment's X
 	var back Proof
 	if err := back.UnmarshalBinary(blob); err == nil {
 		t.Fatal("accepted off-curve point")
@@ -146,7 +180,7 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 	}
 	// First sumcheck scalar starts after header + 5 points; overwrite with
 	// an all-ones value >= r.
-	off := 6 + 5*96
+	off := proofHeaderLen + 5*96
 	for i := 0; i < 32; i++ {
 		blob[off+i] = 0xff
 	}
@@ -164,7 +198,7 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 	}
 	for _, coord := range []int{0, 48} {
 		blob := append([]byte{}, good...)
-		enc := blob[6+coord : 6+coord+48]
+		enc := blob[proofHeaderLen+coord : proofHeaderLen+coord+48]
 		v := new(big.Int).SetBytes(enc)
 		v.Add(v, ff.FpModulusBig())
 		v.FillBytes(enc)
@@ -199,10 +233,10 @@ func offSubgroupPoint(t testing.TB) [96]byte {
 
 // g1SlotOffsets lists the byte offset of every G1 point in a proof blob:
 // five commitments after the header, the opening quotients at the end.
-func g1SlotOffsets(blob []byte, header, quotients int) []int {
+func g1SlotOffsets(blob []byte, quotients int) []int {
 	var offs []int
 	for i := 0; i < 5; i++ {
-		offs = append(offs, header+i*96)
+		offs = append(offs, proofHeaderLen+i*96)
 	}
 	for i := quotients; i > 0; i-- {
 		offs = append(offs, len(blob)-i*96)
@@ -225,18 +259,18 @@ func TestProofDeserializationRejectsOffSubgroupPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name              string
-		blob              []byte
-		header, quotients int
+		name      string
+		blob      []byte
+		quotients int
 	}{
-		{"pst", pst, 6, int(pst[5])},
-		{"zeromorph", zm, 7, int(zm[5]) + 2},
+		{"pst", pst, int(pst[5])},
+		{"zeromorph", zm, int(zm[5]) + 2},
 	} {
 		var back Proof
 		if err := back.UnmarshalBinary(c.blob); err != nil {
 			t.Fatalf("%s: valid proof rejected: %v", c.name, err)
 		}
-		offs := g1SlotOffsets(c.blob, c.header, c.quotients)
+		offs := g1SlotOffsets(c.blob, c.quotients)
 		if want := 5 + len(back.Opening.Quotients); len(offs) != want {
 			t.Fatalf("%s: %d G1 slots enumerated, proof holds %d", c.name, len(offs), want)
 		}
