@@ -151,7 +151,8 @@ func TestCrossSchemeRejection(t *testing.T) {
 // TestOldProofVersionsRejected: ZKSP versions 1 (PST, no scheme byte) and
 // 2 (scheme-tagged) carried three sumchecks, rounds with p(1) and 22
 // evaluations. A blob under either header must be refused by version,
-// before its body is read.
+// before its body is read, and a version-3 blob whose first round still
+// carries p(1) by its length.
 func TestOldProofVersionsRejected(t *testing.T) {
 	const mu = 3
 	circuit, assignment, _, err := workload.SyntheticSeed(mu, 7)
@@ -179,5 +180,11 @@ func TestOldProofVersionsRejected(t *testing.T) {
 		if err := back.UnmarshalBinary(old); err == nil || !strings.Contains(err.Error(), "unsupported proof version") {
 			t.Fatalf("version-%d blob: got %v, want an unsupported-version error", old[4], err)
 		}
+	}
+	rounds := 7 + 5*96 // the first round value follows the header and the commitments
+	long := append(append(append([]byte(nil), blob[:rounds]...), make([]byte, 32)...), blob[rounds:]...)
+	var back hyperplonk.Proof
+	if err := back.UnmarshalBinary(long); err == nil {
+		t.Fatal("a round of the old length decoded")
 	}
 }
