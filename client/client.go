@@ -402,7 +402,9 @@ func (c *Client) Prove(ctx context.Context, digest string, assignment *zkspeed.A
 // ProveStream synchronously proves the assignment by shipping the
 // witness as the raw ZKSW request body (POST /v1/prove_stream) instead
 // of JSON+base64 framing — on a durable-store daemon the bytes stream
-// straight into the write-ahead log as they arrive. The circuit must
+// into the write-ahead log in chunk records of up to 64 KiB as they
+// arrive, and become durable with the job's submit record, so a streamed
+// proof costs the daemon no more fsyncs than Prove. The circuit must
 // already be registered.
 func (c *Client) ProveStream(ctx context.Context, digest string, assignment *zkspeed.Assignment, priority ...string) (*ProveResult, error) {
 	witness, err := assignment.MarshalBinary()

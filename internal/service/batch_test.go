@@ -112,7 +112,10 @@ func (b *gateBackend) ProveBatch(ctx context.Context, jobs []BackendJob) []Backe
 	b.held++
 	b.max = max(b.max, b.held)
 	b.gmu.Unlock()
-	b.entered <- struct{}{}
+	select {
+	case b.entered <- struct{}{}:
+	case <-ctx.Done():
+	}
 	select {
 	case <-b.release:
 	case <-ctx.Done():

@@ -354,9 +354,11 @@ func (s *Service) writeJobOutcome(w http.ResponseWriter, r *http.Request, j *job
 
 // handleProveStream is POST /v1/prove_stream: the witness travels as the
 // raw ZKSW request body (no JSON or base64 framing) and is decoded
-// incrementally — on a durable store the bytes tee into the WAL as they
-// arrive, so a large witness is never buffered whole before its first
-// byte is durable. The circuit must already be registered; parameters
+// incrementally — on a durable store the bytes tee into WAL chunk records
+// of up to 64 KiB as they arrive, so a large witness is never held whole
+// in memory, and they become durable with the job's submit record.
+// Malformed bytes answer 400, a failing store 503. The circuit must
+// already be registered; parameters
 // travel as query values (circuit_digest, priority, wait). A
 // Content-Length is required so admission can refuse an oversized upload
 // before any transfer.

@@ -651,10 +651,12 @@ func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperpl
 }
 
 // SubmitStream decodes a ZKSW witness incrementally from r and submits
-// the job. With a store the raw bytes tee into the store as they
-// arrive — chunk records ahead of the submit record — so a large upload
-// is never buffered whole before its first byte is durable. Decode
-// failures are reported wrapped in errBadWitness.
+// the job. With a store the raw bytes tee into the store's witness
+// writer as they arrive, so a large upload is never held whole in
+// memory; the writer logs them as chunk records of up to 64 KiB, and the
+// submit record appended after them makes them durable. Malformed bytes
+// are reported wrapped in errBadWitness; a failing store is not, so the
+// HTTP layer answers it 503 rather than 400.
 func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
 	assign := new(hyperplonk.Assignment)
 	if s.store == nil {
@@ -668,9 +670,14 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 	if err != nil {
 		return nil, fmt.Errorf("service: opening witness stream: %w", err)
 	}
-	if err := assign.UnmarshalFrom(io.TeeReader(r, ww)); err != nil {
-		ww.Close()
+	tee := &storeTee{r: r, w: ww}
+	if err := assign.UnmarshalFrom(tee); err != nil {
+		// Discarding first keeps Close from logging the buffered tail.
 		s.store.DiscardWitness(id)
+		ww.Close()
+		if tee.err != nil {
+			return nil, fmt.Errorf("service: streaming witness to store: %w", tee.err)
+		}
 		return nil, fmt.Errorf("%w: %v", errBadWitness, err)
 	}
 	if err := ww.Close(); err != nil {
@@ -683,6 +690,25 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 		return nil, err
 	}
 	return j, nil
+}
+
+// storeTee is io.TeeReader that remembers a failed write, so a store
+// error is not mistaken for a malformed witness.
+type storeTee struct {
+	r   io.Reader
+	w   io.Writer
+	err error
+}
+
+func (t *storeTee) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if n > 0 {
+		if _, werr := t.w.Write(p[:n]); werr != nil {
+			t.err = werr
+			return n, werr
+		}
+	}
+	return n, err
 }
 
 // submit is the submission core shared by Submit, SubmitStream and

@@ -80,7 +80,8 @@ type State struct {
 // Store records job lifecycle transitions and circuit registrations.
 // All methods are safe for concurrent use. Append methods return only
 // after the record is in the log (durability of the write itself follows
-// the configured sync policy).
+// the configured sync policy). Streamed witness bytes are the exception:
+// they are durable once the Submit that adopts them returns, not before.
 type Store interface {
 	// PutCircuit persists a registered circuit blob. Idempotent.
 	PutCircuit(digest [32]byte, blob []byte) error
@@ -89,9 +90,12 @@ type Store interface {
 	// WitnessWriter under j.ID.
 	Submit(j JobRecord) error
 	// WitnessWriter streams a witness blob into the store ahead of
-	// Submit — the chunked-upload path that avoids buffering the whole
-	// blob before the first byte is durable. Close seals the chunks;
-	// a Submit for the id then adopts them.
+	// Submit — the chunked-upload path that never holds the whole blob
+	// in memory. The writer coalesces Writes of any size into records of
+	// at most 64 KiB and writes no fsync of its own; Close appends the
+	// tail, and a Submit for the id then adopts the chunks and makes
+	// them durable with its own record. After a failed Write or Close
+	// the caller drops the upload with DiscardWitness.
 	WitnessWriter(id string) (io.WriteCloser, error)
 	// DiscardWitness drops streamed chunks for an upload that was
 	// aborted before Submit (client disconnect, validation failure).

@@ -55,9 +55,12 @@ type WALConfig struct {
 	Dir string
 	// SyncInterval batches fsyncs: appends mark the log dirty and a
 	// flusher syncs at this cadence, so a burst of submits pays one
-	// fsync instead of one each. 0 syncs on every append (maximum
-	// durability); negative never syncs explicitly (the OS decides —
-	// for tests and throwaway runs).
+	// fsync instead of one each. 0 fsyncs every acknowledged record
+	// before its call returns (maximum durability); streamed chunk
+	// records are never synced on their own and become durable with
+	// the record that follows them in the log, the adopting submit.
+	// Negative never syncs explicitly (the OS decides — for tests and
+	// throwaway runs).
 	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment past this size.
 	// Default 64 MiB.
@@ -357,6 +360,8 @@ func (w *WAL) openActive() error {
 
 // append frames, checksums and writes one record payload under the lock,
 // then applies it to the mirror and runs the sync/rotate/compact policy.
+// Every record but a chunk is acknowledged to a caller when append
+// returns, so only those are synced under SyncInterval 0.
 func (w *WAL) append(payload []byte) error {
 	if w.closed {
 		return ErrClosed
@@ -374,11 +379,12 @@ func (w *WAL) append(payload []byte) error {
 	if err := w.applyRecord(payload); err != nil {
 		return err
 	}
-	if w.cfg.SyncInterval == 0 {
+	if w.cfg.SyncInterval == 0 && payload[0] != recChunk {
 		if err := w.active.Sync(); err != nil {
 			return fmt.Errorf("store: sync: %w", err)
 		}
 		w.stats.Syncs++
+		w.dirty = false // the sync covered any chunks before this record
 	} else {
 		w.dirty = true
 	}
@@ -556,35 +562,78 @@ func (w *WAL) Submit(j JobRecord) error {
 	}
 	// A streamed submit with no chunks to adopt must not reach the log:
 	// replay would reject the record as corruption and the WAL would no
-	// longer open.
-	if _, ok := w.st.chunks[j.ID]; j.Witness == nil && !ok {
+	// longer open. That includes an upload that has logged no bytes yet,
+	// such as one whose writer still buffers them unclosed.
+	if j.Witness == nil && len(w.st.chunks[j.ID]) == 0 {
 		return fmt.Errorf("store: submit %s: no streamed witness", j.ID)
 	}
 	w.liveEst += int64(len(j.Witness)+len(j.ID)) + 64
 	return w.append(encodeSubmit(j))
 }
 
-// walChunkWriter appends one recChunk per Write. The caller streams the
-// upload body through it, so witness bytes hit the log as they arrive.
+// walChunkBytes is the largest chunk record a witness upload writes.
+// Callers may Write any sizes (the stream decoder writes 32-byte field
+// elements); walChunkWriter coalesces them, so an upload costs
+// ⌈bytes / walChunkBytes⌉ appends whatever its callers read.
+const walChunkBytes = 64 << 10
+
+// walChunkWriter buffers an upload and appends it as recChunk records
+// of walChunkBytes; Close appends the tail. Chunk records are not synced:
+// nothing about an upload is acknowledged before the submit that adopts
+// it, and that submit is appended after them in the same log (or after a
+// rotation, whose sync covers them), so its fsync covers them too.
 type walChunkWriter struct {
-	w  *WAL
-	id string
+	w   *WAL
+	id  string
+	buf []byte
+	err error // first failed append; every later call returns it
 }
 
 func (cw *walChunkWriter) Write(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
+	if cw.err != nil {
+		return 0, cw.err
 	}
-	cw.w.mu.Lock()
-	defer cw.w.mu.Unlock()
-	cw.w.liveEst += int64(len(p)) + 32
-	if err := cw.w.append(encodeChunk(cw.id, p)); err != nil {
-		return 0, err
+	n := len(p)
+	for len(p) > 0 {
+		k := min(len(p), walChunkBytes-len(cw.buf))
+		cw.buf = append(cw.buf, p[:k]...)
+		p = p[k:]
+		if len(cw.buf) == walChunkBytes {
+			if err := cw.flush(); err != nil {
+				return n - len(p), err
+			}
+		}
 	}
-	return len(p), nil
+	return n, nil
 }
 
-func (cw *walChunkWriter) Close() error { return nil }
+// flush appends the buffered bytes as one chunk record. An upload that
+// was discarded or adopted meanwhile has no mirror entry; its bytes are
+// dropped rather than logged as an orphan.
+func (cw *walChunkWriter) flush() error {
+	if len(cw.buf) == 0 {
+		return nil
+	}
+	w := cw.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if _, ok := w.st.chunks[cw.id]; ok {
+		w.liveEst += int64(len(cw.buf)) + 32
+		if err := w.append(encodeChunk(cw.id, cw.buf)); err != nil {
+			cw.err = err
+			return err
+		}
+	}
+	cw.buf = cw.buf[:0]
+	return nil
+}
+
+func (cw *walChunkWriter) Close() error {
+	if cw.err != nil {
+		return cw.err
+	}
+	return cw.flush()
+}
 
 func (w *WAL) WitnessWriter(id string) (io.WriteCloser, error) {
 	w.mu.Lock()

@@ -67,7 +67,9 @@ func TestMemLifecycle(t *testing.T) {
 
 // TestMemStreamedWitness: streamed chunks assemble into the submitted
 // witness, and an aborted upload is never adopted — the refused submit
-// leaves nothing in the log that would stop a later replay.
+// leaves nothing in the log that would stop a later replay. A 200 KiB
+// upload written one byte at a time costs at most 4 chunk records and
+// no fsync until the submit that adopts it.
 func TestMemStreamedWitness(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, WALConfig{Dir: dir})
@@ -92,11 +94,48 @@ func TestMemStreamedWitness(t *testing.T) {
 	if err := w.Submit(JobRecord{ID: "job-2", Circuit: digestOf(2)}); err == nil {
 		t.Fatal("submit adopted discarded witness")
 	}
+	cw3, _ := w.WitnessWriter("job-3")
+	cw3.Close()
+	if err := w.Submit(JobRecord{ID: "job-3", Circuit: digestOf(2)}); err == nil {
+		t.Fatal("submit adopted an upload that logged no bytes")
+	}
+
+	big := make([]byte, 200<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	before := w.Stats()
+	cw4, _ := w.WitnessWriter("job-4")
+	for i := range big {
+		if _, err := cw4.Write(big[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mid := w.Stats()
+	if n := mid.Appends - before.Appends; n > 4 {
+		t.Fatalf("200 KiB upload took %d chunk records, want <= 4", n)
+	}
+	if mid.Syncs != before.Syncs {
+		t.Fatalf("chunk records fsynced %d times before their submit", mid.Syncs-before.Syncs)
+	}
+	if err := w.Submit(JobRecord{ID: "job-4", Circuit: digestOf(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().Syncs - mid.Syncs; got != 1 {
+		t.Fatalf("adopting submit fsynced %d times, want 1", got)
+	}
 	w.Close()
 	r := mustOpen(t, WALConfig{Dir: dir})
 	defer r.Close()
-	if st := r.State(); len(st.Pending) != 1 || st.Pending[0].ID != "job-1" {
-		t.Fatalf("replay after a refused submit: %+v", st.Pending)
+	st = r.State()
+	if len(st.Pending) != 2 || st.Pending[0].ID != "job-1" || st.Pending[1].ID != "job-4" {
+		t.Fatalf("replay after refused submits: %+v", st.Pending)
+	}
+	if !bytes.Equal(st.Pending[1].Witness, big) {
+		t.Fatal("replay assembled different bytes for the 200 KiB upload")
 	}
 }
 

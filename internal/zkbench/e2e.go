@@ -118,32 +118,47 @@ func e2eSuite(cfg suiteConfig) []benchmark {
 }
 
 // serviceSuite builds the service-level suite: proofs driven through
-// zkproverd's full HTTP path (JSON decode, queue, batch window, Engine,
-// proof serialization) against a loopback server. Two cases per problem
-// size: http_prove measures the uncached end-to-end latency (the proof
-// cache is disabled so every iteration really proves, with the steps
-// relayed from the service response), and http_prove_cached repeats one
-// identical request so the measurement isolates the service overhead
-// floor — HTTP + cache lookup, no proving.
+// zkproverd's full HTTP path (decode, queue, batch window, Engine, proof
+// serialization) against a loopback server. Four cases per problem size:
+//   - http_prove measures the uncached end-to-end latency (the proof
+//     cache is disabled so every iteration really proves, with the steps
+//     relayed from the service response);
+//   - http_prove_cached repeats one identical request so the measurement
+//     isolates the service overhead floor — HTTP + cache lookup, no
+//     proving;
+//   - http_prove_durable is http_prove on a service with a WAL store
+//     under the default fsync-every-record policy;
+//   - http_prove_stream sends the same witness as the raw body of
+//     POST /v1/prove_stream to that durable service, so the two differ
+//     only in how the witness reaches the log (CI gates the pair).
 func serviceSuite(cfg suiteConfig) []benchmark {
 	var out []benchmark
 	for _, mu := range cfg.ServiceMus {
-		for _, cached := range []bool{false, true} {
-			mu, cached := mu, cached
-			name := fmt.Sprintf("service/http_prove/mu%d", mu)
-			if cached {
-				name = fmt.Sprintf("service/http_prove_cached/mu%d", mu)
-			}
+		for _, variant := range []string{"http_prove", "http_prove_cached", "http_prove_durable", "http_prove_stream"} {
+			mu, variant := mu, variant
+			cached := variant == "http_prove_cached"
+			durable := variant == "http_prove_durable" || variant == "http_prove_stream"
+			stream := variant == "http_prove_stream"
 			var (
-				svc     *zkspeed.ProverService
-				server  *http.Server
-				baseURL string
-				reqBlob []byte
-				hc      *http.Client
-				steps   stepMeans
+				svc      *zkspeed.ProverService
+				server   *http.Server
+				storeDir string
+				baseURL  string
+				reqBlob  []byte
+				witness  []byte
+				digest   string
+				hc       *http.Client
+				steps    stepMeans
 			)
+			post := func() (*http.Response, error) {
+				if stream {
+					return hc.Post(baseURL+"/v1/prove_stream?wait=true&circuit_digest="+digest,
+						"application/octet-stream", bytes.NewReader(witness))
+				}
+				return hc.Post(baseURL+"/v1/prove", "application/json", bytes.NewReader(reqBlob))
+			}
 			iterate := func() error {
-				resp, err := hc.Post(baseURL+"/v1/prove", "application/json", bytes.NewReader(reqBlob))
+				resp, err := post()
 				if err != nil {
 					return err
 				}
@@ -165,17 +180,23 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 				return nil
 			}
 			out = append(out, benchmark{
-				Name: name,
+				Name: fmt.Sprintf("service/%s/mu%d", variant, mu),
 				Setup: func() error {
-					cacheSize := -1 // every iteration must prove
+					svcCfg := zkspeed.ServiceConfig{
+						BatchWindow: time.Millisecond,
+						CacheSize:   -1, // every iteration must prove
+					}
 					if cached {
-						cacheSize = 4
+						svcCfg.CacheSize = 4
 					}
 					var err error
-					svc, err = zkspeed.NewService(zkspeed.ServiceConfig{
-						BatchWindow: time.Millisecond,
-						CacheSize:   cacheSize,
-					}, zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
+					if durable {
+						if storeDir, err = os.MkdirTemp("", "zkbench-store-"); err != nil {
+							return err
+						}
+						svcCfg.StoreDir = storeDir
+					}
+					svc, err = zkspeed.NewService(svcCfg, zkspeed.WithEntropy(zkspeed.SeededEntropy(cfg.Seed)))
 					if err != nil {
 						return err
 					}
@@ -197,8 +218,8 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 					if err != nil {
 						return err
 					}
-					witness, err := assign.MarshalBinary()
-					if err != nil {
+					digest = info.Digest
+					if witness, err = assign.MarshalBinary(); err != nil {
 						return err
 					}
 					reqBlob, err = json.Marshal(api.ProveRequest{
@@ -211,7 +232,7 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 					if cached {
 						// One priming prove populates the cache; every
 						// timed iteration then hits it.
-						resp, err := hc.Post(baseURL+"/v1/prove", "application/json", bytes.NewReader(reqBlob))
+						resp, err := post()
 						if err != nil {
 							return err
 						}
@@ -228,6 +249,9 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 				Teardown: func() {
 					server.Close()
 					svc.Close()
+					if storeDir != "" {
+						os.RemoveAll(storeDir)
+					}
 				},
 			})
 		}

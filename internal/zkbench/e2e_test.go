@@ -78,10 +78,14 @@ func TestQuickSuiteShape(t *testing.T) {
 	if e2e < 2 {
 		t.Errorf("quick suite has %d e2e sizes, want >= 2", e2e)
 	}
-	// The service level must cover both the real HTTP prove path and the
-	// cached overhead floor.
-	if svc < 2 || !names["service/http_prove/mu8"] || !names["service/http_prove_cached/mu8"] {
-		t.Errorf("quick suite service coverage wrong: %d service benchmarks", svc)
+	// The service level must cover the real HTTP prove path, the cached
+	// overhead floor, and the durable JSON/stream pair CI's bench-gate
+	// compares.
+	for _, want := range []string{"service/http_prove/mu8", "service/http_prove_cached/mu8",
+		"service/http_prove_durable/mu8", "service/http_prove_stream/mu8"} {
+		if !names[want] {
+			t.Errorf("quick suite missing %s (%d service benchmarks)", want, svc)
+		}
 	}
 	for _, want := range []string{"msm/pippenger/", "msm/sparse-fast/", "sumcheck/rounds/", "pcs/commit/", "pcs/open/", "mle/fold/"} {
 		found := false

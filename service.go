@@ -80,9 +80,11 @@ type ServiceConfig struct {
 	// shutdown queued jobs drain to the store instead of failing. Empty
 	// keeps jobs in process memory only.
 	StoreDir string
-	// StoreSync tunes the WAL fsync policy: 0 syncs every append
-	// (safest), >0 batches syncs at that interval, <0 leaves flushing to
-	// the OS. Ignored without StoreDir.
+	// StoreSync tunes the WAL fsync policy: 0 fsyncs every acknowledged
+	// record before its call returns (safest), and a streamed witness's
+	// chunk records become durable with the submit record that adopts
+	// them; >0 batches syncs at that interval, <0 leaves flushing to the
+	// OS. Ignored without StoreDir.
 	StoreSync time.Duration
 	// TenantsFile, when non-empty, is a JSON tenants file ({"tenants":
 	// [{"id", "key", quotas...}]}) enabling API-key authentication,
