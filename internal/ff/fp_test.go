@@ -130,6 +130,27 @@ func BenchmarkFpMul(b *testing.B) {
 	}
 }
 
+// TestFpInverseBEEAAllocs: the binary GCD allocates nothing — it is
+// the shared inversion of every batch-affine MSM batch — and agrees with
+// the Fermat ladder on the edge inputs (0, 1, p−1, R, R², 2^380−1, and
+// the element whose Montgomery limbs are 1) and on random ones.
+func TestFpInverseBEEAAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	var rr Fp
+	r := new(big.Int).Lsh(big.NewInt(1), 384)
+	rr.SetBigInt(r.Mul(r, r))
+	cases := append(fpEdgeCases(), rr, Fp{1}, randFp(rng), randFp(rng))
+	for i, a := range cases {
+		var got, want Fp
+		if allocs := testing.AllocsPerRun(10, func() { got.InverseBEEA(&a) }); allocs != 0 {
+			t.Fatalf("case %d: InverseBEEA allocates %.0f objects", i, allocs)
+		}
+		if want.Inverse(&a); !got.Equal(&want) {
+			t.Fatalf("case %d: InverseBEEA(%s) = %s, want %s", i, a.String(), got.String(), want.String())
+		}
+	}
+}
+
 // TestFpBatchInverse: matches per-element Inverse on mixed inputs (zeros
 // included), in the aliasing, non-aliasing and scratch-provided shapes.
 func TestFpBatchInverse(t *testing.T) {

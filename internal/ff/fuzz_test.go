@@ -97,6 +97,17 @@ func FuzzFrSetCanonicalBytes(f *testing.F) {
 func FuzzFpArith(f *testing.F) {
 	f.Add(make([]byte, 96))
 	f.Add(bytes.Repeat([]byte{0xff}, 96))
+	// The inversion's edge inputs as a: 1, p−1, and the Montgomery
+	// constants R and R² (whose limbs are 1 and R³ mod p).
+	r := new(big.Int).Lsh(big.NewInt(1), 384)
+	for _, v := range []*big.Int{
+		big.NewInt(1),
+		new(big.Int).Sub(fpModulus, big.NewInt(1)),
+		new(big.Int).Mod(r, fpModulus),
+		new(big.Int).Mod(new(big.Int).Mul(r, r), fpModulus),
+	} {
+		f.Add(append(v.FillBytes(make([]byte, 48)), make([]byte, 48)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 96 {
 			return
@@ -128,5 +139,10 @@ func FuzzFpArith(f *testing.F) {
 			wantInv.ModInverse(aBig, fpModulus)
 		}
 		check("inverse", z.Inverse(&a), wantInv)
+		var fermat Fp
+		fermat.Inverse(&a)
+		if check("inverse-beea", z.InverseBEEA(&a), wantInv); !z.Equal(&fermat) {
+			t.Fatalf("InverseBEEA(%s) = %s, Fermat Inverse %s", aBig, z.BigInt(), fermat.BigInt())
+		}
 	})
 }

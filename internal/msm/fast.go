@@ -1,7 +1,10 @@
 package msm
 
 import (
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
@@ -9,25 +12,38 @@ import (
 
 // The bucket MSM routes: signed-digit windows, GLV splitting (or, for
 // narrow scalars, none) and batch-affine bucket accumulation and
-// aggregation, scheduled so no goroutine idles.
+// aggregation, with the buckets of every job of an MSMs call in one
+// schedule so no goroutine idles and no inversion is shared by a handful
+// of updates.
 //
 // Pipeline:
 //
-//  1. Split every scalar through the GLV endomorphism (ff.GLVSplit) and
-//     recode both half-scalars into carry-corrected signed window digits
-//     in [-2^(c-1), 2^(c-1)) — signedWindows(128, c) of them, no idle
-//     carry window; a negative digit adds the negated point, so only
-//     2^(c-1) buckets per window are needed. The narrow route recodes
-//     each scalar whole into signedWindows(bits, c) digits instead.
-//  2. Accumulate buckets per task (scheduleWindows: whole windows, plus
-//     point chunks of the windows left over after the last full round) —
-//     affine adds under Montgomery batch inversion (see affineAcc), or
-//     Jacobian mixed adds for a chunk below minBatchAffinePoints.
-//  3. Aggregate each task's buckets (Σ (i+1)·B_i, serial or grouped per
-//     opt.Aggregation; grouped over affine buckets advances the groups in
-//     lockstep under shared inversions, aggregateGroupedAffine), merge
-//     chunk partials per window in task order (deterministic), and
-//     Horner-combine the window sums.
+//  1. Each job's dense scalars become a plan: every scalar is split
+//     through the GLV endomorphism (ff.GLVSplit) and both half-scalars
+//     recoded into carry-corrected signed window digits in
+//     [-2^(c-1), 2^(c-1)) — signedWindows(128, c) of them, no idle carry
+//     window; a negative digit adds the negated point, so only 2^(c-1)
+//     buckets per window are needed. The narrow route recodes each scalar
+//     whole into signedWindows(bits, c) digits instead.
+//  2. schedule turns the plans into tasks. A plan with at least
+//     minWindowTaskBuckets buckets a window (c ≥ 11 at the default
+//     widths: 2^12 effective points and up) runs each window as a task of
+//     its own, the windows left over after the last full round of
+//     goroutines cut into point chunks (scheduleWindows). The windows of
+//     every smaller plan are blocks: whole (plan, window) bucket sets,
+//     dealt to at most Procs block tasks balanced by update count. A
+//     task's blocks sit side by side in one bucket array.
+//  3. Each task accumulates its pieces in affine coordinates under
+//     Montgomery batch inversion (affineAcc), point by point across the
+//     windows of a plan, in passes of at most maxPassBuckets buckets. A
+//     block task's batches fill to batchAddSize distinct buckets across
+//     its blocks, whatever 2^(c-1) is.
+//  4. Each pass aggregates all its pieces at once: Σ (i+1)·B_i per piece,
+//     the groups of every piece advanced in lockstep under shared
+//     inversions (aggregateGroupedAffine) once the pass holds
+//     minLockstepGroups groups, Jacobian running sums below. Chunk
+//     partials merge per window in piece order (deterministic), and each
+//     plan's window sums are Horner-combined into its job's result.
 //
 // Per effective point (2n of them) and window, a bucket update costs ~6
 // field multiplications — 3 of the batch inversion, the slope, its square
@@ -42,16 +58,23 @@ const minChunkPoints = 2048
 // how many bucket updates share one field inversion.
 const batchAddSize = 512
 
-// minBatchAffinePoints is the smallest chunk (in effective points: 2n
-// after the GLV split, n on the narrow route) that accumulates its buckets
-// in affine coordinates. Every window of a chunk pays at least one shared
-// inversion (~10 mixed additions) to save about half a mixed addition per
-// point, so small inputs — a verifier's (μ+2)-term combination, the tail
-// of an opening chain — are faster on Jacobian buckets: measured serially
-// at the default window, 1.4 against 3.4 ms for n = 18 and 5.3 against
-// 6.0 ms for n = 128; from n = 512 (12.6 against 14.9 ms) affine buckets
-// win.
-const minBatchAffinePoints = 256
+// minWindowTaskBuckets is the smallest bucket count a window that runs as
+// a task of its own: from here one window fills whole batches of
+// batchAddSize distinct buckets by itself. Windows of fewer buckets are
+// blocks that share their task's batches with the task's other blocks.
+const minWindowTaskBuckets = 512
+
+// minBlockTaskUpdates is the smallest update count worth a block task of
+// its own: every task pays its own aggregation (one inversion per
+// lockstep step) and goroutine, which a few hundred updates do not repay.
+const minBlockTaskUpdates = 2 * batchAddSize
+
+// maxPassBuckets bounds the buckets a block task holds at once: its
+// blocks are accumulated and aggregated in passes of at most this many,
+// which keeps a worker's scratch near a window task's (a pass costs one
+// more lockstep aggregation, ~16 shared inversions). Two batches' worth
+// still fills every batch with distinct buckets.
+const maxPassBuckets = 2 * batchAddSize
 
 // signedWindows returns the number of signed base-2^c digits a magnitude
 // below 2^bits needs: the smallest nw with c·nw ≥ bits+2. The recoder
@@ -123,8 +146,27 @@ func signedDigits(words []uint64, c, nw int, neg bool, out []int16, stride int) 
 // 11 windows, one of them cut in halves. c=15 (9 windows) takes over
 // once per-point work outweighs the cut window's extra aggregation; c is
 // at most 15 because digits are int16.
+//
+// Below 2^12 effective points the windows are blocks (see schedule).
+// Under them the widths below 2^4 and from 2^10 effective points came
+// out one narrower than before (c=3 against 4: 267 against 301 µs at
+// n = 1; c=8 against 9: 6.6 against 7.0 ms at n = 512; medians of 21).
+// One MSM then costs, in µs per point of random full-width input on
+// 2 goroutines (Intel Xeon, 2 vCPUs, Go 1.24; median of 3 runs of 15),
+// before block tasks and after:
+//
+//	n       1    2    4   8  16  32  64 128 256 512 1024 2048 4096
+//	before  545  298  181 96 65  44  33  34  22  17  15   11   9.8
+//	after   340  186  126 84 62  36  28  20  16  12  11   10   8.8
+//
+// The jobs of one MSMs call share their blocks' batches, passes and
+// goroutines: the ten MSMs of a μ = 10 opening chain (2^9 … 1 points)
+// take ≈ 16 ms in one call, 15.6 µs per point, against 18.5–20 ms one
+// call each and 25.5 ms before.
 func DefaultWindowFast(pts int) int {
 	switch {
+	case pts < 1<<4:
+		return 3
 	case pts < 1<<7:
 		return 4
 	case pts < 1<<9:
@@ -132,7 +174,7 @@ func DefaultWindowFast(pts int) int {
 	case pts < 1<<10:
 		return 7
 	case pts < 1<<12:
-		return 9
+		return 8
 	case pts < 1<<15:
 		return 11
 	case pts < 1<<18:
@@ -142,9 +184,27 @@ func DefaultWindowFast(pts int) int {
 	}
 }
 
-// msmFast computes the MSM with signed windows over the GLV split of every
-// scalar: 2n effective points of half-length scalars.
-func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
+// plan is the bucket MSM of one job's dense scalars: the effective points
+// lo ++ hi and their window-major signed digits — digits[w*nPts+j] is
+// window w of effective point j, so each window reads its digits as one
+// run.
+type plan struct {
+	job    int
+	lo, hi []curve.G1Affine
+	digits []int16
+	c, nw  int
+}
+
+func (p *plan) nPts() int    { return len(p.lo) + len(p.hi) }
+func (p *plan) buckets() int { return 1 << (p.c - 1) }
+
+// minParallelRecode is the smallest plan whose recoding is spread over
+// goroutines.
+const minParallelRecode = 256
+
+// glvPlan recodes a dense job with signed windows over the GLV split of
+// every scalar: 2n effective points of half-length scalars.
+func glvPlan(job int, points []curve.G1Affine, scalars []ff.Fr, opt Options) plan {
 	n := len(points)
 	nPts := 2 * n
 	c := clampWindow(opt.Window, DefaultWindowFast(nPts))
@@ -154,7 +214,7 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 	// carrying the k₁ and the k₂ halves of the scalars.
 	phis := make([]curve.G1Affine, n)
 	digits := make([]int16, nw*nPts)
-	parallelFor(n, opt.procs(), func(lo, hi int) {
+	parallelFor(n, recodeProcs(n, opt), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k1, k2 := ff.GLVSplit(&scalars[i])
 			phis[i].Phi(&points[i])
@@ -162,10 +222,10 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 			signedDigits(k2.W[:], c, nw, k2.Neg, digits[n+i:], nPts)
 		}
 	})
-	return bucketSum(points, phis, digits, c, nw, opt)
+	return plan{job: job, lo: points, hi: phis, digits: digits, c: c, nw: nw}
 }
 
-// msmNarrow computes the MSM of scalars below 2^bits, bits ≤ ff.GLVBits,
+// narrowPlan recodes a job of scalars below 2^bits, bits ≤ ff.GLVBits,
 // with signed windows over the n points themselves: no GLV split, no
 // φ(P), and signedWindows(bits, c) windows instead of
 // signedWindows(ff.GLVBits, c) over twice the points.
@@ -197,18 +257,26 @@ func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac 
 // The GLV path already skips a narrow scalar's zero digits; what the
 // narrow path saves is the split, φ(P), the digit scan of the empty half
 // and the aggregation of empty windows.
-func msmNarrow(points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) curve.G1Jac {
+func narrowPlan(job int, points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) plan {
 	n := len(points)
 	c := clampWindow(opt.Window, DefaultWindowFast(n))
 	nw := signedWindows(bits, c)
 	digits := make([]int16, nw*n)
-	parallelFor(n, opt.procs(), func(lo, hi int) {
+	parallelFor(n, recodeProcs(n, opt), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			w := scalars[i].CanonicalLimbs()
 			signedDigits(w[:], c, nw, false, digits[i:], n)
 		}
 	})
-	return bucketSum(points, nil, digits, c, nw, opt)
+	return plan{job: job, lo: points, digits: digits, c: c, nw: nw}
+}
+
+// recodeProcs is the goroutine budget for recoding n scalars.
+func recodeProcs(n int, opt Options) int {
+	if n < minParallelRecode {
+		return 1
+	}
+	return opt.procs()
 }
 
 // clampWindow returns w, or def when w is not set, within the widths the
@@ -221,74 +289,133 @@ func clampWindow(w, def int) int {
 	return min(max(w, 2), 15)
 }
 
-// bucketSum accumulates and aggregates the window buckets of the
-// effective points lo ++ hi, whose digits are window-major —
-// digits[w*nPts+j] is window w of effective point j, so each window task
-// reads its digits as one run — and Horner-combines the window sums.
-func bucketSum(lo, hi []curve.G1Affine, digits []int16, c, nw int, opt Options) curve.G1Jac {
-	n := len(lo)
-	nPts := n + len(hi)
+// bucketSums accumulates and aggregates the buckets of every plan in one
+// schedule and adds each plan's Horner-combined window sums to
+// out[plan.job]. Workers take tasks in schedule order and keep their
+// accumulators from task to task.
+func bucketSums(plans []plan, out []curve.G1Jac, opt Options) {
 	procs := opt.procs()
-	tasks := scheduleWindows(nw, nPts, procs)
-	partials := make([]curve.G1Jac, len(tasks))
-	run := func(k int) {
-		t := tasks[k]
-		wd := digits[t.w*nPts : (t.w+1)*nPts]
-		var acc bucketAcc
-		if t.hi-t.lo >= minBatchAffinePoints {
-			acc = newAffineAcc(1 << uint(c-1))
-		} else {
-			acc = make(jacAcc, 1<<uint(c-1))
+	pieces, ends := schedule(plans, procs)
+	partials := make([]curve.G1Jac, len(pieces))
+	var next atomic.Int32
+	work := func() {
+		s := new(taskScratch)
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(ends) {
+				return
+			}
+			lo := 0
+			if k > 0 {
+				lo = ends[k-1]
+			}
+			s.run(plans, pieces[lo:ends[k]], partials[lo:ends[k]])
 		}
-		if t.lo < n {
-			end := min(t.hi, n)
-			acc.addAll(lo[t.lo:end], wd[t.lo:end])
-		}
-		if t.hi > n {
-			start := max(t.lo, n)
-			acc.addAll(hi[start-n:t.hi-n], wd[start:t.hi])
-		}
-		partials[k] = acc.aggregate(opt.Aggregation)
 	}
-	if procs > 1 && len(tasks) > 1 {
+	if workers := min(procs, len(ends)); workers > 1 {
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, procs)
-		for k := range tasks {
+		for range workers {
 			wg.Add(1)
-			sem <- struct{}{}
-			go func(k int) {
+			go func() {
 				defer wg.Done()
-				run(k)
-				<-sem
-			}(k)
+				work()
+			}()
 		}
 		wg.Wait()
 	} else {
-		for k := range tasks {
-			run(k)
-		}
+		work()
 	}
 
-	// Merge chunk partials per window (task order — deterministic), then
-	// Horner-combine the window sums.
-	windowSums := make([]curve.G1Jac, nw)
-	for k, t := range tasks {
-		windowSums[t.w].Add(&windowSums[t.w], &partials[k])
+	// Merge chunk partials per window in piece order (deterministic),
+	// then Horner-combine each plan's window sums.
+	off := make([]int, len(plans)+1)
+	for i := range plans {
+		off[i+1] = off[i] + plans[i].nw
 	}
-	var out curve.G1Jac
-	return hornerCombine(windowSums, c, &out)
+	windowSums := make([]curve.G1Jac, off[len(plans)])
+	for i, pc := range pieces {
+		ws := &windowSums[off[pc.p]+pc.w]
+		ws.Add(ws, &partials[i])
+	}
+	for i := range plans {
+		var sum curve.G1Jac
+		hornerCombine(windowSums[off[i]:off[i+1]], plans[i].c, &sum)
+		o := &out[plans[i].job]
+		o.Add(o, &sum)
+	}
 }
 
-// windowTask is the bucket accumulation of window w over the effective
-// points [lo, hi).
+// piece is the bucket accumulation of window w of plan p over the
+// effective points [lo, hi).
+type piece struct{ p, w, lo, hi int }
+
+// windowTask is window w over effective points [lo, hi), as
+// scheduleWindows lays out the windows of one plan.
 type windowTask struct{ w, lo, hi int }
 
-// scheduleWindows lays out the accumulation tasks for procs goroutines:
-// one whole window per task while the windows fill every goroutine, and
-// the nw mod procs windows left over each cut into point chunks so the
-// last round keeps every goroutine busy too. A chunk costs a bucket
-// aggregation of its own, so nothing is cut when procs is 1, when procs
-// divides nw, or below minChunkPoints points a chunk.
+// schedule lays out the tasks of one bucketSums call: task k is
+// pieces[ends[k-1]:ends[k]]. Window tasks come first, one piece each, in
+// plan order; then the block tasks, each a set of whole windows of plans
+// with fewer than minWindowTaskBuckets buckets, dealt largest first to
+// the least loaded of T tasks, so their update counts differ by at most
+// one block. T is at most procs and gives each task minBlockTaskUpdates.
+func schedule(plans []plan, procs int) (pieces []piece, ends []int) {
+	var blocks []piece
+	total := 0
+	for p := range plans {
+		pl := &plans[p]
+		if pl.buckets() < minWindowTaskBuckets {
+			for w := 0; w < pl.nw; w++ {
+				blocks = append(blocks, piece{p, w, 0, pl.nPts()})
+			}
+			total += pl.nw * pl.nPts()
+			continue
+		}
+		for _, t := range scheduleWindows(pl.nw, pl.nPts(), procs) {
+			pieces = append(pieces, piece{p, t.w, t.lo, t.hi})
+			ends = append(ends, len(pieces))
+		}
+	}
+	if len(blocks) == 0 {
+		return pieces, ends
+	}
+	nt := min(procs, len(blocks), max(1, total/minBlockTaskUpdates))
+	load := make([]int, nt)
+	owner := make([]int, len(blocks))
+	order := make([]int, len(blocks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(blocks[b].hi, blocks[a].hi)
+	})
+	for _, i := range order {
+		t := 0
+		for u := range load {
+			if load[u] < load[t] {
+				t = u
+			}
+		}
+		owner[i] = t
+		load[t] += blocks[i].hi
+	}
+	for t := range nt {
+		for i, b := range blocks {
+			if owner[i] == t {
+				pieces = append(pieces, b)
+			}
+		}
+		ends = append(ends, len(pieces))
+	}
+	return pieces, ends
+}
+
+// scheduleWindows lays out the window tasks of one plan for procs
+// goroutines: one whole window per task while the windows fill every
+// goroutine, and the nw mod procs windows left over each cut into point
+// chunks so the last round keeps every goroutine busy too. A chunk costs
+// a bucket aggregation of its own, so nothing is cut when procs is 1,
+// when procs divides nw, or below minChunkPoints points a chunk.
 func scheduleWindows(nw, nPts, procs int) []windowTask {
 	whole, chunks := nw, 1
 	if r := nw % procs; procs > 1 && r != 0 {
@@ -316,53 +443,78 @@ func gcd(a, b int) int {
 	return a
 }
 
-// bucketAcc collects the bucket updates of one window task: digit d of
-// point P adds P to bucket d-1, or −P to bucket −d-1 when d < 0.
-type bucketAcc interface {
-	addAll(pts []curve.G1Affine, digits []int16)
-	// aggregate returns Σ (i+1)·B_i over the buckets.
-	aggregate(agg Aggregation) curve.G1Jac
+// taskScratch is one worker's accumulator and aggregation scratch, kept
+// from task to task and grown to the largest task it runs.
+type taskScratch struct {
+	acc   affineAcc
+	agg   aggScratch
+	sizes []int
+	bases []int32
 }
 
-// jacAcc is the bucket set of a small task: Jacobian mixed additions.
-type jacAcc []curve.G1Jac
+// run accumulates and aggregates the pieces of one task, writing each
+// piece's Σ (i+1)·B_i to partials.
+func (s *taskScratch) run(plans []plan, pieces []piece, partials []curve.G1Jac) {
+	for len(pieces) > 0 {
+		k, nb := 1, plans[pieces[0].p].buckets()
+		for k < len(pieces) && nb+plans[pieces[k].p].buckets() <= maxPassBuckets {
+			nb += plans[pieces[k].p].buckets()
+			k++
+		}
+		s.pass(plans, pieces[:k], partials[:k])
+		pieces, partials = pieces[k:], partials[k:]
+	}
+}
 
-func (b jacAcc) addAll(pts []curve.G1Affine, digits []int16) {
-	for i, d := range digits {
-		switch {
-		case d > 0:
-			b[d-1].AddMixed(&pts[i])
-		case d < 0:
-			var np curve.G1Affine
-			np.Neg(&pts[i])
-			b[-d-1].AddMixed(&np)
+// pass accumulates pieces side by side in one affine bucket array and
+// aggregates them in one lockstep pass.
+func (s *taskScratch) pass(plans []plan, pieces []piece, partials []curve.G1Jac) {
+	s.sizes, s.bases = s.sizes[:0], s.bases[:0]
+	nb := 0
+	for _, pc := range pieces {
+		s.sizes = append(s.sizes, plans[pc.p].buckets())
+		s.bases = append(s.bases, int32(nb))
+		nb += plans[pc.p].buckets()
+	}
+	s.acc.reset(nb)
+	for i := 0; i < len(pieces); {
+		j := i + 1
+		for j < len(pieces) && pieces[j].p == pieces[i].p {
+			j++
+		}
+		plans[pieces[i].p].addRun(pieces[i:j], s.bases[i:j], &s.acc)
+		i = j
+	}
+	s.agg.aggregate(s.acc.finish(), s.sizes, partials)
+}
+
+// addRun stages the updates of pieces of plan p that cover the same
+// effective points (one chunk, or whole windows), point by point: a
+// point's digits in the run's windows go to different blocks, so a batch
+// fills with distinct buckets rather than parking the collisions of one
+// window of few buckets on the conflict queue. Digit d of point P adds P
+// to bucket base+d-1 of its piece, or −P to bucket base−d−1 when d < 0.
+func (p *plan) addRun(pieces []piece, bases []int32, acc *affineAcc) {
+	n, nPts := len(p.lo), p.nPts()
+	for e := pieces[0].lo; e < pieces[0].hi; e++ {
+		pt := p.pointAt(e, n)
+		for k, pc := range pieces {
+			switch d := p.digits[pc.w*nPts+e]; {
+			case d > 0:
+				acc.add(bases[k]+int32(d-1), pt, false)
+			case d < 0:
+				acc.add(bases[k]+int32(-d-1), pt, true)
+			}
 		}
 	}
 }
 
-func (b jacAcc) aggregate(agg Aggregation) curve.G1Jac { return aggregateBuckets(b, agg) }
-
-func (a *affineAcc) addAll(pts []curve.G1Affine, digits []int16) {
-	for i, d := range digits {
-		switch {
-		case d > 0:
-			a.add(int32(d-1), &pts[i], false)
-		case d < 0:
-			a.add(int32(-d-1), &pts[i], true)
-		}
+// pointAt returns effective point e: lo[e], or hi[e−n] past lo's n.
+func (p *plan) pointAt(e, n int) *curve.G1Affine {
+	if e < n {
+		return &p.lo[e]
 	}
-}
-
-func (a *affineAcc) aggregate(agg Aggregation) curve.G1Jac {
-	buckets := a.finish()
-	if agg == AggregateGrouped && len(buckets) >= minLockstepGroups*GroupSize {
-		return aggregateGroupedAffine(buckets, GroupSize)
-	}
-	jb := make([]curve.G1Jac, len(buckets))
-	for i := range jb {
-		jb[i].FromAffine(&buckets[i])
-	}
-	return aggregateBuckets(jb, agg)
+	return &p.hi[e-n]
 }
 
 // minLockstepGroups is the smallest group count aggregateGroupedAffine
@@ -373,50 +525,118 @@ func (a *affineAcc) aggregate(agg Aggregation) curve.G1Jac {
 // 8 groups (c = 8) gained nothing measurable.
 const minLockstepGroups = 16
 
-// aggregateGroupedAffine is aggregateGrouped over affine buckets with the
-// groups advanced in lockstep. Step s adds the s-th bucket from the top
-// of every group to the group's running sum, and the running sum as it
-// stood before the step to the group's weighted sum: 2G independent
-// affine additions sharing one inversion — the software shape of the
-// pipelined group units of §4.2.2 — where the serial running sum pays two
-// Jacobian additions per bucket. Reading the running sum before its update
-// leaves each weighted sum one group sum short, added at the end.
-// len(buckets) must be a multiple of g.
-func aggregateGroupedAffine(buckets []curve.G1Affine, g int) curve.G1Jac {
-	G := len(buckets) / g
-	acc := make([]curve.G1Affine, 2*G) // running sums, then weighted sums
-	adds := make([]curve.G1Affine, 2*G)
-	idx := make([]int32, 2*G)
-	denoms := make([]ff.Fp, 2*G)
-	scratch := make([]ff.Fp, 2*G)
-	for i := range acc {
-		acc[i] = curve.G1Infinity()
+// aggScratch is the reusable scratch of aggregateGroupedAffine.
+type aggScratch struct {
+	acc, adds              []curve.G1Affine
+	idx                    []int32
+	denoms, scratch        []ff.Fp
+	groupSum, groupWeights []curve.G1Jac
+	jac                    []curve.G1Jac
+}
+
+// aggregate sets sums[k] = Σ_i (i+1)·B_i over the k-th block of buckets,
+// the blocks lying back to back with sizes[k] buckets each (a power of
+// two): in lockstep when the blocks hold minLockstepGroups groups of
+// GroupSize (or fewer, the whole block) buckets, else on Jacobian
+// running sums block by block.
+func (s *aggScratch) aggregate(buckets []curve.G1Affine, sizes []int, sums []curve.G1Jac) {
+	groups := 0
+	for _, nb := range sizes {
+		groups += nb / min(GroupSize, nb)
 	}
-	for s := g - 1; s >= 0; s-- {
+	if groups >= minLockstepGroups {
+		s.aggregateGroupedAffine(buckets, sizes, sums)
+		return
+	}
+	for k, nb := range sizes {
+		s.jac = slices.Grow(s.jac[:0], nb)[:nb]
+		for i := range s.jac {
+			s.jac[i].FromAffine(&buckets[i])
+		}
+		sums[k] = aggregateGrouped(s.jac, GroupSize)
+		buckets = buckets[nb:]
+	}
+}
+
+// aggregateGroupedAffine is aggregateGrouped over affine buckets with the
+// groups of every block advanced in lockstep. A block of nb buckets has
+// groups of g = min(GroupSize, nb). Step s adds the s-th bucket from the
+// bottom of every group longer than s to the group's running sum, and
+// the running sum as it stood before the step to the group's weighted
+// sum: up to 2G independent affine additions sharing one inversion — the
+// software shape of the pipelined group units of §4.2.2 — where the
+// serial running sum pays two Jacobian additions per bucket. Reading the
+// running sum before its update leaves each weighted sum one group sum
+// short, added at the end.
+func (s *aggScratch) aggregateGroupedAffine(buckets []curve.G1Affine, sizes []int, sums []curve.G1Jac) {
+	G := 0
+	for _, nb := range sizes {
+		G += nb / min(GroupSize, nb)
+	}
+	s.acc = slices.Grow(s.acc[:0], 2*G)[:2*G] // running sums, then weighted sums
+	s.adds = slices.Grow(s.adds[:0], 2*G)[:2*G]
+	s.idx = slices.Grow(s.idx[:0], 2*G)[:2*G]
+	s.denoms = slices.Grow(s.denoms[:0], 2*G)[:2*G]
+	s.scratch = slices.Grow(s.scratch[:0], 2*G)[:2*G]
+	for i := range s.acc {
+		s.acc[i] = curve.G1Infinity()
+	}
+	top := min(GroupSize, slices.Max(sizes))
+	for st := top - 1; st >= 0; st-- {
 		// Only additions of a finite point are staged, so empty buckets —
 		// every bucket of a window that structured scalars never reach —
 		// cost no share of the batch.
-		m := 0
-		for k := 0; k < G; k++ {
-			if b := &buckets[k*g+s]; !b.Inf {
-				idx[m], adds[m] = int32(k), *b
-				m++
+		m, k, base := 0, 0, 0
+		for _, nb := range sizes {
+			g := min(GroupSize, nb)
+			if st < g {
+				for gb := base; gb < base+nb; gb += g {
+					if b := &buckets[gb+st]; !b.Inf {
+						s.idx[m] = int32(k)
+						setPoint(&s.adds[m], b, false)
+						m++
+					}
+					if !s.acc[k].Inf {
+						s.idx[m] = int32(G + k)
+						setPoint(&s.adds[m], &s.acc[k], false)
+						m++
+					}
+					k++
+				}
+			} else {
+				k += nb / g
 			}
-			if !acc[k].Inf {
-				idx[m], adds[m] = int32(G+k), acc[k]
-				m++
-			}
+			base += nb
 		}
-		curve.BatchAddMixed(acc, idx[:m], adds[:m], denoms, scratch)
+		curve.BatchAddMixed(s.acc, s.idx[:m], s.adds[:m], s.denoms, s.scratch)
 	}
-	groupSum := make([]curve.G1Jac, G)
-	groupWeighted := make([]curve.G1Jac, G)
+	s.groupSum = slices.Grow(s.groupSum[:0], G)[:G]
+	s.groupWeights = slices.Grow(s.groupWeights[:0], G)[:G]
 	for k := 0; k < G; k++ {
-		groupSum[k].FromAffine(&acc[k])
-		groupWeighted[k].FromAffine(&acc[G+k])
-		groupWeighted[k].AddMixed(&acc[k])
+		s.groupSum[k].FromAffine(&s.acc[k])
+		s.groupWeights[k].FromAffine(&s.acc[G+k])
+		s.groupWeights[k].AddMixed(&s.acc[k])
 	}
-	return combineGroups(groupSum, groupWeighted, g)
+	k := 0
+	for i, nb := range sizes {
+		g := min(GroupSize, nb)
+		ng := nb / g
+		sums[i] = combineGroups(s.groupSum[k:k+ng], s.groupWeights[k:k+ng], g)
+		k += ng
+	}
+}
+
+// setPoint sets dst to src, or to −src when neg, field by field: a whole
+// G1Affine is 104 bytes, which the compiler copies through
+// runtime.duffcopy, and a negated point need not be copied first.
+func setPoint(dst, src *curve.G1Affine, neg bool) {
+	dst.X = src.X
+	if neg {
+		dst.Y.Neg(&src.Y)
+	} else {
+		dst.Y = src.Y
+	}
+	dst.Inf = src.Inf
 }
 
 // affineAcc stages bucket updates for curve.BatchAddMixed, which needs
@@ -426,7 +646,8 @@ func aggregateGroupedAffine(buckets []curve.G1Affine, g int) curve.G1Jac {
 // bucket to each other in pairs, all inside the same shared inversions,
 // so m points colliding on one bucket reduce as a tree — m additions in
 // ~m/batch inversions — instead of one single-addition batch each. That
-// is the shape of a selector commitment, whose scalars are all equal.
+// is the shape of a selector commitment, whose scalars are all equal, and
+// of a block of few buckets, whose points outnumber them.
 type affineAcc struct {
 	// slots holds the nb buckets, then one scratch slot per pair sum of
 	// the current batch: adding a pair is a BatchAddMixed update of a
@@ -440,10 +661,13 @@ type affineAcc struct {
 	denoms  []ff.Fp
 	scratch []ff.Fp
 	batch   int
-	// Conflict queue, double-buffered so a pass can queue for the next
-	// one without aliasing the slice it reads.
-	qIdx, qIdxAlt []int32
-	qPts, qPtsAlt []curve.G1Affine
+	// The conflict queue parks updates by reference: an input point, or
+	// a pair sum copied out of its slot into sums. Both are
+	// double-buffered so a pass can queue for the next one without
+	// aliasing what it reads; a parked pair sum outlives its buffer only
+	// by being copied into the next.
+	queue, queueAlt []parked
+	sums, sumsAlt   []curve.G1Affine
 	// mate[b] is the queue position of a point of bucket b waiting for
 	// its pair during a pass, or -1.
 	mate []int32
@@ -451,64 +675,70 @@ type affineAcc struct {
 	inversions int
 }
 
+// parked is a queued update: bucket b gains *pt, or −*pt when neg; sum
+// marks a pair sum, which lives in sums rather than in the input.
+type parked struct {
+	pt       *curve.G1Affine
+	b        int32
+	neg, sum bool
+}
+
 func newAffineAcc(nb int) *affineAcc {
-	batch := batchAddSize
-	if batch > nb {
-		// A batch of plain updates can hold at most one per bucket; a
-		// larger threshold would only grow the conflict queue.
-		batch = nb
-	}
-	a := &affineAcc{
-		slots:   make([]curve.G1Affine, nb+batch),
-		nb:      nb,
-		pending: make([]bool, nb),
-		idx:     make([]int32, 0, batch),
-		adds:    make([]curve.G1Affine, 0, batch),
-		pairs:   make([]int32, 0, batch),
-		denoms:  make([]ff.Fp, batch),
-		scratch: make([]ff.Fp, batch),
-		batch:   batch,
-		mate:    make([]int32, nb),
-	}
-	for i := 0; i < nb; i++ {
-		a.slots[i] = curve.G1Infinity()
-		a.mate[i] = -1
-	}
+	a := &affineAcc{}
+	a.reset(nb)
 	return a
 }
 
-// add stages p (negated when neg) for addition into bucket b. The point
-// is copied once, to wherever it waits, and negated there; an empty
-// bucket that nothing is staged for takes it without a batch slot.
+// reset empties the accumulator for nb buckets, growing its buffers
+// only past the largest size it has held.
+func (a *affineAcc) reset(nb int) {
+	// A batch of plain updates can hold at most one per bucket; a larger
+	// threshold would only grow the conflict queue.
+	batch := min(batchAddSize, nb)
+	a.slots = slices.Grow(a.slots[:0], nb+batch)[:nb+batch]
+	a.pending = slices.Grow(a.pending[:0], nb)[:nb]
+	a.mate = slices.Grow(a.mate[:0], nb)[:nb]
+	a.idx = slices.Grow(a.idx[:0], batch)
+	a.adds = slices.Grow(a.adds[:0], batch)
+	a.pairs = slices.Grow(a.pairs[:0], batch)
+	a.denoms = slices.Grow(a.denoms[:0], batch)[:batch]
+	a.scratch = slices.Grow(a.scratch[:0], batch)[:batch]
+	a.queue, a.sums = a.queue[:0], a.sums[:0]
+	a.nb, a.batch, a.inversions = nb, batch, 0
+	for i := 0; i < nb; i++ {
+		a.slots[i].Inf = true
+		a.pending[i] = false
+		a.mate[i] = -1
+	}
+}
+
+// add stages p (negated when neg) for addition into bucket b: into an
+// empty bucket that nothing is staged for directly, without a batch
+// slot; into the batch when the bucket is free; onto the conflict queue,
+// by reference, when it is not.
 func (a *affineAcc) add(b int32, p *curve.G1Affine, neg bool) {
-	var dst *curve.G1Affine
 	switch {
 	case a.pending[b]:
-		a.qIdx = append(a.qIdx, b)
-		a.qPts = append(a.qPts, *p)
-		dst = &a.qPts[len(a.qPts)-1]
+		a.queue = append(a.queue, parked{p, b, neg, false})
 	case a.slots[b].Inf:
-		a.slots[b] = *p
-		dst = &a.slots[b]
+		setPoint(&a.slots[b], p, neg)
 	default:
-		a.stage(b, p)
-		dst = &a.adds[len(a.adds)-1]
-	}
-	if neg {
-		dst.Y.Neg(&dst.Y)
+		a.stage(b, p, neg)
 	}
 	if len(a.idx) >= a.batch {
 		a.runBatch() // batch full of distinct targets — best amortization
-	} else if len(a.qIdx) >= 2*a.batch {
+	} else if len(a.queue) >= 2*a.batch {
 		a.reduceQueue() // enough parked points to fill a batch with pair sums
 	}
 }
 
-// stage puts the update of bucket b by pt into the current batch.
-func (a *affineAcc) stage(b int32, pt *curve.G1Affine) {
+// stage puts the update of bucket b by pt (negated when neg) into the
+// current batch.
+func (a *affineAcc) stage(b int32, pt *curve.G1Affine, neg bool) {
 	a.pending[b] = true
 	a.idx = append(a.idx, b)
-	a.adds = append(a.adds, *pt)
+	a.adds = a.adds[:len(a.adds)+1]
+	setPoint(&a.adds[len(a.adds)-1], pt, neg)
 }
 
 // runBatch applies and clears the current batch; its pair sums join the
@@ -526,13 +756,22 @@ func (a *affineAcc) runBatch() {
 	}
 	for j, b := range a.pairs {
 		if sum := &a.slots[a.nb+j]; !sum.Inf {
-			a.qIdx = append(a.qIdx, b)
-			a.qPts = append(a.qPts, *sum)
+			a.queue = append(a.queue, parked{a.keep(sum), b, false, true})
 		}
 	}
 	a.idx = a.idx[:0]
 	a.adds = a.adds[:0]
 	a.pairs = a.pairs[:0]
+}
+
+// keep copies a pair sum into sums for the queue to reference. When sums
+// grows, earlier references stay in its old array, which keeps its
+// values: nothing writes to it again.
+func (a *affineAcc) keep(p *curve.G1Affine) *curve.G1Affine {
+	a.sums = append(a.sums, curve.G1Affine{})
+	q := &a.sums[len(a.sums)-1]
+	setPoint(q, p, false)
+	return q
 }
 
 // reduceQueue makes one pass over the conflict queue. The batch is
@@ -541,38 +780,43 @@ func (a *affineAcc) runBatch() {
 // the distribution. The pass may leave a partly filled batch staged.
 func (a *affineAcc) reduceQueue() {
 	a.runBatch()
-	a.qIdx, a.qIdxAlt = a.qIdxAlt[:0], a.qIdx
-	a.qPts, a.qPtsAlt = a.qPtsAlt[:0], a.qPts
-	for k, b := range a.qIdxAlt {
-		switch m := a.mate[b]; {
-		case !a.pending[b]:
-			a.stage(b, &a.qPtsAlt[k])
+	a.queue, a.queueAlt = a.queueAlt[:0], a.queue
+	a.sums, a.sumsAlt = a.sumsAlt[:0], a.sums
+	for k, q := range a.queueAlt {
+		switch m := a.mate[q.b]; {
+		case !a.pending[q.b]:
+			a.stage(q.b, q.pt, q.neg)
 		case m < 0:
-			a.mate[b] = int32(k)
+			a.mate[q.b] = int32(k)
 		default:
-			a.mate[b] = -1
-			a.slots[a.nb+len(a.pairs)] = a.qPtsAlt[m]
+			a.mate[q.b] = -1
+			first := &a.queueAlt[m]
+			setPoint(&a.slots[a.nb+len(a.pairs)], first.pt, first.neg)
 			a.idx = append(a.idx, int32(a.nb+len(a.pairs)))
-			a.adds = append(a.adds, a.qPtsAlt[k])
-			a.pairs = append(a.pairs, b)
+			a.adds = a.adds[:len(a.adds)+1]
+			setPoint(&a.adds[len(a.adds)-1], q.pt, q.neg)
+			a.pairs = append(a.pairs, q.b)
 		}
 		if len(a.idx) >= a.batch {
 			a.runBatch()
 		}
 	}
-	// Points left without a pair wait for the next pass.
-	for k, b := range a.qIdxAlt {
-		if a.mate[b] == int32(k) {
-			a.mate[b] = -1
-			a.qIdx = append(a.qIdx, b)
-			a.qPts = append(a.qPts, a.qPtsAlt[k])
+	// Points left without a pair wait for the next pass; a pair sum
+	// among them moves into the sums the next pass keeps.
+	for k, q := range a.queueAlt {
+		if a.mate[q.b] == int32(k) {
+			a.mate[q.b] = -1
+			if q.sum {
+				q.pt = a.keep(q.pt)
+			}
+			a.queue = append(a.queue, q)
 		}
 	}
 }
 
 // finish applies everything staged or parked and returns the buckets.
 func (a *affineAcc) finish() []curve.G1Affine {
-	for a.runBatch(); len(a.qIdx) > 0; a.runBatch() {
+	for a.runBatch(); len(a.queue) > 0; a.runBatch() {
 		a.reduceQueue()
 	}
 	return a.slots[:a.nb]

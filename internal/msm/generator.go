@@ -110,6 +110,11 @@ func SumPairs(points []curve.G1Affine) []curve.G1Affine {
 	return out
 }
 
+// minBatchAffinePoints is the point count below which sumOnes adds the
+// rest with Jacobian mixed additions: a tree level of fewer points would
+// pay a shared inversion for a handful of additions.
+const minBatchAffinePoints = 256
+
 // sumOnes returns Σ points — the part of a sparse MSM whose scalars are
 // 1 — as the pairwise reduction tree of §4.2 on batched affine additions:
 // each level adds the upper half of the points onto the lower half in

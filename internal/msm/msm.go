@@ -2,10 +2,11 @@
 //
 // There is one routed fast path and one named reference:
 //
-//   - MSM and MSMWithOptions are the only entry points callers choose.
-//     One allocation-free pass over the scalars picks one of three routes,
-//     so a commitment pays only for its non-trivial scalars: zkSpeed's
-//     sparse MSM (§3.3.1/§4.2, with the §6.2 statistics) applied to every
+//   - MSMs is the one entry point: it computes several MSMs at once, and
+//     MSM and MSMWithOptions are its one-job case. One allocation-free
+//     pass over each job's scalars picks one of three routes, so a
+//     commitment pays only for its non-trivial scalars: zkSpeed's sparse
+//     MSM (§3.3.1/§4.2, with the §6.2 statistics) applied to every
 //     commitment. When zeros and ones are the majority (witnesses,
 //     selectors), the zeros are skipped, the ones tree-reduced on batched
 //     affine additions, and the dense remainder goes on to one of the
@@ -16,10 +17,17 @@
 //     endomorphism splitting on fixed limbs (halving the window-loop bit
 //     length), and batch-affine bucket accumulation and grouped
 //     aggregation (Montgomery batch inversion turning ~11-mul Jacobian
-//     mixed adds into ~6-mul affine adds). Both bucket routes run each
-//     window as one task and cut the windows left over after the last
-//     full round of goroutines into point chunks; their widths come from
-//     two-goroutine sweeps (DefaultWindowFast). See fast.go.
+//     mixed adds into ~6-mul affine adds).
+//   - The bucket work of every job of a call runs in one schedule, the
+//     software shape of zkSpeed's MSM unit keeping its adders busy at
+//     every size (§4.2.2) and of SZKP's scheduling of bucket work across
+//     windows. A window of 2^(c-1) ≥ 512 buckets is a task of its own (its
+//     last round cut into point chunks); the windows of smaller MSMs are
+//     blocks, dealt to at most Procs tasks balanced by update count, whose
+//     batches fill to 512 distinct buckets under one inversion and whose
+//     aggregation is one lockstep pass over all their blocks. An opening
+//     chain's 2^{μ-1}-, …, 1-point quotients, committed in one call, cost
+//     per point about what one large MSM does. See fast.go.
 //   - Pippenger is the classic software shape — unsigned windows,
 //     Jacobian mixed adds per bucket insert, parallelism across windows —
 //     kept as the benchmark reference, the §4.2 window × aggregation
@@ -30,7 +38,8 @@
 // points and precomputes no per-point window tables, every call starts
 // from the affine points. The package also provides both
 // bucket-aggregation schedules compared in Fig. 5 (SZKP's serial running
-// sum vs. zkSpeed's grouped aggregation).
+// sum vs. zkSpeed's grouped aggregation) for Pippenger; the fast path
+// always aggregates grouped.
 package msm
 
 import (
@@ -62,10 +71,11 @@ type Options struct {
 	// Window is the window width in bits; 0 selects a size heuristic
 	// (DefaultWindowFast, or DefaultWindow under Pippenger).
 	Window int
-	// Aggregation selects the bucket aggregation schedule.
+	// Aggregation selects Pippenger's bucket aggregation schedule; the
+	// fast path always runs the grouped one.
 	Aggregation Aggregation
 	// Parallel enables goroutine parallelism (across windows, and for the
-	// fast path also across point chunks).
+	// fast path also across point chunks and bucket blocks).
 	Parallel bool
 	// Procs bounds the number of goroutines a parallel MSM may use;
 	// a value ≤ 0 means GOMAXPROCS.
@@ -123,46 +133,61 @@ func MSM(points []curve.G1Affine, scalars []ff.Fr) curve.G1Jac {
 	return MSMWithOptions(points, scalars, Options{Parallel: true, Aggregation: AggregateGrouped})
 }
 
-// MSMWithOptions computes Σ scalars[i]·points[i]. It is the one MSM
-// entry point: a single allocation-free pass over the scalars (classify)
-// picks the route, so a commitment pays only for its non-trivial scalars.
+// MSMWithOptions computes Σ scalars[i]·points[i]: MSMs of one job.
+func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
+	return MSMs([]Job{{points, scalars}}, opt)[0]
+}
+
+// Job is one multi-scalar multiplication of an MSMs call.
+type Job struct {
+	Points  []curve.G1Affine
+	Scalars []ff.Fr
+}
+
+// MSMs computes Σ Scalars[i]·Points[i] for every job. It is the one MSM
+// entry point: a single allocation-free pass over each job's scalars
+// (classify) picks its route, so a commitment pays only for its
+// non-trivial scalars.
 //
 //   - Zeros and ones are the majority (witnesses, selectors;
 //     sparseRoute): zeros are skipped, the ones summed by the §4.2
 //     reduction tree, and the dense remainder takes one of the two routes
-//     below (sparseMSM).
+//     below.
 //   - Every other scalar fits in ff.GLVBits bits (the σ tables' (μ+2)-bit
 //     slot indices): signed windows over the scalars' real width on the
-//     n points themselves, with no GLV split (msmNarrow).
-//   - Otherwise the GLV path runs in place on the input (msmFast).
+//     n points themselves, with no GLV split (narrowPlan).
+//   - Otherwise the GLV path runs in place on the input (glvPlan).
 //
-// Every route computes the same group element.
-func MSMWithOptions(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
-	if len(points) != len(scalars) {
-		panic(fmt.Sprintf("msm: %d points vs %d scalars", len(points), len(scalars)))
+// The bucket work of every job then runs in one schedule (bucketSums), so
+// the small MSMs of an opening chain share batches, aggregation passes
+// and goroutines instead of paying each their own. Every route computes
+// the same group element.
+func MSMs(jobs []Job, opt Options) []curve.G1Jac {
+	out := make([]curve.G1Jac, len(jobs))
+	plans := make([]plan, 0, len(jobs))
+	for k, j := range jobs {
+		points, scalars := j.Points, j.Scalars
+		if len(points) != len(scalars) {
+			panic(fmt.Sprintf("msm: %d points vs %d scalars", len(points), len(scalars)))
+		}
+		st, bits := classify(scalars)
+		if sparseRoute(st) {
+			var ones []curve.G1Affine
+			ones, points, scalars = partition(points, scalars, st)
+			out[k] = sumOnes(ones, opt.procs())
+		}
+		switch {
+		case len(points) == 0:
+		case bits <= ff.GLVBits:
+			plans = append(plans, narrowPlan(k, points, scalars, bits, opt))
+		default:
+			plans = append(plans, glvPlan(k, points, scalars, opt))
+		}
 	}
-	if len(points) == 0 {
-		return curve.G1Jac{}
+	if len(plans) > 0 {
+		bucketSums(plans, out, opt)
 	}
-	st, bits := classify(scalars)
-	if sparseRoute(st) {
-		return sparseMSM(points, scalars, st, bits, opt)
-	}
-	return msmDense(points, scalars, bits, opt)
-}
-
-// msmDense runs the bucket MSM whose window loop bits calls for: the
-// narrow path when every scalar fits in a GLV half, the GLV path
-// otherwise.
-func msmDense(points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) curve.G1Jac {
-	switch {
-	case len(points) == 0:
-		return curve.G1Jac{}
-	case bits <= ff.GLVBits:
-		return msmNarrow(points, scalars, bits, opt)
-	default:
-		return msmFast(points, scalars, opt)
-	}
+	return out
 }
 
 // Pippenger is the retained pre-optimization reference: unsigned window
@@ -376,30 +401,25 @@ func sparseRoute(st SparseStats) bool {
 	return st.Zeros+st.Ones > st.Dense
 }
 
-// sparseMSM is the route of zkSpeed's witness commitments (§3.3.1/§4.2):
-// zeros are skipped, the points with scalar 1 are summed with a pairwise
-// reduction tree of batched affine additions (sumOnes), and the dense
-// remainder goes on to msmDense. st and bits come from classify, so each
-// partition is allocated at its exact size.
-func sparseMSM(points []curve.G1Affine, scalars []ff.Fr, st SparseStats, bits int, opt Options) curve.G1Jac {
-	onesPts := make([]curve.G1Affine, 0, st.Ones)
-	densePts := make([]curve.G1Affine, 0, st.Dense)
-	denseScalars := make([]ff.Fr, 0, st.Dense)
+// partition splits a sparse job (zkSpeed's witness commitments,
+// §3.3.1/§4.2) into the points whose scalar is 1 and the dense remainder,
+// dropping the zeros. st comes from classify, so each part is allocated
+// at its exact size.
+func partition(points []curve.G1Affine, scalars []ff.Fr, st SparseStats) (ones, densePts []curve.G1Affine, denseScalars []ff.Fr) {
+	ones = make([]curve.G1Affine, 0, st.Ones)
+	densePts = make([]curve.G1Affine, 0, st.Dense)
+	denseScalars = make([]ff.Fr, 0, st.Dense)
 	for i := range scalars {
 		switch {
 		case scalars[i].IsZero():
 		case scalars[i].IsOne():
-			onesPts = append(onesPts, points[i])
+			ones = append(ones, points[i])
 		default:
 			densePts = append(densePts, points[i])
 			denseScalars = append(denseScalars, scalars[i])
 		}
 	}
-	onesSum := sumOnes(onesPts, opt.procs())
-	denseSum := msmDense(densePts, denseScalars, bits, opt)
-	var out curve.G1Jac
-	out.Add(&onesSum, &denseSum)
-	return out
+	return ones, densePts, denseScalars
 }
 
 // SparseMSM is MSMWithOptions, which routes sparse input by itself. The

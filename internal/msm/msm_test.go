@@ -230,7 +230,7 @@ func widthScalars(rng *rand.Rand, n, w int) []ff.Fr {
 // TestMSMRoutes: the routed MSM equals the Pippenger reference (and the
 // naive oracle on one point) on every route — zeros and ones, narrow
 // widths on both sides of a word and of ff.GLVBits, full width — at one
-// point, below minBatchAffinePoints (Jacobian buckets) and above it; and
+// point, as a plan of bucket blocks and as one of window tasks; and
 // classify picks the route the input calls for.
 func TestMSMRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -436,10 +436,21 @@ func TestAggregationSchemesAgree(t *testing.T) {
 // buckets equals the serial running sum, with empty buckets (whole groups
 // of them, and a group's top), equal buckets inside and across groups
 // (doublings when a running sum meets its next bucket) and a bucket that
-// cancels the running sum above it.
+// cancels the running sum above it — for one block, and for blocks of
+// every size a task holds side by side (groups shorter than GroupSize
+// join the lockstep late).
 func TestAggregateGroupedAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	for _, nb := range []int{GroupSize, 16 * GroupSize, 64 * GroupSize} {
+	var s aggScratch
+	for _, sizes := range [][]int{
+		{GroupSize}, {16 * GroupSize}, {64 * GroupSize},
+		{2, 8, 256, 4, 32, 16, 2, 128},
+		{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8},
+	} {
+		nb := 0
+		for _, n := range sizes {
+			nb += n
+		}
 		pts := randPoints(rng, nb)
 		for i := range pts {
 			switch {
@@ -456,13 +467,18 @@ func TestAggregateGroupedAffine(t *testing.T) {
 			// returns to ∞.
 			pts[2*GroupSize-2].Neg(&pts[2*GroupSize-1])
 		}
-		jac := make([]curve.G1Jac, nb)
-		for i := range jac {
-			jac[i].FromAffine(&pts[i])
-		}
-		want := aggregateSerial(jac)
-		if got := aggregateGroupedAffine(pts, GroupSize); !got.Equal(&want) {
-			t.Fatalf("%d buckets: lockstep aggregation mismatch", nb)
+		sums := make([]curve.G1Jac, len(sizes))
+		s.aggregateGroupedAffine(pts, sizes, sums)
+		base := 0
+		for k, n := range sizes {
+			jac := make([]curve.G1Jac, n)
+			for i := range jac {
+				jac[i].FromAffine(&pts[base+i])
+			}
+			if want := aggregateSerial(jac); !sums[k].Equal(&want) {
+				t.Fatalf("sizes %v: block %d (%d buckets): lockstep aggregation mismatch", sizes, k, n)
+			}
+			base += n
 		}
 	}
 }
@@ -506,6 +522,25 @@ func BenchmarkSparseMSM1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SparseMSM(pts, scalars, Options{Window: 8, Parallel: true})
 	}
+}
+
+// msmFast and msmNarrow run one dense job down the GLV or the narrow
+// route through bucketSums, as MSMs does after routing it.
+func msmFast(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Jac {
+	return runPlan(glvPlan(0, points, scalars, opt), opt)
+}
+
+func msmNarrow(points []curve.G1Affine, scalars []ff.Fr, bits int, opt Options) curve.G1Jac {
+	return runPlan(narrowPlan(0, points, scalars, bits, opt), opt)
+}
+
+// runPlan holds the plan and its sum the way MSMs does, so the kernels
+// allocate what MSMs allocates for a job it routes straight to them.
+func runPlan(p plan, opt Options) curve.G1Jac {
+	plans := append(make([]plan, 0, 1), p)
+	out := make([]curve.G1Jac, len(plans))
+	bucketSums(plans, out, opt)
+	return out[0]
 }
 
 // paths are the two bucket MSMs of the package: the fast path every caller
@@ -645,10 +680,9 @@ func TestSignedDigitsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMSMEveryWindow: the fast path at every width it accepts, on sizes
-// around the Jacobian/affine crossover (255 and 256 points are 510 and 512
-// effective ones) and past minChunkPoints, under both aggregations — the
-// lockstep affine aggregation takes over from c = 9.
+// TestMSMEveryWindow: the fast path at every width it accepts — bucket
+// blocks below c = 11, window tasks from it — on sizes from one point to
+// past minChunkPoints, under both aggregation options.
 func TestMSMEveryWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sizes := []int{1, 255, 256, 2049}
@@ -717,8 +751,7 @@ func TestScheduleWindows(t *testing.T) {
 // seeded with the edge cases every regime must survive — zeros, ones, -1
 // (max scalar), λ and -λ (degenerate GLV splits), tiny and full-width
 // scalars, points at infinity, and repeated points (forcing bucket
-// doublings). The sizes straddle minBatchAffinePoints (2n effective
-// points), so the fast path runs on Jacobian and on batch-affine buckets.
+// doublings), at sizes from one point to a few hundred.
 func TestMSMCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for _, n := range []int{1, 2, 3, 30, minBatchAffinePoints/2 - 1, minBatchAffinePoints / 2} {

@@ -68,8 +68,9 @@ func skewedInputs(rng *rand.Rand, n int) map[string]skewedInput {
 	}
 }
 
-// TestMSMSkewedScalars runs the fast path (Jacobian buckets at n = 40,
-// batch-affine above) and the Pippenger reference over the skewed
+// TestMSMSkewedScalars runs the fast path (bucket blocks at the
+// size-picked windows, window tasks at window 11) and the Pippenger
+// reference over the skewed
 // distributions against the naive oracle. The sizes put the conflict
 // queue past its reduction threshold both for the size-picked window and
 // for a forced wide one (window 11: 1024 buckets, full 512-update

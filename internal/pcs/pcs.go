@@ -182,30 +182,34 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 	if m.NumVars != s.Mu || len(point) != s.Mu {
 		return OpeningProof{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
 	}
-	mopt := msmOptions(opt)
 	// The fold chain and the quotients run in arena buffers returned at
-	// the end; m itself is only read.
+	// the end; m itself is only read. The μ quotients (2^{μ-1}, …, 1
+	// entries) fill one buffer of 2^μ, and are committed together in one
+	// MSMs call once the chain is folded: their bucket work shares one
+	// schedule instead of paying μ MSMs' fixed costs.
 	arena := opt.Arena()
-	buf, qBuf := arena.Get(m.Len()), arena.Get(m.Len()/2)
+	buf, qBuf := arena.Get(m.Len()), arena.Get(m.Len())
 	defer arena.Put(buf)
 	defer arena.Put(qBuf)
 	copy(buf, m.Evals)
 	work := &poly.MLE{NumVars: m.NumVars, Evals: buf}
-	proof := OpeningProof{Quotients: make([]curve.G1Affine, s.Mu)}
-	q := qBuf[:0]
+	jobs := make([]msm.Job, s.Mu)
+	free := qBuf
 	for k := 0; k < s.Mu; k++ {
 		half := work.Len() / 2
-		q = q[:half]
+		q := free[:half]
+		free = free[half:]
 		evals := work.Evals
 		poly.ParallelRange(half, opt, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				q[i].Sub(&evals[2*i+1], &evals[2*i])
 			}
 		})
-		sum := msm.MSMWithOptions(s.Lag[k+1], q, mopt)
-		proof.Quotients[k].FromJacobian(&sum)
+		jobs[k] = msm.Job{Points: s.Lag[k+1], Scalars: q}
 		work.FixVariableWith(&point[k], opt)
 	}
+	proof := OpeningProof{Quotients: make([]curve.G1Affine, s.Mu)}
+	curve.BatchNormalizeJac(proof.Quotients, msm.MSMs(jobs, msmOptions(opt)))
 	return proof, work.Evals[0], nil
 }
 

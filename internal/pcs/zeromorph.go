@@ -200,8 +200,11 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 	// MSB-first multilinear quotients: eliminating the top remaining
 	// variable keeps every q_k embedded at stride 1 in the univariate
 	// map, which is what lets the verifier combine their commitments
-	// homomorphically. q_k has 2^k entries.
+	// homomorphically. q_k has 2^k entries. All of them are committed in
+	// one MSMs call once the chain is folded, so their bucket work shares
+	// one schedule.
 	quotients := make([][]ff.Fr, mu)
+	jobs := make([]msm.Job, mu)
 	proof := OpeningProof{Quotients: make([]curve.G1Affine, mu+2)}
 	for k := mu - 1; k >= 0; k-- {
 		half := 1 << k
@@ -216,10 +219,10 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 			}
 		})
 		quotients[k] = qk
+		jobs[k] = msm.Job{Points: s.Pow[:half], Scalars: qk}
 		g = g[:half]
-		sum := msm.MSMWithOptions(s.Pow[:half], qk, opt)
-		proof.Quotients[k].FromJacobian(&sum)
 	}
+	curve.BatchNormalizeJac(proof.Quotients[:mu], msm.MSMs(jobs, opt))
 	value := g[0]
 
 	// Internal Fiat-Shamir: challenges bind the claim and every quotient

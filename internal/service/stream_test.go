@@ -93,7 +93,9 @@ func postStream(t *testing.T, ts *httptest.Server, entry *circuitEntry, witness 
 // POST /v1/prove_stream and then through /v1/prove on a durable service.
 // The streamed request may append at most one chunk record per 64 KiB of
 // witness more than the JSON request, and no fsync more: chunk records
-// become durable with the submit record that adopts them.
+// become durable with the submit record that adopts them. The JSON
+// request costs two fsyncs, its submit and its completion: the claim
+// between them is not synced on its own.
 func TestProveStreamCostsNoExtraSync(t *testing.T) {
 	for _, mu := range []int{8, 12} {
 		t.Run(fmt.Sprintf("mu%d", mu), func(t *testing.T) {
@@ -123,6 +125,9 @@ func TestProveStreamCostsNoExtraSync(t *testing.T) {
 				len(witness), streamAppends, streamSyncs, jsonAppends, jsonSyncs)
 			if streamSyncs != jsonSyncs {
 				t.Errorf("streamed request fsynced %d times, JSON request %d", streamSyncs, jsonSyncs)
+			}
+			if jsonSyncs != 2 {
+				t.Errorf("JSON request fsynced %d times, want 2 (submit, complete)", jsonSyncs)
 			}
 			if streamAppends > jsonAppends+chunks {
 				t.Errorf("streamed request appended %d records, want <= %d (JSON's %d + %d chunks)",

@@ -101,7 +101,8 @@ type Store interface {
 	// aborted before Submit (client disconnect, validation failure).
 	DiscardWitness(id string) error
 	// Claim records that a shard started proving the job. Informational:
-	// replay treats claimed-but-unfinished identically to queued.
+	// replay treats claimed-but-unfinished identically to queued, so a
+	// durable store need not sync a claim before returning.
 	Claim(id string) error
 	// Complete records a job's successful result.
 	Complete(r Result) error

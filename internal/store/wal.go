@@ -58,7 +58,9 @@ type WALConfig struct {
 	// fsync instead of one each. 0 fsyncs every acknowledged record
 	// before its call returns (maximum durability); streamed chunk
 	// records are never synced on their own and become durable with
-	// the record that follows them in the log, the adopting submit.
+	// the record that follows them in the log, the adopting submit, and
+	// claim records, which replay ignores, become durable with the
+	// job's terminal record.
 	// Negative never syncs explicitly (the OS decides — for tests and
 	// throwaway runs).
 	SyncInterval time.Duration
@@ -360,8 +362,11 @@ func (w *WAL) openActive() error {
 
 // append frames, checksums and writes one record payload under the lock,
 // then applies it to the mirror and runs the sync/rotate/compact policy.
-// Every record but a chunk is acknowledged to a caller when append
-// returns, so only those are synced under SyncInterval 0.
+// Under SyncInterval 0 every record is synced before append returns but
+// two that nothing rests on: a chunk, which its adopting submit's sync
+// covers, and a claim, which replay ignores (a claimed job is pending
+// until its terminal record), so losing one in a crash re-queues a job
+// that replay re-queues anyway; the terminal record's sync covers it.
 func (w *WAL) append(payload []byte) error {
 	if w.closed {
 		return ErrClosed
@@ -379,12 +384,12 @@ func (w *WAL) append(payload []byte) error {
 	if err := w.applyRecord(payload); err != nil {
 		return err
 	}
-	if w.cfg.SyncInterval == 0 && payload[0] != recChunk {
+	if w.cfg.SyncInterval == 0 && payload[0] != recChunk && payload[0] != recClaim {
 		if err := w.active.Sync(); err != nil {
 			return fmt.Errorf("store: sync: %w", err)
 		}
 		w.stats.Syncs++
-		w.dirty = false // the sync covered any chunks before this record
+		w.dirty = false // the sync covered any chunks or claims before this record
 	} else {
 		w.dirty = true
 	}

@@ -204,6 +204,59 @@ func TestWALRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWALClaimNotSynced: under the default SyncInterval 0 a claim is
+// appended without an fsync of its own — replay ignores claims — and the
+// terminal record's fsync covers it, so a proved job costs two syncs
+// (submit, complete). A crash that loses the unsynced claim leaves the
+// job pending, exactly as a crash after a durable claim does.
+func TestWALClaimNotSynced(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, WALConfig{Dir: dir})
+	before := w.Stats()
+	if err := w.Submit(JobRecord{ID: "job-1", Circuit: digestOf(3), Witness: []byte("w1")}); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	submitted, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Claim("job-1"); err != nil {
+		t.Fatal(err)
+	}
+	claimed := w.Stats()
+	if got := claimed.Syncs - before.Syncs; got != 1 {
+		t.Fatalf("submit and claim fsynced %d times, want 1 (the submit)", got)
+	}
+
+	// The crash: the log as the last sync left it, without the claim.
+	crash := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crash, filepath.Base(segs[0])), submitted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, WALConfig{Dir: crash})
+	if st := r.State(); len(st.Pending) != 1 || st.Pending[0].ID != "job-1" {
+		t.Fatalf("after losing the claim: pending %+v, want job-1 re-queued", st.Pending)
+	}
+	r.Close()
+
+	if err := w.Complete(Result{ID: "job-1", Proof: []byte("p1")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().Syncs - claimed.Syncs; got != 1 {
+		t.Fatalf("complete fsynced %d times, want 1", got)
+	}
+	w.Close()
+	r = mustOpen(t, WALConfig{Dir: dir})
+	defer r.Close()
+	if st := r.State(); len(st.Pending) != 0 || len(st.Done) != 1 {
+		t.Fatalf("after complete: %d pending / %d done", len(st.Pending), len(st.Done))
+	}
+}
+
 func TestWALStreamedWitnessSurvivesReplay(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, WALConfig{Dir: dir})

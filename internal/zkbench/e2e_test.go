@@ -87,6 +87,13 @@ func TestQuickSuiteShape(t *testing.T) {
 			t.Errorf("quick suite missing %s (%d service benchmarks)", want, svc)
 		}
 	}
+	// CI's bench-gate holds the opening chain in one MSMs call against
+	// the same jobs one call each.
+	for _, want := range []string{"msm/chain/mu10", "msm/chain/mu10/one-by-one"} {
+		if !names[want] {
+			t.Errorf("quick suite missing %s", want)
+		}
+	}
 	for _, want := range []string{"msm/pippenger/", "msm/sparse-fast/", "sumcheck/rounds/", "pcs/commit/", "pcs/open/", "mle/fold/"} {
 		found := false
 		for name := range names {

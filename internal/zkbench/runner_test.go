@@ -89,12 +89,13 @@ func TestKernelSuiteRuns(t *testing.T) {
 	// 8 ff field-arithmetic records + 5 pairing records (pairing,
 	// finalexp, miller/n1, miller/n17, miller-prepared/n17) + 1 window × 2 schedules of the
 	// pippenger reference +
-	// {fast, sparse-fast, fast/allones} + legacy sumcheck + 1
+	// {fast, sparse-fast, fast/allones} + the μ=10 opening chain in one
+	// MSMs call and one call per job + legacy sumcheck + 1
 	// serial/parallel sumcheck pair + commit + commit-key + open + per-scheme records
 	// (pst: setup+commit+open+verify; zeromorph: setup+commit+open+verify+
 	// open-shift+naive) + 5 serial/parallel MTU kernel pairs + sha3 + fold.
-	if len(bms) != 46 {
-		t.Fatalf("want 46 kernel benchmarks, got %d", len(bms))
+	if len(bms) != 48 {
+		t.Fatalf("want 48 kernel benchmarks, got %d", len(bms))
 	}
 	r := runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
 	recs, err := r.runAll(bms)

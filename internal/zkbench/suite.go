@@ -455,6 +455,45 @@ func kernelSuite(cfg suiteConfig) []benchmark {
 		},
 	)
 
+	// The PST opening chain's MSMs at μ = 10: quotients of 2^9 … 1 dense
+	// scalars against the SRS's Lagrange layers 1 … 10, as SRS.OpenWith
+	// commits them — all in one MSMs call, whose bucket blocks share one
+	// schedule, and one MSMWithOptions call each, the shape before that.
+	const chainMu = 10
+	var chainJobs []msm.Job
+	chainSetup := func() error {
+		if chainJobs == nil {
+			srs := srsFor(chainMu)
+			scalars := challengeFrs(cfg.Seed, "msm.chain", 1<<chainMu)
+			for k := 0; k < chainMu; k++ {
+				half := 1 << (chainMu - 1 - k)
+				chainJobs = append(chainJobs, msm.Job{Points: srs.Lag[k+1], Scalars: scalars[half : 2*half]})
+			}
+		}
+		return nil
+	}
+	chainOpt := msm.Options{Parallel: true, Aggregation: msm.AggregateGrouped}
+	out = append(out,
+		benchmark{
+			Name:  fmt.Sprintf("msm/chain/mu%d", chainMu),
+			Setup: chainSetup,
+			Iterate: func() error {
+				_ = msm.MSMs(chainJobs, chainOpt)
+				return nil
+			},
+		},
+		benchmark{
+			Name:  fmt.Sprintf("msm/chain/mu%d/one-by-one", chainMu),
+			Setup: chainSetup,
+			Iterate: func() error {
+				for _, j := range chainJobs {
+					_ = msm.MSMWithOptions(j.Points, j.Scalars, chainOpt)
+				}
+				return nil
+			},
+		},
+	)
+
 	// Sumcheck round loop: a ZeroCheck-shaped virtual polynomial
 	// (eq · w1 · w2 · w3 plus lower-degree terms, degree 4 like the gate
 	// identity). The record runs sumcheck.ProveReference — the retained
