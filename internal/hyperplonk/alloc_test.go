@@ -19,11 +19,12 @@ import (
 // commits, opens or folds: the wire factors N_j, D_j and their products,
 // the opening's eq tables and the opening work tables are never
 // allocated, fold buffers come from the warmed arena, and the sparse
-// commitments partition their scalars at exact size. At this size the
-// MSMs' per-window bucket accumulators are ~840 of the tables; the proof
-// measured 855–857 tables on a 2-core x86-64 box, and 877–891 when it
-// still stored N&D, the eq tables and the opening copies.
-const allocTables = 866
+// commitments partition their scalars at exact size, and each MSM call
+// gives each of its workers one bucket accumulator for all its tasks.
+// The proof measured 204–216 tables on a 2-core x86-64 box; 855–857
+// when every window task allocated its own accumulator, and 877–891 when
+// it still stored N&D, the eq tables and the opening copies.
+const allocTables = 240
 
 // TestProveAllocationBound runs one μ=10 proof with the collector off
 // and a warmed private arena and bounds the bytes it allocates.
