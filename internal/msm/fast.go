@@ -452,8 +452,9 @@ type taskScratch struct {
 	bases []int32
 }
 
-// run accumulates and aggregates the pieces of one task, writing each
-// piece's Σ (i+1)·B_i to partials.
+// run accumulates and aggregates the pieces of one task in passes of at
+// most maxPassBuckets buckets (a wider window is a pass of its own),
+// writing each piece's Σ (i+1)·B_i to partials.
 func (s *taskScratch) run(plans []plan, pieces []piece, partials []curve.G1Jac) {
 	for len(pieces) > 0 {
 		k, nb := 1, plans[pieces[0].p].buckets()
