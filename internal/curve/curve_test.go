@@ -164,6 +164,49 @@ func TestG1AffineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromJacobianMatchesBatchNormalize converts random Jacobian points
+// (Z a random λ), points with Z = 1 and the identity one at a time and in
+// one batch: both conversions, and the Fermat-inverse formula, must agree.
+func TestFromJacobianMatchesBatchNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var in []G1Jac
+	for i := 0; i < 8; i++ {
+		a := randG1(rng)
+		var one, scaled G1Jac
+		one.FromAffine(&a)
+		var l, l2, l3 ff.Fp
+		l.SetBigInt(new(big.Int).Rand(rng, ff.FpModulusBig()))
+		l2.Square(&l)
+		l3.Mul(&l2, &l)
+		scaled.X.Mul(&one.X, &l2)
+		scaled.Y.Mul(&one.Y, &l3)
+		scaled.Z = l
+		in = append(in, one, scaled)
+	}
+	in = append(in, G1Jac{})
+	batch := make([]G1Affine, len(in))
+	BatchNormalizeJac(batch, in)
+	for i := range in {
+		var got G1Affine
+		got.FromJacobian(&in[i])
+		if !got.Equal(&batch[i]) || got.Inf != batch[i].Inf {
+			t.Fatalf("point %d: FromJacobian %+v, BatchNormalizeJac %+v", i, got, batch[i])
+		}
+		if got.Inf {
+			continue
+		}
+		var zinv, zinv2, zinv3, x, y ff.Fp
+		zinv.Inverse(&in[i].Z)
+		zinv2.Square(&zinv)
+		zinv3.Mul(&zinv2, &zinv)
+		x.Mul(&in[i].X, &zinv2)
+		y.Mul(&in[i].Y, &zinv3)
+		if !got.X.Equal(&x) || !got.Y.Equal(&y) || !got.IsOnCurve() {
+			t.Fatalf("point %d differs from the Fermat-inverse conversion", i)
+		}
+	}
+}
+
 func TestPairingBilinearity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pairing test is slow")

@@ -192,12 +192,14 @@ func TestEveryLoopWakesOnBurst(t *testing.T) {
 }
 
 // TestArrivalWakesEveryCollector holds two loops in their batch windows
-// on different circuits, then submits a second job of the later loop's
-// circuit. It must join that batch at once: a wake-up handed to a single
-// waiter would go to the earlier loop's collector, which cannot use it,
-// and leave the job queued until that window closes a minute later.
+// on different circuits (a second admission stays open throughout), then
+// submits a second job of the later loop's circuit. It must join that
+// batch at once: a wake-up handed to a single waiter would go to the
+// earlier loop's collector, which cannot use it, and leave the job queued
+// until that window closes a minute later.
 func TestArrivalWakesEveryCollector(t *testing.T) {
 	s := newLoopService(t, Config{BatchWindow: time.Minute, MaxBatch: 2}, &stubBackend{}, 2)
+	defer holdAdmission(s)()
 	circuitA, assignA := buildCircuit(t, 40, 1)
 	circuitB, assignsB := witnessesFor(t, 41, 2)
 	entryA, entryB := mustRegister(t, s, circuitA), mustRegister(t, s, circuitB)

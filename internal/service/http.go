@@ -282,6 +282,10 @@ func (s *Service) handleCircuit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
+	// The admission opens before the body is read, so a loop holding a
+	// batch waits for it, and closes with the push or any early answer.
+	a := s.queue.admit()
+	defer a.end()
 	var req api.ProveRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -309,7 +313,7 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, err := s.Submit(tn, entry, &assign, priority, req.Witness)
+	j, err := s.submit(entry, &assign, priority, submitOpts{tn: tn, rawWitness: req.Witness, adm: a})
 	if !s.writeSubmitErr(w, err) {
 		return
 	}
@@ -363,6 +367,8 @@ func (s *Service) writeJobOutcome(w http.ResponseWriter, r *http.Request, j *job
 // Content-Length is required so admission can refuse an oversized upload
 // before any transfer.
 func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
+	a := s.queue.admit()
+	defer a.end()
 	q := r.URL.Query()
 	digestHex := q.Get("circuit_digest")
 	if digestHex == "" {
@@ -401,7 +407,7 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := s.SubmitStream(tn, entry, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), priority)
+	j, err := s.submitStream(a, tn, entry, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), priority)
 	if err != nil {
 		if errors.Is(err, errBadWitness) {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -457,6 +463,8 @@ func (s *Service) resolveCircuit(w http.ResponseWriter, digestHex string, blob [
 // spread across the batch loops and the response aggregates every proof
 // plus the batch digest.
 func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
+	a := s.queue.admit()
+	defer a.end()
 	var req api.ProveBatchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -491,7 +499,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	if entry == nil {
 		return
 	}
-	resp, err := s.ProveBatchWait(r.Context(), tn, entry, assigns, priority, req.Witnesses)
+	resp, err := s.proveBatchWait(r.Context(), a, tn, entry, assigns, priority, req.Witnesses)
 	if !s.writeSubmitErr(w, err) {
 		return
 	}
@@ -609,6 +617,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "zkproverd_circuits_registered", help: "Registered circuits.", value: float64(s.circuitCount())},
 		{name: "zkproverd_proof_cache_entries", help: "Proofs in the LRU cache.", value: float64(s.cache.Len())},
 		{name: "zkproverd_queue_depth", help: "Queued jobs.", value: float64(s.queue.Depth())},
+		{name: "zkproverd_admissions_open", help: "Prove requests being admitted; a popped batch waits only while this is above zero.", value: float64(s.queue.Admitting())},
 		{name: "zkproverd_srs_setups_total", help: "SRS ceremonies run by the engine.", counter: true, value: float64(st.SRSSetups)},
 		{name: "zkproverd_key_setups_total", help: "Circuit preprocessings run by the engine.", counter: true, value: float64(st.KeySetups)},
 		{name: "zkproverd_key_cache_hits_total", help: "Engine key-cache hits.", counter: true, value: float64(st.KeyCacheHits)},

@@ -166,11 +166,13 @@ func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	stub := &stubBackend{delay: 5 * time.Second}
 	s := newTestService(t, Config{
 		QueueCapacity: 1,
-		BatchWindow:   10 * time.Second, // park the first job in the collector
+		BatchWindow:   10 * time.Second,
 		MaxBatch:      8,
 	}, stub)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	// An admission held open parks the first job in the collector.
+	defer holdAdmission(s)()
 
 	// Three distinct circuits so nothing coalesces with the parked job.
 	submit := func(c, x uint64) *http.Response {

@@ -13,8 +13,47 @@ import (
 // cached mu=4 proof (sub-millisecond) to a cold mu=18 one (minutes).
 var proveBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
+// holdBuckets bound how long a batch was held open, in seconds: an unheld
+// batch lands in the first bucket, a hold runs to BatchWindow (5 ms by
+// default) at most.
+var holdBuckets = []float64{0.00001, 0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.25, 1}
+
+// histogram is one Prometheus histogram of seconds.
+type histogram struct {
+	bounds []float64
+	counts []int64 // per bucket, not cumulative; the last is +Inf
+	sum    float64
+	count  int64
+}
+
+func newHistogram(bounds []float64) histogram {
+	return histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
+
+func (h *histogram) observe(sec float64) {
+	h.count++
+	h.sum += sec
+	// SearchFloat64s returns the first bucket whose bound is >= sec; index
+	// len(bounds) is the +Inf overflow bucket.
+	h.counts[sort.SearchFloat64s(h.bounds, sec)]++
+}
+
+// write renders the histogram in text exposition format.
+func (h *histogram) write(w io.Writer, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum int64
+	for i, b := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmt.Sprint(b), cum)
+	}
+	cum += h.counts[len(h.bounds)]
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
+}
+
 // Metrics is the service's Prometheus-style instrumentation: counters and
-// one latency histogram, rendered in text exposition format at /metrics.
+// two histograms, rendered in text exposition format at /metrics.
 // It is deliberately dependency-free — the repository bakes in no client
 // library, so the service carries the ~hundred lines itself.
 type Metrics struct {
@@ -35,9 +74,8 @@ type Metrics struct {
 	// (anonymous jobs) are rendered with tenant="anonymous".
 	tenantJobs map[string]*tenantCounters
 
-	proveCount   int64
-	proveSum     float64 // seconds
-	proveBucketN []int64 // cumulative-style raw per-bucket counts
+	prove histogram // per unique proof
+	hold  histogram // per batch, from pop to the batch closing
 
 	stepSeconds map[string]float64
 
@@ -62,10 +100,11 @@ const (
 
 func newMetrics() *Metrics {
 	return &Metrics{
-		httpByCode:   make(map[string]int64),
-		tenantJobs:   make(map[string]*tenantCounters),
-		proveBucketN: make([]int64, len(proveBuckets)+1),
-		stepSeconds:  make(map[string]float64),
+		httpByCode:  make(map[string]int64),
+		tenantJobs:  make(map[string]*tenantCounters),
+		prove:       newHistogram(proveBuckets),
+		hold:        newHistogram(holdBuckets),
+		stepSeconds: make(map[string]float64),
 	}
 }
 
@@ -99,11 +138,7 @@ func (m *Metrics) observeProve(d time.Duration, steps map[string]time.Duration) 
 	sec := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.proveCount++
-	m.proveSum += sec
-	// SearchFloat64s returns the first bucket whose bound is >= sec; index
-	// len(proveBuckets) is the +Inf overflow bucket.
-	m.proveBucketN[sort.SearchFloat64s(proveBuckets, sec)]++
+	m.prove.observe(sec)
 	for k, v := range steps {
 		m.stepSeconds[k] += v.Seconds()
 	}
@@ -113,6 +148,14 @@ func (m *Metrics) observeProve(d time.Duration, steps map[string]time.Duration) 
 	} else {
 		m.ewmaProveSec = alpha*sec + (1-alpha)*m.ewmaProveSec
 	}
+}
+
+// observeHold records how long one batch was held open for jobs on their
+// way; 0 when nothing was.
+func (m *Metrics) observeHold(d time.Duration) {
+	m.mu.Lock()
+	m.hold.observe(d.Seconds())
+	m.mu.Unlock()
 }
 
 // observeHTTP counts one served request by route pattern and status code.
@@ -159,7 +202,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CacheHits: m.cacheHits,
 		Batches:   m.batches, BatchJobs: m.batchJobs,
 		Verifies: m.verifies, VerifyFailed: m.verifyFailed,
-		ProveCount: m.proveCount,
+		ProveCount: m.prove.count,
 	}
 }
 
@@ -239,16 +282,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges []gauge) {
 		fmt.Fprintf(w, "zkproverd_http_requests_total{route=%q,code=%q} %d\n", pattern, code, m.httpByCode[k])
 	}
 
-	fmt.Fprintf(w, "# HELP zkproverd_prove_seconds Proving latency per job.\n# TYPE zkproverd_prove_seconds histogram\n")
-	var cum int64
-	for i, b := range proveBuckets {
-		cum += m.proveBucketN[i]
-		fmt.Fprintf(w, "zkproverd_prove_seconds_bucket{le=%q} %d\n", fmt.Sprint(b), cum)
-	}
-	cum += m.proveBucketN[len(proveBuckets)]
-	fmt.Fprintf(w, "zkproverd_prove_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "zkproverd_prove_seconds_sum %g\n", m.proveSum)
-	fmt.Fprintf(w, "zkproverd_prove_seconds_count %d\n", m.proveCount)
+	m.prove.write(w, "zkproverd_prove_seconds", "Proving latency per job.")
+	m.hold.write(w, "zkproverd_batch_hold_seconds", "How long each batch was held open for submissions on their way.")
 
 	// Gauges arrive ordered by the service; emit HELP/TYPE once per name
 	// even when a name repeats with different label sets (per-tenant rows).

@@ -184,7 +184,7 @@ func (l *lane) drain() []*job {
 
 // jobQueue is the service's one bounded three-lane priority queue, each
 // lane fair-sharing across tenants via deficit round robin. Push is called
-// by any submitter; Pop and PopMatching by any of the service's batch
+// by any submitter; Pop and collect by any of the service's batch
 // loops. Bounding happens here — a full queue rejects instead of growing,
 // which is the service's backpressure point.
 type jobQueue struct {
@@ -192,14 +192,60 @@ type jobQueue struct {
 	lanes  [numPriorities]*lane // high to low
 	size   int
 	cap    int
-	seq    uint64 // push order stamp, for PopMatching's oldest-first pick
+	seq    uint64 // push order stamp, for collect's oldest-first pick
 	closed bool
-	// arrived is closed and replaced by every push, waking every consumer
-	// waiting on it at once: idle loops in Pop and batch collectors
-	// waiting for a same-circuit arrival alike. A consumer reads it
-	// (wake) before it looks at the queue, so a push landing between the
-	// look and the wait closes the channel it is about to wait on.
+	// arrived is closed and replaced by every push and every ended
+	// admission, waking every consumer waiting on it at once: idle loops
+	// in Pop and batch collectors waiting for a same-circuit arrival
+	// alike. A consumer reads it before it looks at the queue, so a push
+	// landing between the look and the wait closes the channel it is
+	// about to wait on.
 	arrived chan struct{}
+	// admitting counts submissions on their way in: a request whose body
+	// is still being read, decoded or logged. Batch collectors hold a
+	// batch open only while it is above zero.
+	admitting int
+}
+
+// admission is one submission on its way into the queue, from the moment
+// a request arrives until the push that queues its job or an exit that
+// queues nothing. Ending it is idempotent, so a deferred end after the
+// push is free; a nil admission is inert.
+type admission struct {
+	q    *jobQueue
+	done bool // guarded by q.mu
+}
+
+// admit begins an admission.
+func (q *jobQueue) admit() *admission {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.admitting++
+	return &admission{q: q}
+}
+
+// end closes the admission without a push, waking every collector so one
+// that was waiting for it can prove at once.
+func (a *admission) end() {
+	if a == nil {
+		return
+	}
+	a.q.mu.Lock()
+	defer a.q.mu.Unlock()
+	if a.closeLocked() {
+		a.q.wakeLocked()
+	}
+}
+
+// closeLocked drops the admission from the count once, reporting whether
+// this call did it. The caller holds q.mu.
+func (a *admission) closeLocked() bool {
+	if a == nil || a.done {
+		return false
+	}
+	a.done = true
+	a.q.admitting--
+	return true
 }
 
 func newJobQueue(capacity int) *jobQueue {
@@ -210,9 +256,13 @@ func newJobQueue(capacity int) *jobQueue {
 	return q
 }
 
-// Push enqueues the job; errQueueFull signals a full queue.
-func (q *jobQueue) Push(j *job) error {
-	return q.push(j, false)
+// Push enqueues the job and, under the same lock and with the same
+// wake-up, ends the admission that carried it (nil: none, or not yet —
+// a batch ends its one admission with its last statement's push).
+// errQueueFull signals a full queue; the admission then stays open for
+// its owner to end.
+func (q *jobQueue) Push(j *job, a *admission) error {
+	return q.push(j, a, false)
 }
 
 // forcePush enqueues ignoring the capacity bound — the recovery path,
@@ -220,10 +270,10 @@ func (q *jobQueue) Push(j *job) error {
 // incarnation of the daemon and dropping it would break the zero-loss
 // guarantee.
 func (q *jobQueue) forcePush(j *job) error {
-	return q.push(j, true)
+	return q.push(j, nil, true)
 }
 
-func (q *jobQueue) push(j *job, force bool) error {
+func (q *jobQueue) push(j *job, a *admission, force bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -236,9 +286,15 @@ func (q *jobQueue) push(j *job, force bool) error {
 	j.pushSeq = q.seq
 	q.lanes[j.priority].push(j)
 	q.size++
+	a.closeLocked()
+	q.wakeLocked()
+	return nil
+}
+
+// wakeLocked wakes every waiting consumer. The caller holds q.mu.
+func (q *jobQueue) wakeLocked() {
 	close(q.arrived)
 	q.arrived = make(chan struct{})
-	return nil
 }
 
 // Depth returns the number of queued (not yet dispatched) jobs.
@@ -246,6 +302,13 @@ func (q *jobQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size
+}
+
+// Admitting returns the number of submissions on their way in.
+func (q *jobQueue) Admitting() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.admitting
 }
 
 // tryPop removes the next job — highest non-empty lane, fair-shared
@@ -279,13 +342,15 @@ func (q *jobQueue) Pop(ctx context.Context) (*job, error) {
 	}
 }
 
-// PopMatching removes the oldest queued job for the given circuit digest
-// regardless of its queue position — the coalescing primitive of the
-// batch window. Priority inversion is deliberate: joining an in-flight
-// batch of the same circuit is strictly faster than waiting a turn. The
-// owning tenant's deficit is charged as usual, so batch-joining is
-// latency-free but not share-free.
-func (q *jobQueue) PopMatching(digest [32]byte) *job {
+// collect is a batch collector's one look at the queue. It removes the
+// oldest queued job for digest regardless of its queue position — the
+// coalescing primitive: priority inversion is deliberate, since joining
+// an in-flight batch of the same circuit is strictly faster than waiting
+// a turn, and the owning tenant's deficit is charged as usual, so
+// batch-joining is latency-free but not share-free. With no such job it
+// returns the channel the next push or ended admission closes, and
+// whether any admission is still open.
+func (q *jobQueue) collect(digest [32]byte) (match *job, arrived <-chan struct{}, admitting bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, l := range q.lanes {
@@ -299,10 +364,10 @@ func (q *jobQueue) PopMatching(digest [32]byte) *job {
 		if best != nil {
 			l.remove(best)
 			q.size--
-			return best
+			return best, nil, false
 		}
 	}
-	return nil
+	return nil, q.arrived, q.admitting > 0
 }
 
 // wake returns the channel the next push closes. Read it before looking

@@ -9,7 +9,7 @@ import (
 
 // TestQueueConcurrentConsumers hammers one queue with concurrent
 // producers and three consumers shaped like batch loops — Pop, then
-// PopMatching for the popped job's digest — across all three lanes. Every
+// collect for the popped job's digest — across all three lanes. Every
 // pushed job must come out exactly once — no double-pop, no loss. Run
 // with -race; the assertions catch logic races, the detector catches
 // memory races.
@@ -35,7 +35,7 @@ func TestQueueConcurrentConsumers(t *testing.T) {
 					priority: i % numPriorities,
 					done:     make(chan struct{}),
 				}
-				if err := q.Push(j); err != nil {
+				if err := q.Push(j, nil); err != nil {
 					t.Errorf("push %s: %v", j.id, err)
 					return
 				}
@@ -66,7 +66,7 @@ func TestQueueConcurrentConsumers(t *testing.T) {
 				}
 				full := record(j)
 				for !full {
-					j2 := q.PopMatching(j.digest)
+					j2, _, _ := q.collect(j.digest)
 					if j2 == nil {
 						break
 					}

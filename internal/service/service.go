@@ -11,8 +11,9 @@
 // state (SRS, per-circuit keys) resident and by amortizing setup across
 // tenants. HyperPlonk's setup is universal, so the one backend holds one
 // SRS per problem size and one key set per circuit for every loop, and
-// same-circuit jobs that arrive within one batch window share a single
-// ProveBatch invocation. An idle loop simply pops the next queued job.
+// same-circuit jobs queued or being admitted when a loop pops share a
+// single ProveBatch invocation. An idle loop simply pops the next queued
+// job.
 //
 // The package is deliberately unaware of the root zkspeed package (which
 // wraps it): backends implement the small Backend interface, and the root
@@ -109,8 +110,10 @@ type Config struct {
 	// QueueCapacity bounds the job queue; a full queue rejects with
 	// OverloadedError (HTTP 429). Default 64.
 	QueueCapacity int
-	// BatchWindow is how long a loop holds the first job of a batch while
-	// same-circuit jobs accumulate behind it. 0 selects the 5ms default;
+	// BatchWindow caps how long a loop holds a batch open for
+	// same-circuit jobs: after taking the queued ones it waits only while
+	// a submission is being admitted, or after a shared batch (see
+	// batchLoop), never longer than this. 0 selects the 5ms default;
 	// negative disables coalescing.
 	BatchWindow time.Duration
 	// MaxBatch caps jobs per ProveBatch call. Default 16.
@@ -199,7 +202,7 @@ type job struct {
 	// persisted marks jobs with a store submit record (cache hits are
 	// answered synchronously and never persisted).
 	persisted bool
-	// pushSeq is the queue's insertion stamp (PopMatching takes the oldest).
+	// pushSeq is the queue's insertion stamp (collect takes the oldest).
 	pushSeq uint64
 
 	mu     sync.Mutex
@@ -637,6 +640,10 @@ type submitOpts struct {
 	// bytes were already streamed into the store; the submit record
 	// adopts them instead of carrying the blob again.
 	streamedID string
+	// adm is the admission this submission ends: with the push that
+	// queues the job, or on whatever exit queues nothing. nil leaves the
+	// caller's admission open (a batch's statements before its last).
+	adm *admission
 }
 
 // Submit enqueues one proving job (or serves it from the proof cache) on
@@ -647,7 +654,8 @@ type submitOpts struct {
 // *OverloadedError means the queue was full; a *tenant.QuotaError a
 // tenant quota refusal.
 func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, priority int, rawWitness []byte) (*job, error) {
-	return s.submit(entry, assign, priority, submitOpts{tn: tn, rawWitness: rawWitness})
+	a := s.queue.admit()
+	return s.submit(entry, assign, priority, submitOpts{tn: tn, rawWitness: rawWitness, adm: a})
 }
 
 // SubmitStream decodes a ZKSW witness incrementally from r and submits
@@ -658,12 +666,18 @@ func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperpl
 // are reported wrapped in errBadWitness; a failing store is not, so the
 // HTTP layer answers it 503 rather than 400.
 func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
+	return s.submitStream(s.queue.admit(), tn, entry, r, priority)
+}
+
+// submitStream is SubmitStream within admission a, which it ends.
+func (s *Service) submitStream(a *admission, tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
+	defer a.end()
 	assign := new(hyperplonk.Assignment)
 	if s.store == nil {
 		if err := assign.UnmarshalFrom(r); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadWitness, err)
 		}
-		return s.submit(entry, assign, priority, submitOpts{tn: tn})
+		return s.submit(entry, assign, priority, submitOpts{tn: tn, adm: a})
 	}
 	id := s.nextJobID()
 	ww, err := s.store.WitnessWriter(id)
@@ -684,7 +698,7 @@ func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Read
 		s.store.DiscardWitness(id)
 		return nil, fmt.Errorf("service: sealing witness stream: %w", err)
 	}
-	j, err := s.submit(entry, assign, priority, submitOpts{tn: tn, streamedID: id})
+	j, err := s.submit(entry, assign, priority, submitOpts{tn: tn, streamedID: id, adm: a})
 	if err != nil {
 		s.store.DiscardWitness(id)
 		return nil, err
@@ -712,8 +726,9 @@ func (t *storeTee) Read(p []byte) (int, error) {
 }
 
 // submit is the submission core shared by Submit, SubmitStream and
-// SubmitBatch.
+// SubmitBatch. It ends o.adm: with the push, or on return.
 func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, priority int, o submitOpts) (*job, error) {
+	defer o.adm.end()
 	if assign.W1.Len() != entry.circuit.NumGates() ||
 		assign.W2.Len() != entry.circuit.NumGates() ||
 		assign.W3.Len() != entry.circuit.NumGates() {
@@ -793,7 +808,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 		}
 		j.persisted = true
 	}
-	if err := s.queue.Push(j); err != nil {
+	if err := s.queue.Push(j, o.adm); err != nil {
 		if j.persisted {
 			// Neutralize the submit record — the client never saw the id,
 			// so replaying it after a restart would prove a job nobody
@@ -838,8 +853,16 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 // non-nil, carries each statement's ZKSW encoding (index-aligned with
 // assigns) so the store is spared a re-marshal per statement. Each
 // statement charges the tenant's in-flight quota independently; a quota
-// refusal mid-batch behaves like the racing-submitter case.
+// refusal mid-batch behaves like the racing-submitter case. The whole
+// batch is one admission, ended by its last statement's push, so a loop
+// that pops an early statement holds its batch open for the rest.
 func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
+	return s.submitBatch(s.queue.admit(), tn, entry, assigns, priority, raws)
+}
+
+// submitBatch is SubmitBatch within admission adm, which it ends.
+func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
+	defer adm.end()
 	if len(assigns) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
@@ -853,6 +876,9 @@ func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []
 		o := submitOpts{tn: tn}
 		if i < len(raws) {
 			o.rawWitness = raws[i]
+		}
+		if i == n-1 {
+			o.adm = adm
 		}
 		j, err := s.submit(entry, a, priority, o)
 		if err != nil {
@@ -868,7 +894,13 @@ func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []
 // semantics). The batch digest binds the proof blobs in statement order
 // and is only computed when every statement succeeded.
 func (s *Service) ProveBatchWait(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
-	jobs, err := s.SubmitBatch(tn, entry, assigns, priority, raws)
+	return s.proveBatchWait(ctx, s.queue.admit(), tn, entry, assigns, priority, raws)
+}
+
+// proveBatchWait is ProveBatchWait within admission a, which it ends
+// before it waits.
+func (s *Service) proveBatchWait(ctx context.Context, a *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
+	jobs, err := s.submitBatch(a, tn, entry, assigns, priority, raws)
 	if err != nil {
 		return api.ProveBatchResponse{}, err
 	}
@@ -969,42 +1001,69 @@ func (s *Service) Verify(ctx context.Context, entry *circuitEntry, pub []ff.Fr, 
 	return err
 }
 
-// batchLoop is one of the service's consumers: pop a job, hold it for
-// the batch window while same-circuit jobs coalesce behind it, prove the
-// batch, publish results. Proving runs inside the loop, so a loop works
-// one batch at a time while the queue absorbs (and coalesces) arrivals;
-// the other loops keep popping meanwhile.
+// batchLoop is one of the service's consumers: pop a job, gather the
+// same-circuit jobs queued or on their way behind it, prove the batch,
+// publish results. Proving runs inside the loop, so a loop works one
+// batch at a time while the queue absorbs (and coalesces) arrivals; the
+// other loops keep popping meanwhile.
+//
+// contended records that the loop's last batch met other submitters: it
+// carried more than one job, or jobs queued up while it proved. Clients
+// that keep several requests going come back from a shared batch a few
+// milliseconds apart — their own think time, not an admission the
+// service can see — so after such a batch the next one is held for the
+// window too. A lone or sequential caller never sets it.
 func (s *Service) batchLoop() {
 	defer s.wg.Done()
+	contended := false
 	for {
 		j, err := s.queue.Pop(s.ctx)
 		if err != nil {
 			return
 		}
+		popped := time.Now()
 		batch := []*job{j}
 		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 {
-			timer := time.NewTimer(s.cfg.BatchWindow)
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				arrived := s.queue.wake()
-				if j2 := s.queue.PopMatching(j.digest); j2 != nil {
-					batch = append(batch, j2)
-					continue
-				}
-				select {
-				case <-timer.C:
-					break collect
-				case <-arrived:
-					// Arrival — re-try PopMatching; a non-matching job
-					// stays queued for the next batch.
-				case <-s.ctx.Done():
-					break collect
-				}
-			}
-			timer.Stop()
+			batch = s.gather(batch, popped.Add(s.cfg.BatchWindow), contended)
 		}
+		s.met.observeHold(time.Since(popped))
 		s.runBatch(batch)
+		contended = len(batch) > 1 || s.queue.Depth() > 0
 	}
+}
+
+// gather adds the batch's circuit's queued jobs to it, and waits for more
+// while a submission is being admitted (or, when contended, at all),
+// until the deadline at the latest. With nothing on its way to an
+// uncontended loop the batch proves at once: a lone or sequential caller
+// pays no window.
+func (s *Service) gather(batch []*job, deadline time.Time, contended bool) []*job {
+	var timeout <-chan time.Time
+	for len(batch) < s.cfg.MaxBatch {
+		j, arrived, admitting := s.queue.collect(batch[0].digest)
+		if j != nil {
+			batch = append(batch, j)
+			continue
+		}
+		if !admitting && !contended {
+			break
+		}
+		if timeout == nil {
+			timer := time.NewTimer(time.Until(deadline))
+			defer timer.Stop()
+			timeout = timer.C
+		}
+		select {
+		case <-timeout:
+			return batch
+		case <-arrived:
+			// A push or an ended admission: look again. A non-matching
+			// job stays queued for the next batch.
+		case <-s.ctx.Done():
+			return batch
+		}
+	}
+	return batch
 }
 
 // runBatch drives one ProveBatch call and publishes per-job outcomes.
@@ -1036,6 +1095,11 @@ func (s *Service) runBatch(batch []*job) {
 	// already be in place. The prove-latency histogram sees each unique
 	// proof once; per-job counters see every job.
 	observed := make(map[cacheKey]bool, len(jobs))
+	// Every job of the batch is published together, once all of their
+	// records are in place: clients that shared this batch get their
+	// answers at one moment, so closed-loop clients come back together
+	// and are on their way when the next batch is popped.
+	publish := make([]func(), 0, len(batch))
 	// failJob records a terminal failure in the store (transient cuts —
 	// shutdown, cancellation — leave no record so replay re-queues the
 	// job; see transientErr) before publishing it.
@@ -1045,7 +1109,7 @@ func (s *Service) runBatch(batch []*job) {
 		if j.persisted && !transientErr(err) {
 			s.store.Fail(j.id, err.Error())
 		}
-		j.fail(err)
+		publish = append(publish, func() { j.fail(err) })
 	}
 	for _, j := range batch {
 		i := uniqueOf[j.witness]
@@ -1091,7 +1155,7 @@ func (s *Service) runBatch(batch []*job) {
 			observed[j.witness] = true
 			s.met.observeProve(r.ProverTime, r.Steps)
 		}
-		j.finish(api.ProveResponse{
+		resp := api.ProveResponse{
 			Status:       api.StatusDone,
 			Proof:        blob,
 			PublicInputs: pub,
@@ -1099,7 +1163,11 @@ func (s *Service) runBatch(batch []*job) {
 			BatchSize:    len(batch),
 			ProverNS:     r.ProverTime.Nanoseconds(),
 			StepsNS:      steps,
-		})
+		}
+		publish = append(publish, func() { j.finish(resp) })
+	}
+	for _, p := range publish {
+		p()
 	}
 }
 

@@ -137,6 +137,13 @@ func newTestService(t *testing.T, cfg Config, backend ...Backend) *Service {
 	return newLoopService(t, cfg, backend[0], 1)
 }
 
+// holdAdmission opens an admission, as a prove request whose body is
+// still arriving would, so a loop that pops a job holds its batch open
+// until the returned func ends it (or the window closes).
+func holdAdmission(s *Service) (end func()) {
+	return s.queue.admit().end
+}
+
 // newLoopService starts a service with the given number of batch loops.
 func newLoopService(t *testing.T, cfg Config, b Backend, loops int) *Service {
 	t.Helper()
@@ -151,7 +158,7 @@ func newLoopService(t *testing.T, cfg Config, b Backend, loops int) *Service {
 func TestQueuePriorityOrderAndBackpressure(t *testing.T) {
 	q := newJobQueue(3)
 	push := func(id string, prio int) error {
-		return q.Push(&job{id: id, priority: prio, done: make(chan struct{})})
+		return q.Push(&job{id: id, priority: prio, done: make(chan struct{})}, nil)
 	}
 	if err := push("low", prioLow); err != nil {
 		t.Fatal(err)
@@ -189,18 +196,18 @@ func TestQueuePopMatching(t *testing.T) {
 	q := newJobQueue(8)
 	dA, dB := [32]byte{1}, [32]byte{2}
 	for i, d := range [][32]byte{dB, dA, dB, dA} {
-		if err := q.Push(&job{id: string(rune('a' + i)), digest: d, priority: prioNormal, done: make(chan struct{})}); err != nil {
+		if err := q.Push(&job{id: string(rune('a' + i)), digest: d, priority: prioNormal, done: make(chan struct{})}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if j := q.PopMatching(dA); j == nil || j.id != "b" {
-		t.Fatalf("PopMatching(A) = %v, want job b", j)
+	if j, _, _ := q.collect(dA); j == nil || j.id != "b" {
+		t.Fatalf("collect(A) = %v, want job b", j)
 	}
-	if j := q.PopMatching(dA); j == nil || j.id != "d" {
-		t.Fatalf("second PopMatching(A) wrong")
+	if j, _, _ := q.collect(dA); j == nil || j.id != "d" {
+		t.Fatalf("second collect(A) wrong")
 	}
-	if j := q.PopMatching(dA); j != nil {
-		t.Fatalf("PopMatching(A) on drained digest returned %s", j.id)
+	if j, _, _ := q.collect(dA); j != nil {
+		t.Fatalf("collect(A) on drained digest returned %s", j.id)
 	}
 	if d := q.Depth(); d != 2 {
 		t.Fatalf("depth %d, want the 2 B jobs", d)
@@ -243,6 +250,9 @@ func TestBatchWindowCoalescesSameCircuit(t *testing.T) {
 		t.Fatal("fixture circuits share a digest")
 	}
 
+	// A second admission stays open while the four jobs are submitted, so
+	// the loop holds the first job's batch for the jobs behind it.
+	end := holdAdmission(s)
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a2, a3} {
 		j, err := s.Submit(nil, entry, a, prioNormal, nil)
@@ -256,6 +266,7 @@ func TestBatchWindowCoalescesSameCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs = append(jobs, oj)
+	end()
 	for _, j := range jobs {
 		select {
 		case <-j.done:
@@ -293,7 +304,9 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 	entry := mustRegister(t, s, circuit)
 
 	// Two byte-identical statements plus one distinct witness, all inside
-	// one batch window: the backend must prove only the 2 unique ones.
+	// one batch (a second admission holds it open while they arrive): the
+	// backend must prove only the 2 unique ones.
+	end := holdAdmission(s)
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a1, a2} {
 		j, err := s.Submit(nil, entry, a, prioNormal, nil)
@@ -302,6 +315,7 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	end()
 	for _, j := range jobs {
 		select {
 		case <-j.done:

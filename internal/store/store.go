@@ -104,7 +104,9 @@ type Store interface {
 	// replay treats claimed-but-unfinished identically to queued, so a
 	// durable store need not sync a claim before returning.
 	Claim(id string) error
-	// Complete records a job's successful result.
+	// Complete records a job's successful result. The store may retain
+	// r.Proof and r.PublicInputs rather than copy them, so the caller must
+	// not modify them afterwards.
 	Complete(r Result) error
 	// Fail records a terminal failure (prover rejection). Transient
 	// failures must not be recorded — absence is what re-queues the job

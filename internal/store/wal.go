@@ -362,12 +362,20 @@ func (w *WAL) openActive() error {
 
 // append frames, checksums and writes one record payload under the lock,
 // then applies it to the mirror and runs the sync/rotate/compact policy.
+// It is appendApplying with the mirror fed by decoding the payload.
 // Under SyncInterval 0 every record is synced before append returns but
 // two that nothing rests on: a chunk, which its adopting submit's sync
 // covers, and a claim, which replay ignores (a claimed job is pending
 // until its terminal record), so losing one in a crash re-queues a job
 // that replay re-queues anyway; the terminal record's sync covers it.
 func (w *WAL) append(payload []byte) error {
+	return w.appendApplying(payload, func() error { return w.applyRecord(payload) })
+}
+
+// appendApplying is append with apply folding the record into the mirror:
+// a caller that holds the decoded record hands it over instead of having
+// the payload decoded, and copied, again.
+func (w *WAL) appendApplying(payload []byte, apply func() error) error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -381,7 +389,7 @@ func (w *WAL) append(payload []byte) error {
 	w.actSize += int64(len(frame))
 	w.total += int64(len(frame))
 	w.stats.Appends++
-	if err := w.applyRecord(payload); err != nil {
+	if err := apply(); err != nil {
 		return err
 	}
 	if w.cfg.SyncInterval == 0 && payload[0] != recChunk && payload[0] != recClaim {
@@ -674,7 +682,12 @@ func (w *WAL) Complete(r Result) error {
 		w.liveEst -= int64(len(j.Witness)) // witness no longer live
 	}
 	w.liveEst += int64(len(r.Proof)+32*len(r.PublicInputs)) + 64
-	return w.append(encodeDone(r))
+	// The mirror keeps r itself: its proof is the blob the caller already
+	// retains for polling, so re-decoding the record would hold a copy.
+	return w.appendApplying(encodeDone(r), func() error {
+		w.st.complete(r)
+		return nil
+	})
 }
 
 func (w *WAL) Fail(id, msg string) error {

@@ -204,6 +204,37 @@ func TestWALRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWALCompleteKeepsCallerProof: the live mirror keeps the caller's
+// proof bytes instead of a decoded copy (the caller retains the same blob
+// for polling), and a reopen replays them byte-identical from the log.
+func TestWALCompleteKeepsCallerProof(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, WALConfig{Dir: dir})
+	d := digestOf(5)
+	if err := w.Submit(JobRecord{ID: "job-a", Circuit: d, Witness: []byte("wa")}); err != nil {
+		t.Fatal(err)
+	}
+	proof := bytes.Repeat([]byte("proof"), 100)
+	want := bytes.Clone(proof)
+	if err := w.Complete(Result{ID: "job-a", Circuit: d, Proof: proof, ProverNS: 7}); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	kept := w.st.done["job-a"].Proof
+	w.mu.Unlock()
+	if len(kept) != len(proof) || &kept[0] != &proof[0] {
+		t.Fatal("the mirror holds a copy of the proof, not the caller's bytes")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, WALConfig{Dir: dir})
+	defer r.Close()
+	if got := r.State().Done["job-a"]; !bytes.Equal(got.Proof, want) || got.ProverNS != 7 {
+		t.Fatalf("replayed result %+v, want the completed proof", got)
+	}
+}
+
 // TestWALClaimNotSynced: under the default SyncInterval 0 a claim is
 // appended without an fsync of its own — replay ignores claims — and the
 // terminal record's fsync covers it, so a proved job costs two syncs

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"zkspeed"
@@ -119,7 +121,8 @@ func e2eSuite(cfg suiteConfig) []benchmark {
 
 // serviceSuite builds the service-level suite: proofs driven through
 // zkproverd's full HTTP path (decode, queue, batch window, Engine, proof
-// serialization) against a loopback server. Four cases per problem size:
+// serialization) against a loopback server with the default batch
+// window. Five cases per problem size:
 //   - http_prove measures the uncached end-to-end latency (the proof
 //     cache is disabled so every iteration really proves, with the steps
 //     relayed from the service response);
@@ -130,15 +133,21 @@ func e2eSuite(cfg suiteConfig) []benchmark {
 //     under the default fsync-every-record policy;
 //   - http_prove_stream sends the same witness as the raw body of
 //     POST /v1/prove_stream to that durable service, so the two differ
-//     only in how the witness reaches the log (CI gates the pair).
+//     only in how the witness reaches the log (CI gates the pair);
+//   - http_prove_pair is http_prove sent by two clients at once, one
+//     request each per iteration. The witness is the same, so the pair
+//     costs one proof when the two share a batch (the in-flight dedup)
+//     and two when the service proves them one after the other; CI
+//     gates it against http_prove.
 func serviceSuite(cfg suiteConfig) []benchmark {
 	var out []benchmark
 	for _, mu := range cfg.ServiceMus {
-		for _, variant := range []string{"http_prove", "http_prove_cached", "http_prove_durable", "http_prove_stream"} {
+		for _, variant := range []string{"http_prove", "http_prove_cached", "http_prove_durable", "http_prove_stream", "http_prove_pair"} {
 			mu, variant := mu, variant
 			cached := variant == "http_prove_cached"
 			durable := variant == "http_prove_durable" || variant == "http_prove_stream"
 			stream := variant == "http_prove_stream"
+			pair := variant == "http_prove_pair"
 			var (
 				svc      *zkspeed.ProverService
 				server   *http.Server
@@ -149,6 +158,7 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 				digest   string
 				hc       *http.Client
 				steps    stepMeans
+				stepsMu  sync.Mutex // a pair's two answers land at once
 			)
 			post := func() (*http.Response, error) {
 				if stream {
@@ -157,7 +167,7 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 				}
 				return hc.Post(baseURL+"/v1/prove", "application/json", bytes.NewReader(reqBlob))
 			}
-			iterate := func() error {
+			proveOnce := func() error {
 				resp, err := post()
 				if err != nil {
 					return err
@@ -173,18 +183,29 @@ func serviceSuite(cfg suiteConfig) []benchmark {
 				if cached != proved.Cached {
 					return fmt.Errorf("prove: cached=%v, want %v", proved.Cached, cached)
 				}
+				stepsMu.Lock()
+				defer stepsMu.Unlock()
 				for k, v := range proved.StepsNS {
 					steps.sum[k] += time.Duration(v)
 				}
 				steps.reps++
 				return nil
 			}
+			iterate := proveOnce
+			if pair {
+				iterate = func() error {
+					errs := make(chan error, 2)
+					for range 2 {
+						go func() { errs <- proveOnce() }()
+					}
+					return errors.Join(<-errs, <-errs)
+				}
+			}
 			out = append(out, benchmark{
 				Name: fmt.Sprintf("service/%s/mu%d", variant, mu),
 				Setup: func() error {
 					svcCfg := zkspeed.ServiceConfig{
-						BatchWindow: time.Millisecond,
-						CacheSize:   -1, // every iteration must prove
+						CacheSize: -1, // every iteration must prove
 					}
 					if cached {
 						svcCfg.CacheSize = 4

@@ -79,10 +79,10 @@ func TestQuickSuiteShape(t *testing.T) {
 		t.Errorf("quick suite has %d e2e sizes, want >= 2", e2e)
 	}
 	// The service level must cover the real HTTP prove path, the cached
-	// overhead floor, and the durable JSON/stream pair CI's bench-gate
-	// compares.
+	// overhead floor, the durable JSON/stream pair and the concurrent pair
+	// CI's bench-gate compares.
 	for _, want := range []string{"service/http_prove/mu8", "service/http_prove_cached/mu8",
-		"service/http_prove_durable/mu8", "service/http_prove_stream/mu8"} {
+		"service/http_prove_durable/mu8", "service/http_prove_stream/mu8", "service/http_prove_pair/mu8"} {
 		if !names[want] {
 			t.Errorf("quick suite missing %s (%d service benchmarks)", want, svc)
 		}

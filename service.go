@@ -52,10 +52,12 @@ type ServiceConfig struct {
 	// QueueCapacity bounds the job queue; a full queue rejects with 429 +
 	// Retry-After instead of growing. Default 64.
 	QueueCapacity int
-	// BatchWindow is how long a loop holds the first job of a batch
-	// while same-circuit jobs accumulate behind it, sharing one setup and
-	// one ProveBatch call. 0 selects the 5ms default; negative disables
-	// coalescing.
+	// BatchWindow caps how long a loop holds a batch open for
+	// same-circuit jobs to share its setup and ProveBatch call. A loop
+	// takes the jobs already queued, then waits only while a prove
+	// request is being admitted, or after a shared batch (whose clients
+	// come back together); a lone caller is never held. 0 selects the
+	// 5ms default; negative disables coalescing.
 	BatchWindow time.Duration
 	// MaxBatch caps jobs per ProveBatch call. Default 16.
 	MaxBatch int

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -59,8 +60,12 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 	var info api.CircuitInfo
 	postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info, http.StatusOK)
 
-	// Two concurrent clients inside one batch window. (No t.Fatal inside
-	// the goroutines — errors are collected and checked afterwards.)
+	// Two concurrent clients inside one batch window, which an unfinished
+	// upload holds open: a batch waits only for submissions on their way,
+	// and the second client may not have reached the service yet when the
+	// first job is popped. (No t.Fatal inside the goroutines — errors are
+	// collected and checked afterwards.)
+	abandon := parkAdmission(t, srv, 4)
 	var wg sync.WaitGroup
 	responses := make([]api.ProveResponse, 2)
 	errs := make([]error, 2)
@@ -93,6 +98,7 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	abandon()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
@@ -154,7 +160,7 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 	}
 	svc, err := zkspeed.NewService(zkspeed.ServiceConfig{
 		QueueCapacity: 1,
-		BatchWindow:   10 * time.Second, // parks the first job in the collector
+		BatchWindow:   10 * time.Second,
 		MaxBatch:      8,
 	}, zkspeed.WithEntropy(zkspeed.SeededEntropy(42)))
 	if err != nil {
@@ -163,6 +169,11 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
+
+	// A stream upload left unfinished keeps an admission open, which
+	// parks the first job in the collector. Its relation is a fourth one.
+	parked := parkAdmission(t, srv, 4)
+	defer parked()
 
 	// Three distinct relations so nothing coalesces with the parked job.
 	submit := func(gap uint64, wantCode int) *http.Response {
@@ -197,6 +208,60 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 	if depth := svc.QueueDepth(); depth > 1 {
 		t.Fatalf("queue grew to %d despite capacity 1", depth)
 	}
+}
+
+// parkAdmission registers the relation of gap c and starts a
+// /v1/prove_stream upload for it whose body never arrives, then waits
+// until /metrics shows the admission open. The returned func abandons
+// the upload and waits for its answer.
+func parkAdmission(t *testing.T, srv *httptest.Server, c uint64) (abandon func()) {
+	t.Helper()
+	circuit, _ := buildServiceCircuitGap(t, c, 3)
+	blob, err := circuit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info api.CircuitInfo
+	postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: blob}, &info, http.StatusOK)
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/prove_stream?circuit_digest="+info.Digest, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = 1 << 10
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		if resp, err := srv.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(scrapeMetrics(t, srv), "\nzkproverd_admissions_open 1\n") {
+		if time.Now().After(deadline) {
+			t.Fatal("the stream upload never reached the service")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return func() {
+		pw.CloseWithError(errors.New("upload abandoned"))
+		<-answered
+	}
+}
+
+// scrapeMetrics returns the service's /metrics text.
+func scrapeMetrics(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
 }
 
 // TestPreloadWarmsEveryLoop preloads a circuit on a three-loop service and
