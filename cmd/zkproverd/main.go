@@ -41,7 +41,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	shards := flag.Int("shards", 1, "number of batch loops draining the job queue")
 	queueCap := flag.Int("queue-cap", 64, "queued jobs before 429")
-	batchWindow := flag.Duration("batch-window", 5*time.Millisecond, "longest a batch waits for same-circuit requests being admitted or, after a shared batch, returning (0 disables coalescing)")
+	batchWindow := flag.Duration("batch-window", 5*time.Millisecond, "longest a batch waits for same-circuit requests: ones being admitted, ones arriving while a circuit's first batch is set up, or clients returning from a shared batch (0 disables coalescing)")
 	maxBatch := flag.Int("max-batch", 16, "max jobs per ProveBatch call")
 	cacheSize := flag.Int("cache", 256, "proof-cache entries (negative disables)")
 	retention := flag.Int("retention", 1024, "finished jobs kept pollable")

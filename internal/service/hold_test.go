@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"zkspeed/api"
+	"zkspeed/internal/hyperplonk"
 )
 
 // waitAdmitting waits until n admissions are open.
@@ -205,39 +206,211 @@ func TestBatchHoldHistogram(t *testing.T) {
 	}
 }
 
-// TestSharedBatchHoldsTheNext proves a batch of two, then submits one job
-// with no admission open and a second 50 ms later. Clients that shared a
-// batch come back a few milliseconds apart, so the loop holds the next
-// batch for the window even with nothing being admitted, and the two
-// share it; a loop whose last batch was a lone job would prove the first
-// at once (TestLoneJobIsNotHeld).
-func TestSharedBatchHoldsTheNext(t *testing.T) {
-	s := newTestService(t, Config{BatchWindow: 10 * time.Second, MaxBatch: 2})
-	circuit, assigns := witnessesFor(t, 52, 4)
-	entry := mustRegister(t, s, circuit)
-	submit := func(i int) *job {
-		t.Helper()
-		j, err := s.Submit(nil, entry, assigns[i], prioNormal, nil)
+// sharedBatch proves assigns as one batch brought by two admissions (two
+// Submits while a third admission holds the loop), which makes the loop
+// hold its next batch of the circuit.
+func sharedBatch(t *testing.T, s *Service, entry *circuitEntry, assigns ...*hyperplonk.Assignment) {
+	t.Helper()
+	end := holdAdmission(s)
+	var jobs []*job
+	for _, a := range assigns {
+		j, err := s.Submit(nil, entry, a, prioNormal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j
+		jobs = append(jobs, j)
 	}
-	end := holdAdmission(s)
-	first := []*job{submit(0), submit(1)}
 	end()
-	for _, j := range first {
-		if r := waitDone(t, j, 5*time.Second); r.BatchSize != 2 {
-			t.Fatalf("first pair: batch of %d, want 2", r.BatchSize)
+	for _, j := range jobs {
+		if r := waitDone(t, j, 5*time.Second); r.BatchSize != len(assigns) {
+			t.Fatalf("shared batch: batch of %d, want %d", r.BatchSize, len(assigns))
 		}
 	}
-	j2 := submit(2)
+}
+
+// timedSubmit submits one job and returns it with its submit time.
+func timedSubmit(t *testing.T, s *Service, entry *circuitEntry, a *hyperplonk.Assignment) (*job, time.Time) {
+	t.Helper()
+	start := time.Now()
+	j, err := s.Submit(nil, entry, a, prioNormal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, start
+}
+
+// TestSharedBatchHoldsTheNext proves a batch of two, then submits one job
+// with no admission open and a second 50 ms later. Clients that shared a
+// batch come back a few milliseconds apart, so the loop holds the next
+// batch for the whole window even with nothing being admitted, and the
+// two share it. A held batch that meets nobody ends the rule: the next
+// lone job proves at once.
+func TestSharedBatchHoldsTheNext(t *testing.T) {
+	const window = 500 * time.Millisecond
+	s := newTestService(t, Config{BatchWindow: window, MaxBatch: 8})
+	circuit, assigns := witnessesFor(t, 52, 6)
+	entry := mustRegister(t, s, circuit)
+	sharedBatch(t, s, entry, assigns[0], assigns[1])
+
+	j2, start := timedSubmit(t, s, entry, assigns[2])
 	waitPopped(t, s)
 	time.Sleep(50 * time.Millisecond)
-	j3 := submit(3)
+	j3, _ := timedSubmit(t, s, entry, assigns[3])
 	for _, j := range []*job{j2, j3} {
 		if r := waitDone(t, j, 5*time.Second); r.BatchSize != 2 {
 			t.Fatalf("second pair: batch of %d, want 2", r.BatchSize)
 		}
+	}
+	if held := time.Since(start); held < window {
+		t.Fatalf("second pair proved %v after the first job, want the whole %v window", held, window)
+	}
+
+	// The pair came by two admissions, so the next batch is held too; it
+	// meets nobody, which ends the rule.
+	j4, start := timedSubmit(t, s, entry, assigns[4])
+	if r := waitDone(t, j4, 5*time.Second); r.BatchSize != 1 || time.Since(start) < window {
+		t.Fatalf("job after the pair: batch of %d after %v, want 1 after the %v window", r.BatchSize, time.Since(start), window)
+	}
+	j5, start := timedSubmit(t, s, entry, assigns[5])
+	if r := waitDone(t, j5, 5*time.Second); r.BatchSize != 1 || time.Since(start) > window/2 {
+		t.Fatalf("lone job: batch of %d after %v, want 1 at once", r.BatchSize, time.Since(start))
+	}
+}
+
+// TestBatchCallerAfterSharedBatch follows a shared batch with one caller
+// sending /v1/prove_batch requests one after another. Its first request
+// meets the hold the shared batch left; the rest are one admission each
+// and are not held, nor is a request whose statements fill two batches.
+func TestBatchCallerAfterSharedBatch(t *testing.T) {
+	const window = 500 * time.Millisecond
+	s := newTestService(t, Config{BatchWindow: window, MaxBatch: 4})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	circuit, assigns := witnessesFor(t, 53, 12)
+	entry := mustRegister(t, s, circuit)
+	sharedBatch(t, s, entry, assigns[0], assigns[1])
+
+	proveBatch := func(statements []*hyperplonk.Assignment) (time.Duration, []int) {
+		t.Helper()
+		req := api.ProveBatchRequest{CircuitDigest: fmt.Sprintf("%x", entry.digest)}
+		for _, a := range statements {
+			blob, err := a.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Witnesses = append(req.Witnesses, blob)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := srv.Client().Post(srv.URL+"/v1/prove_batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out api.ProveBatchResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prove_batch answered %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		var sizes []int
+		for _, r := range out.Results {
+			sizes = append(sizes, r.BatchSize)
+		}
+		return took, sizes
+	}
+	if took, sizes := proveBatch(assigns[2:4]); took < window || fmt.Sprint(sizes) != "[2 2]" {
+		t.Fatalf("first request after the shared batch: batch sizes %v after %v, want [2 2] after the %v window", sizes, took, window)
+	}
+	if took, sizes := proveBatch(assigns[4:6]); took > window/2 || fmt.Sprint(sizes) != "[2 2]" {
+		t.Fatalf("second request: batch sizes %v after %v, want [2 2] at once", sizes, took)
+	}
+	if took, sizes := proveBatch(assigns[6:12]); took > window/2 || fmt.Sprint(sizes) != "[4 4 4 4 2 2]" {
+		t.Fatalf("six statements: batch sizes %v after %v, want [4 4 4 4 2 2] at once", sizes, took)
+	}
+}
+
+// TestOtherCircuitsAreNotHeld queues jobs of a second circuit while a
+// loop holds a batch of the first for an admission: they stay queued,
+// and prove at once when it ends. A hold left by a shared batch of one
+// circuit does not hold a batch of another.
+func TestOtherCircuitsAreNotHeld(t *testing.T) {
+	const window = 500 * time.Millisecond
+	s := newTestService(t, Config{BatchWindow: window, MaxBatch: 8})
+	circuitA, assignsA := witnessesFor(t, 54, 3)
+	circuitB, assignsB := witnessesFor(t, 55, 3)
+	entryA := mustRegister(t, s, circuitA)
+	entryB := mustRegister(t, s, circuitB)
+
+	end := holdAdmission(s)
+	a0, _ := timedSubmit(t, s, entryA, assignsA[0])
+	waitPopped(t, s)
+	b0, _ := timedSubmit(t, s, entryB, assignsB[0])
+	b1, _ := timedSubmit(t, s, entryB, assignsB[1])
+	time.Sleep(50 * time.Millisecond)
+	if d := s.QueueDepth(); d != 2 {
+		t.Fatalf("queue depth %d while the first circuit's batch is held, want its 2 other-circuit jobs", d)
+	}
+	select {
+	case <-a0.done:
+		t.Fatal("batch proved while an admission was open")
+	default:
+	}
+	released := time.Now()
+	end()
+	if r := waitDone(t, a0, 5*time.Second); r.BatchSize != 1 {
+		t.Fatalf("held job: batch of %d, want 1", r.BatchSize)
+	}
+	for _, j := range []*job{b0, b1} {
+		if r := waitDone(t, j, 5*time.Second); r.BatchSize != 2 {
+			t.Fatalf("other circuit: batch of %d, want its 2 queued jobs", r.BatchSize)
+		}
+	}
+	if took := time.Since(released); took > window/2 {
+		t.Fatalf("both batches proved %v after the admission ended, want at once", took)
+	}
+
+	sharedBatch(t, s, entryA, assignsA[1], assignsA[2])
+	b2, start := timedSubmit(t, s, entryB, assignsB[2])
+	if r := waitDone(t, b2, 5*time.Second); r.BatchSize != 1 || time.Since(start) > window/2 {
+		t.Fatalf("other circuit after a shared batch: batch of %d after %v, want 1 at once", r.BatchSize, time.Since(start))
+	}
+}
+
+// TestFirstBatchWaitsAsLongAsItsSetup proves a circuit's first job on a
+// backend whose setup takes 200 ms. The loop sets the circuit up before
+// it closes the batch, then waits as long again: a job submitted just
+// after the setup joins it. The circuit's next lone job is not held.
+func TestFirstBatchWaitsAsLongAsItsSetup(t *testing.T) {
+	const setup = 200 * time.Millisecond
+	s := newTestService(t, Config{BatchWindow: time.Second, MaxBatch: 8}, &stubBackend{setup: setup})
+	circuit, assigns := witnessesFor(t, 56, 4)
+	entry := mustRegister(t, s, circuit)
+
+	j0, start := timedSubmit(t, s, entry, assigns[0])
+	waitPopped(t, s)
+	time.Sleep(setup + setup/4)
+	j1, _ := timedSubmit(t, s, entry, assigns[1])
+	for _, j := range []*job{j0, j1} {
+		if r := waitDone(t, j, 5*time.Second); r.BatchSize != 2 {
+			t.Fatalf("first batch: batch of %d, want 2", r.BatchSize)
+		}
+	}
+	if took := time.Since(start); took < 2*setup || took > 2*time.Second {
+		t.Fatalf("first batch proved after %v, want its %v setup and as long again", took, setup)
+	}
+
+	// The first batch met two submitters and holds the next; a held batch
+	// that meets nobody ends that.
+	j2, _ := timedSubmit(t, s, entry, assigns[2])
+	waitDone(t, j2, 5*time.Second)
+	j3, start := timedSubmit(t, s, entry, assigns[3])
+	if r := waitDone(t, j3, 5*time.Second); r.BatchSize != 1 || time.Since(start) > time.Second {
+		t.Fatalf("set-up circuit's lone job: batch of %d after %v, want 1 at once", r.BatchSize, time.Since(start))
 	}
 }

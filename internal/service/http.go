@@ -617,7 +617,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "zkproverd_circuits_registered", help: "Registered circuits.", value: float64(s.circuitCount())},
 		{name: "zkproverd_proof_cache_entries", help: "Proofs in the LRU cache.", value: float64(s.cache.Len())},
 		{name: "zkproverd_queue_depth", help: "Queued jobs.", value: float64(s.queue.Depth())},
-		{name: "zkproverd_admissions_open", help: "Prove requests being admitted; a popped batch waits only while this is above zero.", value: float64(s.queue.Admitting())},
+		{name: "zkproverd_admissions_open", help: "Prove requests being admitted; a popped batch waits while any is, BatchWindow at most.", value: float64(s.queue.Admitting())},
 		{name: "zkproverd_srs_setups_total", help: "SRS ceremonies run by the engine.", counter: true, value: float64(st.SRSSetups)},
 		{name: "zkproverd_key_setups_total", help: "Circuit preprocessings run by the engine.", counter: true, value: float64(st.KeySetups)},
 		{name: "zkproverd_key_cache_hits_total", help: "Engine key-cache hits.", counter: true, value: float64(st.KeyCacheHits)},

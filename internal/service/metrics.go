@@ -75,7 +75,7 @@ type Metrics struct {
 	tenantJobs map[string]*tenantCounters
 
 	prove histogram // per unique proof
-	hold  histogram // per batch, from pop to the batch closing
+	hold  histogram // per batch, from its circuit being set up to the batch closing
 
 	stepSeconds map[string]float64
 
@@ -150,8 +150,8 @@ func (m *Metrics) observeProve(d time.Duration, steps map[string]time.Duration) 
 	}
 }
 
-// observeHold records how long one batch was held open for jobs on their
-// way; 0 when nothing was.
+// observeHold records how long one batch was held open for more jobs
+// (not counting a first batch's setup); 0 when it was not.
 func (m *Metrics) observeHold(d time.Duration) {
 	m.mu.Lock()
 	m.hold.observe(d.Seconds())
@@ -283,7 +283,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges []gauge) {
 	}
 
 	m.prove.write(w, "zkproverd_prove_seconds", "Proving latency per job.")
-	m.hold.write(w, "zkproverd_batch_hold_seconds", "How long each batch was held open for submissions on their way.")
+	m.hold.write(w, "zkproverd_batch_hold_seconds", "How long each batch was held open for more jobs.")
 
 	// Gauges arrive ordered by the service; emit HELP/TYPE once per name
 	// even when a name repeats with different label sets (per-tenant rows).

@@ -370,6 +370,23 @@ func (q *jobQueue) collect(digest [32]byte) (match *job, arrived <-chan struct{}
 	return nil, q.arrived, q.admitting > 0
 }
 
+// anyQueued reports whether a queued job of digest satisfies pred.
+func (q *jobQueue) anyQueued(digest [32]byte, pred func(*job) bool) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	found := false
+	for _, l := range q.lanes {
+		l.each(func(j *job) bool {
+			found = j.digest == digest && pred(j)
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
+}
+
 // wake returns the channel the next push closes. Read it before looking
 // at the queue, not after, or an arrival in between goes unseen.
 func (q *jobQueue) wake() <-chan struct{} {

@@ -112,9 +112,10 @@ type Config struct {
 	QueueCapacity int
 	// BatchWindow caps how long a loop holds a batch open for
 	// same-circuit jobs: after taking the queued ones it waits only while
-	// a submission is being admitted, or after a shared batch (see
-	// batchLoop), never longer than this. 0 selects the 5ms default;
-	// negative disables coalescing.
+	// a submission is being admitted, after setting up a circuit's first
+	// batch, or after a batch that met other submitters (see batchLoop),
+	// never longer than this. 0 selects the 5ms default; negative
+	// disables coalescing.
 	BatchWindow time.Duration
 	// MaxBatch caps jobs per ProveBatch call. Default 16.
 	MaxBatch int
@@ -204,6 +205,9 @@ type job struct {
 	persisted bool
 	// pushSeq is the queue's insertion stamp (collect takes the oldest).
 	pushSeq uint64
+	// adm is the admission that brought the job (nil: replayed). A batch
+	// whose jobs came by more than one admission met other submitters.
+	adm *admission
 
 	mu     sync.Mutex
 	status string
@@ -288,6 +292,10 @@ type circuitEntry struct {
 	digest  [32]byte
 	circuit *hyperplonk.Circuit
 	scheme  string
+
+	// warm is set once the backend has set up the circuit's keys
+	// (Preload, or a loop before its first batch).
+	warm atomic.Bool
 
 	mu     sync.Mutex
 	proofs int64
@@ -599,6 +607,7 @@ func (s *Service) Preload(ctx context.Context, c *hyperplonk.Circuit) (api.Circu
 	if err := s.backend.Setup(ctx, c); err != nil {
 		return api.CircuitInfo{}, err
 	}
+	entry.warm.Store(true)
 	return entry.info(), nil
 }
 
@@ -640,10 +649,12 @@ type submitOpts struct {
 	// bytes were already streamed into the store; the submit record
 	// adopts them instead of carrying the blob again.
 	streamedID string
-	// adm is the admission this submission ends: with the push that
-	// queues the job, or on whatever exit queues nothing. nil leaves the
-	// caller's admission open (a batch's statements before its last).
-	adm *admission
+	// adm is the admission the submission belongs to. submit ends it:
+	// with the push that queues the job, or on whatever exit queues
+	// nothing. more leaves it open for the statements of the same batch
+	// that follow.
+	adm  *admission
+	more bool
 }
 
 // Submit enqueues one proving job (or serves it from the proof cache) on
@@ -726,9 +737,13 @@ func (t *storeTee) Read(p []byte) (int, error) {
 }
 
 // submit is the submission core shared by Submit, SubmitStream and
-// SubmitBatch. It ends o.adm: with the push, or on return.
+// SubmitBatch. Unless o.more, it ends o.adm: with the push, or on return.
 func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, priority int, o submitOpts) (*job, error) {
-	defer o.adm.end()
+	ends := o.adm
+	if o.more {
+		ends = nil
+	}
+	defer ends.end()
 	if assign.W1.Len() != entry.circuit.NumGates() ||
 		assign.W2.Len() != entry.circuit.NumGates() ||
 		assign.W3.Len() != entry.circuit.NumGates() {
@@ -764,6 +779,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 		cost:      int64(entry.circuit.NumGates()),
 		tenantID:  tid,
 		tenantRef: o.tn,
+		adm:       o.adm,
 		status:    api.StatusQueued,
 		done:      make(chan struct{}),
 	}
@@ -808,7 +824,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 		}
 		j.persisted = true
 	}
-	if err := s.queue.Push(j, o.adm); err != nil {
+	if err := s.queue.Push(j, ends); err != nil {
 		if j.persisted {
 			// Neutralize the submit record — the client never saw the id,
 			// so replaying it after a restart would prove a job nobody
@@ -873,12 +889,9 @@ func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitE
 	}
 	jobs := make([]*job, n)
 	for i, a := range assigns {
-		o := submitOpts{tn: tn}
+		o := submitOpts{tn: tn, adm: adm, more: i < n-1}
 		if i < len(raws) {
 			o.rawWitness = raws[i]
-		}
-		if i == n-1 {
-			o.adm = adm
 		}
 		j, err := s.submit(entry, a, priority, o)
 		if err != nil {
@@ -1007,63 +1020,125 @@ func (s *Service) Verify(ctx context.Context, entry *circuitEntry, pub []ff.Fr, 
 // batch at a time while the queue absorbs (and coalesces) arrivals; the
 // other loops keep popping meanwhile.
 //
-// contended records that the loop's last batch met other submitters: it
-// carried more than one job, or jobs queued up while it proved. Clients
-// that keep several requests going come back from a shared batch a few
-// milliseconds apart — their own think time, not an admission the
-// service can see — so after such a batch the next one is held for the
-// window too. A lone or sequential caller never sets it.
+// A batch waits for jobs nobody is submitting yet in two cases only,
+// never longer than BatchWindow:
+//   - The circuit's first batch: the loop sets the circuit up before it
+//     closes the batch, then waits as long again as the setup took.
+//     Jobs that arrive meanwhile share a batch that pays the setup
+//     anyway, and the caller that needed the setup pays at most twice
+//     it.
+//   - After a batch that met other submitters of its circuit (see
+//     metOthers): clients that keep requests going side by side come
+//     back from a shared batch a few milliseconds apart — their own
+//     think time, not an admission the service can see. This assumes
+//     they think for less than BatchWindow; one that takes longer
+//     misses the batch and costs the others the window.
+//
+// A caller alone with the service, however many statements it batches,
+// meets neither after its circuit's first batch.
 func (s *Service) batchLoop() {
 	defer s.wg.Done()
-	contended := false
+	var (
+		contended bool
+		last      [32]byte // the circuit of the loop's last batch
+	)
 	for {
 		j, err := s.queue.Pop(s.ctx)
 		if err != nil {
 			return
 		}
-		popped := time.Now()
 		batch := []*job{j}
+		var held time.Duration
 		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 {
-			batch = s.gather(batch, popped.Add(s.cfg.BatchWindow), contended)
+			setup := s.warm(j.entry)
+			start := time.Now()
+			deadline := start.Add(s.cfg.BatchWindow)
+			var idle time.Time // until when the batch waits with nothing on its way
+			switch {
+			case contended && j.digest == last:
+				idle = deadline
+			case setup > 0:
+				idle = start.Add(min(setup, s.cfg.BatchWindow))
+			}
+			batch = s.gather(batch, deadline, idle)
+			held = time.Since(start)
 		}
-		s.met.observeHold(time.Since(popped))
+		s.met.observeHold(held)
 		s.runBatch(batch)
-		contended = len(batch) > 1 || s.queue.Depth() > 0
+		contended, last = s.metOthers(batch), j.digest
 	}
 }
 
+// warm sets the circuit up on the backend, once, before the loop closes
+// the circuit's first batch, and returns how long that took (0 once it
+// is set up). A failed setup is left for the batch's ProveBatch to
+// report.
+func (s *Service) warm(e *circuitEntry) time.Duration {
+	if e.warm.Load() {
+		return 0
+	}
+	start := time.Now()
+	if s.backend.Setup(s.ctx, e.circuit) == nil {
+		e.warm.Store(true)
+	}
+	return time.Since(start)
+}
+
 // gather adds the batch's circuit's queued jobs to it, and waits for more
-// while a submission is being admitted (or, when contended, at all),
-// until the deadline at the latest. With nothing on its way to an
-// uncontended loop the batch proves at once: a lone or sequential caller
-// pays no window.
-func (s *Service) gather(batch []*job, deadline time.Time, contended bool) []*job {
-	var timeout <-chan time.Time
+// while a submission is being admitted, until the deadline, or with
+// nothing on its way until idle. Past both it proves at once.
+func (s *Service) gather(batch []*job, deadline, idle time.Time) []*job {
 	for len(batch) < s.cfg.MaxBatch {
 		j, arrived, admitting := s.queue.collect(batch[0].digest)
 		if j != nil {
 			batch = append(batch, j)
 			continue
 		}
-		if !admitting && !contended {
+		until := idle
+		if admitting {
+			until = deadline
+		}
+		wait := time.Until(until)
+		if wait <= 0 {
 			break
 		}
-		if timeout == nil {
-			timer := time.NewTimer(time.Until(deadline))
-			defer timer.Stop()
-			timeout = timer.C
-		}
+		timer := time.NewTimer(wait)
 		select {
-		case <-timeout:
-			return batch
+		case <-timer.C:
 		case <-arrived:
 			// A push or an ended admission: look again. A non-matching
 			// job stays queued for the next batch.
 		case <-s.ctx.Done():
+			timer.Stop()
 			return batch
 		}
+		timer.Stop()
 	}
 	return batch
+}
+
+// metOthers reports whether a proved batch met other submitters of its
+// circuit: its jobs, together with the circuit's jobs queued while it
+// proved, came by more than one admission. One SubmitBatch is one
+// admission however many batches its statements fill; replayed jobs
+// came by none; other circuits' jobs do not count.
+func (s *Service) metOthers(batch []*job) bool {
+	var first *admission
+	other := func(j *job) bool {
+		if j.adm == nil {
+			return false
+		}
+		if first == nil {
+			first = j.adm
+		}
+		return j.adm != first
+	}
+	for _, j := range batch {
+		if other(j) {
+			return true
+		}
+	}
+	return s.queue.anyQueued(batch[0].digest, other)
 }
 
 // runBatch drives one ProveBatch call and publishes per-job outcomes.
@@ -1095,11 +1170,6 @@ func (s *Service) runBatch(batch []*job) {
 	// already be in place. The prove-latency histogram sees each unique
 	// proof once; per-job counters see every job.
 	observed := make(map[cacheKey]bool, len(jobs))
-	// Every job of the batch is published together, once all of their
-	// records are in place: clients that shared this batch get their
-	// answers at one moment, so closed-loop clients come back together
-	// and are on their way when the next batch is popped.
-	publish := make([]func(), 0, len(batch))
 	// failJob records a terminal failure in the store (transient cuts —
 	// shutdown, cancellation — leave no record so replay re-queues the
 	// job; see transientErr) before publishing it.
@@ -1109,7 +1179,7 @@ func (s *Service) runBatch(batch []*job) {
 		if j.persisted && !transientErr(err) {
 			s.store.Fail(j.id, err.Error())
 		}
-		publish = append(publish, func() { j.fail(err) })
+		j.fail(err)
 	}
 	for _, j := range batch {
 		i := uniqueOf[j.witness]
@@ -1155,7 +1225,7 @@ func (s *Service) runBatch(batch []*job) {
 			observed[j.witness] = true
 			s.met.observeProve(r.ProverTime, r.Steps)
 		}
-		resp := api.ProveResponse{
+		j.finish(api.ProveResponse{
 			Status:       api.StatusDone,
 			Proof:        blob,
 			PublicInputs: pub,
@@ -1163,11 +1233,7 @@ func (s *Service) runBatch(batch []*job) {
 			BatchSize:    len(batch),
 			ProverNS:     r.ProverTime.Nanoseconds(),
 			StepsNS:      steps,
-		}
-		publish = append(publish, func() { j.finish(resp) })
-	}
-	for _, p := range publish {
-		p()
+		})
 	}
 }
 

@@ -61,9 +61,11 @@ func stubProof(mu int) *hyperplonk.Proof {
 }
 
 // stubBackend is a Backend that returns fabricated proofs after an
-// optional delay, recording every batch it was handed.
+// optional delay, recording every batch it was handed. setup delays
+// Setup.
 type stubBackend struct {
 	delay     time.Duration
+	setup     time.Duration
 	verifyErr error
 
 	mu      sync.Mutex
@@ -102,7 +104,10 @@ func (b *stubBackend) Verify(ctx context.Context, c *hyperplonk.Circuit, pub []f
 	return b.verifyErr
 }
 
-func (b *stubBackend) Setup(ctx context.Context, c *hyperplonk.Circuit) error { return nil }
+func (b *stubBackend) Setup(ctx context.Context, c *hyperplonk.Circuit) error {
+	time.Sleep(b.setup)
+	return nil
+}
 
 func (b *stubBackend) Scheme() string { return "pst" }
 

@@ -53,11 +53,13 @@ type ServiceConfig struct {
 	// Retry-After instead of growing. Default 64.
 	QueueCapacity int
 	// BatchWindow caps how long a loop holds a batch open for
-	// same-circuit jobs to share its setup and ProveBatch call. A loop
-	// takes the jobs already queued, then waits only while a prove
-	// request is being admitted, or after a shared batch (whose clients
-	// come back together); a lone caller is never held. 0 selects the
-	// 5ms default; negative disables coalescing.
+	// same-circuit jobs to share its ProveBatch call. A loop takes the
+	// jobs already queued, then waits only while a prove request is being
+	// admitted, after setting up a circuit's first batch (as long again
+	// as the setup took), or after a batch that met other clients of its
+	// circuit, who come back within the window if they think for less.
+	// A lone caller is held on no later proof. 0 selects the 5ms
+	// default; negative disables coalescing.
 	BatchWindow time.Duration
 	// MaxBatch caps jobs per ProveBatch call. Default 16.
 	MaxBatch int

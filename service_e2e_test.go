@@ -60,12 +60,8 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 	var info api.CircuitInfo
 	postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info, http.StatusOK)
 
-	// Two concurrent clients inside one batch window, which an unfinished
-	// upload holds open: a batch waits only for submissions on their way,
-	// and the second client may not have reached the service yet when the
-	// first job is popped. (No t.Fatal inside the goroutines — errors are
-	// collected and checked afterwards.)
-	abandon := parkAdmission(t, srv, 4)
+	// Two concurrent clients inside one batch window. (No t.Fatal inside
+	// the goroutines — errors are collected and checked afterwards.)
 	var wg sync.WaitGroup
 	responses := make([]api.ProveResponse, 2)
 	errs := make([]error, 2)
@@ -98,7 +94,6 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	abandon()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
