@@ -21,9 +21,10 @@ const (
 
 // VerifyOptions tunes proof verification.
 type VerifyOptions struct {
-	// Exec is the execution context of the verifier's MLE kernels — the
-	// public-input table evaluation; the zero value means one goroutine
-	// per CPU and the shared arena.
+	// Exec is the execution context of the verifier's kernels — the
+	// public-input table evaluation, and the opening check's Miller loops,
+	// split over Exec.Procs goroutines beside its MSM; the zero value
+	// means one goroutine per CPU and the shared arena.
 	Exec poly.Options
 	// Scheme, when non-empty, pins the commitment scheme the proof must
 	// have been produced under ("pst", "zeromorph"); verification fails
@@ -198,8 +199,10 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	}
 	rOpen := ocRes.Challenges
 
-	// Commitment to g' = Σ_j k_j(r_open)·y_j, assembled homomorphically:
-	// coefficient of polynomial q is Σ_{entries (j,q)} η^k·eq(point_j, r_open).
+	// Opening of g' = Σ_j k_j(r_open)·y_j, checked against the commitments
+	// homomorphically: the coefficient of polynomial q is
+	// Σ_{entries (j,q)} η^k·eq(point_j, r_open), and VerifyWith folds the
+	// 13 commitments into the opening check's own MSM.
 	comms := [numPolys]pcs.Commitment{
 		polyQL:     vk.SelectorComms[0],
 		polyQR:     vk.SelectorComms[1],
@@ -225,8 +228,7 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 		t.Mul(&weights[k], &kAtR[c.point])
 		coeffs[c.poly].Add(&coeffs[c.poly], &t)
 	}
-	cG := vk.PCS.Combine(comms[:], coeffs)
-	ok, err := vk.PCS.Verify(cG, rOpen, ocRes.FinalClaim, proof.Opening)
+	ok, err := vk.PCS.VerifyWith(comms[:], coeffs, rOpen, ocRes.FinalClaim, proof.Opening, opts.Exec)
 	if err != nil {
 		return fmt.Errorf("hyperplonk: opening: %w", err)
 	}

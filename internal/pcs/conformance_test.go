@@ -167,29 +167,60 @@ func conformanceOne(t *testing.T, scheme Scheme, mu int) {
 		}
 	}
 
-	// Homomorphic combination is part of the interface contract.
+	// Homomorphic combination is part of the interface contract: the
+	// opening of Σ coeffs[i]·m_i verifies against the commitments and
+	// their coefficients, and not with one coefficient changed.
 	c2, err := backend.Commit(sp)
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	coeffs := []ff.Fr{randFr(rng), randFr(rng)}
-	comb := backend.Combine([]Commitment{c, c2}, coeffs)
-	evals := make([]ff.Fr, 1<<mu)
-	var t1, t2 ff.Fr
-	for i := range evals {
-		t1.Mul(&coeffs[0], &m.Evals[i])
-		t2.Mul(&coeffs[1], &sp.Evals[i])
-		evals[i].Add(&t1, &t2)
-	}
-	cWant, err := backend.Commit(poly.NewMLE(evals))
-	if err != nil {
-		t.Fatalf("Commit(combined table): %v", err)
-	}
-	if !comb.P.Equal(&cWant.P) {
-		t.Fatal("Combine != commit of the linear combination")
-	}
+	conformanceCombination(t, backend, []*poly.MLE{m, sp}, []Commitment{c, c2}, points[0], rng)
 
 	conformanceShift(t, backend, m, c, points[0], rng)
+}
+
+// conformanceCombination opens Σ coeffs[i]·ms[i] at point for random
+// coefficients and checks it with VerifyWith against cs, the commitments
+// of ms, under one goroutine and under two: it must accept, and reject
+// each coefficient plus one whose commitment is not the identity (an
+// all-zero table's coefficient changes nothing).
+func conformanceCombination(t *testing.T, backend PCS, ms []*poly.MLE, cs []Commitment, point []ff.Fr, rng *rand.Rand) {
+	t.Helper()
+	coeffs := make([]ff.Fr, len(ms))
+	for i := range coeffs {
+		coeffs[i] = randFr(rng)
+	}
+	proof, v, err := backend.Open(poly.LinearCombine(ms, coeffs), point)
+	if err != nil {
+		t.Fatalf("Open(combination): %v", err)
+	}
+	one := ff.FrOne()
+	for _, procs := range []int{1, 2} {
+		opt := poly.Options{Procs: procs}
+		ok, err := backend.VerifyWith(cs, coeffs, point, v, proof, opt)
+		if err != nil || !ok {
+			t.Fatalf("procs %d: VerifyWith(combination) = %v, %v; want true", procs, ok, err)
+		}
+		changed := 0
+		for i := range coeffs {
+			if cs[i].P.Inf {
+				continue
+			}
+			bad := append([]ff.Fr(nil), coeffs...)
+			bad[i].Add(&bad[i], &one)
+			ok, err := backend.VerifyWith(cs, bad, point, v, proof, opt)
+			if err != nil {
+				t.Fatalf("procs %d: VerifyWith(coefficient %d changed) errored: %v", procs, i, err)
+			}
+			if ok {
+				t.Fatalf("procs %d: VerifyWith accepted coefficient %d changed", procs, i)
+			}
+			changed++
+		}
+		if changed == 0 {
+			t.Fatal("every commitment is the identity: no coefficient change was checked")
+		}
+	}
 }
 
 // conformanceShift exercises the shifted-opening half of the contract.

@@ -1,0 +1,106 @@
+package pcs
+
+import (
+	"sync"
+
+	"zkspeed/internal/curve"
+	"zkspeed/internal/ff"
+	"zkspeed/internal/msm"
+)
+
+// Both backends end a verification in the same check,
+//
+//	e(Σ_i scalars[i]·pts[i], H) · Π_k e(fixed[k], Q_k) == 1,
+//
+// where H and every Q_k are fixed SRS elements and only the first pair's
+// G1 input waits on an MSM: PST's fixed pairs are (−Q_k, [τ_{k+1}]H), the
+// Zeromorph one is (−π, [τ]H). Their G1 inputs come straight from the
+// proof, so their Miller loops can start at once, beside the MSM, on the
+// rest of the verifier's goroutine budget. Each loop returns its own
+// Miller value; the product of those is exactly the value of one loop over
+// every pair (squaring distributes over the product), so one final
+// exponentiation finishes the check whatever the split.
+
+// Verifier costs, in eighths of one pair's Miller-loop lines (68 sparse
+// Fp12 multiplications, ≈ 0.19 ms): a Miller loop's 63 Fp12 squarings cost
+// about one pair of its own, and the Window-4 MSM about one pair plus an
+// eighth per point. Lower quartiles of 41–61 runs on a 2-vCPU Xeon, Go 1.24:
+// PreparedMillerLoop 0.34 ms for 1 pair, 3.37 ms for 17; the MSM 0.22 ms
+// at 2 points, 0.49 ms at 13 and 0.89 ms at 30.
+const (
+	costPair     = 8
+	costLoop     = 8
+	costMSMBase  = 8
+	costMSMPoint = 1
+)
+
+// splitPairs deals the fixed pairs of a check with an MSM of points
+// points over at most procs Miller loops. shares[0] is the number of
+// fixed pairs the calling goroutine takes on after the MSM and its own
+// pair; every further entry is one loop started beside it. The split is
+// the cheapest by the cost model above; a split that is no cheaper than
+// fewer loops is not taken, so a budget of one, or a check whose fixed
+// pairs fit under nothing, runs one loop on the caller.
+func splitPairs(fixed, points, procs int) []int {
+	caller := func(a int) int { return costMSMBase + points*costMSMPoint + costLoop + (a+1)*costPair }
+	best, bestK, bestA := caller(fixed), 1, fixed
+	for k := 2; k <= procs && k-1 <= fixed; k++ {
+		for a := 0; a <= fixed-(k-1); a++ {
+			per := (fixed - a + k - 2) / (k - 1) // pairs of the largest other loop
+			if wall := max(caller(a), costLoop+per*costPair); wall < best {
+				best, bestK, bestA = wall, k, a
+			}
+		}
+	}
+	shares := make([]int, bestK)
+	shares[0] = bestA
+	rest, loops := fixed-bestA, bestK-1
+	for i := 1; i < bestK; i++ {
+		shares[i] = rest / loops
+		if i <= rest%loops {
+			shares[i]++
+		}
+	}
+	return shares
+}
+
+// pairingCheck runs the check above. lines[0] holds H's Miller-loop
+// lines and lines[k+1] those of Q_k. The loops of splitPairs(len(fixed),
+// len(pts), procs) beyond the first run on goroutines of their own while
+// the caller computes the MSM and then the loop of its pair and its share.
+func pairingCheck(pts []curve.G1Affine, scalars []ff.Fr, fixed []curve.G1Affine, lines []curve.G2Prepared, procs int) (bool, error) {
+	shares := splitPairs(len(fixed), len(pts), procs)
+	type part struct {
+		f   ff.Fp12
+		err error
+	}
+	parts := make([]part, len(shares)-1)
+	var wg sync.WaitGroup
+	lo := shares[0]
+	for i, n := range shares[1:] {
+		wg.Add(1)
+		go func(p *part, lo, hi int) {
+			defer wg.Done()
+			p.f, p.err = curve.PreparedMillerLoop(fixed[lo:hi], lines[lo+1:hi+1])
+		}(&parts[i], lo, lo+n)
+		lo += n
+	}
+
+	sum := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
+	ps := make([]curve.G1Affine, 1+shares[0])
+	ps[0].FromJacobian(&sum)
+	copy(ps[1:], fixed[:shares[0]])
+	f, err := curve.PreparedMillerLoop(ps, lines[:len(ps)])
+	wg.Wait()
+	if err != nil {
+		return false, err
+	}
+	for i := range parts {
+		if parts[i].err != nil {
+			return false, parts[i].err
+		}
+		f.Mul(&f, &parts[i].f)
+	}
+	out := curve.FinalExponentiation(&f)
+	return out.IsOne(), nil
+}

@@ -59,9 +59,10 @@ type preparedG2 struct {
 	err   error
 }
 
-// get returns the lines of qs, preparing them on the first call.
-func (p *preparedG2) get(qs ...curve.G2Affine) ([]curve.G2Prepared, error) {
-	p.once.Do(func() { p.lines, p.err = curve.PrepareG2(qs...) })
+// get returns the lines of the points qs lists, preparing them on the
+// first call; later calls do not call qs.
+func (p *preparedG2) get(qs func() []curve.G2Affine) ([]curve.G2Prepared, error) {
+	p.once.Do(func() { p.lines, p.err = curve.PrepareG2(qs()...) })
 	return p.lines, p.err
 }
 
@@ -213,12 +214,21 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 	return proof, work.Evals[0], nil
 }
 
-// Verify checks that the committed polynomial evaluates to value at point.
-// The textbook check e(C - value·G, H) == Π_k e(Q_k, [τ_{k+1}]H - [z_{k+1}]H)
-// is rearranged by bilinearity so that every G2 argument is a fixed SRS
-// element and the evaluation point enters through one small G1 MSM:
+// Verify checks that the committed polynomial evaluates to value at point:
+// VerifyWith of the one commitment with coefficient one, under the zero
+// poly.Options.
+func (s *SRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
+	return s.VerifyWith([]Commitment{c}, []ff.Fr{ff.FrOne()}, point, value, proof, poly.Options{})
+}
+
+// VerifyWith checks that Σ_i coeffs[i]·m_i evaluates to value at point,
+// where cs[i] commits to m_i. The textbook check
+// e(C - value·G, H) == Π_k e(Q_k, [τ_{k+1}]H - [z_{k+1}]H), with
+// C = Σ_i coeffs[i]·cs[i], is rearranged by bilinearity so that every G2
+// argument is a fixed SRS element and the commitments, the value and the
+// evaluation point enter through one G1 MSM:
 //
-//	e(C - value·G + Σ_k z_{k+1}·Q_k, H) · Π_k e(-Q_k, [τ_{k+1}]H) == 1
+//	e(Σ_i coeffs[i]·cs[i] - value·G + Σ_k z_{k+1}·Q_k, H) · Π_k e(-Q_k, [τ_{k+1}]H) == 1
 //
 // Moving z across the pairing assumes the Q_k have order r; proof decoding
 // checks that (curve.G1Affine.IsInSubgroup).
@@ -227,39 +237,32 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 // an SRS runs curve.PrepareG2 over H and HTau once, and every check pays
 // only the G1 half of the Miller loop against those stored lines (about
 // 20 KB per G2 point). Ceremony, key set-up and the prover never build
-// them.
-func (s *SRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
-	if len(point) != s.Mu || len(proof.Quotients) != s.Mu {
+// them. The μ pairs (-Q_k, [τ_{k+1}]H) do not wait on the MSM: under
+// opt's goroutine budget, Miller loops over shares of them run beside it
+// (pairingCheck).
+func (s *SRS) VerifyWith(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, opt poly.Options) (bool, error) {
+	if len(point) != s.Mu || len(proof.Quotients) != s.Mu || len(cs) != len(coeffs) {
 		return false, errors.New("pcs: verify dimension mismatch")
 	}
+	n := 1 + s.Mu + len(cs)
+	pts := make([]curve.G1Affine, 0, n)
+	scalars := make([]ff.Fr, 0, n)
 	var negValue ff.Fr
 	negValue.Neg(&value)
-	pts := append([]curve.G1Affine{s.G}, proof.Quotients...)
-	scalars := append([]ff.Fr{negValue}, point...)
-	lhs := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
-	lhs.AddMixed(&c.P)
-
-	ps := make([]curve.G1Affine, s.Mu+1)
-	ps[0].FromJacobian(&lhs)
-	for k := range proof.Quotients {
-		ps[k+1].Neg(&proof.Quotients[k])
+	pts = append(append(pts, s.G), proof.Quotients...)
+	scalars = append(append(scalars, negValue), point...)
+	for i := range cs {
+		pts = append(pts, cs[i].P)
 	}
-	lines, err := s.lines.get(append([]curve.G2Affine{s.H}, s.HTau...)...)
+	scalars = append(scalars, coeffs...)
+
+	negQ := make([]curve.G1Affine, s.Mu)
+	for k := range proof.Quotients {
+		negQ[k].Neg(&proof.Quotients[k])
+	}
+	lines, err := s.lines.get(func() []curve.G2Affine { return append([]curve.G2Affine{s.H}, s.HTau...) })
 	if err != nil {
 		return false, err
 	}
-	return curve.PreparedPairingCheck(ps, lines)
-}
-
-// CombineCommitments returns Σ coeffs[i]·cs[i] — commitments are additively
-// homomorphic, which the batch-opening protocol exploits (§3.3.5).
-func CombineCommitments(cs []Commitment, coeffs []ff.Fr) Commitment {
-	pts := make([]curve.G1Affine, len(cs))
-	for i := range cs {
-		pts[i] = cs[i].P
-	}
-	sum := msm.MSMWithOptions(pts, coeffs, msm.Options{Window: 4})
-	var out Commitment
-	out.P.FromJacobian(&sum)
-	return out
+	return pairingCheck(pts, scalars, negQ, lines, opt.Workers())
 }

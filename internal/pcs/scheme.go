@@ -122,10 +122,12 @@ type PCS interface {
 	Open(m *poly.MLE, point []ff.Fr) (OpeningProof, ff.Fr, error)
 	OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningProof, ff.Fr, error)
 	Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error)
-
-	// Combine returns Σ coeffs[i]·cs[i] (additive homomorphism, batch
-	// opening).
-	Combine(cs []Commitment, coeffs []ff.Fr) Commitment
+	// VerifyWith checks a claimed evaluation of Σ coeffs[i]·m_i, where
+	// cs[i] commits to m_i (additive homomorphism, batch opening), without
+	// forming the combined commitment: the coefficients join the check's
+	// own MSM. Its pairings share opt's goroutine budget. Verify is the
+	// one-commitment case.
+	VerifyWith(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, opt poly.Options) (bool, error)
 
 	// SupportsShift reports whether OpenShift/VerifyShifted work;
 	// backends without shift support return ErrShiftUnsupported.
@@ -157,13 +159,6 @@ var _ PCS = (*SRS)(nil)
 
 // Scheme identifies the PST backend.
 func (s *SRS) Scheme() Scheme { return SchemePST }
-
-// Combine is CombineCommitments as an interface method (the basis is
-// scheme-independent, but routing through the backend keeps call sites
-// uniform).
-func (s *SRS) Combine(cs []Commitment, coeffs []ff.Fr) Commitment {
-	return CombineCommitments(cs, coeffs)
-}
 
 // SupportsShift reports that PST has no shifted-opening protocol.
 func (s *SRS) SupportsShift() bool { return false }

@@ -7,6 +7,7 @@ import (
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/poly"
 )
 
 // opening is everything a verifier is handed for one evaluation claim.
@@ -168,4 +169,88 @@ func TestVerifyMatchesG2SideOracle(t *testing.T) {
 				})
 		})
 	}
+}
+
+// TestVerifyWithMatchesG2SideOracle re-runs the mutation equivalence of
+// TestVerifyMatchesG2SideOracle through VerifyWith (and, for shifted
+// openings, verifyCore) under budgets of one and two goroutines: both
+// must reach the same verdict, and it must be the oracle's.
+func TestVerifyWithMatchesG2SideOracle(t *testing.T) {
+	one := ff.FrOne()
+	unit := []ff.Fr{one}
+	// budgets runs verify under one goroutine and under two, requires the
+	// same verdict from both and returns the first's.
+	budgets := func(t *testing.T, verify func(o *opening, procs int) (bool, error)) func(o *opening) (bool, error) {
+		return func(o *opening) (bool, error) {
+			ok1, err1 := verify(o, 1)
+			ok2, err2 := verify(o, 2)
+			if (ok1 && err1 == nil) != (ok2 && err2 == nil) {
+				t.Fatalf("one goroutine accepts=%v (err %v), two accept=%v (err %v)", ok1, err1, ok2, err2)
+			}
+			return ok1, err1
+		}
+	}
+	for mu := 1; mu <= 8; mu++ {
+		t.Run(fmt.Sprintf("pst/mu%d", mu), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(7000 + mu)))
+			srs := SetupFromSeed([]byte{0xe0, byte(mu)}, mu)
+			checkVerifierEquivalence(t, openRandom(t, srs, rng, mu), singleFieldMutations(mu, mu),
+				budgets(t, func(o *opening, procs int) (bool, error) {
+					return srs.VerifyWith([]Commitment{o.c}, unit, o.point, o.value, o.proof, poly.Options{Procs: procs})
+				}),
+				func(o *opening) (bool, error) { return oracleVerifyPST(srs, o.c, o.point, o.value, o.proof) })
+		})
+		t.Run(fmt.Sprintf("zeromorph/mu%d", mu), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(8000 + mu)))
+			srs := ZeromorphSetupFromSeed([]byte{0xe1, byte(mu)}, mu)
+			o := openRandom(t, srs, rng, mu)
+			ms := singleFieldMutations(mu, mu+2)
+			checkVerifierEquivalence(t, o, ms,
+				budgets(t, func(o *opening, procs int) (bool, error) {
+					return srs.VerifyWith([]Commitment{o.c}, unit, o.point, o.value, o.proof, poly.Options{Procs: procs})
+				}),
+				func(o *opening) (bool, error) {
+					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, ff.Fr{}, false)
+				})
+
+			m := randMLE(rng, mu)
+			c, err := srs.Commit(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, v, err := srs.OpenShift(m, o.point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			so := opening{c: c, point: o.point, value: v, proof: sp.Proof, boundary: sp.Boundary}
+			ms = append(ms, mutation{"boundary", func(o *opening) bool { o.boundary.Add(&o.boundary, &one); return true }})
+			checkVerifierEquivalence(t, so, ms,
+				budgets(t, func(o *opening, procs int) (bool, error) {
+					return srs.verifyCore([]Commitment{o.c}, unit, o.point, o.value, o.proof, o.boundary, true, procs)
+				}),
+				func(o *opening) (bool, error) {
+					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, o.boundary, true)
+				})
+		})
+	}
+}
+
+// openRandom commits to a random table of mu variables and opens it at a
+// random point.
+func openRandom(t *testing.T, backend PCS, rng *rand.Rand, mu int) opening {
+	t.Helper()
+	m := randMLE(rng, mu)
+	var err error
+	var o opening
+	if o.c, err = backend.Commit(m); err != nil {
+		t.Fatal(err)
+	}
+	o.point = make([]ff.Fr, mu)
+	for i := range o.point {
+		o.point[i] = randFr(rng)
+	}
+	if o.proof, o.value, err = backend.Open(m, o.point); err != nil {
+		t.Fatal(err)
+	}
+	return o
 }

@@ -136,11 +136,6 @@ func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, er
 // only for the repository benchmark's layer records, which call it.
 func (s *ZeromorphSRS) CommitSparse(m *poly.MLE) (Commitment, error) { return s.Commit(m) }
 
-// Combine returns Σ coeffs[i]·cs[i].
-func (s *ZeromorphSRS) Combine(cs []Commitment, coeffs []ff.Fr) Commitment {
-	return CombineCommitments(cs, coeffs)
-}
-
 // SupportsShift reports that Zeromorph proves shifted evaluations.
 func (s *ZeromorphSRS) SupportsShift() bool { return true }
 
@@ -322,9 +317,18 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 // Verify checks an ordinary opening: the combined commitment assembled
 // from the proof must be a multiple of (τ−ζ) witnessed by π. Like
 // SRS.Verify, it pairs against the Miller-loop lines of H and [τ]H that
-// the first verification on this SRS prepares.
+// the first verification on this SRS prepares. It is VerifyWith of the
+// one commitment with coefficient one, under the zero poly.Options.
 func (s *ZeromorphSRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
-	return s.verifyCore(c, point, value, proof, ff.Fr{}, false)
+	return s.VerifyWith([]Commitment{c}, []ff.Fr{ff.FrOne()}, point, value, proof, poly.Options{})
+}
+
+// VerifyWith checks an ordinary opening of Σ coeffs[i]·m_i, where cs[i]
+// commits to m_i: each coefficient, times the check's z, joins the MSM
+// that assembles the combined commitment. The pair (−π, [τ]H) runs
+// beside that MSM under opt's goroutine budget (pairingCheck).
+func (s *ZeromorphSRS) VerifyWith(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, opt poly.Options) (bool, error) {
+	return s.verifyCore(cs, coeffs, point, value, proof, ff.Fr{}, false, opt.Workers())
 }
 
 // VerifyShifted checks a shifted opening against the original
@@ -332,12 +336,14 @@ func (s *ZeromorphSRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof Op
 // random ζ forces U(f)(x) − f₀′ + f₀′·x^N ≡ x·(…), whose x=0 term pins
 // f₀′ to the committed polynomial's true constant term.
 func (s *ZeromorphSRS) VerifyShifted(c Commitment, point []ff.Fr, value ff.Fr, proof ShiftProof) (bool, error) {
-	return s.verifyCore(c, point, value, proof.Proof, proof.Boundary, true)
+	return s.verifyCore([]Commitment{c}, []ff.Fr{ff.FrOne()}, point, value, proof.Proof, proof.Boundary, true, poly.Options{}.Workers())
 }
 
-func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof, boundary ff.Fr, shift bool) (bool, error) {
+// verifyCore checks an opening of Σ coeffs[i]·m_i (cs[i] commits to m_i)
+// with up to procs goroutines.
+func (s *ZeromorphSRS) verifyCore(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, boundary ff.Fr, shift bool, procs int) (bool, error) {
 	mu := s.Mu
-	if len(point) != mu || len(proof.Quotients) != mu+2 {
+	if len(point) != mu || len(proof.Quotients) != mu+2 || len(cs) != len(coeffs) {
 		return false, errors.New("pcs: verify dimension mismatch")
 	}
 	tr := transcript.New("zkspeed.pcs.zeromorph.open")
@@ -360,24 +366,27 @@ func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proo
 	sc := zeromorphScalars(mu, point, &y, &zeta, &z)
 
 	// C_combined = C_q̂ + fScale·C + const·G − Σ_k s_k·C_k, mirroring the
-	// prover's combined polynomial coefficient by coefficient. The KZG
-	// check e(C_combined, H) == e(π, [τ]H − ζ·H) is rearranged so both G2
+	// prover's combined polynomial coefficient by coefficient, with
+	// C = Σ_i coeffs[i]·cs[i]. The KZG check
+	// e(C_combined, H) == e(π, [τ]H − ζ·H) is rearranged so both G2
 	// arguments are fixed SRS elements: ζ·π joins the same MSM and
 	//
 	//	e(C_combined + ζ·π, H) · e(−π, [τ]H) == 1.
 	//
 	// Moving ζ across the pairing assumes π has order r; proof decoding
 	// checks that (curve.G1Affine.IsInSubgroup).
-	pi := proof.Quotients[mu+1]
-	pts := make([]curve.G1Affine, 0, mu+3)
-	scalars := make([]ff.Fr, 0, mu+3)
-	pts = append(pts, c.P)
+	fScale := z
 	if shift {
-		var fScale ff.Fr
 		fScale.Mul(&z, &sc.zetaInv)
-		scalars = append(scalars, fScale)
-	} else {
-		scalars = append(scalars, z)
+	}
+	n := len(cs) + mu + 3
+	pts := make([]curve.G1Affine, 0, n)
+	scalars := make([]ff.Fr, 0, n)
+	for i := range cs {
+		var t ff.Fr
+		t.Mul(&fScale, &coeffs[i])
+		pts = append(pts, cs[i].P)
+		scalars = append(scalars, t)
 	}
 	pts = append(pts, s.G)
 	scalars = append(scalars, sc.constScalar(&value, &boundary, shift))
@@ -387,18 +396,16 @@ func (s *ZeromorphSRS) verifyCore(c Commitment, point []ff.Fr, value ff.Fr, proo
 		pts = append(pts, proof.Quotients[k])
 		scalars = append(scalars, neg)
 	}
-	pts = append(pts, pi)
-	scalars = append(scalars, zeta)
-	comb := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
-	comb.AddMixed(&proof.Quotients[mu])
-	var combAff, negPi curve.G1Affine
-	combAff.FromJacobian(&comb)
+	pi := proof.Quotients[mu+1]
+	pts = append(pts, pi, proof.Quotients[mu])
+	scalars = append(scalars, zeta, ff.FrOne())
+	var negPi curve.G1Affine
 	negPi.Neg(&pi)
-	lines, err := s.lines.get(s.H, s.HTau)
+	lines, err := s.lines.get(func() []curve.G2Affine { return []curve.G2Affine{s.H, s.HTau} })
 	if err != nil {
 		return false, err
 	}
-	return curve.PreparedPairingCheck([]curve.G1Affine{combAff, negPi}, lines)
+	return pairingCheck(pts, scalars, []curve.G1Affine{negPi}, lines, procs)
 }
 
 // zmScalars holds the per-opening scalar kit both sides compute from the

@@ -1165,57 +1165,69 @@ func (s *Service) runBatch(batch []*job) {
 	s.met.batches++
 	s.met.batchJobs += int64(len(batch))
 	s.met.mu.Unlock()
+	// Every terminal record of the batch goes to the store first, in one
+	// Finish with one sync: once a client can read "done", a crash must
+	// not regress the job to pending (replay would re-prove it: same
+	// bytes, but double work and a window where a recorded ack is
+	// missing). Transient cuts (shutdown, cancellation) leave no record,
+	// so replay re-queues the job (see transientErr).
+	type answer struct {
+		j    *job
+		err  error // the job's failure, or nil
+		r    BackendResult
+		blob []byte
+		pub  [][]byte
+	}
+	answers := make([]answer, len(batch))
+	var done []store.Result
+	var failed []store.Failure
+	for k, j := range batch {
+		a := answer{j: j}
+		if i := uniqueOf[j.witness]; i >= len(results) {
+			a.err = errors.New("service: backend returned short results")
+		} else if a.r = results[i]; a.r.Err != nil {
+			a.err = a.r.Err
+		} else if a.blob, a.err = a.r.Proof.MarshalBinary(); a.err != nil {
+			a.err = fmt.Errorf("service: serializing proof: %w", a.err)
+		} else {
+			a.pub = encodeFrs(a.r.PublicInputs)
+		}
+		switch {
+		case !j.persisted:
+		case a.err == nil:
+			done = append(done, store.Result{
+				ID:           j.id,
+				Circuit:      j.digest,
+				Proof:        a.blob,
+				PublicInputs: a.pub,
+				ProverNS:     a.r.ProverTime.Nanoseconds(),
+			})
+		case !transientErr(a.err):
+			failed = append(failed, store.Failure{ID: j.id, Msg: a.err.Error()})
+		}
+		answers[k] = a
+	}
+	if len(done)+len(failed) > 0 {
+		s.store.Finish(done, failed)
+	}
 	// Metrics and cache update before finish(): closing a job's done
 	// channel publishes it, so everything observable about the job must
 	// already be in place. The prove-latency histogram sees each unique
 	// proof once; per-job counters see every job.
 	observed := make(map[cacheKey]bool, len(jobs))
-	// failJob records a terminal failure in the store (transient cuts —
-	// shutdown, cancellation — leave no record so replay re-queues the
-	// job; see transientErr) before publishing it.
-	failJob := func(j *job, err error) {
-		s.met.add(&s.met.jobsFailed, 1)
-		s.met.observeTenant(j.tenantID, tenantFailed)
-		if j.persisted && !transientErr(err) {
-			s.store.Fail(j.id, err.Error())
-		}
-		j.fail(err)
-	}
-	for _, j := range batch {
-		i := uniqueOf[j.witness]
-		if i >= len(results) {
-			failJob(j, errors.New("service: backend returned short results"))
+	for _, a := range answers {
+		j := a.j
+		if a.err != nil {
+			s.met.add(&s.met.jobsFailed, 1)
+			s.met.observeTenant(j.tenantID, tenantFailed)
+			j.fail(a.err)
 			continue
 		}
-		r := results[i]
-		if r.Err != nil {
-			failJob(j, r.Err)
-			continue
-		}
-		blob, err := r.Proof.MarshalBinary()
-		if err != nil {
-			failJob(j, fmt.Errorf("service: serializing proof: %w", err))
-			continue
-		}
-		steps := make(map[string]int64, len(r.Steps))
-		for k, v := range r.Steps {
+		steps := make(map[string]int64, len(a.r.Steps))
+		for k, v := range a.r.Steps {
 			steps[k] = v.Nanoseconds()
 		}
-		pub := encodeFrs(r.PublicInputs)
-		if j.persisted {
-			// Record the result before publishing it: once the client can
-			// read "done", a crash must not regress the job to pending —
-			// replay would re-prove it (same bytes, but double work and a
-			// window where a recorded ack is missing).
-			s.store.Complete(store.Result{
-				ID:           j.id,
-				Circuit:      j.digest,
-				Proof:        blob,
-				PublicInputs: pub,
-				ProverNS:     r.ProverTime.Nanoseconds(),
-			})
-		}
-		s.cache.Put(j.witness, &cacheEntry{proof: blob, public: r.PublicInputs})
+		s.cache.Put(j.witness, &cacheEntry{proof: a.blob, public: a.r.PublicInputs})
 		j.entry.mu.Lock()
 		j.entry.proofs++
 		j.entry.mu.Unlock()
@@ -1223,15 +1235,15 @@ func (s *Service) runBatch(batch []*job) {
 		s.met.observeTenant(j.tenantID, tenantDone)
 		if !observed[j.witness] {
 			observed[j.witness] = true
-			s.met.observeProve(r.ProverTime, r.Steps)
+			s.met.observeProve(a.r.ProverTime, a.r.Steps)
 		}
 		j.finish(api.ProveResponse{
 			Status:       api.StatusDone,
-			Proof:        blob,
-			PublicInputs: pub,
+			Proof:        a.blob,
+			PublicInputs: a.pub,
 			PCSScheme:    s.scheme,
 			BatchSize:    len(batch),
-			ProverNS:     r.ProverTime.Nanoseconds(),
+			ProverNS:     a.r.ProverTime.Nanoseconds(),
 			StepsNS:      steps,
 		})
 	}

@@ -104,14 +104,17 @@ type Store interface {
 	// replay treats claimed-but-unfinished identically to queued, so a
 	// durable store need not sync a claim before returning.
 	Claim(id string) error
-	// Complete records a job's successful result. The store may retain
-	// r.Proof and r.PublicInputs rather than copy them, so the caller must
-	// not modify them afterwards.
-	Complete(r Result) error
 	// Fail records a terminal failure (prover rejection). Transient
 	// failures must not be recorded — absence is what re-queues the job
 	// on replay.
 	Fail(id, msg string) error
+	// Finish records the terminal records of a batch — successful results
+	// and failures as Fail would — and makes them durable together: a
+	// per-record sync policy pays one fsync for the batch, after its last
+	// record, not one per record. The store may retain each result's
+	// Proof and PublicInputs rather than copy them, so the caller must not
+	// modify them afterwards.
+	Finish(done []Result, failed []Failure) error
 	// State snapshots the store's current state (on a fresh open, the
 	// recovered state). The snapshot is independent of later appends.
 	State() State

@@ -369,13 +369,15 @@ func (w *WAL) openActive() error {
 // until its terminal record), so losing one in a crash re-queues a job
 // that replay re-queues anyway; the terminal record's sync covers it.
 func (w *WAL) append(payload []byte) error {
-	return w.appendApplying(payload, func() error { return w.applyRecord(payload) })
+	return w.appendApplying(payload, true, func() error { return w.applyRecord(payload) })
 }
 
 // appendApplying is append with apply folding the record into the mirror:
 // a caller that holds the decoded record hands it over instead of having
-// the payload decoded, and copied, again.
-func (w *WAL) appendApplying(payload []byte, apply func() error) error {
+// the payload decoded, and copied, again. With sync false the record
+// gets no fsync of its own whatever its kind: the caller syncs after it
+// (Finish).
+func (w *WAL) appendApplying(payload []byte, sync bool, apply func() error) error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -392,14 +394,12 @@ func (w *WAL) appendApplying(payload []byte, apply func() error) error {
 	if err := apply(); err != nil {
 		return err
 	}
-	if w.cfg.SyncInterval == 0 && payload[0] != recChunk && payload[0] != recClaim {
-		if err := w.active.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
+	w.dirty = true
+	if sync && w.cfg.SyncInterval == 0 && payload[0] != recChunk && payload[0] != recClaim {
+		// The sync covers any chunks or claims before this record.
+		if err := w.syncLocked(); err != nil {
+			return err
 		}
-		w.stats.Syncs++
-		w.dirty = false // the sync covered any chunks or claims before this record
-	} else {
-		w.dirty = true
 	}
 	if w.actSize >= w.cfg.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -675,16 +675,25 @@ func (w *WAL) Claim(id string) error {
 	return w.append(encodeClaim(id))
 }
 
+// Complete records one job's successful result: Finish of one result.
+// The WAL may retain r.Proof and r.PublicInputs rather than copy them, so
+// the caller must not modify them afterwards.
 func (w *WAL) Complete(r Result) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.completeLocked(r, true)
+}
+
+// completeLocked appends r's done record, synced per policy when sync is
+// set.
+func (w *WAL) completeLocked(r Result, sync bool) error {
 	if j := w.st.pending[r.ID]; j != nil {
 		w.liveEst -= int64(len(j.Witness)) // witness no longer live
 	}
 	w.liveEst += int64(len(r.Proof)+32*len(r.PublicInputs)) + 64
 	// The mirror keeps r itself: its proof is the blob the caller already
 	// retains for polling, so re-decoding the record would hold a copy.
-	return w.appendApplying(encodeDone(r), func() error {
+	return w.appendApplying(encodeDone(r), sync, func() error {
 		w.st.complete(r)
 		return nil
 	})
@@ -693,10 +702,42 @@ func (w *WAL) Complete(r Result) error {
 func (w *WAL) Fail(id, msg string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.failLocked(id, msg, true)
+}
+
+// failLocked appends id's fail record, synced per policy when sync is
+// set.
+func (w *WAL) failLocked(id, msg string, sync bool) error {
 	if j := w.st.pending[id]; j != nil {
 		w.liveEst -= int64(len(j.Witness))
 	}
-	return w.append(encodeFail(id, msg))
+	payload := encodeFail(id, msg)
+	return w.appendApplying(payload, sync, func() error { return w.applyRecord(payload) })
+}
+
+// Finish appends the done and fail records as Complete and Fail would,
+// none synced on its own; under SyncInterval 0 one fsync after the last
+// record makes them all durable before Finish returns.
+func (w *WAL) Finish(done []Result, failed []Failure) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	for _, r := range done {
+		if err := w.completeLocked(r, false); err != nil {
+			return err
+		}
+	}
+	for _, f := range failed {
+		if err := w.failLocked(f.ID, f.Msg, false); err != nil {
+			return err
+		}
+	}
+	if w.cfg.SyncInterval == 0 {
+		return w.syncLocked()
+	}
+	return nil
 }
 
 func (w *WAL) State() State {
@@ -720,13 +761,20 @@ func (w *WAL) Sync() error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.dirty {
-		if err := w.active.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
-		}
-		w.stats.Syncs++
-		w.dirty = false
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs the active segment if anything was appended since the
+// last sync.
+func (w *WAL) syncLocked() error {
+	if !w.dirty {
+		return nil
 	}
+	if err := w.active.Sync(); err != nil {
+		return fmt.Errorf("store: sync: %w", err)
+	}
+	w.stats.Syncs++
+	w.dirty = false
 	return nil
 }
 

@@ -33,8 +33,8 @@ type Option func(*engineConfig)
 // WithParallelism bounds each level of the Engine's parallelism to n:
 // the ProveBatch worker pool runs at most n concurrent proofs, and n is
 // the goroutine budget of the one execution context (poly.Options) every
-// kernel inside a proof or verification runs under — MSMs, sumchecks and
-// MLE kernels alike. The caps compose — a batch of proofs can occupy up to
+// kernel inside a proof or verification runs under — MSMs, sumchecks,
+// MLE kernels and the opening check's Miller loops alike. The caps compose — a batch of proofs can occupy up to
 // n×n goroutines; callers sharing a box with other work should size n for
 // that product. Values below 1 fall back to the default (one worker per
 // CPU).
