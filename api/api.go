@@ -9,14 +9,6 @@
 // reference.
 package api
 
-// Job priorities, highest first. The service's queue drains high before
-// normal before low; jobs of equal priority keep arrival order.
-const (
-	PriorityHigh   = "high"
-	PriorityNormal = "normal"
-	PriorityLow    = "low"
-)
-
 // Job statuses reported by POST /v1/prove and GET /v1/jobs/{id}.
 const (
 	StatusQueued  = "queued"
@@ -63,8 +55,6 @@ type ProveRequest struct {
 	Circuit []byte `json:"circuit,omitempty"`
 	// Witness is a ZKSW assignment blob for the circuit.
 	Witness []byte `json:"witness"`
-	// Priority is PriorityHigh/Normal/Low; empty means normal.
-	Priority string `json:"priority,omitempty"`
 	// Wait selects the synchronous mode: the response carries the proof
 	// (or failure) instead of a queued job id to poll.
 	Wait bool `json:"wait,omitempty"`
@@ -115,8 +105,6 @@ type ProveBatchRequest struct {
 	Circuit []byte `json:"circuit,omitempty"`
 	// Witnesses are ZKSW assignment blobs, one per statement.
 	Witnesses [][]byte `json:"witnesses"`
-	// Priority is PriorityHigh/Normal/Low; empty means normal.
-	Priority string `json:"priority,omitempty"`
 }
 
 // ProveBatchResponse is the aggregated result of POST /v1/prove_batch.

@@ -371,7 +371,7 @@ func (c *Client) Circuit(ctx context.Context, digest string) (*api.CircuitInfo, 
 	return &info, nil
 }
 
-func proveRequest(digest string, assignment *zkspeed.Assignment, priority string, wait bool) (*api.ProveRequest, error) {
+func proveRequest(digest string, assignment *zkspeed.Assignment, wait bool) (*api.ProveRequest, error) {
 	witness, err := assignment.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -379,16 +379,14 @@ func proveRequest(digest string, assignment *zkspeed.Assignment, priority string
 	return &api.ProveRequest{
 		CircuitDigest: digest,
 		Witness:       witness,
-		Priority:      priority,
 		Wait:          wait,
 	}, nil
 }
 
 // Prove synchronously proves the assignment against a registered circuit
-// and returns the decoded proof. priority is one of the api.Priority*
-// names; empty means normal.
-func (c *Client) Prove(ctx context.Context, digest string, assignment *zkspeed.Assignment, priority ...string) (*ProveResult, error) {
-	req, err := proveRequest(digest, assignment, firstOrEmpty(priority), true)
+// and returns the decoded proof.
+func (c *Client) Prove(ctx context.Context, digest string, assignment *zkspeed.Assignment) (*ProveResult, error) {
+	req, err := proveRequest(digest, assignment, true)
 	if err != nil {
 		return nil, err
 	}
@@ -406,15 +404,12 @@ func (c *Client) Prove(ctx context.Context, digest string, assignment *zkspeed.A
 // arrive, and become durable with the job's submit record, so a streamed
 // proof costs the daemon no more fsyncs than Prove. The circuit must
 // already be registered.
-func (c *Client) ProveStream(ctx context.Context, digest string, assignment *zkspeed.Assignment, priority ...string) (*ProveResult, error) {
+func (c *Client) ProveStream(ctx context.Context, digest string, assignment *zkspeed.Assignment) (*ProveResult, error) {
 	witness, err := assignment.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	q := url.Values{"circuit_digest": {digest}, "wait": {"true"}}
-	if p := firstOrEmpty(priority); p != "" {
-		q.Set("priority", p)
-	}
 	path := "/v1/prove_stream?" + q.Encode()
 	var resp api.ProveResponse
 	for attempt := 0; ; attempt++ {
@@ -434,8 +429,8 @@ func (c *Client) ProveStream(ctx context.Context, digest string, assignment *zks
 
 // SubmitProve enqueues an async proving job and returns its id for
 // WaitJob / Job polling.
-func (c *Client) SubmitProve(ctx context.Context, digest string, assignment *zkspeed.Assignment, priority ...string) (string, error) {
-	req, err := proveRequest(digest, assignment, firstOrEmpty(priority), false)
+func (c *Client) SubmitProve(ctx context.Context, digest string, assignment *zkspeed.Assignment) (string, error) {
+	req, err := proveRequest(digest, assignment, false)
 	if err != nil {
 		return "", err
 	}
@@ -574,7 +569,7 @@ type BatchResult struct {
 // digest. Partial failure is not a transport error: the returned
 // BatchResult reports it per statement (and in Failed), so err is non-nil
 // only when the batch could not be attempted at all.
-func (c *Client) ProveBatch(ctx context.Context, digest string, assignments []*zkspeed.Assignment, priority ...string) (*BatchResult, error) {
+func (c *Client) ProveBatch(ctx context.Context, digest string, assignments []*zkspeed.Assignment) (*BatchResult, error) {
 	wits := make([][]byte, len(assignments))
 	for i, a := range assignments {
 		blob, err := a.MarshalBinary()
@@ -586,7 +581,6 @@ func (c *Client) ProveBatch(ctx context.Context, digest string, assignments []*z
 	req := api.ProveBatchRequest{
 		CircuitDigest: digest,
 		Witnesses:     wits,
-		Priority:      firstOrEmpty(priority),
 	}
 	var resp api.ProveBatchResponse
 	// A batch with failed statements answers 422 with the same body shape.
@@ -642,13 +636,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	}
 	blob, err := io.ReadAll(resp.Body)
 	return string(blob), err
-}
-
-func firstOrEmpty(s []string) string {
-	if len(s) > 0 {
-		return s[0]
-	}
-	return ""
 }
 
 func decodeProveResponse(resp *api.ProveResponse) (*ProveResult, error) {

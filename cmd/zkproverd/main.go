@@ -1,5 +1,5 @@
 // Command zkproverd runs the zkspeed proving service: one prover engine
-// behind a bounded priority job queue with backpressure, drained by
+// behind a bounded fair-share job queue with backpressure, drained by
 // -shards batch loops whose batch-accumulation window coalesces
 // same-circuit jobs into one ProveBatch call (amortizing SRS/key setup
 // across tenants), an LRU proof cache, and an HTTP/JSON API with

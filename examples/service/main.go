@@ -125,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("register 2: %v", err)
 	}
-	jobID, err := cl.SubmitProve(ctx, digest2, assignment2, "high")
+	jobID, err := cl.SubmitProve(ctx, digest2, assignment2)
 	if err != nil {
 		log.Fatalf("async submit: %v", err)
 	}

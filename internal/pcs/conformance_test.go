@@ -2,13 +2,11 @@ package pcs
 
 // Backend conformance suite: every PCS implementation runs the same
 // matrix — μ=0..12, random and edge evaluation points, dense vs sparse
-// commit agreement, serial/parallel determinism, setup digest stability,
-// and the shifted-opening contract (proof round-trip where supported,
-// ErrShiftUnsupported where not). A new backend passes by appending one
+// commit agreement, serial/parallel determinism, setup digest stability
+// and homomorphic combination. A new backend passes by appending one
 // entry to conformanceBackends.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -37,15 +35,6 @@ func sparseMLE(rng *rand.Rand, nv int) *poly.MLE {
 			evals[i] = randFr(rng)
 		}
 	}
-	return poly.NewMLE(evals)
-}
-
-// rotateMLE returns shift(m): rot[i] = m[(i+1) mod 2^μ].
-func rotateMLE(m *poly.MLE) *poly.MLE {
-	n := m.Len()
-	evals := make([]ff.Fr, n)
-	copy(evals, m.Evals[1:])
-	evals[n-1] = m.Evals[0]
 	return poly.NewMLE(evals)
 }
 
@@ -175,8 +164,6 @@ func conformanceOne(t *testing.T, scheme Scheme, mu int) {
 		t.Fatalf("Commit: %v", err)
 	}
 	conformanceCombination(t, backend, []*poly.MLE{m, sp}, []Commitment{c, c2}, points[0], rng)
-
-	conformanceShift(t, backend, m, c, points[0], rng)
 }
 
 // conformanceCombination opens Σ coeffs[i]·ms[i] at point for random
@@ -220,47 +207,6 @@ func conformanceCombination(t *testing.T, backend PCS, ms []*poly.MLE, cs []Comm
 		if changed == 0 {
 			t.Fatal("every commitment is the identity: no coefficient change was checked")
 		}
-	}
-}
-
-// conformanceShift exercises the shifted-opening half of the contract.
-func conformanceShift(t *testing.T, backend PCS, m *poly.MLE, c Commitment, point []ff.Fr, rng *rand.Rand) {
-	if !backend.SupportsShift() {
-		if _, _, err := backend.OpenShift(m, point); !errors.Is(err, ErrShiftUnsupported) {
-			t.Fatalf("OpenShift on non-shift backend: err = %v, want ErrShiftUnsupported", err)
-		}
-		if _, err := backend.VerifyShifted(c, point, ff.Fr{}, ShiftProof{}); !errors.Is(err, ErrShiftUnsupported) {
-			t.Fatalf("VerifyShifted on non-shift backend: err = %v, want ErrShiftUnsupported", err)
-		}
-		return
-	}
-	sp, v, err := backend.OpenShift(m, point)
-	if err != nil {
-		t.Fatalf("OpenShift: %v", err)
-	}
-	rot := rotateMLE(m)
-	if want := rot.Evaluate(point); !v.Equal(&want) {
-		t.Fatal("OpenShift value != rotated polynomial evaluation")
-	}
-	if !sp.Boundary.Equal(&m.Evals[0]) {
-		t.Fatal("ShiftProof boundary != f_0")
-	}
-	ok, err := backend.VerifyShifted(c, point, v, sp)
-	if err != nil || !ok {
-		t.Fatalf("VerifyShifted = %v, %v; want true", ok, err)
-	}
-	var wrong ff.Fr
-	wrong.SetOne()
-	wrong.Add(&wrong, &v)
-	if ok, err := backend.VerifyShifted(c, point, wrong, sp); err != nil || ok {
-		t.Fatalf("VerifyShifted(wrong value) = %v, %v; want false", ok, err)
-	}
-	// A tampered boundary must be caught: it is transcript-bound AND
-	// pairing-bound, so flipping it breaks the check.
-	bad := sp
-	bad.Boundary.Add(&bad.Boundary, &wrong)
-	if ok, err := backend.VerifyShifted(c, point, v, bad); err != nil || ok {
-		t.Fatalf("VerifyShifted(tampered boundary) = %v, %v; want false", ok, err)
 	}
 }
 

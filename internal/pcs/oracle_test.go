@@ -134,20 +134,14 @@ func oracleVerifyPST(s *SRS, c Commitment, point []ff.Fr, value ff.Fr, proof Ope
 	return curve.PairingCheck(ps, qs)
 }
 
-// oracleVerifyZeromorph checks e(C_combined, H) == e(π, [τ]H − ζ·H), for
-// ordinary (shift=false) and shifted openings.
-func oracleVerifyZeromorph(s *ZeromorphSRS, c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof, boundary ff.Fr, shift bool) (bool, error) {
+// oracleVerifyZeromorph checks e(C_combined, H) == e(π, [τ]H − ζ·H).
+func oracleVerifyZeromorph(s *ZeromorphSRS, c Commitment, point []ff.Fr, value ff.Fr, proof OpeningProof) (bool, error) {
 	mu := s.Mu
 	if len(point) != mu || len(proof.Quotients) != mu+2 {
 		return false, errors.New("pcs: verify dimension mismatch")
 	}
 	tr := transcript.New("zkspeed.pcs.zeromorph.open")
-	if shift {
-		tr.AppendBytes("mode", []byte("shift"))
-		tr.AppendFr("boundary", &boundary)
-	} else {
-		tr.AppendBytes("mode", []byte("open"))
-	}
+	tr.AppendBytes("mode", []byte("open"))
 	tr.AppendFrs("point", point)
 	tr.AppendFr("value", &value)
 	for k := 0; k < mu; k++ {
@@ -160,11 +154,7 @@ func oracleVerifyZeromorph(s *ZeromorphSRS, c Commitment, point []ff.Fr, value f
 	sc := zeromorphScalars(mu, point, &y, &zeta, &z)
 
 	pts := []curve.G1Affine{c.P, s.G}
-	fScale := z
-	if shift {
-		fScale.Mul(&z, &sc.zetaInv)
-	}
-	scalars := []ff.Fr{fScale, sc.constScalar(&value, &boundary, shift)}
+	scalars := []ff.Fr{z, sc.constScalar(&value)}
 	for k := 0; k < mu; k++ {
 		var neg ff.Fr
 		neg.Neg(&sc.qScalar[k])

@@ -9,7 +9,6 @@ package pcs
 // package's SRS alias and Engine.SRSFor).
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -24,12 +23,11 @@ type Scheme uint8
 
 const (
 	// SchemePST is the baseline PST multilinear KZG: Lagrange-basis SRS,
-	// halving quotient chain, (μ+1)-way pairing product. No shifted
-	// openings.
+	// halving quotient chain, (μ+1)-way pairing product.
 	SchemePST Scheme = 0
 	// SchemeZeromorph maps multilinears to univariates (U(f)(x) = Σ f_i
-	// x^i) and commits under a powers-of-τ basis; shifted evaluations
-	// cost one boundary scalar instead of a second full opening.
+	// x^i) and commits under a powers-of-τ basis; an opening is μ+2 G1
+	// points.
 	SchemeZeromorph Scheme = 1
 )
 
@@ -80,21 +78,6 @@ func Schemes() []string {
 	return out
 }
 
-// ErrShiftUnsupported is returned by OpenShift/VerifyShifted on backends
-// whose SupportsShift is false (PST).
-var ErrShiftUnsupported = errors.New("pcs: scheme does not support shifted openings")
-
-// ShiftProof attests that the cyclic shift of a committed MLE —
-// shift(f)[i] = f[(i+1) mod 2^μ] — evaluates to a claimed value at a
-// point, without a second commitment. Boundary is f's constant term
-// f_0, the one scalar the rotation moves across the wrap-around; the
-// verifier's pairing check binds it to the original commitment (the
-// identity forced at a random ζ pins f_0 exactly).
-type ShiftProof struct {
-	Boundary ff.Fr
-	Proof    OpeningProof
-}
-
 // PCS is the polynomial commitment interface the prover/verifier/engine
 // program against. Implementations must be safe for concurrent use after
 // setup.
@@ -128,15 +111,6 @@ type PCS interface {
 	// own MSM. Its pairings share opt's goroutine budget. Verify is the
 	// one-commitment case.
 	VerifyWith(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, opt poly.Options) (bool, error)
-
-	// SupportsShift reports whether OpenShift/VerifyShifted work;
-	// backends without shift support return ErrShiftUnsupported.
-	SupportsShift() bool
-	// OpenShift proves the evaluation of the cyclic shift of m at point
-	// against m's own commitment.
-	OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error)
-	OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error)
-	VerifyShifted(c Commitment, point []ff.Fr, value ff.Fr, proof ShiftProof) (bool, error)
 }
 
 // NewBackend runs the selected scheme's deterministic seeded setup for
@@ -159,21 +133,3 @@ var _ PCS = (*SRS)(nil)
 
 // Scheme identifies the PST backend.
 func (s *SRS) Scheme() Scheme { return SchemePST }
-
-// SupportsShift reports that PST has no shifted-opening protocol.
-func (s *SRS) SupportsShift() bool { return false }
-
-// OpenShift is unsupported under PST.
-func (s *SRS) OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error) {
-	return ShiftProof{}, ff.Fr{}, ErrShiftUnsupported
-}
-
-// OpenShiftWith is unsupported under PST.
-func (s *SRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error) {
-	return ShiftProof{}, ff.Fr{}, ErrShiftUnsupported
-}
-
-// VerifyShifted is unsupported under PST.
-func (s *SRS) VerifyShifted(c Commitment, point []ff.Fr, value ff.Fr, proof ShiftProof) (bool, error) {
-	return false, ErrShiftUnsupported
-}

@@ -12,11 +12,10 @@ import (
 
 // opening is everything a verifier is handed for one evaluation claim.
 type opening struct {
-	c        Commitment
-	point    []ff.Fr
-	value    ff.Fr
-	proof    OpeningProof
-	boundary ff.Fr // Zeromorph shifted openings only
+	c     Commitment
+	point []ff.Fr
+	value ff.Fr
+	proof OpeningProof
 }
 
 func (o *opening) clone() opening {
@@ -145,39 +144,19 @@ func TestVerifyMatchesG2SideOracle(t *testing.T) {
 			if o.proof, o.value, err = srs.Open(m, o.point); err != nil {
 				t.Fatal(err)
 			}
-			ms := singleFieldMutations(mu, mu+2)
-			checkVerifierEquivalence(t, o, ms,
+			checkVerifierEquivalence(t, o, singleFieldMutations(mu, mu+2),
 				func(o *opening) (bool, error) { return srs.Verify(o.c, o.point, o.value, o.proof) },
-				func(o *opening) (bool, error) {
-					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, ff.Fr{}, false)
-				})
-
-			// The shifted opening runs through the same rearranged check.
-			sp, v, err := srs.OpenShift(m, o.point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			so := opening{c: o.c, point: o.point, value: v, proof: sp.Proof, boundary: sp.Boundary}
-			one := ff.FrOne()
-			ms = append(ms, mutation{"boundary", func(o *opening) bool { o.boundary.Add(&o.boundary, &one); return true }})
-			checkVerifierEquivalence(t, so, ms,
-				func(o *opening) (bool, error) {
-					return srs.VerifyShifted(o.c, o.point, o.value, ShiftProof{Boundary: o.boundary, Proof: o.proof})
-				},
-				func(o *opening) (bool, error) {
-					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, o.boundary, true)
-				})
+				func(o *opening) (bool, error) { return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof) })
 		})
 	}
 }
 
 // TestVerifyWithMatchesG2SideOracle re-runs the mutation equivalence of
-// TestVerifyMatchesG2SideOracle through VerifyWith (and, for shifted
-// openings, verifyCore) under budgets of one and two goroutines: both
-// must reach the same verdict, and it must be the oracle's.
+// TestVerifyMatchesG2SideOracle through VerifyWith under budgets of one
+// and two goroutines: both must reach the same verdict, and it must be
+// the oracle's.
 func TestVerifyWithMatchesG2SideOracle(t *testing.T) {
-	one := ff.FrOne()
-	unit := []ff.Fr{one}
+	unit := []ff.Fr{ff.FrOne()}
 	// budgets runs verify under one goroutine and under two, requires the
 	// same verdict from both and returns the first's.
 	budgets := func(t *testing.T, verify func(o *opening, procs int) (bool, error)) func(o *opening) (bool, error) {
@@ -203,34 +182,11 @@ func TestVerifyWithMatchesG2SideOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("zeromorph/mu%d", mu), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(8000 + mu)))
 			srs := ZeromorphSetupFromSeed([]byte{0xe1, byte(mu)}, mu)
-			o := openRandom(t, srs, rng, mu)
-			ms := singleFieldMutations(mu, mu+2)
-			checkVerifierEquivalence(t, o, ms,
+			checkVerifierEquivalence(t, openRandom(t, srs, rng, mu), singleFieldMutations(mu, mu+2),
 				budgets(t, func(o *opening, procs int) (bool, error) {
 					return srs.VerifyWith([]Commitment{o.c}, unit, o.point, o.value, o.proof, poly.Options{Procs: procs})
 				}),
-				func(o *opening) (bool, error) {
-					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, ff.Fr{}, false)
-				})
-
-			m := randMLE(rng, mu)
-			c, err := srs.Commit(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp, v, err := srs.OpenShift(m, o.point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			so := opening{c: c, point: o.point, value: v, proof: sp.Proof, boundary: sp.Boundary}
-			ms = append(ms, mutation{"boundary", func(o *opening) bool { o.boundary.Add(&o.boundary, &one); return true }})
-			checkVerifierEquivalence(t, so, ms,
-				budgets(t, func(o *opening, procs int) (bool, error) {
-					return srs.verifyCore([]Commitment{o.c}, unit, o.point, o.value, o.proof, o.boundary, true, procs)
-				}),
-				func(o *opening) (bool, error) {
-					return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof, o.boundary, true)
-				})
+				func(o *opening) (bool, error) { return oracleVerifyZeromorph(srs, o.c, o.point, o.value, o.proof) })
 		})
 	}
 }

@@ -15,13 +15,6 @@ package pcs
 // batches a degree check over the q_k (challenge y), evaluates the whole
 // relation at a random ζ (challenges ζ, z from an internal transcript),
 // and ships one KZG witness for the combined polynomial — μ+2 G1 points.
-//
-// The payoff is OpenShift: the cyclic shift shift(f)[i] = f[(i+1) mod N]
-// satisfies U(shift f)(x) = (U(f)(x) − f_0)/x + f_0·x^{N−1}, so a shifted
-// evaluation is proved against the ORIGINAL commitment with one extra
-// scalar (the boundary term f_0) instead of committing the rotated table
-// and opening it from scratch. PST has no analogue — its Lagrange basis
-// ties commitments to the multilinear structure.
 
 import (
 	"crypto/sha256"
@@ -136,61 +129,26 @@ func (s *ZeromorphSRS) CommitWith(m *poly.MLE, opt poly.Options) (Commitment, er
 // only for the repository benchmark's layer records, which call it.
 func (s *ZeromorphSRS) CommitSparse(m *poly.MLE) (Commitment, error) { return s.Commit(m) }
 
-// SupportsShift reports that Zeromorph proves shifted evaluations.
-func (s *ZeromorphSRS) SupportsShift() bool { return true }
-
 // Open produces an opening proof and the evaluation of m at point.
 func (s *ZeromorphSRS) Open(m *poly.MLE, point []ff.Fr) (OpeningProof, ff.Fr, error) {
 	return s.OpenWith(m, point, poly.Options{})
 }
 
 // OpenWith is Open under an explicit execution context.
-func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningProof, ff.Fr, error) {
-	proof, v, _, err := s.openCore(m, point, opt, false)
-	return proof, v, err
-}
-
-// OpenShift proves the evaluation of the cyclic shift of m at point,
-// against m's own commitment (verify with VerifyShifted).
-func (s *ZeromorphSRS) OpenShift(m *poly.MLE, point []ff.Fr) (ShiftProof, ff.Fr, error) {
-	return s.OpenShiftWith(m, point, poly.Options{})
-}
-
-// OpenShiftWith is OpenShift under an explicit execution context.
-func (s *ZeromorphSRS) OpenShiftWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (ShiftProof, ff.Fr, error) {
-	proof, v, boundary, err := s.openCore(m, point, opt, true)
-	if err != nil {
-		return ShiftProof{}, ff.Fr{}, err
-	}
-	return ShiftProof{Boundary: boundary, Proof: proof}, v, nil
-}
-
-// openCore runs the quotient protocol. In shift mode the quotient chain
-// runs over the rotated table but the combined polynomial is expressed
-// in terms of the ORIGINAL coefficients (scalar z·ζ^{−1} on f plus a
-// constant boundary term), so the verifier checks it against the
-// original commitment.
-func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, shift bool) (OpeningProof, ff.Fr, ff.Fr, error) {
+func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, popt poly.Options) (OpeningProof, ff.Fr, error) {
 	if m.NumVars != s.Mu || len(point) != s.Mu {
-		return OpeningProof{}, ff.Fr{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
+		return OpeningProof{}, ff.Fr{}, errors.New("pcs: open dimension mismatch")
 	}
 	mu, n := s.Mu, 1<<s.Mu
 	opt := msmOptions(popt)
 
 	// The quotient chain folds g, an arena copy of the table (m itself is
 	// only read); q̂ then reuses the buffer.
-	var boundary ff.Fr
 	arena := popt.Arena()
 	buf := arena.Get(n)
 	defer arena.Put(buf)
 	g := buf
-	if shift {
-		boundary = m.Evals[0]
-		copy(g, m.Evals[1:])
-		g[n-1] = m.Evals[0]
-	} else {
-		copy(g, m.Evals)
-	}
+	copy(g, m.Evals)
 
 	// MSB-first multilinear quotients: eliminating the top remaining
 	// variable keeps every q_k embedded at stride 1 in the univariate
@@ -222,14 +180,11 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 
 	// Internal Fiat-Shamir: challenges bind the claim and every quotient
 	// commitment; the verifier replays the identical transcript from the
-	// proof, so prover and verifier always agree on (y, ζ, z).
+	// proof, so prover and verifier always agree on (y, ζ, z). The "mode"
+	// label distinguishes no other mode, but every proof's challenges
+	// depend on it, so it stays.
 	tr := transcript.New("zkspeed.pcs.zeromorph.open")
-	if shift {
-		tr.AppendBytes("mode", []byte("shift"))
-		tr.AppendFr("boundary", &boundary)
-	} else {
-		tr.AppendBytes("mode", []byte("open"))
-	}
+	tr.AppendBytes("mode", []byte("open"))
 	tr.AppendFrs("point", point)
 	tr.AppendFr("value", &value)
 	for k := 0; k < mu; k++ {
@@ -268,9 +223,7 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 
 	// Combined polynomial, zero at ζ by construction:
 	//   [q̂(x) − Σ_k y^k·ζ^{N−2^k}·U(q_k)(x)]
-	//   + z·[coeff(x) − const − Σ_k e_k(ζ)·U(q_k)(x)]
-	// where in open mode coeff = U(f), const = v·Φ_μ(ζ); in shift mode
-	// coeff = ζ^{−1}·U(f), const = ζ^{−1}f_0 − f_0·ζ^{N−1} + v·Φ_μ(ζ).
+	//   + z·[U(f)(x) − v·Φ_μ(ζ) − Σ_k e_k(ζ)·U(q_k)(x)]
 	c := qhat // reuse; q̂ coefficients are no longer needed separately
 	for k := 0; k < mu; k++ {
 		wk := sc.qScalar[k]
@@ -283,19 +236,15 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 			}
 		})
 	}
-	fScale := z
-	if shift {
-		fScale.Mul(&z, &sc.zetaInv)
-	}
 	evals := m.Evals
 	poly.ParallelRange(n, popt, func(lo, hi int) {
 		var t ff.Fr
 		for i := lo; i < hi; i++ {
-			t.Mul(&fScale, &evals[i])
+			t.Mul(&z, &evals[i])
 			c[i].Add(&c[i], &t)
 		}
 	})
-	constTerm := sc.constScalar(&value, &boundary, shift)
+	constTerm := sc.constScalar(&value)
 	c[0].Add(&c[0], &constTerm)
 
 	// KZG witness for Combined/(x−ζ) by synthetic division; the
@@ -311,7 +260,7 @@ func (s *ZeromorphSRS) openCore(m *poly.MLE, point []ff.Fr, popt poly.Options, s
 		pi = msm.MSMWithOptions(s.Pow[:n-1], w, opt)
 	}
 	proof.Quotients[mu+1].FromJacobian(&pi)
-	return proof, value, boundary, nil
+	return proof, value, nil
 }
 
 // Verify checks an ordinary opening: the combined commitment assembled
@@ -328,31 +277,12 @@ func (s *ZeromorphSRS) Verify(c Commitment, point []ff.Fr, value ff.Fr, proof Op
 // that assembles the combined commitment. The pair (−π, [τ]H) runs
 // beside that MSM under opt's goroutine budget (pairingCheck).
 func (s *ZeromorphSRS) VerifyWith(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, opt poly.Options) (bool, error) {
-	return s.verifyCore(cs, coeffs, point, value, proof, ff.Fr{}, false, opt.Workers())
-}
-
-// VerifyShifted checks a shifted opening against the original
-// commitment. The boundary scalar is sound: the pairing identity at a
-// random ζ forces U(f)(x) − f₀′ + f₀′·x^N ≡ x·(…), whose x=0 term pins
-// f₀′ to the committed polynomial's true constant term.
-func (s *ZeromorphSRS) VerifyShifted(c Commitment, point []ff.Fr, value ff.Fr, proof ShiftProof) (bool, error) {
-	return s.verifyCore([]Commitment{c}, []ff.Fr{ff.FrOne()}, point, value, proof.Proof, proof.Boundary, true, poly.Options{}.Workers())
-}
-
-// verifyCore checks an opening of Σ coeffs[i]·m_i (cs[i] commits to m_i)
-// with up to procs goroutines.
-func (s *ZeromorphSRS) verifyCore(cs []Commitment, coeffs []ff.Fr, point []ff.Fr, value ff.Fr, proof OpeningProof, boundary ff.Fr, shift bool, procs int) (bool, error) {
 	mu := s.Mu
 	if len(point) != mu || len(proof.Quotients) != mu+2 || len(cs) != len(coeffs) {
 		return false, errors.New("pcs: verify dimension mismatch")
 	}
 	tr := transcript.New("zkspeed.pcs.zeromorph.open")
-	if shift {
-		tr.AppendBytes("mode", []byte("shift"))
-		tr.AppendFr("boundary", &boundary)
-	} else {
-		tr.AppendBytes("mode", []byte("open"))
-	}
+	tr.AppendBytes("mode", []byte("open"))
 	tr.AppendFrs("point", point)
 	tr.AppendFr("value", &value)
 	for k := 0; k < mu; k++ {
@@ -365,7 +295,7 @@ func (s *ZeromorphSRS) verifyCore(cs []Commitment, coeffs []ff.Fr, point []ff.Fr
 
 	sc := zeromorphScalars(mu, point, &y, &zeta, &z)
 
-	// C_combined = C_q̂ + fScale·C + const·G − Σ_k s_k·C_k, mirroring the
+	// C_combined = C_q̂ + z·C + const·G − Σ_k s_k·C_k, mirroring the
 	// prover's combined polynomial coefficient by coefficient, with
 	// C = Σ_i coeffs[i]·cs[i]. The KZG check
 	// e(C_combined, H) == e(π, [τ]H − ζ·H) is rearranged so both G2
@@ -375,21 +305,17 @@ func (s *ZeromorphSRS) verifyCore(cs []Commitment, coeffs []ff.Fr, point []ff.Fr
 	//
 	// Moving ζ across the pairing assumes π has order r; proof decoding
 	// checks that (curve.G1Affine.IsInSubgroup).
-	fScale := z
-	if shift {
-		fScale.Mul(&z, &sc.zetaInv)
-	}
 	n := len(cs) + mu + 3
 	pts := make([]curve.G1Affine, 0, n)
 	scalars := make([]ff.Fr, 0, n)
 	for i := range cs {
 		var t ff.Fr
-		t.Mul(&fScale, &coeffs[i])
+		t.Mul(&z, &coeffs[i])
 		pts = append(pts, cs[i].P)
 		scalars = append(scalars, t)
 	}
 	pts = append(pts, s.G)
-	scalars = append(scalars, sc.constScalar(&value, &boundary, shift))
+	scalars = append(scalars, sc.constScalar(&value))
 	for k := 0; k < mu; k++ {
 		var neg ff.Fr
 		neg.Neg(&sc.qScalar[k])
@@ -405,19 +331,16 @@ func (s *ZeromorphSRS) verifyCore(cs []Commitment, coeffs []ff.Fr, point []ff.Fr
 	if err != nil {
 		return false, err
 	}
-	return pairingCheck(pts, scalars, []curve.G1Affine{negPi}, lines, procs)
+	return pairingCheck(pts, scalars, []curve.G1Affine{negPi}, lines, opt.Workers())
 }
 
 // zmScalars holds the per-opening scalar kit both sides compute from the
 // challenges: qScalar[k] multiplies U(q_k) in the combined polynomial,
-// zetaInv feeds the shift coefficient, phiMu and zetaPowN feed the
-// constant term.
+// phiMu feeds the constant term.
 type zmScalars struct {
-	qScalar  []ff.Fr // y^k·ζ^{N−2^k} + z·e_k(ζ)
-	zetaInv  ff.Fr
-	phiMu    ff.Fr // Φ_μ(ζ)
-	zetaPowN ff.Fr // ζ^N
-	z        ff.Fr
+	qScalar []ff.Fr // y^k·ζ^{N−2^k} + z·e_k(ζ)
+	phiMu   ff.Fr   // Φ_μ(ζ)
+	z       ff.Fr
 }
 
 // zeromorphScalars derives every challenge-dependent scalar. Φ values
@@ -444,11 +367,11 @@ func zeromorphScalars(mu int, point []ff.Fr, y, zeta, z *ff.Fr) zmScalars {
 	var sc zmScalars
 	sc.z = *z
 	sc.phiMu = suffix[0]
-	sc.zetaPowN = zp[mu]
-	sc.zetaInv.Inverse(zeta)
+	zetaPowN := zp[mu]
 
-	// zpInv[k] = ζ^{−2^k} by squaring the inverse.
-	zpInv := sc.zetaInv
+	// zpInv = ζ^{−2^k} at step k, by squaring the inverse.
+	var zpInv ff.Fr
+	zpInv.Inverse(zeta)
 	sc.qScalar = make([]ff.Fr, mu)
 	var yPow ff.Fr
 	yPow.SetOne()
@@ -460,7 +383,7 @@ func zeromorphScalars(mu int, point []ff.Fr, y, zeta, z *ff.Fr) zmScalars {
 		ek.Sub(&ek, &t)
 		// qScalar[k] = y^k·ζ^{N−2^k} + z·e_k(ζ).
 		var zn ff.Fr
-		zn.Mul(&sc.zetaPowN, &zpInv)
+		zn.Mul(&zetaPowN, &zpInv)
 		sc.qScalar[k].Mul(&yPow, &zn)
 		t.Mul(z, &ek)
 		sc.qScalar[k].Add(&sc.qScalar[k], &t)
@@ -471,20 +394,11 @@ func zeromorphScalars(mu int, point []ff.Fr, y, zeta, z *ff.Fr) zmScalars {
 }
 
 // constScalar is the constant-term contribution both sides add at x^0
-// (prover into the combined polynomial, verifier onto G): open mode
-// −z·v·Φ_μ(ζ); shift mode z·(f₀·ζ^{N−1} − ζ^{−1}·f₀ − v·Φ_μ(ζ)).
-func (sc *zmScalars) constScalar(value, boundary *ff.Fr, shift bool) ff.Fr {
+// (prover into the combined polynomial, verifier onto G): −z·v·Φ_μ(ζ).
+func (sc *zmScalars) constScalar(value *ff.Fr) ff.Fr {
 	var out, t ff.Fr
 	t.Mul(value, &sc.phiMu)
 	out.Neg(&t)
-	if shift {
-		var b ff.Fr
-		b.Mul(&sc.zetaPowN, &sc.zetaInv) // ζ^{N−1}
-		b.Mul(&b, boundary)
-		out.Add(&out, &b)
-		b.Mul(&sc.zetaInv, boundary)
-		out.Sub(&out, &b)
-	}
 	out.Mul(&out, &sc.z)
 	return out
 }

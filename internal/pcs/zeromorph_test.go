@@ -36,28 +36,3 @@ func TestZeromorphCommitMatchesTrapdoor(t *testing.T) {
 		t.Fatal("commitment != [U(f)(tau)]G")
 	}
 }
-
-// TestZeromorphShiftRejectsForeignCommitment pins the shift proof to the
-// commitment it was opened from: verifying it against a different
-// polynomial's commitment must fail.
-func TestZeromorphShiftRejectsForeignCommitment(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	mu := 4
-	srs := ZeromorphSetupFromSeed([]byte{0x5f}, mu)
-	m, other := randMLE(rng, mu), randMLE(rng, mu)
-	point := make([]ff.Fr, mu)
-	for i := range point {
-		point[i] = randFr(rng)
-	}
-	sp, v, err := srs.OpenShift(m, point)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cOther, err := srs.Commit(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := srs.VerifyShifted(cOther, point, v, sp); err != nil || ok {
-		t.Fatalf("shift proof verified against a foreign commitment (%v, %v)", ok, err)
-	}
-}

@@ -31,12 +31,12 @@ func TestProveBatchWaitDigestIsOrderSensitive(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 22, 2)
 	entry := mustRegister(t, s, circuit)
 
-	fwd, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
+	fwd, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rev, err := s.ProveBatchWait(context.Background(), nil, entry,
-		[]*hyperplonk.Assignment{assigns[1], assigns[0]}, prioNormal, nil)
+		[]*hyperplonk.Assignment{assigns[1], assigns[0]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestProveBatchReportsFailuresWithoutDigest(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 23, 3)
 	entry := mustRegister(t, s, circuit)
 
-	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, prioNormal, nil)
+	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSubmitBatchRejectsOverCapacityWhole(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 24, 6)
 	entry := mustRegister(t, s, circuit)
 
-	_, err := s.SubmitBatch(nil, entry, assigns, prioNormal, nil)
+	_, err := s.SubmitBatch(nil, entry, assigns, nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -162,7 +162,7 @@ func TestEveryLoopWakesOnBurst(t *testing.T) {
 	}
 	jobs := make([]*job, singles)
 	for i := range jobs {
-		j, err := s.Submit(nil, entries[i], assigns[i], prioNormal, nil)
+		j, err := s.Submit(nil, entries[i], assigns[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestArrivalWakesEveryCollector(t *testing.T) {
 	}
 	submit := func(e *circuitEntry, a *hyperplonk.Assignment) *job {
 		t.Helper()
-		j, err := s.Submit(nil, e, a, prioNormal, nil)
+		j, err := s.Submit(nil, e, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestSubmitBatchRefusedEnqueuesNothing(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 27, 7)
 	entry := mustRegister(t, s, circuit)
 	for i, a := range assigns[:5] {
-		if _, err := s.Submit(nil, entry, a, prioNormal, nil); err != nil {
+		if _, err := s.Submit(nil, entry, a, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i < 2 {
@@ -262,7 +262,7 @@ func TestSubmitBatchRefusedEnqueuesNothing(t *testing.T) {
 	}
 	before := tracked()
 
-	_, err := s.SubmitBatch(nil, entry, assigns[5:], prioNormal, nil)
+	_, err := s.SubmitBatch(nil, entry, assigns[5:], nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -296,7 +296,7 @@ func TestRetryAfterScalesWithLoops(t *testing.T) {
 			circuit, assigns := witnessesFor(t, 28, tc.loops+9)
 			entry := mustRegister(t, s, circuit)
 			for i, a := range assigns[:tc.loops+6] {
-				if _, err := s.Submit(nil, entry, a, prioNormal, nil); err != nil {
+				if _, err := s.Submit(nil, entry, a, nil); err != nil {
 					t.Fatal(err)
 				}
 				if i < tc.loops {
@@ -304,13 +304,13 @@ func TestRetryAfterScalesWithLoops(t *testing.T) {
 				}
 			}
 			var over *OverloadedError
-			if _, err := s.Submit(nil, entry, assigns[tc.loops+6], prioNormal, nil); !errors.As(err, &over) {
+			if _, err := s.Submit(nil, entry, assigns[tc.loops+6], nil); !errors.As(err, &over) {
 				t.Fatalf("submit into a full queue: %v", err)
 			}
 			if over.RetryAfter != tc.single {
 				t.Fatalf("single Retry-After %v, want %v", over.RetryAfter, tc.single)
 			}
-			if _, err := s.SubmitBatch(nil, entry, assigns[tc.loops+7:], prioNormal, nil); !errors.As(err, &over) {
+			if _, err := s.SubmitBatch(nil, entry, assigns[tc.loops+7:], nil); !errors.As(err, &over) {
 				t.Fatalf("batch into a full queue: %v", err)
 			}
 			if over.RetryAfter != tc.batch {

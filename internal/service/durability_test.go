@@ -63,7 +63,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 	jobs := make([]*job, n)
 	for i := 0; i < n; i++ {
 		_, assign := buildCircuit(t, 3, uint64(i+1))
-		j, err := svc1.Submit(nil, entry, assign, prioNormal, nil)
+		j, err := svc1.Submit(nil, entry, assign, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("circuit not re-registered")
 	}
-	j, err := svc2.Submit(nil, entry2, assign, prioNormal, nil)
+	j, err := svc2.Submit(nil, entry2, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestShutdownDrainsToStore(t *testing.T) {
 	jobs := make([]*job, n)
 	for i := 0; i < n; i++ {
 		_, assign := buildCircuit(t, 5, uint64(i+1))
-		if jobs[i], err = svc.Submit(nil, entry, assign, prioNormal, nil); err != nil {
+		if jobs[i], err = svc.Submit(nil, entry, assign, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestShutdownVolatileFailsTerminally(t *testing.T) {
 	jobs := make([]*job, 4)
 	for i := range jobs {
 		_, assign := buildCircuit(t, 7, uint64(i+1))
-		if jobs[i], err = svc.Submit(nil, entry, assign, prioNormal, nil); err != nil {
+		if jobs[i], err = svc.Submit(nil, entry, assign, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestFairShareIsolation(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			_, assign := buildCircuit(t, 11, uint64(1000+i))
 			t0 := time.Now()
-			j, err := svc.Submit(victim, entry, assign, prioNormal, nil)
+			j, err := svc.Submit(victim, entry, assign, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +298,7 @@ func TestFairShareIsolation(t *testing.T) {
 	entryF := mustRegister(t, svcCont, floodCircuit)
 	for i := 0; i < 400; i++ {
 		_, fa := buildCircuit(t, 13, uint64(2000+i))
-		if _, err := svcCont.Submit(flooder, entryF, fa, prioNormal, nil); err != nil {
+		if _, err := svcCont.Submit(flooder, entryF, fa, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestBatchRecordsShareOneSync(t *testing.T) {
 	end := holdAdmission(s)
 	jobs := make([]*job, n)
 	for i, a := range assigns {
-		j, err := s.Submit(nil, entry, a, prioNormal, nil)
+		j, err := s.Submit(nil, entry, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestCloseWithBatchInFlight(t *testing.T) {
 	}
 	circuit, assign := buildCircuit(t, 3, 1)
 	entry := mustRegister(t, s, circuit)
-	j, err := s.Submit(nil, entry, assign, prioNormal, nil)
+	j, err := s.Submit(nil, entry, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

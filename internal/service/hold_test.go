@@ -56,7 +56,7 @@ func TestLoneJobIsNotHeld(t *testing.T) {
 	s := newTestService(t, Config{BatchWindow: 10 * time.Second})
 	circuit, assign := buildCircuit(t, 3, 7)
 	entry := mustRegister(t, s, circuit)
-	j, err := s.Submit(nil, entry, assign, prioNormal, nil)
+	j, err := s.Submit(nil, entry, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestHoldWaitsForAdmission(t *testing.T) {
 			defer pw.Close()
 			waitAdmitting(t, s, 1)
 
-			j, err := s.Submit(nil, entry, assigns[0], prioNormal, nil)
+			j, err := s.Submit(nil, entry, assigns[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,14 +168,14 @@ func TestBatchHoldHistogram(t *testing.T) {
 	s := newTestService(t, Config{BatchWindow: 10 * time.Second})
 	circuit, assigns := witnessesFor(t, 51, 2)
 	entry := mustRegister(t, s, circuit)
-	j, err := s.Submit(nil, entry, assigns[0], prioNormal, nil)
+	j, err := s.Submit(nil, entry, assigns[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j, time.Second)
 
 	end := holdAdmission(s)
-	if j, err = s.Submit(nil, entry, assigns[1], prioNormal, nil); err != nil {
+	if j, err = s.Submit(nil, entry, assigns[1], nil); err != nil {
 		t.Fatal(err)
 	}
 	waitPopped(t, s)
@@ -214,7 +214,7 @@ func sharedBatch(t *testing.T, s *Service, entry *circuitEntry, assigns ...*hype
 	end := holdAdmission(s)
 	var jobs []*job
 	for _, a := range assigns {
-		j, err := s.Submit(nil, entry, a, prioNormal, nil)
+		j, err := s.Submit(nil, entry, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func sharedBatch(t *testing.T, s *Service, entry *circuitEntry, assigns ...*hype
 func timedSubmit(t *testing.T, s *Service, entry *circuitEntry, a *hyperplonk.Assignment) (*job, time.Time) {
 	t.Helper()
 	start := time.Now()
-	j, err := s.Submit(nil, entry, a, prioNormal, nil)
+	j, err := s.Submit(nil, entry, a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,16 +290,11 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// Witness and priority are validated before any register-on-use side
-	// effect, so a malformed request cannot grow the circuit registry.
+	// The witness is validated before any register-on-use side effect,
+	// so a malformed request cannot grow the circuit registry.
 	var assign hyperplonk.Assignment
 	if err := assign.UnmarshalBinary(req.Witness); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid witness: %v", err)
-		return
-	}
-	priority, err := parsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tn := tenantOf(r)
@@ -313,7 +308,7 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, err := s.submit(entry, &assign, priority, submitOpts{tn: tn, rawWitness: req.Witness, adm: a})
+	j, err := s.submit(entry, &assign, submitOpts{tn: tn, rawWitness: req.Witness, adm: a})
 	if !s.writeSubmitErr(w, err) {
 		return
 	}
@@ -363,7 +358,7 @@ func (s *Service) writeJobOutcome(w http.ResponseWriter, r *http.Request, j *job
 // in memory, and they become durable with the job's submit record.
 // Malformed bytes answer 400, a failing store 503. The circuit must
 // already be registered; parameters
-// travel as query values (circuit_digest, priority, wait). A
+// travel as query values (circuit_digest, wait). A
 // Content-Length is required so admission can refuse an oversized upload
 // before any transfer.
 func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
@@ -385,11 +380,6 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "circuit %s not registered", digestHex)
 		return
 	}
-	priority, err := parsePriority(q.Get("priority"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if r.ContentLength < 0 {
 		writeError(w, http.StatusLengthRequired, "prove_stream requires Content-Length")
 		return
@@ -407,7 +397,7 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := s.submitStream(a, tn, entry, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), priority)
+	j, err := s.submitStream(a, tn, entry, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		if errors.Is(err, errBadWitness) {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -473,11 +463,6 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty witness list")
 		return
 	}
-	priority, err := parsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	tn := tenantOf(r)
 	assigns := make([]*hyperplonk.Assignment, len(req.Witnesses))
 	for i, blob := range req.Witnesses {
@@ -499,7 +484,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	if entry == nil {
 		return
 	}
-	resp, err := s.proveBatchWait(r.Context(), a, tn, entry, assigns, priority, req.Witnesses)
+	resp, err := s.proveBatchWait(r.Context(), a, tn, entry, assigns, req.Witnesses)
 	if !s.writeSubmitErr(w, err) {
 		return
 	}

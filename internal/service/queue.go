@@ -25,15 +25,15 @@ func (e *OverloadedError) Error() string {
 // the estimate costs two lock acquisitions the happy path should not pay).
 var errQueueFull = errors.New("service: queue full")
 
-// tenantFifo is one tenant's FIFO within a lane plus its deficit counter.
+// tenantFifo is one tenant's FIFO within the lane plus its deficit counter.
 type tenantFifo struct {
 	jobs    []*job
 	deficit int64
 	active  bool // in the lane's round-robin ring
 }
 
-// lane schedules one priority level's jobs with deficit round robin
-// across tenants: each tenant has its own FIFO, and the ring is visited
+// lane schedules the queued jobs with deficit round robin across
+// tenants: each tenant has its own FIFO, and the ring is visited
 // in order, a tenant's deficit topped up by the lane quantum per visit
 // and charged the popped job's cost (its gate count). The quantum tracks
 // the largest cost seen, so every visit can serve at least one job —
@@ -182,15 +182,14 @@ func (l *lane) drain() []*job {
 	return out
 }
 
-// jobQueue is the service's one bounded three-lane priority queue, each
-// lane fair-sharing across tenants via deficit round robin. Push is called
-// by any submitter; Pop and collect by any of the service's batch
-// loops. Bounding happens here — a full queue rejects instead of growing,
-// which is the service's backpressure point.
+// jobQueue is the service's one bounded queue, one lane that fair-shares
+// across tenants via deficit round robin. Push is called by any
+// submitter; Pop and collect by any of the service's batch loops.
+// Bounding happens here — a full queue rejects instead of growing, which
+// is the service's backpressure point.
 type jobQueue struct {
 	mu     sync.Mutex
-	lanes  [numPriorities]*lane // high to low
-	size   int
+	lane   *lane
 	cap    int
 	seq    uint64 // push order stamp, for collect's oldest-first pick
 	closed bool
@@ -249,11 +248,7 @@ func (a *admission) closeLocked() bool {
 }
 
 func newJobQueue(capacity int) *jobQueue {
-	q := &jobQueue{cap: capacity, arrived: make(chan struct{})}
-	for i := range q.lanes {
-		q.lanes[i] = newLane()
-	}
-	return q
+	return &jobQueue{lane: newLane(), cap: capacity, arrived: make(chan struct{})}
 }
 
 // Push enqueues the job and, under the same lock and with the same
@@ -279,13 +274,12 @@ func (q *jobQueue) push(j *job, a *admission, force bool) error {
 	if q.closed {
 		return errors.New("service: shutting down")
 	}
-	if !force && q.size >= q.cap {
+	if !force && q.lane.size >= q.cap {
 		return errQueueFull
 	}
 	q.seq++
 	j.pushSeq = q.seq
-	q.lanes[j.priority].push(j)
-	q.size++
+	q.lane.push(j)
 	a.closeLocked()
 	q.wakeLocked()
 	return nil
@@ -301,7 +295,7 @@ func (q *jobQueue) wakeLocked() {
 func (q *jobQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size
+	return q.lane.size
 }
 
 // Admitting returns the number of submissions on their way in.
@@ -311,20 +305,11 @@ func (q *jobQueue) Admitting() int {
 	return q.admitting
 }
 
-// tryPop removes the next job — highest non-empty lane, fair-shared
-// across that lane's tenants — or nil.
+// tryPop removes the next job, fair-shared across tenants, or nil.
 func (q *jobQueue) tryPop() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, l := range q.lanes {
-		if l.size > 0 {
-			if j := l.pop(); j != nil {
-				q.size--
-				return j
-			}
-		}
-	}
-	return nil
+	return q.lane.pop()
 }
 
 // Pop blocks until a job is available or the context is cancelled.
@@ -344,28 +329,24 @@ func (q *jobQueue) Pop(ctx context.Context) (*job, error) {
 
 // collect is a batch collector's one look at the queue. It removes the
 // oldest queued job for digest regardless of its queue position — the
-// coalescing primitive: priority inversion is deliberate, since joining
-// an in-flight batch of the same circuit is strictly faster than waiting
-// a turn, and the owning tenant's deficit is charged as usual, so
-// batch-joining is latency-free but not share-free. With no such job it
-// returns the channel the next push or ended admission closes, and
-// whether any admission is still open.
+// coalescing primitive: joining an in-flight batch of the same circuit is
+// strictly faster than waiting a turn, and the owning tenant's deficit is
+// charged as usual, so batch-joining is latency-free but not share-free.
+// With no such job it returns the channel the next push or ended
+// admission closes, and whether any admission is still open.
 func (q *jobQueue) collect(digest [32]byte) (match *job, arrived <-chan struct{}, admitting bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, l := range q.lanes {
-		var best *job
-		l.each(func(j *job) bool {
-			if j.digest == digest && (best == nil || j.pushSeq < best.pushSeq) {
-				best = j
-			}
-			return true
-		})
-		if best != nil {
-			l.remove(best)
-			q.size--
-			return best, nil, false
+	var best *job
+	q.lane.each(func(j *job) bool {
+		if j.digest == digest && (best == nil || j.pushSeq < best.pushSeq) {
+			best = j
 		}
+		return true
+	})
+	if best != nil {
+		q.lane.remove(best)
+		return best, nil, false
 	}
 	return nil, q.arrived, q.admitting > 0
 }
@@ -375,16 +356,11 @@ func (q *jobQueue) anyQueued(digest [32]byte, pred func(*job) bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	found := false
-	for _, l := range q.lanes {
-		l.each(func(j *job) bool {
-			found = j.digest == digest && pred(j)
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
+	q.lane.each(func(j *job) bool {
+		found = j.digest == digest && pred(j)
+		return !found
+	})
+	return found
 }
 
 // wake returns the channel the next push closes. Read it before looking
@@ -401,10 +377,5 @@ func (q *jobQueue) Close() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	var drained []*job
-	for _, l := range q.lanes {
-		drained = append(drained, l.drain()...)
-	}
-	q.size = 0
-	return drained
+	return q.lane.drain()
 }

@@ -9,7 +9,7 @@ import (
 
 // TestQueueConcurrentConsumers hammers one queue with concurrent
 // producers and three consumers shaped like batch loops — Pop, then
-// collect for the popped job's digest — across all three lanes. Every
+// collect for the popped job's digest. Every
 // pushed job must come out exactly once — no double-pop, no loss. Run
 // with -race; the assertions catch logic races, the detector catches
 // memory races.
@@ -30,10 +30,9 @@ func TestQueueConcurrentConsumers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				j := &job{
-					id:       fmt.Sprintf("p%d-%d", p, i),
-					digest:   digests[i%len(digests)],
-					priority: i % numPriorities,
-					done:     make(chan struct{}),
+					id:     fmt.Sprintf("p%d-%d", p, i),
+					digest: digests[i%len(digests)],
+					done:   make(chan struct{}),
 				}
 				if err := q.Push(j, nil); err != nil {
 					t.Errorf("push %s: %v", j.id, err)

@@ -1,5 +1,5 @@
 // Package service implements zkproverd's proving service: one bounded
-// priority queue with backpressure, drained by a fixed number of batch
+// fair-share queue with backpressure, drained by a fixed number of batch
 // loops over one prover backend; a batch-accumulation window that
 // coalesces same-circuit jobs into one ProveBatch call; an LRU proof cache
 // keyed by (circuit digest, witness digest); a circuit registry; and the
@@ -39,27 +39,6 @@ import (
 	"zkspeed/internal/tenant"
 	"zkspeed/internal/transcript"
 )
-
-// Priorities, ordered: lane 0 drains first.
-const (
-	prioHigh = iota
-	prioNormal
-	prioLow
-	numPriorities
-)
-
-// parsePriority maps the wire names onto queue lanes.
-func parsePriority(s string) (int, error) {
-	switch s {
-	case api.PriorityHigh:
-		return prioHigh, nil
-	case "", api.PriorityNormal:
-		return prioNormal, nil
-	case api.PriorityLow:
-		return prioLow, nil
-	}
-	return 0, fmt.Errorf("service: unknown priority %q", s)
-}
 
 // BackendJob is one proving work item handed to the backend.
 type BackendJob struct {
@@ -142,7 +121,7 @@ type Config struct {
 	Store store.Store
 	// Tenants, when non-nil, turns on API-key authentication and
 	// per-tenant quotas for the /v1 endpoints, plus deficit-round-robin
-	// fair-share scheduling between tenants inside each priority lane.
+	// fair-share scheduling between tenants in the queue.
 	// nil runs the service unauthenticated (every job anonymous).
 	Tenants *tenant.Registry
 }
@@ -185,12 +164,11 @@ var errShutdown = errors.New("service: shutting down")
 
 // job is one proving request flowing through the service.
 type job struct {
-	id       string
-	digest   [32]byte
-	entry    *circuitEntry
-	assign   *hyperplonk.Assignment
-	witness  cacheKey
-	priority int
+	id      string
+	digest  [32]byte
+	entry   *circuitEntry
+	assign  *hyperplonk.Assignment
+	witness cacheKey
 	// cost is the job's DRR weight — its circuit's gate count, the unit
 	// the prover's work actually scales with.
 	cost int64
@@ -456,18 +434,13 @@ func (s *Service) replayStore() error {
 			s.recovery.Failures++
 			continue
 		}
-		prio := rec.Priority
-		if prio < 0 || prio >= numPriorities {
-			prio = prioNormal
-		}
 		j := &job{
-			id:       rec.ID,
-			digest:   entry.digest,
-			entry:    entry,
-			assign:   assign,
-			witness:  cacheKey{circuit: entry.digest, witness: assign.Digest()},
-			priority: prio,
-			cost:     int64(entry.circuit.NumGates()),
+			id:      rec.ID,
+			digest:  entry.digest,
+			entry:   entry,
+			assign:  assign,
+			witness: cacheKey{circuit: entry.digest, witness: assign.Digest()},
+			cost:    int64(entry.circuit.NumGates()),
 			// The admitting daemon's quota slot died with it; keep the
 			// attribution for fair-share and metrics but hold no new slot.
 			tenantID:  rec.Tenant,
@@ -664,31 +637,26 @@ type submitOpts struct {
 // job's done channel closes when a terminal response is available. An
 // *OverloadedError means the queue was full; a *tenant.QuotaError a
 // tenant quota refusal.
-func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, priority int, rawWitness []byte) (*job, error) {
+func (s *Service) Submit(tn *tenant.Tenant, entry *circuitEntry, assign *hyperplonk.Assignment, rawWitness []byte) (*job, error) {
 	a := s.queue.admit()
-	return s.submit(entry, assign, priority, submitOpts{tn: tn, rawWitness: rawWitness, adm: a})
+	return s.submit(entry, assign, submitOpts{tn: tn, rawWitness: rawWitness, adm: a})
 }
 
-// SubmitStream decodes a ZKSW witness incrementally from r and submits
-// the job. With a store the raw bytes tee into the store's witness
-// writer as they arrive, so a large upload is never held whole in
-// memory; the writer logs them as chunk records of up to 64 KiB, and the
-// submit record appended after them makes them durable. Malformed bytes
-// are reported wrapped in errBadWitness; a failing store is not, so the
-// HTTP layer answers it 503 rather than 400.
-func (s *Service) SubmitStream(tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
-	return s.submitStream(s.queue.admit(), tn, entry, r, priority)
-}
-
-// submitStream is SubmitStream within admission a, which it ends.
-func (s *Service) submitStream(a *admission, tn *tenant.Tenant, entry *circuitEntry, r io.Reader, priority int) (*job, error) {
+// submitStream decodes a ZKSW witness incrementally from r and submits
+// the job within admission a, which it ends. With a store the raw bytes
+// tee into the store's witness writer as they arrive, so a large upload
+// is never held whole in memory; the writer logs them as chunk records
+// of up to 64 KiB, and the submit record appended after them makes them
+// durable. Malformed bytes are reported wrapped in errBadWitness; a
+// failing store is not, so the HTTP layer answers it 503 rather than 400.
+func (s *Service) submitStream(a *admission, tn *tenant.Tenant, entry *circuitEntry, r io.Reader) (*job, error) {
 	defer a.end()
 	assign := new(hyperplonk.Assignment)
 	if s.store == nil {
 		if err := assign.UnmarshalFrom(r); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadWitness, err)
 		}
-		return s.submit(entry, assign, priority, submitOpts{tn: tn, adm: a})
+		return s.submit(entry, assign, submitOpts{tn: tn, adm: a})
 	}
 	id := s.nextJobID()
 	ww, err := s.store.WitnessWriter(id)
@@ -709,7 +677,7 @@ func (s *Service) submitStream(a *admission, tn *tenant.Tenant, entry *circuitEn
 		s.store.DiscardWitness(id)
 		return nil, fmt.Errorf("service: sealing witness stream: %w", err)
 	}
-	j, err := s.submit(entry, assign, priority, submitOpts{tn: tn, streamedID: id, adm: a})
+	j, err := s.submit(entry, assign, submitOpts{tn: tn, streamedID: id, adm: a})
 	if err != nil {
 		s.store.DiscardWitness(id)
 		return nil, err
@@ -736,9 +704,9 @@ func (t *storeTee) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// submit is the submission core shared by Submit, SubmitStream and
+// submit is the submission core shared by Submit, submitStream and
 // SubmitBatch. Unless o.more, it ends o.adm: with the push, or on return.
-func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, priority int, o submitOpts) (*job, error) {
+func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o submitOpts) (*job, error) {
 	ends := o.adm
 	if o.more {
 		ends = nil
@@ -775,7 +743,6 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 		entry:     entry,
 		assign:    assign,
 		witness:   key,
-		priority:  priority,
 		cost:      int64(entry.circuit.NumGates()),
 		tenantID:  tid,
 		tenantRef: o.tn,
@@ -806,7 +773,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 		// succeeds the job can reach a loop (and its Claim record) at
 		// any moment, and the log must never show a claim for an
 		// unsubmitted job.
-		rec := store.JobRecord{ID: id, Tenant: tid, Circuit: entry.digest, Priority: priority}
+		rec := store.JobRecord{ID: id, Tenant: tid, Circuit: entry.digest}
 		if o.streamedID == "" {
 			raw := o.rawWitness
 			if raw == nil {
@@ -845,8 +812,8 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, pri
 
 // SubmitWait is Submit plus waiting for the terminal response — the
 // synchronous prove path.
-func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *hyperplonk.Assignment, priority int) (api.ProveResponse, error) {
-	j, err := s.Submit(nil, entry, assign, priority, nil)
+func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *hyperplonk.Assignment) (api.ProveResponse, error) {
+	j, err := s.Submit(nil, entry, assign, nil)
 	if err != nil {
 		return api.ProveResponse{}, err
 	}
@@ -872,12 +839,12 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 // refusal mid-batch behaves like the racing-submitter case. The whole
 // batch is one admission, ended by its last statement's push, so a loop
 // that pops an early statement holds its batch open for the rest.
-func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
-	return s.submitBatch(s.queue.admit(), tn, entry, assigns, priority, raws)
+func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) ([]*job, error) {
+	return s.submitBatch(s.queue.admit(), tn, entry, assigns, raws)
 }
 
 // submitBatch is SubmitBatch within admission adm, which it ends.
-func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) ([]*job, error) {
+func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) ([]*job, error) {
 	defer adm.end()
 	if len(assigns) == 0 {
 		return nil, errors.New("service: empty batch")
@@ -893,7 +860,7 @@ func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitE
 		if i < len(raws) {
 			o.rawWitness = raws[i]
 		}
-		j, err := s.submit(entry, a, priority, o)
+		j, err := s.submit(entry, a, o)
 		if err != nil {
 			return nil, fmt.Errorf("statement %d: %w", i, err)
 		}
@@ -906,14 +873,14 @@ func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitE
 // synchronous POST /v1/prove_batch path (see SubmitBatch for the tn/raws
 // semantics). The batch digest binds the proof blobs in statement order
 // and is only computed when every statement succeeded.
-func (s *Service) ProveBatchWait(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
-	return s.proveBatchWait(ctx, s.queue.admit(), tn, entry, assigns, priority, raws)
+func (s *Service) ProveBatchWait(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) (api.ProveBatchResponse, error) {
+	return s.proveBatchWait(ctx, s.queue.admit(), tn, entry, assigns, raws)
 }
 
 // proveBatchWait is ProveBatchWait within admission a, which it ends
 // before it waits.
-func (s *Service) proveBatchWait(ctx context.Context, a *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, priority int, raws [][]byte) (api.ProveBatchResponse, error) {
-	jobs, err := s.submitBatch(a, tn, entry, assigns, priority, raws)
+func (s *Service) proveBatchWait(ctx context.Context, a *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) (api.ProveBatchResponse, error) {
+	jobs, err := s.submitBatch(a, tn, entry, assigns, raws)
 	if err != nil {
 		return api.ProveBatchResponse{}, err
 	}

@@ -160,29 +160,28 @@ func newLoopService(t *testing.T, cfg Config, b Backend, loops int) *Service {
 	return s
 }
 
-func TestQueuePriorityOrderAndBackpressure(t *testing.T) {
+func TestQueueArrivalOrderAndBackpressure(t *testing.T) {
 	q := newJobQueue(3)
-	push := func(id string, prio int) error {
-		return q.Push(&job{id: id, priority: prio, done: make(chan struct{})}, nil)
+	push := func(id string) error {
+		return q.Push(&job{id: id, done: make(chan struct{})}, nil)
 	}
-	if err := push("low", prioLow); err != nil {
-		t.Fatal(err)
+	want := []string{"first", "second", "third"}
+	for _, id := range want {
+		if err := push(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := push("high", prioHigh); err != nil {
-		t.Fatal(err)
-	}
-	if err := push("normal", prioNormal); err != nil {
-		t.Fatal(err)
-	}
-	if err := push("reject", prioHigh); !errors.Is(err, errQueueFull) {
+	if err := push("reject"); !errors.Is(err, errQueueFull) {
 		t.Fatalf("push into full queue: %v", err)
+	}
+	if d := q.Depth(); d != 3 {
+		t.Fatalf("depth %d after a refused push, want 3", d)
 	}
 	// The drain estimate Submit attaches to the rejection never drops
 	// below the one-second floor, so Retry-After is always actionable.
 	if ra := newMetrics().retryAfter(3, 1); ra < time.Second {
 		t.Fatalf("Retry-After %v below floor", ra)
 	}
-	want := []string{"high", "normal", "low"}
 	for _, w := range want {
 		j, err := q.Pop(context.Background())
 		if err != nil {
@@ -201,7 +200,7 @@ func TestQueuePopMatching(t *testing.T) {
 	q := newJobQueue(8)
 	dA, dB := [32]byte{1}, [32]byte{2}
 	for i, d := range [][32]byte{dB, dA, dB, dA} {
-		if err := q.Push(&job{id: string(rune('a' + i)), digest: d, priority: prioNormal, done: make(chan struct{})}, nil); err != nil {
+		if err := q.Push(&job{id: string(rune('a' + i)), digest: d, done: make(chan struct{})}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,13 +259,13 @@ func TestBatchWindowCoalescesSameCircuit(t *testing.T) {
 	end := holdAdmission(s)
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a2, a3} {
-		j, err := s.Submit(nil, entry, a, prioNormal, nil)
+		j, err := s.Submit(nil, entry, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, j)
 	}
-	oj, err := s.Submit(nil, otherEntry, oa, prioNormal, nil)
+	oj, err := s.Submit(nil, otherEntry, oa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 	end := holdAdmission(s)
 	var jobs []*job
 	for _, a := range []*hyperplonk.Assignment{a1, a1, a2} {
-		j, err := s.Submit(nil, entry, a, prioNormal, nil)
+		j, err := s.Submit(nil, entry, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,14 +351,14 @@ func TestProofCacheServesRepeatRequest(t *testing.T) {
 	entry := mustRegister(t, s, circuit)
 
 	ctx := context.Background()
-	first, err := s.SubmitWait(ctx, entry, assign, prioNormal)
+	first, err := s.SubmitWait(ctx, entry, assign)
 	if err != nil || first.Status != api.StatusDone {
 		t.Fatalf("first prove: %v %+v", err, first)
 	}
 	if first.Cached {
 		t.Fatal("first prove reported cached")
 	}
-	second, err := s.SubmitWait(ctx, entry, assign, prioNormal)
+	second, err := s.SubmitWait(ctx, entry, assign)
 	if err != nil || second.Status != api.StatusDone {
 		t.Fatalf("second prove: %v %+v", err, second)
 	}
@@ -377,7 +376,7 @@ func TestProofCacheServesRepeatRequest(t *testing.T) {
 	}
 	// A different witness for the same circuit must miss.
 	_, a2 := buildCircuit(t, 3, 8)
-	third, err := s.SubmitWait(ctx, entry, a2, prioNormal)
+	third, err := s.SubmitWait(ctx, entry, a2)
 	if err != nil || third.Cached {
 		t.Fatalf("different witness served from cache: %v %+v", err, third)
 	}
@@ -404,7 +403,7 @@ func TestSubmitRejectsWitnessSizeMismatch(t *testing.T) {
 		t.Skip("fixtures compiled to the same size")
 	}
 	entry := mustRegister(t, s, small)
-	if _, err := s.Submit(nil, entry, bigAssign, prioNormal, nil); !errors.Is(err, errWitnessSize) {
+	if _, err := s.Submit(nil, entry, bigAssign, nil); !errors.Is(err, errWitnessSize) {
 		t.Fatalf("mismatched witness accepted: %v", err)
 	}
 }
@@ -414,7 +413,7 @@ func TestShutdownFailsQueuedJobs(t *testing.T) {
 	s := newTestService(t, Config{BatchWindow: time.Millisecond, QueueCapacity: 8}, stub)
 	circuit, assign := buildCircuit(t, 3, 7)
 	entry := mustRegister(t, s, circuit)
-	j, err := s.Submit(nil, entry, assign, prioNormal, nil)
+	j, err := s.Submit(nil, entry, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ func FuzzWALReplay(f *testing.F) {
 	d := digestOf(1)
 	f.Add([]byte{})
 	f.Add(frame(encodeCircuit(d, []byte("blob"))))
-	f.Add(frame(encodeSubmit(JobRecord{ID: "job-1", Tenant: "t", Circuit: d, Priority: 1, Witness: []byte("w")})))
+	f.Add(frame(encodeSubmit(JobRecord{ID: "job-1", Tenant: "t", Circuit: d, Witness: []byte("w")})))
+	f.Add(frame(legacySubmit("job-3", "t", d, 2, []byte("w"))))
 	f.Add(frame(encodeSubmit(JobRecord{ID: "job-2", Circuit: d})))
 	f.Add(frame(encodeChunk("job-2", []byte("chunk"))))
 	f.Add(frame(encodeClaim("job-1")))

@@ -34,8 +34,6 @@ type JobRecord struct {
 	Tenant string
 	// Circuit is the digest of the registered circuit the job proves.
 	Circuit [32]byte
-	// Priority is the service queue lane (0 high … 2 low).
-	Priority int
 	// Witness is the ZKSW assignment blob. Nil on Submit means the
 	// witness was pre-streamed through WitnessWriter under the same ID
 	// and the store must assemble it from the recorded chunks.

@@ -875,7 +875,10 @@ func encodeSubmit(j JobRecord) []byte {
 	b = appendString16(b, j.ID)
 	b = appendString16(b, j.Tenant)
 	b = append(b, j.Circuit[:]...)
-	b = append(b, byte(j.Priority))
+	// The byte after the digest once held a queue priority and is now
+	// reserved: written as 1, which older daemons replay as "normal",
+	// and skipped on decode whatever its value.
+	b = append(b, 1)
 	if j.Witness == nil {
 		b = append(b, 1) // streamed: adopt chunks
 		return b
@@ -899,7 +902,6 @@ func decodeSubmit(b []byte) (JobRecord, error) {
 	if len(b) < 2 {
 		return j, errors.New("short submit")
 	}
-	j.Priority = int(b[0])
 	streamed := b[1] == 1
 	b = b[2:]
 	if streamed {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func TestMemLifecycle(t *testing.T) {
 	if err := w.PutCircuit(d, []byte("circuit")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Submit(JobRecord{ID: "job-1", Circuit: d, Priority: 1, Witness: []byte("wit")}); err != nil {
+	if err := w.Submit(JobRecord{ID: "job-1", Circuit: d, Witness: []byte("wit")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Claim("job-1"); err != nil {
@@ -149,7 +150,7 @@ func TestWALRoundtrip(t *testing.T) {
 	if err := w.PutCircuit(d, []byte("zksc-blob")); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := w.Submit(JobRecord{ID: "job-a", Tenant: "acme", Circuit: d, Priority: 2, Witness: []byte("wa")}); err != nil {
+	if err := w.Submit(JobRecord{ID: "job-a", Tenant: "acme", Circuit: d, Witness: []byte("wa")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Submit(JobRecord{ID: "job-b", Circuit: d, Witness: []byte("wb")}); err != nil {
@@ -673,5 +674,56 @@ func TestWALConcurrentAppendCompactReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// legacySubmit hand-frames a submit record's payload as daemons with a
+// three-lane priority queue wrote it: tag, id and tenant (16-bit
+// lengths), circuit digest, the priority byte (0 high, 1 normal, 2 low),
+// 0 for an inline witness, the witness (32-bit length).
+func legacySubmit(id, tenant string, circuit [32]byte, priority byte, witness []byte) []byte {
+	b := []byte{recSubmit, byte(len(id) >> 8), byte(len(id))}
+	b = append(b, id...)
+	b = append(b, byte(len(tenant)>>8), byte(len(tenant)))
+	b = append(b, tenant...)
+	b = append(b, circuit[:]...)
+	b = append(b, priority, 0)
+	n := len(witness)
+	b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	return append(b, witness...)
+}
+
+// TestWALReplaysPriorityByte keeps segments written by daemons with
+// priority lanes replayable: the byte that held the lane is skipped
+// whatever its value, and a new record carries 1 ("normal") there, so an
+// older daemon replays a new log as well.
+func TestWALReplaysPriorityByte(t *testing.T) {
+	dir := t.TempDir()
+	d := digestOf(4)
+	seg := make([]byte, walHeaderLen)
+	binary.BigEndian.PutUint32(seg, walMagic)
+	seg[4] = walVersion
+	ids := []string{"job-high", "job-normal", "job-low"}
+	for prio, id := range ids {
+		seg = append(seg, frame(legacySubmit(id, "acme", d, byte(prio), []byte(id)))...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := mustOpen(t, WALConfig{Dir: dir, SyncInterval: -1})
+	defer w.Close()
+	st := w.State()
+	if len(st.Pending) != len(ids) {
+		t.Fatalf("replayed %d pending jobs, want %d", len(st.Pending), len(ids))
+	}
+	for i, p := range st.Pending {
+		if p.ID != ids[i] || p.Tenant != "acme" || p.Circuit != d || !bytes.Equal(p.Witness, []byte(ids[i])) {
+			t.Fatalf("pending[%d] = %+v, want %s in submit order", i, p, ids[i])
+		}
+	}
+
+	rec := JobRecord{ID: "job-new", Tenant: "acme", Circuit: d, Witness: []byte("w")}
+	if got, want := encodeSubmit(rec), legacySubmit(rec.ID, rec.Tenant, d, 1, rec.Witness); !bytes.Equal(got, want) {
+		t.Fatalf("new submit record\n%x\nwant the legacy normal-priority layout\n%x", got, want)
 	}
 }

@@ -8,7 +8,7 @@
 // 401/403/429 error matrix and clients can back off intelligently.
 //
 // Fair-share scheduling between authenticated tenants (deficit round
-// robin over the service's priority lanes) lives in internal/service;
+// robin over the service's queue) lives in internal/service;
 // this package only decides who a request belongs to and whether it may
 // enter the system at all.
 package tenant
@@ -137,9 +137,6 @@ type Tenant struct {
 
 // ID returns the tenant's configured id.
 func (t *Tenant) ID() string { return t.cfg.ID }
-
-// MaxWitnessBytes returns the per-upload cap (0 = service default).
-func (t *Tenant) MaxWitnessBytes() int64 { return t.cfg.MaxWitnessBytes }
 
 func (t *Tenant) quotaErr(k Kind, retry time.Duration) error {
 	t.rejected[k]++

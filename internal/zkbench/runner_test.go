@@ -92,10 +92,10 @@ func TestKernelSuiteRuns(t *testing.T) {
 	// {fast, sparse-fast, fast/allones} + the μ=10 opening chain in one
 	// MSMs call and one call per job + legacy sumcheck + 1
 	// serial/parallel sumcheck pair + commit + commit-key + open + per-scheme records
-	// (pst: setup+commit+open+verify; zeromorph: setup+commit+open+verify+
-	// open-shift+naive) + 5 serial/parallel MTU kernel pairs + sha3 + fold.
-	if len(bms) != 48 {
-		t.Fatalf("want 48 kernel benchmarks, got %d", len(bms))
+	// (setup+commit+open+verify for each of pst and zeromorph) + 5
+	// serial/parallel MTU kernel pairs + sha3 + fold.
+	if len(bms) != 46 {
+		t.Fatalf("want 46 kernel benchmarks, got %d", len(bms))
 	}
 	r := runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
 	recs, err := r.runAll(bms)

@@ -37,7 +37,7 @@ type suiteConfig struct {
 	PCSMu int
 	// PCSMus are the MLE sizes of the pcs/commit/muN records and of the
 	// scheme-parameterized records (pcs/{pst,zeromorph}/*/muN). Quick
-	// includes mu12 so the CI gate's zeromorph shift assertion holds over
+	// includes mu12 so the CI gate's pcs/commit-key assertion holds over
 	// commit-sized work within one run.
 	PCSMus []int
 	// FoldMu is the table size of the MLE fold (Eq. 2 update) bench.
@@ -803,11 +803,7 @@ func kernelSuite(cfg suiteConfig) []benchmark {
 
 	// Scheme-parameterized PCS records at each PCSMus size, exercising
 	// every registered backend through the pcs.PCS interface — the same
-	// call path the prover takes. Zeromorph additionally benches its
-	// native shifted opening against the naive emulation (commit the
-	// rotated polynomial, then run a full opening on it): the CI gate
-	// asserts the native path wins at the largest size, which is the
-	// whole justification for carrying a second scheme.
+	// call path the prover takes.
 	for _, scheme := range pcs.Schemes() {
 		scheme := scheme
 		sc, err := pcs.ParseScheme(scheme)
@@ -909,47 +905,6 @@ func kernelSuite(cfg suiteConfig) []benchmark {
 					return err
 				},
 			})
-			if sc != pcs.SchemeZeromorph {
-				continue
-			}
-			out = append(out,
-				benchmark{
-					Name:  fmt.Sprintf("pcs/%s/open-shift/mu%d", scheme, mu),
-					Setup: setup,
-					Iterate: func() error {
-						b, err := backendFor(mu)
-						if err != nil {
-							return err
-						}
-						_, _, err = b.OpenShift(m, point)
-						return err
-					},
-				},
-				benchmark{
-					// What proving a shifted evaluation costs without
-					// native support: materialize rotate(f), commit it,
-					// and run a full opening on the fresh commitment.
-					Name:  fmt.Sprintf("pcs/%s/open-shift-naive/mu%d", scheme, mu),
-					Setup: setup,
-					Iterate: func() error {
-						b, err := backendFor(mu)
-						if err != nil {
-							return err
-						}
-						n := 1 << mu
-						rot := make([]ff.Fr, n)
-						for i := 0; i < n; i++ {
-							rot[i] = m.Evals[(i+1)%n]
-						}
-						rm := poly.NewMLE(rot)
-						if _, err := b.Commit(rm); err != nil {
-							return err
-						}
-						_, _, err = b.Open(rm, point)
-						return err
-					},
-				},
-			)
 		}
 	}
 

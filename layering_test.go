@@ -118,9 +118,10 @@ func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
 	// bench comparator, the uncached engine, the volatile store, the
 	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
-	// GLV splitter, the per-shard service queues, the multi-node tier and
-	// the benchmark re-export layer are spelled in halves, so a grep of the
-	// tree for them finds none here.
+	// GLV splitter, the per-shard service queues, the multi-node tier, the
+	// benchmark re-export layer, the shifted-opening surface and the
+	// priority lanes are spelled in halves, so a grep of the tree for them
+	// finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -133,6 +134,8 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Suite" + "Benchmarks", "bench." + "RunB", "Kind" + "Kernel", "Kind" + "E2E", "Kind" + "Service",
 		"Raw" + "NS", "Mean" + "NS", "Stddev" + "NS", "Min" + "NS", "Max" + "NS",
 		"Tenant" + "Counts", "NewZero" + "MLE", "Fr" + "Zero()", "Fp" + "One()", "Global" + "Pareto",
+		"Open" + "Shift", "Verify" + "Shifted", "Shift" + "Proof", "Supports" + "Shift", "ErrShift" + "Unsupported",
+		"Priority" + "High", "num" + "Priorities", "parse" + "Priority",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be

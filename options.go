@@ -73,7 +73,7 @@ func WithSRS(srs *SRS) Option {
 
 // WithPCSScheme selects the polynomial commitment backend by name —
 // "pst" (default; PST multilinear KZG) or "zeromorph" (univariate-map
-// KZG with cheap shifted openings). The name is validated lazily: an
+// KZG). The name is validated lazily: an
 // unknown scheme surfaces from the first Setup/Prove call as the same
 // error PCSSchemes-listing callers see, so services can report it as a
 // client error instead of panicking at construction.

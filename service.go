@@ -21,7 +21,7 @@ import (
 )
 
 // ProverService is a proving service: one Engine behind a bounded
-// priority queue with backpressure, drained by batch loops whose
+// fair-share queue with backpressure, drained by batch loops whose
 // batch-accumulation window coalesces same-circuit jobs into ProveBatch
 // calls, an LRU proof cache keyed by (circuit digest, witness digest), and
 // an HTTP/JSON API (Handler). Construct with NewService; Close releases

@@ -276,7 +276,6 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 	for i := range assigns {
 		circuit, assigns[i], pubs[i] = smallCircuit(t, uint64(20+i))
 	}
-	const prio = 0 // any lane will do
 	run := func() (*zkspeed.ProverService, []api.ProveResponse) {
 		svc, err := zkspeed.NewService(zkspeed.ServiceConfig{Shards: 3}, zkspeed.WithEntropy(zkspeed.SeededEntropy(7)))
 		if err != nil {
@@ -290,7 +289,7 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := svc.ProveBatchWait(ctx, nil, entry, assigns, prio, nil)
+		resp, err := svc.ProveBatchWait(ctx, nil, entry, assigns, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +315,7 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 		if err := svc.Verify(ctx, entry, pubs[i], &proof); err != nil {
 			t.Fatalf("statement %d does not verify: %v", i, err)
 		}
-		again, err := svc.SubmitWait(ctx, entry, assigns[i], prio)
+		again, err := svc.SubmitWait(ctx, entry, assigns[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +381,7 @@ func TestNewServiceConstructionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := svc.SubmitWait(context.Background(), entry, assign, 0)
+	resp, err := svc.SubmitWait(context.Background(), entry, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
