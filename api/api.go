@@ -21,12 +21,6 @@ const (
 type RegisterCircuitRequest struct {
 	// Circuit is a ZKSC circuit blob (Circuit.MarshalBinary).
 	Circuit []byte `json:"circuit"`
-	// PCSScheme optionally names the polynomial commitment scheme the
-	// circuit must be served under ("pst", "zeromorph"). Empty accepts
-	// the daemon's configured scheme. A name the daemon does not serve is
-	// refused with 422 and ErrCodePCSScheme; the error body lists the
-	// scheme the daemon runs plus every name this build knows.
-	PCSScheme string `json:"pcs_scheme,omitempty"`
 }
 
 // CircuitInfo describes a registered circuit; returned by
@@ -171,7 +165,6 @@ type Ready struct {
 //	429 ErrCodeQuotaRate      tenant requests/sec bucket empty
 //	429 ErrCodeQuotaBytes     tenant witness-bytes budget exhausted
 //	429 ErrCodeQuotaInflight  tenant at max in-flight jobs
-//	422 ErrCodePCSScheme      unknown or unserved pcs_scheme in request
 const (
 	ErrCodeUnauthorized  = "unauthorized"
 	ErrCodeKeyDisabled   = "key_disabled"
@@ -180,7 +173,6 @@ const (
 	ErrCodeQuotaRate     = "quota_rate"
 	ErrCodeQuotaBytes    = "quota_bytes"
 	ErrCodeQuotaInflight = "quota_inflight"
-	ErrCodePCSScheme     = "pcs_scheme"
 )
 
 // Error is the JSON body of every non-2xx response. Overload and quota
@@ -192,8 +184,4 @@ type Error struct {
 	Error         string `json:"error"`
 	Code          string `json:"code,omitempty"`
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
-	// Schemes accompanies ErrCodePCSScheme: the commitment scheme names
-	// this build registers, so clients can pick a supported one without
-	// a second round trip.
-	Schemes []string `json:"schemes,omitempty"`
 }

@@ -32,11 +32,10 @@ import (
 
 // Client talks to one zkproverd instance.
 type Client struct {
-	base      string
-	hc        *http.Client
-	poll      time.Duration
-	apiKey    string
-	pcsScheme string
+	base   string
+	hc     *http.Client
+	poll   time.Duration
+	apiKey string
 
 	// auto-retry of overloaded (429) requests; retries == 0 disables it.
 	retries     int
@@ -62,15 +61,6 @@ func WithHTTPClient(hc *http.Client) Option {
 // tenants file; requests without a valid key answer 401/403.
 func WithAPIKey(key string) Option {
 	return func(c *Client) { c.apiKey = key }
-}
-
-// WithPCSScheme pins the polynomial commitment scheme circuit
-// registrations request ("pst", "zeromorph"). A daemon serving a
-// different (or unknown) scheme refuses the registration with 422; the
-// *APIError's Schemes field then lists the names that build supports.
-// Empty (the default) accepts whatever the daemon runs.
-func WithPCSScheme(name string) Option {
-	return func(c *Client) { c.pcsScheme = name }
 }
 
 // WithPollInterval sets how often WaitJob polls an async job. Default
@@ -183,9 +173,6 @@ type APIError struct {
 	// Code machine-classifies the refusal when the server set one (see
 	// the api.ErrCode* constants).
 	Code string
-	// Schemes lists the commitment schemes the server's build registers;
-	// set on api.ErrCodePCSScheme refusals.
-	Schemes []string
 }
 
 func (e *APIError) Error() string {
@@ -338,7 +325,7 @@ func (c *Client) roundTripBody(ctx context.Context, method, path string, blob []
 		if quotaCode(apiErr.Code) {
 			return &QuotaError{Code: apiErr.Code, Message: msg}
 		}
-		return &APIError{StatusCode: resp.StatusCode, Message: msg, Code: apiErr.Code, Schemes: apiErr.Schemes}
+		return &APIError{StatusCode: resp.StatusCode, Message: msg, Code: apiErr.Code}
 	}
 	if out == nil {
 		return nil
@@ -355,7 +342,7 @@ func (c *Client) RegisterCircuit(ctx context.Context, circuit *zkspeed.Circuit) 
 		return "", err
 	}
 	var info api.CircuitInfo
-	req := api.RegisterCircuitRequest{Circuit: blob, PCSScheme: c.pcsScheme}
+	req := api.RegisterCircuitRequest{Circuit: blob}
 	if err := c.do(ctx, http.MethodPost, "/v1/circuits", req, &info); err != nil {
 		return "", err
 	}

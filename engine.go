@@ -36,11 +36,11 @@ type Engine struct {
 	exec poly.Options
 
 	mu      sync.Mutex
-	seed    []byte                // master ceremony seed, read lazily from cfg.entropy
-	seedErr error                 // sticky entropy-read failure
-	srs     map[srsKey]*srsEntry  // universal setup per (problem size, scheme)
-	keys    map[keysKey]*keyEntry // preprocessed keys per (circuit digest, scheme)
-	digests map[*Circuit][32]byte // memoized circuit digests (O(2^mu) to hash)
+	seed    []byte                            // master ceremony seed, read lazily from cfg.entropy
+	seedErr error                             // sticky entropy-read failure
+	srs     map[srsKey]*flight[pcs.PCS]       // universal setup per (problem size, scheme)
+	keys    map[keysKey]*flight[*circuitKeys] // preprocessed keys per (circuit digest, scheme)
+	digests map[*Circuit][32]byte             // memoized circuit digests (O(2^mu) to hash)
 	st      EngineStats
 }
 
@@ -61,28 +61,72 @@ type keysKey struct {
 	scheme pcs.Scheme
 }
 
-// srsEntry is a singleflight slot for one problem size's ceremony, so the
-// (seconds-long at large sizes) SRS derivation never runs under the Engine
-// lock and concurrent same-size callers wait for a single derivation.
-type srsEntry struct {
-	done chan struct{}
-	s    pcs.PCS
-	err  error
-}
-
 type circuitKeys struct {
 	pk *ProvingKey
 	vk *VerifyingKey
 }
 
-// keyEntry is a singleflight slot in the key cache: the creator closes
-// done when setup finishes, so concurrent proofs of the same circuit wait
-// for one preprocessing instead of repeating it — without holding the
-// Engine lock across the (potentially seconds-long) setup.
-type keyEntry struct {
+// flight is a single-flight slot of an Engine cache: the creator closes
+// done once v or err is set, so concurrent callers of one key wait for a
+// single ceremony or preprocessing instead of repeating it, without
+// holding the Engine lock across the (seconds-long at large sizes) work.
+type flight[V any] struct {
 	done chan struct{}
-	k    *circuitKeys
+	v    V
 	err  error
+}
+
+// cached returns the value of key in m, running create to make it if no
+// caller has. create runs outside mu, and concurrent callers of one key
+// wait for its single run. A failed run is evicted, and a waiter whose
+// creator failed (possibly on the creator's own cancelled context)
+// retries under its own ctx. Under mu a successful run adds one to *made,
+// and a caller served by an earlier run adds one to *hits unless hits is
+// nil; hit reports the latter.
+func cached[K comparable, V any](ctx context.Context, mu *sync.Mutex, m map[K]*flight[V], key K,
+	made, hits *int, create func() (V, error)) (v V, hit bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return v, false, err
+	}
+	mu.Lock()
+	for f, ok := m[key]; ok; f, ok = m[key] {
+		mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return v, false, ctx.Err()
+		}
+		mu.Lock()
+		if f.err == nil {
+			if hits != nil {
+				*hits++
+			}
+			mu.Unlock()
+			return f.v, true, nil
+		}
+		if m[key] == f {
+			delete(m, key)
+		}
+		if err := ctx.Err(); err != nil {
+			mu.Unlock()
+			return v, false, err
+		}
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	m[key] = f
+	mu.Unlock()
+	f.v, f.err = create()
+	close(f.done)
+	mu.Lock()
+	defer mu.Unlock()
+	if f.err != nil {
+		if m[key] == f {
+			delete(m, key)
+		}
+		return v, false, f.err
+	}
+	*made++
+	return f.v, false, nil
 }
 
 // EngineStats counts the work an Engine has performed — primarily a
@@ -106,8 +150,8 @@ type EngineStats struct {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		cfg:     defaultEngineConfig(),
-		srs:     make(map[srsKey]*srsEntry),
-		keys:    make(map[keysKey]*keyEntry),
+		srs:     make(map[srsKey]*flight[pcs.PCS]),
+		keys:    make(map[keysKey]*flight[*circuitKeys]),
 		digests: make(map[*Circuit][32]byte),
 	}
 	for _, o := range opts {
@@ -170,7 +214,7 @@ func (e *Engine) masterSeed() ([]byte, error) {
 
 // srsFor returns (deriving if needed) the SRS for mu. The ceremony is
 // derived deterministically from the Engine's master seed; concurrent
-// same-size callers singleflight on one derivation, which runs outside the
+// same-size callers share one derivation (cached), which runs outside the
 // Engine lock so other operations never stall behind it.
 func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 	scheme, err := e.pcsScheme()
@@ -182,59 +226,18 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 	if p := e.cfg.preloadSRS; p != nil && scheme == pcs.SchemePST && p.Mu == mu {
 		return p, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	key := srsKey{mu: mu, scheme: scheme}
-	for {
-		e.mu.Lock()
-		if entry, ok := e.srs[key]; ok {
-			e.mu.Unlock()
-			select {
-			case <-entry.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if entry.err == nil {
-				return entry.s, nil
-			}
-			// Creator failed (possibly its own cancelled context): evict
-			// the dead entry and retry under our context.
-			e.mu.Lock()
-			if cur, ok := e.srs[key]; ok && cur == entry {
-				delete(e.srs, key)
-			}
-			e.mu.Unlock()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		entry := &srsEntry{done: make(chan struct{})}
-		e.srs[key] = entry
-		e.mu.Unlock()
+	s, _, err := cached(ctx, &e.mu, e.srs, key, &e.st.SRSSetups, nil, func() (pcs.PCS, error) {
 		seed, err := e.masterSeed()
-		if err == nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			} else {
-				entry.s, err = pcs.NewBackend(scheme, seed, mu)
-			}
-		}
-		entry.err = err
-		close(entry.done)
-		e.mu.Lock()
 		if err != nil {
-			if cur, ok := e.srs[key]; ok && cur == entry {
-				delete(e.srs, key)
-			}
-			e.mu.Unlock()
 			return nil, err
 		}
-		e.st.SRSSetups++
-		e.mu.Unlock()
-		return entry.s, nil
-	}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return pcs.NewBackend(scheme, seed, mu)
+	})
+	return s, err
 }
 
 // keysFor returns the preprocessed keys for the circuit, reusing the cache
@@ -242,78 +245,30 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 // from cache. The context is checked before each setup stage so a
 // cancelled caller does not pay for the ceremony or the preprocessing.
 //
-// Concurrent callers of the same circuit singleflight on a keyEntry; the
-// SRS derivation and the per-circuit preprocessing both run outside the
-// Engine lock, so cached proofs and Stats never stall behind a setup.
+// Concurrent callers of the same circuit share one preprocessing
+// (cached); the SRS derivation and the per-circuit preprocessing both run
+// outside the Engine lock, so cached proofs and Stats never stall behind
+// a setup.
 func (e *Engine) keysFor(ctx context.Context, circuit *Circuit) (*circuitKeys, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
 	scheme, err := e.pcsScheme()
 	if err != nil {
 		return nil, false, err
 	}
 	key := keysKey{digest: e.CircuitDigest(circuit), scheme: scheme}
-	e.mu.Lock()
-	for {
-		if entry, ok := e.keys[key]; ok {
-			e.mu.Unlock()
-			select {
-			case <-entry.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if entry.err == nil {
-				e.mu.Lock()
-				e.st.KeyCacheHits++
-				e.mu.Unlock()
-				return entry.k, true, nil
-			}
-			// The creator failed — possibly on its own cancelled context.
-			// Evict the dead entry and retry under our context.
-			e.mu.Lock()
-			if cur, ok := e.keys[key]; ok && cur == entry {
-				delete(e.keys, key)
-			}
-			if err := ctx.Err(); err != nil {
-				e.mu.Unlock()
-				return nil, false, err
-			}
-			continue
-		}
-
-		// We are the creator: publish the in-flight entry, then derive the
-		// SRS and preprocess outside the lock.
-		entry := &keyEntry{done: make(chan struct{})}
-		e.keys[key] = entry
-		e.mu.Unlock()
+	return cached(ctx, &e.mu, e.keys, key, &e.st.KeySetups, &e.st.KeyCacheHits, func() (*circuitKeys, error) {
 		srs, err := e.srsFor(ctx, circuit.Mu)
-		if err == nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			} else {
-				var pk *ProvingKey
-				var vk *VerifyingKey
-				pk, vk, err = hyperplonk.SetupWithPCS(circuit, srs)
-				if err == nil {
-					entry.k = &circuitKeys{pk: pk, vk: vk}
-				}
-			}
-		}
-		entry.err = err
-		close(entry.done)
-		e.mu.Lock()
 		if err != nil {
-			if cur, ok := e.keys[key]; ok && cur == entry {
-				delete(e.keys, key)
-			}
-			e.mu.Unlock()
-			return nil, false, err
+			return nil, err
 		}
-		e.st.KeySetups++
-		e.mu.Unlock()
-		return entry.k, false, nil
-	}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pk, vk, err := hyperplonk.SetupWithPCS(circuit, srs)
+		if err != nil {
+			return nil, err
+		}
+		return &circuitKeys{pk: pk, vk: vk}, nil
+	})
 }
 
 // Setup preprocesses a circuit under the Engine's cached universal SRS and

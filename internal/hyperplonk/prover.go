@@ -3,11 +3,9 @@ package hyperplonk
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"zkspeed/internal/ff"
-	"zkspeed/internal/pcs"
 	"zkspeed/internal/poly"
 	"zkspeed/internal/sumcheck"
 	"zkspeed/internal/transcript"
@@ -58,11 +56,6 @@ type ProveOptions struct {
 	// and its Scratch is the arena they draw per-proof buffers from. The
 	// engine fills in WithParallelism and its own arena.
 	Exec poly.Options
-	// Scheme, when non-empty, pins the commitment scheme this proof must
-	// be produced under ("pst", "zeromorph"); proving fails rather than
-	// silently using a key preprocessed under a different backend. Empty
-	// accepts whatever scheme the proving key carries.
-	Scheme string
 }
 
 // Prove generates a HyperPlonk proof for the assignment under pk with
@@ -87,15 +80,6 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	n := c.NumGates()
 	if a.W1.Len() != n || a.W2.Len() != n || a.W3.Len() != n {
 		return nil, nil, errors.New("hyperplonk: assignment size mismatch")
-	}
-	if opts.Scheme != "" {
-		want, err := pcs.ParseScheme(opts.Scheme)
-		if err != nil {
-			return nil, nil, err
-		}
-		if got := pk.PCS.Scheme(); got != want {
-			return nil, nil, fmt.Errorf("hyperplonk: options pin scheme %v but key was preprocessed under %v", want, got)
-		}
 	}
 	proof := &Proof{Scheme: pk.PCS.Scheme()}
 	tm := &StepTimings{}

@@ -48,15 +48,6 @@ func TestZeromorphProveVerify(t *testing.T) {
 		if err := hyperplonk.Verify(vk, pub, proof); err != nil {
 			t.Fatalf("mu=%d: verify: %v", mu, err)
 		}
-		// The scheme pin accepts the matching name and rejects others.
-		if err := hyperplonk.VerifyWithContext(context.Background(), vk, pub, proof,
-			&hyperplonk.VerifyOptions{Scheme: "zeromorph"}); err != nil {
-			t.Fatalf("mu=%d: pinned verify: %v", mu, err)
-		}
-		if err := hyperplonk.VerifyWithContext(context.Background(), vk, pub, proof,
-			&hyperplonk.VerifyOptions{Scheme: "pst"}); err == nil {
-			t.Fatalf("mu=%d: pst pin accepted a zeromorph proof", mu)
-		}
 		// A flipped evaluation must still be caught.
 		bad := *proof
 		var one ff.Fr
@@ -140,11 +131,6 @@ func TestCrossSchemeRejection(t *testing.T) {
 		t.Fatal("Zeromorph key accepted a PST proof")
 	} else if !strings.Contains(err.Error(), "scheme") {
 		t.Fatalf("want a scheme-mismatch error, got: %v", err)
-	}
-	// The prover-side pin works the same way.
-	if _, _, err := hyperplonk.ProveWithContext(context.Background(), pkZM, assignment,
-		&hyperplonk.ProveOptions{Scheme: "pst"}); err == nil {
-		t.Fatal("pst-pinned prove ran against a zeromorph key")
 	}
 }
 

@@ -26,10 +26,6 @@ type VerifyOptions struct {
 	// split over Exec.Procs goroutines beside its MSM; the zero value
 	// means one goroutine per CPU and the shared arena.
 	Exec poly.Options
-	// Scheme, when non-empty, pins the commitment scheme the proof must
-	// have been produced under ("pst", "zeromorph"); verification fails
-	// up front on a mismatch. Empty accepts the verifying key's scheme.
-	Scheme string
 }
 
 // Verify checks a HyperPlonk proof with default options and no
@@ -61,15 +57,6 @@ func VerifyWithContext(ctx context.Context, vk *VerifyingKey, pub []ff.Fr, proof
 	// commitment arithmetic.
 	if got, want := proof.Scheme, vk.PCS.Scheme(); got != want {
 		return fmt.Errorf("hyperplonk: proof carries scheme %v, verifying key uses %v", got, want)
-	}
-	if pinned := opts.Scheme; pinned != "" {
-		want, err := pcs.ParseScheme(pinned)
-		if err != nil {
-			return err
-		}
-		if proof.Scheme != want {
-			return fmt.Errorf("hyperplonk: options pin scheme %v but proof carries %v", want, proof.Scheme)
-		}
 	}
 	tr := transcript.New(transcriptDomain)
 	tr.AppendBytes("vk", vk.Digest())

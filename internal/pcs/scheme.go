@@ -32,8 +32,8 @@ const (
 )
 
 // schemeNames is the authoritative name table; ParseScheme and Schemes
-// both derive from it so the 422 error body can never drift from the
-// parser.
+// both derive from it so the names an unknown-scheme error lists can
+// never drift from the parser.
 var schemeNames = map[Scheme]string{
 	SchemePST:       "pst",
 	SchemeZeromorph: "zeromorph",
@@ -67,8 +67,8 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("pcs: unknown scheme %q (have %v)", name, Schemes())
 }
 
-// Schemes lists the registered scheme names, sorted — the body of the
-// service's unknown-scheme 422.
+// Schemes lists the registered scheme names, sorted — what an
+// unknown-scheme error lists.
 func Schemes() []string {
 	out := make([]string, 0, len(schemeNames))
 	for _, n := range schemeNames {

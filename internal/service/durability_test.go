@@ -70,7 +70,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 		jobs[i] = j
 	}
 	// Let a prefix complete so the snapshot holds every record type:
-	// done results, a claim for the in-flight job, pending submits.
+	// done results and pending submits.
 	<-jobs[0].done
 	<-jobs[1].done
 	copyDir(t, dir1, dir2) // "SIGKILL": disk state at this instant
@@ -445,7 +445,7 @@ func TestProveStreamEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed stream: %d, want 400", resp.StatusCode)
 	}
-	if got := len(svc.Store().State().Pending); got != 0 {
+	if got := len(svc.store.State().Pending); got != 0 {
 		t.Fatalf("%d orphan pending jobs after failed stream", got)
 	}
 

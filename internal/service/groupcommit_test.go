@@ -70,8 +70,8 @@ func TestBatchRecordsShareOneSync(t *testing.T) {
 		<-j.done
 	}
 	after := w.Stats()
-	if appends := after.Appends - before.Appends; appends != 2*n {
-		t.Fatalf("batch appended %d records, want %d (a claim and a terminal record per job)", appends, 2*n)
+	if appends := after.Appends - before.Appends; appends != n {
+		t.Fatalf("batch appended %d records, want %d (a terminal record per job)", appends, n)
 	}
 	if syncs := after.Syncs - before.Syncs; syncs != 1 {
 		t.Fatalf("batch of %d fsynced %d times, want 1", n, syncs)

@@ -14,7 +14,6 @@ import (
 	"zkspeed/api"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/hyperplonk"
-	"zkspeed/internal/pcs"
 	"zkspeed/internal/store"
 	"zkspeed/internal/tenant"
 )
@@ -214,33 +213,19 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool
 	return true
 }
 
-// checkPCSScheme enforces a request's pcs_scheme against the scheme this
-// service proves under. Both unknown names and known-but-unserved
-// ones are 422 — the statement cannot be served as phrased — and the body
-// lists every scheme this build registers so the client can repair the
-// request without a discovery round trip.
-func (s *Service) checkPCSScheme(w http.ResponseWriter, requested string) bool {
-	if requested == "" || requested == s.scheme {
-		return true
+// writeRegisterErr answers a failed registration: 507 at the registry
+// bound, 503 when the store could not record the circuit.
+func writeRegisterErr(w http.ResponseWriter, err error) {
+	code := http.StatusServiceUnavailable
+	if errors.Is(err, ErrRegistryFull) {
+		code = http.StatusInsufficientStorage
 	}
-	msg := fmt.Sprintf("this daemon proves under pcs_scheme %q, not %q", s.scheme, requested)
-	if _, err := pcs.ParseScheme(requested); err != nil {
-		msg = fmt.Sprintf("unknown pcs_scheme %q", requested)
-	}
-	writeJSON(w, http.StatusUnprocessableEntity, api.Error{
-		Error:   msg,
-		Code:    api.ErrCodePCSScheme,
-		Schemes: pcs.Schemes(),
-	})
-	return false
+	writeError(w, code, "%v", err)
 }
 
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterCircuitRequest
 	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if !s.checkPCSScheme(w, req.PCSScheme) {
 		return
 	}
 	var c hyperplonk.Circuit
@@ -250,7 +235,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.RegisterCircuit(&c)
 	if err != nil {
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
+		writeRegisterErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, entry.info())
@@ -439,7 +424,7 @@ func (s *Service) resolveCircuit(w http.ResponseWriter, digestHex string, blob [
 		}
 		entry, err := s.RegisterCircuit(&c)
 		if err != nil {
-			writeError(w, http.StatusInsufficientStorage, "%v", err)
+			writeRegisterErr(w, err)
 			return nil
 		}
 		return entry

@@ -66,7 +66,7 @@ func TestHTTPRegisterProveVerifyFlow(t *testing.T) {
 	if resp := postJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d", resp.StatusCode)
 	}
-	if info.Mu != circuit.Mu || info.NumGates != circuit.NumGates() {
+	if info.Mu != circuit.Mu || info.NumGates != circuit.NumGates() || info.PCSScheme != "pst" {
 		t.Fatalf("register info %+v", info)
 	}
 
@@ -267,6 +267,14 @@ func TestHTTPBadInputs(t *testing.T) {
 			t.Errorf("%s: got %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
 	}
+	// The daemon's engine alone picks the scheme: a registration cannot
+	// name one.
+	if resp := postJSON(t, srv, "/v1/circuits", map[string]any{"circuit": cb, "pcs_scheme": "pst"}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("pcs_scheme: got %d, want 400", resp.StatusCode)
+	}
+	if n := s.circuitCount(); n != 0 {
+		t.Errorf("bad inputs registered %d circuits", n)
+	}
 }
 
 func TestHTTPRegistryBound(t *testing.T) {
@@ -350,56 +358,5 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n---\n%s", want, text)
 		}
-	}
-}
-
-func TestHTTPRegisterPCSSchemeMismatch(t *testing.T) {
-	s := newTestService(t, Config{}) // the stub backend serves "pst"
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	circuit, _ := buildCircuit(t, 3, 7)
-	cb, err := circuit.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	register := func(scheme string, out any) *http.Response {
-		return postJSON(t, srv, "/v1/circuits",
-			api.RegisterCircuitRequest{Circuit: cb, PCSScheme: scheme}, out)
-	}
-
-	// Empty and matching scheme names register normally.
-	var info api.CircuitInfo
-	if resp := register("", &info); resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty scheme: %d, want 200", resp.StatusCode)
-	}
-	if info.PCSScheme != "pst" {
-		t.Fatalf("CircuitInfo.PCSScheme = %q, want pst", info.PCSScheme)
-	}
-	if resp := register("pst", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("matching scheme: %d, want 200", resp.StatusCode)
-	}
-
-	// An unknown name and a known-but-unserved name are both 422, with
-	// the machine-readable code and the full scheme list in the body.
-	for _, scheme := range []string{"nope", "zeromorph"} {
-		var apiErr api.Error
-		resp := register(scheme, &apiErr)
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("scheme %q: %d, want 422", scheme, resp.StatusCode)
-		}
-		if apiErr.Code != api.ErrCodePCSScheme {
-			t.Errorf("scheme %q: code %q, want %q", scheme, apiErr.Code, api.ErrCodePCSScheme)
-		}
-		if len(apiErr.Schemes) == 0 {
-			t.Errorf("scheme %q: error body lists no schemes", scheme)
-		}
-		for _, known := range apiErr.Schemes {
-			if known == "pst" {
-				goto ok
-			}
-		}
-		t.Errorf("scheme %q: schemes %v missing the served scheme", scheme, apiErr.Schemes)
-	ok:
 	}
 }

@@ -376,10 +376,6 @@ func New(cfg Config, backend Backend, loops int) (*Service, error) {
 	return s, nil
 }
 
-// PCSScheme reports the commitment scheme this service proves under —
-// what registrations and proof responses advertise.
-func (s *Service) PCSScheme() string { return s.scheme }
-
 // replayStore rebuilds the registry, queues and pollable results from
 // the store's recovered state. It runs before the batch loops start, so
 // re-queued jobs keep their submit order ahead of any new arrivals.
@@ -481,12 +477,6 @@ func (s *Service) noteJobID(id string) {
 // Recovery reports what New replayed from the store.
 func (s *Service) Recovery() RecoveryStats { return s.recovery }
 
-// Tenants exposes the tenant registry (nil when unauthenticated).
-func (s *Service) Tenants() *tenant.Registry { return s.cfg.Tenants }
-
-// Store exposes the job store (nil when the service is volatile).
-func (s *Service) Store() store.Store { return s.store }
-
 // SetReady toggles the /readyz answer. reason explains a false state
 // ("preloading circuits", "draining"); ignored when ready.
 func (s *Service) SetReady(ready bool, reason string) {
@@ -536,7 +526,8 @@ func (s *Service) Close() {
 func (s *Service) Metrics() *Metrics { return s.met }
 
 // ErrRegistryFull is returned by RegisterCircuit at the MaxCircuits
-// bound; the HTTP layer renders it as 507 Insufficient Storage.
+// bound; the HTTP layer renders it as 507 Insufficient Storage, and
+// any other registration failure as 503.
 var ErrRegistryFull = errors.New("service: circuit registry full")
 
 // RegisterCircuit adds the circuit to the registry (idempotent) and
@@ -770,8 +761,8 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o s
 	}
 	if s.store != nil {
 		// Append the submit record before the queue push: once the push
-		// succeeds the job can reach a loop (and its Claim record) at
-		// any moment, and the log must never show a claim for an
+		// succeeds the job can reach a loop (and its terminal record)
+		// at any moment, and the log must never show a result for an
 		// unsubmitted job.
 		rec := store.JobRecord{ID: id, Tenant: tid, Circuit: entry.digest}
 		if o.streamedID == "" {
@@ -1031,8 +1022,7 @@ func (s *Service) batchLoop() {
 			held = time.Since(start)
 		}
 		s.met.observeHold(held)
-		s.runBatch(batch)
-		contended, last = s.metOthers(batch), j.digest
+		contended, last = s.runBatch(batch), j.digest
 	}
 }
 
@@ -1112,22 +1102,21 @@ func (s *Service) metOthers(batch []*job) bool {
 // Byte-identical statements (same circuit and witness digests) within the
 // batch are proved once and share the result — the in-flight analogue of
 // the proof cache, which they all missed because none had finished yet.
-func (s *Service) runBatch(batch []*job) {
+// It reports whether the batch met other submitters (metOthers), judged
+// before any answer goes out: a request a client sends on its answer was
+// not queued while the batch proved.
+func (s *Service) runBatch(batch []*job) (met bool) {
 	uniqueOf := make(map[cacheKey]int, len(batch))
 	var jobs []BackendJob
 	for _, j := range batch {
 		j.setRunning()
-		if j.persisted {
-			// Informational only: replay treats a claimed-but-unfinished
-			// job exactly like a queued one, so a lost append is harmless.
-			s.store.Claim(j.id)
-		}
 		if _, ok := uniqueOf[j.witness]; !ok {
 			uniqueOf[j.witness] = len(jobs)
 			jobs = append(jobs, BackendJob{Circuit: j.entry.circuit, Assignment: j.assign})
 		}
 	}
 	results := s.backend.ProveBatch(s.ctx, jobs)
+	met = s.metOthers(batch)
 	s.met.mu.Lock()
 	s.met.batches++
 	s.met.batchJobs += int64(len(batch))
@@ -1214,6 +1203,7 @@ func (s *Service) runBatch(batch []*job) {
 			StepsNS:      steps,
 		})
 	}
+	return met
 }
 
 // encodeFrs renders field elements as 32-byte big-endian blobs for JSON.

@@ -19,11 +19,19 @@ import (
 )
 
 // hookStore is a WAL whose witness writers can be made to fail on Write
-// or on Close, or to run afterClose once their chunks are in the log.
+// or on Close, or to run afterClose once their chunks are in the log,
+// and whose PutCircuit can be made to fail.
 type hookStore struct {
 	*store.WAL
-	writeErr, closeErr error
-	afterClose         func()
+	writeErr, closeErr, putErr error
+	afterClose                 func()
+}
+
+func (s *hookStore) PutCircuit(digest [32]byte, blob []byte) error {
+	if s.putErr != nil {
+		return s.putErr
+	}
+	return s.WAL.PutCircuit(digest, blob)
 }
 
 func (s *hookStore) WitnessWriter(id string) (io.WriteCloser, error) {
@@ -94,8 +102,8 @@ func postStream(t *testing.T, ts *httptest.Server, entry *circuitEntry, witness 
 // The streamed request may append at most one chunk record per 64 KiB of
 // witness more than the JSON request, and no fsync more: chunk records
 // become durable with the submit record that adopts them. The JSON
-// request costs two fsyncs, its submit and its completion: the claim
-// between them is not synced on its own.
+// request costs two records, its submit and its completion, and one
+// fsync for each.
 func TestProveStreamCostsNoExtraSync(t *testing.T) {
 	for _, mu := range []int{8, 12} {
 		t.Run(fmt.Sprintf("mu%d", mu), func(t *testing.T) {
@@ -126,8 +134,8 @@ func TestProveStreamCostsNoExtraSync(t *testing.T) {
 			if streamSyncs != jsonSyncs {
 				t.Errorf("streamed request fsynced %d times, JSON request %d", streamSyncs, jsonSyncs)
 			}
-			if jsonSyncs != 2 {
-				t.Errorf("JSON request fsynced %d times, want 2 (submit, complete)", jsonSyncs)
+			if jsonAppends != 2 || jsonSyncs != 2 {
+				t.Errorf("JSON request cost %d appends and %d fsyncs, want 2 and 2 (submit, complete)", jsonAppends, jsonSyncs)
 			}
 			if streamAppends > jsonAppends+chunks {
 				t.Errorf("streamed request appended %d records, want <= %d (JSON's %d + %d chunks)",
@@ -177,6 +185,39 @@ func TestProveStreamStoreFailure(t *testing.T) {
 				t.Fatalf("%d pending jobs replayed after a failed upload", n)
 			}
 		})
+	}
+}
+
+// TestRegisterStoreFailure: a store that cannot record a circuit answers
+// 503, as a failed submit does, not the 507 of a full registry, on both
+// POST /v1/circuits and register-on-use POST /v1/prove, and the circuit
+// stays unregistered.
+func TestRegisterStoreFailure(t *testing.T) {
+	hs := &hookStore{WAL: openTestWAL(t, t.TempDir()), putErr: fmt.Errorf("store: append: %w", syscall.ENOSPC)}
+	svc := newTestService(t, Config{Store: hs, BatchWindow: -1}, &stubBackend{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	circuit, assign := buildCircuit(t, 3, 7)
+	cb, err := circuit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := assign.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if resp := postJSON(t, ts, "/v1/circuits", api.RegisterCircuitRequest{Circuit: cb}, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("register: %d, want 503", resp.StatusCode)
+	}
+	if resp := postJSON(t, ts, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb, Wait: true}, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("register-on-use prove: %d, want 503", resp.StatusCode)
+	}
+	if _, ok := svc.Circuit(circuit.Digest()); ok || svc.circuitCount() != 0 {
+		t.Fatalf("registry holds %d circuits after failed registrations", svc.circuitCount())
+	}
+	if n := len(hs.State().Circuits); n != 0 {
+		t.Fatalf("store holds %d circuits after failed registrations", n)
 	}
 }
 

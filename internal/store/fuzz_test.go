@@ -29,7 +29,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(frame(legacySubmit("job-3", "t", d, 2, []byte("w"))))
 	f.Add(frame(encodeSubmit(JobRecord{ID: "job-2", Circuit: d})))
 	f.Add(frame(encodeChunk("job-2", []byte("chunk"))))
-	f.Add(frame(encodeClaim("job-1")))
+	f.Add(frame(legacyClaim("job-1")))
 	f.Add(frame(encodeDone(Result{ID: "job-1", Proof: []byte("p"), PublicInputs: [][]byte{make([]byte, 32)}, ProverNS: 9})))
 	f.Add(frame(encodeFail("job-1", "msg")))
 	// Adversarial shapes: truncated frame, CRC mismatch, huge length.

@@ -1,5 +1,5 @@
 // Package store is zkproverd's pluggable job store: the record of every
-// proving job's lifecycle (submit → claim → complete/fail), the circuit
+// proving job's lifecycle (submit → complete/fail), the circuit
 // blobs the jobs reference, and the completed results clients poll for.
 //
 // WAL implements the Store interface: it persists every transition to an
@@ -11,11 +11,11 @@
 // store keeps its jobs in process memory only.
 //
 // The store records facts, not policy: a submitted job with no terminal
-// record is "pending" regardless of claims (a claim only witnesses that
-// a shard picked the job up before a crash), and transient failures —
-// shutdown, context cancellation — are deliberately never recorded, so
-// replay re-queues the job instead of surfacing a failure the client
-// could not act on. Only prover rejections are terminal.
+// record is "pending", whether or not a shard had picked it up before a
+// crash, and transient failures — shutdown, context cancellation — are
+// deliberately never recorded, so replay re-queues the job instead of
+// surfacing a failure the client could not act on. Only prover
+// rejections are terminal.
 package store
 
 import (
@@ -66,8 +66,8 @@ type State struct {
 	// Circuits maps digest → ZKSC blob for every registered circuit.
 	Circuits map[[32]byte][]byte
 	// Pending holds every job with no terminal record, in submit order —
-	// the re-queue list. A job that was claimed but never finished is
-	// pending: re-proving is always safe (the prover is deterministic).
+	// the re-queue list. A job that was being proved but never finished
+	// is pending: re-proving is always safe (the prover is deterministic).
 	Pending []JobRecord
 	// Done maps job id → result for completed jobs within retention.
 	Done map[string]Result
@@ -98,10 +98,6 @@ type Store interface {
 	// DiscardWitness drops streamed chunks for an upload that was
 	// aborted before Submit (client disconnect, validation failure).
 	DiscardWitness(id string) error
-	// Claim records that a shard started proving the job. Informational:
-	// replay treats claimed-but-unfinished identically to queued, so a
-	// durable store need not sync a claim before returning.
-	Claim(id string) error
 	// Fail records a terminal failure (prover rejection). Transient
 	// failures must not be recorded — absence is what re-queues the job
 	// on replay.

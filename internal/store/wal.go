@@ -41,7 +41,7 @@ const (
 	recCircuit byte = 1
 	recSubmit  byte = 2
 	recChunk   byte = 3
-	recClaim   byte = 4
+	recClaim   byte = 4 // never written; kept so older logs replay
 	recDone    byte = 5
 	recFail    byte = 6
 )
@@ -58,9 +58,7 @@ type WALConfig struct {
 	// fsync instead of one each. 0 fsyncs every acknowledged record
 	// before its call returns (maximum durability); streamed chunk
 	// records are never synced on their own and become durable with
-	// the record that follows them in the log, the adopting submit, and
-	// claim records, which replay ignores, become durable with the
-	// job's terminal record.
+	// the record that follows them in the log, the adopting submit.
 	// Negative never syncs explicitly (the OS decides — for tests and
 	// throwaway runs).
 	SyncInterval time.Duration
@@ -314,7 +312,9 @@ func (w *WAL) applyRecord(p []byte) error {
 		if _, _, err := readString16(p[1:]); err != nil {
 			return err
 		}
-		// Claims are informational; pending is pending until terminal.
+		// A claim marked a job a shard had picked up. Only older
+		// daemons wrote them, and they change nothing: a job is pending
+		// until its terminal record.
 	case recDone:
 		r, err := decodeDone(p[1:])
 		if err != nil {
@@ -364,10 +364,7 @@ func (w *WAL) openActive() error {
 // then applies it to the mirror and runs the sync/rotate/compact policy.
 // It is appendApplying with the mirror fed by decoding the payload.
 // Under SyncInterval 0 every record is synced before append returns but
-// two that nothing rests on: a chunk, which its adopting submit's sync
-// covers, and a claim, which replay ignores (a claimed job is pending
-// until its terminal record), so losing one in a crash re-queues a job
-// that replay re-queues anyway; the terminal record's sync covers it.
+// a chunk, which its adopting submit's sync covers.
 func (w *WAL) append(payload []byte) error {
 	return w.appendApplying(payload, true, func() error { return w.applyRecord(payload) })
 }
@@ -395,8 +392,8 @@ func (w *WAL) appendApplying(payload []byte, sync bool, apply func() error) erro
 		return err
 	}
 	w.dirty = true
-	if sync && w.cfg.SyncInterval == 0 && payload[0] != recChunk && payload[0] != recClaim {
-		// The sync covers any chunks or claims before this record.
+	if sync && w.cfg.SyncInterval == 0 && payload[0] != recChunk {
+		// The sync covers any chunks before this record.
 		if err := w.syncLocked(); err != nil {
 			return err
 		}
@@ -669,12 +666,6 @@ func (w *WAL) DiscardWitness(id string) error {
 	return nil
 }
 
-func (w *WAL) Claim(id string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.append(encodeClaim(id))
-}
-
 // Complete records one job's successful result: Finish of one result.
 // The WAL may retain r.Proof and r.PublicInputs rather than copy them, so
 // the caller must not modify them afterwards.
@@ -927,12 +918,6 @@ func encodeChunk(id string, chunk []byte) []byte {
 	b = append(b, recChunk)
 	b = appendString16(b, id)
 	return appendBytes32(b, chunk)
-}
-
-func encodeClaim(id string) []byte {
-	b := make([]byte, 0, 4+len(id))
-	b = append(b, recClaim)
-	return appendString16(b, id)
 }
 
 func encodeDone(r Result) []byte {

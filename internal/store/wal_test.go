@@ -39,9 +39,6 @@ func TestMemLifecycle(t *testing.T) {
 	if err := w.Submit(JobRecord{ID: "job-1", Circuit: d, Witness: []byte("wit")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Claim("job-1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := w.Complete(Result{ID: "job-1", Proof: []byte("proof"), ProverNS: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +156,9 @@ func TestWALRoundtrip(t *testing.T) {
 	if err := w.Submit(JobRecord{ID: "job-c", Circuit: d, Witness: []byte("wc")}); err != nil {
 		t.Fatal(err)
 	}
-	// job-a completes; job-b is claimed but never finishes (crash window);
-	// job-c fails terminally.
-	if err := w.Claim("job-a"); err != nil {
-		t.Fatal(err)
-	}
+	// job-a completes; job-b never finishes (crash window); job-c fails
+	// terminally.
 	if err := w.Complete(Result{ID: "job-a", Proof: []byte("pa"), PublicInputs: [][]byte{make([]byte, 32)}, ProverNS: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Claim("job-b"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Fail("job-c", "bad witness"); err != nil {
@@ -184,7 +175,7 @@ func TestWALRoundtrip(t *testing.T) {
 		t.Fatal("circuit lost")
 	}
 	if len(st.Pending) != 1 || st.Pending[0].ID != "job-b" {
-		t.Fatalf("pending = %+v, want claimed-but-unfinished job-b", st.Pending)
+		t.Fatalf("pending = %+v, want unfinished job-b", st.Pending)
 	}
 	if st.Pending[0].Tenant != "" || !bytes.Equal(st.Pending[0].Witness, []byte("wb")) {
 		t.Fatalf("job-b fields mangled: %+v", st.Pending[0])
@@ -233,59 +224,6 @@ func TestWALCompleteKeepsCallerProof(t *testing.T) {
 	defer r.Close()
 	if got := r.State().Done["job-a"]; !bytes.Equal(got.Proof, want) || got.ProverNS != 7 {
 		t.Fatalf("replayed result %+v, want the completed proof", got)
-	}
-}
-
-// TestWALClaimNotSynced: under the default SyncInterval 0 a claim is
-// appended without an fsync of its own — replay ignores claims — and the
-// terminal record's fsync covers it, so a proved job costs two syncs
-// (submit, complete). A crash that loses the unsynced claim leaves the
-// job pending, exactly as a crash after a durable claim does.
-func TestWALClaimNotSynced(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, WALConfig{Dir: dir})
-	before := w.Stats()
-	if err := w.Submit(JobRecord{ID: "job-1", Circuit: digestOf(3), Witness: []byte("w1")}); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	submitted, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Claim("job-1"); err != nil {
-		t.Fatal(err)
-	}
-	claimed := w.Stats()
-	if got := claimed.Syncs - before.Syncs; got != 1 {
-		t.Fatalf("submit and claim fsynced %d times, want 1 (the submit)", got)
-	}
-
-	// The crash: the log as the last sync left it, without the claim.
-	crash := t.TempDir()
-	if err := os.WriteFile(filepath.Join(crash, filepath.Base(segs[0])), submitted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, WALConfig{Dir: crash})
-	if st := r.State(); len(st.Pending) != 1 || st.Pending[0].ID != "job-1" {
-		t.Fatalf("after losing the claim: pending %+v, want job-1 re-queued", st.Pending)
-	}
-	r.Close()
-
-	if err := w.Complete(Result{ID: "job-1", Proof: []byte("p1")}); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Stats().Syncs - claimed.Syncs; got != 1 {
-		t.Fatalf("complete fsynced %d times, want 1", got)
-	}
-	w.Close()
-	r = mustOpen(t, WALConfig{Dir: dir})
-	defer r.Close()
-	if st := r.State(); len(st.Pending) != 0 || len(st.Done) != 1 {
-		t.Fatalf("after complete: %d pending / %d done", len(st.Pending), len(st.Done))
 	}
 }
 
@@ -725,5 +663,112 @@ func TestWALReplaysPriorityByte(t *testing.T) {
 	rec := JobRecord{ID: "job-new", Tenant: "acme", Circuit: d, Witness: []byte("w")}
 	if got, want := encodeSubmit(rec), legacySubmit(rec.ID, rec.Tenant, d, 1, rec.Witness); !bytes.Equal(got, want) {
 		t.Fatalf("new submit record\n%x\nwant the legacy normal-priority layout\n%x", got, want)
+	}
+}
+
+// legacyClaim hand-frames a claim record's payload as older daemons
+// wrote one when a shard picked a job up: tag 4, then the id (16-bit
+// length).
+func legacyClaim(id string) []byte {
+	b := []byte{4, byte(len(id) >> 8), byte(len(id))}
+	return append(b, id...)
+}
+
+// recordTypes lists the tag of every record in the segment files under
+// dir, in log order.
+func recordTypes(t *testing.T, dir string) []byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := walHeaderLen; off+walFrameLen < len(b); {
+			n := int(binary.BigEndian.Uint32(b[off:]))
+			tags = append(tags, b[off+walFrameLen])
+			off += walFrameLen + n
+		}
+	}
+	return tags
+}
+
+// TestWALReplaysClaimRecords keeps logs from daemons that wrote claim
+// records replayable: a claim changes nothing, so a job that was
+// submitted, claimed and completed is done, and one that was submitted
+// and claimed is pending. The store writes no claim record itself.
+func TestWALReplaysClaimRecords(t *testing.T) {
+	dir := t.TempDir()
+	d := digestOf(6)
+	seg := make([]byte, walHeaderLen)
+	binary.BigEndian.PutUint32(seg, walMagic)
+	seg[4] = walVersion
+	for _, p := range [][]byte{
+		legacySubmit("job-a", "acme", d, 1, []byte("wa")),
+		legacyClaim("job-a"),
+		encodeDone(Result{ID: "job-a", Circuit: d, Proof: []byte("pa"), ProverNS: 3}),
+		legacySubmit("job-b", "acme", d, 1, []byte("wb")),
+		legacyClaim("job-b"),
+	} {
+		seg = append(seg, frame(p)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := mustOpen(t, WALConfig{Dir: dir})
+	st := w.State()
+	if got := st.Done["job-a"]; len(st.Done) != 1 || !bytes.Equal(got.Proof, []byte("pa")) || got.ProverNS != 3 {
+		t.Fatalf("done = %+v, want job-a's result", st.Done)
+	}
+	if len(st.Pending) != 1 || st.Pending[0].ID != "job-b" || !bytes.Equal(st.Pending[0].Witness, []byte("wb")) {
+		t.Fatalf("pending = %+v, want job-b", st.Pending)
+	}
+	if n := len(recordTypes(t, dir)); n != 5 {
+		t.Fatalf("hand-framed log holds %d records, want 5", n)
+	}
+
+	// A job's whole life in this store: circuit, streamed witness,
+	// submit, result; another's submit and failure.
+	if err := w.PutCircuit(digestOf(7), []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	cw, err := w.WitnessWriter("job-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.Write([]byte("wc"))
+	cw.Close()
+	if err := w.Submit(JobRecord{ID: "job-c", Circuit: d}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish([]Result{{ID: "job-b", Proof: []byte("pb")}, {ID: "job-c", Proof: []byte("pc")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Submit(JobRecord{ID: "job-d", Circuit: d, Witness: []byte("wd")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Fail("job-d", "rejected"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tags := recordTypes(t, dir)
+	if len(tags) != 5+7 {
+		t.Fatalf("log holds %d records, want the 5 hand-framed and 7 new", len(tags))
+	}
+	for i, tag := range tags[5:] {
+		if tag == recClaim {
+			t.Fatalf("new record %d is a claim record", i)
+		}
+	}
+	r := mustOpen(t, WALConfig{Dir: dir})
+	defer r.Close()
+	if st := r.State(); len(st.Pending) != 0 || len(st.Done) != 3 || len(st.Failed) != 1 {
+		t.Fatalf("after reopen: %d pending / %d done / %d failed", len(st.Pending), len(st.Done), len(st.Failed))
 	}
 }

@@ -337,9 +337,6 @@ func durabilitySuite(cfg suiteConfig) []benchmark {
 				// Half the log is completed jobs: replay must both
 				// re-queue pending work and restore finished results.
 				if i%2 == 0 {
-					if err := w.Claim(id); err != nil {
-						return err
-					}
 					proof := witness
 					if len(proof) > 4096 {
 						proof = proof[:4096]

@@ -108,8 +108,9 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // work stealing of the one-queue service, the deleted multi-node
 // tier (its join and option entry points, wire protocol, metrics and
 // endpoint), the root re-export of the benchmark suite, the record
-// fields only the deleted comparator read, or the caller-less helpers
-// deleted with them; nothing calls the sparse commit
+// fields only the deleted comparator read, the caller-less helpers
+// deleted with them, the per-request commitment-scheme pin or the WAL
+// claim record; nothing calls the sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
@@ -119,9 +120,10 @@ func TestOnePathPerLayer(t *testing.T) {
 	// bench comparator, the uncached engine, the volatile store, the
 	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
 	// GLV splitter, the per-shard service queues, the multi-node tier, the
-	// benchmark re-export layer, the shifted-opening surface and the
-	// priority lanes are spelled in halves, so a grep of the tree for them
-	// finds none here.
+	// benchmark re-export layer, the shifted-opening surface, the priority
+	// lanes, the per-request scheme pin, the WAL claim record and two
+	// unused root aliases are spelled in halves, so a grep of the tree for
+	// them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -136,6 +138,8 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Tenant" + "Counts", "NewZero" + "MLE", "Fr" + "Zero()", "Fp" + "One()", "Global" + "Pareto",
 		"Open" + "Shift", "Verify" + "Shifted", "Shift" + "Proof", "Supports" + "Shift", "ErrShift" + "Unsupported",
 		"Priority" + "High", "num" + "Priorities", "parse" + "Priority",
+		"ErrCode" + "PCSScheme", "check" + "PCSScheme", "encode" + "Claim", "." + "Claim(",
+		"ServiceBackend" + "Stats", "ServiceOverloaded" + "Error",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be

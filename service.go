@@ -28,16 +28,6 @@ import (
 // the batch loops.
 type ProverService = service.Service
 
-// ServiceBackendStats are the service Engine's counters
-// (ProverService.BackendStats) — how many SRS ceremonies, key setups and
-// proofs the service's engine actually ran, the observable half of the
-// amortization story.
-type ServiceBackendStats = service.BackendStats
-
-// ServiceOverloadedError is returned (wrapped) by the submit paths when
-// the job queue is full; the HTTP layer renders it as 429 + Retry-After.
-type ServiceOverloadedError = service.OverloadedError
-
 // ServiceRecoveryStats describes what a durable-store service replayed
 // at startup (ProverService.Recovery): re-registered circuits, re-queued
 // jobs, restored results and failures.

@@ -98,8 +98,8 @@ func PCSSchemes() []string {
 }
 
 // MaxMu is the largest circuit size, as log2 of the gate count, that the
-// commands accept. A μ=22 proof peaks at 6.56 GB RSS on a 2-vCPU, 7.5 GB
-// x86-64 machine; μ=23 does not fit in that memory.
+// commands accept. A μ=22 proof peaks at 7.45–7.61 GB RSS on a 2-vCPU,
+// 8.2 GB x86-64 machine; μ=23 does not fit in that memory.
 const MaxMu = 22
 
 // SyntheticWorkloadSeeded builds a valid random 2^mu-gate circuit with the
