@@ -1,27 +1,22 @@
-// Command zkbench runs the repository's structured benchmark suite —
-// kernel-level (Pippenger and Sparse MSM across window widths and both
-// aggregation schedules, sumcheck round loop, PCS commit/open, MLE fold),
-// end-to-end Engine.Prove, and service-level (proofs driven through
-// zkproverd's HTTP path against a loopback server, plus the cached
-// overhead floor) — and prints each record's median and p95, plus the
-// per-step shares of records that decompose into protocol steps.
-// -assert-faster gates compare two records of the same run, which is how
-// CI holds each fast path to its margin over the retained reference on
+// Command zkbench runs the repository's micro-suite: the records CI's
+// -assert-faster gates compare, each fast path beside the retained
+// reference or the slower shape it is held against. Kernel records (field
+// multiplication, Miller loops, MSMs, sumcheck rounds, commitments) call
+// zkspeed/internal/... directly (suite.go); the end-to-end, service and
+// fair-share records go through the public zkspeed API (e2e.go). It
+// prints each record's median and p95. A gate compares two records of
+// the same run, which is how CI holds each fast path to its margin on
 // whatever hardware it runs. Comparing two commits is the repository
-// benchmark's job (go run ./internal/benchmark -compare over paired runs).
-//
-// It lives under internal/ so that one package holds the whole suite: the
-// kernel records call zkspeed/internal/... directly (suite.go), the
-// end-to-end, service and durability records go through the public
-// zkspeed API (e2e.go).
+// benchmark's job (go run ./internal/benchmark -compare over paired
+// runs); per-layer times are its --trace 1 metrics, per-step shares
+// zkprover -json.
 //
 // Usage:
 //
-//	go run ./internal/zkbench -quick                 # CI-sized suite
-//	go run ./internal/zkbench -quick -run 'sumcheck/round' \
+//	go run ./internal/zkbench                        # every record
+//	go run ./internal/zkbench -run 'sumcheck/round' \
 //	  -assert-faster 'sumcheck/round/mu12/parallel*1.3<sumcheck/round/mu12/serial'
-//	go run ./internal/zkbench -e2e-mu 12,14,16,18 -reps 5   # full paper-range sweep (minutes per size)
-//	go run ./internal/zkbench -run 'msm/' -list      # show the MSM benchmarks and exit
+//	go run ./internal/zkbench -run 'msm/' -list      # show the MSM records and exit
 //
 // Exit codes: 0 success, 1 a gate failed, 2 usage or runtime error.
 package main
@@ -35,16 +30,22 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+)
 
-	"zkspeed"
+// warmup discards one iteration per record: it absorbs one-time costs
+// (page faults, lazily derived SRS state) the steady state should not
+// include. defaultReps is the number of measured iterations per record:
+// the most that keeps CI's gated run under 8 s on a 2-vCPU box (median
+// 7.8 s over 22 runs; one more rep of every record costs about 0.65 s),
+// so that a gate's median rides out a few samples a neighbour slowed.
+const (
+	warmup      = 1
+	defaultReps = 12
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run the CI-sized suite (small sizes, few reps)")
 	reps := flag.Int("reps", 0, "measured repetitions per benchmark (0 = suite default)")
-	warmup := flag.Int("warmup", -1, "discarded warmup iterations per benchmark (-1 = suite default)")
 	seed := flag.Int64("seed", 1, "seed for all deterministic benchmark inputs")
-	e2eMu := flag.String("e2e-mu", "", "comma-separated end-to-end problem sizes, e.g. 12,14,16 (empty = suite default)")
 	runFilter := flag.String("run", "", "only run benchmarks whose name matches this regexp")
 	list := flag.Bool("list", false, "list the selected benchmark names and exit")
 	var asserts assertList
@@ -56,57 +57,45 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("zkbench: ")
 
-	cfg := defaultConfig(*quick)
-	cfg.Seed = *seed
-	if *reps > 0 {
-		cfg.Reps = *reps
+	filter, err := regexp.Compile(*runFilter)
+	if err != nil {
+		log.Printf("bad -run regexp: %v", err)
+		os.Exit(2)
 	}
-	if *warmup >= 0 {
-		cfg.Warmup = *warmup
-	}
-	if *e2eMu != "" {
-		mus, err := parseMuList(*e2eMu)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		cfg.E2EMus = mus
-	}
-
-	benchmarks := suite(cfg)
-	var filter *regexp.Regexp
-	if *runFilter != "" {
-		re, err := regexp.Compile(*runFilter)
-		if err != nil {
-			log.Printf("bad -run regexp: %v", err)
-			os.Exit(2)
-		}
-		filter = re
+	var groups [][]benchmark
+	n := 0
+	for _, g := range suite(gateSizes, *seed) {
 		var kept []benchmark
-		for _, bm := range benchmarks {
-			if re.MatchString(bm.Name) {
+		for _, bm := range g {
+			if filter.MatchString(bm.Name) {
 				kept = append(kept, bm)
 			}
 		}
-		benchmarks = kept
+		if len(kept) > 0 {
+			groups = append(groups, kept)
+			n += len(kept)
+		}
 	}
 	if *list {
-		listAll(filter, cfg.Seed)
+		for _, g := range groups {
+			for _, bm := range g {
+				fmt.Println(bm.Name)
+			}
+		}
 		return
 	}
-	if len(benchmarks) == 0 {
+	if n == 0 {
 		log.Print("no benchmarks selected")
 		os.Exit(2)
 	}
 
-	r := runner{
-		Warmup: cfg.Warmup,
-		Reps:   cfg.Reps,
-		Log:    log.Printf,
+	r := runner{Warmup: warmup, Reps: defaultReps, Log: log.Printf}
+	if *reps > 0 {
+		r.Reps = *reps
 	}
 	log.Printf("running %d benchmarks (warmup %d, reps %d, GOMAXPROCS %d)",
-		len(benchmarks), cfg.Warmup, cfg.Reps, runtime.GOMAXPROCS(0))
-	recs, err := r.runAll(benchmarks)
+		n, r.Warmup, r.Reps, runtime.GOMAXPROCS(0))
+	recs, err := r.runAll(groups)
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -123,54 +112,6 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// listAll prints every registered benchmark name across both suite
-// shapes, tagged with the suites that contain it — so -assert-faster
-// expressions can be authored without reading suite.go. An optional -run regexp narrows the listing.
-func listAll(filter *regexp.Regexp, seed int64) {
-	type entry struct {
-		name  string
-		quick bool
-		full  bool
-	}
-	var order []string
-	index := map[string]*entry{}
-	collect := func(quick bool) {
-		cfg := defaultConfig(quick)
-		cfg.Seed = seed
-		for _, bm := range suite(cfg) {
-			e, ok := index[bm.Name]
-			if !ok {
-				e = &entry{name: bm.Name}
-				index[bm.Name] = e
-				order = append(order, bm.Name)
-			}
-			if quick {
-				e.quick = true
-			} else {
-				e.full = true
-			}
-		}
-	}
-	collect(true)
-	collect(false)
-	for _, name := range order {
-		if filter != nil && !filter.MatchString(name) {
-			continue
-		}
-		e := index[name]
-		tags := ""
-		switch {
-		case e.quick && e.full:
-			tags = "[quick full]"
-		case e.quick:
-			tags = "[quick]"
-		default:
-			tags = "[full]"
-		}
-		fmt.Printf("%-44s %s\n", name, tags)
 	}
 }
 
@@ -239,21 +180,4 @@ func (c *assertList) Set(v string) error {
 	}
 	*c = append(*c, a)
 	return nil
-}
-
-// parseMuList parses "12,14,16" into problem sizes, bounds-checked to the
-// functional prover's supported range.
-func parseMuList(s string) ([]int, error) {
-	var mus []int
-	for _, f := range strings.Split(s, ",") {
-		mu, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad -e2e-mu entry %q: %v", f, err)
-		}
-		if mu < 2 || mu > zkspeed.MaxMu {
-			return nil, fmt.Errorf("-e2e-mu %d out of the supported functional range [2,%d]", mu, zkspeed.MaxMu)
-		}
-		mus = append(mus, mu)
-	}
-	return mus, nil
 }

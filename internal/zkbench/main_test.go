@@ -1,11 +1,8 @@
 package main
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-
-	"zkspeed"
 )
 
 func TestAssertFasterParse(t *testing.T) {
@@ -60,19 +57,5 @@ func TestAssertFasterCheck(t *testing.T) {
 	err := (fasterAssertion{"fast", "renamed", 1}).check(recs)
 	if err == nil || !strings.Contains(err.Error(), `"renamed" not in this run`) {
 		t.Errorf("a name absent from the run must fail as such, got %v", err)
-	}
-}
-
-// TestParseMuListRange: -e2e-mu accepts the supported range and rejects
-// one past either end.
-func TestParseMuListRange(t *testing.T) {
-	list := fmt.Sprintf("2,%d", zkspeed.MaxMu)
-	if mus, err := parseMuList(list); err != nil || len(mus) != 2 {
-		t.Errorf("%q parsed as %v, %v", list, mus, err)
-	}
-	for _, mu := range []int{1, zkspeed.MaxMu + 1} {
-		if _, err := parseMuList(fmt.Sprint(mu)); err == nil {
-			t.Errorf("-e2e-mu %d accepted", mu)
-		}
 	}
 }

@@ -1,17 +1,16 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"time"
 )
 
 // benchmark is one measurable unit of the suite. All hooks run on the
 // runner's goroutine, strictly sequentially, so closures may share state
-// (e.g. a lazily derived SRS) without locking.
+// (e.g. a lazily derived SRS) without locking, and the benchmarks of one
+// group may share what their Before hooks build.
 type benchmark struct {
 	// Name is the stable identifier -run filters and -assert-faster gates
 	// match on (e.g. "msm/pippenger/n10/w8/grouped"). Renaming a benchmark
@@ -25,17 +24,9 @@ type benchmark struct {
 	Before func() error
 	// Iterate is the timed unit of work.
 	Iterate func() error
-	// StartMeasured runs untimed once the warmup iterations are done,
-	// immediately before the first measured iteration — the hook for
-	// resetting accumulators (e.g. per-step timing sums) so they cover
-	// exactly the measured reps.
-	StartMeasured func()
-	// Steps optionally reports a per-protocol-step decomposition after
-	// all iterations (e2e benchmarks aggregate Engine timings here).
-	Steps func() map[string]time.Duration
-	// Teardown runs once after the last iteration (service benchmarks
-	// release their HTTP server and prover engines here). It runs even
-	// when an iteration failed, provided Setup succeeded.
+	// Teardown runs once after the group's last iteration (service
+	// benchmarks release their HTTP server and prover engines here). It
+	// runs even when an iteration failed, provided Setup succeeded.
 	Teardown func()
 }
 
@@ -45,10 +36,6 @@ type record struct {
 	Name        string
 	Reps        int
 	Median, P95 time.Duration
-	// Steps decomposes an e2e proof into per-protocol-step means over the
-	// measured reps, the software analogue of the paper's Table 1 /
-	// Fig. 12 kernel breakdown. Kernel records leave it empty.
-	Steps map[string]time.Duration
 }
 
 // runner executes benchmarks with warmup and repetition.
@@ -59,67 +46,71 @@ type runner struct {
 	Warmup int
 	// Reps is the number of measured iterations.
 	Reps int
-	// Log, when non-nil, receives one progress line per benchmark, plus a
-	// line of step shares for records that decompose into steps.
+	// Log, when non-nil, receives one progress line per benchmark.
 	Log func(format string, args ...any)
 }
 
-// run executes one benchmark and returns its record.
-func (r *runner) run(bm benchmark) (record, error) {
+// run executes one group of benchmarks and returns their records. The
+// group's benchmarks are set up together and then take turns, one
+// iteration each, so a change in the machine's speed during the run (a
+// neighbour taking the sibling hyperthread slows a core by 1.6–2× for
+// seconds at a time on a shared 2-vCPU box) lands on every record a gate
+// compares rather than on one side of it.
+func (r *runner) run(group []benchmark) ([]record, error) {
 	reps := max(r.Reps, 1)
 	warmup := max(r.Warmup, 0)
-	if bm.Iterate == nil {
-		return record{}, fmt.Errorf("bench: %s has no Iterate", bm.Name)
-	}
-	if bm.Setup != nil {
-		if err := bm.Setup(); err != nil {
-			return record{}, fmt.Errorf("bench: %s setup: %w", bm.Name, err)
+	for _, bm := range group {
+		if bm.Iterate == nil {
+			return nil, fmt.Errorf("bench: %s has no Iterate", bm.Name)
 		}
 	}
-	if bm.Teardown != nil {
-		defer bm.Teardown()
-	}
-	samples := make([]time.Duration, 0, reps)
-	for i := 0; i < warmup+reps; i++ {
-		if i == warmup && bm.StartMeasured != nil {
-			bm.StartMeasured()
-		}
-		if bm.Before != nil {
-			if err := bm.Before(); err != nil {
-				return record{}, fmt.Errorf("bench: %s before: %w", bm.Name, err)
+	for _, bm := range group {
+		if bm.Setup != nil {
+			if err := bm.Setup(); err != nil {
+				return nil, fmt.Errorf("bench: %s setup: %w", bm.Name, err)
 			}
 		}
-		t0 := time.Now()
-		if err := bm.Iterate(); err != nil {
-			return record{}, fmt.Errorf("bench: %s: %w", bm.Name, err)
-		}
-		if d := time.Since(t0); i >= warmup {
-			samples = append(samples, d)
+		if bm.Teardown != nil {
+			defer bm.Teardown()
 		}
 	}
-	rec := record{Name: bm.Name, Reps: reps}
-	rec.Median, rec.P95 = summarize(samples)
-	if bm.Steps != nil {
-		rec.Steps = bm.Steps()
-	}
-	if r.Log != nil {
-		r.Log("%-40s median %12v  p95 %12v  (%d reps)", rec.Name, rec.Median, rec.P95, reps)
-		if len(rec.Steps) > 0 {
-			r.Log("%-40s steps %s", "", stepShares(rec.Steps))
+	samples := make([][]time.Duration, len(group))
+	for i := 0; i < warmup+reps; i++ {
+		for j, bm := range group {
+			if bm.Before != nil {
+				if err := bm.Before(); err != nil {
+					return nil, fmt.Errorf("bench: %s before: %w", bm.Name, err)
+				}
+			}
+			t0 := time.Now()
+			if err := bm.Iterate(); err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", bm.Name, err)
+			}
+			if d := time.Since(t0); i >= warmup {
+				samples[j] = append(samples[j], d)
+			}
 		}
 	}
-	return rec, nil
+	recs := make([]record, len(group))
+	for j, bm := range group {
+		recs[j] = record{Name: bm.Name, Reps: reps}
+		recs[j].Median, recs[j].P95 = summarize(samples[j])
+		if r.Log != nil {
+			r.Log("%-40s median %12v  p95 %12v  (%d reps)", bm.Name, recs[j].Median, recs[j].P95, reps)
+		}
+	}
+	return recs, nil
 }
 
-// runAll executes the benchmarks in order and returns their records.
-func (r *runner) runAll(bms []benchmark) ([]record, error) {
-	recs := make([]record, 0, len(bms))
-	for _, bm := range bms {
-		rec, err := r.run(bm)
+// runAll executes the groups in order and returns their records.
+func (r *runner) runAll(groups [][]benchmark) ([]record, error) {
+	var recs []record
+	for _, g := range groups {
+		rs, err := r.run(g)
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, rec)
+		recs = append(recs, rs...)
 	}
 	return recs, nil
 }
@@ -140,27 +131,4 @@ func summarize(samples []time.Duration) (median, p95 time.Duration) {
 		median = (s[n/2-1] + s[n/2]) / 2
 	}
 	return median, s[int(math.Ceil(0.95*float64(n)))-1]
-}
-
-// stepShares renders a step decomposition as percentages of its total,
-// largest first (ties by name, so the line is stable).
-func stepShares(steps map[string]time.Duration) string {
-	names := make([]string, 0, len(steps))
-	var total time.Duration
-	for k, v := range steps {
-		names = append(names, k)
-		total += v
-	}
-	slices.SortFunc(names, func(a, b string) int {
-		return cmp.Or(cmp.Compare(steps[b], steps[a]), strings.Compare(a, b))
-	})
-	parts := make([]string, len(names))
-	for i, k := range names {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(steps[k]) / float64(total)
-		}
-		parts[i] = fmt.Sprintf("%s %.0f%%", k, pct)
-	}
-	return strings.Join(parts, ", ")
 }

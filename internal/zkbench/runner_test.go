@@ -7,62 +7,62 @@ import (
 	"time"
 )
 
-// TestRunnerLifecycle checks hook ordering and that warmup samples are
-// discarded from the record.
+// TestRunnerLifecycle checks hook ordering, that warmup samples are
+// discarded from the records, and that a group's benchmarks take turns.
 func TestRunnerLifecycle(t *testing.T) {
-	var setups, befores, iters int
-	itersAtMeasureStart := -1
-	bm := benchmark{
-		Name:   "fake/kernel",
-		Setup:  func() error { setups++; return nil },
-		Before: func() error { befores++; return nil },
-		StartMeasured: func() {
-			itersAtMeasureStart = iters
-		},
-		Iterate: func() error {
-			iters++
-			time.Sleep(time.Millisecond)
-			return nil
-		},
-		Steps: func() map[string]time.Duration {
-			return map[string]time.Duration{"stage": 2 * time.Millisecond}
-		},
+	var setups, befores, teardowns int
+	var order []string
+	fake := func(name string) benchmark {
+		return benchmark{
+			Name:   name,
+			Setup:  func() error { setups++; return nil },
+			Before: func() error { befores++; return nil },
+			Iterate: func() error {
+				order = append(order, name)
+				time.Sleep(time.Millisecond)
+				return nil
+			},
+			Teardown: func() { teardowns++ },
+		}
 	}
 	r := runner{Warmup: 2, Reps: 3}
-	rec, err := r.run(bm)
+	recs, err := r.run([]benchmark{fake("a"), fake("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setups != 1 || befores != 5 || iters != 5 {
-		t.Errorf("hook counts: setup=%d before=%d iterate=%d", setups, befores, iters)
+	if setups != 2 || befores != 10 || teardowns != 2 {
+		t.Errorf("hook counts: setup=%d before=%d teardown=%d", setups, befores, teardowns)
 	}
-	if itersAtMeasureStart != 2 {
-		t.Errorf("StartMeasured fired after %d iterations, want exactly the 2 warmups", itersAtMeasureStart)
+	if got := strings.Join(order, ""); got != "ababababab" {
+		t.Errorf("iteration order %q, want the two benchmarks in turn", got)
 	}
-	if rec.Reps != 3 {
-		t.Errorf("want 3 measured samples, got reps=%d", rec.Reps)
+	if len(recs) != 2 {
+		t.Fatalf("want 2 records, got %+v", recs)
 	}
-	if rec.Median < time.Millisecond {
-		t.Errorf("median %v below the 1ms sleep floor", rec.Median)
-	}
-	if rec.Steps["stage"] != 2*time.Millisecond {
-		t.Errorf("steps not propagated: %v", rec.Steps)
-	}
-	if rec.Name != "fake/kernel" {
-		t.Errorf("name not propagated: %+v", rec)
+	for i, rec := range recs {
+		if rec.Name != []string{"a", "b"}[i] || rec.Reps != 3 {
+			t.Errorf("record %d: %+v, want 3 measured samples", i, rec)
+		}
+		if rec.Median < time.Millisecond {
+			t.Errorf("%s: median %v below the 1ms sleep floor", rec.Name, rec.Median)
+		}
 	}
 }
 
 func TestRunnerErrors(t *testing.T) {
 	boom := errors.New("boom")
 	r := runner{Reps: 1}
-	if _, err := r.run(benchmark{Name: "x", Iterate: func() error { return boom }}); !errors.Is(err, boom) {
+	if _, err := r.run([]benchmark{{Name: "x", Iterate: func() error { return boom }}}); !errors.Is(err, boom) {
 		t.Errorf("iterate error not surfaced: %v", err)
 	}
-	if _, err := r.run(benchmark{Name: "x", Setup: func() error { return boom }, Iterate: func() error { return nil }}); !errors.Is(err, boom) {
-		t.Errorf("setup error not surfaced: %v", err)
+	// A failed Setup still tears down the group members already set up.
+	tornDown := false
+	ok := benchmark{Name: "ok", Iterate: func() error { return nil }, Teardown: func() { tornDown = true }}
+	bad := benchmark{Name: "x", Setup: func() error { return boom }, Iterate: func() error { return nil }}
+	if _, err := r.run([]benchmark{ok, bad}); !errors.Is(err, boom) || !tornDown {
+		t.Errorf("setup error not surfaced (%v) or earlier member not torn down (%v)", err, tornDown)
 	}
-	if _, err := r.run(benchmark{Name: "x"}); err == nil || !strings.Contains(err.Error(), "no Iterate") {
+	if _, err := r.run([]benchmark{{Name: "x"}}); err == nil || !strings.Contains(err.Error(), "no Iterate") {
 		t.Errorf("nil Iterate must error, got %v", err)
 	}
 }
@@ -71,39 +71,26 @@ func TestRunnerErrors(t *testing.T) {
 // checks the records look sane — this is the smoke test that the closures
 // wire real kernels, not stubs.
 func TestKernelSuiteRuns(t *testing.T) {
-	cfg := suiteConfig{
-		Quick:       true,
-		MSMLogN:     5,
-		Windows:     []int{4},
-		SumcheckMu:  5,
-		SumcheckMus: []int{5},
-		PCSMu:       5,
-		PCSMus:      []int{5},
-		FoldMu:      6,
-		MLEMu:       6,
-		Warmup:      0,
-		Reps:        1,
-		Seed:        7,
+	groups := kernelSuite(sizes{MSM: 5, Sumcheck: []int{5}, Prove: 5}, 7)
+	// 4 ff records (fr and fp mul, each with its -baseline), the Miller
+	// loop over 17 pairs walking G2 and prepared, msm/fast and two
+	// Pippenger widths, the opening chain in one MSMs call and one call
+	// per job, one serial/parallel sumcheck pair, commit and commit-key:
+	// 15 records in the 7 groups of the gates that compare them.
+	n := 0
+	for _, g := range groups {
+		n += len(g)
 	}
-	bms := kernelSuite(cfg)
-	// 8 ff field-arithmetic records + 5 pairing records (pairing,
-	// finalexp, miller/n1, miller/n17, miller-prepared/n17) + 1 window × 2 schedules of the
-	// pippenger reference +
-	// {fast, sparse-fast, fast/allones} + the μ=10 opening chain in one
-	// MSMs call and one call per job + legacy sumcheck + 1
-	// serial/parallel sumcheck pair + commit + commit-key + open + per-scheme records
-	// (setup+commit+open+verify for each of pst and zeromorph) + 5
-	// serial/parallel MTU kernel pairs + sha3 + fold.
-	if len(bms) != 46 {
-		t.Fatalf("want 46 kernel benchmarks, got %d", len(bms))
+	if len(groups) != 7 || n != 15 {
+		t.Fatalf("want 15 kernel benchmarks in 7 groups, got %d in %d", n, len(groups))
 	}
-	r := runner{Warmup: cfg.Warmup, Reps: cfg.Reps}
-	recs, err := r.runAll(bms)
+	r := runner{Reps: 1}
+	recs, err := r.runAll(groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(bms) {
-		t.Fatalf("runAll returned %d records for %d benchmarks", len(recs), len(bms))
+	if len(recs) != n {
+		t.Fatalf("runAll returned %d records for %d benchmarks", len(recs), n)
 	}
 	for _, rec := range recs {
 		if rec.Median <= 0 {

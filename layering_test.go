@@ -109,8 +109,10 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // tier (its join and option entry points, wire protocol, metrics and
 // endpoint), the root re-export of the benchmark suite, the record
 // fields only the deleted comparator read, the caller-less helpers
-// deleted with them, the per-request commitment-scheme pin or the WAL
-// claim record; nothing calls the sparse commit
+// deleted with them, the per-request commitment-scheme pin, the WAL
+// claim record or the micro-suite's second shape (its quick and e2e-mu
+// flags, the list parser and the per-shape config); nothing calls the
+// sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
@@ -121,9 +123,9 @@ func TestOnePathPerLayer(t *testing.T) {
 	// tenant-suffixed submit methods, the Jacobian ones tree, the math/big
 	// GLV splitter, the per-shard service queues, the multi-node tier, the
 	// benchmark re-export layer, the shifted-opening surface, the priority
-	// lanes, the per-request scheme pin, the WAL claim record and two
-	// unused root aliases are spelled in halves, so a grep of the tree for
-	// them finds none here.
+	// lanes, the per-request scheme pin, the WAL claim record, the
+	// micro-suite's quick/full shapes and two unused root aliases are
+	// spelled in halves, so a grep of the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -140,6 +142,7 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Priority" + "High", "num" + "Priorities", "parse" + "Priority",
 		"ErrCode" + "PCSScheme", "check" + "PCSScheme", "encode" + "Claim", "." + "Claim(",
 		"ServiceBackend" + "Stats", "ServiceOverloaded" + "Error",
+		"\"e2e" + "-mu\"", "\"qu" + "ick\"", "parseMu" + "List", "default" + "Config",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be
