@@ -3,6 +3,10 @@
 // Binary payloads (circuits, witnesses, proofs) are the versioned
 // hyperplonk wire formats, carried base64-encoded inside JSON ([]byte
 // fields); field elements travel as 32-byte canonical big-endian blobs.
+// A circuit is registered once (POST /v1/circuits), and every other route
+// names it by its hex digest. A ZKSP proof blob carries its commitment
+// scheme in its own header byte, and the verifying key binds it, so no
+// JSON field repeats it.
 //
 // The package deliberately imports nothing from the rest of the module,
 // so external clients in other languages can treat this file as the API
@@ -32,21 +36,14 @@ type CircuitInfo struct {
 	Mu        int    `json:"mu"`
 	NumGates  int    `json:"num_gates"`
 	NumPublic int    `json:"num_public"`
-	// PCSScheme is the polynomial commitment scheme the circuit's proofs
-	// are produced under.
-	PCSScheme string `json:"pcs_scheme"`
 	// Proofs counts proofs served for this circuit (cache hits included).
 	Proofs int64 `json:"proofs"`
 }
 
-// ProveRequest is the body of POST /v1/prove. Exactly one of
-// CircuitDigest (for a registered circuit) or Circuit (register-on-use)
-// must be set.
+// ProveRequest is the body of POST /v1/prove. CircuitDigest names a
+// circuit registered by POST /v1/circuits.
 type ProveRequest struct {
-	CircuitDigest string `json:"circuit_digest,omitempty"`
-	// Circuit optionally carries a ZKSC blob, registering the circuit as
-	// part of the request.
-	Circuit []byte `json:"circuit,omitempty"`
+	CircuitDigest string `json:"circuit_digest"`
 	// Witness is a ZKSW assignment blob for the circuit.
 	Witness []byte `json:"witness"`
 	// Wait selects the synchronous mode: the response carries the proof
@@ -71,9 +68,6 @@ type ProveResponse struct {
 	// BatchSize is the number of jobs coalesced into the ProveBatch call
 	// that produced this proof (1 = proved alone; 0 for cached results).
 	BatchSize int `json:"batch_size,omitempty"`
-	// PCSScheme names the commitment scheme the proof was produced under;
-	// set alongside Proof when Status is "done".
-	PCSScheme string `json:"pcs_scheme,omitempty"`
 	// ProverNS is the measured proving time in nanoseconds (0 when cached).
 	ProverNS int64 `json:"prover_ns,omitempty"`
 	// StepsNS decomposes the proof into per-protocol-step shares.
@@ -88,15 +82,11 @@ type ProveResponse struct {
 }
 
 // ProveBatchRequest is the body of POST /v1/prove_batch — a rollup-style
-// batch of statements over one circuit, proved as a unit. Exactly one of
-// CircuitDigest or Circuit must be set, as in ProveRequest. The call is
-// synchronous: the response carries every proof (or per-statement
+// batch of statements over one registered circuit, proved as a unit. The
+// call is synchronous: the response carries every proof (or per-statement
 // failure). The statements spread across the service's batch loops.
 type ProveBatchRequest struct {
-	CircuitDigest string `json:"circuit_digest,omitempty"`
-	// Circuit optionally carries a ZKSC blob, registering the circuit as
-	// part of the request.
-	Circuit []byte `json:"circuit,omitempty"`
+	CircuitDigest string `json:"circuit_digest"`
 	// Witnesses are ZKSW assignment blobs, one per statement.
 	Witnesses [][]byte `json:"witnesses"`
 }

@@ -36,11 +36,6 @@ type Client struct {
 	hc     *http.Client
 	poll   time.Duration
 	apiKey string
-
-	// auto-retry of overloaded (429) requests; retries == 0 disables it.
-	retries     int
-	backoffBase time.Duration
-	backoffCap  time.Duration
 }
 
 // Option configures a Client.
@@ -73,45 +68,13 @@ func WithPollInterval(d time.Duration) Option {
 	}
 }
 
-// WithAutoRetry makes the client transparently retry requests the service
-// rejected as overloaded (HTTP 429), up to max additional attempts. Each
-// wait honors the server's Retry-After, raised to the exponential backoff
-// floor for that attempt and bounded by the configured cap (see
-// WithRetryBackoff), plus up to 25% random jitter so a herd of clients
-// does not re-arrive in lockstep. Off by default: a caller that wants to
-// shed load or reroute on overload sees the *OverloadedError immediately.
-func WithAutoRetry(max int) Option {
-	return func(c *Client) {
-		if max > 0 {
-			c.retries = max
-		}
-	}
-}
-
-// WithRetryBackoff tunes the auto-retry schedule: base is the first
-// attempt's backoff floor (doubling each retry), cap bounds any single
-// wait — including one requested by Retry-After. Defaults: 100ms base,
-// 5s cap.
-func WithRetryBackoff(base, cap time.Duration) Option {
-	return func(c *Client) {
-		if base > 0 {
-			c.backoffBase = base
-		}
-		if cap > 0 {
-			c.backoffCap = cap
-		}
-	}
-}
-
 // New returns a client for the service at baseURL (e.g.
 // "http://localhost:8080").
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
-		base:        strings.TrimRight(baseURL, "/"),
-		hc:          http.DefaultClient,
-		poll:        250 * time.Millisecond,
-		backoffBase: 100 * time.Millisecond,
-		backoffCap:  5 * time.Second,
+		base: strings.TrimRight(baseURL, "/"),
+		hc:   http.DefaultClient,
+		poll: 250 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -194,8 +157,7 @@ type ProveResult struct {
 	Steps map[string]time.Duration
 }
 
-// do round-trips one JSON request, retrying overload rejections when
-// auto-retry is configured. A nil out discards the body.
+// do round-trips one JSON request. A nil out discards the body.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	return c.doAccept(ctx, method, path, in, out, 0)
 }
@@ -210,62 +172,42 @@ func (c *Client) doAccept(ctx context.Context, method, path string, in, out any,
 			return err
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		err := c.roundTripBody(ctx, method, path, blob, "application/json", out, extraOK)
-		retry, after := retryHint(err)
-		if err == nil || !retry || attempt >= c.retries {
-			return err
-		}
-		if werr := c.waitRetry(ctx, attempt, after); werr != nil {
-			return werr
-		}
-	}
+	return c.roundTripBody(ctx, method, path, blob, "application/json", out, extraOK)
 }
 
-// retryHint classifies an error as worth auto-retrying — overload, or a
-// quota refusal that waiting can clear — and extracts the server's
-// Retry-After hint.
-func retryHint(err error) (bool, time.Duration) {
+// WaitJob's backoff while a job cannot be polled: the floor starts at
+// retryBase and doubles each attempt, and no wait passes retryCap.
+const (
+	retryBase = 100 * time.Millisecond
+	retryCap  = 5 * time.Second
+)
+
+// retryHint extracts the server's Retry-After hint from an overload or a
+// quota refusal; 0 for any other error.
+func retryHint(err error) time.Duration {
 	var over *OverloadedError
 	if errors.As(err, &over) {
-		return true, over.RetryAfter
+		return over.RetryAfter
 	}
 	var qe *QuotaError
-	if errors.As(err, &qe) && qe.Retryable() {
-		return true, qe.RetryAfter
+	if errors.As(err, &qe) {
+		return qe.RetryAfter
 	}
-	return false, 0
+	return 0
 }
 
-// waitRetry sleeps out one backoff step: the exponential floor for this
-// attempt, raised to the server's Retry-After, bounded by the cap, plus
-// up to 25% jitter. The floor doubles step-by-step and stops at the cap,
-// so an arbitrarily large WithAutoRetry count cannot shift the duration
-// negative (which would panic the jitter draw).
-func (c *Client) waitRetry(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := c.backoffBase
-	for i := 0; i < attempt && d < c.backoffCap; i++ {
-		if d > c.backoffCap-d { // doubling would pass the cap
-			d = c.backoffCap
-			break
-		}
+// waitRetry sleeps out one backoff step: the floor for this attempt,
+// raised to the server's Retry-After, bounded by retryCap, plus up to 25%
+// jitter so a herd of clients does not re-arrive in lockstep. The floor
+// stops doubling at the cap, so no attempt count can overflow it into a
+// negative duration (which would panic the jitter draw).
+func waitRetry(ctx context.Context, attempt int, retryAfter time.Duration) error {
+	d := retryBase
+	for i := 0; i < attempt && d < retryCap; i++ {
 		d *= 2
 	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	if d > c.backoffCap {
-		d = c.backoffCap
-	}
-	d += time.Duration(rand.Int63n(int64(d)/4 + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	d = min(max(d, retryAfter), retryCap)
+	return sleepCtx(ctx, d+time.Duration(rand.Int63n(int64(d)/4+1)))
 }
 
 // quotaCode reports whether an error code names a tenant quota class.
@@ -399,19 +341,10 @@ func (c *Client) ProveStream(ctx context.Context, digest string, assignment *zks
 	q := url.Values{"circuit_digest": {digest}, "wait": {"true"}}
 	path := "/v1/prove_stream?" + q.Encode()
 	var resp api.ProveResponse
-	for attempt := 0; ; attempt++ {
-		err := c.roundTripBody(ctx, http.MethodPost, path, witness, "application/octet-stream", &resp, 0)
-		retry, after := retryHint(err)
-		if err == nil || !retry || attempt >= c.retries {
-			if err != nil {
-				return nil, err
-			}
-			return decodeProveResponse(&resp)
-		}
-		if werr := c.waitRetry(ctx, attempt, after); werr != nil {
-			return nil, werr
-		}
+	if err := c.roundTripBody(ctx, http.MethodPost, path, witness, "application/octet-stream", &resp, 0); err != nil {
+		return nil, err
 	}
+	return decodeProveResponse(&resp)
 }
 
 // SubmitProve enqueues an async proving job and returns its id for
@@ -485,8 +418,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*ProveResult, error) {
 		}
 		// Transport error mid-restart, 429, 5xx, or a retryable failure
 		// awaiting resume: back off and keep polling.
-		_, after := retryHint(err)
-		if werr := c.waitRetry(ctx, attempt, after); werr != nil {
+		if werr := waitRetry(ctx, attempt, retryHint(err)); werr != nil {
 			return nil, werr
 		}
 		attempt++

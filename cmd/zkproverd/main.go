@@ -4,7 +4,9 @@
 // same-circuit jobs into one ProveBatch call (amortizing SRS/key setup
 // across tenants), an LRU proof cache, and an HTTP/JSON API with
 // Prometheus-style /metrics. Every loop shares the engine's one SRS and
-// key cache, so -preload-mu warms them all.
+// key cache, so -preload-mu warms them all. The daemon proves under PST,
+// the paper's commitment scheme; each proof blob names its scheme in its
+// own header byte.
 //
 // Usage:
 //
@@ -14,7 +16,6 @@
 //	zkproverd -preload-mu 10,12 -seed 7         # pre-derive SRS ceremonies
 //	zkproverd -store-dir /var/lib/zkproverd/wal # durable job store: jobs survive restarts
 //	zkproverd -tenants-file tenants.json        # API-key auth + per-tenant quotas
-//	zkproverd -pcs zeromorph                    # serve the Zeromorph PCS backend
 //
 // See the README's "Running the proving service" section for the API
 // walkthrough and wire formats.
@@ -53,7 +54,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "directory for the durable job store (WAL); empty = in-memory only")
 	storeSync := flag.Duration("store-sync", 0, "WAL fsync batching interval (0 = sync every acknowledged record, negative = leave to the OS; with -store-dir)")
 	tenantsFile := flag.String("tenants-file", "", "JSON tenants file enabling API-key auth and per-tenant quotas")
-	pcsScheme := flag.String("pcs", "", "polynomial commitment scheme: pst (default) or zeromorph")
 	flag.Parse()
 
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -62,9 +62,6 @@ func main() {
 	opts := []zkspeed.Option{}
 	if *seed != 0 {
 		opts = append(opts, zkspeed.WithEntropy(zkspeed.SeededEntropy(*seed)))
-	}
-	if *pcsScheme != "" {
-		opts = append(opts, zkspeed.WithPCSScheme(*pcsScheme))
 	}
 	if *workers > 0 {
 		opts = append(opts, zkspeed.WithParallelism(*workers))

@@ -36,29 +36,12 @@ type Engine struct {
 	exec poly.Options
 
 	mu      sync.Mutex
-	seed    []byte                            // master ceremony seed, read lazily from cfg.entropy
-	seedErr error                             // sticky entropy-read failure
-	srs     map[srsKey]*flight[pcs.PCS]       // universal setup per (problem size, scheme)
-	keys    map[keysKey]*flight[*circuitKeys] // preprocessed keys per (circuit digest, scheme)
-	digests map[*Circuit][32]byte             // memoized circuit digests (O(2^mu) to hash)
+	seed    []byte                             // master ceremony seed, read lazily from cfg.entropy
+	seedErr error                              // sticky entropy-read failure
+	srs     map[int]*flight[pcs.PCS]           // universal setup per problem size μ
+	keys    map[[32]byte]*flight[*circuitKeys] // preprocessed keys per circuit digest
+	digests map[*Circuit][32]byte              // memoized circuit digests (O(2^mu) to hash)
 	st      EngineStats
-}
-
-// srsKey identifies one universal setup: circuits of one size under one
-// commitment scheme. Distinct schemes derive independent ceremonies from
-// the same master seed (scheme-specific transcript labels), so the cache
-// must never alias them.
-type srsKey struct {
-	mu     int
-	scheme pcs.Scheme
-}
-
-// keysKey identifies one preprocessing: a circuit digest under one
-// commitment scheme. The same circuit preprocessed under two schemes
-// yields different selector commitments, hence two cache slots.
-type keysKey struct {
-	digest [32]byte
-	scheme pcs.Scheme
 }
 
 type circuitKeys struct {
@@ -150,8 +133,8 @@ type EngineStats struct {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		cfg:     defaultEngineConfig(),
-		srs:     make(map[srsKey]*flight[pcs.PCS]),
-		keys:    make(map[keysKey]*flight[*circuitKeys]),
+		srs:     make(map[int]*flight[pcs.PCS]),
+		keys:    make(map[[32]byte]*flight[*circuitKeys]),
 		digests: make(map[*Circuit][32]byte),
 	}
 	for _, o := range opts {
@@ -179,22 +162,6 @@ func (e *Engine) WarmSRS(ctx context.Context, mu int) error {
 	return err
 }
 
-// pcsScheme resolves the Engine's configured commitment scheme
-// (WithPCSScheme); the zero config selects PST.
-func (e *Engine) pcsScheme() (pcs.Scheme, error) {
-	return pcs.ParseScheme(e.cfg.scheme)
-}
-
-// PCSScheme reports the scheme name the Engine commits under — what the
-// service advertises in circuit registrations.
-func (e *Engine) PCSScheme() string {
-	s, err := e.pcsScheme()
-	if err != nil {
-		return e.cfg.scheme
-	}
-	return s.String()
-}
-
 // masterSeed lazily reads the 64-byte ceremony seed from the entropy
 // source. The read failure is sticky: a broken entropy source fails every
 // subsequent setup the same way.
@@ -212,12 +179,14 @@ func (e *Engine) masterSeed() ([]byte, error) {
 	return e.seed, e.seedErr
 }
 
-// srsFor returns (deriving if needed) the SRS for mu. The ceremony is
-// derived deterministically from the Engine's master seed; concurrent
-// same-size callers share one derivation (cached), which runs outside the
-// Engine lock so other operations never stall behind it.
+// srsFor returns (deriving if needed) the SRS for mu under the Engine's
+// one commitment scheme (WithPCSScheme; the zero config selects PST), so
+// the cache keys on mu alone. The ceremony is derived deterministically
+// from the Engine's master seed; concurrent same-size callers share one
+// derivation (cached), which runs outside the Engine lock so other
+// operations never stall behind it.
 func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
-	scheme, err := e.pcsScheme()
+	scheme, err := pcs.ParseScheme(e.cfg.scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -226,8 +195,7 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 	if p := e.cfg.preloadSRS; p != nil && scheme == pcs.SchemePST && p.Mu == mu {
 		return p, nil
 	}
-	key := srsKey{mu: mu, scheme: scheme}
-	s, _, err := cached(ctx, &e.mu, e.srs, key, &e.st.SRSSetups, nil, func() (pcs.PCS, error) {
+	s, _, err := cached(ctx, &e.mu, e.srs, mu, &e.st.SRSSetups, nil, func() (pcs.PCS, error) {
 		seed, err := e.masterSeed()
 		if err != nil {
 			return nil, err
@@ -250,12 +218,7 @@ func (e *Engine) srsFor(ctx context.Context, mu int) (pcs.PCS, error) {
 // outside the Engine lock, so cached proofs and Stats never stall behind
 // a setup.
 func (e *Engine) keysFor(ctx context.Context, circuit *Circuit) (*circuitKeys, bool, error) {
-	scheme, err := e.pcsScheme()
-	if err != nil {
-		return nil, false, err
-	}
-	key := keysKey{digest: e.CircuitDigest(circuit), scheme: scheme}
-	return cached(ctx, &e.mu, e.keys, key, &e.st.KeySetups, &e.st.KeyCacheHits, func() (*circuitKeys, error) {
+	return cached(ctx, &e.mu, e.keys, e.CircuitDigest(circuit), &e.st.KeySetups, &e.st.KeyCacheHits, func() (*circuitKeys, error) {
 		srs, err := e.srsFor(ctx, circuit.Mu)
 		if err != nil {
 			return nil, err

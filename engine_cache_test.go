@@ -42,7 +42,7 @@ func TestKeysWaiterRetriesAfterCreatorCancelled(t *testing.T) {
 	// A ceremony that does not finish on its own holds A inside its
 	// preprocessing until A's context is cancelled.
 	ceremony := &flight[pcs.PCS]{done: make(chan struct{})}
-	e.srs[srsKey{mu: circuit.Mu, scheme: pcs.SchemePST}] = ceremony
+	e.srs[circuit.Mu] = ceremony
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	errA := make(chan error, 1)
@@ -50,7 +50,7 @@ func TestKeysWaiterRetriesAfterCreatorCancelled(t *testing.T) {
 		_, _, err := e.Setup(ctxA, circuit)
 		errA <- err
 	}()
-	key := keysKey{digest: e.CircuitDigest(circuit), scheme: pcs.SchemePST}
+	key := e.CircuitDigest(circuit)
 	for {
 		e.mu.Lock()
 		_, started := e.keys[key]

@@ -348,19 +348,17 @@ func TestProveBatchHTTP(t *testing.T) {
 	defer srv.Close()
 
 	circuit, assigns := witnessesFor(t, 26, 4)
-	circuitBlob, err := circuit.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	digest := fmt.Sprintf("%x", mustRegister(t, s, circuit).digest)
 	wits := make([][]byte, len(assigns))
 	for i, a := range assigns {
+		var err error
 		if wits[i], err = a.MarshalBinary(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var resp api.ProveBatchResponse
-	if r := postJSON(t, srv, "/v1/prove_batch", api.ProveBatchRequest{Circuit: circuitBlob, Witnesses: wits}, &resp); r.StatusCode != http.StatusOK {
+	if r := postJSON(t, srv, "/v1/prove_batch", api.ProveBatchRequest{CircuitDigest: digest, Witnesses: wits}, &resp); r.StatusCode != http.StatusOK {
 		t.Fatalf("prove_batch: %d", r.StatusCode)
 	}
 	if len(resp.Results) != 4 || resp.Failed != 0 || resp.BatchDigest == "" {
@@ -368,10 +366,10 @@ func TestProveBatchHTTP(t *testing.T) {
 			len(resp.Results), resp.Failed, resp.BatchDigest)
 	}
 
-	if r := postJSON(t, srv, "/v1/prove_batch", api.ProveBatchRequest{Circuit: circuitBlob}, nil); r.StatusCode != http.StatusBadRequest {
+	if r := postJSON(t, srv, "/v1/prove_batch", api.ProveBatchRequest{CircuitDigest: digest}, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty witness list: %d", r.StatusCode)
 	}
-	bad := api.ProveBatchRequest{Circuit: circuitBlob, Witnesses: [][]byte{{1, 2, 3}}}
+	bad := api.ProveBatchRequest{CircuitDigest: digest, Witnesses: [][]byte{{1, 2, 3}}}
 	if r := postJSON(t, srv, "/v1/prove_batch", bad, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed witness: %d", r.StatusCode)
 	}

@@ -213,16 +213,9 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool
 	return true
 }
 
-// writeRegisterErr answers a failed registration: 507 at the registry
-// bound, 503 when the store could not record the circuit.
-func writeRegisterErr(w http.ResponseWriter, err error) {
-	code := http.StatusServiceUnavailable
-	if errors.Is(err, ErrRegistryFull) {
-		code = http.StatusInsufficientStorage
-	}
-	writeError(w, code, "%v", err)
-}
-
+// handleRegister is POST /v1/circuits, the one route that takes a circuit
+// blob. A failed registration answers 507 at the registry bound, 503 when
+// the store could not record the circuit.
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterCircuitRequest
 	if !s.decodeBody(w, r, &req) {
@@ -235,35 +228,38 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.RegisterCircuit(&c)
 	if err != nil {
-		writeRegisterErr(w, err)
+		code := http.StatusServiceUnavailable
+		if errors.Is(err, ErrRegistryFull) {
+			code = http.StatusInsufficientStorage
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, entry.info())
 }
 
-// parseDigest decodes a 64-char hex circuit digest.
-func parseDigest(s string) ([32]byte, error) {
-	var d [32]byte
-	b, err := hex.DecodeString(s)
+// lookupCircuit resolves the hex digest every route but registration
+// names its circuit by: 400 unless it is 64 hex characters, 404 unless
+// the circuit is registered. On failure it writes the answer and returns
+// nil.
+func (s *Service) lookupCircuit(w http.ResponseWriter, digestHex string) *circuitEntry {
+	b, err := hex.DecodeString(digestHex)
 	if err != nil || len(b) != 32 {
-		return d, errors.New("digest must be 64 hex characters")
+		writeError(w, http.StatusBadRequest, "circuit digest must be 64 hex characters")
+		return nil
 	}
-	copy(d[:], b)
-	return d, nil
+	entry, ok := s.Circuit([32]byte(b))
+	if !ok {
+		writeError(w, http.StatusNotFound, "circuit %s not registered", digestHex)
+		return nil
+	}
+	return entry
 }
 
 func (s *Service) handleCircuit(w http.ResponseWriter, r *http.Request) {
-	digest, err := parseDigest(r.PathValue("digest"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if entry := s.lookupCircuit(w, r.PathValue("digest")); entry != nil {
+		writeJSON(w, http.StatusOK, entry.info())
 	}
-	entry, ok := s.Circuit(digest)
-	if !ok {
-		writeError(w, http.StatusNotFound, "circuit not registered")
-		return
-	}
-	writeJSON(w, http.StatusOK, entry.info())
 }
 
 func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
@@ -275,8 +271,6 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// The witness is validated before any register-on-use side effect,
-	// so a malformed request cannot grow the circuit registry.
 	var assign hyperplonk.Assignment
 	if err := assign.UnmarshalBinary(req.Witness); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid witness: %v", err)
@@ -288,11 +282,10 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	entry := s.resolveCircuit(w, req.CircuitDigest, req.Circuit)
+	entry := s.lookupCircuit(w, req.CircuitDigest)
 	if entry == nil {
 		return
 	}
-
 	j, err := s.submit(entry, &assign, submitOpts{tn: tn, rawWitness: req.Witness, adm: a})
 	if !s.writeSubmitErr(w, err) {
 		return
@@ -341,28 +334,15 @@ func (s *Service) writeJobOutcome(w http.ResponseWriter, r *http.Request, j *job
 // incrementally — on a durable store the bytes tee into WAL chunk records
 // of up to 64 KiB as they arrive, so a large witness is never held whole
 // in memory, and they become durable with the job's submit record.
-// Malformed bytes answer 400, a failing store 503. The circuit must
-// already be registered; parameters
-// travel as query values (circuit_digest, wait). A
-// Content-Length is required so admission can refuse an oversized upload
-// before any transfer.
+// Malformed bytes answer 400, a failing store 503. Parameters travel as
+// query values (circuit_digest, wait). A Content-Length is required so
+// admission can refuse an oversized upload before any transfer.
 func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 	a := s.queue.admit()
 	defer a.end()
 	q := r.URL.Query()
-	digestHex := q.Get("circuit_digest")
-	if digestHex == "" {
-		writeError(w, http.StatusBadRequest, "missing circuit_digest query parameter")
-		return
-	}
-	digest, err := parseDigest(digestHex)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	entry, ok := s.Circuit(digest)
-	if !ok {
-		writeError(w, http.StatusNotFound, "circuit %s not registered", digestHex)
+	entry := s.lookupCircuit(w, q.Get("circuit_digest"))
+	if entry == nil {
 		return
 	}
 	if r.ContentLength < 0 {
@@ -396,44 +376,6 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 	s.writeJobOutcome(w, r, j, wait)
 }
 
-// resolveCircuit implements the digest-or-blob circuit selection shared
-// by prove and prove_batch: exactly one of digestHex (registered lookup)
-// or blob (register-on-use) must be set. On failure the error response is
-// written and nil returned.
-func (s *Service) resolveCircuit(w http.ResponseWriter, digestHex string, blob []byte) *circuitEntry {
-	switch {
-	case digestHex != "" && len(blob) > 0:
-		writeError(w, http.StatusBadRequest, "set either circuit_digest or circuit, not both")
-	case digestHex != "":
-		digest, err := parseDigest(digestHex)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil
-		}
-		entry, ok := s.Circuit(digest)
-		if !ok {
-			writeError(w, http.StatusNotFound, "circuit %s not registered", digestHex)
-			return nil
-		}
-		return entry
-	case len(blob) > 0:
-		var c hyperplonk.Circuit
-		if err := c.UnmarshalBinary(blob); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid circuit: %v", err)
-			return nil
-		}
-		entry, err := s.RegisterCircuit(&c)
-		if err != nil {
-			writeRegisterErr(w, err)
-			return nil
-		}
-		return entry
-	default:
-		writeError(w, http.StatusBadRequest, "missing circuit_digest or circuit")
-	}
-	return nil
-}
-
 // handleProveBatch proves a rollup batch synchronously: the statements
 // spread across the batch loops and the response aggregates every proof
 // plus the batch digest.
@@ -465,7 +407,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		assigns[i] = &a
 	}
-	entry := s.resolveCircuit(w, req.CircuitDigest, req.Circuit)
+	entry := s.lookupCircuit(w, req.CircuitDigest)
 	if entry == nil {
 		return
 	}
@@ -531,14 +473,8 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	digest, err := parseDigest(req.CircuitDigest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	entry, ok := s.Circuit(digest)
-	if !ok {
-		writeError(w, http.StatusNotFound, "circuit %s not registered", req.CircuitDigest)
+	entry := s.lookupCircuit(w, req.CircuitDigest)
+	if entry == nil {
 		return
 	}
 	pub, err := decodeFrs(req.PublicInputs)

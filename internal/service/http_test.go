@@ -66,7 +66,7 @@ func TestHTTPRegisterProveVerifyFlow(t *testing.T) {
 	if resp := postJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d", resp.StatusCode)
 	}
-	if info.Mu != circuit.Mu || info.NumGates != circuit.NumGates() || info.PCSScheme != "pst" {
+	if info.Mu != circuit.Mu || info.NumGates != circuit.NumGates() {
 		t.Fatalf("register info %+v", info)
 	}
 
@@ -127,14 +127,8 @@ func TestHTTPAsyncSubmitAndPoll(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	circuit, assign := buildCircuit(t, 3, 7)
-	circuitBlob, _ := circuit.MarshalBinary()
-	witnessBlob, _ := assign.MarshalBinary()
-
 	var submitted api.ProveResponse
-	if resp := postJSON(t, srv, "/v1/prove", api.ProveRequest{
-		Circuit: circuitBlob, Witness: witnessBlob,
-	}, &submitted); resp.StatusCode != http.StatusAccepted {
+	if resp := postJSON(t, srv, "/v1/prove", proveRequest(t, s, 3, 7, false), &submitted); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit: %d", resp.StatusCode)
 	}
 	if submitted.JobID == "" || submitted.Status == api.StatusDone {
@@ -176,11 +170,8 @@ func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 
 	// Three distinct circuits so nothing coalesces with the parked job.
 	submit := func(c, x uint64) *http.Response {
-		circuit, assign := buildCircuit(t, c, x)
-		cb, _ := circuit.MarshalBinary()
-		wb, _ := assign.MarshalBinary()
 		var out api.ProveResponse
-		return postJSON(t, srv, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb}, &out)
+		return postJSON(t, srv, "/v1/prove", proveRequest(t, s, c, x, false), &out)
 	}
 	if resp := submit(3, 7); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit: %d", resp.StatusCode)
@@ -197,8 +188,11 @@ func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	if resp := submit(5, 7); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second submit: %d", resp.StatusCode)
 	}
-	resp, err := srv.Client().Post(srv.URL+"/v1/prove", "application/json",
-		overloadBody(t))
+	blob, err := json.Marshal(proveRequest(t, s, 9, 7, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/v1/prove", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +220,17 @@ func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	}
 }
 
-// overloadBody builds the third distinct-circuit prove request body.
-func overloadBody(t *testing.T) *bytes.Reader {
+// proveRequest registers the circuit of buildCircuit(c, x) and returns
+// a request proving its witness by digest.
+func proveRequest(t *testing.T, s *Service, c, x uint64, wait bool) api.ProveRequest {
 	t.Helper()
-	circuit, assign := buildCircuit(t, 9, 7)
-	cb, _ := circuit.MarshalBinary()
-	wb, _ := assign.MarshalBinary()
-	blob, err := json.Marshal(api.ProveRequest{Circuit: cb, Witness: wb})
+	circuit, assign := buildCircuit(t, c, x)
+	entry := mustRegister(t, s, circuit)
+	wb, err := assign.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.NewReader(blob)
+	return api.ProveRequest{CircuitDigest: fmt.Sprintf("%x", entry.digest), Witness: wb, Wait: wait}
 }
 
 func TestHTTPBadInputs(t *testing.T) {
@@ -247,6 +241,7 @@ func TestHTTPBadInputs(t *testing.T) {
 	circuit, assign := buildCircuit(t, 3, 7)
 	cb, _ := circuit.MarshalBinary()
 	wb, _ := assign.MarshalBinary()
+	digest := fmt.Sprintf("%x", circuit.Digest())
 
 	cases := []struct {
 		name string
@@ -254,13 +249,9 @@ func TestHTTPBadInputs(t *testing.T) {
 		code int
 	}{
 		{"no circuit", api.ProveRequest{Witness: wb}, http.StatusBadRequest},
-		{"both circuit forms", api.ProveRequest{Circuit: cb, CircuitDigest: strings.Repeat("00", 32), Witness: wb}, http.StatusBadRequest},
-		{"bad digest", api.ProveRequest{CircuitDigest: "zz", Witness: wb}, http.StatusBadRequest},
-		{"unregistered digest", api.ProveRequest{CircuitDigest: strings.Repeat("ab", 32), Witness: wb}, http.StatusNotFound},
-		{"garbage circuit", api.ProveRequest{Circuit: []byte{1, 2}, Witness: wb}, http.StatusBadRequest},
-		{"garbage witness", api.ProveRequest{Circuit: cb, Witness: []byte{3}}, http.StatusBadRequest},
+		{"garbage witness", api.ProveRequest{CircuitDigest: digest, Witness: []byte{3}}, http.StatusBadRequest},
 		// The queue has no priorities: the field is unknown to the decoder.
-		{"bad priority", map[string]any{"circuit": cb, "witness": wb, "priority": "urgent"}, http.StatusBadRequest},
+		{"bad priority", map[string]any{"circuit_digest": digest, "witness": wb, "priority": "urgent"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if resp := postJSON(t, srv, "/v1/prove", tc.req, nil); resp.StatusCode != tc.code {
@@ -274,6 +265,86 @@ func TestHTTPBadInputs(t *testing.T) {
 	}
 	if n := s.circuitCount(); n != 0 {
 		t.Errorf("bad inputs registered %d circuits", n)
+	}
+}
+
+// TestDigestRoutes: every route but registration names its circuit by
+// hex digest through one lookup, which answers 400 for a digest that is
+// not 64 hex characters and 404 for one nobody registered. A prove body
+// that carries a circuit blob answers 400 and registers nothing.
+func TestDigestRoutes(t *testing.T) {
+	s := newTestService(t, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	circuit, assign := buildCircuit(t, 3, 7)
+	cb, _ := circuit.MarshalBinary()
+	wb, _ := assign.MarshalBinary()
+
+	send := func(method, path string, body []byte) int {
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	jsonBody := func(v any) []byte {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	routes := []struct {
+		name    string
+		request func(digest string) int
+	}{
+		{"GET /v1/circuits/{digest}", func(d string) int {
+			return send(http.MethodGet, "/v1/circuits/"+d, nil)
+		}},
+		{"POST /v1/prove", func(d string) int {
+			return send(http.MethodPost, "/v1/prove", jsonBody(api.ProveRequest{CircuitDigest: d, Witness: wb}))
+		}},
+		{"POST /v1/prove_stream", func(d string) int {
+			return send(http.MethodPost, "/v1/prove_stream?circuit_digest="+d, wb)
+		}},
+		{"POST /v1/prove_batch", func(d string) int {
+			return send(http.MethodPost, "/v1/prove_batch", jsonBody(api.ProveBatchRequest{CircuitDigest: d, Witnesses: [][]byte{wb}}))
+		}},
+		{"POST /v1/verify", func(d string) int {
+			return send(http.MethodPost, "/v1/verify", jsonBody(api.VerifyRequest{CircuitDigest: d, Proof: []byte{1}}))
+		}},
+	}
+	for _, rt := range routes {
+		for _, tc := range []struct {
+			digest string
+			code   int
+		}{
+			{"zz", http.StatusBadRequest},
+			{strings.Repeat("ab", 31), http.StatusBadRequest},
+			{strings.Repeat("ab", 32), http.StatusNotFound},
+		} {
+			if code := rt.request(tc.digest); code != tc.code {
+				t.Errorf("%s with digest %q: got %d, want %d", rt.name, tc.digest, code, tc.code)
+			}
+		}
+	}
+	// Ignoring the blob would answer 404, registering it 200 or 202.
+	digest := fmt.Sprintf("%x", circuit.Digest())
+	for path, body := range map[string]map[string]any{
+		"/v1/prove":       {"circuit_digest": digest, "circuit": cb, "witness": wb},
+		"/v1/prove_batch": {"circuit_digest": digest, "circuit": cb, "witnesses": [][]byte{wb}},
+	} {
+		if code := send(http.MethodPost, path, jsonBody(body)); code != http.StatusBadRequest {
+			t.Errorf("%s carrying a circuit: got %d, want 400", path, code)
+		}
+	}
+	if n := s.circuitCount(); n != 0 {
+		t.Fatalf("the digest routes registered %d circuits", n)
 	}
 }
 
@@ -303,19 +374,6 @@ func TestHTTPRegistryBound(t *testing.T) {
 	if resp := register(9); resp.StatusCode != http.StatusInsufficientStorage {
 		t.Fatalf("register beyond bound: %d, want 507", resp.StatusCode)
 	}
-	// The prove path's register-on-use obeys the same bound…
-	circuit, assign := buildCircuit(t, 11, 7)
-	cb, _ := circuit.MarshalBinary()
-	wb, _ := assign.MarshalBinary()
-	if resp := postJSON(t, srv, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb}, nil); resp.StatusCode != http.StatusInsufficientStorage {
-		t.Fatalf("prove register-on-use beyond bound: %d, want 507", resp.StatusCode)
-	}
-	// …and a malformed witness never registers the circuit it carries.
-	c2, _ := buildCircuit(t, 13, 7)
-	cb2, _ := c2.MarshalBinary()
-	if resp := postJSON(t, srv, "/v1/prove", api.ProveRequest{Circuit: cb2, Witness: []byte{1}}, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed witness: %d", resp.StatusCode)
-	}
 	if s.circuitCount() != 2 {
 		t.Fatalf("registry holds %d circuits, want the bound of 2", s.circuitCount())
 	}
@@ -326,12 +384,10 @@ func TestMetricsExposition(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	circuit, assign := buildCircuit(t, 3, 7)
-	cb, _ := circuit.MarshalBinary()
-	wb, _ := assign.MarshalBinary()
+	req := proveRequest(t, s, 3, 7, true)
 	var proved api.ProveResponse
-	postJSON(t, srv, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb, Wait: true}, &proved)
-	postJSON(t, srv, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb, Wait: true}, nil) // cache hit
+	postJSON(t, srv, "/v1/prove", req, &proved)
+	postJSON(t, srv, "/v1/prove", req, nil) // cache hit
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

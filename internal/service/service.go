@@ -76,9 +76,6 @@ type Backend interface {
 	// Setup warms the backend's SRS and key caches for the circuit
 	// without proving anything.
 	Setup(ctx context.Context, c *hyperplonk.Circuit) error
-	// Scheme names the polynomial commitment scheme the backend proves
-	// under ("pst", "zeromorph").
-	Scheme() string
 	// Stats reports the backend's cumulative work counters.
 	Stats() BackendStats
 }
@@ -162,6 +159,11 @@ func (c Config) withDefaults() Config {
 // 503, not 422.
 var errShutdown = errors.New("service: shutting down")
 
+// errUnrecorded fails the jobs of a batch whose terminal records the
+// store could not write. They stay pending in the log, so replay proves
+// them again, and the same request succeeds against a healthy instance.
+var errUnrecorded = errors.New("service: recording results")
+
 // job is one proving request flowing through the service.
 type job struct {
 	id      string
@@ -228,11 +230,12 @@ func (j *job) finish(resp api.ProveResponse) {
 }
 
 // transientErr reports whether err cut the job short for reasons a
-// retry against a healthy instance would fix — shutdown or context
-// cancellation, never a prover rejection. Transient failures are not
-// recorded in the store: absence is what re-queues the job on replay.
+// retry against a healthy instance would fix — shutdown, context
+// cancellation or a store that could not record the batch, never a prover
+// rejection. Transient failures are not recorded in the store: absence is
+// what re-queues the job on replay.
 func transientErr(err error) bool {
-	return errors.Is(err, errShutdown) ||
+	return errors.Is(err, errShutdown) || errors.Is(err, errUnrecorded) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -269,7 +272,6 @@ func (j *job) response() api.ProveResponse {
 type circuitEntry struct {
 	digest  [32]byte
 	circuit *hyperplonk.Circuit
-	scheme  string
 
 	// warm is set once the backend has set up the circuit's keys
 	// (Preload, or a loop before its first batch).
@@ -288,7 +290,6 @@ func (e *circuitEntry) info() api.CircuitInfo {
 		Mu:        e.circuit.Mu,
 		NumGates:  e.circuit.NumGates(),
 		NumPublic: e.circuit.NumPublic,
-		PCSScheme: e.scheme,
 		Proofs:    proofs,
 	}
 }
@@ -298,7 +299,6 @@ func (e *circuitEntry) info() api.CircuitInfo {
 type Service struct {
 	cfg     Config
 	backend Backend
-	scheme  string // backend.Scheme(), advertised in registrations and proofs
 	queue   *jobQueue
 	loops   int // batch loops draining queue
 	met     *Metrics
@@ -351,7 +351,6 @@ func New(cfg Config, backend Backend, loops int) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		backend:  backend,
-		scheme:   backend.Scheme(),
 		queue:    newJobQueue(cfg.QueueCapacity),
 		loops:    max(loops, 1),
 		met:      newMetrics(),
@@ -405,7 +404,6 @@ func (s *Service) replayStore() error {
 			Status:       api.StatusDone,
 			Proof:        r.Proof,
 			PublicInputs: r.PublicInputs,
-			PCSScheme:    s.scheme,
 			ProverNS:     r.ProverNS,
 		})
 		s.recovery.Results++
@@ -555,7 +553,7 @@ func (s *Service) RegisterCircuit(c *hyperplonk.Circuit) (*circuitEntry, error) 
 			return nil, fmt.Errorf("service: persisting circuit: %w", err)
 		}
 	}
-	e := &circuitEntry{digest: digest, circuit: c, scheme: s.scheme}
+	e := &circuitEntry{digest: digest, circuit: c}
 	s.circuits[digest] = e
 	return e, nil
 }
@@ -753,7 +751,6 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o s
 			Status:       api.StatusDone,
 			Proof:        hit.proof,
 			PublicInputs: encodeFrs(hit.public),
-			PCSScheme:    s.scheme,
 			Cached:       true,
 		})
 		s.trackJob(j)
@@ -1126,7 +1123,8 @@ func (s *Service) runBatch(batch []*job) (met bool) {
 	// not regress the job to pending (replay would re-prove it: same
 	// bytes, but double work and a window where a recorded ack is
 	// missing). Transient cuts (shutdown, cancellation) leave no record,
-	// so replay re-queues the job (see transientErr).
+	// so replay re-queues the job (see transientErr). A Finish that fails
+	// answers every job of the batch retryably and caches nothing.
 	type answer struct {
 		j    *job
 		err  error // the job's failure, or nil
@@ -1164,7 +1162,12 @@ func (s *Service) runBatch(batch []*job) (met bool) {
 		answers[k] = a
 	}
 	if len(done)+len(failed) > 0 {
-		s.store.Finish(done, failed)
+		if err := s.store.Finish(done, failed); err != nil {
+			err = fmt.Errorf("%w: %v", errUnrecorded, err)
+			for k := range answers {
+				answers[k].err = err
+			}
+		}
 	}
 	// Metrics and cache update before finish(): closing a job's done
 	// channel publishes it, so everything observable about the job must
@@ -1197,7 +1200,6 @@ func (s *Service) runBatch(batch []*job) (met bool) {
 			Status:       api.StatusDone,
 			Proof:        a.blob,
 			PublicInputs: a.pub,
-			PCSScheme:    s.scheme,
 			BatchSize:    len(batch),
 			ProverNS:     a.r.ProverTime.Nanoseconds(),
 			StepsNS:      steps,

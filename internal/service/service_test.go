@@ -109,8 +109,6 @@ func (b *stubBackend) Setup(ctx context.Context, c *hyperplonk.Circuit) error {
 	return nil
 }
 
-func (b *stubBackend) Scheme() string { return "pst" }
-
 func (b *stubBackend) Stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,16 +16,17 @@ import (
 	"zkspeed/api"
 	"zkspeed/internal/hyperplonk"
 	"zkspeed/internal/store"
+	"zkspeed/internal/tenant"
 	"zkspeed/internal/workload"
 )
 
 // hookStore is a WAL whose witness writers can be made to fail on Write
 // or on Close, or to run afterClose once their chunks are in the log,
-// and whose PutCircuit can be made to fail.
+// and whose PutCircuit, Submit and Finish can be made to fail.
 type hookStore struct {
 	*store.WAL
-	writeErr, closeErr, putErr error
-	afterClose                 func()
+	writeErr, closeErr, putErr, submitErr, finishErr error
+	afterClose                                       func()
 }
 
 func (s *hookStore) PutCircuit(digest [32]byte, blob []byte) error {
@@ -32,6 +34,20 @@ func (s *hookStore) PutCircuit(digest [32]byte, blob []byte) error {
 		return s.putErr
 	}
 	return s.WAL.PutCircuit(digest, blob)
+}
+
+func (s *hookStore) Submit(rec store.JobRecord) error {
+	if s.submitErr != nil {
+		return s.submitErr
+	}
+	return s.WAL.Submit(rec)
+}
+
+func (s *hookStore) Finish(done []store.Result, failed []store.Failure) error {
+	if s.finishErr != nil {
+		return s.finishErr
+	}
+	return s.WAL.Finish(done, failed)
 }
 
 func (s *hookStore) WitnessWriter(id string) (io.WriteCloser, error) {
@@ -189,20 +205,15 @@ func TestProveStreamStoreFailure(t *testing.T) {
 }
 
 // TestRegisterStoreFailure: a store that cannot record a circuit answers
-// 503, as a failed submit does, not the 507 of a full registry, on both
-// POST /v1/circuits and register-on-use POST /v1/prove, and the circuit
-// stays unregistered.
+// POST /v1/circuits 503, as a failed submit does, not the 507 of a full
+// registry, and the circuit stays unregistered.
 func TestRegisterStoreFailure(t *testing.T) {
 	hs := &hookStore{WAL: openTestWAL(t, t.TempDir()), putErr: fmt.Errorf("store: append: %w", syscall.ENOSPC)}
 	svc := newTestService(t, Config{Store: hs, BatchWindow: -1}, &stubBackend{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	circuit, assign := buildCircuit(t, 3, 7)
+	circuit, _ := buildCircuit(t, 3, 7)
 	cb, err := circuit.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := assign.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +221,97 @@ func TestRegisterStoreFailure(t *testing.T) {
 	if resp := postJSON(t, ts, "/v1/circuits", api.RegisterCircuitRequest{Circuit: cb}, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("register: %d, want 503", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts, "/v1/prove", api.ProveRequest{Circuit: cb, Witness: wb, Wait: true}, nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("register-on-use prove: %d, want 503", resp.StatusCode)
-	}
 	if _, ok := svc.Circuit(circuit.Digest()); ok || svc.circuitCount() != 0 {
-		t.Fatalf("registry holds %d circuits after failed registrations", svc.circuitCount())
+		t.Fatalf("registry holds %d circuits after a failed registration", svc.circuitCount())
 	}
 	if n := len(hs.State().Circuits); n != 0 {
-		t.Fatalf("store holds %d circuits after failed registrations", n)
+		t.Fatalf("store holds %d circuits after a failed registration", n)
+	}
+}
+
+// TestFinishStoreFailure: a batch whose terminal records the store cannot
+// write answers its waiting caller 503, retryable, and caches nothing, so
+// the same request is proved again rather than answered from the cache.
+// The jobs stay pending in the log, and a reopened log replays them.
+func TestFinishStoreFailure(t *testing.T) {
+	dir := t.TempDir()
+	hs := &hookStore{WAL: openTestWAL(t, dir), finishErr: fmt.Errorf("store: sync: %w", syscall.ENOSPC)}
+	stub := &stubBackend{}
+	svc := newTestService(t, Config{Store: hs, BatchWindow: -1}, stub)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	req := proveRequest(t, svc, 3, 7, true)
+
+	var ids []string
+	for attempt := range 2 {
+		var pr api.ProveResponse
+		if resp := postJSON(t, ts, "/v1/prove", req, &pr); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("attempt %d: %d (%s), want 503", attempt, resp.StatusCode, pr.Status)
+		}
+		if pr.Status != api.StatusFailed || !pr.Retryable || pr.Cached {
+			t.Fatalf("attempt %d: status %s, retryable %v, cached %v; want a retryable failure", attempt, pr.Status, pr.Retryable, pr.Cached)
+		}
+		ids = append(ids, pr.JobID)
+	}
+	if st := stub.Stats(); st.Proofs != 2 {
+		t.Fatalf("backend proved %d times, want 2: the repeat was served from the cache", st.Proofs)
+	}
+	svc.Close()
+	w, err := store.OpenWAL(store.WALConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	st := w.State()
+	pending := map[string]bool{}
+	for _, rec := range st.Pending {
+		pending[rec.ID] = true
+	}
+	for _, id := range ids {
+		if !pending[id] {
+			t.Errorf("job %s is not pending in the reopened log (%d pending, %d done)", id, len(st.Pending), len(st.Done))
+		}
+	}
+}
+
+// TestSubmitStoreFailure: a store that cannot record a submit answers
+// POST /v1/prove 503, queues nothing and returns the tenant's in-flight
+// slot.
+func TestSubmitStoreFailure(t *testing.T) {
+	reg, err := tenant.NewRegistry([]tenant.Config{{ID: "a", Key: "ka", MaxInflight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &hookStore{WAL: openTestWAL(t, t.TempDir()), submitErr: fmt.Errorf("store: append: %w", syscall.ENOSPC)}
+	svc := newTestService(t, Config{Store: hs, BatchWindow: -1, Tenants: reg}, &stubBackend{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	blob, err := json.Marshal(proveRequest(t, svc, 3, 7, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/prove", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer ka")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("failed submit answered %d, want 503", resp.StatusCode)
+	}
+	if d := svc.QueueDepth(); d != 0 {
+		t.Fatalf("%d queued jobs after a failed submit", d)
+	}
+	a, _ := reg.ByID("a")
+	if n := a.Stats().Inflight; n != 0 {
+		t.Fatalf("tenant holds %d in-flight slots after a failed submit, want 0", n)
+	}
+	if n := len(hs.State().Pending); n != 0 {
+		t.Fatalf("%d pending jobs after a failed submit", n)
 	}
 }
 

@@ -110,8 +110,11 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // endpoint), the root re-export of the benchmark suite, the record
 // fields only the deleted comparator read, the caller-less helpers
 // deleted with them, the per-request commitment-scheme pin, the WAL
-// claim record or the micro-suite's second shape (its quick and e2e-mu
-// flags, the list parser and the per-shape config); nothing calls the
+// claim record, the micro-suite's second shape (its quick and e2e-mu
+// flags, the list parser and the per-shape config), the client's
+// auto-retry options, the prove routes' register-on-use resolver, the
+// advertised scheme's JSON field or the root scheme list (WithPCSScheme,
+// pcs.Scheme and pcs.Schemes stay); nothing calls the
 // sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
@@ -124,7 +127,8 @@ func TestOnePathPerLayer(t *testing.T) {
 	// GLV splitter, the per-shard service queues, the multi-node tier, the
 	// benchmark re-export layer, the shifted-opening surface, the priority
 	// lanes, the per-request scheme pin, the WAL claim record, the
-	// micro-suite's quick/full shapes and two unused root aliases are
+	// micro-suite's quick/full shapes, two unused root aliases, the client
+	// auto-retry, register-on-use and the scheme advertisement are
 	// spelled in halves, so a grep of the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
@@ -143,6 +147,7 @@ func TestOnePathPerLayer(t *testing.T) {
 		"ErrCode" + "PCSScheme", "check" + "PCSScheme", "encode" + "Claim", "." + "Claim(",
 		"ServiceBackend" + "Stats", "ServiceOverloaded" + "Error",
 		"\"e2e" + "-mu\"", "\"qu" + "ick\"", "parseMu" + "List", "default" + "Config",
+		"WithAuto" + "Retry", "WithRetry" + "Backoff", "resolve" + "Circuit", "pcs_" + "scheme", "PCS" + "Schemes",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be

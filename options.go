@@ -73,10 +73,9 @@ func WithSRS(srs *SRS) Option {
 
 // WithPCSScheme selects the polynomial commitment backend by name —
 // "pst" (default; PST multilinear KZG) or "zeromorph" (univariate-map
-// KZG). The name is validated lazily: an
-// unknown scheme surfaces from the first Setup/Prove call as the same
-// error PCSSchemes-listing callers see, so services can report it as a
-// client error instead of panicking at construction.
+// KZG). The name is validated lazily: an unknown scheme surfaces from
+// the first Setup/Prove call as an error listing the known names, not as
+// a panic at construction.
 func WithPCSScheme(name string) Option {
 	return func(c *engineConfig) { c.scheme = name }
 }

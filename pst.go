@@ -28,7 +28,7 @@ func (e *Engine) SRSFor(ctx context.Context, mu int) (*SRS, error) {
 	}
 	s, ok := b.(*pcs.SRS)
 	if !ok {
-		return nil, fmt.Errorf("zkspeed: engine uses scheme %q, which has no PST SRS; use WarmSRS", e.PCSScheme())
+		return nil, fmt.Errorf("zkspeed: engine uses scheme %q, which has no PST SRS; use WarmSRS", b.Scheme())
 	}
 	return s, nil
 }

@@ -14,7 +14,6 @@ import (
 	"io"
 	"time"
 
-	"zkspeed/internal/pcs"
 	"zkspeed/internal/service"
 	"zkspeed/internal/store"
 	"zkspeed/internal/tenant"
@@ -93,17 +92,11 @@ type ServiceConfig struct {
 // ceremonies and key preprocessing, so every loop shares one universal
 // setup and one key set per circuit, and one Preload warms them all.
 func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
-	// Resolve the caller's options once: the scheme check and the setup
-	// seed below read them before any Engine exists.
+	// Resolve the caller's options once: the setup seed below reads them
+	// before any Engine exists.
 	probe := defaultEngineConfig()
 	for _, o := range opts {
 		o(&probe)
-	}
-	// Reject an unknown WithPCSScheme name up front: a daemon that only
-	// fails on its first prove is much harder to operate than one that
-	// refuses to start.
-	if _, err := pcs.ParseScheme(probe.scheme); err != nil {
-		return nil, fmt.Errorf("zkspeed: %w (known schemes: %v)", err, PCSSchemes())
 	}
 	svcCfg := service.Config{
 		QueueCapacity: cfg.QueueCapacity,
@@ -143,8 +136,8 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 
 	// Pre-read the 64-byte seed the Engine derives every SRS from and hand
 	// it over as a byte reader: a daemon with a broken entropy source then
-	// refuses to start, like an unknown scheme above, instead of failing
-	// its first ceremony, and the SRS bytes are the same either way.
+	// refuses to start instead of failing its first ceremony, and the SRS
+	// bytes are the same either way.
 	seed := make([]byte, 64)
 	if _, err := io.ReadFull(probe.entropy, seed); err != nil {
 		closeStore(svcCfg.Store)
@@ -204,12 +197,6 @@ func (b *engineBackend) Verify(ctx context.Context, c *Circuit, pub []Scalar, pr
 func (b *engineBackend) Setup(ctx context.Context, c *Circuit) error {
 	_, _, err := b.eng.Setup(ctx, c)
 	return err
-}
-
-// Scheme reports the engine's commitment scheme, the name the service
-// advertises in the API.
-func (b *engineBackend) Scheme() string {
-	return b.eng.PCSScheme()
 }
 
 func (b *engineBackend) Stats() service.BackendStats {

@@ -181,8 +181,10 @@ func TestServiceOverloadBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var info api.CircuitInfo
+		postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: cb}, &info, http.StatusOK)
 		return postServiceJSON(t, srv, "/v1/prove",
-			api.ProveRequest{Circuit: cb, Witness: wb}, nil, wantCode)
+			api.ProveRequest{CircuitDigest: info.Digest, Witness: wb}, nil, wantCode)
 	}
 	submit(1, http.StatusAccepted)
 	// Wait for the loop to move job 1 into its batch collector so the
@@ -333,9 +335,8 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 }
 
 // TestNewServiceConstructionErrors drives NewService's refusals on a
-// durable store: an unknown commitment scheme, an entropy source that
-// fails the 64-byte seed read, and a missing tenants file each return an
-// error instead of a half-built service, and none leaves the store it
+// durable store: an entropy source that fails the 64-byte seed read and
+// a missing tenants file each return an error instead of a half-built service, and none leaves the store it
 // opened running (a WAL with a sync interval keeps a flush goroutine until
 // it is closed). A service then built with good options on the same store
 // directory starts, has replayed nothing, and proves a statement that
@@ -353,7 +354,6 @@ func TestNewServiceConstructionErrors(t *testing.T) {
 		cfg  zkspeed.ServiceConfig
 		opt  zkspeed.Option
 	}{
-		{"unknown scheme", durable, zkspeed.WithPCSScheme("no-such-scheme")},
 		{"entropy error", durable, zkspeed.WithEntropy(iotest.ErrReader(errors.New("entropy unavailable")))},
 		{"missing tenants file", noTenants, zkspeed.WithEntropy(zkspeed.SeededEntropy(3))},
 	}

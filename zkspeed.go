@@ -87,15 +87,9 @@ func SetupWithPCS(c *Circuit, backend PCS) (*ProvingKey, *VerifyingKey, error) {
 	return hyperplonk.SetupWithPCS(c, backend)
 }
 
-// PCS is the polynomial commitment backend interface; every registered
-// scheme (PCSSchemes) implements it.
+// PCS is the polynomial commitment backend interface; every scheme
+// WithPCSScheme accepts implements it.
 type PCS = pcs.PCS
-
-// PCSSchemes lists the registered polynomial commitment scheme names
-// accepted by WithPCSScheme, sorted.
-func PCSSchemes() []string {
-	return pcs.Schemes()
-}
 
 // MaxMu is the largest circuit size, as log2 of the gate count, that the
 // commands accept. A μ=22 proof peaks at 7.45–7.61 GB RSS on a 2-vCPU,
