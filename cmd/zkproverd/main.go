@@ -52,7 +52,6 @@ func main() {
 	workers := flag.Int("workers", 0, "ProveBatch worker pool size (0 = one per CPU)")
 	verbose := flag.Bool("v", false, "log every completed proof")
 	storeDir := flag.String("store-dir", "", "directory for the durable job store (WAL); empty = in-memory only")
-	storeSync := flag.Duration("store-sync", 0, "WAL fsync batching interval (0 = sync every acknowledged record, negative = leave to the OS; with -store-dir)")
 	tenantsFile := flag.String("tenants-file", "", "JSON tenants file enabling API-key auth and per-tenant quotas")
 	flag.Parse()
 
@@ -88,7 +87,6 @@ func main() {
 		JobRetention:  *retention,
 		MaxCircuits:   *maxCircuits,
 		StoreDir:      *storeDir,
-		StoreSync:     *storeSync,
 		TenantsFile:   *tenantsFile,
 	}, opts...)
 	if err != nil {

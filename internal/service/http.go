@@ -195,10 +195,14 @@ func writeQuota(w http.ResponseWriter, qe *tenant.QuotaError) {
 	})
 }
 
+// maxBodyBytes bounds HTTP request bodies: 512 MiB, twice a mu=20
+// circuit blob.
+const maxBodyBytes = 512 << 20
+
 // decodeBody JSON-decodes a size-capped request body. An oversized body
 // is 413 (shrink and retry), not 400 (malformed, don't retry).
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -276,15 +280,18 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid witness: %v", err)
 		return
 	}
+	// The circuit is looked up before the witness is charged to the
+	// tenant's byte budget: a request for an unregistered circuit spends
+	// none.
+	entry := s.lookupCircuit(w, req.CircuitDigest)
+	if entry == nil {
+		return
+	}
 	tn := tenantOf(r)
 	if tn != nil {
 		if err := tn.AdmitWitness(int64(len(req.Witness))); !s.writeSubmitErr(w, err) {
 			return
 		}
-	}
-	entry := s.lookupCircuit(w, req.CircuitDigest)
-	if entry == nil {
-		return
 	}
 	j, err := s.submit(entry, &assign, submitOpts{tn: tn, rawWitness: req.Witness, adm: a})
 	if !s.writeSubmitErr(w, err) {
@@ -349,9 +356,9 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusLengthRequired, "prove_stream requires Content-Length")
 		return
 	}
-	if r.ContentLength > s.cfg.MaxBodyBytes {
+	if r.ContentLength > maxBodyBytes {
 		writeJSON(w, http.StatusRequestEntityTooLarge, api.Error{
-			Error: fmt.Sprintf("witness exceeds %d bytes", s.cfg.MaxBodyBytes),
+			Error: fmt.Sprintf("witness exceeds %d bytes", maxBodyBytes),
 			Code:  api.ErrCodeWitnessTooBig,
 		})
 		return
@@ -362,7 +369,7 @@ func (s *Service) handleProveStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := s.submitStream(a, tn, entry, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	j, err := s.submitStream(a, tn, entry, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		if errors.Is(err, errBadWitness) {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -390,6 +397,10 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty witness list")
 		return
 	}
+	entry := s.lookupCircuit(w, req.CircuitDigest)
+	if entry == nil {
+		return
+	}
 	tn := tenantOf(r)
 	assigns := make([]*hyperplonk.Assignment, len(req.Witnesses))
 	for i, blob := range req.Witnesses {
@@ -406,10 +417,6 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		assigns[i] = &a
-	}
-	entry := s.lookupCircuit(w, req.CircuitDigest)
-	if entry == nil {
-		return
 	}
 	resp, err := s.proveBatchWait(r.Context(), a, tn, entry, assigns, req.Witnesses)
 	if !s.writeSubmitErr(w, err) {

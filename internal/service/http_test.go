@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"zkspeed/api"
+	"zkspeed/internal/tenant"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body, out any) *http.Response {
@@ -345,6 +346,64 @@ func TestDigestRoutes(t *testing.T) {
 	}
 	if n := s.circuitCount(); n != 0 {
 		t.Fatalf("the digest routes registered %d circuits", n)
+	}
+}
+
+// TestUnregisteredCircuitSpendsNoBytes: POST /v1/prove and
+// /v1/prove_batch look the circuit up before they charge the witness to
+// the tenant's byte bucket, so a tenant whose bucket holds one witness
+// gets 404 for an unregistered digest and can still prove that witness.
+func TestUnregisteredCircuitSpendsNoBytes(t *testing.T) {
+	circuit, assign := buildCircuit(t, 3, 7)
+	wb, err := assign.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		body func(digest string) any
+	}{
+		{"/v1/prove", func(d string) any { return api.ProveRequest{CircuitDigest: d, Witness: wb, Wait: true} }},
+		{"/v1/prove_batch", func(d string) any { return api.ProveBatchRequest{CircuitDigest: d, Witnesses: [][]byte{wb}} }},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			now := time.Now() // frozen: the bucket never refills
+			reg, err := tenant.NewRegistry([]tenant.Config{{
+				ID: "a", Key: "ka", WitnessBytesPerSec: 1, BytesBurst: int64(len(wb)),
+			}}, tenant.WithClock(func() time.Time { return now }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestService(t, Config{Tenants: reg})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			digest := fmt.Sprintf("%x", mustRegister(t, s, circuit).digest)
+			for _, step := range []struct {
+				digest string
+				code   int
+			}{
+				{strings.Repeat("ab", 32), http.StatusNotFound},
+				{digest, http.StatusOK},
+			} {
+				blob, err := json.Marshal(tc.body(step.digest))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req, err := http.NewRequest(http.MethodPost, srv.URL+tc.path, bytes.NewReader(blob))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Authorization", "Bearer ka")
+				resp, err := srv.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != step.code {
+					t.Fatalf("digest %s…: got %d, want %d", step.digest[:8], resp.StatusCode, step.code)
+				}
+			}
+		})
 	}
 }
 

@@ -25,174 +25,39 @@ func (e *OverloadedError) Error() string {
 // the estimate costs two lock acquisitions the happy path should not pay).
 var errQueueFull = errors.New("service: queue full")
 
-// tenantFifo is one tenant's FIFO within the lane plus its deficit counter.
+// tenantFifo is one tenant's FIFO within the queue plus its deficit
+// counter.
 type tenantFifo struct {
 	jobs    []*job
 	deficit int64
-	active  bool // in the lane's round-robin ring
+	active  bool // in the queue's round-robin ring
 }
 
-// lane schedules the queued jobs with deficit round robin across
-// tenants: each tenant has its own FIFO, and the ring is visited
-// in order, a tenant's deficit topped up by the lane quantum per visit
-// and charged the popped job's cost (its gate count). The quantum tracks
-// the largest cost seen, so every visit can serve at least one job —
-// pops stay O(active tenants) worst case, O(1) amortized — while the
-// deficit still apportions *gates*, not job counts: a tenant submitting
-// mu=16 circuits gets proportionally fewer jobs per round than one
-// submitting mu=8. With a single (or anonymous) tenant the ring has one
-// entry and the lane degenerates to the plain FIFO it replaced.
-type lane struct {
+// jobQueue is the service's one bounded queue. Push is called by any
+// submitter; Pop and collect by any of the service's batch loops.
+// Bounding happens here — a full queue rejects instead of growing, which
+// is the service's backpressure point.
+//
+// It schedules the queued jobs with deficit round robin (DRR) across
+// tenants: each tenant has its own FIFO, and the ring is visited in
+// order, a tenant's deficit topped up by the quantum per visit and
+// charged the popped job's cost (its gate count). The quantum tracks the
+// largest cost seen, so every visit can serve at least one job — pops
+// stay O(active tenants) worst case, O(1) amortized — while the deficit
+// still apportions *gates*, not job counts: a tenant submitting mu=16
+// circuits gets proportionally fewer jobs per round than one submitting
+// mu=8. With a single (or anonymous) tenant the ring has one entry and
+// the queue is a plain FIFO.
+type jobQueue struct {
+	mu      sync.Mutex
 	fifos   map[string]*tenantFifo
 	ring    []string // round-robin order of tenants with queued jobs
 	rr      int      // current ring position
 	quantum int64
 	size    int
-}
-
-func newLane() *lane {
-	return &lane{fifos: make(map[string]*tenantFifo), quantum: 1}
-}
-
-func (l *lane) push(j *job) {
-	f := l.fifos[j.tenantID]
-	if f == nil {
-		f = &tenantFifo{}
-		l.fifos[j.tenantID] = f
-	}
-	if !f.active {
-		f.active = true
-		// A newly-(re)activated tenant enters at the CURRENT ring
-		// position, not the tail: the next pop serves it, so a
-		// quota-respecting tenant's latency behind a saturating one is
-		// bounded by the in-flight job plus its own — never a full round
-		// of someone else's backlog. This cannot be gamed for
-		// throughput: re-activation requires the fifo to have drained
-		// (forfeiting any backlog) and deactivation resets the deficit,
-		// so each entry is worth at most one quantum ahead of turn.
-		if len(l.ring) == 0 {
-			l.ring = append(l.ring, j.tenantID)
-		} else {
-			l.ring = append(l.ring, "")
-			copy(l.ring[l.rr+1:], l.ring[l.rr:])
-			l.ring[l.rr] = j.tenantID
-		}
-	}
-	f.jobs = append(f.jobs, j)
-	l.size++
-	if j.cost > l.quantum {
-		l.quantum = j.cost
-	}
-}
-
-// deactivate drops a drained tenant from the ring, resetting its deficit
-// so an idle tenant cannot bank credit (standard DRR).
-func (l *lane) deactivate(id string, ringIdx int) {
-	f := l.fifos[id]
-	f.active = false
-	f.deficit = 0
-	l.ring = append(l.ring[:ringIdx], l.ring[ringIdx+1:]...)
-	if l.rr > ringIdx {
-		l.rr--
-	}
-	if len(l.ring) > 0 {
-		l.rr %= len(l.ring)
-	} else {
-		l.rr = 0
-	}
-}
-
-// pop serves the next job under DRR, or nil if the lane is empty. With
-// at least one queued job this always serves: every non-serving visit
-// tops the visited tenant's deficit up by the quantum, so even a deficit
-// driven negative by out-of-band removals recovers in bounded rounds.
-// After a serve the ring advances unless the tenant's remaining deficit
-// covers its next job — a tenant is never topped up twice without every
-// other tenant getting a visit in between, which is what bounds any
-// tenant's share of the lane to quantum gates per round.
-func (l *lane) pop() *job {
-	if l.size == 0 {
-		return nil
-	}
-	for {
-		id := l.ring[l.rr]
-		f := l.fifos[id]
-		head := f.jobs[0]
-		if f.deficit < head.cost {
-			f.deficit += l.quantum
-		}
-		if f.deficit >= head.cost {
-			f.deficit -= head.cost
-			f.jobs = f.jobs[1:]
-			l.size--
-			if len(f.jobs) == 0 {
-				l.deactivate(id, l.rr)
-			} else if f.deficit < f.jobs[0].cost {
-				l.rr = (l.rr + 1) % len(l.ring)
-			}
-			return head
-		}
-		l.rr = (l.rr + 1) % len(l.ring)
-	}
-}
-
-// remove extracts an arbitrary queued job (coalescing). The
-// tenant's deficit is still charged so out-of-band departures don't
-// grant extra share — it may go negative, which just delays the
-// tenant's next DRR pop.
-func (l *lane) remove(j *job) {
-	f := l.fifos[j.tenantID]
-	for i, q := range f.jobs {
-		if q == j {
-			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
-			break
-		}
-	}
-	f.deficit -= j.cost
-	l.size--
-	if len(f.jobs) == 0 {
-		for ri, id := range l.ring {
-			if id == j.tenantID {
-				l.deactivate(id, ri)
-				break
-			}
-		}
-	}
-}
-
-// each visits every queued job in the lane (no particular order).
-func (l *lane) each(fn func(*job) bool) {
-	for _, f := range l.fifos {
-		for _, j := range f.jobs {
-			if !fn(j) {
-				return
-			}
-		}
-	}
-}
-
-// drain empties the lane, returning every queued job.
-func (l *lane) drain() []*job {
-	var out []*job
-	l.each(func(j *job) bool { out = append(out, j); return true })
-	l.fifos = make(map[string]*tenantFifo)
-	l.ring = nil
-	l.rr = 0
-	l.size = 0
-	return out
-}
-
-// jobQueue is the service's one bounded queue, one lane that fair-shares
-// across tenants via deficit round robin. Push is called by any
-// submitter; Pop and collect by any of the service's batch loops.
-// Bounding happens here — a full queue rejects instead of growing, which
-// is the service's backpressure point.
-type jobQueue struct {
-	mu     sync.Mutex
-	lane   *lane
-	cap    int
-	seq    uint64 // push order stamp, for collect's oldest-first pick
-	closed bool
+	cap     int
+	seq     uint64 // push order stamp, for collect's oldest-first pick
+	closed  bool
 	// arrived is closed and replaced by every push and every ended
 	// admission, waking every consumer waiting on it at once: idle loops
 	// in Pop and batch collectors waiting for a same-circuit arrival
@@ -204,6 +69,136 @@ type jobQueue struct {
 	// is still being read, decoded or logged. Batch collectors hold a
 	// batch open only while it is above zero.
 	admitting int
+}
+
+func newJobQueue(capacity int) *jobQueue {
+	return &jobQueue{
+		fifos:   make(map[string]*tenantFifo),
+		quantum: 1,
+		cap:     capacity,
+		arrived: make(chan struct{}),
+	}
+}
+
+// enqueueLocked appends j to its tenant's FIFO. The caller holds q.mu.
+func (q *jobQueue) enqueueLocked(j *job) {
+	f := q.fifos[j.tenantID]
+	if f == nil {
+		f = &tenantFifo{}
+		q.fifos[j.tenantID] = f
+	}
+	if !f.active {
+		f.active = true
+		// A newly-(re)activated tenant enters at the CURRENT ring
+		// position, not the tail: the next pop serves it, so a
+		// quota-respecting tenant's latency behind a saturating one is
+		// bounded by the in-flight job plus its own — never a full round
+		// of someone else's backlog. This cannot be gamed for
+		// throughput: re-activation requires the fifo to have drained
+		// (forfeiting any backlog) and deactivation resets the deficit,
+		// so each entry is worth at most one quantum ahead of turn.
+		if len(q.ring) == 0 {
+			q.ring = append(q.ring, j.tenantID)
+		} else {
+			q.ring = append(q.ring, "")
+			copy(q.ring[q.rr+1:], q.ring[q.rr:])
+			q.ring[q.rr] = j.tenantID
+		}
+	}
+	f.jobs = append(f.jobs, j)
+	q.size++
+	if j.cost > q.quantum {
+		q.quantum = j.cost
+	}
+}
+
+// deactivateLocked drops a drained tenant from the ring, resetting its
+// deficit so an idle tenant cannot bank credit (standard DRR). The caller
+// holds q.mu.
+func (q *jobQueue) deactivateLocked(id string, ringIdx int) {
+	f := q.fifos[id]
+	f.active = false
+	f.deficit = 0
+	q.ring = append(q.ring[:ringIdx], q.ring[ringIdx+1:]...)
+	if q.rr > ringIdx {
+		q.rr--
+	}
+	if len(q.ring) > 0 {
+		q.rr %= len(q.ring)
+	} else {
+		q.rr = 0
+	}
+}
+
+// popLocked serves the next job under DRR, or nil if the queue is empty.
+// With at least one queued job this always serves: every non-serving
+// visit tops the visited tenant's deficit up by the quantum, so even a
+// deficit driven negative by out-of-band removals recovers in bounded
+// rounds. After a serve the ring advances unless the tenant's remaining
+// deficit covers its next job — a tenant is never topped up twice
+// without every other tenant getting a visit in between, which is what
+// bounds any tenant's share of the queue to quantum gates per round. The
+// caller holds q.mu.
+func (q *jobQueue) popLocked() *job {
+	if q.size == 0 {
+		return nil
+	}
+	for {
+		id := q.ring[q.rr]
+		f := q.fifos[id]
+		head := f.jobs[0]
+		if f.deficit < head.cost {
+			f.deficit += q.quantum
+		}
+		if f.deficit >= head.cost {
+			f.deficit -= head.cost
+			f.jobs = f.jobs[1:]
+			q.size--
+			if len(f.jobs) == 0 {
+				q.deactivateLocked(id, q.rr)
+			} else if f.deficit < f.jobs[0].cost {
+				q.rr = (q.rr + 1) % len(q.ring)
+			}
+			return head
+		}
+		q.rr = (q.rr + 1) % len(q.ring)
+	}
+}
+
+// removeLocked extracts an arbitrary queued job (coalescing). The
+// tenant's deficit is still charged so out-of-band departures don't
+// grant extra share — it may go negative, which just delays the
+// tenant's next DRR pop. The caller holds q.mu.
+func (q *jobQueue) removeLocked(j *job) {
+	f := q.fifos[j.tenantID]
+	for i, x := range f.jobs {
+		if x == j {
+			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
+			break
+		}
+	}
+	f.deficit -= j.cost
+	q.size--
+	if len(f.jobs) == 0 {
+		for ri, id := range q.ring {
+			if id == j.tenantID {
+				q.deactivateLocked(id, ri)
+				break
+			}
+		}
+	}
+}
+
+// eachLocked visits every queued job (no particular order) until fn
+// returns false. The caller holds q.mu.
+func (q *jobQueue) eachLocked(fn func(*job) bool) {
+	for _, f := range q.fifos {
+		for _, j := range f.jobs {
+			if !fn(j) {
+				return
+			}
+		}
+	}
 }
 
 // admission is one submission on its way into the queue, from the moment
@@ -247,10 +242,6 @@ func (a *admission) closeLocked() bool {
 	return true
 }
 
-func newJobQueue(capacity int) *jobQueue {
-	return &jobQueue{lane: newLane(), cap: capacity, arrived: make(chan struct{})}
-}
-
 // Push enqueues the job and, under the same lock and with the same
 // wake-up, ends the admission that carried it (nil: none, or not yet —
 // a batch ends its one admission with its last statement's push).
@@ -274,12 +265,12 @@ func (q *jobQueue) push(j *job, a *admission, force bool) error {
 	if q.closed {
 		return errors.New("service: shutting down")
 	}
-	if !force && q.lane.size >= q.cap {
+	if !force && q.size >= q.cap {
 		return errQueueFull
 	}
 	q.seq++
 	j.pushSeq = q.seq
-	q.lane.push(j)
+	q.enqueueLocked(j)
 	a.closeLocked()
 	q.wakeLocked()
 	return nil
@@ -295,7 +286,7 @@ func (q *jobQueue) wakeLocked() {
 func (q *jobQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.lane.size
+	return q.size
 }
 
 // Admitting returns the number of submissions on their way in.
@@ -309,7 +300,7 @@ func (q *jobQueue) Admitting() int {
 func (q *jobQueue) tryPop() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.lane.pop()
+	return q.popLocked()
 }
 
 // Pop blocks until a job is available or the context is cancelled.
@@ -338,14 +329,14 @@ func (q *jobQueue) collect(digest [32]byte) (match *job, arrived <-chan struct{}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var best *job
-	q.lane.each(func(j *job) bool {
+	q.eachLocked(func(j *job) bool {
 		if j.digest == digest && (best == nil || j.pushSeq < best.pushSeq) {
 			best = j
 		}
 		return true
 	})
 	if best != nil {
-		q.lane.remove(best)
+		q.removeLocked(best)
 		return best, nil, false
 	}
 	return nil, q.arrived, q.admitting > 0
@@ -356,7 +347,7 @@ func (q *jobQueue) anyQueued(digest [32]byte, pred func(*job) bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	found := false
-	q.lane.each(func(j *job) bool {
+	q.eachLocked(func(j *job) bool {
 		found = j.digest == digest && pred(j)
 		return !found
 	})
@@ -377,5 +368,11 @@ func (q *jobQueue) Close() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	return q.lane.drain()
+	var out []*job
+	q.eachLocked(func(j *job) bool { out = append(out, j); return true })
+	q.fifos = make(map[string]*tenantFifo)
+	q.ring = nil
+	q.rr = 0
+	q.size = 0
+	return out
 }

@@ -101,9 +101,6 @@ type Config struct {
 	// JobRetention is how many finished jobs stay pollable via
 	// GET /v1/jobs/{id}. Default 1024.
 	JobRetention int
-	// MaxBodyBytes bounds HTTP request bodies. Default 512 MiB (a mu=20
-	// circuit blob is 256 MiB).
-	MaxBodyBytes int64
 	// MaxCircuits bounds the registry — the decoded tables of a mu=20
 	// circuit hold ~256 MiB, so like every other service resource the
 	// registry must reject rather than grow without limit. Default 4096.
@@ -144,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobRetention == 0 {
 		c.JobRetention = 1024
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 512 << 20
 	}
 	if c.MaxCircuits == 0 {
 		c.MaxCircuits = 4096
@@ -415,7 +409,7 @@ func (s *Service) replayStore() error {
 	for _, rec := range st.Pending {
 		entry, ok := s.Circuit(rec.Circuit)
 		if !ok {
-			s.store.Fail(rec.ID, "recovery: circuit not in store")
+			s.store.Finish(nil, []store.Failure{{ID: rec.ID, Msg: "recovery: circuit not in store"}})
 			restore(rec.ID, rec.Circuit, api.ProveResponse{Status: api.StatusFailed, Error: "recovery: circuit not in store"})
 			s.recovery.Failures++
 			continue
@@ -423,7 +417,7 @@ func (s *Service) replayStore() error {
 		assign := new(hyperplonk.Assignment)
 		if err := assign.UnmarshalBinary(rec.Witness); err != nil {
 			msg := fmt.Sprintf("recovery: decoding witness: %v", err)
-			s.store.Fail(rec.ID, msg)
+			s.store.Finish(nil, []store.Failure{{ID: rec.ID, Msg: msg}})
 			restore(rec.ID, rec.Circuit, api.ProveResponse{Status: api.StatusFailed, Error: msg})
 			s.recovery.Failures++
 			continue
@@ -515,7 +509,6 @@ func (s *Service) Close() {
 	}
 	s.wg.Wait()
 	if s.store != nil {
-		s.store.Sync()
 		s.store.Close()
 	}
 }
@@ -784,7 +777,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o s
 			// Neutralize the submit record — the client never saw the id,
 			// so replaying it after a restart would prove a job nobody
 			// can poll.
-			s.store.Fail(id, "rejected at admission: queue full")
+			s.store.Finish(nil, []store.Failure{{ID: id, Msg: "rejected at admission: queue full"}})
 		}
 		release()
 		if errors.Is(err, errQueueFull) {

@@ -46,7 +46,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(seg, append(hdr, body...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWAL(WALConfig{Dir: dir, SyncInterval: -1})
+		w, err := OpenWAL(WALConfig{Dir: dir})
 		if err != nil {
 			return // rejected garbage is fine; panicking is not
 		}
@@ -74,7 +74,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Replay of what we just wrote must also succeed: by
 		// construction the log now ends in valid records.
-		r, err := OpenWAL(WALConfig{Dir: dir, SyncInterval: -1})
+		r, err := OpenWAL(WALConfig{Dir: dir})
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

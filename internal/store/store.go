@@ -3,12 +3,13 @@
 // blobs the jobs reference, and the completed results clients poll for.
 //
 // WAL implements the Store interface: it persists every transition to an
-// append-only, checksummed, segmented write-ahead log with batched
-// fsyncs and periodic compaction, so a daemon restart (graceful or
-// SIGKILL) rebuilds its queues, circuit registry and completed-proof
-// results by replaying the log: an acknowledged job is never lost, it is
-// either re-proved or served from its recorded result. A service with no
-// store keeps its jobs in process memory only.
+// append-only, checksummed, segmented write-ahead log with periodic
+// compaction, and every call that records a transition returns only after
+// an fsync covering it, so a daemon restart (graceful or SIGKILL) rebuilds
+// its queues, circuit registry and completed-proof results by replaying
+// the log: an acknowledged job is never lost, it is either re-proved or
+// served from its recorded result. A service with no store keeps its jobs
+// in process memory only.
 //
 // The store records facts, not policy: a submitted job with no terminal
 // record is "pending", whether or not a shard had picked it up before a
@@ -76,10 +77,10 @@ type State struct {
 }
 
 // Store records job lifecycle transitions and circuit registrations.
-// All methods are safe for concurrent use. Append methods return only
-// after the record is in the log (durability of the write itself follows
-// the configured sync policy). Streamed witness bytes are the exception:
-// they are durable once the Submit that adopts them returns, not before.
+// All methods are safe for concurrent use. PutCircuit, Submit and Finish
+// return only after one fsync covering their records and any streamed
+// witness chunks written before them: streamed bytes are durable once the
+// Submit that adopts them returns, not before.
 type Store interface {
 	// PutCircuit persists a registered circuit blob. Idempotent.
 	PutCircuit(digest [32]byte, blob []byte) error
@@ -98,22 +99,16 @@ type Store interface {
 	// DiscardWitness drops streamed chunks for an upload that was
 	// aborted before Submit (client disconnect, validation failure).
 	DiscardWitness(id string) error
-	// Fail records a terminal failure (prover rejection). Transient
-	// failures must not be recorded — absence is what re-queues the job
-	// on replay.
-	Fail(id, msg string) error
-	// Finish records the terminal records of a batch — successful results
-	// and failures as Fail would — and makes them durable together: a
-	// per-record sync policy pays one fsync for the batch, after its last
-	// record, not one per record. The store may retain each result's
-	// Proof and PublicInputs rather than copy them, so the caller must not
-	// modify them afterwards.
+	// Finish records the terminal records of a batch, successful results
+	// and terminal failures (prover rejections), with one fsync after its
+	// last record. Transient failures must not be recorded — absence is
+	// what re-queues the job on replay. The store may retain each
+	// result's Proof and PublicInputs rather than copy them, so the caller
+	// must not modify them afterwards.
 	Finish(done []Result, failed []Failure) error
 	// State snapshots the store's current state (on a fresh open, the
 	// recovered state). The snapshot is independent of later appends.
 	State() State
-	// Sync forces buffered records to stable storage.
-	Sync() error
 	Close() error
 }
 

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // WAL wire format. Each segment file is
@@ -53,15 +52,6 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 type WALConfig struct {
 	// Dir is the segment directory; created if missing. Required.
 	Dir string
-	// SyncInterval batches fsyncs: appends mark the log dirty and a
-	// flusher syncs at this cadence, so a burst of submits pays one
-	// fsync instead of one each. 0 fsyncs every acknowledged record
-	// before its call returns (maximum durability); streamed chunk
-	// records are never synced on their own and become durable with
-	// the record that follows them in the log, the adopting submit.
-	// Negative never syncs explicitly (the OS decides — for tests and
-	// throwaway runs).
-	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment past this size.
 	// Default 64 MiB.
 	SegmentBytes int64
@@ -92,7 +82,7 @@ type WALStats struct {
 	// Segments and LogBytes describe the on-disk log right now.
 	Segments int
 	LogBytes int64
-	// Appends and SyncedAppends count records written and fsync calls.
+	// Appends and Syncs count records written and fsync calls.
 	Appends int64
 	Syncs   int64
 	// Compactions counts snapshot rewrites since open.
@@ -112,18 +102,16 @@ type WALStats struct {
 type WAL struct {
 	cfg WALConfig
 
-	mu       sync.Mutex
-	st       *memState
-	active   *os.File
-	actSeq   uint64
-	actSize  int64
-	total    int64 // bytes across all segments
-	liveEst  int64 // estimated bytes a snapshot would write
-	dirty    bool
-	closed   bool
-	stats    WALStats
-	flushkil chan struct{}
-	flushwg  sync.WaitGroup
+	mu      sync.Mutex
+	st      *memState
+	active  *os.File
+	actSeq  uint64
+	actSize int64
+	total   int64 // bytes across all segments
+	liveEst int64 // estimated bytes a snapshot would write
+	dirty   bool  // records written since the last fsync
+	closed  bool
+	stats   WALStats
 }
 
 // OpenWAL opens (creating if needed) the log in cfg.Dir, replays every
@@ -138,11 +126,7 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	w := &WAL{
-		cfg:      cfg,
-		st:       newMemState(cfg.Retention),
-		flushkil: make(chan struct{}),
-	}
+	w := &WAL{cfg: cfg, st: newMemState(cfg.Retention)}
 	if err := w.replayDir(); err != nil {
 		return nil, err
 	}
@@ -159,10 +143,6 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	w.liveEst = w.estimateLive()
 	if err := w.openActive(); err != nil {
 		return nil, err
-	}
-	if cfg.SyncInterval > 0 {
-		w.flushwg.Add(1)
-		go w.flushLoop()
 	}
 	return w, nil
 }
@@ -361,20 +341,19 @@ func (w *WAL) openActive() error {
 }
 
 // append frames, checksums and writes one record payload under the lock,
-// then applies it to the mirror and runs the sync/rotate/compact policy.
-// It is appendApplying with the mirror fed by decoding the payload.
-// Under SyncInterval 0 every record is synced before append returns but
-// a chunk, which its adopting submit's sync covers.
+// then applies it to the mirror and runs the rotate/compact policy. It is
+// appendApplying with the mirror fed by decoding the payload.
 func (w *WAL) append(payload []byte) error {
-	return w.appendApplying(payload, true, func() error { return w.applyRecord(payload) })
+	return w.appendApplying(payload, func() error { return w.applyRecord(payload) })
 }
 
 // appendApplying is append with apply folding the record into the mirror:
 // a caller that holds the decoded record hands it over instead of having
-// the payload decoded, and copied, again. With sync false the record
-// gets no fsync of its own whatever its kind: the caller syncs after it
-// (Finish).
-func (w *WAL) appendApplying(payload []byte, sync bool, apply func() error) error {
+// the payload decoded, and copied, again. It syncs nothing but a segment
+// it seals: an acknowledging call syncs once after its last record
+// (syncLocked), and that fsync covers the streamed chunk records before
+// them too.
+func (w *WAL) appendApplying(payload []byte, apply func() error) error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -392,12 +371,6 @@ func (w *WAL) appendApplying(payload []byte, sync bool, apply func() error) erro
 		return err
 	}
 	w.dirty = true
-	if sync && w.cfg.SyncInterval == 0 && payload[0] != recChunk {
-		// The sync covers any chunks before this record.
-		if err := w.syncLocked(); err != nil {
-			return err
-		}
-	}
 	if w.actSize >= w.cfg.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
@@ -532,28 +505,6 @@ func (w *WAL) Compact() error {
 	return w.compactLocked()
 }
 
-// flushLoop batches fsyncs at the configured cadence.
-func (w *WAL) flushLoop() {
-	defer w.flushwg.Done()
-	t := time.NewTicker(w.cfg.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			w.mu.Lock()
-			if w.dirty && !w.closed {
-				if w.active.Sync() == nil {
-					w.stats.Syncs++
-					w.dirty = false
-				}
-			}
-			w.mu.Unlock()
-		case <-w.flushkil:
-			return
-		}
-	}
-}
-
 func (w *WAL) PutCircuit(digest [32]byte, blob []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -561,7 +512,10 @@ func (w *WAL) PutCircuit(digest [32]byte, blob []byte) error {
 		return nil // already durable; don't re-log multi-MiB blobs
 	}
 	w.liveEst += int64(len(blob)) + 64
-	return w.append(encodeCircuit(digest, blob))
+	if err := w.append(encodeCircuit(digest, blob)); err != nil {
+		return err
+	}
+	return w.syncLocked()
 }
 
 func (w *WAL) Submit(j JobRecord) error {
@@ -578,7 +532,10 @@ func (w *WAL) Submit(j JobRecord) error {
 		return fmt.Errorf("store: submit %s: no streamed witness", j.ID)
 	}
 	w.liveEst += int64(len(j.Witness)+len(j.ID)) + 64
-	return w.append(encodeSubmit(j))
+	if err := w.append(encodeSubmit(j)); err != nil {
+		return err
+	}
+	return w.syncLocked()
 }
 
 // walChunkBytes is the largest chunk record a witness upload writes.
@@ -667,48 +624,14 @@ func (w *WAL) DiscardWitness(id string) error {
 }
 
 // Complete records one job's successful result: Finish of one result.
-// The WAL may retain r.Proof and r.PublicInputs rather than copy them, so
-// the caller must not modify them afterwards.
 func (w *WAL) Complete(r Result) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.completeLocked(r, true)
+	return w.Finish([]Result{r}, nil)
 }
 
-// completeLocked appends r's done record, synced per policy when sync is
-// set.
-func (w *WAL) completeLocked(r Result, sync bool) error {
-	if j := w.st.pending[r.ID]; j != nil {
-		w.liveEst -= int64(len(j.Witness)) // witness no longer live
-	}
-	w.liveEst += int64(len(r.Proof)+32*len(r.PublicInputs)) + 64
-	// The mirror keeps r itself: its proof is the blob the caller already
-	// retains for polling, so re-decoding the record would hold a copy.
-	return w.appendApplying(encodeDone(r), sync, func() error {
-		w.st.complete(r)
-		return nil
-	})
-}
-
-func (w *WAL) Fail(id, msg string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.failLocked(id, msg, true)
-}
-
-// failLocked appends id's fail record, synced per policy when sync is
-// set.
-func (w *WAL) failLocked(id, msg string, sync bool) error {
-	if j := w.st.pending[id]; j != nil {
-		w.liveEst -= int64(len(j.Witness))
-	}
-	payload := encodeFail(id, msg)
-	return w.appendApplying(payload, sync, func() error { return w.applyRecord(payload) })
-}
-
-// Finish appends the done and fail records as Complete and Fail would,
-// none synced on its own; under SyncInterval 0 one fsync after the last
-// record makes them all durable before Finish returns.
+// Finish appends a done record per result and a fail record per failure
+// and returns after one fsync covering them all. The WAL may retain each
+// result's Proof and PublicInputs rather than copy them, so the caller
+// must not modify them afterwards.
 func (w *WAL) Finish(done []Result, failed []Failure) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -716,19 +639,29 @@ func (w *WAL) Finish(done []Result, failed []Failure) error {
 		return ErrClosed
 	}
 	for _, r := range done {
-		if err := w.completeLocked(r, false); err != nil {
+		if j := w.st.pending[r.ID]; j != nil {
+			w.liveEst -= int64(len(j.Witness)) // witness no longer live
+		}
+		w.liveEst += int64(len(r.Proof)+32*len(r.PublicInputs)) + 64
+		// The mirror keeps r itself: its proof is the blob the caller
+		// already retains for polling, so re-decoding the record would
+		// hold a copy.
+		if err := w.appendApplying(encodeDone(r), func() error {
+			w.st.complete(r)
+			return nil
+		}); err != nil {
 			return err
 		}
 	}
 	for _, f := range failed {
-		if err := w.failLocked(f.ID, f.Msg, false); err != nil {
+		if j := w.st.pending[f.ID]; j != nil {
+			w.liveEst -= int64(len(j.Witness))
+		}
+		if err := w.append(encodeFail(f.ID, f.Msg)); err != nil {
 			return err
 		}
 	}
-	if w.cfg.SyncInterval == 0 {
-		return w.syncLocked()
-	}
-	return nil
+	return w.syncLocked()
 }
 
 func (w *WAL) State() State {
@@ -746,15 +679,6 @@ func (w *WAL) Stats() WALStats {
 	return st
 }
 
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.syncLocked()
-}
-
 // syncLocked fsyncs the active segment if anything was appended since the
 // last sync.
 func (w *WAL) syncLocked() error {
@@ -769,24 +693,18 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
+// Close syncs any records written since the last fsync and closes the
+// log; later appends get ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	var err error
-	if w.dirty {
-		err = w.active.Sync()
-	}
+	err := w.syncLocked()
 	if cerr := w.active.Close(); err == nil {
 		err = cerr
-	}
-	w.mu.Unlock()
-	if w.cfg.SyncInterval > 0 {
-		close(w.flushkil)
-		w.flushwg.Wait()
 	}
 	return err
 }

@@ -45,7 +45,7 @@ func TestMemLifecycle(t *testing.T) {
 	if err := w.Submit(JobRecord{ID: "job-2", Circuit: d, Witness: []byte("w2")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Fail("job-2", "rejected"); err != nil {
+	if err := w.Finish(nil, []Failure{{ID: "job-2", Msg: "rejected"}}); err != nil {
 		t.Fatal(err)
 	}
 	st := w.State()
@@ -161,7 +161,7 @@ func TestWALRoundtrip(t *testing.T) {
 	if err := w.Complete(Result{ID: "job-a", Proof: []byte("pa"), PublicInputs: [][]byte{make([]byte, 32)}, ProverNS: 42}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Fail("job-c", "bad witness"); err != nil {
+	if err := w.Finish(nil, []Failure{{ID: "job-c", Msg: "bad witness"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -470,25 +470,33 @@ func TestWALRetentionEviction(t *testing.T) {
 	}
 }
 
-func TestWALSyncModes(t *testing.T) {
-	for _, iv := range []time.Duration{0, time.Millisecond, -1} {
-		t.Run(fmt.Sprintf("interval=%d", iv), func(t *testing.T) {
-			dir := t.TempDir()
-			w := mustOpen(t, WALConfig{Dir: dir, SyncInterval: iv})
-			w.Submit(JobRecord{ID: "job-1", Circuit: digestOf(11), Witness: []byte("w")})
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if iv > 0 {
-				time.Sleep(5 * time.Millisecond) // let the flusher tick
-			}
-			w.Close()
-			r := mustOpen(t, WALConfig{Dir: dir})
-			if len(r.State().Pending) != 1 {
-				t.Fatal("record lost")
-			}
-			r.Close()
-		})
+// TestWALSyncsEveryCall: each call that acknowledges records returns
+// after exactly one fsync, whatever the number of records it writes.
+func TestWALSyncsEveryCall(t *testing.T) {
+	w := mustOpen(t, WALConfig{Dir: t.TempDir()})
+	defer w.Close()
+	d := digestOf(11)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"PutCircuit", func() error { return w.PutCircuit(d, []byte("blob")) }},
+		{"Submit", func() error { return w.Submit(JobRecord{ID: "job-1", Circuit: d, Witness: []byte("w")}) }},
+		{"Submit", func() error { return w.Submit(JobRecord{ID: "job-2", Circuit: d, Witness: []byte("w")}) }},
+		{"Submit", func() error { return w.Submit(JobRecord{ID: "job-3", Circuit: d, Witness: []byte("w")}) }},
+		{"Complete", func() error { return w.Complete(Result{ID: "job-1", Circuit: d, Proof: []byte("p")}) }},
+		{"Finish", func() error {
+			return w.Finish([]Result{{ID: "job-2", Circuit: d, Proof: []byte("p")}}, []Failure{{ID: "job-3", Msg: "rejected"}})
+		}},
+	} {
+		before := w.Stats()
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after := w.Stats()
+		if after.Syncs != before.Syncs+1 {
+			t.Fatalf("%s after %d appends: %d fsyncs, want 1", c.name, after.Appends-before.Appends, after.Syncs-before.Syncs)
+		}
 	}
 }
 
@@ -498,7 +506,7 @@ func TestWALSyncModes(t *testing.T) {
 // lost or duplicated.
 func TestWALConcurrentAppendCompactReplay(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, WALConfig{Dir: dir, SegmentBytes: 16 << 10, SyncInterval: -1})
+	w := mustOpen(t, WALConfig{Dir: dir, SegmentBytes: 16 << 10})
 	d := digestOf(12)
 	if err := w.PutCircuit(d, []byte("blob")); err != nil {
 		t.Fatal(err)
@@ -539,7 +547,7 @@ func TestWALConcurrentAppendCompactReplay(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if err := w.Fail(id, "rejected"); err != nil {
+					if err := w.Finish(nil, []Failure{{ID: id, Msg: "rejected"}}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -648,7 +656,7 @@ func TestWALReplaysPriorityByte(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-000000000001.wal"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w := mustOpen(t, WALConfig{Dir: dir, SyncInterval: -1})
+	w := mustOpen(t, WALConfig{Dir: dir})
 	defer w.Close()
 	st := w.State()
 	if len(st.Pending) != len(ids) {
@@ -751,7 +759,7 @@ func TestWALReplaysClaimRecords(t *testing.T) {
 	if err := w.Submit(JobRecord{ID: "job-d", Circuit: d, Witness: []byte("wd")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Fail("job-d", "rejected"); err != nil {
+	if err := w.Finish(nil, []Failure{{ID: "job-d", Msg: "rejected"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

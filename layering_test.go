@@ -113,8 +113,9 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // claim record, the micro-suite's second shape (its quick and e2e-mu
 // flags, the list parser and the per-shape config), the client's
 // auto-retry options, the prove routes' register-on-use resolver, the
-// advertised scheme's JSON field or the root scheme list (WithPCSScheme,
-// pcs.Scheme and pcs.Schemes stay); nothing calls the
+// advertised scheme's JSON field, the root scheme list (WithPCSScheme,
+// pcs.Scheme and pcs.Schemes stay), the job store's fsync knob, flusher,
+// Sync and Fail methods or the request-body limit option; nothing calls the
 // sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
@@ -128,8 +129,10 @@ func TestOnePathPerLayer(t *testing.T) {
 	// benchmark re-export layer, the shifted-opening surface, the priority
 	// lanes, the per-request scheme pin, the WAL claim record, the
 	// micro-suite's quick/full shapes, two unused root aliases, the client
-	// auto-retry, register-on-use and the scheme advertisement are
-	// spelled in halves, so a grep of the tree for them finds none here.
+	// auto-retry, register-on-use, the scheme advertisement, the store's
+	// sync modes with Store.Sync and Store.Fail, and the body-limit
+	// option are spelled in halves, so a grep of the tree for them finds
+	// none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -148,6 +151,9 @@ func TestOnePathPerLayer(t *testing.T) {
 		"ServiceBackend" + "Stats", "ServiceOverloaded" + "Error",
 		"\"e2e" + "-mu\"", "\"qu" + "ick\"", "parseMu" + "List", "default" + "Config",
 		"WithAuto" + "Retry", "WithRetry" + "Backoff", "resolve" + "Circuit", "pcs_" + "scheme", "PCS" + "Schemes",
+		"Sync" + "Interval", "Store" + "Sync", "store" + "-sync", "flush" + "Loop", "flush" + "kil", "flush" + "wg",
+		"store." + "Sync(", "store." + "Fail(", "(w *WAL) " + "Sync(", "(w *WAL) " + "Fail(",
+		"\tSync" + "() error", "\tFail" + "(id, msg string) error", "MaxBody" + "Bytes",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be

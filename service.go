@@ -58,8 +58,6 @@ type ServiceConfig struct {
 	// JobRetention is how many finished jobs stay pollable via
 	// GET /v1/jobs/{id}. Default 1024.
 	JobRetention int
-	// MaxBodyBytes bounds HTTP request bodies. Default 512 MiB.
-	MaxBodyBytes int64
 	// MaxCircuits bounds the circuit registry (decoded circuit tables are
 	// large, so registrations must reject rather than grow without
 	// limit). Default 4096.
@@ -70,15 +68,11 @@ type ServiceConfig struct {
 	// directory. On startup the log is replayed — circuits re-register,
 	// jobs a previous incarnation acknowledged but never finished re-queue
 	// under their original ids, completed results stay pollable — and on
-	// shutdown queued jobs drain to the store instead of failing. Empty
-	// keeps jobs in process memory only.
+	// shutdown queued jobs drain to the store instead of failing. Every
+	// call that acknowledges a job, a registration or a result returns
+	// after an fsync covering its records. Empty keeps jobs in process
+	// memory only.
 	StoreDir string
-	// StoreSync tunes the WAL fsync policy: 0 fsyncs every acknowledged
-	// record before its call returns (safest), and a streamed witness's
-	// chunk records become durable with the submit record that adopts
-	// them; >0 batches syncs at that interval, <0 leaves flushing to the
-	// OS. Ignored without StoreDir.
-	StoreSync time.Duration
 	// TenantsFile, when non-empty, is a JSON tenants file ({"tenants":
 	// [{"id", "key", quotas...}]}) enabling API-key authentication,
 	// per-tenant quotas, and fair-share scheduling on the /v1 endpoints.
@@ -104,15 +98,10 @@ func NewService(cfg ServiceConfig, opts ...Option) (*ProverService, error) {
 		MaxBatch:      cfg.MaxBatch,
 		CacheSize:     cfg.CacheSize,
 		JobRetention:  cfg.JobRetention,
-		MaxBodyBytes:  cfg.MaxBodyBytes,
 		MaxCircuits:   cfg.MaxCircuits,
 	}
 	if cfg.StoreDir != "" {
-		wal, err := store.OpenWAL(store.WALConfig{
-			Dir:          cfg.StoreDir,
-			SyncInterval: cfg.StoreSync,
-			Retention:    cfg.JobRetention,
-		})
+		wal, err := store.OpenWAL(store.WALConfig{Dir: cfg.StoreDir, Retention: cfg.JobRetention})
 		if err != nil {
 			return nil, fmt.Errorf("zkspeed: opening job store: %w", err)
 		}

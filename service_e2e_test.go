@@ -9,8 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -336,17 +336,18 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 
 // TestNewServiceConstructionErrors drives NewService's refusals on a
 // durable store: an entropy source that fails the 64-byte seed read and
-// a missing tenants file each return an error instead of a half-built service, and none leaves the store it
-// opened running (a WAL with a sync interval keeps a flush goroutine until
-// it is closed). A service then built with good options on the same store
-// directory starts, has replayed nothing, and proves a statement that
-// verifies.
+// a missing tenants file each return an error instead of a half-built
+// service, and none leaves the store it opened running: the process has
+// as many open files after the refusal as before it (an open WAL holds
+// its active segment). A service then built with good options on the
+// same store directory starts, has replayed nothing, and proves a
+// statement that verifies.
 func TestNewServiceConstructionErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real proof")
 	}
 	dir := t.TempDir()
-	durable := zkspeed.ServiceConfig{StoreDir: dir, StoreSync: time.Hour}
+	durable := zkspeed.ServiceConfig{StoreDir: dir}
 	noTenants := durable
 	noTenants.TenantsFile = filepath.Join(dir, "absent.json")
 	cases := []struct {
@@ -357,14 +358,14 @@ func TestNewServiceConstructionErrors(t *testing.T) {
 		{"entropy error", durable, zkspeed.WithEntropy(iotest.ErrReader(errors.New("entropy unavailable")))},
 		{"missing tenants file", noTenants, zkspeed.WithEntropy(zkspeed.SeededEntropy(3))},
 	}
-	flushers := walFlushers()
+	files := openFiles(t)
 	for _, tc := range cases {
 		if svc, err := zkspeed.NewService(tc.cfg, tc.opt); err == nil {
 			svc.Close()
 			t.Fatalf("%s: NewService succeeded", tc.name)
 		}
-		if n := walFlushers(); n != flushers {
-			t.Fatalf("%s: %d WAL flush goroutines after the refusal, want %d: the store was not closed", tc.name, n, flushers)
+		if n := openFiles(t); n != files {
+			t.Fatalf("%s: %d open files after the refusal, want %d: the store was not closed", tc.name, n, files)
 		}
 	}
 
@@ -394,16 +395,15 @@ func TestNewServiceConstructionErrors(t *testing.T) {
 	}
 }
 
-// walFlushers counts the goroutines running an open WAL's sync loop.
-func walFlushers() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "store.(*WAL).flushLoop(")
-		}
-		buf = make([]byte, 2*len(buf))
+// openFiles counts the process's open file descriptors; it skips the test
+// where /proc/self/fd cannot be read.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("counting open files: %v", err)
 	}
+	return len(fds)
 }
 
 // buildServiceCircuit compiles x²+3x+5 == y (y public) for the given x:
