@@ -500,6 +500,40 @@ func TestWALSyncsEveryCall(t *testing.T) {
 	}
 }
 
+// TestWALSyncModes: the WAL has one sync mode left, the per-record rule
+// once selected by a zero sync interval. A record Submit acknowledged is
+// in the segment files before Close: a copy of the directory taken while
+// the WAL is still open, as a killed process would leave it, replays it.
+func TestWALSyncModes(t *testing.T) {
+	t.Run("interval=0", func(t *testing.T) {
+		dir := t.TempDir()
+		w := mustOpen(t, WALConfig{Dir: dir})
+		defer w.Close()
+		if err := w.Submit(JobRecord{ID: "job-1", Circuit: digestOf(11), Witness: []byte("w")}); err != nil {
+			t.Fatal(err)
+		}
+		crashed := t.TempDir()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(crashed, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := mustOpen(t, WALConfig{Dir: crashed})
+		defer r.Close()
+		if len(r.State().Pending) != 1 {
+			t.Fatal("acknowledged record lost")
+		}
+	})
+}
+
 // TestWALConcurrentAppendCompactReplay is the race-detector test from the
 // issue: appends, streamed chunk writes, compactions and State snapshots
 // racing on one WAL, then a replay verifying nothing acknowledged was
