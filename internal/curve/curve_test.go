@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"encoding/hex"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -464,6 +465,124 @@ func BenchmarkG1IsInSubgroup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !p.IsInSubgroup() {
 			b.Fatal("subgroup point rejected")
+		}
+	}
+}
+
+// TestG1CompressedEncoding covers the 48-byte form: the generator's
+// well-known ZCash encoding, round trips of both y signs and of infinity,
+// and the refusal of every non-canonical or non-G1 spelling — x ≥ p, an x
+// naming no curve point, a curve point outside G1, a clear compression
+// flag, and infinity with a stray bit or the sign flag set.
+func TestG1CompressedEncoding(t *testing.T) {
+	g := G1Generator()
+	enc := g.BytesCompressed()
+	const wantGen = "97f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac586c55e83ff97a1aeffb3af00adb22c6bb"
+	if got := hex.EncodeToString(enc[:]); got != wantGen {
+		t.Fatalf("generator encodes as %s, want %s", got, wantGen)
+	}
+	rng := rand.New(rand.NewSource(52))
+	signs := map[bool]int{}
+	for i := 0; i < 8; i++ {
+		p := randG1(rng)
+		var neg G1Affine
+		neg.Neg(&p)
+		for _, q := range []G1Affine{p, neg} {
+			enc := q.BytesCompressed()
+			signs[enc[0]&flagSign != 0]++
+			var back G1Affine
+			if err := back.SetBytesCompressed(enc[:]); err != nil {
+				t.Fatalf("valid point rejected: %v", err)
+			}
+			if !back.Equal(&q) {
+				t.Fatal("compressed round trip changed the point")
+			}
+		}
+	}
+	if signs[true] != 8 || signs[false] != 8 {
+		t.Fatalf("P and -P must carry opposite sign flags: %v", signs)
+	}
+	inf := G1Infinity()
+	infEnc := inf.BytesCompressed()
+	var back G1Affine
+	if err := back.SetBytesCompressed(infEnc[:]); err != nil || !back.Inf {
+		t.Fatalf("infinity round trip: %v, inf=%v", err, back.Inf)
+	}
+	if infEnc[0] != flagCompressed|flagInfinity || !allZero(infEnc[1:]) {
+		t.Fatalf("infinity encodes as %x", infEnc)
+	}
+
+	reject := func(name string, b []byte) {
+		t.Helper()
+		var p G1Affine
+		if err := p.SetBytesCompressed(b); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+	withX := func(x *big.Int, flags byte) []byte {
+		b := make([]byte, G1CompressedLen)
+		x.FillBytes(b)
+		b[0] |= flags
+		return b
+	}
+	p := ff.FpModulusBig()
+	reject("x = p", withX(p, flagCompressed))
+	reject("x = p+1", withX(new(big.Int).Add(p, big.NewInt(1)), flagCompressed))
+	reject("x = 2^381-1", withX(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 381), big.NewInt(1)), flagCompressed|flagSign))
+	// A G1 point whose x+p still fits below the flag bits: x+p names the
+	// same x, and that second spelling must be refused.
+	var acc G1Jac
+	var small G1Affine
+	acc.FromAffine(&g)
+	for {
+		acc.AddMixed(&g)
+		small.FromJacobian(&acc)
+		if new(big.Int).Add(small.X.BigInt(), p).BitLen() <= 381 {
+			break
+		}
+	}
+	smallEnc := small.BytesCompressed()
+	if err := back.SetBytesCompressed(smallEnc[:]); err != nil || !back.Equal(&small) {
+		t.Fatalf("small-x point round trip: %v", err)
+	}
+	reject("x+p spelling of a G1 point's x", withX(new(big.Int).Add(small.X.BigInt(), p), smallEnc[0]&flagMask))
+	for x := int64(1); ; x++ {
+		var fx, rhs, y ff.Fp
+		fx.SetUint64(uint64(x))
+		rhs.Square(&fx)
+		rhs.Mul(&rhs, &fx)
+		rhs.Add(&rhs, &curveB)
+		if !y.Sqrt(&rhs) {
+			reject("x naming no curve point", withX(big.NewInt(x), flagCompressed))
+			break
+		}
+	}
+	off := onCurveG1(3)
+	offEnc := off.BytesCompressed()
+	reject("curve point outside G1", offEnc[:])
+	noFlag := enc
+	noFlag[0] &^= flagCompressed
+	reject("compression flag clear", noFlag[:])
+	infSign := infEnc
+	infSign[0] |= flagSign
+	reject("infinity with the sign flag", infSign[:])
+	infLow := infEnc
+	infLow[0] |= 0x01
+	reject("infinity with a stray bit in byte 0", infLow[:])
+	infTail := infEnc
+	infTail[47] = 1
+	reject("infinity with a stray bit in its tail", infTail[:])
+	reject("short encoding", enc[:47])
+	reject("uncompressed infinity", make([]byte, G1CompressedLen))
+}
+
+func BenchmarkG1Decompress(b *testing.B) {
+	q := randG1(rand.New(rand.NewSource(53)))
+	enc := q.BytesCompressed()
+	var p G1Affine
+	for i := 0; i < b.N; i++ {
+		if err := p.SetBytesCompressed(enc[:]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,6 +6,8 @@
 package curve
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/bits"
 	"sync"
@@ -178,6 +180,90 @@ func (p *G1Affine) Bytes() [96]byte {
 	copy(out[:48], x[:])
 	copy(out[48:], y[:])
 	return out
+}
+
+// G1CompressedLen is the size of the compressed G1 encoding.
+const G1CompressedLen = ff.FpBytes
+
+// Flag bits of the compressed encoding's first byte (the ZCash BLS12-381
+// form): the encoding is compressed, the point is infinity, and y is the
+// lexicographically larger of ±y.
+const (
+	flagCompressed = 0x80
+	flagInfinity   = 0x40
+	flagSign       = 0x20
+	flagMask       = flagCompressed | flagInfinity | flagSign
+)
+
+// BytesCompressed returns the 48-byte compressed encoding: x big-endian
+// with the three flag bits in the top of its first byte (x < 2^381 leaves
+// them free); infinity is the infinity and compression flags alone.
+func (p *G1Affine) BytesCompressed() [G1CompressedLen]byte {
+	var out [G1CompressedLen]byte
+	if p.Inf {
+		out[0] = flagCompressed | flagInfinity
+		return out
+	}
+	out = p.X.Bytes()
+	out[0] |= flagCompressed
+	if p.Y.LexicographicallyLargest() {
+		out[0] |= flagSign
+	}
+	return out
+}
+
+// SetBytesCompressed decodes the encoding BytesCompressed produces and
+// accepts exactly the points of G1, each in its one canonical spelling:
+// the compression flag must be set; infinity carries no other bit; x must
+// be below p and name a curve point, whose y the sign flag picks; and
+// the point must pass IsInSubgroup. On error p is unspecified.
+func (p *G1Affine) SetBytesCompressed(buf []byte) error {
+	if len(buf) != G1CompressedLen {
+		return fmt.Errorf("curve: compressed G1 point has %d bytes, want %d", len(buf), G1CompressedLen)
+	}
+	flags := buf[0] & flagMask
+	if flags&flagCompressed == 0 {
+		return errors.New("curve: G1 point encoding lacks the compression flag")
+	}
+	if flags&flagInfinity != 0 {
+		if flags&flagSign != 0 || buf[0]&^flagMask != 0 || !allZero(buf[1:]) {
+			return errors.New("curve: non-canonical encoding of the G1 point at infinity")
+		}
+		*p = G1Infinity()
+		return nil
+	}
+	var xb [G1CompressedLen]byte
+	copy(xb[:], buf)
+	xb[0] &^= flagMask
+	p.Inf = false
+	if !p.X.SetCanonicalBytes(xb[:]) {
+		return errors.New("curve: non-canonical G1 x coordinate")
+	}
+	var rhs ff.Fp
+	rhs.Square(&p.X)
+	rhs.Mul(&rhs, &p.X)
+	rhs.Add(&rhs, &curveB)
+	if !p.Y.Sqrt(&rhs) {
+		return errors.New("curve: G1 x coordinate names no curve point")
+	}
+	if p.Y.LexicographicallyLargest() != (flags&flagSign != 0) {
+		p.Y.Neg(&p.Y)
+	}
+	// On the curve is not enough: G1 has a cofactor, and a verifier moves
+	// scalars across pairings, which is sound only for points of order r.
+	if !p.IsInSubgroup() {
+		return errors.New("curve: G1 point outside the order-r subgroup")
+	}
+	return nil
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // FromJacobian converts q to affine coordinates, sets p, and returns p.

@@ -79,7 +79,8 @@ func Table4() string {
 	cpuS := sim.CPUTimeMS(24) / 1000
 
 	// HyperPlonk proof size at μ=24 under this implementation: the PST
-	// proof layout's accounting, uncompressed G1 points, header excluded.
+	// proof layout's accounting (ZKSP v4: 48-byte compressed G1 points,
+	// identity rounds of 4 values, 17 evaluations), header excluded.
 	proofBytes, _ := hyperplonk.ProofSize(pcs.SchemePST, 24) // errs only for an unknown scheme
 	proofKB := float64(proofBytes) / 1024
 

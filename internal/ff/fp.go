@@ -22,6 +22,8 @@ var (
 	fpRSquare Fp
 	fpOne     Fp
 	fpQMinus2 Fp // p-2, the Fermat inversion exponent (not Montgomery)
+	fpSqrtExp Fp // (p+1)/4, the square-root exponent (not Montgomery)
+	fpHalf    Fp // (p-1)/2, the largest "small" value (not Montgomery)
 	fpModulus *big.Int
 )
 
@@ -41,6 +43,8 @@ func init() {
 	for i := 1; i < 6; i++ {
 		fpQMinus2[i], b = bits.Sub64(fpQ[i], 0, b)
 	}
+	bigToWords(new(big.Int).Rsh(new(big.Int).Add(q, big.NewInt(1)), 2), fpSqrtExp[:])
+	bigToWords(new(big.Int).Rsh(q, 1), fpHalf[:])
 	initFpInverse()
 	initFrobCoeff()
 }
@@ -133,6 +137,19 @@ func (z *Fp) SetCanonicalBytes(buf []byte) bool {
 	c.toMont()
 	*z = c
 	return true
+}
+
+// LexicographicallyLargest reports whether z > (p−1)/2, i.e. whether z is
+// the larger of {z, −z} as an integer — the sign a compressed point
+// encoding carries for its y coordinate.
+func (z *Fp) LexicographicallyLargest() bool {
+	c := *z
+	c.fromMont()
+	var b uint64
+	for i := 0; i < 6; i++ {
+		_, b = bits.Sub64(fpHalf[i], c[i], b)
+	}
+	return b != 0 // (p−1)/2 − c borrowed: c > (p−1)/2
 }
 
 // Equal reports whether z == x. It compares limbs: an array comparison
@@ -285,21 +302,29 @@ func (z *Fp) Inverse(x *Fp) *Fp {
 	if x.IsZero() {
 		return z.SetZero()
 	}
+	return z.expLimbs(x, &fpQMinus2)
+}
+
+// expLimbs sets z = x^e for a fixed exponent e given as plain
+// little-endian limbs, by a 4-bit windowed ladder that allocates nothing.
+func (z *Fp) expLimbs(x *Fp, e *Fp) *Fp {
 	var tbl [16]Fp
 	tbl[0] = fpOne
 	tbl[1] = *x
 	for i := 2; i < 16; i++ {
 		tbl[i].Mul(&tbl[i-1], &tbl[1])
 	}
-	// p-2 has 381 bits = 96 nibbles; the top nibble (index 95) is 0x1,
-	// so the ladder seeds from it directly.
-	res := tbl[fpQMinus2[5]>>60]
-	for w := 94; w >= 0; w-- {
+	top := 95
+	for top > 0 && (e[top/16]>>(uint(top%16)*4))&0xf == 0 {
+		top--
+	}
+	res := tbl[(e[top/16]>>(uint(top%16)*4))&0xf]
+	for w := top - 1; w >= 0; w-- {
 		res.Square(&res)
 		res.Square(&res)
 		res.Square(&res)
 		res.Square(&res)
-		if d := (fpQMinus2[w/16] >> (uint(w%16) * 4)) & 0xf; d != 0 {
+		if d := (e[w/16] >> (uint(w%16) * 4)) & 0xf; d != 0 {
 			res.Mul(&res, &tbl[d])
 		}
 	}
@@ -346,13 +371,11 @@ func BatchInverse(out, in, scratch []Fp) {
 }
 
 // Sqrt sets z to a square root of x if one exists and reports success.
-// p ≡ 3 (mod 4), so sqrt(x) = x^{(p+1)/4}.
+// p ≡ 3 (mod 4), so sqrt(x) = x^{(p+1)/4}, raised over the precomputed
+// exponent limbs without allocating. On false z is left unchanged.
 func (z *Fp) Sqrt(x *Fp) bool {
-	e := new(big.Int).Add(fpModulus, big.NewInt(1))
-	e.Rsh(e, 2)
-	var cand Fp
-	cand.Exp(x, e)
-	var chk Fp
+	var cand, chk Fp
+	cand.expLimbs(x, &fpSqrtExp)
 	chk.Square(&cand)
 	if !chk.Equal(x) {
 		return false

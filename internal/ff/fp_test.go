@@ -95,6 +95,52 @@ func TestFpSqrt(t *testing.T) {
 	}
 }
 
+// TestFpSqrtMatchesBigExp pins Sqrt to the big.Int exponentiation it
+// replaced, x^{(p+1)/4} by Exp, on random squares, random non-squares, 0
+// and 1, and requires a call to allocate nothing.
+func TestFpSqrtMatchesBigExp(t *testing.T) {
+	e := new(big.Int).Add(fpModulus, big.NewInt(1))
+	e.Rsh(e, 2)
+	var one Fp
+	one.SetOne()
+	inputs := []Fp{{}, one}
+	rng := rand.New(rand.NewSource(15))
+	squares, nonSquares := 0, 0
+	for squares < 20 || nonSquares < 20 {
+		a := randFp(rng)
+		var sq Fp
+		sq.Square(&a)
+		inputs = append(inputs, sq, a)
+		squares++
+		var chk, c Fp
+		c.Exp(&a, e)
+		if chk.Square(&c); !chk.Equal(&a) {
+			nonSquares++
+		}
+	}
+	for _, x := range inputs {
+		var want, chk Fp
+		want.Exp(&x, e)
+		wantOK := chk.Square(&want).Equal(&x)
+		got := Fp{7}
+		ok := got.Sqrt(&x)
+		if ok != wantOK {
+			t.Fatalf("Sqrt(%v) reports %v, the exponentiation says %v", x, ok, wantOK)
+		}
+		if ok && !got.Equal(&want) {
+			t.Fatalf("Sqrt(%v) = %v, want %v", x, got, want)
+		}
+		if !ok && !got.Equal(&Fp{7}) {
+			t.Fatalf("Sqrt(%v) of a non-square wrote its receiver", x)
+		}
+	}
+	x := inputs[2]
+	var root Fp
+	if allocs := testing.AllocsPerRun(20, func() { root.Sqrt(&x) }); allocs != 0 {
+		t.Fatalf("Sqrt allocates %v objects per call, want 0", allocs)
+	}
+}
+
 func TestFpEdgeValues(t *testing.T) {
 	pm1 := new(big.Int).Sub(fpModulus, big.NewInt(1))
 	var a, one, c Fp
@@ -118,6 +164,17 @@ func TestFpHexAndBytes(t *testing.T) {
 	back.SetBigInt(new(big.Int).SetBytes(b[:]))
 	if !back.Equal(&g) {
 		t.Fatal("fp bytes round trip failed")
+	}
+}
+
+func BenchmarkFpSqrt(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	a := randFp(rng)
+	var x, root Fp
+	x.Square(&a)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		root.Sqrt(&x)
 	}
 }
 

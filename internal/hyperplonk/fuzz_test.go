@@ -77,14 +77,14 @@ func FuzzProofUnmarshalBinary(f *testing.F) {
 		trunc := blob[:len(blob)/2]
 		f.Add(trunc)
 		zero := append([]byte{}, blob...)
-		for i := proofHeaderLen; i < proofHeaderLen+96 && i < len(zero); i++ {
+		for i := proofHeaderLen; i < proofHeaderLen+g1Len && i < len(zero); i++ {
 			zero[i] = 0
 		}
 		f.Add(zero)
 		// On-curve points outside the order-r subgroup, in a commitment
 		// slot and in the last opening quotient.
 		bad := offSubgroupPoint(f)
-		for _, off := range []int{proofHeaderLen, len(blob) - 96} {
+		for _, off := range []int{proofHeaderLen, len(blob) - g1Len} {
 			m := append([]byte{}, blob...)
 			copy(m[off:], bad[:])
 			f.Add(m)
@@ -94,7 +94,7 @@ func FuzzProofUnmarshalBinary(f *testing.F) {
 		f.Add(blob)
 		bad := offSubgroupPoint(f)
 		m := append([]byte{}, blob...)
-		copy(m[len(m)-96:], bad[:]) // the KZG witness π
+		copy(m[len(m)-g1Len:], bad[:]) // the KZG witness π
 		f.Add(m)
 		// Scheme-tag mutants: PST over a Zeromorph body (the wrong
 		// length) and unregistered tags, all rejected cleanly.
@@ -106,7 +106,7 @@ func FuzzProofUnmarshalBinary(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x5a, 0x4b, 0x53, 0x50, 1, 4})
-	f.Add([]byte{0x5a, 0x4b, 0x53, 0x50, 3, 4, 1})
+	f.Add([]byte{0x5a, 0x4b, 0x53, 0x50, proofVersion, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Proof
 		if err := p.UnmarshalBinary(data); err != nil {
@@ -137,8 +137,8 @@ func FuzzVerifyMutatedProof(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	// The first sumcheck round value, a batch evaluation and the
 	// scheme byte.
-	f.Add(uint16(proofHeaderLen+5*96+31), []byte{1})
-	f.Add(uint16(len(fx.blob)-3*96-NumEvaluations*32+31), []byte{2})
+	f.Add(uint16(proofHeaderLen+5*g1Len+31), []byte{1})
+	f.Add(uint16(len(fx.blob)-3*g1Len-NumEvaluations*32+31), []byte{2})
 	f.Add(uint16(6), []byte{1})
 	f.Fuzz(func(t *testing.T, off uint16, mask []byte) {
 		m := append([]byte(nil), fx.blob...)

@@ -235,7 +235,8 @@ func TestUnsatisfiableWitnessCannotProve(t *testing.T) {
 func TestEvalScheduleShape(t *testing.T) {
 	// The paper reports 22 evaluations among 13 polynomials at 6 distinct
 	// points (§3.3.4); with the gate identity batched into the wiring
-	// identity's zero-check, 19 evaluations at 5 points remain.
+	// identity's zero-check, 19 evaluations at 5 points remain, of which
+	// a proof carries the first 17.
 	const mu = 4
 	rng := rand.New(rand.NewSource(105))
 	randPoint := func(n int) []ff.Fr {
@@ -246,8 +247,8 @@ func TestEvalScheduleShape(t *testing.T) {
 		return pt
 	}
 	cl, _ := buildClaims(mu, randPoint(mu), randPoint(2))
-	if len(cl.claims) != NumEvaluations {
-		t.Fatalf("claim list has %d entries, want %d", len(cl.claims), NumEvaluations)
+	if len(cl.claims) != numClaims || NumEvaluations != numClaims-2 {
+		t.Fatalf("claim list has %d entries, a proof carries %d: want 19 and 17", len(cl.claims), NumEvaluations)
 	}
 	polysSeen := map[int]bool{}
 	pointsSeen := map[int]bool{}

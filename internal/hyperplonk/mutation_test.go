@@ -87,7 +87,7 @@ func proofMutants(p *Proof) []proofMutant {
 	}
 	mu := len(p.OpenCheck.Rounds)
 	cl, _ := buildClaims(mu, make([]ff.Fr, mu), nil)
-	for k, c := range cl.claims {
+	for k, c := range cl.claims[:NumEvaluations] {
 		ms = append(ms, proofMutant{fmt.Sprintf("evaluation %s at point %d", polyNames[c.poly], c.point),
 			func(q *Proof) { addOne(&q.Evals[k]) }})
 	}
@@ -120,8 +120,10 @@ func TestVerifyRejectsEveryMutant(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutants := proofMutants(proof)
-		if want := 5 + len(proof.Opening.Quotients) + NumEvaluations; len(mutants) <= want {
-			t.Fatalf("%v: %d mutants enumerated, want more than %d", scheme, len(mutants), want)
+		// Every sent value: 5 commitments, the quotients, 17 evaluations
+		// and μ rounds of 4 h values and 2 opening-round values.
+		if want := 5 + len(proof.Opening.Quotients) + NumEvaluations + vk.Mu*(identityCheckDegree+openCheckDegree); len(mutants) != want {
+			t.Fatalf("%v: %d mutants enumerated, want %d", scheme, len(mutants), want)
 		}
 		for _, m := range mutants {
 			var bad Proof

@@ -29,17 +29,24 @@ const (
 	numPolys
 )
 
-// NumEvaluations is the batch-evaluation count: 19, where the paper's
+// numClaims is the batch opening's claim count: 19, where the paper's
 // three sumchecks need 22 (§3.3.4), because the gate identity shares the
 // wiring identity's zero-check point.
-const NumEvaluations = 19
+const numClaims = 19
+
+// NumEvaluations is the number of claimed evaluations a proof carries:
+// the claim list's first 17. The last two, π at the product root and w1
+// at the public-input point, are values the verifier knows — 1, and the
+// public inputs' MLE at r_pi — so it supplies them itself.
+const NumEvaluations = 17
 
 // transcriptDomain separates this protocol's Fiat–Shamir transcripts.
-const transcriptDomain = "zkspeed.hyperplonk.v2"
+const transcriptDomain = "zkspeed.hyperplonk.v4"
 
 // claim is one evaluation the batch opening proves: polynomial poly at
 // opening point point. Its value travels in Proof.Evals, at the claim's
-// position in its claimList.
+// position in its claimList, unless the verifier supplies it
+// (NumEvaluations).
 type claim struct{ poly, point int }
 
 // claimList is the batch opening's input (§3.3.4): the opening points
@@ -86,6 +93,9 @@ type claimPoints struct {
 //     (b, r[0..μ-2]) for b = 0, 1, and π at the grand product root
 //     (0,1,…,1);
 //   - the public-input check reads w1 at (r_pi, 0, …, 0).
+//
+// The last two, π at the root and w1 at the public-input point, are the
+// values the verifier supplies.
 func buildClaims(mu int, r, rPI []ff.Fr) (*claimList, claimPoints) {
 	cl := &claimList{}
 	var pts claimPoints
@@ -102,8 +112,9 @@ func buildClaims(mu int, r, rPI []ff.Fr) (*claimList, claimPoints) {
 	pi := make([]ff.Fr, mu)
 	copy(pi, rPI)
 	pts.pi = cl.open(pi, polyW1)
-	if len(cl.claims) != NumEvaluations {
-		panic("hyperplonk: claim list does not match NumEvaluations")
+	if len(cl.claims) != numClaims || cl.claims[NumEvaluations] != (claim{polyPi, pts.root}) ||
+		cl.claims[NumEvaluations+1] != (claim{polyW1, pts.pi}) {
+		panic("hyperplonk: claim list does not end in the two verifier-supplied claims")
 	}
 	return cl, pts
 }
@@ -121,7 +132,8 @@ type Proof struct {
 	PiComm  pcs.Commitment
 	// Step 3: one zero-check of the gate and wiring identities.
 	IdentityCheck sumcheck.Proof
-	// Step 4: the 19 batch evaluations in claim-list order.
+	// Step 4: the batch evaluations in claim-list order, but for the
+	// two the verifier supplies.
 	Evals [NumEvaluations]ff.Fr
 	// Step 5: polynomial opening.
 	OpenCheck sumcheck.Proof

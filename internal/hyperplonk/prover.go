@@ -149,7 +149,7 @@ func ProveWithContext(ctx context.Context, pk *ProvingKey, a *Assignment, opts *
 	rPI := tr.ChallengeFrs("pi.r", c.PublicVars())
 	cl, _ := buildClaims(mu, zcRes.Challenges, rPI)
 	polys := gatherPolys(c, a, phi, pi)
-	for k, cm := range cl.claims {
+	for k, cm := range cl.claims[:NumEvaluations] {
 		proof.Evals[k] = polys[cm.poly].EvaluateWith(cl.points[cm.point], popt) // MLE Evaluate (MTU)
 	}
 	tr.AppendFrs("batch.evals", proof.Evals[:])
@@ -316,10 +316,10 @@ func gatherPolys(c *Circuit, a *Assignment, phi, pi *poly.MLE) [numPolys]*poly.M
 }
 
 // etaWeights returns η^k for the k-th claim.
-func etaWeights(eta *ff.Fr) [NumEvaluations]ff.Fr {
-	var out [NumEvaluations]ff.Fr
+func etaWeights(eta *ff.Fr) [numClaims]ff.Fr {
+	var out [numClaims]ff.Fr
 	out[0].SetOne()
-	for k := 1; k < NumEvaluations; k++ {
+	for k := 1; k < numClaims; k++ {
 		out[k].Mul(&out[k-1], eta)
 	}
 	return out

@@ -14,21 +14,24 @@ import (
 
 // pstProofDigests pins the serialized PST proof bytes: SHA-256 of
 // MarshalBinary for the deterministic workload below. They were first
-// captured before the PCS interface landed, and re-pinned for ZKSP
-// version 3, whose one zero-check proves both identities, whose rounds
-// leave out p(1) and whose verifying-key digest binds the scheme and the
-// SRS. The interface must stay invisible on the wire — same transcript,
-// same quotients — so only a protocol change may move these digests.
+// captured before the PCS interface landed, re-pinned for ZKSP version
+// 3, whose one zero-check proves both identities, whose rounds leave out
+// p(1) and whose verifying-key digest binds the scheme and the SRS, and
+// re-pinned for version 4, whose identity rounds carry h, whose proof
+// leaves out the two evaluations the verifier supplies and whose points
+// are compressed. The interface must stay invisible on the wire — same
+// transcript, same quotients — so only a protocol change may move these
+// digests.
 var pstProofDigests = map[int]string{
-	2:  "bb86aa86bcf3b2985593014c6ea91c272acc0dc086ec38aadb0bb61fb8d0fbf2",
-	3:  "c0685b7f837d5af6ad054f5e3a8ad4b1be8bd481b7f4fcb9d1901fbf5221d11c",
-	4:  "13e0ef449b3f73540ae701e0573a46bd3d74b5d5effed82c3df17d52ec231f93",
-	5:  "a65fea638b9241b5053d70250fea4e54ca0ebd0ed309b426940da5766c9b5896",
-	6:  "3347af3794040873fa7bc6bcf27cbce683f048e8617d015d42cab46e346dd93b",
-	7:  "8650c6dc3012c6c8eb68967cb71d82d58b83299edd757be43dbec690da3344c9",
-	8:  "74fc5f988530969b43ab343fffbd5b3aa6761d101c34bd5caec845193ff70dcd",
-	9:  "a9036d332812836c283409dea569838838fc06fc30f5b29f85f2f5bb847233ce",
-	10: "33c02f6f93afaf253ba89602e6860ac746b62b0696f4ff422c3f3956ca04b705",
+	2:  "d2ca433381b7607f708e1a7c68cd736c0daa6e67af0dc6bd2d0f856d52dbf573",
+	3:  "b5eaa77df77d4257b3dc2920fbf51b33c369bd3bc4d2db01289ae7b55f0e9af3",
+	4:  "72d54572104e00d396032b787ccb697e44ddd6c249edcd14b8f82ab22a3fa8c4",
+	5:  "16b3d78bd02d639b4c3cc4101a9609a63e3dc48d6307014c5fa1070891239dba",
+	6:  "12c4bb98bd3651ce84e6488a46ae3dd5dd1f5780af255dc2f994a9136a2089d7",
+	7:  "d87c03760a2131b137477fbf0e085cda25ca32b696a827b782d76356a25c5336",
+	8:  "3d19dfbefcb56cc65fe0290ac49f19bfcb7a7725b1918fc056c521d070e3478d",
+	9:  "4f37a894d26d6ce9b0981d4a7761a609c701521e5c8ca41661389d963aa2961c",
+	10: "7c7a8393a6e6988ce9cbc8a3fa3b16789ed775520f922cd0ad45f71f448460d8",
 }
 
 // TestPSTProofBytesUnchangedByInterface is the API redesign's acceptance

@@ -72,8 +72,8 @@ func TestZeromorphProofWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if blob[4] != 3 || blob[6] != byte(pcs.SchemeZeromorph) {
-		t.Fatalf("zeromorph proof marshaled as version %d scheme %d, want 3 and %d", blob[4], blob[6], pcs.SchemeZeromorph)
+	if blob[4] != 4 || blob[6] != byte(pcs.SchemeZeromorph) {
+		t.Fatalf("zeromorph proof marshaled as version %d scheme %d, want 4 and %d", blob[4], blob[6], pcs.SchemeZeromorph)
 	}
 	var back hyperplonk.Proof
 	if err := back.UnmarshalBinary(blob); err != nil {
@@ -136,9 +136,10 @@ func TestCrossSchemeRejection(t *testing.T) {
 
 // TestOldProofVersionsRejected: ZKSP versions 1 (PST, no scheme byte) and
 // 2 (scheme-tagged) carried three sumchecks, rounds with p(1) and 22
-// evaluations. A blob under either header must be refused by version,
-// before its body is read, and a version-3 blob whose first round still
-// carries p(1) by its length.
+// evaluations; version 3 carried rounds of g, 19 evaluations and 96-byte
+// points. A blob under any of those headers must be refused by version,
+// before its body is read, and a version-4 blob whose first round still
+// carries g's fifth value by its length.
 func TestOldProofVersionsRejected(t *testing.T) {
 	const mu = 3
 	circuit, assignment, _, err := workload.SyntheticSeed(mu, 7)
@@ -161,13 +162,14 @@ func TestOldProofVersionsRejected(t *testing.T) {
 	for _, old := range [][]byte{
 		append([]byte{0x5a, 0x4b, 0x53, 0x50, 1, blob[5]}, blob[7:]...),          // version 1: no scheme byte
 		append([]byte{0x5a, 0x4b, 0x53, 0x50, 2, blob[5], blob[6]}, blob[7:]...), // version 2
+		append([]byte{0x5a, 0x4b, 0x53, 0x50, 3, blob[5], blob[6]}, blob[7:]...), // version 3
 	} {
 		var back hyperplonk.Proof
 		if err := back.UnmarshalBinary(old); err == nil || !strings.Contains(err.Error(), "unsupported proof version") {
 			t.Fatalf("version-%d blob: got %v, want an unsupported-version error", old[4], err)
 		}
 	}
-	rounds := 7 + 5*96 // the first round value follows the header and the commitments
+	rounds := 7 + 5*48 // the first round value follows the header and the commitments
 	long := append(append(append([]byte(nil), blob[:rounds]...), make([]byte, 32)...), blob[rounds:]...)
 	var back hyperplonk.Proof
 	if err := back.UnmarshalBinary(long); err == nil {

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
@@ -13,32 +16,40 @@ import (
 	"zkspeed/internal/sumcheck"
 )
 
-// Proof wire format, version 3 (fixed-endian):
+// Proof wire format, version 4 (fixed-endian):
 //
 //	u32 magic "ZKSP" | u8 version | u8 mu | u8 scheme   7-byte header
-//	5 × G1 (96 B uncompressed)                          commitments
-//	2 sumchecks: per round (5, 2) × 32 B                round values, p(1) left out
-//	19 × 32 B                                           batch evaluations
+//	5 × G1 (48 B compressed)                            commitments
+//	2 sumchecks: per round (4, 2) × 32 B                round values, p(1) left out
+//	17 × 32 B                                           batch evaluations
 //	openingQuotientCount(scheme, mu) × G1               opening quotients
 //
-// The quotient count is scheme-dependent (Zeromorph: mu+2 — the
+// The identity check's rounds carry h(0), h(2), h(3), h(4) of h = g/(P·L)
+// (sumcheck.VerifyEq), the opening's p(0), p(2). The evaluations are the
+// claim list's first 17: the verifier supplies the other two, π at the
+// product root (1) and w1 at the public-input point (from the public
+// inputs). The quotient count is scheme-dependent (Zeromorph: mu+2 — the
 // per-variable quotients plus the batched degree-check commitment and
 // the KZG witness). Versions 1 and 2 carried three sumchecks, rounds
-// with p(1) and 22 evaluations; they are refused.
+// with p(1) and 22 evaluations, version 3 rounds of g, 19 evaluations
+// and 96-byte points; all three are refused.
 //
-// Points are serialized uncompressed (X||Y big-endian, zero for infinity)
-// and validated on deserialization.
+// Points are serialized compressed (curve.G1Affine.BytesCompressed: x with
+// the compression, infinity and sign flags in its top three bits) and
+// validated on deserialization, decompression and subgroup check spread
+// over GOMAXPROCS goroutines. The transcript still absorbs the
+// uncompressed form, so the encoding touches no challenge.
 
 const (
 	proofMagic     = 0x5a4b5350 // "ZKSP"
-	proofVersion   = 3
+	proofVersion   = 4
 	proofHeaderLen = 7
-	g1Len          = 96
+	g1Len          = curve.G1CompressedLen
 	frLen          = 32
 )
 
 // roundEvalCounts is the values each sumcheck sends per round, in wire
-// order: its degree, p(1) being derived.
+// order: the degree of its round polynomial, p(1) being derived.
 var roundEvalCounts = [2]int{identityCheckDegree, openCheckDegree}
 
 // ProofSize is the encoded size, header excluded, of a proof over 2^mu
@@ -77,37 +88,60 @@ func openingQuotientCount(scheme pcs.Scheme, mu int) (int, error) {
 }
 
 func writePoint(w *bytes.Buffer, p *curve.G1Affine) {
-	b := p.Bytes()
+	b := p.BytesCompressed()
 	w.Write(b[:])
 }
 
-func readPoint(r *bytes.Reader, p *curve.G1Affine) error {
-	var buf [96]byte
-	// io.ReadFull, not Read: a bytes.Reader may return n < 96 with a nil
-	// error on truncated input, which would silently parse a zero-padded
-	// partial point instead of failing with ErrUnexpectedEOF.
+// pointReader collects a proof's point encodings as it parses, so that
+// decode can check them all at once.
+type pointReader struct {
+	encs []byte // g1Len bytes per point, in wire order
+	dst  []*curve.G1Affine
+}
+
+func newPointReader(n int) *pointReader {
+	return &pointReader{encs: make([]byte, 0, n*g1Len), dst: make([]*curve.G1Affine, 0, n)}
+}
+
+func (pr *pointReader) read(r *bytes.Reader, p *curve.G1Affine) error {
+	var buf [g1Len]byte
+	// io.ReadFull, not Read: a bytes.Reader may return n < len(buf) with a
+	// nil error on truncated input, which would silently parse a
+	// zero-padded partial point instead of failing with ErrUnexpectedEOF.
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return err
 	}
-	allZero := true
-	for _, v := range buf {
-		if v != 0 {
-			allZero = false
-			break
+	pr.encs = append(pr.encs, buf[:]...)
+	pr.dst = append(pr.dst, p)
+	return nil
+}
+
+// decode decompresses and subgroup-checks every collected point over
+// GOMAXPROCS goroutines — the cost of a decode is these checks, ~85 µs a
+// point — and returns the error of the first bad point in wire order.
+func (pr *pointReader) decode() error {
+	n := len(pr.dst)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			errs[i] = pr.dst[i].SetBytesCompressed(pr.encs[i*g1Len : (i+1)*g1Len])
 		}
 	}
-	if allZero {
-		*p = curve.G1Infinity()
-		return nil
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	p.Inf = false
-	if !p.X.SetCanonicalBytes(buf[:48]) || !p.Y.SetCanonicalBytes(buf[48:]) {
-		return errors.New("hyperplonk: non-canonical point coordinate")
-	}
-	// On the curve is not enough: G1 has a cofactor, and the verifier moves
-	// scalars across pairings, which is sound only for points of order r.
-	if !p.IsInSubgroup() {
-		return errors.New("hyperplonk: deserialized point not in G1 (off the curve or outside its order-r subgroup)")
+	work()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("hyperplonk: point %d: %w", i, err)
+		}
 	}
 	return nil
 }
@@ -211,16 +245,17 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	}
 	nQuot, _ := openingQuotientCount(scheme, mu)
 	r := bytes.NewReader(data[proofHeaderLen:])
+	pr := newPointReader(5 + nQuot)
 	p.Scheme = scheme
 	for i := range p.WitnessComms {
-		if err := readPoint(r, &p.WitnessComms[i].P); err != nil {
+		if err := pr.read(r, &p.WitnessComms[i].P); err != nil {
 			return err
 		}
 	}
-	if err := readPoint(r, &p.PhiComm.P); err != nil {
+	if err := pr.read(r, &p.PhiComm.P); err != nil {
 		return err
 	}
-	if err := readPoint(r, &p.PiComm.P); err != nil {
+	if err := pr.read(r, &p.PiComm.P); err != nil {
 		return err
 	}
 	for i, sc := range p.sumchecks() {
@@ -241,9 +276,9 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	}
 	p.Opening = pcs.OpeningProof{Quotients: make([]curve.G1Affine, nQuot)}
 	for i := range p.Opening.Quotients {
-		if err := readPoint(r, &p.Opening.Quotients[i]); err != nil {
+		if err := pr.read(r, &p.Opening.Quotients[i]); err != nil {
 			return err
 		}
 	}
-	return nil
+	return pr.decode()
 }

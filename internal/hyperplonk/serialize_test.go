@@ -92,7 +92,7 @@ func TestProofDeserializationRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted zero garbage")
 	}
 	// Valid magic/version but truncated body.
-	blob := []byte{0x5a, 0x4b, 0x53, 0x50, 3, 4, 0, 0}
+	blob := []byte{0x5a, 0x4b, 0x53, 0x50, proofVersion, 4, 0, 0}
 	if err := p.UnmarshalBinary(blob); err == nil {
 		t.Fatal("accepted truncated body")
 	}
@@ -180,7 +180,7 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 	}
 	// First sumcheck scalar starts after header + 5 points; overwrite with
 	// an all-ones value >= r.
-	off := proofHeaderLen + 5*96
+	off := proofHeaderLen + 5*g1Len
 	for i := 0; i < 32; i++ {
 		blob[off+i] = 0xff
 	}
@@ -189,21 +189,80 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 		t.Fatal("accepted non-canonical field element")
 	}
 
-	// The point analogue: x+p fits in 48 bytes and names the same
-	// coordinate as x, so each of the two coordinates of the first witness
-	// commitment gets a second spelling that must be refused.
+	// The point analogue: where x+p still fits below the flag bits, it
+	// names the same x, a second spelling that must be refused. The first
+	// commitment slot gets a G1 point whose x is small enough, which
+	// decodes; its x+p spelling must not.
 	good, err := proof.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, coord := range []int{0, 48} {
-		blob := append([]byte{}, good...)
-		enc := blob[proofHeaderLen+coord : proofHeaderLen+coord+48]
-		v := new(big.Int).SetBytes(enc)
-		v.Add(v, ff.FpModulusBig())
-		v.FillBytes(enc)
-		if err := back.UnmarshalBinary(blob); err == nil {
-			t.Fatalf("accepted point coordinate at +%d encoded as value+p", coord)
+	limit := new(big.Int).Lsh(big.NewInt(1), 381)
+	g := curve.G1Generator()
+	var acc curve.G1Jac
+	var pt curve.G1Affine
+	acc.FromAffine(&g)
+	for {
+		acc.AddMixed(&g)
+		pt.FromJacobian(&acc)
+		if new(big.Int).Add(pt.X.BigInt(), ff.FpModulusBig()).Cmp(limit) < 0 {
+			break
+		}
+	}
+	enc := pt.BytesCompressed()
+	blob = append([]byte{}, good...)
+	copy(blob[proofHeaderLen:], enc[:])
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("a G1 point with a small x refused: %v", err)
+	}
+	flags := enc[0] & 0xe0
+	v := new(big.Int).Add(pt.X.BigInt(), ff.FpModulusBig())
+	v.FillBytes(blob[proofHeaderLen : proofHeaderLen+g1Len])
+	blob[proofHeaderLen] |= flags
+	if err := back.UnmarshalBinary(blob); err == nil {
+		t.Fatal("accepted a point with x encoded as x+p")
+	}
+}
+
+// TestProofDeserializationRejectsBadPointFlags: in every G1 slot, a
+// cleared compression flag and a set infinity flag beside an x are
+// refused, and a flipped sign flag decodes to the negated point — a
+// valid G1 point, so the decoder accepts it and Verify must not.
+func TestProofDeserializationRejectsBadPointFlags(t *testing.T) {
+	fx, err := pstFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good Proof
+	if err := good.UnmarshalBinary(fx.blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range g1SlotOffsets(fx.blob, len(good.Opening.Quotients)) {
+		for _, c := range []struct {
+			name   string
+			flip   byte
+			decode bool
+		}{
+			{"compression flag cleared", 0x80, false},
+			{"infinity flag set", 0x40, false},
+			{"sign flag flipped", 0x20, true},
+		} {
+			m := append([]byte{}, fx.blob...)
+			m[off] ^= c.flip
+			var back Proof
+			err := back.UnmarshalBinary(m)
+			if !c.decode {
+				if err == nil {
+					t.Fatalf("byte %d, %s: accepted", off, c.name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("byte %d, %s: the negated point was refused: %v", off, c.name, err)
+			}
+			if err := Verify(fx.vk, fx.pub, &back); err == nil {
+				t.Fatalf("byte %d, %s: verified", off, c.name)
+			}
 		}
 	}
 }
@@ -211,7 +270,7 @@ func TestProofDeserializationRejectsNonCanonicalScalar(t *testing.T) {
 // offSubgroupPoint returns the wire bytes of a point that satisfies the
 // curve equation but lies outside the order-r subgroup (the cofactor of
 // E(Fp) is ~2^126, so the first curve point found from a small x does).
-func offSubgroupPoint(t testing.TB) [96]byte {
+func offSubgroupPoint(t testing.TB) [g1Len]byte {
 	t.Helper()
 	var p curve.G1Affine
 	four := ff.NewFp(4)
@@ -228,7 +287,7 @@ func offSubgroupPoint(t testing.TB) [96]byte {
 	if !p.IsOnCurve() {
 		t.Fatal("test point is off the curve")
 	}
-	return p.Bytes()
+	return p.BytesCompressed()
 }
 
 // g1SlotOffsets lists the byte offset of every G1 point in a proof blob:
@@ -236,10 +295,10 @@ func offSubgroupPoint(t testing.TB) [96]byte {
 func g1SlotOffsets(blob []byte, quotients int) []int {
 	var offs []int
 	for i := 0; i < 5; i++ {
-		offs = append(offs, proofHeaderLen+i*96)
+		offs = append(offs, proofHeaderLen+i*g1Len)
 	}
 	for i := quotients; i > 0; i-- {
-		offs = append(offs, len(blob)-i*96)
+		offs = append(offs, len(blob)-i*g1Len)
 	}
 	return offs
 }

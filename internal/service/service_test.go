@@ -51,7 +51,7 @@ func stubProof(mu int) *hyperplonk.Proof {
 		}
 		return sumcheck.Proof{Rounds: rounds}
 	}
-	p.IdentityCheck = mk(5)
+	p.IdentityCheck = mk(4) // h(0), h(2), h(3), h(4)
 	p.OpenCheck = mk(2)
 	p.Opening = pcs.OpeningProof{Quotients: make([]curve.G1Affine, mu)}
 	for i := range p.Opening.Quotients {

@@ -27,9 +27,10 @@ import (
 //     table is never built or folded. Its bound prefix is a running
 //     scalar P, its suffix a weight table, and its round variable a
 //     linear factor L(X) of the round polynomial — so g = P·L·h with
-//     deg(h) = deg−1, and the sweep evaluates one fewer point (h is
-//     pinned down by deg values; the remaining g columns are exact
-//     linear algebra on those).
+//     deg(h) = deg−1. The sweep evaluates h alone, and h is what the
+//     round sends (RoundPoly): h(1) follows from the normalised claim
+//     c′ = h_{j−1}(r_{j−1}) as (c′ − (1−t_j)·h(0))/t_j, one division per
+//     round, and P and L never enter the transcript.
 //  4. Shared-factor extraction: non-eq indices appearing in every term
 //     are factored out and multiplied once per evaluation point instead
 //     of once per term; ±1 term coefficients skip their multiplication.
@@ -166,10 +167,15 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 	}
 	p.groupTerms(eqOf, &sc)
 	nG := len(p.groups)
-	// One group carrying every term keeps the claim-derived g(1): the
-	// plain sweep derives its column, the eq sweep divides by P·L(1).
+	// One group carrying every term keeps the claim-derived p(1): the
+	// plain sweep derives g(1), the eq sweep h(1) (note 3). dr is the
+	// degree of the polynomial each round sends.
 	single := nG == 1
-	eqSingle := single && p.groups[0].point != nil
+	eqSingle := eqFactor(vp) >= 0 // the one group carries the one eq factor
+	dr := deg
+	if eqSingle {
+		dr = hDegree(deg)
+	}
 
 	// Suffix weight tables: S_0 = eq-table of point[1:] for each distinct
 	// non-Boolean point[1:], in arena buffers of n/2.
@@ -237,24 +243,18 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 	}
 
 	// One backing array for every round polynomial (all deg+1 values,
-	// then the deg values sent), the challenges, the final evaluations,
-	// the claim interpolator and the column scratch: the L(X) values of a
-	// single eq factor, or the h values and difference table of several
-	// groups.
-	frs := make([]ff.Fr, mu*ne+mu*deg+mu+nMLE+interpolatorLen(deg)+2*ne)
+	// then the dr values sent), the challenges, the final evaluations,
+	// the claim interpolator and the column scratch: the h values and
+	// difference table of several groups.
+	frs := make([]ff.Fr, mu*ne+mu*dr+mu+nMLE+interpolatorLen(dr)+2*ne)
 	evalsBacking, frs := frs[:mu*ne], frs[mu*ne:]
-	sentBacking, frs := frs[:mu*deg], frs[mu*deg:]
+	sentBacking, frs := frs[:mu*dr], frs[mu*dr:]
 	res.Challenges, frs = frs[:0:mu], frs[mu:]
 	res.FinalEvals, frs = frs[:nMLE:nMLE], frs[nMLE:]
-	interp := newClaimInterpolator(deg, frs[:interpolatorLen(deg)])
-	lvals, hx := frs[interpolatorLen(deg):][:ne], frs[interpolatorLen(deg):]
+	interp := newClaimInterpolator(dr, frs[:interpolatorLen(dr)])
+	hx := frs[interpolatorLen(dr):]
 	res.Proof.Rounds = make([]RoundPoly, 0, mu)
-	var basisDeg []ff.Fr
-	if eqSingle {
-		// The extrapolation basis ℓ_j(deg) over nodes 0..deg-1.
-		basisDeg = extrapolationBasis(deg)
-	}
-	var l0, dL ff.Fr
+	var l0, dL, tInv ff.Fr
 
 	var claim ff.Fr
 	cur := orig // tables holding round j-1's state (pre-fold)
@@ -270,7 +270,7 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 				p.dst = curB
 			}
 		}
-		p.skipOne = single && round > 0 && ne >= 2
+		p.skipOne = single && round > 0
 		p.maxT = 0
 		for gi := range p.groups {
 			g := &p.groups[gi]
@@ -283,25 +283,15 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 			}
 			g.hot = g.bits >> round
 		}
-		var pl1 ff.Fr
 		if eqSingle {
-			// g = P·L·h with L(X) = eq1(t_round, X): the sweep computes
-			// h, whose degree is one lower, at nodes {0..deg-1} (round
-			// 0) or {0,2..deg-1} (h(1) recovered from the claim-derived
-			// g(1) — unless P·L(1) is zero, where the sweep computes
-			// the top column directly instead).
-			g := &p.groups[0]
-			eqLine(&g.point[round], &l0, &dL)
-			lvals[0] = l0
-			for x := 1; x < ne; x++ {
-				lvals[x].Add(&lvals[x-1], &dL)
-			}
-			pl1.Mul(&g.prefix, &lvals[1])
-			if deg >= 1 {
-				g.maxT = deg - 1
-				if p.skipOne && pl1.IsZero() && deg >= 2 {
-					g.maxT = deg // no-division fallback: compute the top column
-				}
+			// The sweep computes h at nodes 0..dr, or {0,2..dr} with h(1)
+			// claim-derived — unless t_round is zero, where the sweep
+			// computes h(1) directly instead.
+			t := &p.groups[0].point[round]
+			p.groups[0].maxT = dr
+			p.skipOne = p.skipOne && !t.IsZero()
+			if p.skipOne {
+				tInv.Inverse(t)
 			}
 		}
 		for gi := range p.groups {
@@ -336,11 +326,17 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 		evals := evalsBacking[round*ne : (round+1)*ne]
 		switch {
 		case eqSingle:
-			// evals holds h at the computed nodes; lift to
-			// g(t) = P·L(t)·h(t) and fill the derived columns.
-			g := &p.groups[0]
-			p.merge(evals, 0, g.maxT, rw)
-			finishEqRound(evals, lvals, &g.prefix, &pl1, &claim, basisDeg, deg, g.maxT, p.skipOne)
+			// evals holds h at the computed nodes; h(1) =
+			// (c′ − (1−t)·h(0))/t fills the derived column.
+			evals = evals[:dr+1]
+			p.merge(evals, 0, dr, rw)
+			if p.skipOne {
+				l0.SetOne()
+				l0.Sub(&l0, &p.groups[0].point[round])
+				l0.Mul(&l0, &evals[0])
+				evals[1].Sub(&claim, &l0)
+				evals[1].Mul(&evals[1], &tInv)
+			}
 		case single:
 			p.merge(evals, 0, p.maxT, rw)
 			if p.skipOne {
@@ -374,7 +370,7 @@ func ProveWith(vp *VirtualPoly, tr *transcript.Transcript, opt poly.Options) Pro
 			}
 		}
 
-		sent := sentBacking[round*deg : (round+1)*deg]
+		sent := sentBacking[round*dr : (round+1)*dr]
 		r := sendRound(tr, evals, sent)
 		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
@@ -588,74 +584,6 @@ func extendNodes(v []ff.Fr, d int, a []ff.Fr) {
 	}
 }
 
-// finishEqRound lifts the merged h-node sums into the g columns:
-// g(t) = P·L(t)·h(t), with g(1) claim-derived, h(1) recovered by the
-// one division of the round when needed, and the top column
-// extrapolated through the precomputed Lagrange basis. Every derived
-// value is exact linear algebra over the computed nodes, so the
-// transcript matches the all-columns evaluation bit for bit.
-func finishEqRound(evals, lvals []ff.Fr, prefixP, pl1, claim *ff.Fr, basisDeg []ff.Fr, deg, maxT int, skipOne bool) {
-	var pl, tmp ff.Fr
-	scale := func(t int) {
-		pl.Mul(prefixP, &lvals[t])
-		evals[t].Mul(&evals[t], &pl)
-	}
-	if deg == 0 {
-		// Constant round polynomial: the single column is the sum itself
-		// times the bound eq prefix.
-		evals[0].Mul(&evals[0], prefixP)
-		return
-	}
-	dh := deg - 1
-	extrapolate := func() {
-		// h(deg) = Σ_j ℓ_j(deg)·h(j) over nodes 0..dh; evals[0..dh]
-		// hold h at this point.
-		var top ff.Fr
-		for j := 0; j <= dh; j++ {
-			tmp.Mul(&basisDeg[j], &evals[j])
-			top.Add(&top, &tmp)
-		}
-		evals[deg] = top
-	}
-	switch {
-	case !skipOne:
-		// Round 0: h computed at 0..dh; the top column extrapolates.
-		extrapolate()
-		for t := 0; t <= deg; t++ {
-			scale(t)
-		}
-	case maxT == deg:
-		// No-division fallback (P·L(1) = 0): h computed at {0,2..deg}.
-		for t := 0; t <= deg; t++ {
-			if t == 1 {
-				continue
-			}
-			scale(t)
-		}
-		evals[1].Sub(claim, &evals[0])
-	case dh == 0:
-		// Degree-1 rounds: both columns follow from h(0) and the claim.
-		scale(0)
-		evals[1].Sub(claim, &evals[0])
-	default:
-		// Division mode: h computed at {0,2..dh}. g(0) scales first,
-		// g(1) = claim − g(0), and h(1) = g(1)/(P·L(1)) — the round's
-		// one division — pins h down for the extrapolated top column.
-		var g0, g1, inv ff.Fr
-		pl.Mul(prefixP, &lvals[0])
-		g0.Mul(&evals[0], &pl)
-		g1.Sub(claim, &g0)
-		inv.Inverse(pl1)
-		evals[1].Mul(&g1, &inv) // h(1)
-		extrapolate()
-		for t := 2; t <= deg; t++ {
-			scale(t)
-		}
-		evals[0] = g0
-		evals[1] = g1
-	}
-}
-
 // factorShared splits terms (taken in order, eqOf[ti] being term ti's
 // analytically handled eq factor or -1) into the factors every term
 // shares (with multiplicity, never an eq factor) and the per-term
@@ -829,44 +757,4 @@ func (p *fusedProver) sweep(w, lo, hi int) {
 			}
 		}
 	}
-}
-
-// extrapolationBasis returns ℓ_j(d) for the Lagrange nodes 0..d-1 — the
-// exact coefficients lifting h's computed nodes to its top column.
-func extrapolationBasis(d int) []ff.Fr {
-	dh := d - 1
-	if dh < 0 {
-		return nil
-	}
-	basis := make([]ff.Fr, dh+1)
-	den := make([]ff.Fr, dh+1)
-	part := make([]ff.Fr, dh+2)
-	part[0].SetOne()
-	for j := 0; j <= dh; j++ {
-		// numerator Π_{k≠j}(d−k), denominator Π_{k≠j}(j−k)
-		var num ff.Fr
-		num.SetOne()
-		den[j].SetOne()
-		for k := 0; k <= dh; k++ {
-			if k == j {
-				continue
-			}
-			var v ff.Fr
-			v.SetInt64(int64(d - k))
-			num.Mul(&num, &v)
-			v.SetInt64(int64(j - k))
-			den[j].Mul(&den[j], &v)
-		}
-		basis[j] = num
-		part[j+1].Mul(&part[j], &den[j])
-	}
-	var inv ff.Fr
-	inv.Inverse(&part[dh+1])
-	for j := dh; j >= 0; j-- {
-		var dj ff.Fr
-		dj.Mul(&inv, &part[j])
-		inv.Mul(&inv, &den[j])
-		basis[j].Mul(&basis[j], &dj)
-	}
-	return basis
 }

@@ -39,36 +39,73 @@ func checkProvers(t *testing.T, label, domain string, build func() *VirtualPoly,
 
 // oracleRounds computes every round polynomial and challenge by brute
 // force: g_j(t) = Σ_{x∈{0,1}^{μ-j-1}} vp(r_1..r_j, t, x) via EvaluateAt
-// over the untouched MLEs, replaying the same transcript schedule.
-func oracleRounds(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
+// over the untouched MLEs, replaying the same transcript schedule. When
+// every term carries one AddEqMLE factor eq(t, ·), the rounds sent are
+// h_j(t) = Σ_x eq(t_{>j}, x)·F(r_1..r_j, t, x) instead, F being vp
+// without the eq factor, and each g_j, with the eq table materialized,
+// must equal P_j·L_j·h_j at every node.
+func oracleRounds(t *testing.T, vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
+	t.Helper()
 	mu := vp.NumVars
 	deg := roundDegree(vp)
+	eq := eqFactor(vp)
+	dr := deg
+	if eq >= 0 {
+		dr = hDegree(deg)
+	}
 	res := ProverResult{}
 	point := make([]ff.Fr, mu)
+	mleEvals := make([]ff.Fr, len(vp.MLEs))
+	prefix := ff.FrOne() // P_j, when eq ≥ 0
 	for round := 0; round < mu; round++ {
-		evals := make([]ff.Fr, deg+1)
-		for t := 0; t <= deg; t++ {
-			point[round].SetUint64(uint64(t))
-			suffix := mu - round - 1
-			var sum ff.Fr
+		suffix := mu - round - 1
+		g := make([]ff.Fr, max(deg, dr)+1)
+		h := make([]ff.Fr, len(g))
+		for x := range g {
+			point[round].SetUint64(uint64(x))
 			for b := 0; b < 1<<suffix; b++ {
 				for j := 0; j < suffix; j++ {
 					point[round+1+j].SetUint64(uint64(b >> j & 1))
 				}
 				v := vp.EvaluateAt(point)
-				sum.Add(&sum, &v)
+				g[x].Add(&g[x], &v)
+				if eq >= 0 {
+					for k := range vp.MLEs {
+						mleEvals[k] = vp.mle(k).Evaluate(point)
+					}
+					mleEvals[eq] = poly.EvalEq(vp.lazy[eq].point[round+1:], point[round+1:])
+					v = CombineTermEvals(vp.Terms, mleEvals)
+					h[x].Add(&h[x], &v)
+				}
 			}
-			evals[t] = sum
 		}
-		sent := make([]ff.Fr, deg)
-		r := sendRound(tr, evals, sent)
+		evals := g
+		if eq >= 0 {
+			tj := &vp.lazy[eq].point[round]
+			for x := 0; x <= deg; x++ {
+				xf := ff.NewFr(uint64(x))
+				want := eq1(tj, &xf)
+				want.Mul(&want, &prefix)
+				want.Mul(&want, &h[x])
+				if !want.Equal(&g[x]) {
+					t.Fatalf("oracle: round %d: g(%d) != P·L·h", round, x)
+				}
+			}
+			evals = h
+		}
+		sent := make([]ff.Fr, dr)
+		r := sendRound(tr, evals[:dr+1], sent)
 		point[round] = r
+		if eq >= 0 {
+			e := eq1(&vp.lazy[eq].point[round], &r)
+			prefix.Mul(&prefix, &e)
+		}
 		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
 	}
 	res.FinalEvals = make([]ff.Fr, len(vp.MLEs))
-	for k, m := range vp.MLEs {
-		res.FinalEvals[k] = m.Evaluate(point)
+	for k := range vp.MLEs {
+		res.FinalEvals[k] = vp.mle(k).Evaluate(point)
 	}
 	return res
 }
@@ -143,7 +180,7 @@ func TestProveWithPropertySweep(t *testing.T) {
 					cp.Terms = vp.Terms
 					return cp
 				}
-				want := oracleRounds(clone(), transcript.New("prop"))
+				want := oracleRounds(t, clone(), transcript.New("prop"))
 				checkProvers(t, fmt.Sprintf("mu=%d terms=%d deg=%d", mu, nTerms, deg), "prop", clone, want)
 			}
 		}
@@ -152,10 +189,10 @@ func TestProveWithPropertySweep(t *testing.T) {
 
 // TestEqAnnotatedMatchesMaterialized sweeps ZeroCheck-shaped instances
 // where the eq factor is registered via AddEqMLE and checks both provers
-// under every context against the oracle run on the materialized
-// table: the analytic-eq path (no table, no fold, one fewer sweep
-// column, claim-derived g(1), extrapolated top column) must reproduce
-// the transcript bit for bit, including the eq MLE's final evaluation.
+// under every context against the oracle, which ties each h round to
+// the materialized eq table's g = P·L·h: the analytic-eq path (no
+// table, no fold, claim-derived h(1)) must reproduce the transcript bit
+// for bit, including the eq MLE's final evaluation.
 func TestEqAnnotatedMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	for _, mu := range []int{1, 2, 3, 5, 7} {
@@ -170,14 +207,9 @@ func TestEqAnnotatedMatchesMaterialized(t *testing.T) {
 				mles[k] = randMLE(rng, mu)
 			}
 			coeffs := []ff.Fr{ff.FrOne(), randFr(rng), randFr(rng)}
-			build := func(eqLazy bool) *VirtualPoly {
+			build := func() *VirtualPoly {
 				vp := NewVirtualPoly(mu)
-				var iEq int
-				if eqLazy {
-					iEq = vp.AddEqMLE(point)
-				} else {
-					iEq = vp.AddMLE(poly.EqTable(point))
-				}
+				iEq := vp.AddEqMLE(point)
 				idx := make([]int, nMLE)
 				for k, m := range mles {
 					idx[k] = vp.AddMLE(m.Clone())
@@ -194,15 +226,15 @@ func TestEqAnnotatedMatchesMaterialized(t *testing.T) {
 				vp.AddTerm(coeffs[2], iEq, idx[0])
 				return vp
 			}
-			want := oracleRounds(build(false), transcript.New("eq"))
-			checkProvers(t, fmt.Sprintf("mu=%d deg=%d", mu, deg), "eq", func() *VirtualPoly { return build(true) }, want)
+			want := oracleRounds(t, build(), transcript.New("eq"))
+			checkProvers(t, fmt.Sprintf("mu=%d deg=%d", mu, deg), "eq", build, want)
 		}
 	}
 }
 
 // TestEqAnnotatedEdgePoints pins the analytic-eq special cases: eq
-// parameters equal to 0 and 1 (P·L(1) hits zero — the no-division
-// fallback), and the μ=0 cube.
+// parameters equal to 0 (h(1) cannot be claim-derived; the sweep
+// computes it) and 1 (L(0) = 0), and the μ=0 cube.
 func TestEqAnnotatedEdgePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	mu := 4
@@ -216,22 +248,18 @@ func TestEqAnnotatedEdgePoints(t *testing.T) {
 			}
 		}
 		m1, m2 := randMLE(rng, mu), randMLE(rng, mu)
-		build := func(eqLazy bool) *VirtualPoly {
+		coeff := randFrSeeded(int64(tval) + 80)
+		build := func() *VirtualPoly {
 			vp := NewVirtualPoly(mu)
-			var iEq int
-			if eqLazy {
-				iEq = vp.AddEqMLE(point)
-			} else {
-				iEq = vp.AddMLE(poly.EqTable(point))
-			}
+			iEq := vp.AddEqMLE(point)
 			a := vp.AddMLE(m1.Clone())
 			b := vp.AddMLE(m2.Clone())
 			vp.AddTerm(ff.FrOne(), iEq, a, b)
-			vp.AddTerm(randFrSeeded(int64(tval)+80), iEq, a)
+			vp.AddTerm(coeff, iEq, a)
 			return vp
 		}
-		want := oracleRounds(build(false), transcript.New("edge"))
-		checkProvers(t, fmt.Sprintf("t=%d", tval), "edge", func() *VirtualPoly { return build(true) }, want)
+		want := oracleRounds(t, build(), transcript.New("edge"))
+		checkProvers(t, fmt.Sprintf("t=%d", tval), "edge", build, want)
 	}
 
 	// μ=0: no rounds; the lazily registered eq table must still
@@ -276,7 +304,7 @@ func TestFusedSharedFactorShapes(t *testing.T) {
 		cp.Terms = vp.Terms
 		return cp
 	}
-	want := oracleRounds(clone(), transcript.New("shape"))
+	want := oracleRounds(t, clone(), transcript.New("shape"))
 	checkProvers(t, "shared factors", "shape", clone, want)
 }
 

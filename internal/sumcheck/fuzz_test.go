@@ -26,9 +26,9 @@ func (s *shapeBytes) next(n int) int {
 // FuzzSumcheckSources draws virtual polynomials mixing every kind of
 // source ProveWith handles without a table — per-term eq factors with
 // coordinates from {0, 1, random} (so Boolean suffixes, shared suffixes
-// and the no-division fallback all occur), affine factors, plain tables,
-// repeated and shared indices, constant terms — and requires ProveWith to
-// reproduce ProveReference byte for byte.
+// and the directly computed h(1) of a zero t all occur), affine factors,
+// plain tables, repeated and shared indices, constant terms — and requires
+// ProveWith to reproduce ProveReference byte for byte.
 func FuzzSumcheckSources(f *testing.F) {
 	f.Add(uint8(3), int64(1), []byte{2, 1, 2, 4, 1, 2, 0, 1, 3, 1, 1, 2, 2})
 	f.Add(uint8(5), int64(2), []byte{3, 2, 3, 2, 0, 1, 2, 0, 1, 2, 3, 5, 0, 2, 1, 1, 2, 0, 3, 3, 1})

@@ -171,17 +171,47 @@ func CombineTermEvals(terms []Term, evals []ff.Fr) ff.Fr {
 
 // RoundPoly is the univariate round polynomial p, sent as its values at
 // X = 0, 2, 3, …, d. d+1 values characterize a degree-d polynomial
-// (§2.3); the one left out, p(1), is claim − p(0), where claim is the
-// previous round's polynomial at its challenge (the sum being proved in
-// round 0), so the verifier derives it.
+// (§2.3); the one left out, p(1), follows from the running claim, so the
+// verifier derives it. p is the round polynomial g itself (Verify),
+// except when every term carries the same eq factor (VerifyEq): then p is
+// h = g/(P·L), one degree lower, the eq factor's bound prefix P and its
+// round-variable line L being known to the verifier.
 type RoundPoly struct {
 	Evals []ff.Fr
 }
 
-// roundDegree is the degree bound vp's round polynomials are sent at:
-// its degree, but at least 1, so that p(0) and the derived p(1) always
-// determine a constant round.
+// roundDegree is the degree bound vp's round polynomials g are formed
+// at: its degree, but at least 1, so that p(0) and the derived p(1)
+// always determine a constant round.
 func roundDegree(vp *VirtualPoly) int { return max(vp.Degree(), 1) }
+
+// hDegree is the degree bound of the h rounds sent for a polynomial whose
+// g rounds have degree deg: one lower, but at least 1 for the same reason.
+func hDegree(deg int) int { return max(deg-1, 1) }
+
+// eqFactor returns the index of the eq factor every term of vp carries
+// exactly once, registered via AddEqMLE — the shape whose rounds are sent
+// as h — or -1 when vp has another shape.
+func eqFactor(vp *VirtualPoly) int {
+	eq := -1
+	for _, t := range vp.Terms {
+		te := -1
+		for _, k := range t.Indices {
+			if !vp.lazy[k].eq {
+				continue
+			}
+			if te >= 0 {
+				return -1
+			}
+			te = k
+		}
+		if te < 0 || (eq >= 0 && te != eq) {
+			return -1
+		}
+		eq = te
+	}
+	return eq
+}
 
 // sendRound writes the values sent of the round polynomial given by its
 // values full at X = 0..d into sent (d entries: all but p(1)), appends
@@ -230,30 +260,40 @@ func Prove(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 }
 
 // ProveReference is the round-by-round prover the MTU dataflow of
-// ProveWith is measured against: every round evaluates all deg+1 columns
-// of the round polynomial over materialized tables (the eq table
-// included), then a separate MLE Update pass folds the challenge into
-// each table, on one goroutine with fresh scratch per round. It consumes
-// vp's tables (folded in place), so callers pass clones of anything they
-// keep. Nothing in the prover calls it: the bench suite and its CI gates
-// time it beside ProveWith, and tests use it as the oracle — proofs are
-// byte-identical, field arithmetic being exact.
+// ProveWith is measured against: every round evaluates all columns of the
+// round polynomial over materialized tables (the eq table included), then
+// a separate MLE Update pass folds the challenge into each table, on one
+// goroutine with fresh scratch per round. When every term carries the
+// same AddEqMLE factor, the columns are those of h (RoundPoly): each term
+// is weighted by a fresh eq table of the point's unbound suffix in place
+// of the eq factor. It consumes vp's tables (folded in place), so callers
+// pass clones of anything they keep. Nothing in the prover calls it: the
+// bench suite and its CI gates time it beside ProveWith, and tests use it
+// as the oracle — proofs are byte-identical, field arithmetic being exact.
 func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 	if len(vp.MLEs) == 0 {
 		panic("sumcheck: virtual polynomial has no MLEs")
 	}
+	eq := eqFactor(vp)
 	for k := range vp.MLEs {
 		vp.mle(k) // materialize lazily registered tables
 	}
 	mu := vp.NumVars
 	deg := roundDegree(vp)
+	if eq >= 0 {
+		deg = hDegree(deg)
+	}
 	res := ProverResult{
 		Challenges: make([]ff.Fr, 0, mu),
 	}
 	res.Proof.Rounds = make([]RoundPoly, 0, mu)
 	for round := 0; round < mu; round++ {
+		var weights []ff.Fr
+		if eq >= 0 {
+			weights = poly.EqTable(vp.lazy[eq].point[round+1:]).Evals
+		}
 		sent := make([]ff.Fr, deg)
-		r := sendRound(tr, referenceRound(vp, deg), sent)
+		r := sendRound(tr, referenceRound(vp, deg, eq, weights), sent)
 		res.Proof.Rounds = append(res.Proof.Rounds, RoundPoly{Evals: sent})
 		res.Challenges = append(res.Challenges, r)
 		for _, m := range vp.MLEs {
@@ -270,7 +310,9 @@ func ProveReference(vp *VirtualPoly, tr *transcript.Transcript) ProverResult {
 // referenceRound computes the round polynomial evaluations at X = 0..deg
 // by the textbook sweep: per hypercube instance, every MLE is extended to
 // all evaluation points and every term product accumulated per point.
-func referenceRound(vp *VirtualPoly, deg int) []ff.Fr {
+// With eq ≥ 0, the factor eq is left out of every product and instance i
+// weighted by weights[i] instead, which yields h.
+func referenceRound(vp *VirtualPoly, deg, eq int, weights []ff.Fr) []ff.Fr {
 	half := vp.MLEs[0].Len() / 2
 	nEvals := deg + 1
 	acc := make([]ff.Fr, nEvals)
@@ -286,19 +328,22 @@ func referenceRound(vp *VirtualPoly, deg int) []ff.Fr {
 			e1 := &m.Evals[2*i+1]
 			ev := evals[k]
 			ev[0] = *e0
-			if nEvals > 1 {
-				ev[1] = *e1
-				delta.Sub(e1, e0)
-				for t := 2; t < nEvals; t++ {
-					ev[t].Add(&ev[t-1], &delta)
-				}
+			ev[1] = *e1
+			delta.Sub(e1, e0)
+			for t := 2; t < nEvals; t++ {
+				ev[t].Add(&ev[t-1], &delta)
 			}
 		}
 		for _, term := range vp.Terms {
 			for t := 0; t < nEvals; t++ {
 				prod = term.Coeff
 				for _, k := range term.Indices {
-					prod.Mul(&prod, &evals[k][t])
+					if k != eq {
+						prod.Mul(&prod, &evals[k][t])
+					}
+				}
+				if weights != nil {
+					prod.Mul(&prod, &weights[i])
 				}
 				acc[t].Add(&acc[t], &prod)
 			}
@@ -402,6 +447,32 @@ type VerifyResult struct {
 // tampered round therefore surfaces in FinalClaim, which the caller must
 // check against oracle evaluations of the underlying MLEs at r.
 func Verify(claim ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transcript) (VerifyResult, error) {
+	return verify(claim, nil, proof, numVars, degree, tr)
+}
+
+// VerifyEq replays a sumcheck of Σ_x eq(point, x)·F(x) = claim whose
+// rounds carry h (RoundPoly), as the provers send them when every term
+// holds the one AddEqMLE factor eq(point, ·); degree bounds F's degree
+// (h rounds are sent at degree at least 1). Round j's g is P_j·L_j·h_j,
+// with P_j = Π_{i<j} eq1(t_i, r_i) and
+// L_j(X) = (1−t_j)(1−X) + t_j·X for t = point. The verifier keeps the
+// normalised claim c′ = c/P_j: c′ is claim in round 0 and h_j(r_j) after
+// round j, and g_j(0) + g_j(1) = c becomes (1−t_j)·h_j(0) + t_j·h_j(1) =
+// c′, which it builds in as h_j(1) = (c′ − (1−t_j)·h_j(0))/t_j. FinalClaim
+// is therefore F(r), without the eq(point, r) factor. The t_j are
+// inverted in one batch; a zero t_j, for which h_j(1) is not determined,
+// is rejected.
+func VerifyEq(claim ff.Fr, point []ff.Fr, proof Proof, degree int, tr *transcript.Transcript) (VerifyResult, error) {
+	for j := range point {
+		if point[j].IsZero() {
+			return VerifyResult{}, fmt.Errorf("sumcheck: eq point coordinate %d is zero", j)
+		}
+	}
+	return verify(claim, point, proof, len(point), max(degree, 1), tr)
+}
+
+// verify replays the rounds of Verify (point nil) or VerifyEq.
+func verify(claim ff.Fr, point []ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transcript) (VerifyResult, error) {
 	var res VerifyResult
 	if degree < 1 {
 		return res, fmt.Errorf("sumcheck: degree %d, want at least 1", degree)
@@ -409,16 +480,30 @@ func Verify(claim ff.Fr, proof Proof, numVars, degree int, tr *transcript.Transc
 	if len(proof.Rounds) != numVars {
 		return res, fmt.Errorf("sumcheck: expected %d rounds, got %d", numVars, len(proof.Rounds))
 	}
+	var tInv []ff.Fr
+	if point != nil {
+		tInv = poly.BatchInverse(point)
+	}
 	cur := claim
 	res.Challenges = make([]ff.Fr, 0, numVars)
 	buf := make([]ff.Fr, degree+1+interpolatorLen(degree))
 	full, interp := buf[:degree+1], newClaimInterpolator(degree, buf[degree+1:])
+	var l0 ff.Fr
 	for round, rp := range proof.Rounds {
 		if len(rp.Evals) != degree {
 			return res, fmt.Errorf("sumcheck: round %d has %d evals, want %d", round, len(rp.Evals), degree)
 		}
 		full[0] = rp.Evals[0]
-		full[1].Sub(&cur, &rp.Evals[0])
+		if point == nil {
+			full[1].Sub(&cur, &rp.Evals[0])
+		} else {
+			// h(1) = (c′ − (1−t)·h(0))/t
+			l0.SetOne()
+			l0.Sub(&l0, &point[round])
+			l0.Mul(&l0, &rp.Evals[0])
+			full[1].Sub(&cur, &l0)
+			full[1].Mul(&full[1], &tInv[round])
+		}
 		copy(full[2:], rp.Evals[1:])
 		tr.AppendFrs("sumcheck.round", rp.Evals)
 		r := tr.ChallengeFr("sumcheck.r")

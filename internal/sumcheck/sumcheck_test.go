@@ -267,6 +267,69 @@ func TestZeroCheckShapedPoly(t *testing.T) {
 	}
 }
 
+// TestVerifyEqRoundTrip proves Σ eq(t, x)·F(x) with the eq factor
+// registered via AddEqMLE, so rounds carry h, and requires VerifyEq to
+// end at F(r) itself; a wrong claim or a tampered h value must move that
+// final claim, and a zero coordinate of t must be refused.
+func TestVerifyEqRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for _, nv := range []int{1, 2, 5} {
+		point := make([]ff.Fr, nv)
+		for i := range point {
+			point[i] = randFr(rng)
+		}
+		m := []*poly.MLE{randMLE(rng, nv), randMLE(rng, nv), randMLE(rng, nv)}
+		c := randFr(rng)
+		build := func() *VirtualPoly {
+			vp := NewVirtualPoly(nv)
+			a, b, d := vp.AddMLE(m[0]), vp.AddMLE(m[1]), vp.AddMLE(m[2])
+			eq := vp.AddEqMLE(point)
+			vp.AddTerm(c, a, b, d, eq)
+			vp.AddTerm(ff.FrOne(), b, eq)
+			return vp
+		}
+		vp := build()
+		claim := build().SumOverHypercube()
+		res := Prove(vp, transcript.New("sc-eq"))
+		if got := len(res.Proof.Rounds[0].Evals); got != 3 {
+			t.Fatalf("nv=%d: an h round sends %d values, want 3 (degree 4 with eq, h of degree 3)", nv, got)
+		}
+		vres, err := VerifyEq(claim, point, res.Proof, 3, transcript.New("sc-eq"))
+		if err != nil {
+			t.Fatalf("nv=%d: %v", nv, err)
+		}
+		r := vres.Challenges
+		var f, e ff.Fr
+		f.Mul(&res.FinalEvals[0], &res.FinalEvals[1])
+		f.Mul(&f, &res.FinalEvals[2])
+		f.Mul(&f, &c)
+		e = m[1].Evaluate(r)
+		f.Add(&f, &e)
+		if !f.Equal(&vres.FinalClaim) {
+			t.Fatalf("nv=%d: final claim is not F(r)", nv)
+		}
+		one := ff.FrOne()
+		var bad ff.Fr
+		bad.Add(&claim, &one)
+		if v, _ := VerifyEq(bad, point, res.Proof, 3, transcript.New("sc-eq")); v.FinalClaim.Equal(&f) {
+			t.Fatalf("nv=%d: wrong claim reached F(r)", nv)
+		}
+		tampered := Proof{Rounds: make([]RoundPoly, nv)}
+		for j, rd := range res.Proof.Rounds {
+			tampered.Rounds[j].Evals = append([]ff.Fr(nil), rd.Evals...)
+		}
+		tampered.Rounds[nv-1].Evals[1].Add(&tampered.Rounds[nv-1].Evals[1], &one)
+		if v, _ := VerifyEq(claim, point, tampered, 3, transcript.New("sc-eq")); v.FinalClaim.Equal(&f) {
+			t.Fatalf("nv=%d: tampered h value reached F(r)", nv)
+		}
+		zero := append([]ff.Fr(nil), point...)
+		zero[nv-1].SetZero()
+		if _, err := VerifyEq(claim, zero, res.Proof, 3, transcript.New("sc-eq")); err == nil {
+			t.Fatalf("nv=%d: accepted an eq point with a zero coordinate", nv)
+		}
+	}
+}
+
 func BenchmarkSumcheckRound12(b *testing.B) {
 	rng := rand.New(rand.NewSource(67))
 	nv := 12

@@ -115,7 +115,9 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // auto-retry options, the prove routes' register-on-use resolver, the
 // advertised scheme's JSON field, the root scheme list (WithPCSScheme,
 // pcs.Scheme and pcs.Schemes stay), the job store's fsync knob, flusher,
-// Sync and Fail methods or the request-body limit option; nothing calls the
+// Sync and Fail methods, the request-body limit option or a G2 byte
+// decoder (every G2 point comes from the ceremony; one that ever decodes
+// G2 bytes needs its own ψ-based subgroup check); nothing calls the
 // sparse commit
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
@@ -130,9 +132,9 @@ func TestOnePathPerLayer(t *testing.T) {
 	// lanes, the per-request scheme pin, the WAL claim record, the
 	// micro-suite's quick/full shapes, two unused root aliases, the client
 	// auto-retry, register-on-use, the scheme advertisement, the store's
-	// sync modes with Store.Sync and Store.Fail, and the body-limit
-	// option are spelled in halves, so a grep of the tree for them finds
-	// none here.
+	// sync modes with Store.Sync and Store.Fail, the body-limit option
+	// and the G2 byte decoders that must not appear are spelled in halves,
+	// so a grep of the tree for them finds none here.
 	banned := []string{
 		"Deprecated:", "KernelSigned", "KernelBatchAffine", "KernelBaseline", "SumcheckKernel",
 		"Fixed" + "Base", "Attach" + "Tables", "Precompute" + "Tables", "zk" + "fb", "Mont" + "Bytes", "Steal" + "Interval",
@@ -154,6 +156,8 @@ func TestOnePathPerLayer(t *testing.T) {
 		"Sync" + "Interval", "Store" + "Sync", "store" + "-sync", "flush" + "Loop", "flush" + "kil", "flush" + "wg",
 		"store." + "Sync(", "store." + "Fail(", "(w *WAL) " + "Sync(", "(w *WAL) " + "Fail(",
 		"\tSync" + "() error", "\tFail" + "(id, msg string) error", "MaxBody" + "Bytes",
+		"G2Affine) Set" + "Bytes", "G2Affine) Set" + "Canonical", "G2Affine) Unmarshal", "G2Affine) Decode",
+		"G2Affine) Read", "G2" + "FromBytes", "read" + "G2(", "decode" + "G2(", "Read" + "G2(", "Decode" + "G2(",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be
