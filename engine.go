@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zkspeed/internal/hyperplonk"
+	"zkspeed/internal/par"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/poly"
 	"zkspeed/internal/sim"
@@ -369,34 +369,14 @@ func (e *Engine) ProveBatch(ctx context.Context, jobs []ProofJob) ([]BatchResult
 		ctx = context.Background()
 	}
 	out := make([]BatchResult, len(jobs))
-	nw := e.cfg.parallelism
-	if nw > len(jobs) {
-		nw = len(jobs)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					out[i] = BatchResult{Job: i, Err: err}
-					continue
-				}
-				res, err := e.Prove(ctx, jobs[i].Circuit, jobs[i].Assignment)
-				out[i] = BatchResult{Job: i, Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(jobs), e.cfg.parallelism, nil, func(_ struct{}, i int) {
+		if err := ctx.Err(); err != nil {
+			out[i] = BatchResult{Job: i, Err: err}
+			return
+		}
+		res, err := e.Prove(ctx, jobs[i].Circuit, jobs[i].Assignment)
+		out[i] = BatchResult{Job: i, Result: res, Err: err}
+	})
 	// A cancellation that lands after the last job finished is not a
 	// batch failure: report ctx.Err() only when it actually cut a job
 	// short. Other per-job failures stay in the results alone.

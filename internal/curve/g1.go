@@ -267,15 +267,13 @@ func allZero(b []byte) bool {
 }
 
 // FromJacobian converts q to affine coordinates, sets p, and returns p.
-// Z is inverted by the binary GCD (InverseBEEA), several times faster
-// than the Fermat ladder for one lone inversion.
 func (p *G1Affine) FromJacobian(q *G1Jac) *G1Affine {
 	if q.Z.IsZero() {
 		*p = G1Affine{Inf: true}
 		return p
 	}
 	var zinv, zinv2, zinv3 ff.Fp
-	zinv.InverseBEEA(&q.Z)
+	zinv.Inverse(&q.Z)
 	zinv2.Square(&zinv)
 	zinv3.Mul(&zinv2, &zinv)
 	p.X.Mul(&q.X, &zinv2)

@@ -5,10 +5,9 @@
 package dse
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
+	"zkspeed/internal/par"
 	"zkspeed/internal/sim"
 )
 
@@ -37,26 +36,11 @@ func Evaluate(cfg sim.Config, mu int) Point {
 func Explore(mu int) []Point {
 	configs := sim.DesignSpace()
 	out := make([]Point, len(configs))
-	nw := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (len(configs) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(configs) {
-			hi = len(configs)
+	par.Range(len(configs), par.Procs(0), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Evaluate(configs[i], mu)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = Evaluate(configs[i], mu)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }
 

@@ -21,7 +21,6 @@ var (
 	fpQInvNeg uint64
 	fpRSquare Fp
 	fpOne     Fp
-	fpQMinus2 Fp // p-2, the Fermat inversion exponent (not Montgomery)
 	fpSqrtExp Fp // (p+1)/4, the square-root exponent (not Montgomery)
 	fpHalf    Fp // (p-1)/2, the largest "small" value (not Montgomery)
 	fpModulus *big.Int
@@ -38,11 +37,6 @@ func init() {
 	r := new(big.Int).Lsh(big.NewInt(1), 384)
 	bigToWords(new(big.Int).Mod(r, q), fpOne[:])
 	bigToWords(new(big.Int).Mod(new(big.Int).Mul(r, r), q), fpRSquare[:])
-	var b uint64
-	fpQMinus2[0], b = bits.Sub64(fpQ[0], 2, 0)
-	for i := 1; i < 6; i++ {
-		fpQMinus2[i], b = bits.Sub64(fpQ[i], 0, b)
-	}
 	bigToWords(new(big.Int).Rsh(new(big.Int).Add(q, big.NewInt(1)), 2), fpSqrtExp[:])
 	bigToWords(new(big.Int).Rsh(q, 1), fpHalf[:])
 	initFpInverse()
@@ -294,17 +288,6 @@ func (z *Fp) Exp(x *Fp, e *big.Int) *Fp {
 	return z
 }
 
-// Inverse sets z = x^{-1} mod p via Fermat's little theorem, computed as
-// a fixed 4-bit windowed ladder over the hardwired p-2 limbs — no big.Int
-// and no per-call heap allocation (the Exp path allocated the exponent on
-// every call). Zero maps to zero.
-func (z *Fp) Inverse(x *Fp) *Fp {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	return z.expLimbs(x, &fpQMinus2)
-}
-
 // expLimbs sets z = x^e for a fixed exponent e given as plain
 // little-endian limbs, by a 4-bit windowed ladder that allocates nothing.
 func (z *Fp) expLimbs(x *Fp, e *Fp) *Fp {
@@ -357,7 +340,7 @@ func BatchInverse(out, in, scratch []Fp) {
 		}
 	}
 	var inv Fp
-	inv.InverseBEEA(&acc)
+	inv.Inverse(&acc)
 	// Walk backwards: out[i] = inv·prefix[i], then fold in[i] into inv.
 	for i := len(in) - 1; i >= 0; i-- {
 		if in[i].IsZero() {

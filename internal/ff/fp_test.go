@@ -56,20 +56,34 @@ func TestFpAddSubNegAgainstBig(t *testing.T) {
 	}
 }
 
+// TestFpInverse checks the binary GCD against math/big's ModInverse on the
+// edge inputs (0, 1, p−1, R, R², 2^380−1, and the element whose
+// Montgomery limbs are 1) and on random ones.
 func TestFpInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 50; i++ {
-		a := randFp(rng)
-		if a.IsZero() {
-			continue
+	for i, a := range fpInverseCases(rng, 50) {
+		var got, want Fp
+		got.Inverse(&a)
+		if x := a.BigInt(); x.Sign() != 0 {
+			want.SetBigInt(new(big.Int).ModInverse(x, fpModulus))
 		}
-		var inv, prod Fp
-		inv.Inverse(&a)
-		prod.Mul(&a, &inv)
-		if !prod.IsOne() {
-			t.Fatalf("fp a*a^-1 != 1")
+		if !got.Equal(&want) {
+			t.Fatalf("case %d: Inverse(%s) = %s, want %s", i, a.String(), got.String(), want.String())
 		}
 	}
+}
+
+// fpInverseCases is fpEdgeCases, R², the element whose Montgomery limbs
+// are 1, and n random elements.
+func fpInverseCases(rng *rand.Rand, n int) []Fp {
+	var rr Fp
+	r := new(big.Int).Lsh(big.NewInt(1), 384)
+	rr.SetBigInt(r.Mul(r, r))
+	cases := append(fpEdgeCases(), rr, Fp{1})
+	for range n {
+		cases = append(cases, randFp(rng))
+	}
+	return cases
 }
 
 func TestFpSqrt(t *testing.T) {
@@ -184,27 +198,6 @@ func BenchmarkFpMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Mul(&x, &y)
-	}
-}
-
-// TestFpInverseBEEAAllocs: the binary GCD allocates nothing — it is
-// the shared inversion of every batch-affine MSM batch — and agrees with
-// the Fermat ladder on the edge inputs (0, 1, p−1, R, R², 2^380−1, and
-// the element whose Montgomery limbs are 1) and on random ones.
-func TestFpInverseBEEAAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	var rr Fp
-	r := new(big.Int).Lsh(big.NewInt(1), 384)
-	rr.SetBigInt(r.Mul(r, r))
-	cases := append(fpEdgeCases(), rr, Fp{1}, randFp(rng), randFp(rng))
-	for i, a := range cases {
-		var got, want Fp
-		if allocs := testing.AllocsPerRun(10, func() { got.InverseBEEA(&a) }); allocs != 0 {
-			t.Fatalf("case %d: InverseBEEA allocates %.0f objects", i, allocs)
-		}
-		if want.Inverse(&a); !got.Equal(&want) {
-			t.Fatalf("case %d: InverseBEEA(%s) = %s, want %s", i, a.String(), got.String(), want.String())
-		}
 	}
 }
 

@@ -382,18 +382,6 @@ func (z *Fr) Inverse(x *Fr) *Fr {
 	return z
 }
 
-// InverseBEEA sets z = x^{-1} mod q using the binary extended Euclidean
-// algorithm — the same algorithm zkSpeed's FracMLE unit implements in
-// constant time (§4.4.1). Inverting zero yields zero.
-func (z *Fr) InverseBEEA(x *Fr) *Fr {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	var w big.Int
-	w.ModInverse(x.BigInt(), frModulus)
-	return z.SetBigInt(&w)
-}
-
 // Halve sets z = x/2 mod q and returns z.
 func (z *Fr) Halve(x *Fr) *Fr {
 	c := *x

@@ -176,11 +176,6 @@ func TestFrInverse(t *testing.T) {
 		if !prod.IsOne() {
 			t.Fatalf("a * a^-1 != 1 for a=%s", a)
 		}
-		var invB Fr
-		invB.InverseBEEA(&a)
-		if !invB.Equal(&inv) {
-			t.Fatalf("BEEA inverse disagrees with Fermat for a=%s", a)
-		}
 	}
 	var z, iz Fr
 	iz.Inverse(&z)

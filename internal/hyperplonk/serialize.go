@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 	"zkspeed/internal/pcs"
 	"zkspeed/internal/sumcheck"
 )
@@ -122,22 +120,9 @@ func (pr *pointReader) read(r *bytes.Reader, p *curve.G1Affine) error {
 func (pr *pointReader) decode() error {
 	n := len(pr.dst)
 	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			errs[i] = pr.dst[i].SetBytesCompressed(pr.encs[i*g1Len : (i+1)*g1Len])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.Each(n, par.Procs(0), nil, func(_ struct{}, i int) {
+		errs[i] = pr.dst[i].SetBytesCompressed(pr.encs[i*g1Len : (i+1)*g1Len])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("hyperplonk: point %d: %w", i, err)

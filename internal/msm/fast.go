@@ -3,11 +3,10 @@ package msm
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 )
 
 // The bucket MSM routes: signed-digit windows, GLV splitting (or, for
@@ -214,7 +213,7 @@ func glvPlan(job int, points []curve.G1Affine, scalars []ff.Fr, opt Options) pla
 	// carrying the k₁ and the k₂ halves of the scalars.
 	phis := make([]curve.G1Affine, n)
 	digits := make([]int16, nw*nPts)
-	parallelFor(n, recodeProcs(n, opt), func(lo, hi int) {
+	par.Range(n, recodeProcs(n, opt), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k1, k2 := ff.GLVSplit(&scalars[i])
 			phis[i].Phi(&points[i])
@@ -262,7 +261,7 @@ func narrowPlan(job int, points []curve.G1Affine, scalars []ff.Fr, bits int, opt
 	c := clampWindow(opt.Window, DefaultWindowFast(n))
 	nw := signedWindows(bits, c)
 	digits := make([]int16, nw*n)
-	parallelFor(n, recodeProcs(n, opt), func(lo, hi int) {
+	par.Range(n, recodeProcs(n, opt), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			w := scalars[i].CanonicalLimbs()
 			signedDigits(w[:], c, nw, false, digits[i:], n)
@@ -297,34 +296,13 @@ func bucketSums(plans []plan, out []curve.G1Jac, opt Options) {
 	procs := opt.procs()
 	pieces, ends := schedule(plans, procs)
 	partials := make([]curve.G1Jac, len(pieces))
-	var next atomic.Int32
-	work := func() {
-		s := new(taskScratch)
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= len(ends) {
-				return
-			}
-			lo := 0
-			if k > 0 {
-				lo = ends[k-1]
-			}
-			s.run(plans, pieces[lo:ends[k]], partials[lo:ends[k]])
+	par.Each(len(ends), procs, func() *taskScratch { return new(taskScratch) }, func(s *taskScratch, k int) {
+		lo := 0
+		if k > 0 {
+			lo = ends[k-1]
 		}
-	}
-	if workers := min(procs, len(ends)); workers > 1 {
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	} else {
-		work()
-	}
+		s.run(plans, pieces[lo:ends[k]], partials[lo:ends[k]])
+	})
 
 	// Merge chunk partials per window in piece order (deterministic),
 	// then Horner-combine each plan's window sums.
@@ -821,33 +799,4 @@ func (a *affineAcc) finish() []curve.G1Affine {
 		a.reduceQueue()
 	}
 	return a.slots[:a.nb]
-}
-
-// parallelFor splits [0, n) into one contiguous range per worker and runs
-// fn on each concurrently. Writes must be disjoint per index.
-func parallelFor(n, procs int, fn func(lo, hi int)) {
-	if procs <= 1 || n < 2 {
-		fn(0, n)
-		return
-	}
-	if procs > n {
-		procs = n
-	}
-	chunk := (n + procs - 1) / procs
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -1,11 +1,11 @@
 package msm
 
 import (
-	"runtime"
 	"sync"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 )
 
 // Fixed-base scalar multiplication of the G1 generator — the kernel of
@@ -64,7 +64,7 @@ func MulGenerator(scalars []ff.Fr) []curve.G1Affine {
 	genTableOnce.Do(buildGenTable)
 	const half = 1 << (genWindow - 1)
 	out := make([]curve.G1Affine, len(scalars))
-	forChunks(len(scalars), runtime.GOMAXPROCS(0), func(from, to int, s *chunkScratch) {
+	forChunks(len(scalars), par.Procs(0), func(from, to int, s *chunkScratch) {
 		acc := out[from:to]
 		digits := make([]int16, genWindows*len(acc))
 		for i := range acc {
@@ -100,7 +100,7 @@ func SumPairs(points []curve.G1Affine) []curve.G1Affine {
 		panic("msm: SumPairs needs an even number of points")
 	}
 	out := make([]curve.G1Affine, len(points)/2)
-	forChunks(len(out), runtime.GOMAXPROCS(0), func(from, to int, s *chunkScratch) {
+	forChunks(len(out), par.Procs(0), func(from, to int, s *chunkScratch) {
 		for i := from; i < to; i++ {
 			out[i] = points[2*i]
 			s.adds[i-from] = points[2*i+1]
@@ -160,7 +160,7 @@ func (s *chunkScratch) addInto(acc, adds []curve.G1Affine) {
 func forChunks(n, procs int, fn func(from, to int, s *chunkScratch)) {
 	nChunks := (n + genChunk - 1) / genChunk
 	size := min(n, genChunk)
-	parallelFor(nChunks, procs, func(lo, hi int) {
+	par.Range(nChunks, procs, func(lo, hi int) {
 		s := &chunkScratch{
 			adds:    make([]curve.G1Affine, size),
 			idx:     make([]int32, size),

@@ -46,11 +46,10 @@ package msm
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 )
 
 // digitAt extracts bits [lo, lo+c) of a little-endian word slice.
@@ -83,17 +82,13 @@ type Options struct {
 	Procs int
 }
 
-// procs resolves the goroutine budget under the rule poly.Options shares:
-// a serial run uses one goroutine, a parallel one Procs, and a
-// non-positive Procs means GOMAXPROCS.
+// procs resolves the goroutine budget: one goroutine for a serial run,
+// par.Procs(Procs) for a parallel one.
 func (o *Options) procs() int {
 	if !o.Parallel {
 		return 1
 	}
-	if o.Procs > 0 {
-		return o.Procs
-	}
-	return runtime.GOMAXPROCS(0)
+	return par.Procs(o.Procs)
 }
 
 // Aggregation identifies a bucket-aggregation schedule.
@@ -226,24 +221,9 @@ func Pippenger(points []curve.G1Affine, scalars []ff.Fr, opt Options) curve.G1Ja
 		windowSums[w] = aggregateBuckets(buckets[1:], opt.Aggregation)
 	}
 
-	if procs := opt.procs(); procs > 1 && numWindows > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, procs)
-		for w := 0; w < numWindows; w++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(w int) {
-				defer wg.Done()
-				processWindow(w)
-				<-sem
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for w := 0; w < numWindows; w++ {
-			processWindow(w)
-		}
-	}
+	par.Each(numWindows, opt.procs(), nil, func(_ struct{}, w int) {
+		processWindow(w)
+	})
 
 	return hornerCombine(windowSums, c, &out)
 }

@@ -5,12 +5,10 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
-	"zkspeed/internal/poly"
 )
 
 func randFr(rng *rand.Rand) ff.Fr {
@@ -845,23 +843,11 @@ func TestDefaultWindowFast(t *testing.T) {
 	}
 }
 
-// TestOneBudgetRule pins the single rule for a goroutine budget: the
-// MSM layer resolves Procs exactly as the execution context it is derived
-// from (poly.Options, which sumcheck.ProveWith and the poly kernels resolve
-// through) — a non-positive budget means every CPU, never one goroutine —
-// and only Parallel == false forces a serial MSM.
+// TestOneBudgetRule pins what msm adds to the one budget rule (par.Procs,
+// which a parallel MSM resolves Procs by): Parallel == false forces a
+// serial MSM whatever Procs says.
 func TestOneBudgetRule(t *testing.T) {
 	for _, procs := range []int{-1, 0, 1, 3, 64} {
-		want := procs
-		if procs <= 0 {
-			want = runtime.GOMAXPROCS(0)
-		}
-		if got := (poly.Options{Procs: procs}).Workers(); got != want {
-			t.Fatalf("poly: Procs %d resolves to %d workers, want %d", procs, got, want)
-		}
-		if got := (&Options{Parallel: true, Procs: procs}).procs(); got != want {
-			t.Fatalf("msm: Procs %d resolves to %d workers, want %d", procs, got, want)
-		}
 		if got := (&Options{Procs: procs}).procs(); got != 1 {
 			t.Fatalf("msm: serial MSM with Procs %d resolves to %d workers, want 1", procs, got)
 		}

@@ -1,11 +1,10 @@
 package pcs
 
 import (
-	"sync"
-
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/msm"
+	"zkspeed/internal/par"
 )
 
 // Both backends end a verification in the same check,
@@ -66,40 +65,37 @@ func splitPairs(fixed, points, procs int) []int {
 
 // pairingCheck runs the check above. lines[0] holds H's Miller-loop
 // lines and lines[k+1] those of Q_k. The loops of splitPairs(len(fixed),
-// len(pts), procs) beyond the first run on goroutines of their own while
-// the caller computes the MSM and then the loop of its pair and its share.
+// len(pts), procs) run side by side, one share each: loop 0 computes the
+// MSM, then the loop of its pair and its share.
 func pairingCheck(pts []curve.G1Affine, scalars []ff.Fr, fixed []curve.G1Affine, lines []curve.G2Prepared, procs int) (bool, error) {
 	shares := splitPairs(len(fixed), len(pts), procs)
-	type part struct {
-		f   ff.Fp12
-		err error
-	}
-	parts := make([]part, len(shares)-1)
-	var wg sync.WaitGroup
-	lo := shares[0]
-	for i, n := range shares[1:] {
-		wg.Add(1)
-		go func(p *part, lo, hi int) {
-			defer wg.Done()
-			p.f, p.err = curve.PreparedMillerLoop(fixed[lo:hi], lines[lo+1:hi+1])
-		}(&parts[i], lo, lo+n)
-		lo += n
-	}
-
-	sum := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
-	ps := make([]curve.G1Affine, 1+shares[0])
-	ps[0].FromJacobian(&sum)
-	copy(ps[1:], fixed[:shares[0]])
-	f, err := curve.PreparedMillerLoop(ps, lines[:len(ps)])
-	wg.Wait()
-	if err != nil {
-		return false, err
-	}
-	for i := range parts {
-		if parts[i].err != nil {
-			return false, parts[i].err
+	fs := make([]ff.Fp12, len(shares))
+	errs := make([]error, len(shares))
+	// One share a chunk.
+	par.Range(len(shares), len(shares), func(k, _ int) {
+		if k == 0 {
+			sum := msm.MSMWithOptions(pts, scalars, msm.Options{Window: 4})
+			ps := make([]curve.G1Affine, 1+shares[0])
+			ps[0].FromJacobian(&sum)
+			copy(ps[1:], fixed[:shares[0]])
+			fs[0], errs[0] = curve.PreparedMillerLoop(ps, lines[:len(ps)])
+			return
 		}
-		f.Mul(&f, &parts[i].f)
+		lo := 0
+		for _, n := range shares[:k] {
+			lo += n
+		}
+		hi := lo + shares[k]
+		fs[k], errs[k] = curve.PreparedMillerLoop(fixed[lo:hi], lines[lo+1:hi+1])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return false, err
+		}
+	}
+	f := fs[0]
+	for k := 1; k < len(fs); k++ {
+		f.Mul(&f, &fs[k])
 	}
 	out := curve.FinalExponentiation(&f)
 	return out.IsOne(), nil

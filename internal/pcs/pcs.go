@@ -24,6 +24,7 @@ import (
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/msm"
+	"zkspeed/internal/par"
 	"zkspeed/internal/poly"
 	"zkspeed/internal/transcript"
 )
@@ -201,7 +202,7 @@ func (s *SRS) OpenWith(m *poly.MLE, point []ff.Fr, opt poly.Options) (OpeningPro
 		q := free[:half]
 		free = free[half:]
 		evals := work.Evals
-		poly.ParallelRange(half, opt, func(lo, hi int) {
+		par.Range(half, opt.WorkersFor(half), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				q[i].Sub(&evals[2*i+1], &evals[2*i])
 			}

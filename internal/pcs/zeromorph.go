@@ -26,6 +26,7 @@ import (
 	"zkspeed/internal/curve"
 	"zkspeed/internal/ff"
 	"zkspeed/internal/msm"
+	"zkspeed/internal/par"
 	"zkspeed/internal/poly"
 	"zkspeed/internal/transcript"
 )
@@ -163,7 +164,7 @@ func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, popt poly.Options) (
 		half := 1 << k
 		qk := make([]ff.Fr, half)
 		uk := point[k]
-		poly.ParallelRange(half, popt, func(lo, hi int) {
+		par.Range(half, popt.WorkersFor(half), func(lo, hi int) {
 			var t ff.Fr
 			for j := lo; j < hi; j++ {
 				qk[j].Sub(&g[j+half], &g[j])
@@ -204,7 +205,7 @@ func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, popt poly.Options) (
 	for k := 0; k < mu; k++ {
 		off := n - (1 << k)
 		qk := quotients[k]
-		poly.ParallelRange(len(qk), popt, func(lo, hi int) {
+		par.Range(len(qk), popt.WorkersFor(len(qk)), func(lo, hi int) {
 			var t ff.Fr
 			for j := lo; j < hi; j++ {
 				t.Mul(&yPow, &qk[j])
@@ -228,7 +229,7 @@ func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, popt poly.Options) (
 	for k := 0; k < mu; k++ {
 		wk := sc.qScalar[k]
 		qk := quotients[k]
-		poly.ParallelRange(len(qk), popt, func(lo, hi int) {
+		par.Range(len(qk), popt.WorkersFor(len(qk)), func(lo, hi int) {
 			var t ff.Fr
 			for j := lo; j < hi; j++ {
 				t.Mul(&wk, &qk[j])
@@ -237,7 +238,7 @@ func (s *ZeromorphSRS) OpenWith(m *poly.MLE, point []ff.Fr, popt poly.Options) (
 		})
 	}
 	evals := m.Evals
-	poly.ParallelRange(n, popt, func(lo, hi int) {
+	par.Range(n, popt.WorkersFor(n), func(lo, hi int) {
 		var t ff.Fr
 		for i := lo; i < hi; i++ {
 			t.Mul(&z, &evals[i])

@@ -1,6 +1,9 @@
 package poly
 
-import "zkspeed/internal/ff"
+import (
+	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
+)
 
 // BatchInverse inverts every element of xs using Montgomery batching
 // (§4.4.2): one modular inversion amortized over len(xs) elements via
@@ -142,7 +145,7 @@ func FractionMLEWith(num, den *MLE, opts Options) *MLE {
 	nBatches := (n + fracBatch - 1) / fracBatch
 	// One batch (~one inversion plus ~3·64 multiplications) is far above
 	// the dispatch overhead, so chunk at batch granularity.
-	parallelRangeMin(nBatches, 2, opts, func(lo, hi int) {
+	par.Range(nBatches, min(opts.Workers(), nBatches/2), func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			start := b * fracBatch
 			end := start + fracBatch
@@ -177,7 +180,7 @@ func FractionOfProductsWith(num, den []Affine, opts Options) *MLE {
 	n := 1 << nv
 	out := make([]ff.Fr, n)
 	nBatches := (n + fracBatch - 1) / fracBatch
-	parallelRangeMin(nBatches, 2, opts, func(lo, hi int) {
+	par.Range(nBatches, min(opts.Workers(), nBatches/2), func(lo, hi int) {
 		var nb, db [fracBatch]ff.Fr
 		var t ff.Fr
 		for b := lo; b < hi; b++ {

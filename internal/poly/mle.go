@@ -14,6 +14,7 @@ import (
 	"math/bits"
 
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 )
 
 // MLE is a multilinear polynomial over {0,1}^NumVars stored as its 2^NumVars
@@ -72,7 +73,7 @@ func (m *MLE) FixVariableWith(r *ff.Fr, opts Options) *MLE {
 	arena := opts.Arena()
 	out := arena.Get(half)
 	src := m.Evals
-	ParallelRange(half, opts, func(lo, hi int) {
+	par.Range(half, opts.WorkersFor(half), func(lo, hi int) {
 		foldRange(out, src, r, lo, hi)
 	})
 	copy(m.Evals[:half], out)
@@ -138,7 +139,7 @@ func (m *MLE) EvaluateWith(point []ff.Fr, opts Options) ff.Fr {
 	first := arena.Get(half)
 	r := &point[0]
 	src0 := m.Evals
-	ParallelRange(half, opts, func(lo, hi int) {
+	par.Range(half, opts.WorkersFor(half), func(lo, hi int) {
 		foldRange(first, src0, r, lo, hi)
 	})
 	cur := first
@@ -155,7 +156,7 @@ func (m *MLE) EvaluateWith(point []ff.Fr, opts Options) ff.Fr {
 				spare = arena.Get(half)
 			}
 			dst, src := spare[:half], cur
-			ParallelRange(half, opts, func(lo, hi int) {
+			par.Range(half, opts.WorkersFor(half), func(lo, hi int) {
 				foldRange(dst, src, r, lo, hi)
 			})
 			cur, spare = dst, src
@@ -205,7 +206,7 @@ func EqTableInto(dst, point []ff.Fr, opts Options) {
 			eqLayer(dst, rj, size, 0, size) // no closure: small tables allocate nothing
 			continue
 		}
-		ParallelRange(size, opts, func(lo, hi int) {
+		par.Range(size, opts.WorkersFor(size), func(lo, hi int) {
 			eqLayer(dst, rj, size, lo, hi)
 		})
 	}
@@ -354,7 +355,7 @@ func LinearCombineWith(mles []*MLE, coeffs []ff.Fr, opts Options) *MLE {
 		return LinearCombine(mles, coeffs)
 	}
 	out := make([]ff.Fr, 1<<nv)
-	ParallelRange(len(out), opts, func(lo, hi int) {
+	par.Range(len(out), opts.WorkersFor(len(out)), func(lo, hi int) {
 		var t ff.Fr
 		for k, m := range mles {
 			c := &coeffs[k]

@@ -2,10 +2,10 @@ package poly
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
 )
 
 // Options is the execution context of a proof: Procs bounds goroutine
@@ -30,13 +30,17 @@ type Options struct {
 	Scratch *Scratch
 }
 
-// Workers resolves the goroutine budget: Procs, or GOMAXPROCS when Procs
-// is not positive. msm.Options resolves its own Procs by the same rule.
+// Workers resolves the goroutine budget by par.Procs: Procs, or
+// GOMAXPROCS when Procs is not positive.
 func (o Options) Workers() int {
-	if o.Procs > 0 {
-		return o.Procs
-	}
-	return runtime.GOMAXPROCS(0)
+	return par.Procs(o.Procs)
+}
+
+// WorkersFor is the number of par.Range workers a pass over n table
+// entries is worth: Workers(), but never fewer than minParallelWork
+// entries to a worker.
+func (o Options) WorkersFor(n int) int {
+	return min(o.Workers(), n/minParallelWork)
 }
 
 // Arena resolves the scratch arena: Scratch, or the shared one when nil.
@@ -109,48 +113,4 @@ func (s *Scratch) Put(buf []ff.Fr) {
 	}
 	*v = buf[:0]
 	s.classes[c].Put(v)
-}
-
-// ParallelRange splits [0, n) into one contiguous chunk per goroutine
-// (at most opts.Workers(), and never more than n/minParallelWork) and runs
-// fn on each concurrently, returning when all chunks finish. fn's writes
-// must be disjoint per index; with exact field arithmetic the chunking
-// cannot change results, only wall-clock. procs <= 1 (or a small n) runs
-// fn(0, n) inline on the calling goroutine — the serial path costs no
-// goroutine and no allocation.
-func ParallelRange(n int, opts Options, fn func(lo, hi int)) {
-	parallelRangeMin(n, minParallelWork, opts, fn)
-}
-
-// parallelRangeMin is ParallelRange with an explicit minimum number of
-// items per goroutine, for callers whose per-item work is much heavier
-// than a field multiplication (e.g. a whole inversion batch per item).
-func parallelRangeMin(n, minWork int, opts Options, fn func(lo, hi int)) {
-	nw := opts.Workers()
-	if max := n / minWork; nw > max {
-		nw = max
-	}
-	if nw <= 1 || n < 2 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + nw - 1) / nw
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

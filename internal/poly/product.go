@@ -1,6 +1,9 @@
 package poly
 
-import "zkspeed/internal/ff"
+import (
+	"zkspeed/internal/ff"
+	"zkspeed/internal/par"
+)
 
 // ProductMLE builds the Product MLE π from the Fraction MLE φ (§3.3.3).
 //
@@ -49,7 +52,7 @@ func ProductMLEWith(phi *MLE, opts Options) *MLE {
 	pi := make([]ff.Fr, n)
 	half := n / 2
 	// Layer 1: products of φ pairs.
-	ParallelRange(half, opts, func(lo, hi int) {
+	par.Range(half, opts.WorkersFor(half), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pi[i].Mul(&phi.Evals[2*i], &phi.Evals[2*i+1])
 		}
@@ -57,7 +60,7 @@ func ProductMLEWith(phi *MLE, opts Options) *MLE {
 	// Remaining layers: layer l occupies [start, start+width) and reads
 	// the previous layer at [2(start-half), …).
 	for start, width := half, half/2; width >= 1; start, width = start+width, width/2 {
-		ParallelRange(width, opts, func(lo, hi int) {
+		par.Range(width, opts.WorkersFor(width), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				i := start + k
 				j := i - half

@@ -31,11 +31,11 @@ func TestProveBatchWaitDigestIsOrderSensitive(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 22, 2)
 	entry := mustRegister(t, s, circuit)
 
-	fwd, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, nil)
+	fwd, err := s.proveBatchWait(context.Background(), s.queue.admit(), nil, entry, assigns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := s.ProveBatchWait(context.Background(), nil, entry,
+	rev, err := s.proveBatchWait(context.Background(), s.queue.admit(), nil, entry,
 		[]*hyperplonk.Assignment{assigns[1], assigns[0]}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestProveBatchReportsFailuresWithoutDigest(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 23, 3)
 	entry := mustRegister(t, s, circuit)
 
-	resp, err := s.ProveBatchWait(context.Background(), nil, entry, assigns, nil)
+	resp, err := s.proveBatchWait(context.Background(), s.queue.admit(), nil, entry, assigns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSubmitBatchRejectsOverCapacityWhole(t *testing.T) {
 	circuit, assigns := witnessesFor(t, 24, 6)
 	entry := mustRegister(t, s, circuit)
 
-	_, err := s.SubmitBatch(nil, entry, assigns, nil)
+	_, err := s.submitBatch(s.queue.admit(), nil, entry, assigns, nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -262,7 +262,7 @@ func TestSubmitBatchRefusedEnqueuesNothing(t *testing.T) {
 	}
 	before := tracked()
 
-	_, err := s.SubmitBatch(nil, entry, assigns[5:], nil)
+	_, err := s.submitBatch(s.queue.admit(), nil, entry, assigns[5:], nil)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("got %v, want OverloadedError", err)
@@ -310,7 +310,7 @@ func TestRetryAfterScalesWithLoops(t *testing.T) {
 			if over.RetryAfter != tc.single {
 				t.Fatalf("single Retry-After %v, want %v", over.RetryAfter, tc.single)
 			}
-			if _, err := s.SubmitBatch(nil, entry, assigns[tc.loops+7:], nil); !errors.As(err, &over) {
+			if _, err := s.submitBatch(s.queue.admit(), nil, entry, assigns[tc.loops+7:], nil); !errors.As(err, &over) {
 				t.Fatalf("batch into a full queue: %v", err)
 			}
 			if over.RetryAfter != tc.batch {

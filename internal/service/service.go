@@ -583,10 +583,6 @@ func (s *Service) circuitCount() int {
 // QueueDepth is the number of queued jobs.
 func (s *Service) QueueDepth() int { return s.queue.Depth() }
 
-// BackendStats reports the backend engine's counters — the visibility
-// hook the end-to-end tests assert setup amortization on.
-func (s *Service) BackendStats() BackendStats { return s.backend.Stats() }
-
 var errWitnessSize = errors.New("service: witness size does not match circuit")
 
 // errBadWitness wraps stream-decode failures so the HTTP layer can
@@ -687,7 +683,7 @@ func (t *storeTee) Read(p []byte) (int, error) {
 }
 
 // submit is the submission core shared by Submit, submitStream and
-// SubmitBatch. Unless o.more, it ends o.adm: with the push, or on return.
+// submitBatch. Unless o.more, it ends o.adm: with the push, or on return.
 func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o submitOpts) (*job, error) {
 	ends := o.adm
 	if o.more {
@@ -791,22 +787,7 @@ func (s *Service) submit(entry *circuitEntry, assign *hyperplonk.Assignment, o s
 	return j, nil
 }
 
-// SubmitWait is Submit plus waiting for the terminal response — the
-// synchronous prove path.
-func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *hyperplonk.Assignment) (api.ProveResponse, error) {
-	j, err := s.Submit(nil, entry, assign, nil)
-	if err != nil {
-		return api.ProveResponse{}, err
-	}
-	select {
-	case <-j.done:
-		return j.response(), nil
-	case <-ctx.Done():
-		return api.ProveResponse{}, ctx.Err()
-	}
-}
-
-// SubmitBatch enqueues a rollup batch of statements over one circuit on
+// submitBatch enqueues a rollup batch of statements over one circuit on
 // behalf of tenant tn (nil is anonymous). Every loop pops from the one
 // queue, so the statements spread over all loops, each loop's share
 // coalescing into one ProveBatch call. A batch larger
@@ -819,12 +800,8 @@ func (s *Service) SubmitWait(ctx context.Context, entry *circuitEntry, assign *h
 // statement charges the tenant's in-flight quota independently; a quota
 // refusal mid-batch behaves like the racing-submitter case. The whole
 // batch is one admission, ended by its last statement's push, so a loop
-// that pops an early statement holds its batch open for the rest.
-func (s *Service) SubmitBatch(tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) ([]*job, error) {
-	return s.submitBatch(s.queue.admit(), tn, entry, assigns, raws)
-}
-
-// submitBatch is SubmitBatch within admission adm, which it ends.
+// that pops an early statement holds its batch open for the rest: adm,
+// which submitBatch ends.
 func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) ([]*job, error) {
 	defer adm.end()
 	if len(assigns) == 0 {
@@ -850,16 +827,11 @@ func (s *Service) submitBatch(adm *admission, tn *tenant.Tenant, entry *circuitE
 	return jobs, nil
 }
 
-// ProveBatchWait is SubmitBatch plus waiting for every statement — the
-// synchronous POST /v1/prove_batch path (see SubmitBatch for the tn/raws
-// semantics). The batch digest binds the proof blobs in statement order
-// and is only computed when every statement succeeded.
-func (s *Service) ProveBatchWait(ctx context.Context, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) (api.ProveBatchResponse, error) {
-	return s.proveBatchWait(ctx, s.queue.admit(), tn, entry, assigns, raws)
-}
-
-// proveBatchWait is ProveBatchWait within admission a, which it ends
-// before it waits.
+// proveBatchWait is submitBatch plus waiting for every statement — the
+// synchronous POST /v1/prove_batch path (see submitBatch for the tn/raws
+// semantics). It ends admission a before it waits. The batch digest binds
+// the proof blobs in statement order and is only computed when every
+// statement succeeded.
 func (s *Service) proveBatchWait(ctx context.Context, a *admission, tn *tenant.Tenant, entry *circuitEntry, assigns []*hyperplonk.Assignment, raws [][]byte) (api.ProveBatchResponse, error) {
 	jobs, err := s.submitBatch(a, tn, entry, assigns, raws)
 	if err != nil {
@@ -1066,7 +1038,7 @@ func (s *Service) gather(batch []*job, deadline, idle time.Time) []*job {
 
 // metOthers reports whether a proved batch met other submitters of its
 // circuit: its jobs, together with the circuit's jobs queued while it
-// proved, came by more than one admission. One SubmitBatch is one
+// proved, came by more than one admission. One submitBatch is one
 // admission however many batches its statements fill; replayed jobs
 // came by none; other circuits' jobs do not count.
 func (s *Service) metOthers(batch []*job) bool {

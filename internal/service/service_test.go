@@ -342,21 +342,30 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 	}
 }
 
+// submitWait submits one statement and waits for its terminal response.
+func submitWait(s *Service, entry *circuitEntry, assign *hyperplonk.Assignment) (api.ProveResponse, error) {
+	j, err := s.Submit(nil, entry, assign, nil)
+	if err != nil {
+		return api.ProveResponse{}, err
+	}
+	<-j.done
+	return j.response(), nil
+}
+
 func TestProofCacheServesRepeatRequest(t *testing.T) {
 	stub := &stubBackend{}
 	s := newTestService(t, Config{BatchWindow: time.Millisecond}, stub)
 	circuit, assign := buildCircuit(t, 3, 7)
 	entry := mustRegister(t, s, circuit)
 
-	ctx := context.Background()
-	first, err := s.SubmitWait(ctx, entry, assign)
+	first, err := submitWait(s, entry, assign)
 	if err != nil || first.Status != api.StatusDone {
 		t.Fatalf("first prove: %v %+v", err, first)
 	}
 	if first.Cached {
 		t.Fatal("first prove reported cached")
 	}
-	second, err := s.SubmitWait(ctx, entry, assign)
+	second, err := submitWait(s, entry, assign)
 	if err != nil || second.Status != api.StatusDone {
 		t.Fatalf("second prove: %v %+v", err, second)
 	}
@@ -374,7 +383,7 @@ func TestProofCacheServesRepeatRequest(t *testing.T) {
 	}
 	// A different witness for the same circuit must miss.
 	_, a2 := buildCircuit(t, 3, 8)
-	third, err := s.SubmitWait(ctx, entry, a2)
+	third, err := submitWait(s, entry, a2)
 	if err != nil || third.Cached {
 		t.Fatalf("different witness served from cache: %v %+v", err, third)
 	}

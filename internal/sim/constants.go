@@ -130,12 +130,3 @@ const (
 	PermCheckTables = 11
 	OpenCheckTables = 12
 )
-
-// Per-instance modmul counts of the unified SumCheck PE datapath,
-// derived from Eq. 3-5 exactly as Table 1 reports them for 2^20 gates
-// (ZeroCheck ≈ 74/instance → 77.6M, PermCheck ≈ 90, OpenCheck ≈ 30).
-const (
-	ZeroCheckMulsPerInstance = 74
-	PermCheckMulsPerInstance = 90
-	OpenCheckMulsPerInstance = 30
-)

@@ -122,7 +122,13 @@ func TestPCSInterfaceBoundary(t *testing.T) {
 // aliases (CommitSparse, SparseMSM); no struct has a field called
 // Kernel, Steal or Shard, and the goroutine budget is a field of exactly
 // the two option structs that own one — everything else carries a
-// poly.Options.
+// poly.Options. The budget rule has one home: runtime.GOMAXPROCS is read
+// in internal/par alone (and by the zkbench harness, which reports it),
+// and no kernel layer or the Engine runs a sync.WaitGroup pool of its own
+// beside par.Range and par.Each; the fused sumcheck's persistent round
+// pool is the one exception, so a proof does not start goroutines every
+// round. Service, store and daemon goroutines are lifecycles, not
+// fan-outs, and are not checked.
 func TestOnePathPerLayer(t *testing.T) {
 	// The names deleted with the fixed-base tables, the steal toggle, the
 	// bench comparator, the uncached engine, the volatile store, the
@@ -158,6 +164,7 @@ func TestOnePathPerLayer(t *testing.T) {
 		"\tSync" + "() error", "\tFail" + "(id, msg string) error", "MaxBody" + "Bytes",
 		"G2Affine) Set" + "Bytes", "G2Affine) Set" + "Canonical", "G2Affine) Unmarshal", "G2Affine) Decode",
 		"G2Affine) Read", "G2" + "FromBytes", "read" + "G2(", "decode" + "G2(", "Read" + "G2(", "Decode" + "G2(",
+		"Inverse" + "BEEA",
 	}
 	// The sparse commit names survive only as aliases of the routed
 	// commit for the frozen benchmark's layer records: they may be
@@ -166,6 +173,11 @@ func TestOnePathPerLayer(t *testing.T) {
 	procsOwners := map[string]bool{
 		"internal/msm/msm.go":      true, // msm.Options
 		"internal/poly/options.go": true, // poly.Options
+	}
+	fanOutLayers := []string{
+		"internal/ff/", "internal/curve/", "internal/msm/", "internal/poly/", "internal/pcs/",
+		"internal/sumcheck/", "internal/transcript/", "internal/hyperplonk/", "internal/dse/", "internal/sim/",
+		"engine.go",
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -188,6 +200,18 @@ func TestOnePathPerLayer(t *testing.T) {
 		for _, tok := range banned {
 			if strings.Contains(string(src), tok) {
 				t.Errorf("%s contains %q: variants are deleted and references are functions", path, tok)
+			}
+		}
+		slash := filepath.ToSlash(path)
+		if strings.Contains(string(src), "runtime.GOMAXPROCS") &&
+			!strings.HasPrefix(slash, "internal/par/") && !strings.HasPrefix(slash, "internal/zkbench/") {
+			t.Errorf("%s reads runtime.GOMAXPROCS: resolve a goroutine budget with par.Procs", path)
+		}
+		if strings.Contains(string(src), "sync.WaitGroup") && slash != "internal/sumcheck/fused.go" {
+			for _, layer := range fanOutLayers {
+				if strings.HasPrefix(slash, layer) {
+					t.Errorf("%s runs a sync.WaitGroup pool: fan out with par.Range or par.Each", path)
+				}
 			}
 		}
 		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)

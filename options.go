@@ -4,7 +4,8 @@ import (
 	crand "crypto/rand"
 	"io"
 	"math/rand"
-	"runtime"
+
+	"zkspeed/internal/par"
 )
 
 // engineConfig is the resolved option set of an Engine.
@@ -23,7 +24,7 @@ type engineConfig struct {
 func defaultEngineConfig() engineConfig {
 	return engineConfig{
 		entropy:     crand.Reader,
-		parallelism: runtime.GOMAXPROCS(0),
+		parallelism: par.Procs(0),
 	}
 }
 

@@ -3,6 +3,7 @@ package zkspeed_test
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,27 +61,45 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 	var info api.CircuitInfo
 	postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info, http.StatusOK)
 
-	// Two concurrent clients inside one batch window. (No t.Fatal inside
-	// the goroutines — errors are collected and checked afterwards.)
+	// Two concurrent clients inside one batch window. Each body goes
+	// through a pipe, and neither is written before both admissions are
+	// open, so whichever statement a loop pops first, its batch is held
+	// while the other is still being admitted. (No t.Fatal inside the
+	// goroutines — errors are collected and checked afterwards.)
 	var wg sync.WaitGroup
 	responses := make([]api.ProveResponse, 2)
 	errs := make([]error, 2)
+	bodies := make([][]byte, 2)
+	pipes := make([]*io.PipeWriter, 2)
+	defer func() { // a failed wait must not leave srv.Close waiting on an upload
+		for _, pw := range pipes {
+			if pw != nil {
+				pw.CloseWithError(errors.New("test ended"))
+			}
+		}
+	}()
 	for i, a := range []*zkspeed.Assignment{assign1, assign2} {
 		blob, err := a.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if bodies[i], err = json.Marshal(api.ProveRequest{
+			CircuitDigest: info.Digest, Witness: blob, Wait: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var pr *io.PipeReader
+		pr, pipes[i] = io.Pipe()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/prove", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.ContentLength = int64(len(bodies[i]))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, err := json.Marshal(api.ProveRequest{
-				CircuitDigest: info.Digest, Witness: blob, Wait: true,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp, err := srv.Client().Post(srv.URL+"/v1/prove", "application/json", bytes.NewReader(body))
+			resp, err := srv.Client().Do(req)
 			if err != nil {
 				errs[i] = err
 				return
@@ -92,6 +111,13 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 			}
 			errs[i] = json.NewDecoder(resp.Body).Decode(&responses[i])
 		}()
+		waitAdmissions(t, srv, i+1)
+	}
+	for i, pw := range pipes {
+		if _, err := pw.Write(bodies[i]); err != nil {
+			t.Fatalf("client %d body: %v", i, err)
+		}
+		pw.Close()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -115,17 +141,18 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 		}
 	}
 
-	st := svc.BackendStats()
-	if st.KeySetups != 1 {
-		t.Fatalf("key setups = %d, want 1 (shared across the batch window)", st.KeySetups)
+	metrics := scrapeMetrics(t, srv)
+	if !strings.Contains(metrics, "\nzkproverd_key_setups_total 1\n") {
+		t.Fatalf("key setups: want 1 (shared across the batch window)\n%s", metrics)
 	}
-	if st.SRSSetups != 1 {
-		t.Fatalf("SRS ceremonies = %d, want 1", st.SRSSetups)
+	if !strings.Contains(metrics, "\nzkproverd_srs_setups_total 1\n") {
+		t.Fatalf("SRS ceremonies: want 1\n%s", metrics)
 	}
-	if st.Proofs != 2 {
-		t.Fatalf("proofs = %d, want 2", st.Proofs)
+	snap := svc.Metrics().Snapshot()
+	if snap.ProveCount != 2 {
+		t.Fatalf("proofs = %d, want 2", snap.ProveCount)
 	}
-	if snap := svc.Metrics().Snapshot(); snap.Batches != 1 || snap.BatchJobs != 2 {
+	if snap.Batches != 1 || snap.BatchJobs != 2 {
 		t.Fatalf("batches %+v, want one ProveBatch carrying both jobs", snap)
 	}
 
@@ -141,8 +168,8 @@ func TestServiceSharesOneSetupAcrossBatchWindow(t *testing.T) {
 	if !bytes.Equal(cached.Proof, responses[0].Proof) {
 		t.Fatal("cache returned different proof bytes")
 	}
-	if st := svc.BackendStats(); st.Proofs != 2 {
-		t.Fatalf("cache hit re-proved: %d proofs", st.Proofs)
+	if snap := svc.Metrics().Snapshot(); snap.ProveCount != 2 {
+		t.Fatalf("cache hit re-proved: %d proofs", snap.ProveCount)
 	}
 }
 
@@ -233,16 +260,24 @@ func parkAdmission(t *testing.T, srv *httptest.Server, c uint64) (abandon func()
 			resp.Body.Close()
 		}
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(scrapeMetrics(t, srv), "\nzkproverd_admissions_open 1\n") {
-		if time.Now().After(deadline) {
-			t.Fatal("the stream upload never reached the service")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitAdmissions(t, srv, 1)
 	return func() {
 		pw.CloseWithError(errors.New("upload abandoned"))
 		<-answered
+	}
+}
+
+// waitAdmissions waits until /metrics shows n prove requests being
+// admitted.
+func waitAdmissions(t *testing.T, srv *httptest.Server, n int) {
+	t.Helper()
+	want := fmt.Sprintf("\nzkproverd_admissions_open %d\n", n)
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(scrapeMetrics(t, srv), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d admissions never opened", n)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -278,7 +313,19 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 	for i := range assigns {
 		circuit, assigns[i], pubs[i] = smallCircuit(t, uint64(20+i))
 	}
-	run := func() (*zkspeed.ProverService, []api.ProveResponse) {
+	witnesses := make([][]byte, len(assigns))
+	for i, a := range assigns {
+		var err error
+		if witnesses[i], err = a.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	circuitBlob, err := circuit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := circuit.Digest()
+	run := func() (*zkspeed.ProverService, *httptest.Server, []api.ProveResponse) {
 		svc, err := zkspeed.NewService(zkspeed.ServiceConfig{Shards: 3}, zkspeed.WithEntropy(zkspeed.SeededEntropy(7)))
 		if err != nil {
 			t.Fatal(err)
@@ -287,23 +334,24 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 		if _, err := svc.Preload(ctx, circuit); err != nil {
 			t.Fatal(err)
 		}
-		entry, err := svc.RegisterCircuit(circuit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := svc.ProveBatchWait(ctx, nil, entry, assigns, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := httptest.NewServer(svc.Handler())
+		t.Cleanup(srv.Close)
+		var info api.CircuitInfo
+		postServiceJSON(t, srv, "/v1/circuits", api.RegisterCircuitRequest{Circuit: circuitBlob}, &info, http.StatusOK)
+		var resp api.ProveBatchResponse
+		postServiceJSON(t, srv, "/v1/prove_batch", api.ProveBatchRequest{
+			CircuitDigest: info.Digest, Witnesses: witnesses,
+		}, &resp, http.StatusOK)
 		if resp.Failed != 0 || len(resp.Results) != len(assigns) {
 			t.Fatalf("batch: failed=%d results=%d", resp.Failed, len(resp.Results))
 		}
-		return svc, resp.Results
+		return svc, srv, resp.Results
 	}
 
-	svc, results := run()
-	if st := svc.BackendStats(); st.SRSSetups != 1 || st.KeySetups != 1 {
-		t.Fatalf("%d SRS ceremonies and %d key setups after Preload and a 3-loop batch, want 1 and 1", st.SRSSetups, st.KeySetups)
+	svc, srv, results := run()
+	metrics := scrapeMetrics(t, srv)
+	if !strings.Contains(metrics, "\nzkproverd_srs_setups_total 1\n") || !strings.Contains(metrics, "\nzkproverd_key_setups_total 1\n") {
+		t.Fatalf("after Preload and a 3-loop batch, want 1 SRS ceremony and 1 key setup:\n%s", metrics)
 	}
 	entry, err := svc.RegisterCircuit(circuit)
 	if err != nil {
@@ -317,16 +365,16 @@ func TestPreloadWarmsEveryLoop(t *testing.T) {
 		if err := svc.Verify(ctx, entry, pubs[i], &proof); err != nil {
 			t.Fatalf("statement %d does not verify: %v", i, err)
 		}
-		again, err := svc.SubmitWait(ctx, entry, assigns[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		var again api.ProveResponse
+		postServiceJSON(t, srv, "/v1/prove", api.ProveRequest{
+			CircuitDigest: hex.EncodeToString(digest[:]), Witness: witnesses[i], Wait: true,
+		}, &again, http.StatusOK)
 		if !again.Cached || !bytes.Equal(again.Proof, r.Proof) {
 			t.Fatalf("statement %d resubmitted: cached=%v, same bytes=%v", i, again.Cached, bytes.Equal(again.Proof, r.Proof))
 		}
 	}
 
-	_, twin := run()
+	_, _, twin := run()
 	for i := range results {
 		if !bytes.Equal(twin[i].Proof, results[i].Proof) {
 			t.Fatalf("statement %d: a service from the same seed proved different bytes", i)
@@ -382,10 +430,17 @@ func TestNewServiceConstructionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := svc.SubmitWait(context.Background(), entry, assign)
+	witness, err := assign.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	digest := circuit.Digest()
+	var resp api.ProveResponse
+	postServiceJSON(t, srv, "/v1/prove", api.ProveRequest{
+		CircuitDigest: hex.EncodeToString(digest[:]), Witness: witness, Wait: true,
+	}, &resp, http.StatusOK)
 	var proof zkspeed.Proof
 	if err := proof.UnmarshalBinary(resp.Proof); err != nil {
 		t.Fatal(err)
