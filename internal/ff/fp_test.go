@@ -86,6 +86,19 @@ func fpInverseCases(rng *rand.Rand, n int) []Fp {
 	return cases
 }
 
+// TestFpInverseBEEAAllocs: the binary GCD allocates nothing — it is the
+// shared inversion of every batch-affine MSM batch — on the edge inputs
+// as on random ones.
+func TestFpInverseBEEAAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	for i, x := range fpInverseCases(rng, 2) {
+		var out Fp
+		if avg := testing.AllocsPerRun(10, func() { out.Inverse(&x) }); avg != 0 {
+			t.Fatalf("case %d: Inverse allocates %.0f objects", i, avg)
+		}
+	}
+}
+
 func TestFpSqrt(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	found := 0
